@@ -6,7 +6,7 @@ Every subcommand maps one-to-one onto a module operation; reports land in
 <out>/summary.json plus one CSV per detail table.  Exit codes: 0 all pass
 flags true, 1 some pass flag false, 2 invalid config or usage, 3 volume or
 vertex budget exceeded.  MPMSA_THREADS sets the worker count without
-changing any output byte.
+changing any output byte; a value that is not an integer >= 1 exits 2.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import time
 from .config import KINDS, ExperimentConfig, load_config
 from .errors import BudgetExceeded, ConfigurationError, ContractViolation, DataError
 from .experiments import RUNNERS
+from .parallel import thread_count
 from .reporting import Report
 
 EXIT_PASS = 0
@@ -64,6 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        thread_count()  # rejects a malformed MPMSA_THREADS before any work
         if args.seed is not None:
             config.set("experiment", "seed", str(args.seed))
         if args.trials is not None:

@@ -20,9 +20,9 @@ from scipy.linalg import lu_factor, lu_solve
 from .configspace import Config, MultiBall, ball_inner_boundary, rho
 from .errors import ContractViolation
 from .graphs import GrowthCertificate
-from .hamiltonian import HamiltonianMatrix
+from .hamiltonian import DEFAULT_VOLUME_BUDGET, HamiltonianMatrix
 from .msa import MassSchedule, ParameterSet, ScaleSchedule, classify
-from .spectral import eigendecompose
+from .spectral import BallSpectra, eigendecompose
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def gf_domination_check(
     sample,
     interaction,
     g: float,
-    budget: int = 4000,
+    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> GfDominationReport:
     """Green functions of a completely non-resonant ball are dominated.
 
@@ -215,16 +215,14 @@ def gf_domination_check(
     ball = MultiBall(graph, center, radius)
     xi = frozenset(map(tuple, xi))
     mass_schedule = MassSchedule(params)
+    spectra = BallSpectra(graph, sample, g, interaction, budget)
 
     if not mass * float(ell) ** params.delta > 2.0 * float(radius) ** params.beta:
         failures.append("m * ell^delta > 2 L^beta")
     m_prime = mass - 2.0 * float(ell) ** (-params.delta) * float(radius) ** params.beta if ell > 0 else -math.inf
     q = math.exp(-m_prime * float(ell) ** params.delta) if m_prime > 0 else 0.5
 
-    flags = classify(
-        ball, energy, params, mass_schedule, sample, interaction, g, cert,
-        schedule=schedule, budget=budget,
-    )
+    flags = classify(ball, energy, params, mass_schedule, spectra, cert, schedule=schedule)
     if flags.cnr is not True:
         failures.append("ball is (E,beta)-CNR")
 
@@ -233,8 +231,7 @@ def gf_domination_check(
             if v in xi:
                 continue
             cls = classify(
-                MultiBall(graph, v, ell), energy, params, mass_schedule, sample,
-                interaction, g, cert, budget=budget,
+                MultiBall(graph, v, ell), energy, params, mass_schedule, spectra, cert
             )
             if cls.nonsingular is not True:
                 failures.append(f"sub-ball at {v} outside Xi is not (E,delta,m)-NS")

@@ -15,11 +15,11 @@ import numpy as np
 from .configspace import MultiBall, SeparationCertificate, rho_s
 from .disorder import DisorderSample, InteractionPotential, PotentialDistribution, sample_potential
 from .errors import ContractViolation
-from .hamiltonian import DEFAULT_VOLUME_BUDGET, PreparedVolume, assemble_ball
+from .hamiltonian import DEFAULT_VOLUME_BUDGET, PreparedVolume
 from .msa import resonance_threshold
 from .parallel import run_trials
 from .rng import substream
-from .spectral import eigendecompose
+from .spectral import BallSpectra
 
 _Z95 = 1.959963984540054
 
@@ -219,11 +219,15 @@ def spectral_shift_check(
     b_vertices = primary.graph.ball(certificate.center, certificate.radius).tolist()
     shifted = sample.shifted_on(b_vertices, t)
 
-    def eigs(ball: MultiBall, smp: DisorderSample) -> np.ndarray:
-        return eigendecompose(assemble_ball(ball, g, smp, interaction, budget)).eigenvalues
+    base = BallSpectra(primary.graph, sample, g, interaction, budget)
+    moved = BallSpectra(primary.graph, shifted, g, interaction, budget)
 
-    dev_p = float(np.abs(eigs(primary, shifted) - (eigs(primary, sample) + g * certificate.n1 * t)).max())
-    dev_s = float(np.abs(eigs(secondary, shifted) - (eigs(secondary, sample) + g * certificate.n2 * t)).max())
+    def deviation(ball: MultiBall, n_inside: int) -> float:
+        expected = base.spectrum(ball).eigenvalues + g * n_inside * t
+        return float(np.abs(moved.spectrum(ball).eigenvalues - expected).max())
+
+    dev_p = deviation(primary, certificate.n1)
+    dev_s = deviation(secondary, certificate.n2)
     return ShiftReport(
         t=t,
         g=g,

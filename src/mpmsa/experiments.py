@@ -53,7 +53,7 @@ from .msa import (
 )
 from .reporting import Report
 from .rng import CounterRng, substream
-from .spectral import eigendecompose, gri_check
+from .spectral import BallSpectra, eigendecompose, gri_check
 
 # ---------------------------------------------------------------------------
 # Config unpacking
@@ -179,6 +179,7 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
     sample = sample_potential(dist, graph, seed)
     ball = MultiBall(graph, center, radius)
     energies = config.get_floats("run", "energy")
+    spectra = BallSpectra(graph, sample, g, interaction)
     tbl = report.table(
         "classification",
         ("energy", "resonant", "nonsingular", "cnr", "weakly_interactive", "dist_to_spectrum"),
@@ -192,7 +193,7 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
         ),
     )
     for e in energies:
-        flags = classify(ball, e, params, mass, sample, interaction, g, cert, schedule=schedule)
+        flags = classify(ball, e, params, mass, spectra, cert, schedule=schedule)
         tbl.add(
             e,
             flags.resonant,
@@ -225,7 +226,7 @@ def run_gri(config: ExperimentConfig, report: Report) -> None:
         spec_w = eigendecompose(ham.submatrix(sub))
         for _ in range(energies_per):
             e = off_spectrum_energy((spec_v, spec_w), window, rng)
-            res = gri_check(ham, sub, x, y, e)
+            res = gri_check(spec_v, spec_w, x, y, e)
             all_hold &= res.holds
             tbl.add(i, e, res.lhs, res.rhs, res.holds)
     report.results["instances"] = trials
@@ -483,8 +484,9 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
     )
     for i in range(trials):
         sample = sample_potential(dist, graph, substream(seed, i))
-        spec_x = eigendecompose(assemble_ball(ball_x, g, sample, interaction))
-        spec_y = eigendecompose(assemble_ball(ball_y, g, sample, interaction))
+        spectra = BallSpectra(graph, sample, g, interaction)
+        spec_x = spectra.spectrum(ball_x)
+        spec_y = spectra.spectrum(ball_y)
         res = sup_min_functional(spec_x, ball_x, spec_y, ball_y, cert, level, window)
         exceed += int(res.exceeded)
         cover_ok &= res.cover_x.count < 3 * res.cover_x.ball_size

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import ndtri, stdtrit
 
 from .configspace import Config, MultiBall, rho_s
 from .disorder import InteractionPotential, PotentialDistribution, sample_potential
 from .errors import ContractViolation
 from .graphs import Graph, GrowthCertificate
-from .hamiltonian import DEFAULT_VOLUME_BUDGET, VolumeIndex, assemble, assemble_ball
+from .hamiltonian import DEFAULT_VOLUME_BUDGET, VolumeIndex, assemble
 from .msa import (
     MassSchedule,
     ParameterSet,
@@ -32,11 +32,13 @@ from .evc import McEstimate
 from .parallel import run_trials
 from .spectral import (
     RESOLVENT_GUARD,
+    BallSpectra,
     BoundaryProfile,
     SpectralData,
     boundary_profile,
     efc,
     eigendecompose,
+    ns_flags,
 )
 
 _Z95 = 1.959963984540054
@@ -357,9 +359,7 @@ def _worst_estimate(hit_matrix: np.ndarray, trials: int, seed: int, n_energies: 
     if n_energies <= 1:
         return base
     # widen: Wilson at level alpha / n_energies
-    from scipy.stats import norm
-
-    z = float(norm.ppf(1 - 0.025 / n_energies))
+    z = float(ndtri(1 - 0.025 / n_energies))
     p = base.estimate
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -425,31 +425,17 @@ def scale_probabilities(
 
         def one(trial_seed: int, _idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sample = sample_potential(dist, graph, trial_seed)
-            spec = eigendecompose(assemble_ball(ball, g, sample, interaction, budget))
+            spectra = BallSpectra(graph, sample, g, interaction, budget)
+            spec = spectra.spectrum(ball)
             dmin = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
             resonant = dmin < thr_res
-            try:
-                prof = boundary_profile(spec, ball, cert)
-                fvals = prof.evaluate(energies)
-                singular = np.where(dmin <= RESOLVENT_GUARD, True, fvals > thr_ns)
-            except ContractViolation:
-                singular = np.zeros(len(energies), dtype=bool)
+            # an undetermined NS flag counts as singular
+            singular = ~ns_flags(spec, ball, cert, energies, thr_ns)[0]
             wi_sing = np.zeros(len(energies), dtype=bool)
             for v in sub_centers:
                 sub = MultiBall(graph, v, sub_radius)
-                sspec = eigendecompose(assemble_ball(sub, g, sample, interaction, budget))
-                sdmin = np.abs(sspec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
-                try:
-                    sprof = boundary_profile(sspec, sub, cert)
-                    svals = sprof.evaluate(energies)
-                    ssing = np.where(
-                        sdmin <= RESOLVENT_GUARD,
-                        True,
-                        svals > ns_threshold(params, m_n, sub_radius),
-                    )
-                except ContractViolation:
-                    ssing = np.zeros(len(energies), dtype=bool)
-                wi_sing |= ssing
+                thr_sub = ns_threshold(params, m_n, sub_radius)
+                wi_sing |= ~ns_flags(spectra.spectrum(sub), sub, cert, energies, thr_sub)[0]
                 if wi_sing.all():
                     break
             return resonant, singular, wi_sing
@@ -590,7 +576,7 @@ def efc_decay_experiment(
             batch_fits.append(_fit_mass(distances[keep], bm[keep], kappa)[0])
         arr = np.asarray(batch_fits)
         if arr.size >= 2:
-            crit = float(student_t.ppf(0.975, arr.size - 1))
+            crit = float(stdtrit(arr.size - 1, 0.975))
             half = crit * arr.std(ddof=1) / math.sqrt(arr.size)
             ci = (float(arr.mean() - half), float(arr.mean() + half))
         else:

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configspace import CanonicalSplit, MultiBall, classify_interactivity, rho_s
-from .disorder import DisorderSample, InteractionPotential
 from .errors import ConfigurationError, ContractViolation
 from .graphs import GrowthCertificate
-from .hamiltonian import DEFAULT_VOLUME_BUDGET, assemble_ball, decouple
-from .spectral import RESOLVENT_GUARD, SpectralData, boundary_profile, eigendecompose
+from .spectral import BallSpectra, SpectralData, ns_flags
 
 
 @dataclass(frozen=True)
@@ -201,12 +199,6 @@ class BallClassification:
     witnesses: dict = field(default_factory=dict)
 
 
-def _ball_spectrum(
-    ball: MultiBall, sample, interaction, g, budget
-) -> SpectralData:
-    return eigendecompose(assemble_ball(ball, g, sample, interaction, budget))
-
-
 def _is_resonant(spec: SpectralData, energy: float, radius: int, beta: float) -> bool:
     return spec.dist_to_spectrum(energy) < resonance_threshold(radius, beta)
 
@@ -216,11 +208,7 @@ def _is_cnr(
     energy: float,
     params: ParameterSet,
     schedule: ScaleSchedule,
-    sample: DisorderSample,
-    interaction: InteractionPotential,
-    g: float,
-    cert: GrowthCertificate,
-    budget: int,
+    spectra: BallSpectra,
 ) -> tuple[bool, dict]:
     """Completely non-resonant: NR at every integer radius in [L_{k-1}, L_k]."""
     k = schedule.index_of(ball.radius)
@@ -228,8 +216,7 @@ def _is_cnr(
         raise ContractViolation("CNR needs radius equal to some L_k with k >= 1")
     lo, hi = schedule.level(k - 1), schedule.level(k)
     for ell in range(lo, hi + 1):
-        spec = _ball_spectrum(ball.concentric(ell), sample, interaction, g, budget)
-        if _is_resonant(spec, energy, ell, params.beta):
+        if _is_resonant(spectra.spectrum(ball.concentric(ell)), energy, ell, params.beta):
             return False, {"cnr_failed_radius": ell}
     return True, {}
 
@@ -239,12 +226,9 @@ def classify(
     energy: float,
     params: ParameterSet,
     mass: MassSchedule,
-    sample: DisorderSample,
-    interaction: InteractionPotential,
-    g: float,
+    spectra: BallSpectra,
     cert: GrowthCertificate,
     schedule: ScaleSchedule | None = None,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> BallClassification:
     """Resonance, Green-decay singularity, WI/SI and (optionally) CNR flags.
 
@@ -253,7 +237,7 @@ def classify(
     resolvent guard, the ball is reported resonant with NS undetermined.
     """
     out = BallClassification(radius=ball.radius, n_particles=ball.n_particles, energy=energy)
-    spec = _ball_spectrum(ball, sample, interaction, g, budget)
+    spec = spectra.spectrum(ball)
     dist = spec.dist_to_spectrum(energy)
     out.resonant = dist < resonance_threshold(ball.radius, params.beta)
     out.witnesses["dist_to_spectrum"] = dist
@@ -264,29 +248,18 @@ def classify(
         out.split = split
 
     if ball.radius >= 1:
-        m_n = mass.m(ball.n_particles)
-        threshold = ns_threshold(params, m_n, ball.radius)
-        if dist <= RESOLVENT_GUARD:
-            out.nonsingular = None
+        threshold = ns_threshold(params, mass.m(ball.n_particles), ball.radius)
+        ns, undetermined = ns_flags(spec, ball, cert, np.asarray([energy]), threshold)
+        out.witnesses["ns_threshold"] = threshold
+        if undetermined[0]:
             out.witnesses["ns_undetermined"] = "resolvent guard tripped"
         else:
-            try:
-                prof = boundary_profile(spec, ball, cert)
-            except ContractViolation:
-                out.nonsingular = True  # empty boundary: vacuous
-                out.witnesses["boundary"] = "empty"
-            else:
-                f_val = float(prof.evaluate(np.asarray([energy]))[0])
-                out.nonsingular = f_val <= threshold
-                out.witnesses["boundary_functional"] = f_val
-                out.witnesses["ns_threshold"] = threshold
+            out.nonsingular = bool(ns[0])
 
     if schedule is not None:
         k = schedule.index_of(ball.radius)
         if k is not None and k >= 1:
-            flag, extra = _is_cnr(
-                ball, energy, params, schedule, sample, interaction, g, cert, budget
-            )
+            flag, extra = _is_cnr(ball, energy, params, schedule, spectra)
             out.cnr = flag
             out.witnesses.update(extra)
     return out
@@ -297,12 +270,9 @@ def classify_wi(
     energy: float,
     params: ParameterSet,
     mass: MassSchedule,
-    sample: DisorderSample,
-    interaction: InteractionPotential,
-    g: float,
+    spectra: BallSpectra,
     cert: GrowthCertificate,
     schedule: ScaleSchedule,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> BallClassification:
     """FNR/PNS for a weakly interactive ball via its reduced Hamiltonians.
 
@@ -320,19 +290,16 @@ def classify_wi(
     out.weakly_interactive = True
     out.split = split
 
-    dec = decouple(ball, split, g, sample, interaction, budget)
-    spec_p = eigendecompose(dec.h_prime)
-    spec_s = eigendecompose(dec.h_second)
+    # the reduced Hamiltonians of the decoupled form are the factor-ball Hamiltonians
     ball_p = MultiBall(ball.graph, tuple(ball.center[j - 1] for j in split.J), ball.radius)
     ball_s = MultiBall(ball.graph, tuple(ball.center[j - 1] for j in split.Jc), ball.radius)
+    spec_p = spectra.spectrum(ball_p)
+    spec_s = spectra.spectrum(ball_s)
 
     lo, hi = schedule.level(k - 1), schedule.level(k)
 
     def cnr_profile(factor_ball: MultiBall) -> list[SpectralData]:
-        return [
-            _ball_spectrum(factor_ball.concentric(ell), sample, interaction, g, budget)
-            for ell in range(lo, hi + 1)
-        ]
+        return [spectra.spectrum(factor_ball.concentric(ell)) for ell in range(lo, hi + 1)]
 
     def all_cnr(radius_specs: list[SpectralData], energies: np.ndarray) -> tuple[bool, dict]:
         for ell, spec in zip(range(lo, hi + 1), radius_specs):
@@ -357,14 +324,8 @@ def classify_wi(
         factor_ball: MultiBall, spec: SpectralData, energies: np.ndarray, m_val: float
     ) -> tuple[bool, dict]:
         thr = ns_threshold(params, m_val, factor_ball.radius)
-        try:
-            prof = boundary_profile(spec, factor_ball, cert)
-        except ContractViolation:
-            return True, {"pns_boundary": "empty"}
-        guard_dist = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
-        vals = prof.evaluate(energies)
-        vals = np.where(guard_dist <= RESOLVENT_GUARD, np.inf, vals)
-        bad = np.nonzero(vals > thr)[0]
+        ns, _ = ns_flags(spec, factor_ball, cert, energies, thr)  # undetermined fails
+        bad = np.nonzero(~ns)[0]
         if bad.size:
             return False, {"pns_failed_shift_index": int(bad[0])}
         return True, {}
@@ -421,12 +382,9 @@ def is_good(
     energy: float,
     params: ParameterSet,
     mass: MassSchedule,
-    sample: DisorderSample,
-    interaction: InteractionPotential,
-    g: float,
+    spectra: BallSpectra,
     cert: GrowthCertificate,
     schedule: ScaleSchedule,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> GoodBallReport:
     """Good ball at L_{k+1}: CNR and no K+1 pairwise-distant singular sub-balls.
 
@@ -445,26 +403,17 @@ def is_good(
         threshold = int(math.floor(float(l_small) ** params.tau))
         count_bound = 1
 
-    cnr_flag, cnr_wit = _is_cnr(
-        ball, energy, params, schedule, sample, interaction, g, cert, budget
-    )
+    cnr_flag, _ = _is_cnr(ball, energy, params, schedule, spectra)
 
     centers_ball = MultiBall(ball.graph, ball.center, ball.radius - l_small)
     singular = []
-    m_n = mass.m(n)
-    thr = ns_threshold(params, m_n, l_small)
+    thr = ns_threshold(params, mass.m(n), l_small)
+    energies = np.asarray([energy])
     for v in centers_ball.members():
         sub = MultiBall(ball.graph, v, l_small)
-        spec = _ball_spectrum(sub, sample, interaction, g, budget)
-        if spec.dist_to_spectrum(energy) <= RESOLVENT_GUARD:
+        ns, _ = ns_flags(spectra.spectrum(sub), sub, cert, energies, thr)
+        if not ns[0]:
             singular.append(v)  # undetermined NS counts against goodness
-            continue
-        try:
-            prof = boundary_profile(spec, sub, cert)
-        except ContractViolation:
-            continue  # vacuously NS
-        if float(prof.evaluate(np.asarray([energy]))[0]) > thr:
-            singular.append(v)
 
     strategy = "exhaustive" if len(singular) <= 12 else "greedy"
     collection = _pairwise_distant_subset(ball.graph, singular, threshold, count_bound + 1)

@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configspace import Config, MultiBall, ball_inner_boundary, edge_boundary, rho_s
+from .disorder import DisorderSample, InteractionPotential
 from .errors import ContractViolation, DataError, ResonanceError
-from .graphs import GrowthCertificate
-from .hamiltonian import HamiltonianMatrix, VolumeIndex
+from .graphs import Graph, GrowthCertificate
+from .hamiltonian import DEFAULT_VOLUME_BUDGET, HamiltonianMatrix, VolumeIndex, assemble_ball
 
 RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
@@ -67,6 +68,35 @@ def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
     if gram_err > 1e-10:
         raise DataError(f"eigenvector gram deviation {gram_err:.3e} too large")
     return SpectralData(volume=ham.volume, eigenvalues=lam, eigenvectors=vec, h_norm=h_norm)
+
+
+@dataclass(eq=False)
+class BallSpectra:
+    """Spectra of the balls of one graph under one disorder sample.
+
+    Each (center, radius) is assembled and diagonalized on first request and
+    memoized: the multi-scale predicates ask about the same balls at many
+    energies, radii and predicates.
+    """
+
+    graph: Graph
+    sample: DisorderSample
+    g: float
+    interaction: InteractionPotential
+    budget: int = DEFAULT_VOLUME_BUDGET
+    _solved: dict[tuple[Config, int], SpectralData] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def spectrum(self, ball: MultiBall) -> SpectralData:
+        if ball.graph is not self.graph:
+            raise ContractViolation("ball lies on another graph than its spectra")
+        key = (tuple(ball.center), ball.radius)
+        spec = self._solved.get(key)
+        if spec is None:
+            ham = assemble_ball(ball, self.g, self.sample, self.interaction, self.budget)
+            spec = self._solved[key] = eigendecompose(ham)
+        return spec
 
 
 def _check_resonance(spec: SpectralData, energy: float, guard: float) -> None:
@@ -158,6 +188,29 @@ def boundary_functional(
     return float(prof.evaluate(np.asarray([energy]))[0])
 
 
+def ns_flags(
+    spec: SpectralData,
+    ball: MultiBall,
+    cert: GrowthCertificate,
+    energies: np.ndarray,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Green-decay nonsingularity F_u(E) <= threshold at each energy.
+
+    Returns boolean arrays (ns, undetermined).  An energy within the resolvent
+    guard of the spectrum is undetermined and not NS; a ball without an inner
+    boundary is vacuously NS at every energy.
+    """
+    energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
+    try:
+        prof = boundary_profile(spec, ball, cert)
+    except ContractViolation:
+        return np.ones(energies.shape, dtype=bool), np.zeros(energies.shape, dtype=bool)
+    dist = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
+    undetermined = dist <= RESOLVENT_GUARD
+    return (prof.evaluate(energies) <= threshold) & ~undetermined, undetermined
+
+
 @dataclass(frozen=True)
 class EfcResult:
     """Eigenfunction correlator sup over |f| <= 1 of |<1_y| f(H) |1_x>|."""
@@ -210,8 +263,8 @@ class GriReport:
 
 
 def gri_check(
-    h_big: HamiltonianMatrix,
-    subset,
+    spec_big: SpectralData,
+    spec_sub: SpectralData,
     x: Config,
     y: Config,
     energy: float,
@@ -222,32 +275,30 @@ def gri_check(
 
         |G_V(x,y)| <= sum over boundary edges (u,v) of |G_W(x,u)| |G_V(v,y)|
 
-    for x in W, y in V \\ W, E off both spectra.  The inequality is exact
+    for x in W, y in V \\ W, E off both spectra, given the spectrum of H_V
+    and of its principal submatrix over W.  The inequality is exact
     mathematics; a failure beyond the tolerance indicates an implementation
     bug.  Small Green values
     come out of strongly canceling spectral sums, so on near-equality
     instances the relative slack is topped up with a machine-noise floor
     proportional to the cancellation mass sum_j |psi_j(x) psi_j(y)| / |l_j - E|.
     """
-    sub_cfgs = sorted(set(map(tuple, subset)))
-    if tuple(x) not in set(sub_cfgs):
+    vol_big, vol_sub = spec_big.volume, spec_sub.volume
+    if tuple(x) not in vol_sub:
         raise ContractViolation("x must lie in W")
-    if tuple(y) in set(sub_cfgs) or tuple(y) not in h_big.volume:
+    if tuple(y) in vol_sub or tuple(y) not in vol_big:
         raise ContractViolation("y must lie in V \\ W")
-    h_sub = h_big.submatrix(sub_cfgs)
-    spec_big = eigendecompose(h_big)
-    spec_sub = eigendecompose(h_sub)
+    edges = edge_boundary(vol_big.graph, vol_big.configs, vol_sub.configs)
     _check_resonance(spec_big, energy, guard)
     _check_resonance(spec_sub, energy, guard)
 
-    edges = edge_boundary(h_big.volume.graph, h_big.volume.configs, sub_cfgs)
     g_big_y = green_row(spec_big, energy, y, guard)
     g_sub_x = green_row(spec_sub, energy, x, guard)
-    lhs = abs(float(g_big_y[h_big.volume.position(x)]))
+    lhs = abs(float(g_big_y[vol_big.position(x)]))
     rhs = 0.0
     for u, v in edges:
-        rhs += abs(float(g_sub_x[h_sub.volume.position(u)])) * abs(
-            float(g_big_y[h_big.volume.position(v)])
+        rhs += abs(float(g_sub_x[vol_sub.position(u)])) * abs(
+            float(g_big_y[vol_big.position(v)])
         )
     cancel_mass = float(
         np.sum(

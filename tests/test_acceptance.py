@@ -97,7 +97,7 @@ def test_criterion_01_gri_suite():
             spec_w = eigendecompose(ham.submatrix(sub))
             for _ in range(5):
                 energy = off_spectrum_energy((spec_v, spec_w), window, rng, guard=1e-4)
-                rep = gri_check(ham, sub, x, y, energy)
+                rep = gri_check(spec_v, spec_w, x, y, energy)
                 violations += int(not rep.holds)
             total += 1
     elapsed = time.perf_counter() - start

@@ -72,6 +72,26 @@ def test_zero_trials_exits_2(tmp_path):
     assert main(["wegner", "--config", path, "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_malformed_thread_count_exits_2(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("MPMSA_THREADS", value)
+    path = _write(tmp_path, BASE_WEGNER.format(out=tmp_path / "x"))
+    assert main(["wegner", "--config", path]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_thread_count_capped_by_cpus_and_trials(monkeypatch):
+    from mpmsa.parallel import thread_count
+
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("MPMSA_THREADS", "1000000")
+    assert thread_count() == cpus
+    assert thread_count(3) == min(3, cpus)
+    assert thread_count(0) == 1
+    monkeypatch.setenv("MPMSA_THREADS", "1")
+    assert thread_count(50) == 1
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "nope.cfg"])

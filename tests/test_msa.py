@@ -17,6 +17,7 @@ from mpmsa.msa import (
     scales,
     validate,
 )
+from mpmsa.spectral import BallSpectra
 
 DIST = uniform_distribution(0, 1)
 
@@ -104,7 +105,8 @@ def test_classify_nonresonant_far_energy():
     params = _params()
     mass = MassSchedule(params)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
-    flags = classify(ball, lam.max() + 10.0, params, mass, smp, ZERO_INTERACTION, 1.0, cert)
+    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    flags = classify(ball, lam.max() + 10.0, params, mass, spectra, cert)
     assert flags.resonant is False
 
 
@@ -113,7 +115,8 @@ def test_classify_resonant_exact_eigenvalue():
     params = _params()
     mass = MassSchedule(params)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
-    flags = classify(ball, float(lam[3]), params, mass, smp, ZERO_INTERACTION, 1.0, cert)
+    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    flags = classify(ball, float(lam[3]), params, mass, spectra, cert)
     assert flags.resonant is True
     assert flags.nonsingular is None  # resolvent guard tripped
     assert "ns_undetermined" in flags.witnesses
@@ -127,7 +130,8 @@ def test_classify_strong_disorder_mostly_nonsingular():
     trials = 200
     for i in range(trials):
         smp = sample_potential(DIST, g, 40_000 + i)
-        flags = classify(ball, 5000.0, params, mass, smp, ZERO_INTERACTION, 1e4, cert)
+        spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+        flags = classify(ball, 5000.0, params, mass, spectra, cert)
         hits += int(flags.nonsingular is True)
     assert hits / trials >= 0.9
 
@@ -138,11 +142,12 @@ def test_cnr_implies_nr_and_needs_schedule_index():
     mass = MassSchedule(params)
     sched = scales(params, kmax=2)
     ball = MultiBall(g, (9,), 4)  # radius = L_1
-    flags = classify(ball, 5000.0, params, mass, smp, ZERO_INTERACTION, 1e4, cert, schedule=sched)
+    spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+    flags = classify(ball, 5000.0, params, mass, spectra, cert, schedule=sched)
     if flags.cnr:
         assert flags.resonant is False
     bad = MultiBall(g, (9,), 5)  # not an L_k
-    flags2 = classify(bad, 5000.0, params, mass, smp, ZERO_INTERACTION, 1e4, cert, schedule=sched)
+    flags2 = classify(bad, 5000.0, params, mass, spectra, cert, schedule=sched)
     assert flags2.cnr is None
 
 
@@ -154,7 +159,8 @@ def test_classify_wi_fnr_far_energy():
     sched = scales(params, kmax=2)
     smp = sample_potential(DIST, g, 5)
     ball = MultiBall(g, (2, 33), 4)  # radius L_1 = 4, diam 31 > 24
-    flags = classify_wi(ball, 1e6, params, mass, smp, ZERO_INTERACTION, 1.0, cert, sched)
+    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    flags = classify_wi(ball, 1e6, params, mass, spectra, cert, sched)
     assert flags.weakly_interactive and flags.fnr is True and flags.pns is True
 
 
@@ -174,7 +180,8 @@ def test_classify_wi_not_fnr_on_resonant_shift():
     lam_prime = np.linalg.eigvalsh(dec.h_prime.matrix)
     mu_second = np.linalg.eigvalsh(dec.h_second.matrix)
     energy = float(lam_prime[0] + mu_second[0])  # E - lambda' hits Sigma'' exactly
-    flags = classify_wi(ball, energy, params, mass, smp, ZERO_INTERACTION, 1.0, cert, sched)
+    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    flags = classify_wi(ball, energy, params, mass, spectra, cert, sched)
     assert flags.fnr is False
 
 
@@ -186,8 +193,9 @@ def test_classify_wi_rejects_radius_zero():
     sched = scales(params, kmax=2)
     smp = sample_potential(DIST, g, 7)
     ball = MultiBall(g, (0, 30), 0)
+    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
     with pytest.raises(ContractViolation):
-        classify_wi(ball, 1.0, params, mass, smp, ZERO_INTERACTION, 1.0, cert, sched)
+        classify_wi(ball, 1.0, params, mass, spectra, cert, sched)
 
 
 def _good_setup():
@@ -203,7 +211,8 @@ def _good_setup():
 def test_good_ball_strong_disorder():
     g, cert, params, mass, sched, ball = _good_setup()
     smp = sample_potential(DIST, g, 97)
-    rep = is_good(ball, 5000.25, params, mass, smp, ZERO_INTERACTION, 1e4, cert, sched)
+    spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+    rep = is_good(ball, 5000.25, params, mass, spectra, cert, sched)
     assert rep.cnr and rep.good and rep.forbidden_collection is None
 
 
@@ -220,7 +229,8 @@ def test_good_ball_planted_counterexample():
         lam0 = float(np.linalg.eigvalsh(-laplacian(VolumeIndex.from_ball(sub)))[0])
         for u in g.ball(v_center, 2):
             smp.values[u] = (energy - lam0 + 1e-8) / 1.0
-    rep = is_good(ball, energy, params, mass, smp, ZERO_INTERACTION, 1.0, cert, sched)
+    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    rep = is_good(ball, energy, params, mass, spectra, cert, sched)
     assert rep.forbidden_collection is not None
     assert not rep.good
     planted = {(12,), (32,)}
@@ -231,7 +241,8 @@ def test_good_ball_requires_cnr():
     g, cert, params, mass, sched, ball = _good_setup()
     smp = sample_potential(DIST, g, 99)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1e4, smp, ZERO_INTERACTION).matrix)
-    rep = is_good(ball, float(lam[5]), params, mass, smp, ZERO_INTERACTION, 1e4, cert, sched)
+    spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+    rep = is_good(ball, float(lam[5]), params, mass, spectra, cert, sched)
     assert not rep.cnr and not rep.good
 
 
@@ -242,10 +253,9 @@ def test_good_implies_ns_mechanism():
     for i in range(30):
         smp = sample_potential(DIST, g, 7000 + i)
         energy = 5000.25
-        rep = is_good(ball, energy, params, mass, smp, ZERO_INTERACTION, 1e4, cert, sched)
-        flags = classify(
-            ball, energy, params, mass, smp, ZERO_INTERACTION, 1e4, cert, schedule=sched
-        )
+        spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+        rep = is_good(ball, energy, params, mass, spectra, cert, sched)
+        flags = classify(ball, energy, params, mass, spectra, cert, schedule=sched)
         dist = flags.witnesses["dist_to_spectrum"]
         if rep.good and dist >= math.exp(-float(ball.radius) ** params.beta):
             if flags.nonsingular is not True:

@@ -12,7 +12,9 @@ from mpmsa.errors import ContractViolation, ResonanceError
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import HamiltonianMatrix, Provenance, VolumeIndex, assemble, assemble_ball
 from mpmsa.rng import CounterRng
+from mpmsa import spectral
 from mpmsa.spectral import (
+    BallSpectra,
     boundary_functional,
     efc,
     efc_test_function_value,
@@ -21,6 +23,7 @@ from mpmsa.spectral import (
     green_row,
     gri_check,
     localization_profile,
+    ns_flags,
 )
 
 DIST = uniform_distribution(0, 1)
@@ -191,7 +194,7 @@ def test_gri_holds_on_random_instances():
             spec_v = eigendecompose(ham)
             spec_w = eigendecompose(ham.submatrix(sub))
             e = off_spectrum_energy((spec_v, spec_w), window, rng)
-            rep = gri_check(ham, sub, x, y, e)
+            rep = gri_check(spec_v, spec_w, x, y, e)
             assert rep.holds
 
 
@@ -205,7 +208,7 @@ def test_gri_degenerate_subset():
     ham = assemble(VolumeIndex(g, volume), 1.0, smp, ZERO_INTERACTION)
     spec = eigendecompose(ham)
     e = spec.eigenvalues.max() + 0.8
-    rep = gri_check(ham, sub, sub[0], volume[-1], e)
+    rep = gri_check(spec, eigendecompose(ham.submatrix(sub)), sub[0], volume[-1], e)
     assert rep.holds
 
 
@@ -244,3 +247,44 @@ def test_parseval_per_configuration():
     spec = eigendecompose(assemble_ball(ball, 1.0, smp, InteractionPotential(0.5, 1.0)))
     sums = (spec.eigenvectors**2).sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-10
+
+
+def test_ball_spectra_solves_each_ball_once(monkeypatch):
+    g = build_graph("path:12")
+    smp = sample_potential(DIST, g, 4)
+    solves = []
+
+    def counting(ham):
+        solves.append(ham.volume.configs)
+        return eigendecompose(ham)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    spectra = BallSpectra(g, smp, 1.5, ZERO_INTERACTION)
+    balls = [MultiBall(g, (5,), r) for r in (1, 2, 3)] + [MultiBall(g, (7,), 2)]
+    first = [spectra.spectrum(b) for b in balls]
+    again = [spectra.spectrum(MultiBall(g, b.center, b.radius)) for b in reversed(balls)]
+    assert len(solves) == len(balls) == len(set(solves))
+    assert all(a is b for a, b in zip(first, reversed(again)))
+    direct = eigendecompose(assemble_ball(balls[1], 1.5, smp, ZERO_INTERACTION))
+    assert np.array_equal(first[1].eigenvalues, direct.eigenvalues)
+    assert np.array_equal(first[1].eigenvectors, direct.eigenvectors)
+    with pytest.raises(ContractViolation):
+        spectra.spectrum(MultiBall(build_graph("path:12"), (5,), 1))
+    assert len(solves) == len(balls)
+
+
+def test_ns_flags_guard_and_empty_boundary():
+    g = build_graph("path:9")
+    cert = certify_growth(g, 1.0, 8)
+    smp = sample_potential(DIST, g, 11)
+    ball = MultiBall(g, (4,), 2)
+    spec = eigendecompose(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
+    lam = spec.eigenvalues
+    energies = np.asarray([lam[0], lam[0] + 1e-6, lam.max() + 1e6])
+    ns, undetermined = ns_flags(spec, ball, cert, energies, threshold=1e-3)
+    assert undetermined.tolist() == [True, False, False]
+    assert ns.tolist() == [False, False, True]
+    whole = MultiBall(g, (4,), 8)  # exhausts the graph: no inner boundary
+    spec_whole = eigendecompose(assemble_ball(whole, 1.0, smp, ZERO_INTERACTION))
+    ns, undetermined = ns_flags(spec_whole, whole, cert, spec_whole.eigenvalues[:2], 1e-3)
+    assert ns.all() and not undetermined.any()

@@ -29,8 +29,7 @@ KNOWN_KEYS: dict[str, tuple[str, ...]] = {
     "run": (
         "energy", "energy_policy", "radius", "center", "center_x", "center_y",
         "s_grid", "q_sizes", "kmax", "pairs", "t", "level", "ell", "g_grid",
-        "theta_floor", "volumes", "energies_per_instance", "batches",
-        "allow_param_violations", "grid_points", "xi",
+        "theta_floor", "energies_per_instance", "batches", "allow_param_violations",
     ),
 }
 

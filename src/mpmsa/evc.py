@@ -24,6 +24,16 @@ from .spectral import BallSpectra
 _Z95 = 1.959963984540054
 
 
+def wilson_interval(p: float, trials: int, z: float = _Z95) -> tuple[float, float]:
+    """Wilson score interval at critical value z for a binomial proportion p
+    observed over `trials`, clipped to [0, 1]."""
+    z2 = z * z
+    denom = 1.0 + z2 / trials
+    center = (p + z2 / (2 * trials)) / denom
+    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Binomial point estimate with a Wilson 95% interval."""
@@ -40,12 +50,9 @@ class McEstimate:
         if trials < 1:
             raise ContractViolation("trials must be >= 1")
         p = successes / trials
-        z2 = _Z95 * _Z95
-        denom = 1.0 + z2 / trials
-        center = (p + z2 / (2 * trials)) / denom
-        half = _Z95 * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
-        lo = 0.0 if successes == 0 else max(0.0, center - half)
-        hi = 1.0 if successes == trials else min(1.0, center + half)
+        lo, hi = wilson_interval(p, trials)
+        lo = 0.0 if successes == 0 else lo
+        hi = 1.0 if successes == trials else hi
         return cls(
             trials=trials, successes=successes, estimate=p, ci_low=lo, ci_high=hi, seed=seed
         )

@@ -1,10 +1,20 @@
 """Scale-induction experiments and the fixed-to-variable-energy bridge.
 
-Covers of the energy sublevel sets {E : F_u(E) >= a} are built per boundary
-vertex from the rational structure of the Green function (poles at the
-eigenvalues, derivative with finitely many zeros between consecutive poles),
-then unioned.  All sampling offsets are anchored to the poles and the window,
-so the construction is translation-covariant under H -> H + tI.
+Covers of the energy sublevel sets {E : F_u(E) >= a} use the rational
+structure of the Green function: the column of an inner-boundary vertex z is
+sum_j w_j(z) / (p_j - E), with poles p_j at the eigenvalue clusters and a
+derivative with finitely many zeros between consecutive poles.  The cover is
+the union over columns of their segments {|column| >= a / prefactor}.
+
+What is shared is computed once.  Per ball: the eigenvalue clusters and the
+per-cluster weights of all columns.  Columns with the same live poles (nonzero
+weights) form a group, usually one; per group: the gap samples, the matrix of
+reciprocals 1/(p_j - E) at the samples, and the values and slopes of every
+column at the samples as two matrix products.  Per column stay the sign-change
+brackets, the bisections for the derivative zeros and the level crossings, and
+the segments they bound, so each column's result is what a column-at-a-time
+construction gives.  All sampling offsets are anchored to the poles and the
+window, so the construction is translation-covariant under H -> H + tI.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .msa import (
     ns_threshold,
     resonance_threshold,
 )
-from .evc import McEstimate
+from .evc import McEstimate, wilson_interval
 from .parallel import run_trials
 from .spectral import (
     RESOLVENT_GUARD,
@@ -36,12 +46,11 @@ from .spectral import (
     BoundaryProfile,
     SpectralData,
     boundary_profile,
+    cluster_sums,
     efc,
     eigendecompose,
     ns_flags,
 )
-
-_Z95 = 1.959963984540054
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +82,6 @@ class EnergyIntervalCover:
         return mask
 
 
-def _cluster_poles(lam: np.ndarray, coeffs: np.ndarray, gap: float = 1e-10):
-    """Distinct eigenvalues with per-cluster projection coefficients."""
-    poles, weights = [], []
-    start = 0
-    for i in range(1, len(lam) + 1):
-        if i == len(lam) or lam[i] - lam[i - 1] > gap:
-            poles.append(float(lam[start:i].mean()))
-            weights.append(float(coeffs[start:i].sum()))
-            start = i
-    return np.asarray(poles), np.asarray(weights)
-
-
 def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return (1.0 / (poles[None, :] - es[:, None])) @ w
@@ -113,56 +110,89 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+_INTERIOR_FRACTIONS = np.linspace(0.0, 1.0, 35)[1:-1]
 _EDGE_FRACTIONS = np.asarray([10.0**-j for j in range(1, 13)])
-_GAP_SAMPLES = 33
 
 
-def _gap_points(lo: float, hi: float) -> np.ndarray:
-    """Sampling points in (lo, hi), parameterized by the gap (covariant)."""
+def _gap_samples(edges: np.ndarray, xtol: float) -> np.ndarray:
+    """Ascending sample points of every gap between consecutive edges wider
+    than 4 xtol: 33 interior points and 12 on each side approaching the edge
+    geometrically, all parameterized by the gap (covariant)."""
+    lo, hi = edges[:-1], edges[1:]
+    wide = hi - lo > 4 * xtol
+    lo, hi = lo[wide, None], hi[wide, None]
     width = hi - lo
-    base = lo + width * np.linspace(0.0, 1.0, _GAP_SAMPLES + 2)[1:-1]
-    return np.unique(np.concatenate([base, lo + width * _EDGE_FRACTIONS, hi - width * _EDGE_FRACTIONS]))
-
-
-def _segments_for_column(
-    poles: np.ndarray, w: np.ndarray, level: float, window: tuple[float, float], xtol: float
-) -> list[tuple[float, float]]:
-    """Sublevel segments {|F| >= level} for one rational column on the window."""
-    lo_w, hi_w = window
-    live = np.abs(w) > 0.0
-    p, c = poles[live], w[live]
-    if p.size == 0:
-        return []
-
-    gap_edges = [lo_w, *[float(x) for x in p if lo_w < x < hi_w], hi_w]
-    sample_blocks = []
-    for g_lo, g_hi in zip(gap_edges[:-1], gap_edges[1:]):
-        if g_hi - g_lo > 4 * xtol:
-            sample_blocks.append(_gap_points(g_lo, g_hi))
-    if not sample_blocks:
-        return []
-    samples = np.concatenate(sample_blocks)
-
-    # derivative sign changes within each gap give the monotone breakpoints
-    dvals = _rational_deriv(samples, p, c)
-    in_same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
-    flip = (np.sign(dvals[:-1]) * np.sign(dvals[1:]) < 0) & in_same_gap
-    idx = np.nonzero(flip)[0]
-    dzeros = _bisect_many(
-        lambda e: _rational_deriv(e, p, c), samples[idx].copy(), samples[idx + 1].copy(), xtol
+    grid = np.sort(
+        np.concatenate(
+            [lo + width * _INTERIOR_FRACTIONS, lo + width * _EDGE_FRACTIONS, hi - width * _EDGE_FRACTIONS],
+            axis=1,
+        ),
+        axis=1,
     )
+    fresh = np.ones(grid.shape, dtype=bool)
+    fresh[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    return grid[fresh]
+
+
+def _group_segments(
+    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float], xtol: float
+) -> list[tuple[float, float]]:
+    """Sublevel segments {|F_col| >= level} of every column of `weights`; all
+    columns share the live poles, hence the samples and the reciprocals."""
+    lo_w, hi_w = window
+    edges = np.concatenate(([lo_w], poles[(poles > lo_w) & (poles < hi_w)], [hi_w]))
+    samples = _gap_samples(edges, xtol)
+    if samples.size == 0:
+        return []
+    # one (samples x poles) array, overwritten in place to bound the memory
+    recip = poles[None, :] - samples[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, recip, out=recip)
+        values = recip @ weights
+        slopes = np.square(recip, out=recip) @ weights
+    del recip
+    gap_index = np.searchsorted(poles, samples)
+    same_gap = gap_index[:-1] == gap_index[1:]
+    # derivative sign changes within each gap give the monotone breakpoints
+    turns = (np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0) & same_gap[:, None]
+    segments: list[tuple[float, float]] = []
+    for col in range(weights.shape[1]):
+        segments.extend(
+            _column_segments(poles, weights[:, col], samples, values[:, col], turns[:, col],
+                             edges, level, window, xtol)
+        )
+    return segments
+
+
+def _column_segments(
+    p: np.ndarray,
+    c: np.ndarray,
+    samples: np.ndarray,
+    sample_values: np.ndarray,
+    turns: np.ndarray,
+    edges: np.ndarray,
+    level: float,
+    window: tuple[float, float],
+    xtol: float,
+) -> list[tuple[float, float]]:
+    """Sublevel segments {|F| >= level} of one rational column on the window,
+    given F at the shared samples and the samples after which F' changes sign."""
+    lo_w, hi_w = window
+    idx = np.nonzero(turns)[0]
+    dzeros = _bisect_many(lambda e: _rational_deriv(e, p, c), samples[idx], samples[idx + 1], xtol)
 
     # |F| = level crossings bracketed on the refined point set
-    pts = np.unique(np.concatenate([samples, dzeros, np.asarray(gap_edges)]))
-    vals = _rational(pts, p, c)
+    extra = np.concatenate([dzeros, edges])
+    pts, first = np.unique(np.concatenate([samples, extra]), return_index=True)
+    vals = np.concatenate([sample_values, _rational(extra, p, c)])[first]
     same_gap = np.searchsorted(p, pts[:-1]) == np.searchsorted(p, pts[1:])
-    crossings = [np.asarray(gap_edges)]
+    crossings = [edges]
     for target in (level, -level):
         resid = vals - target
         flip = (np.sign(resid[:-1]) * np.sign(resid[1:]) < 0) & same_gap
         idx = np.nonzero(flip)[0]
         roots = _bisect_many(
-            lambda e, t=target: _rational(e, p, c) - t, pts[idx].copy(), pts[idx + 1].copy(), xtol
+            lambda e, t=target: _rational(e, p, c) - t, pts[idx], pts[idx + 1], xtol
         )
         crossings.append(roots)
     breakpoints = np.clip(np.concatenate(crossings + [dzeros]), lo_w, hi_w)
@@ -214,10 +244,18 @@ def cover_from_profile(
     if level <= 0:
         raise ContractViolation("cover level must be positive")
     entry_level = level / profile.prefactor
+    poles, weights = cluster_sums(profile.eigenvalues, profile.coefficients)
+    live = np.abs(weights) > 0.0
+    groups: dict[bytes, list[int]] = {}
+    for col in range(weights.shape[1]):
+        groups.setdefault(live[:, col].tobytes(), []).append(col)
     segments: list[tuple[float, float]] = []
-    for col in range(profile.coefficients.shape[1]):
-        poles, weights = _cluster_poles(profile.eigenvalues, profile.coefficients[:, col])
-        segments.extend(_segments_for_column(poles, weights, entry_level, window, xtol))
+    for cols in groups.values():
+        mask = live[:, cols[0]]
+        if mask.any():
+            segments.extend(
+                _group_segments(poles[mask], weights[mask][:, cols], entry_level, window, xtol)
+            )
     return EnergyIntervalCover(
         intervals=tuple(_merge(segments, eps=xtol)),
         level=level,
@@ -359,19 +397,9 @@ def _worst_estimate(hit_matrix: np.ndarray, trials: int, seed: int, n_energies: 
     if n_energies <= 1:
         return base
     # widen: Wilson at level alpha / n_energies
-    z = float(ndtri(1 - 0.025 / n_energies))
-    p = base.estimate
-    z2 = z * z
-    denom = 1.0 + z2 / trials
-    center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    lo, hi = wilson_interval(base.estimate, trials, float(ndtri(1 - 0.025 / n_energies)))
     return McEstimate(
-        trials=trials,
-        successes=base.successes,
-        estimate=p,
-        ci_low=max(0.0, center - half),
-        ci_high=min(1.0, center + half),
-        seed=seed,
+        trials=trials, successes=base.successes, estimate=base.estimate, ci_low=lo, ci_high=hi, seed=seed
     )
 
 

@@ -35,15 +35,25 @@ class SpectralData:
 
     def clusters(self, gap: float = DEGENERACY_GAP) -> list[slice]:
         """Maximal runs of eigenvalues whose consecutive gaps are <= gap."""
-        lam = self.eigenvalues
-        out = []
-        start = 0
-        for i in range(1, len(lam)):
-            if lam[i] - lam[i - 1] > gap:
-                out.append(slice(start, i))
-                start = i
-        out.append(slice(start, len(lam)))
-        return out
+        starts = cluster_starts(self.eigenvalues, gap)
+        ends = np.append(starts[1:], self.eigenvalues.size)
+        return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
+
+
+def cluster_starts(eigenvalues: np.ndarray, gap: float = DEGENERACY_GAP) -> np.ndarray:
+    """First indices of the maximal runs of ascending eigenvalues whose
+    consecutive gaps are <= gap (the numerically degenerate clusters)."""
+    return np.concatenate(([0], np.flatnonzero(np.diff(eigenvalues) > gap) + 1))
+
+
+def cluster_sums(
+    eigenvalues: np.ndarray, values: np.ndarray, gap: float = DEGENERACY_GAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean eigenvalue of each cluster and the per-cluster sums of `values`
+    along axis 0 (one row per eigenvalue)."""
+    starts = cluster_starts(eigenvalues, gap)
+    sizes = np.diff(starts, append=eigenvalues.size)
+    return np.add.reduceat(eigenvalues, starts) / sizes, np.add.reduceat(values, starts, axis=0)
 
 
 def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
@@ -226,18 +236,12 @@ def efc(spec: SpectralData, x: Config, y: Config, gap: float = DEGENERACY_GAP) -
     The sup over bounded test functions is attained by the sign pattern of the
     per-cluster projections, so no optimization is needed.
     """
-    cx = spec.component(x)
-    cy = spec.component(y)
-    per_state = cx * cy
-    contribs = []
-    energies = []
-    for block in spec.clusters(gap):
-        contribs.append(abs(float(per_state[block].sum())))
-        energies.append(float(spec.eigenvalues[block].mean()))
+    energies, sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y), gap)
+    contribs = [abs(float(v)) for v in sums]
     return EfcResult(
         value=float(sum(contribs)),
         contributions=tuple(contribs),
-        cluster_energies=tuple(energies),
+        cluster_energies=tuple(float(e) for e in energies),
     )
 
 
@@ -245,12 +249,10 @@ def efc_test_function_value(
     spec: SpectralData, x: Config, y: Config, f_values: np.ndarray, gap: float = DEGENERACY_GAP
 ) -> float:
     """|<1_y| f(H) |1_x>| for f given by its values on the cluster energies."""
-    cx = spec.component(x)
-    cy = spec.component(y)
-    per_state = cx * cy
+    sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y), gap)[1]
     total = 0.0
-    for f_val, block in zip(f_values, spec.clusters(gap)):
-        total += f_val * float(per_state[block].sum())
+    for f_val, s in zip(f_values, sums):
+        total += f_val * float(s)
     return abs(total)
 
 

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,14 @@ def test_unknown_keys_rejected():
     assert "bogus_key" in str(err.value)
     with pytest.raises(ConfigurationError):
         parse_config_text("[mystery]\nkind = gri\n")
+
+
+@pytest.mark.parametrize("key", ["volumes", "grid_points", "xi"])
+def test_unread_run_keys_exit_2(tmp_path, key):
+    # no runner reads these keys, so setting one is an error, not a no-op
+    text = BASE_WEGNER.format(out=tmp_path / "x") + f"{key} = 3\n"
+    assert main(["wegner", "--config", _write(tmp_path, text)]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_wegner_cli_exit_zero(tmp_path):
@@ -196,6 +207,29 @@ def test_csv_bitwise_deterministic_across_runs_and_threads(tmp_path):
     b = _run_and_read(tmp_path, "b", threads=1)
     c = _run_and_read(tmp_path, "c", threads=4)
     assert a == b == c
+
+
+def _pool_run_csvs(tmp_path, kind, threads):
+    """CSV bytes of the shipped config of `kind`, run in a child process with
+    one BLAS thread and `threads` pool workers."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / f"{kind}-{threads}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MPMSA_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpmsa.cli", kind, "--config", str(root / "configs" / f"{kind}.cfg"),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    csvs = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    assert csvs
+    return csvs
+
+
+@pytest.mark.parametrize("kind", ["efc", "wegner", "induction"])
+def test_pool_runners_bitwise_deterministic_across_worker_counts(tmp_path, kind):
+    assert _pool_run_csvs(tmp_path, kind, 1) == _pool_run_csvs(tmp_path, kind, 2)
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -87,11 +87,6 @@ class MultiBall:
             out *= len(b)
         return out
 
-    def contains(self, x: Config) -> bool:
-        return len(x) == self.n_particles and all(
-            self.graph.dist[c, v] <= self.radius for c, v in zip(self.center, x)
-        )
-
     def concentric(self, radius: int) -> "MultiBall":
         return MultiBall(self.graph, self.center, radius)
 

@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .configspace import Config, MultiBall, ball_inner_boundary, rho
 from .errors import ContractViolation
 from .graphs import GrowthCertificate
-from .hamiltonian import DEFAULT_VOLUME_BUDGET, HamiltonianMatrix
 from .msa import MassSchedule, ParameterSet, ScaleSchedule, classify
-from .spectral import BallSpectra, eigendecompose
+from .spectral import BallSpectra
 
 
 @dataclass(frozen=True)
@@ -182,23 +180,19 @@ class GfDominationReport:
     dominated_for_all_boundaries: bool
     precondition_failures: tuple[str, ...]
     per_boundary_failures: dict
+    green_maps: dict  # inner-boundary y -> |G(., y; E)|; empty when a precondition fails
 
 
 def gf_domination_check(
-    ham: HamiltonianMatrix,
+    spectra: BallSpectra,
+    ball: MultiBall,
     energy: float,
-    center: Config,
-    radius: int,
     ell: int,
     xi,
     params: ParameterSet,
-    mass: float,
+    mass: MassSchedule,
     cert: GrowthCertificate,
     schedule: ScaleSchedule,
-    sample,
-    interaction,
-    g: float,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> GfDominationReport:
     """Green functions of a completely non-resonant ball are dominated.
 
@@ -208,21 +202,19 @@ def gf_domination_check(
     certificate is its own sub-ball).  When they hold, f = |G(., y; E)| over
     the ball's own volume is verified to be (ell, q, Xi)-dominated for each
     inner-boundary y, with q = exp(-m' ell**delta), m' = m - 2 ell**(-delta)
-    L**beta.
+    L**beta, and the verified maps are returned with the report.
     """
     failures: list[str] = []
-    graph = ham.volume.graph
-    ball = MultiBall(graph, center, radius)
+    graph, center, radius = ball.graph, ball.center, ball.radius
     xi = frozenset(map(tuple, xi))
-    mass_schedule = MassSchedule(params)
-    spectra = BallSpectra(graph, sample, g, interaction, budget)
+    m = mass.m(ball.n_particles)
 
-    if not mass * float(ell) ** params.delta > 2.0 * float(radius) ** params.beta:
+    if not m * float(ell) ** params.delta > 2.0 * float(radius) ** params.beta:
         failures.append("m * ell^delta > 2 L^beta")
-    m_prime = mass - 2.0 * float(ell) ** (-params.delta) * float(radius) ** params.beta if ell > 0 else -math.inf
+    m_prime = m - 2.0 * float(ell) ** (-params.delta) * float(radius) ** params.beta if ell > 0 else -math.inf
     q = math.exp(-m_prime * float(ell) ** params.delta) if m_prime > 0 else 0.5
 
-    flags = classify(ball, energy, params, mass_schedule, spectra, cert, schedule=schedule)
+    flags = classify(ball, energy, params, mass, spectra, cert, schedule=schedule)
     if flags.cnr is not True:
         failures.append("ball is (E,beta)-CNR")
 
@@ -230,9 +222,7 @@ def gf_domination_check(
         for v in MultiBall(graph, center, radius - ell).members():
             if v in xi:
                 continue
-            cls = classify(
-                MultiBall(graph, v, ell), energy, params, mass_schedule, spectra, cert
-            )
+            cls = classify(MultiBall(graph, v, ell), energy, params, mass, spectra, cert)
             if cls.nonsingular is not True:
                 failures.append(f"sub-ball at {v} outside Xi is not (E,delta,m)-NS")
                 break
@@ -240,52 +230,47 @@ def gf_domination_check(
     if failures:
         return GfDominationReport(
             q=q, m_prime=m_prime, dominated_for_all_boundaries=False,
-            precondition_failures=tuple(failures), per_boundary_failures={},
+            precondition_failures=tuple(failures), per_boundary_failures={}, green_maps={},
         )
 
+    maps = green_magnitude_maps(spectra, ball, energy)
     per_boundary: dict = {}
-    all_ok = True
-    for y, f_map in green_magnitude_maps(ham, energy, ball).items():
+    for y, f_map in maps.items():
         ctx = DominationContext(
             graph=graph, center=center, radius=radius, ell=ell, q=q, f=f_map, xi=xi
         )
         ok, why = is_dominated(ctx)
         if not ok:
-            all_ok = False
             per_boundary[y] = why
     return GfDominationReport(
         q=q,
         m_prime=m_prime,
-        dominated_for_all_boundaries=all_ok,
+        dominated_for_all_boundaries=not per_boundary,
         precondition_failures=(),
         per_boundary_failures=per_boundary,
+        green_maps=maps,
     )
 
 
-def green_magnitude_maps(ham: HamiltonianMatrix, energy, ball: MultiBall) -> dict:
+def green_magnitude_maps(spectra: BallSpectra, ball: MultiBall, energy: float) -> dict:
     """|G(., y; E)| per inner-boundary y, fit for domination contexts.
 
-    Columns come from a factorized solve rather than the spectral sum: in the
-    strong-decay regimes this machinery probes, (H - E) is diagonally dominant
-    and the solve is componentwise accurate where the sum drowns in
-    eigenvector rotation noise.  Entries below the accumulated roundoff floor
-    carry no information and are returned as exact zeros, which the
+    Columns come from one factorized solve of (H - E) over all inner-boundary
+    columns rather than the spectral sum: in the strong-decay regimes this
+    machinery probes, (H - E) is diagonally dominant and the solve is
+    componentwise accurate where the sum drowns in eigenvector rotation noise.
+    Entries below the accumulated roundoff floor (set by the ball's memoized
+    spectrum) carry no information and are returned as exact zeros, which the
     -ln 0 = +inf convention makes maximally regular.
     """
-    spec = eigendecompose(ham)
+    spec = spectra.spectrum(ball)
+    ham = spectra.hamiltonian(ball)
     eps = float(np.finfo(float).eps)
     dist = spec.dist_to_spectrum(energy)
     n_vol = len(ham.volume)
-    factor = lu_factor(ham.matrix - energy * np.eye(n_vol))
     noise_floor = 64.0 * n_vol * eps * eps * max(1.0, spec.h_norm) * (1.0 + 1.0 / max(dist, eps))
-    out = {}
-    for y in ball_inner_boundary(ball):
-        rhs = np.zeros(n_vol)
-        rhs[ham.volume.position(y)] = 1.0
-        g_col = lu_solve(factor, rhs)
-        f_map = {}
-        for c in ham.volume.configs:
-            val = abs(float(g_col[ham.volume.position(c)]))
-            f_map[c] = 0.0 if val < noise_floor else val
-        out[y] = f_map
-    return out
+    boundary = ball_inner_boundary(ball)
+    rhs = np.eye(n_vol)[:, [ham.volume.position(y) for y in boundary]]
+    cols = np.abs(np.linalg.solve(ham.matrix - energy * np.eye(n_vol), rhs))
+    cols[cols < noise_floor] = 0.0
+    return {y: dict(zip(ham.volume.configs, col)) for y, col in zip(boundary, cols.T.tolist())}

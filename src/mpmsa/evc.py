@@ -15,7 +15,7 @@ import numpy as np
 from .configspace import MultiBall, SeparationCertificate, rho_s
 from .disorder import DisorderSample, InteractionPotential, PotentialDistribution, sample_potential
 from .errors import ContractViolation
-from .hamiltonian import DEFAULT_VOLUME_BUDGET, PreparedVolume
+from .hamiltonian import PreparedVolume
 from .msa import resonance_threshold
 from .parallel import run_trials
 from .rng import substream
@@ -78,13 +78,12 @@ def wegner_estimate(
     beta: float,
     trials: int,
     seed: int,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> McEstimate:
     """Fraction of disorder samples for which the ball is (E, beta)-resonant."""
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     threshold = resonance_threshold(ball.radius, beta)
-    prepared = PreparedVolume.from_ball(ball, interaction, budget)
+    prepared = PreparedVolume.from_ball(ball, interaction)
 
     def one(trial_seed: int, _idx: int) -> int:
         sample = sample_potential(dist, ball.graph, trial_seed)
@@ -144,11 +143,10 @@ def spectral_distances(
     g: float,
     trials: int,
     seed: int,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> np.ndarray:
     """dist(Sigma_x, Sigma_y) = min over eigenvalue pairs, one value per trial."""
-    prep_x = PreparedVolume.from_ball(ballx, interaction, budget)
-    prep_y = PreparedVolume.from_ball(bally, interaction, budget)
+    prep_x = PreparedVolume.from_ball(ballx, interaction)
+    prep_y = PreparedVolume.from_ball(bally, interaction)
 
     def one(trial_seed: int, _idx: int) -> float:
         sample = sample_potential(dist, ballx.graph, trial_seed)
@@ -168,7 +166,6 @@ def two_volume_evc(
     s_grid,
     trials: int,
     seed: int,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> PowerLawFit:
     """Empirical two-volume concentration law for 3NL-distant balls."""
     n = ballx.n_particles
@@ -181,7 +178,7 @@ def two_volume_evc(
         )
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    values = spectral_distances(ballx, bally, dist, interaction, g, trials, seed, budget)
+    values = spectral_distances(ballx, bally, dist, interaction, g, trials, seed)
     s = np.asarray(sorted(s_grid), dtype=np.float64)
     counts = (values[None, :] <= s[:, None]).sum(axis=1)
     probs = counts / trials
@@ -212,7 +209,6 @@ def spectral_shift_check(
     sample: DisorderSample,
     interaction: InteractionPotential,
     tol: float = 1e-9,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> ShiftReport:
     """Exact spectral-shift law from weak separation.
 
@@ -226,8 +222,8 @@ def spectral_shift_check(
     b_vertices = primary.graph.ball(certificate.center, certificate.radius).tolist()
     shifted = sample.shifted_on(b_vertices, t)
 
-    base = BallSpectra(primary.graph, sample, g, interaction, budget)
-    moved = BallSpectra(primary.graph, shifted, g, interaction, budget)
+    base = BallSpectra(primary.graph, sample, g, interaction)
+    moved = BallSpectra(primary.graph, shifted, g, interaction)
 
     def deviation(ball: MultiBall, n_inside: int) -> float:
         expected = base.spectrum(ball).eigenvalues + g * n_inside * t
@@ -373,7 +369,6 @@ def wegner_g_sweep(
     beta: float,
     trials: int,
     seed: int,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> list[tuple[float, McEstimate]]:
     """Resonance estimates over a g-grid with common random numbers.
 
@@ -382,8 +377,6 @@ def wegner_g_sweep(
     """
     out = []
     for g in g_grid:
-        est = wegner_estimate(
-            ball, dist, interaction, g, energy_of_g(g), beta, trials, seed, budget
-        )
+        est = wegner_estimate(ball, dist, interaction, g, energy_of_g(g), beta, trials, seed)
         out.append((float(g), est))
     return out

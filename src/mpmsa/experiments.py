@@ -20,7 +20,6 @@ from .domination import (
     DominationContext,
     domination_bound,
     gf_domination_check,
-    green_magnitude_maps,
 )
 from .errors import ConfigurationError
 from .evc import (
@@ -31,12 +30,7 @@ from .evc import (
     wegner_estimate,
 )
 from .graphs import Graph, GrowthCertificate, build_graph, certify_growth
-from .hamiltonian import (
-    VolumeIndex,
-    assemble,
-    assemble_ball,
-    spectral_window,
-)
+from .hamiltonian import VolumeIndex, assemble, spectral_window
 from .induction import (
     bridge_parameters,
     efc_decay_experiment,
@@ -509,11 +503,7 @@ def run_efc(config: ExperimentConfig, report: Report) -> None:
     pairs = config.get_pairs("run", "pairs")
     g_grid = config.get_floats("run", "g_grid", str(g))
     batches = config.get_int("run", "batches", "10")
-    full = VolumeIndex(
-        graph,
-        MultiBall(graph, tuple([0] * n), int(graph.dist.max())).members(),
-        label="full",
-    )
+    full = VolumeIndex.from_ball(MultiBall(graph, tuple([0] * n), int(graph.dist.max())))
     fits = efc_decay_experiment(
         graph, full, pairs, dist, interaction, g_grid, params.kappa, trials, seed, batches
     )
@@ -594,17 +584,14 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
         tbl.add(i, "synthetic", q, res.W, res.f_center, res.bound, res.holds)
 
     # Green-function instances under strong disorder
-    m_n = mass.m(n)
     gf_trials = max(1, trials - max(1, trials // 2))
     for i in range(gf_trials):
         sample = sample_potential(dist, graph, substream(seed, 900 + i))
         rng = CounterRng(substream(seed, 1300 + i))
-        ham = assemble_ball(ball, g, sample, interaction)
-        spec = eigendecompose(ham)
-        energy = off_spectrum_energy((spec,), window, rng, guard=1e-6)
+        spectra = BallSpectra(graph, sample, g, interaction)
+        energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
         gf = gf_domination_check(
-            ham, energy, center, radius, ell, frozenset(), params, m_n, cert,
-            schedule, sample, interaction, g,
+            spectra, ball, energy, ell, frozenset(), params, mass, cert, schedule
         )
         if gf.precondition_failures:
             # not dominated is a precondition outcome, not a bound violation
@@ -613,7 +600,7 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
             continue
         ok = gf.dominated_for_all_boundaries
         if ok:
-            for f in green_magnitude_maps(ham, energy, ball).values():
+            for f in gf.green_maps.values():
                 ctx = DominationContext(
                     graph=graph, center=center, radius=radius, ell=ell, q=gf.q, f=f,
                     xi=frozenset(),

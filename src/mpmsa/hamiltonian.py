@@ -18,7 +18,7 @@ from .disorder import DisorderSample, InteractionPotential
 from .errors import BudgetExceeded, ContractViolation, DataError
 from .graphs import Graph
 
-DEFAULT_VOLUME_BUDGET = 4000
+VOLUME_BUDGET = 4000  # configurations of a dense Hamiltonian
 
 
 class VolumeIndex:
@@ -48,12 +48,11 @@ class VolumeIndex:
             raise ContractViolation(f"configuration {config} not in volume {self.label}") from None
 
     @classmethod
-    def from_ball(cls, ball: MultiBall, budget: int = DEFAULT_VOLUME_BUDGET) -> "VolumeIndex":
+    def from_ball(cls, ball: MultiBall) -> "VolumeIndex":
         size = ball.size()
-        if size > budget:
-            raise BudgetExceeded(f"ball has {size} configurations; dense budget is {budget}")
-        vol = cls(ball.graph, ball.members(), label=f"ball{ball.center}r{ball.radius}")
-        return vol
+        if size > VOLUME_BUDGET:
+            raise BudgetExceeded(f"ball has {size} configurations; dense budget is {VOLUME_BUDGET}")
+        return cls(ball.graph, ball.members(), label=f"ball{ball.center}r{ball.radius}")
 
     def config_array(self) -> np.ndarray:
         return np.asarray(self.configs, dtype=np.int64)
@@ -155,9 +154,8 @@ def assemble_ball(
     g: float,
     sample: DisorderSample,
     interaction: InteractionPotential,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> HamiltonianMatrix:
-    return assemble(VolumeIndex.from_ball(ball, budget), g, sample, interaction)
+    return assemble(VolumeIndex.from_ball(ball), g, sample, interaction)
 
 
 class PreparedVolume:
@@ -169,31 +167,18 @@ class PreparedVolume:
 
     def __init__(self, volume: VolumeIndex, interaction: InteractionPotential):
         self.volume = volume
-        self.interaction = interaction
         self.base = -laplacian(volume)
         self.base[np.diag_indices(len(volume))] += interaction_diagonal(volume, interaction)
         self.configs = volume.config_array()
 
     @classmethod
-    def from_ball(cls, ball: MultiBall, interaction: InteractionPotential,
-                  budget: int = DEFAULT_VOLUME_BUDGET) -> "PreparedVolume":
-        return cls(VolumeIndex.from_ball(ball, budget), interaction)
+    def from_ball(cls, ball: MultiBall, interaction: InteractionPotential) -> "PreparedVolume":
+        return cls(VolumeIndex.from_ball(ball), interaction)
 
     def matrix(self, g: float, sample: DisorderSample) -> np.ndarray:
         m = self.base.copy()
         m[np.diag_indices(len(self.volume))] += g * sample.values[self.configs].sum(axis=1)
         return m
-
-    def hamiltonian(self, g: float, sample: DisorderSample) -> HamiltonianMatrix:
-        prov = Provenance(
-            graph_name=self.volume.graph.name,
-            volume_label=self.volume.label,
-            g=float(g),
-            seed=sample.seed,
-            distribution=sample.distribution.spec,
-            interaction=self.interaction.spec,
-        )
-        return HamiltonianMatrix(volume=self.volume, matrix=self.matrix(g, sample), provenance=prov)
 
     def eigenvalues(self, g: float, sample: DisorderSample) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix(g, sample))
@@ -260,7 +245,6 @@ def decouple(
     g: float,
     sample: DisorderSample,
     interaction: InteractionPotential,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> DecoupledForm:
     """Split a WI ball's Hamiltonian into reduced Hamiltonians plus a diagonal
     cross-interaction whose norm is bounded by C_U * N^2 * exp(-L**zeta)."""
@@ -271,8 +255,8 @@ def decouple(
         raise ContractViolation("split must be a nonempty proper decomposition")
     ball_p = MultiBall(graph, tuple(ball.center[i] for i in j_idx), ball.radius)
     ball_s = MultiBall(graph, tuple(ball.center[i] for i in jc_idx), ball.radius)
-    h_prime = assemble_ball(ball_p, g, sample, interaction, budget)
-    h_second = assemble_ball(ball_s, g, sample, interaction, budget)
+    h_prime = assemble_ball(ball_p, g, sample, interaction)
+    h_second = assemble_ball(ball_s, g, sample, interaction)
 
     ordered: list[Config] = []
     for xp in h_prime.volume.configs:
@@ -283,7 +267,7 @@ def decouple(
             for pos, j in enumerate(jc_idx):
                 full[j] = xs[pos]
             ordered.append(tuple(full))
-    ball_volume = VolumeIndex.from_ball(ball, budget)
+    ball_volume = VolumeIndex.from_ball(ball)
     permutation = np.asarray([ball_volume.position(c) for c in ordered], dtype=np.int64)
 
     coupling = np.zeros(len(ordered))

@@ -29,7 +29,7 @@ from .configspace import Config, MultiBall, rho_s
 from .disorder import InteractionPotential, PotentialDistribution, sample_potential
 from .errors import ContractViolation
 from .graphs import Graph, GrowthCertificate
-from .hamiltonian import DEFAULT_VOLUME_BUDGET, VolumeIndex, assemble
+from .hamiltonian import VOLUME_BUDGET, VolumeIndex, assemble
 from .msa import (
     MassSchedule,
     ParameterSet,
@@ -83,12 +83,12 @@ class EnergyIntervalCover:
 
 
 def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (1.0 / (poles[None, :] - es[:, None])) @ w
 
 
 def _rational_deriv(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return (1.0 / (poles[None, :] - es[:, None]) ** 2) @ w
 
 
@@ -146,7 +146,7 @@ def _group_segments(
         return []
     # one (samples x poles) array, overwritten in place to bound the memory
     recip = poles[None, :] - samples[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(1.0, recip, out=recip)
         values = recip @ weights
         slopes = np.square(recip, out=recip) @ weights
@@ -417,7 +417,6 @@ def scale_probabilities(
     window: tuple[float, float],
     trials: int,
     seed: int,
-    budget: int = DEFAULT_VOLUME_BUDGET,
 ) -> ScaleReport:
     """Empirical singularity (P), resonance (Q, with the factor-4 convention)
     and WI-singular-sub-ball (S) probabilities at each scale.
@@ -433,7 +432,7 @@ def scale_probabilities(
     rows: list[ScaleRow] = []
     for k, radius in enumerate(schedule.levels):
         ball = MultiBall(graph, center, radius)
-        if ball.size() > budget:
+        if ball.size() > VOLUME_BUDGET:
             rows.append(
                 ScaleRow(k=k, radius=radius, p=None, q=None, s=None,
                          target=mass.singularity_target(n, radius), skipped=True)
@@ -444,16 +443,16 @@ def scale_probabilities(
         sub_radius = schedule.levels[k - 1] if k >= 1 else None
         sub_centers: list[Config] = []
         if k >= 1 and n >= 2 and radius - sub_radius >= 0:
+            # each sub-ball lies inside the ball, so it fits the budget too
             sub_centers = [
                 v
                 for v in MultiBall(graph, center, radius - sub_radius).members()
-                if MultiBall(graph, v, sub_radius).size() <= budget
-                and classify_interactivity(MultiBall(graph, v, sub_radius))[0] == "WI"
+                if classify_interactivity(MultiBall(graph, v, sub_radius))[0] == "WI"
             ]
 
         def one(trial_seed: int, _idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sample = sample_potential(dist, graph, trial_seed)
-            spectra = BallSpectra(graph, sample, g, interaction, budget)
+            spectra = BallSpectra(graph, sample, g, interaction)
             spec = spectra.spectrum(ball)
             dmin = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
             resonant = dmin < thr_res

@@ -39,9 +39,6 @@ class ParameterSet:
     tau: float = 1.0
     P_star: float = 1.0
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 def validate(params: ParameterSet) -> list[str]:
     """Every table inequality for the active mode; violations name the inequality."""

@@ -75,16 +75,3 @@ class CounterRng:
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices out of range(n), order of first appearance."""
-        if k > n:
-            raise ValueError("k > n")
-        picked: list[int] = []
-        seen = set()
-        while len(picked) < k:
-            i = self.randint(0, n - 1)
-            if i not in seen:
-                seen.add(i)
-                picked.append(i)
-        return picked

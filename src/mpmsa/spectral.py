@@ -11,7 +11,7 @@ from .configspace import Config, MultiBall, ball_inner_boundary, edge_boundary, 
 from .disorder import DisorderSample, InteractionPotential
 from .errors import ContractViolation, DataError, ResonanceError
 from .graphs import Graph, GrowthCertificate
-from .hamiltonian import DEFAULT_VOLUME_BUDGET, HamiltonianMatrix, VolumeIndex, assemble_ball
+from .hamiltonian import HamiltonianMatrix, VolumeIndex, assemble_ball
 
 RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
@@ -82,21 +82,27 @@ def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
 
 @dataclass(eq=False)
 class BallSpectra:
-    """Spectra of the balls of one graph under one disorder sample.
+    """Hamiltonians and spectra of the balls of one graph under one disorder
+    sample: the one path from (ball, sample) to spectral data.
 
-    Each (center, radius) is assembled and diagonalized on first request and
-    memoized: the multi-scale predicates ask about the same balls at many
-    energies, radii and predicates.
+    Each (center, radius) is diagonalized on first request and memoized: the
+    multi-scale predicates and the domination check ask about the same balls
+    at many energies, radii and predicates.  Hamiltonians are assembled on
+    request and not kept.
     """
 
     graph: Graph
     sample: DisorderSample
     g: float
     interaction: InteractionPotential
-    budget: int = DEFAULT_VOLUME_BUDGET
     _solved: dict[tuple[Config, int], SpectralData] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    def hamiltonian(self, ball: MultiBall) -> HamiltonianMatrix:
+        if ball.graph is not self.graph:
+            raise ContractViolation("ball lies on another graph than its spectra")
+        return assemble_ball(ball, self.g, self.sample, self.interaction)
 
     def spectrum(self, ball: MultiBall) -> SpectralData:
         if ball.graph is not self.graph:
@@ -104,8 +110,7 @@ class BallSpectra:
         key = (tuple(ball.center), ball.radius)
         spec = self._solved.get(key)
         if spec is None:
-            ham = assemble_ball(ball, self.g, self.sample, self.interaction, self.budget)
-            spec = self._solved[key] = eigendecompose(ham)
+            spec = self._solved[key] = eigendecompose(self.hamiltonian(ball))
         return spec
 
 
@@ -151,7 +156,7 @@ class BoundaryProfile:
     def green_values(self, energies: np.ndarray) -> np.ndarray:
         """(n_energies, n_boundary) array of G(center, z; E); no resonance guard."""
         energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             weights = 1.0 / (self.eigenvalues[None, :] - energies[:, None])
             return weights @ self.coefficients
 

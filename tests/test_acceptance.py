@@ -31,7 +31,6 @@ from mpmsa.domination import (
     DominationContext,
     domination_bound,
     gf_domination_check,
-    green_magnitude_maps,
 )
 from mpmsa.evc import spectral_shift_check, two_volume_evc
 from mpmsa.experiments import off_spectrum_energy, random_gri_instance
@@ -53,6 +52,7 @@ from mpmsa.induction import (
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.rng import CounterRng, substream
 from mpmsa.spectral import (
+    BallSpectra,
     boundary_profile,
     efc,
     efc_test_function_value,
@@ -128,7 +128,8 @@ def test_criterion_02_resolvent_and_efc_identities():
         center = tuple(rng.randint(0, graph.n_vertices - 1) for _ in range(n))
         ball = MultiBall(graph, center, rng.randint(1, 3))
         sample = sample_potential(DIST, graph, substream(MASTER, 41_000 + idx))
-        ham = assemble_ball(ball, g_amp, sample, interaction, budget=700)
+        ham = assemble_ball(ball, g_amp, sample, interaction)
+        assert len(ham.volume) <= 700
         spec = eigendecompose(ham)
         window = spectral_window(graph, n, g_amp, DIST.sup_abs, interaction)
         energy = off_spectrum_energy((spec,), window, rng, guard=1e-3)
@@ -500,20 +501,18 @@ def test_criterion_07_domination_suite():
     for idx in range(40):
         sample = sample_potential(DIST, graph, substream(MASTER, 120_000 + idx))
         ball = MultiBall(graph, (12,), 8)
-        ham = assemble_ball(ball, 1e3, sample, ZERO_INTERACTION)
-        spec = eigendecompose(ham)
+        spectra = BallSpectra(graph, sample, 1e3, ZERO_INTERACTION)
         rng = CounterRng(substream(MASTER, 121_000 + idx))
         window = spectral_window(graph, 1, 1e3, DIST.sup_abs, ZERO_INTERACTION)
-        energy = off_spectrum_energy((spec,), window, rng, guard=1e-6)
+        energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
         gf = gf_domination_check(
-            ham, energy, (12,), 8, 2, frozenset(), params, mass.m(1), cert,
-            sched, sample, ZERO_INTERACTION, 1e3,
+            spectra, ball, energy, 2, frozenset(), params, mass, cert, sched
         )
         if gf.precondition_failures:
             continue
         if not gf.dominated_for_all_boundaries:
             continue
-        for f in green_magnitude_maps(ham, energy, ball).values():
+        for f in gf.green_maps.values():
             ctx = DominationContext(
                 graph=graph, center=(12,), radius=8, ell=2, q=gf.q, f=f
             )

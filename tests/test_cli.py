@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mpmsa.cli import main
@@ -264,6 +265,69 @@ kmax = 1
 energy = 1.0
 """.format(out=tmp_path / "big")
     assert main(["classify", "--config", _write(tmp_path, text, "big.cfg")]) == 3
+
+
+def test_efc_full_volume_budget_exits_3(tmp_path):
+    # path:64 with two particles has 64**2 = 4096 configurations, over the cap
+    text = """\
+[experiment]
+kind = efc
+trials = 1
+seed = 1
+out = {out}
+
+[model]
+graph = path:64
+particles = 2
+g = 1.0
+
+[run]
+pairs = 0,0|1,1;0,0|2,2
+""".format(out=tmp_path / "efc")
+    assert main(["efc", "--config", _write(tmp_path, text, "efc.cfg")]) == 3
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mpmsa.cli; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
+    """A Green trial of `dominate` diagonalizes its ball once, and a trial
+    that passes the hypotheses solves (H - E) once for all boundary columns."""
+    root = Path(__file__).resolve().parent.parent
+    ball_size = 13  # configs/dominate.cfg: path:20, one particle, radius 6
+    eigh_sizes, solves = [], []
+    eigh, solve = np.linalg.eigh, np.linalg.solve
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    def counting_solve(a, b):
+        solves.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    out = tmp_path / "dominate"
+    code = main(["dominate", "--config", str(root / "configs" / "dominate.cfg"), "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in (out / "dominate.csv").read_text().splitlines()
+            if line[:1].isdigit()]
+    green_trials = {r[0] for r in rows if r[1].startswith("gf")}
+    qualifying = {r[0] for r in rows if r[1] == "gf"}
+    assert len(green_trials) == 2 and len(qualifying) == 1
+    assert eigh_sizes.count(ball_size) == len(green_trials)
+    assert max(eigh_sizes) == ball_size
+    # the ball on path:20 has both ends as its inner boundary
+    assert solves == [(ball_size, 2)] * len(qualifying)
 
 
 def test_shipped_configs_parse_and_declare_their_kind():

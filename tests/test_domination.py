@@ -1,21 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 
-from mpmsa.configspace import MultiBall, rho
+from mpmsa.configspace import MultiBall, ball_inner_boundary, rho
 from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
 from mpmsa.domination import (
     AnnulusCover,
     DominationContext,
     domination_bound,
     gf_domination_check,
+    green_magnitude_maps,
     is_dominated,
     radius_function,
     regular_set,
 )
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import assemble_ball
 from mpmsa.msa import MassSchedule, ParameterSet, scales
+from mpmsa.spectral import BallSpectra
 
 DIST = uniform_distribution(0, 1)
 
@@ -174,26 +176,22 @@ def _gf_setup(seed, g_amp=1e3):
     sched = scales(params, kmax=1)  # (2, 8)
     smp = sample_potential(DIST, g, seed)
     ball = MultiBall(g, (12,), 8)
-    ham = assemble_ball(ball, g_amp, smp, ZERO_INTERACTION)
-    return g, cert, params, mass, sched, smp, ball, ham
+    spectra = BallSpectra(g, smp, g_amp, ZERO_INTERACTION)
+    return g, cert, params, mass, sched, smp, ball, spectra
 
 
 def test_gf_domination_rejects_small_ell():
-    g, cert, params, mass, sched, smp, ball, ham = _gf_setup(1)
-    rep = gf_domination_check(
-        ham, 500.0, (12,), 8, 0, frozenset(), params, mass.m(1), cert, sched,
-        smp, ZERO_INTERACTION, 1e3,
-    )
+    g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(1)
+    rep = gf_domination_check(spectra, ball, 500.0, 0, frozenset(), params, mass, cert, sched)
     assert "m * ell^delta > 2 L^beta" in rep.precondition_failures
 
 
 def test_gf_domination_strong_disorder():
     hits = 0
     for seed in range(12):
-        g, cert, params, mass, sched, smp, ball, ham = _gf_setup(3000 + seed)
+        g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(3000 + seed)
         rep = gf_domination_check(
-            ham, 500.25, (12,), 8, 2, frozenset(), params, mass.m(1), cert, sched,
-            smp, ZERO_INTERACTION, 1e3,
+            spectra, ball, 500.25, 2, frozenset(), params, mass, cert, sched
         )
         if not rep.precondition_failures:
             assert rep.q == pytest.approx(
@@ -204,18 +202,37 @@ def test_gf_domination_strong_disorder():
     assert hits >= 3  # hypotheses hold on a healthy share of strong-disorder draws
 
 
+def test_gf_report_carries_the_verified_green_maps():
+    for seed in range(3000, 3012):
+        g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(seed)
+        rep = gf_domination_check(
+            spectra, ball, 500.25, 2, frozenset(), params, mass, cert, sched
+        )
+        if not rep.precondition_failures:
+            break
+    else:
+        pytest.fail("no strong-disorder draw met the hypotheses")
+    assert rep.green_maps == green_magnitude_maps(spectra, ball, 500.25)
+    ham = spectra.hamiltonian(ball)
+    inverse = np.linalg.inv(ham.matrix - 500.25 * np.eye(ham.size))
+    assert sorted(rep.green_maps) == sorted(ball_inner_boundary(ball))
+    for y, f_map in rep.green_maps.items():
+        assert sorted(f_map) == list(ham.volume.configs)
+        col = np.abs(inverse[:, ham.volume.position(y)])
+        kept = np.asarray([f_map[c] for c in ham.volume.configs])
+        assert np.allclose(kept[kept > 0], col[kept > 0], rtol=1e-10, atol=0)
+        assert (kept > 0).sum() >= 2
+
+
 def test_gf_domination_xi_whole_ball_vacuous_hypotheses():
-    g, cert, params, mass, sched, smp, ball, ham = _gf_setup(2)
+    g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(2)
     xi = frozenset(MultiBall(g, (12,), 8 - 2 - 1).members())
-    rep = gf_domination_check(
-        ham, 500.25, (12,), 8, 2, xi, params, mass.m(1), cert, sched,
-        smp, ZERO_INTERACTION, 1e3,
-    )
+    rep = gf_domination_check(spectra, ball, 500.25, 2, xi, params, mass, cert, sched)
     assert "sub-ball" not in ";".join(rep.precondition_failures)
 
 
 def test_q_below_one_iff_margin_positive():
-    g, cert, params, mass, sched, smp, ball, ham = _gf_setup(3)
+    g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(3)
     m = mass.m(1)
     ell, radius = 2, 8
     m_prime = m - 2 * float(ell) ** (-params.delta) * float(radius) ** params.beta

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import VolumeIndex, assemble_ball, spectral_window
 from mpmsa.induction import (
     EnergyIntervalCover,
+    _rational,
+    _rational_deriv,
     bridge_parameters,
     cover_from_profile,
     efc_decay_experiment,
@@ -276,3 +279,17 @@ def test_scale_probabilities_worst_over_grid_policy():
     for grid_row, fixed_row in zip(grid_rep.rows, fixed_rep.rows):
         assert grid_row.q.estimate >= fixed_row.q.estimate
         assert grid_row.p.ci_high >= grid_row.p.estimate >= grid_row.p.ci_low
+
+
+def test_reciprocals_next_to_a_pole_warn_nothing():
+    # 1 / 5e-324 overflows to inf; the pole convention makes that a value
+    es, poles, w = np.asarray([5e-324]), np.asarray([0.0]), np.asarray([1.0])
+    profile = BoundaryProfile(
+        eigenvalues=poles, coefficients=np.asarray([[1.0]]), boundary=((1,),),
+        prefactor=1.0, center=(0,),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _rational(es, poles, w)[0] == -math.inf
+        assert _rational_deriv(es, poles, w)[0] == math.inf
+        assert profile.green_values(-es)[0, 0] == math.inf

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, ContractViolation
 from .graphs import Graph
+from .quantiles import normal_cdf, normal_quantile
 from .rng import uniform01
 
 
@@ -52,9 +52,9 @@ class PotentialDistribution:
         u = np.asarray(uniform01(seed, np.arange(count, dtype=np.uint64)))
         if self.kind == "uniform":
             return self.a + (self.b - self.a) * u
-        lo = ndtr((self.a - self.mu) / self.sigma)
-        hi = ndtr((self.b - self.mu) / self.sigma)
-        return self.mu + self.sigma * ndtri(lo + u * (hi - lo))
+        lo = normal_cdf((self.a - self.mu) / self.sigma)
+        hi = normal_cdf((self.b - self.mu) / self.sigma)
+        return self.mu + self.sigma * normal_quantile(lo + u * (hi - lo))
 
 
 def uniform_distribution(a: float, b: float) -> PotentialDistribution:
@@ -71,7 +71,7 @@ def truncated_gaussian(mu: float, sigma: float, a: float, b: float) -> Potential
         raise ConfigurationError("tgauss needs sigma > 0")
     if b <= a:
         raise ConfigurationError("tgauss needs a < b")
-    mass = ndtr((b - mu) / sigma) - ndtr((a - mu) / sigma)
+    mass = normal_cdf((b - mu) / sigma) - normal_cdf((a - mu) / sigma)
     grid = np.linspace(a, b, 4001)
     pdf = np.exp(-0.5 * ((grid - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi) * mass)
     dpdf = np.abs(pdf * (grid - mu) / sigma**2)

@@ -98,10 +98,12 @@ def radius_function(
     return math.inf
 
 
-def is_dominated(ctx: DominationContext) -> tuple[bool, list[str]]:
+def is_dominated(
+    ctx: DominationContext, partition: RegularPartition | None = None
+) -> tuple[bool, list[str]]:
     """Definition check: singular points inside Xi, and at every point with a
     finite radius function, f(x) <= q * max f over B(u, R_f(x))."""
-    part = regular_set(ctx)
+    part = partition if partition is not None else regular_set(ctx)
     failures: list[str] = []
     stray = part.singular - ctx.xi
     if stray:
@@ -151,10 +153,10 @@ def domination_bound(ctx: DominationContext, annuli: AnnulusCover) -> Domination
     precondition fails the result reports it and claims no bound.
     """
     failures: list[str] = []
-    ok, def_failures = is_dominated(ctx)
+    part = regular_set(ctx)
+    ok, def_failures = is_dominated(ctx, part)
     if not ok:
         failures.extend(def_failures)
-    part = regular_set(ctx)
     if not annuli.covers(ctx, part.singular):
         failures.append("annuli do not cover the singular set")
     if annuli.width > ctx.radius - ctx.ell:

@@ -358,25 +358,3 @@ def rcm_modulus(
             "b_second": b_sec,
         },
     )
-
-
-def wegner_g_sweep(
-    ball: MultiBall,
-    dist: PotentialDistribution,
-    interaction: InteractionPotential,
-    g_grid,
-    energy_of_g,
-    beta: float,
-    trials: int,
-    seed: int,
-) -> list[tuple[float, McEstimate]]:
-    """Resonance estimates over a g-grid with common random numbers.
-
-    energy_of_g maps g to the probed energy (resonance windows track the
-    spectrum's scale, so a fixed absolute E would trivially empty out).
-    """
-    out = []
-    for g in g_grid:
-        est = wegner_estimate(ball, dist, interaction, g, energy_of_g(g), beta, trials, seed)
-        out.append((float(g), est))
-    return out

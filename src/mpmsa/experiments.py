@@ -45,6 +45,7 @@ from .msa import (
     scales,
     validate,
 )
+from .quantiles import T_DF_MAX
 from .reporting import Report
 from .rng import CounterRng, substream
 from .spectral import BallSpectra, eigendecompose, gri_check
@@ -503,6 +504,8 @@ def run_efc(config: ExperimentConfig, report: Report) -> None:
     pairs = config.get_pairs("run", "pairs")
     g_grid = config.get_floats("run", "g_grid", str(g))
     batches = config.get_int("run", "batches", "10")
+    if not 1 <= batches <= T_DF_MAX + 1:  # the t interval has batches - 1 df
+        raise ConfigurationError(f"[run] batches must be between 1 and {T_DF_MAX + 1}")
     full = VolumeIndex.from_ball(MultiBall(graph, tuple([0] * n), int(graph.dist.max())))
     fits = efc_decay_experiment(
         graph, full, pairs, dist, interaction, g_grid, params.kappa, trials, seed, batches

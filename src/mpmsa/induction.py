@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .configspace import Config, MultiBall, rho_s
 from .disorder import InteractionPotential, PotentialDistribution, sample_potential
@@ -40,6 +39,7 @@ from .msa import (
 )
 from .evc import McEstimate, wilson_interval
 from .parallel import run_trials
+from .quantiles import normal_quantile, t_quantile
 from .spectral import (
     RESOLVENT_GUARD,
     BallSpectra,
@@ -397,7 +397,7 @@ def _worst_estimate(hit_matrix: np.ndarray, trials: int, seed: int, n_energies: 
     if n_energies <= 1:
         return base
     # widen: Wilson at level alpha / n_energies
-    lo, hi = wilson_interval(base.estimate, trials, float(ndtri(1 - 0.025 / n_energies)))
+    lo, hi = wilson_interval(base.estimate, trials, float(normal_quantile(1 - 0.025 / n_energies)))
     return McEstimate(
         trials=trials, successes=base.successes, estimate=base.estimate, ci_low=lo, ci_high=hi, seed=seed
     )
@@ -603,7 +603,7 @@ def efc_decay_experiment(
             batch_fits.append(_fit_mass(distances[keep], bm[keep], kappa)[0])
         arr = np.asarray(batch_fits)
         if arr.size >= 2:
-            crit = float(stdtrit(arr.size - 1, 0.975))
+            crit = t_quantile(0.975, arr.size - 1)
             half = crit * arr.std(ddof=1) / math.sqrt(arr.size)
             ci = (float(arr.mean() - half), float(arr.mean() + half))
         else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import Config, MultiBall, ball_inner_boundary, edge_boundary, rho_s
+from .configspace import Config, MultiBall, ball_inner_boundary, edge_boundary
 from .disorder import DisorderSample, InteractionPotential
 from .errors import ContractViolation, DataError, ResonanceError
 from .graphs import Graph, GrowthCertificate
@@ -72,10 +72,11 @@ def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
     vec = vec * signs
     h_norm = float(np.abs(lam).max()) if lam.size else 0.0
     resid = np.abs(ham.matrix @ vec - vec * lam).max()
-    if resid > 1e-9 * max(h_norm, 1.0):
+    # `not <=` so that a NaN residual or Gram deviation fails the contract
+    if not resid <= 1e-9 * max(h_norm, 1.0):
         raise DataError(f"eigensolve residual {resid:.3e} too large")
     gram_err = np.abs(vec.T @ vec - np.eye(vec.shape[1])).max()
-    if gram_err > 1e-10:
+    if not gram_err <= 1e-10:
         raise DataError(f"eigenvector gram deviation {gram_err:.3e} too large")
     return SpectralData(volume=ham.volume, eigenvalues=lam, eigenvectors=vec, h_norm=h_norm)
 
@@ -250,17 +251,6 @@ def efc(spec: SpectralData, x: Config, y: Config, gap: float = DEGENERACY_GAP) -
     )
 
 
-def efc_test_function_value(
-    spec: SpectralData, x: Config, y: Config, f_values: np.ndarray, gap: float = DEGENERACY_GAP
-) -> float:
-    """|<1_y| f(H) |1_x>| for f given by its values on the cluster energies."""
-    sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y), gap)[1]
-    total = 0.0
-    for f_val, s in zip(f_values, sums):
-        total += f_val * float(s)
-    return abs(total)
-
-
 @dataclass(frozen=True)
 class GriReport:
     lhs: float
@@ -320,61 +310,3 @@ def gri_check(
         holds=lhs <= rhs * (1.0 + slack) + noise_floor,
         n_boundary_edges=len(edges),
     )
-
-
-@dataclass(frozen=True)
-class EigenfunctionFit:
-    center: Config
-    mass: float
-    amplitude: float
-    residual: float
-    n_points: int
-    point_support: bool
-
-
-@dataclass(frozen=True)
-class LocalizationProfile:
-    fits: tuple[EigenfunctionFit, ...]
-
-    def masses(self) -> np.ndarray:
-        return np.asarray([f.mass for f in self.fits])
-
-
-def localization_profile(
-    spec: SpectralData, floor: float = 1e-14
-) -> LocalizationProfile:
-    """Per eigenfunction: localization center and least-squares decay mass.
-
-    Fits log|psi(x)| = log(amplitude) - mass * rho_S(x, center) over entries
-    above the floor; entries at or below the floor are treated as numerically
-    zero, and fits with fewer than two distinct radii are flagged point_support.
-    """
-    vol = spec.volume
-    if len(vol) < 2:
-        raise ContractViolation("localization profile needs >= 2 configurations")
-    g = vol.graph
-    fits = []
-    for j in range(spec.eigenvectors.shape[1]):
-        psi = np.abs(spec.eigenvectors[:, j])
-        center_idx = int(np.argmax(psi))  # argmax takes the smallest index on ties
-        center = vol.configs[center_idx]
-        mask = psi > floor
-        radii = np.asarray([rho_s(g, center, c) for c in vol.configs], dtype=np.float64)
-        r, v = radii[mask], np.log(psi[mask])
-        if np.unique(r).size < 2:
-            fits.append(EigenfunctionFit(center, float("nan"), float("nan"), 0.0, int(mask.sum()), True))
-            continue
-        coeffs, res = np.polyfit(r, v, 1, full=True)[:2]
-        slope, intercept = coeffs
-        residual = float(res[0]) if len(res) else 0.0
-        fits.append(
-            EigenfunctionFit(
-                center=center,
-                mass=float(-slope),
-                amplitude=float(np.exp(intercept)),
-                residual=residual,
-                n_points=int(mask.sum()),
-                point_support=False,
-            )
-        )
-    return LocalizationProfile(fits=tuple(fits))

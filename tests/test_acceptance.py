@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import efc_test_function_value
 from mpmsa.cli import main as cli_main
 from mpmsa.configspace import (
     MultiBall,
@@ -55,7 +56,6 @@ from mpmsa.spectral import (
     BallSpectra,
     boundary_profile,
     efc,
-    efc_test_function_value,
     eigendecompose,
     gri_check,
 )

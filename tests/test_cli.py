@@ -84,6 +84,17 @@ def test_zero_trials_exits_2(tmp_path):
     assert main(["wegner", "--config", path, "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("batches", ["0", "-1", "10002"])
+def test_efc_batches_out_of_range_exit_2(tmp_path, batches):
+    # below 1 the runner used to write nan intervals; above 10001 the t
+    # quantile of the interval is refused
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "configs" / "efc.cfg").read_text().replace("batches = 5", f"batches = {batches}")
+    out = tmp_path / "x"
+    assert main(["efc", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_malformed_thread_count_exits_2(tmp_path, monkeypatch, value):
     monkeypatch.setenv("MPMSA_THREADS", value)
@@ -287,15 +298,17 @@ pairs = 0,0|1,1;0,0|2,2
     assert main(["efc", "--config", _write(tmp_path, text, "efc.cfg")]) == 3
 
 
-def test_cli_import_leaves_scipy_linalg_out():
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package needs numpy alone
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mpmsa.cli; print('scipy.linalg' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, mpmsa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
@@ -328,6 +341,34 @@ def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
     assert max(eigh_sizes) == ball_size
     # the ball on path:20 has both ends as its inner boundary
     assert solves == [(ball_size, 2)] * len(qualifying)
+
+
+def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
+    """`domination_bound` partitions its map once and hands the partition to
+    `is_dominated` (configs/dominate.cfg: 10 partitions before, 6 now)."""
+    from mpmsa import domination, experiments
+
+    root = Path(__file__).resolve().parent.parent
+    built, per_bound = [], []
+    regular_set, domination_bound = domination.regular_set, domination.domination_bound
+
+    def counting_regular_set(ctx):
+        built.append(ctx)
+        return regular_set(ctx)
+
+    def counting_domination_bound(ctx, annuli):
+        before = len(built)
+        result = domination_bound(ctx, annuli)
+        per_bound.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(domination, "regular_set", counting_regular_set)
+    monkeypatch.setattr(experiments, "domination_bound", counting_domination_bound)
+    out = tmp_path / "dominate"
+    code = main(["dominate", "--config", str(root / "configs" / "dominate.cfg"), "--out", str(out)])
+    assert code == 0
+    assert per_bound == [1] * 4
+    assert len(built) == 6
 
 
 def test_shipped_configs_parse_and_declare_their_kind():

@@ -17,7 +17,6 @@ from mpmsa.evc import (
     spectral_shift_check,
     two_volume_evc,
     wegner_estimate,
-    wegner_g_sweep,
 )
 from mpmsa.graphs import build_graph
 from mpmsa.hamiltonian import assemble_ball, norm_bound
@@ -55,6 +54,19 @@ def test_wegner_matches_higher_resolution_oracle():
     est = wegner_estimate(ball, DIST, ZERO_INTERACTION, 1.0, 2.0, 0.3, 10_000, 11)
     oracle = wegner_estimate(ball, DIST, ZERO_INTERACTION, 1.0, 2.0, 0.3, 100_000, 12)
     assert est.ci_low <= oracle.estimate <= est.ci_high
+
+
+def wegner_g_sweep(ball, dist, interaction, g_grid, energy_of_g, beta, trials, seed):
+    """Resonance estimates over a g-grid with common random numbers.
+
+    energy_of_g maps g to the probed energy (resonance windows track the
+    spectrum's scale, so a fixed absolute E would trivially empty out).
+    """
+    out = []
+    for g in g_grid:
+        est = wegner_estimate(ball, dist, interaction, g, energy_of_g(g), beta, trials, seed)
+        out.append((float(g), est))
+    return out
 
 
 def test_wegner_monotone_in_g_shared_seeds():

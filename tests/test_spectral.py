@@ -1,28 +1,30 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from mpmsa.configspace import MultiBall
+from helpers import efc_test_function_value
+from mpmsa.configspace import Config, MultiBall, rho_s
 from mpmsa.disorder import (
     ZERO_INTERACTION,
     InteractionPotential,
     sample_potential,
     uniform_distribution,
 )
-from mpmsa.errors import ContractViolation, ResonanceError
+from mpmsa.errors import ContractViolation, DataError, ResonanceError
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import HamiltonianMatrix, Provenance, VolumeIndex, assemble, assemble_ball
 from mpmsa.rng import CounterRng
 from mpmsa import spectral
 from mpmsa.spectral import (
     BallSpectra,
+    SpectralData,
     boundary_functional,
     efc,
-    efc_test_function_value,
     eigendecompose,
     green,
     green_row,
     gri_check,
-    localization_profile,
     ns_flags,
 )
 
@@ -70,6 +72,22 @@ def test_eigendecompose_contracts():
     assert resid <= 1e-9 * max(spec.h_norm, 1.0)
     gram = spec.eigenvectors.T @ spec.eigenvectors
     assert np.abs(gram - np.eye(len(spec.volume))).max() <= 1e-10
+
+
+def test_eigendecompose_rejects_nan_eigenvectors(monkeypatch):
+    g = build_graph("path:3")
+    ham = _matrix_ham(g, [(0,), (1,), (2,)], np.diag([3.0, -1.0, 2.0]))
+    real_eigh = np.linalg.eigh
+
+    def eigh_with_nan(matrix):
+        lam, vec = real_eigh(matrix)
+        vec = vec.copy()
+        vec[1, 2] = np.nan
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_with_nan)
+    with pytest.raises(DataError):
+        eigendecompose(ham)
 
 
 def test_green_one_by_one():
@@ -210,6 +228,62 @@ def test_gri_degenerate_subset():
     e = spec.eigenvalues.max() + 0.8
     rep = gri_check(spec, eigendecompose(ham.submatrix(sub)), sub[0], volume[-1], e)
     assert rep.holds
+
+
+@dataclass(frozen=True)
+class EigenfunctionFit:
+    center: Config
+    mass: float
+    amplitude: float
+    residual: float
+    n_points: int
+    point_support: bool
+
+
+@dataclass(frozen=True)
+class LocalizationProfile:
+    fits: tuple[EigenfunctionFit, ...]
+
+    def masses(self) -> np.ndarray:
+        return np.asarray([f.mass for f in self.fits])
+
+
+def localization_profile(spec: SpectralData, floor: float = 1e-14) -> LocalizationProfile:
+    """Per eigenfunction: localization center and least-squares decay mass.
+
+    Fits log|psi(x)| = log(amplitude) - mass * rho_S(x, center) over entries
+    above the floor; entries at or below the floor are treated as numerically
+    zero, and fits with fewer than two distinct radii are flagged point_support.
+    """
+    vol = spec.volume
+    if len(vol) < 2:
+        raise ContractViolation("localization profile needs >= 2 configurations")
+    g = vol.graph
+    fits = []
+    for j in range(spec.eigenvectors.shape[1]):
+        psi = np.abs(spec.eigenvectors[:, j])
+        center_idx = int(np.argmax(psi))  # argmax takes the smallest index on ties
+        center = vol.configs[center_idx]
+        mask = psi > floor
+        radii = np.asarray([rho_s(g, center, c) for c in vol.configs], dtype=np.float64)
+        r, v = radii[mask], np.log(psi[mask])
+        if np.unique(r).size < 2:
+            fits.append(EigenfunctionFit(center, float("nan"), float("nan"), 0.0, int(mask.sum()), True))
+            continue
+        coeffs, res = np.polyfit(r, v, 1, full=True)[:2]
+        slope, intercept = coeffs
+        residual = float(res[0]) if len(res) else 0.0
+        fits.append(
+            EigenfunctionFit(
+                center=center,
+                mass=float(-slope),
+                amplitude=float(np.exp(intercept)),
+                residual=residual,
+                n_points=int(mask.sum()),
+                point_support=False,
+            )
+        )
+    return LocalizationProfile(fits=tuple(fits))
 
 
 def test_localization_profile_strong_disorder():

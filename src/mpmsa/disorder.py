@@ -1,4 +1,4 @@
-"""IID external potential, the two-body interaction, and sample-mean splits.
+"""IID external potential and the two-body interaction.
 
 Per-vertex draws come from a counter-based stream (see rng.mix64), so a sample
 is a pure function of (seed, distribution, vertex index): sampling order,
@@ -184,23 +184,3 @@ def parse_interaction_spec(spec: str) -> InteractionPotential:
     if fields:
         raise ConfigurationError(f"unknown interaction fields {sorted(fields)} in '{spec}'")
     return InteractionPotential(c_u=c_u, zeta=zeta, truncation_radius=rcut)
-
-
-@dataclass(frozen=True)
-class MeanFluctuationSplit:
-    """V restricted to Q decomposed as sample mean xi plus fluctuations eta."""
-
-    vertices: tuple[int, ...]
-    xi: float
-    eta: dict[int, float]
-
-
-def mean_fluctuation_split(sample: DisorderSample, vertices) -> MeanFluctuationSplit:
-    verts = tuple(sorted(vertices))
-    if not verts:
-        raise ContractViolation("Q must be nonempty")
-    vals = sample.values[np.asarray(verts, dtype=np.int64)]
-    xi = float(vals.mean())
-    return MeanFluctuationSplit(
-        vertices=verts, xi=xi, eta={v: float(sample.values[v] - xi) for v in verts}
-    )

@@ -146,14 +146,17 @@ class DominationBound:
     precondition_failures: tuple[str, ...]
 
 
-def domination_bound(ctx: DominationContext, annuli: AnnulusCover) -> DominationBound:
+def domination_bound(
+    ctx: DominationContext, annuli: AnnulusCover, partition: RegularPartition | None = None
+) -> DominationBound:
     """f(u) <= q**W * (max f over B(u, L+1)) with W = (L+1-w)/(ell+1).
 
-    Callers supply the annuli (this module does not choose coverings); when a
-    precondition fails the result reports it and claims no bound.
+    Callers supply the annuli (this module does not choose coverings) and may
+    pass the context's prebuilt partition; when a precondition fails the
+    result reports it and claims no bound.
     """
     failures: list[str] = []
-    part = regular_set(ctx)
+    part = partition if partition is not None else regular_set(ctx)
     ok, def_failures = is_dominated(ctx, part)
     if not ok:
         failures.extend(def_failures)
@@ -183,6 +186,7 @@ class GfDominationReport:
     precondition_failures: tuple[str, ...]
     per_boundary_failures: dict
     green_maps: dict  # inner-boundary y -> |G(., y; E)|; empty when a precondition fails
+    partitions: dict  # inner-boundary y -> RegularPartition of its map
 
 
 def gf_domination_check(
@@ -204,7 +208,8 @@ def gf_domination_check(
     certificate is its own sub-ball).  When they hold, f = |G(., y; E)| over
     the ball's own volume is verified to be (ell, q, Xi)-dominated for each
     inner-boundary y, with q = exp(-m' ell**delta), m' = m - 2 ell**(-delta)
-    L**beta, and the verified maps are returned with the report.
+    L**beta, and the verified maps and their partitions are returned with the
+    report.
     """
     failures: list[str] = []
     graph, center, radius = ball.graph, ball.center, ball.radius
@@ -233,15 +238,18 @@ def gf_domination_check(
         return GfDominationReport(
             q=q, m_prime=m_prime, dominated_for_all_boundaries=False,
             precondition_failures=tuple(failures), per_boundary_failures={}, green_maps={},
+            partitions={},
         )
 
     maps = green_magnitude_maps(spectra, ball, energy)
     per_boundary: dict = {}
+    partitions: dict = {}
     for y, f_map in maps.items():
         ctx = DominationContext(
             graph=graph, center=center, radius=radius, ell=ell, q=q, f=f_map, xi=xi
         )
-        ok, why = is_dominated(ctx)
+        partitions[y] = regular_set(ctx)
+        ok, why = is_dominated(ctx, partitions[y])
         if not ok:
             per_boundary[y] = why
     return GfDominationReport(
@@ -251,6 +259,7 @@ def gf_domination_check(
         precondition_failures=(),
         per_boundary_failures=per_boundary,
         green_maps=maps,
+        partitions=partitions,
     )
 
 

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configspace import MultiBall, SeparationCertificate, rho_s
-from .disorder import DisorderSample, InteractionPotential, PotentialDistribution, sample_potential
+from .disorder import DisorderSample, PotentialDistribution, sample_potential
 from .errors import ContractViolation
-from .hamiltonian import PreparedVolume
 from .msa import resonance_threshold
 from .parallel import run_trials
 from .rng import substream
-from .spectral import BallSpectra
+from .spectral import BallOperators, BallSpectra
 
 _Z95 = 1.959963984540054
 
@@ -72,7 +71,7 @@ class McEstimate:
 def wegner_estimate(
     ball: MultiBall,
     dist: PotentialDistribution,
-    interaction: InteractionPotential,
+    operators: BallOperators,
     g: float,
     energy: float,
     beta: float,
@@ -83,11 +82,11 @@ def wegner_estimate(
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     threshold = resonance_threshold(ball.radius, beta)
-    prepared = PreparedVolume.from_ball(ball, interaction)
+    op = operators.operator(ball)
 
     def one(trial_seed: int, _idx: int) -> int:
         sample = sample_potential(dist, ball.graph, trial_seed)
-        lam = prepared.eigenvalues(g, sample)
+        lam = np.linalg.eigvalsh(op.hamiltonian(g, sample).matrix)
         return int(np.abs(lam - energy).min() < threshold)
 
     hits = run_trials(one, trials, seed)
@@ -139,19 +138,18 @@ def spectral_distances(
     ballx: MultiBall,
     bally: MultiBall,
     dist: PotentialDistribution,
-    interaction: InteractionPotential,
+    operators: BallOperators,
     g: float,
     trials: int,
     seed: int,
 ) -> np.ndarray:
     """dist(Sigma_x, Sigma_y) = min over eigenvalue pairs, one value per trial."""
-    prep_x = PreparedVolume.from_ball(ballx, interaction)
-    prep_y = PreparedVolume.from_ball(bally, interaction)
+    op_x, op_y = operators.operator(ballx), operators.operator(bally)
 
     def one(trial_seed: int, _idx: int) -> float:
         sample = sample_potential(dist, ballx.graph, trial_seed)
-        lam_x = prep_x.eigenvalues(g, sample)
-        lam_y = prep_y.eigenvalues(g, sample)
+        lam_x = np.linalg.eigvalsh(op_x.hamiltonian(g, sample).matrix)
+        lam_y = np.linalg.eigvalsh(op_y.hamiltonian(g, sample).matrix)
         return float(np.abs(lam_x[:, None] - lam_y[None, :]).min())
 
     return np.asarray(run_trials(one, trials, seed))
@@ -161,7 +159,7 @@ def two_volume_evc(
     ballx: MultiBall,
     bally: MultiBall,
     dist: PotentialDistribution,
-    interaction: InteractionPotential,
+    operators: BallOperators,
     g: float,
     s_grid,
     trials: int,
@@ -178,7 +176,7 @@ def two_volume_evc(
         )
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    values = spectral_distances(ballx, bally, dist, interaction, g, trials, seed)
+    values = spectral_distances(ballx, bally, dist, operators, g, trials, seed)
     s = np.asarray(sorted(s_grid), dtype=np.float64)
     counts = (values[None, :] <= s[:, None]).sum(axis=1)
     probs = counts / trials
@@ -207,7 +205,7 @@ def spectral_shift_check(
     t: float,
     g: float,
     sample: DisorderSample,
-    interaction: InteractionPotential,
+    operators: BallOperators,
     tol: float = 1e-9,
 ) -> ShiftReport:
     """Exact spectral-shift law from weak separation.
@@ -222,8 +220,8 @@ def spectral_shift_check(
     b_vertices = primary.graph.ball(certificate.center, certificate.radius).tolist()
     shifted = sample.shifted_on(b_vertices, t)
 
-    base = BallSpectra(primary.graph, sample, g, interaction)
-    moved = BallSpectra(primary.graph, shifted, g, interaction)
+    base = BallSpectra(operators, sample, g)
+    moved = BallSpectra(operators, shifted, g)
 
     def deviation(ball: MultiBall, n_inside: int) -> float:
         expected = base.spectrum(ball).eigenvalues + g * n_inside * t

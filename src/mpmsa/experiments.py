@@ -30,7 +30,7 @@ from .evc import (
     wegner_estimate,
 )
 from .graphs import Graph, GrowthCertificate, build_graph, certify_growth
-from .hamiltonian import VolumeIndex, assemble, spectral_window
+from .hamiltonian import VolumeIndex, VolumeOperator, spectral_window
 from .induction import (
     bridge_parameters,
     efc_decay_experiment,
@@ -48,7 +48,7 @@ from .msa import (
 from .quantiles import T_DF_MAX
 from .reporting import Report
 from .rng import CounterRng, substream
-from .spectral import BallSpectra, eigendecompose, gri_check
+from .spectral import BallOperators, BallSpectra, eigendecompose, gri_check
 
 # ---------------------------------------------------------------------------
 # Config unpacking
@@ -174,7 +174,7 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
     sample = sample_potential(dist, graph, seed)
     ball = MultiBall(graph, center, radius)
     energies = config.get_floats("run", "energy")
-    spectra = BallSpectra(graph, sample, g, interaction)
+    spectra = BallSpectra(BallOperators(graph, interaction), sample, g)
     tbl = report.table(
         "classification",
         ("energy", "resonant", "nonsingular", "cnr", "weakly_interactive", "dist_to_spectrum"),
@@ -215,8 +215,7 @@ def run_gri(config: ExperimentConfig, report: Report) -> None:
         rng = CounterRng(substream(seed, i))
         volume, sub, x, y = random_gri_instance(graph, n, rng)
         sample = sample_potential(dist, graph, substream(seed, 10_000_000 + i))
-        vol_idx = VolumeIndex(graph, volume)
-        ham = assemble(vol_idx, g, sample, interaction)
+        ham = VolumeOperator(VolumeIndex(graph, volume), interaction).hamiltonian(g, sample)
         spec_v = eigendecompose(ham)
         spec_w = eigendecompose(ham.submatrix(sub))
         for _ in range(energies_per):
@@ -250,9 +249,10 @@ def run_wegner(config: ExperimentConfig, report: Report) -> None:
             "master seed",
         ),
     )
+    operators = BallOperators(graph, interaction)
     estimates = []
     for gv in g_grid:
-        est = wegner_estimate(ball, dist, interaction, gv, energy, params.beta, trials, seed)
+        est = wegner_estimate(ball, dist, operators, gv, energy, params.beta, trials, seed)
         estimates.append(est.estimate)
         tbl.add(gv, est.estimate, est.ci_low, est.ci_high, est.successes, est.trials, est.seed)
     report.results["estimates"] = estimates
@@ -266,7 +266,8 @@ def run_evc2(config: ExperimentConfig, report: Report) -> None:
     ball_x = MultiBall(graph, config.get_config_tuple("run", "center_x"), radius)
     ball_y = MultiBall(graph, config.get_config_tuple("run", "center_y"), radius)
     s_grid = config.get_floats("run", "s_grid")
-    fit = two_volume_evc(ball_x, ball_y, dist, interaction, g, s_grid, trials, seed)
+    operators = BallOperators(graph, interaction)
+    fit = two_volume_evc(ball_x, ball_y, dist, operators, g, s_grid, trials, seed)
     tbl = report.table(
         "evc2",
         ("s", "probability", "ci_low", "ci_high", "successes", "trials", "seed"),
@@ -343,6 +344,7 @@ def run_shift(config: ExperimentConfig, report: Report) -> None:
             "both deviations <= 1e-9",
         ),
     )
+    operators = BallOperators(graph, interaction)
     all_hold = True
     produced = 0
     for i in range(trials):
@@ -358,7 +360,7 @@ def run_shift(config: ExperimentConfig, report: Report) -> None:
             tbl.add(i, -1, -1, float("nan"), float("nan"), False)
             continue
         sample = sample_potential(dist, graph, substream(seed, 88_000 + i))
-        rep = spectral_shift_check(ball_x, ball_y, certificate, t_val, g, sample, interaction)
+        rep = spectral_shift_check(ball_x, ball_y, certificate, t_val, g, sample, operators)
         all_hold &= rep.holds
         produced += 1
         tbl.add(i, rep.n1, rep.n2, rep.max_dev_primary, rep.max_dev_secondary, rep.holds)
@@ -381,7 +383,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
     policy = config.get("run", "energy_policy", "fixed:0")
     rep = scale_probabilities(
-        graph, center, dist, interaction, g, params, mass, schedule, cert,
+        BallOperators(graph, interaction), center, dist, g, params, mass, schedule, cert,
         policy, window, trials, seed,
     )
     tbl = report.table(
@@ -477,9 +479,10 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
             "intervals in the y cover",
         ),
     )
+    operators = BallOperators(graph, interaction)
     for i in range(trials):
         sample = sample_potential(dist, graph, substream(seed, i))
-        spectra = BallSpectra(graph, sample, g, interaction)
+        spectra = BallSpectra(operators, sample, g)
         spec_x = spectra.spectrum(ball_x)
         spec_y = spectra.spectrum(ball_y)
         res = sup_min_functional(spec_x, ball_x, spec_y, ball_y, cert, level, window)
@@ -588,10 +591,11 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
 
     # Green-function instances under strong disorder
     gf_trials = max(1, trials - max(1, trials // 2))
+    operators = BallOperators(graph, interaction)
     for i in range(gf_trials):
         sample = sample_potential(dist, graph, substream(seed, 900 + i))
         rng = CounterRng(substream(seed, 1300 + i))
-        spectra = BallSpectra(graph, sample, g, interaction)
+        spectra = BallSpectra(operators, sample, g)
         energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
         gf = gf_domination_check(
             spectra, ball, energy, ell, frozenset(), params, mass, cert, schedule
@@ -603,12 +607,12 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
             continue
         ok = gf.dominated_for_all_boundaries
         if ok:
-            for f in gf.green_maps.values():
+            for y, f in gf.green_maps.items():
                 ctx = DominationContext(
                     graph=graph, center=center, radius=radius, ell=ell, q=gf.q, f=f,
                     xi=frozenset(),
                 )
-                res = domination_bound(ctx, AnnulusCover(bounds=()))
+                res = domination_bound(ctx, AnnulusCover(bounds=()), gf.partitions[y])
                 ok &= res.holds
                 tbl.add(1000 + i, "gf", gf.q, res.W, res.f_center, res.bound, res.holds)
         all_hold &= ok

@@ -59,27 +59,17 @@ class VolumeIndex:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    graph_name: str
-    volume_label: str
-    g: float
-    seed: int
-    distribution: str
-    interaction: str
-
-
-@dataclass(frozen=True)
 class HamiltonianMatrix:
     """Dense real symmetric Hamiltonian over an enumerated volume."""
 
     volume: VolumeIndex
     matrix: np.ndarray = field(repr=False)
-    provenance: Provenance
 
     def __post_init__(self):
         if not np.isfinite(self.matrix).all():
             raise DataError("Hamiltonian has non-finite entries")
-        if np.abs(self.matrix - self.matrix.T).max() > 1e-14:
+        asym = self.matrix - self.matrix.T
+        if np.abs(asym, out=asym).max() > 1e-14:
             raise DataError("Hamiltonian is not symmetric")
 
     @property
@@ -94,94 +84,51 @@ class HamiltonianMatrix:
         """
         sub = VolumeIndex(self.volume.graph, configs, label=self.volume.label + "|sub")
         idx = np.asarray([self.volume.position(c) for c in sub.configs], dtype=np.int64)
-        return HamiltonianMatrix(sub, self.matrix[np.ix_(idx, idx)], self.provenance)
+        return HamiltonianMatrix(sub, self.matrix[np.ix_(idx, idx)])
 
 
-def laplacian(volume: VolumeIndex) -> np.ndarray:
-    """Graph Laplacian restricted to the volume: full-graph degree on the
-    diagonal, +1 on product-graph edges inside the volume."""
-    g = volume.graph
-    m = len(volume)
-    configs = volume.config_array()
-    out = np.zeros((m, m))
-    degrees = g.degree[configs].sum(axis=1).astype(np.float64)
-    out[np.diag_indices(m)] = -degrees
-    for i, x in enumerate(volume.configs):
-        for y in product_neighbors(g, x):
-            j = volume.index.get(y)
-            if j is not None:
-                out[i, j] = 1.0
-    return out
+class VolumeOperator:
+    """The sample-independent part of H over one volume.
 
-
-def interaction_diagonal(volume: VolumeIndex, interaction: InteractionPotential) -> np.ndarray:
-    """Sum of u(d(x_i, x_j)) over particle pairs i < j, per configuration."""
-    configs = volume.config_array()
-    n = volume.n_particles
-    out = np.zeros(len(volume))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out += interaction.values(volume.graph.dist[configs[:, i], configs[:, j]])
-    return out
-
-
-def assemble(
-    volume: VolumeIndex,
-    g: float,
-    sample: DisorderSample,
-    interaction: InteractionPotential,
-) -> HamiltonianMatrix:
-    """H = -Laplacian + g * sum_j V(x_j) + sum_{i<j} u(d(x_i, x_j))."""
-    if len(sample.values) < volume.graph.n_vertices:
-        raise ContractViolation("sample does not cover the volume's graph")
-    configs = volume.config_array()
-    h = -laplacian(volume)
-    diag = g * sample.values[configs].sum(axis=1) + interaction_diagonal(volume, interaction)
-    h[np.diag_indices(len(volume))] += diag
-    prov = Provenance(
-        graph_name=volume.graph.name,
-        volume_label=volume.label,
-        g=float(g),
-        seed=sample.seed,
-        distribution=sample.distribution.spec,
-        interaction=interaction.spec,
-    )
-    return HamiltonianMatrix(volume=volume, matrix=h, provenance=prov)
-
-
-def assemble_ball(
-    ball: MultiBall,
-    g: float,
-    sample: DisorderSample,
-    interaction: InteractionPotential,
-) -> HamiltonianMatrix:
-    return assemble(VolumeIndex.from_ball(ball), g, sample, interaction)
-
-
-class PreparedVolume:
-    """Volume with the sample-independent parts of H prebuilt.
-
-    Monte Carlo loops re-assemble thousands of Hamiltonians over one volume;
-    only the g * sum_j V(x_j) diagonal changes between trials.
+    H = -Laplacian + g * sum_j V(x_j) + sum_{i<j} u(d(x_i, x_j)), and only the
+    g * sum_j V(x_j) diagonal depends on the coupling and the disorder sample.
+    The volume is enumerated once: the operator keeps its configurations, the
+    product-graph edges inside it, and the two sample-independent diagonals
+    (the full-graph degree and the interaction sum).
     """
 
     def __init__(self, volume: VolumeIndex, interaction: InteractionPotential):
+        graph, n = volume.graph, volume.n_particles
         self.volume = volume
-        self.base = -laplacian(volume)
-        self.base[np.diag_indices(len(volume))] += interaction_diagonal(volume, interaction)
-        self.configs = volume.config_array()
+        self.configs = configs = volume.config_array()
+        self.degree = graph.degree[configs].sum(axis=1).astype(np.float64)
+        self.interaction_sum = np.zeros(len(volume))
+        for i in range(n):
+            for j in range(i + 1, n):
+                self.interaction_sum += interaction.values(graph.dist[configs[:, i], configs[:, j]])
+        rows, cols = [], []
+        for i, x in enumerate(volume.configs):
+            for y in product_neighbors(graph, x):
+                j = volume.index.get(y)
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+        self.edges = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
 
     @classmethod
-    def from_ball(cls, ball: MultiBall, interaction: InteractionPotential) -> "PreparedVolume":
+    def from_ball(cls, ball: MultiBall, interaction: InteractionPotential) -> "VolumeOperator":
         return cls(VolumeIndex.from_ball(ball), interaction)
 
-    def matrix(self, g: float, sample: DisorderSample) -> np.ndarray:
-        m = self.base.copy()
-        m[np.diag_indices(len(self.volume))] += g * sample.values[self.configs].sum(axis=1)
-        return m
-
-    def eigenvalues(self, g: float, sample: DisorderSample) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix(g, sample))
+    def hamiltonian(self, g: float, sample: DisorderSample) -> HamiltonianMatrix:
+        """H at coupling g under one disorder sample."""
+        if len(sample.values) < self.volume.graph.n_vertices:
+            raise ContractViolation("sample does not cover the volume's graph")
+        m = len(self.volume)
+        h = np.zeros((m, m))
+        h[self.edges] = -1.0
+        potential = g * sample.values[self.configs].sum(axis=1)
+        h[np.diag_indices(m)] = self.degree + (potential + self.interaction_sum)
+        return HamiltonianMatrix(self.volume, h)
 
 
 def norm_bound(
@@ -255,8 +202,8 @@ def decouple(
         raise ContractViolation("split must be a nonempty proper decomposition")
     ball_p = MultiBall(graph, tuple(ball.center[i] for i in j_idx), ball.radius)
     ball_s = MultiBall(graph, tuple(ball.center[i] for i in jc_idx), ball.radius)
-    h_prime = assemble_ball(ball_p, g, sample, interaction)
-    h_second = assemble_ball(ball_s, g, sample, interaction)
+    h_prime = VolumeOperator.from_ball(ball_p, interaction).hamiltonian(g, sample)
+    h_second = VolumeOperator.from_ball(ball_s, interaction).hamiltonian(g, sample)
 
     ordered: list[Config] = []
     for xp in h_prime.volume.configs:

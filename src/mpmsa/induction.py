@@ -28,7 +28,7 @@ from .configspace import Config, MultiBall, rho_s
 from .disorder import InteractionPotential, PotentialDistribution, sample_potential
 from .errors import ContractViolation
 from .graphs import Graph, GrowthCertificate
-from .hamiltonian import VOLUME_BUDGET, VolumeIndex, assemble
+from .hamiltonian import VOLUME_BUDGET, VolumeIndex, VolumeOperator
 from .msa import (
     MassSchedule,
     ParameterSet,
@@ -42,6 +42,7 @@ from .parallel import run_trials
 from .quantiles import normal_quantile, t_quantile
 from .spectral import (
     RESOLVENT_GUARD,
+    BallOperators,
     BallSpectra,
     BoundaryProfile,
     SpectralData,
@@ -112,6 +113,7 @@ def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
 
 _INTERIOR_FRACTIONS = np.linspace(0.0, 1.0, 35)[1:-1]
 _EDGE_FRACTIONS = np.asarray([10.0**-j for j in range(1, 13)])
+_GAP_SAMPLES = _INTERIOR_FRACTIONS.size + 2 * _EDGE_FRACTIONS.size
 
 
 def _gap_samples(edges: np.ndarray, xtol: float) -> np.ndarray:
@@ -135,7 +137,8 @@ def _gap_samples(edges: np.ndarray, xtol: float) -> np.ndarray:
 
 
 def _group_segments(
-    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float], xtol: float
+    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float], xtol: float,
+    scratch: np.ndarray,
 ) -> list[tuple[float, float]]:
     """Sublevel segments {|F_col| >= level} of every column of `weights`; all
     columns share the live poles, hence the samples and the reciprocals."""
@@ -145,7 +148,8 @@ def _group_segments(
     if samples.size == 0:
         return []
     # one (samples x poles) array, overwritten in place to bound the memory
-    recip = poles[None, :] - samples[:, None]
+    recip = scratch[: samples.size * poles.size].reshape(samples.size, -1)
+    np.subtract(poles[None, :], samples[:, None], out=recip)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(1.0, recip, out=recip)
         values = recip @ weights
@@ -249,13 +253,17 @@ def cover_from_profile(
     groups: dict[bytes, list[int]] = {}
     for col in range(weights.shape[1]):
         groups.setdefault(live[:, col].tobytes(), []).append(col)
+    # every group's reciprocals fit this one buffer, reused in turn; fresh ~12 MB
+    # blocks per group fragment the heap, so peak RSS swings with unrelated edits
+    n_live = int(live.sum(axis=0).max())
+    scratch = np.empty(_GAP_SAMPLES * (n_live + 1) * n_live)
     segments: list[tuple[float, float]] = []
     for cols in groups.values():
         mask = live[:, cols[0]]
         if mask.any():
-            segments.extend(
-                _group_segments(poles[mask], weights[mask][:, cols], entry_level, window, xtol)
-            )
+            segments.extend(_group_segments(
+                poles[mask], weights[mask][:, cols], entry_level, window, xtol, scratch
+            ))
     return EnergyIntervalCover(
         intervals=tuple(_merge(segments, eps=xtol)),
         level=level,
@@ -404,10 +412,9 @@ def _worst_estimate(hit_matrix: np.ndarray, trials: int, seed: int, n_energies: 
 
 
 def scale_probabilities(
-    graph: Graph,
+    operators: BallOperators,
     center: Config,
     dist: PotentialDistribution,
-    interaction: InteractionPotential,
     g: float,
     params: ParameterSet,
     mass: MassSchedule,
@@ -426,6 +433,7 @@ def scale_probabilities(
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
+    graph = operators.graph
     n = len(center)
     energies = _policy_energies(energy_policy, window)
     m_n = mass.m(n)
@@ -452,7 +460,7 @@ def scale_probabilities(
 
         def one(trial_seed: int, _idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sample = sample_potential(dist, graph, trial_seed)
-            spectra = BallSpectra(graph, sample, g, interaction)
+            spectra = BallSpectra(operators, sample, g)
             spec = spectra.spectrum(ball)
             dmin = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
             resonant = dmin < thr_res
@@ -584,11 +592,12 @@ def efc_decay_experiment(
     if keep.sum() < 2:
         raise ContractViolation("need at least two pairs at distinct positive rho_S")
 
+    operator = VolumeOperator(volume, interaction)
     fits: list[DecayFit] = []
     for g in g_values:
         def one(trial_seed: int, _idx: int) -> np.ndarray:
             sample = sample_potential(dist, graph, trial_seed)
-            spec = eigendecompose(assemble(volume, g, sample, interaction))
+            spec = eigendecompose(operator.hamiltonian(g, sample))
             return np.asarray([efc(spec, x, y).value for x, y in pairs])
 
         values = np.stack(run_trials(one, seeds, seed))  # (seeds, pairs)

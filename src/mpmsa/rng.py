@@ -72,6 +72,3 @@ class CounterRng:
         if hi < lo:
             raise ValueError("empty range")
         return lo + int(self.next_uniform() * (hi - lo + 1))
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]

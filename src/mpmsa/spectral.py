@@ -11,7 +11,7 @@ from .configspace import Config, MultiBall, ball_inner_boundary, edge_boundary
 from .disorder import DisorderSample, InteractionPotential
 from .errors import ContractViolation, DataError, ResonanceError
 from .graphs import Graph, GrowthCertificate
-from .hamiltonian import HamiltonianMatrix, VolumeIndex, assemble_ball
+from .hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
 
 RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
@@ -32,12 +32,6 @@ class SpectralData:
     def component(self, config: Config) -> np.ndarray:
         """Row of the eigenvector matrix at a configuration (values psi_j(x))."""
         return self.eigenvectors[self.volume.position(config), :]
-
-    def clusters(self, gap: float = DEGENERACY_GAP) -> list[slice]:
-        """Maximal runs of eigenvalues whose consecutive gaps are <= gap."""
-        starts = cluster_starts(self.eigenvalues, gap)
-        ends = np.append(starts[1:], self.eigenvalues.size)
-        return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
 
 def cluster_starts(eigenvalues: np.ndarray, gap: float = DEGENERACY_GAP) -> np.ndarray:
@@ -82,36 +76,58 @@ def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
 
 
 @dataclass(eq=False)
-class BallSpectra:
-    """Hamiltonians and spectra of the balls of one graph under one disorder
-    sample: the one path from (ball, sample) to spectral data.
+class BallOperators:
+    """Sample-independent operators of the balls of one graph and interaction.
 
-    Each (center, radius) is diagonalized on first request and memoized: the
-    multi-scale predicates and the domination check ask about the same balls
-    at many energies, radii and predicates.  Hamiltonians are assembled on
-    request and not kept.
+    Each (center, radius) is enumerated on first request and kept, so every
+    disorder sample, coupling and pool thread of a run shares one operator
+    per ball.  Two threads may build the same operator at once; the copies
+    are equal, so the race costs work but never changes a value.
     """
 
     graph: Graph
+    interaction: InteractionPotential
+    _built: dict[tuple[Config, int], VolumeOperator] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def operator(self, ball: MultiBall) -> VolumeOperator:
+        if ball.graph is not self.graph:
+            raise ContractViolation("ball lies on another graph than its operators")
+        key = (tuple(ball.center), ball.radius)
+        op = self._built.get(key)
+        if op is None:
+            op = self._built[key] = VolumeOperator.from_ball(ball, self.interaction)
+        return op
+
+
+@dataclass(eq=False)
+class BallSpectra:
+    """Spectra of the balls of one graph under one disorder sample and one
+    coupling: the one path from (ball, sample) to spectral data.
+
+    Each (center, radius) is diagonalized on first request and memoized: the
+    multi-scale predicates and the domination check ask about the same balls
+    at many energies, radii and predicates.  Hamiltonians are formed from the
+    shared operators on request and not kept.
+    """
+
+    operators: BallOperators
     sample: DisorderSample
     g: float
-    interaction: InteractionPotential
     _solved: dict[tuple[Config, int], SpectralData] = field(
         default_factory=dict, init=False, repr=False
     )
 
     def hamiltonian(self, ball: MultiBall) -> HamiltonianMatrix:
-        if ball.graph is not self.graph:
-            raise ContractViolation("ball lies on another graph than its spectra")
-        return assemble_ball(ball, self.g, self.sample, self.interaction)
+        return self.operators.operator(ball).hamiltonian(self.g, self.sample)
 
     def spectrum(self, ball: MultiBall) -> SpectralData:
-        if ball.graph is not self.graph:
-            raise ContractViolation("ball lies on another graph than its spectra")
+        op = self.operators.operator(ball)
         key = (tuple(ball.center), ball.radius)
         spec = self._solved.get(key)
         if spec is None:
-            spec = self._solved[key] = eigendecompose(self.hamiltonian(ball))
+            spec = self._solved[key] = eigendecompose(op.hamiltonian(self.g, self.sample))
         return spec
 
 
@@ -189,19 +205,6 @@ def boundary_profile(
         prefactor=pref,
         center=ball.center,
     )
-
-
-def boundary_functional(
-    spec: SpectralData,
-    ball: MultiBall,
-    energy: float,
-    cert: GrowthCertificate,
-    guard: float = RESOLVENT_GUARD,
-) -> float:
-    """F_u(E) = C^(2N) L^(Nd) * max over inner-boundary z of |G_ball(u, z; E)|."""
-    _check_resonance(spec, energy, guard)
-    prof = boundary_profile(spec, ball, cert)
-    return float(prof.evaluate(np.asarray([energy]))[0])
 
 
 def ns_flags(

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import efc_test_function_value
 from mpmsa.cli import main as cli_main
 from mpmsa.configspace import (
     MultiBall,
@@ -36,14 +35,7 @@ from mpmsa.domination import (
 from mpmsa.evc import spectral_shift_check, two_volume_evc
 from mpmsa.experiments import off_spectrum_energy, random_gri_instance
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import (
-    HamiltonianMatrix,
-    VolumeIndex,
-    assemble,
-    assemble_ball,
-    decouple,
-    spectral_window,
-)
+from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, decouple, spectral_window
 from mpmsa.induction import (
     efc_decay_experiment,
     recursion_bound,
@@ -53,12 +45,15 @@ from mpmsa.induction import (
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.rng import CounterRng, substream
 from mpmsa.spectral import (
+    BallOperators,
     BallSpectra,
     boundary_profile,
     efc,
     eigendecompose,
     gri_check,
 )
+
+from helpers import assemble, assemble_ball, clusters, efc_test_function_value
 
 DIST = uniform_distribution(0, 1)
 MASTER = 20250810
@@ -142,14 +137,14 @@ def test_criterion_02_resolvent_and_efc_identities():
         x = xs[rng.randint(0, m - 1)]
         y = xs[rng.randint(0, m - 1)]
         closed = efc(spec, x, y)
-        clusters = spec.clusters()
+        blocks = clusters(spec)
         per_state = spec.component(x) * spec.component(y)
         for _ in range(100):
-            f_vals = np.asarray([rng.uniform(-1, 1) for _ in clusters])
+            f_vals = np.asarray([rng.uniform(-1, 1) for _ in blocks])
             if efc_test_function_value(spec, x, y, f_vals) > closed.value + 1e-12:
                 dominated = False
         signs = np.asarray(
-            [1.0 if per_state[blk].sum() >= 0 else -1.0 for blk in clusters]
+            [1.0 if per_state[blk].sum() >= 0 else -1.0 for blk in blocks]
         )
         worst_gap = max(
             worst_gap, abs(efc_test_function_value(spec, x, y, signs) - closed.value)
@@ -237,7 +232,9 @@ def test_criterion_04_spectral_shift_law():
         g_amp = rng.uniform(-3.0, 3.0)
         t = rng.uniform(-1.0, 1.0)
         sample = sample_potential(DIST, graph, substream(MASTER, 71_000 + idx))
-        rep = spectral_shift_check(ball_x, ball_y, cert, t, g_amp, sample, interaction)
+        rep = spectral_shift_check(
+            ball_x, ball_y, cert, t, g_amp, sample, BallOperators(graph, interaction)
+        )
         all_hold &= rep.holds
         seen_n2_zero += int(rep.n2 == 0)
         seen_n2_pos += int(rep.n2 > 0)
@@ -397,9 +394,7 @@ def test_criterion_06_interval_covers():
         step = es[1] - es[0]
         scan_ok &= not ((vals >= level) & ~cover.covered(es, slack=step)).any()
 
-        shifted = HamiltonianMatrix(
-            ham.volume, ham.matrix + t_shift * np.eye(len(spec.volume)), ham.provenance
-        )
+        shifted = HamiltonianMatrix(ham.volume, ham.matrix + t_shift * np.eye(len(spec.volume)))
         cover_t = sublevel_cover(
             eigendecompose(shifted), ball, cert, level,
             (window[0] + t_shift, window[1] + t_shift),
@@ -498,10 +493,11 @@ def test_criterion_07_domination_suite():
     graph = build_graph("path:25")
     cert = certify_growth(graph, 1.0, 12)
     gf_cases = 0
+    operators = BallOperators(graph, ZERO_INTERACTION)
     for idx in range(40):
         sample = sample_potential(DIST, graph, substream(MASTER, 120_000 + idx))
         ball = MultiBall(graph, (12,), 8)
-        spectra = BallSpectra(graph, sample, 1e3, ZERO_INTERACTION)
+        spectra = BallSpectra(operators, sample, 1e3)
         rng = CounterRng(substream(MASTER, 121_000 + idx))
         window = spectral_window(graph, 1, 1e3, DIST.sup_abs, ZERO_INTERACTION)
         energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
@@ -512,11 +508,11 @@ def test_criterion_07_domination_suite():
             continue
         if not gf.dominated_for_all_boundaries:
             continue
-        for f in gf.green_maps.values():
+        for y, f in gf.green_maps.items():
             ctx = DominationContext(
                 graph=graph, center=(12,), radius=8, ell=2, q=gf.q, f=f
             )
-            res = domination_bound(ctx, AnnulusCover(bounds=()))
+            res = domination_bound(ctx, AnnulusCover(bounds=()), gf.partitions[y])
             gf_cases += 1
             if res.holds:
                 held += 1
@@ -541,7 +537,7 @@ def test_criterion_08_two_volume_evc():
     ball_y = MultiBall(graph, (25, 29), 2)
     interaction = InteractionPotential(1.0, 0.5)
     fit = two_volume_evc(
-        ball_x, ball_y, DIST, interaction, 1.0,
+        ball_x, ball_y, DIST, BallOperators(graph, interaction), 1.0,
         [1e-4, 2e-4, 5e-4, 1e-3, 2e-3], 10_000, MASTER,
     )
     elapsed = time.perf_counter() - start
@@ -611,7 +607,7 @@ def test_criterion_10_recursion_sanity():
     cert = certify_growth(graph, 1.0, 12)
     window = spectral_window(graph, 1, 1e3, DIST.sup_abs, ZERO_INTERACTION)
     rep = scale_probabilities(
-        graph, (14,), DIST, ZERO_INTERACTION, 1e3, params, mass, sched, cert,
+        BallOperators(graph, ZERO_INTERACTION), (14,), DIST, 1e3, params, mass, sched, cert,
         "fixed:500", window, trials=2000, seed=MASTER,
     )
     p0, p1 = rep.rows[0].p, rep.rows[1].p

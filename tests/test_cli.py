@@ -239,7 +239,7 @@ def _pool_run_csvs(tmp_path, kind, threads):
     return csvs
 
 
-@pytest.mark.parametrize("kind", ["efc", "wegner", "induction"])
+@pytest.mark.parametrize("kind", ["efc", "wegner", "induction", "evc2"])
 def test_pool_runners_bitwise_deterministic_across_worker_counts(tmp_path, kind):
     assert _pool_run_csvs(tmp_path, kind, 1) == _pool_run_csvs(tmp_path, kind, 2)
 
@@ -344,8 +344,10 @@ def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
 
 
 def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
-    """`domination_bound` partitions its map once and hands the partition to
-    `is_dominated` (configs/dominate.cfg: 10 partitions before, 6 now)."""
+    """Each map is partitioned once: `domination_bound` hands its partition to
+    `is_dominated`, and a verified Green map's bound reuses the partition that
+    `gf_domination_check` built (configs/dominate.cfg: 2 synthetic and 2 Green
+    bounds, 4 partitions)."""
     from mpmsa import domination, experiments
 
     root = Path(__file__).resolve().parent.parent
@@ -356,9 +358,9 @@ def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
         built.append(ctx)
         return regular_set(ctx)
 
-    def counting_domination_bound(ctx, annuli):
+    def counting_domination_bound(ctx, annuli, partition=None):
         before = len(built)
-        result = domination_bound(ctx, annuli)
+        result = domination_bound(ctx, annuli, partition)
         per_bound.append(len(built) - before)
         return result
 
@@ -367,8 +369,53 @@ def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
     out = tmp_path / "dominate"
     code = main(["dominate", "--config", str(root / "configs" / "dominate.cfg"), "--out", str(out)])
     assert code == 0
-    assert per_bound == [1] * 4
-    assert len(built) == 6
+    assert per_bound == [1, 1, 0, 0]
+    assert len(built) == 4
+
+
+def _count_operator_builds(monkeypatch):
+    """Record the ball of every volume enumeration, the step an operator
+    build starts with."""
+    from mpmsa.hamiltonian import VolumeIndex
+
+    balls = []
+    from_ball = VolumeIndex.from_ball
+
+    def counting_from_ball(cls, ball):
+        balls.append((tuple(ball.center), ball.radius))
+        return from_ball(ball)
+
+    monkeypatch.setattr(VolumeIndex, "from_ball", classmethod(counting_from_ball))
+    return balls
+
+
+@pytest.mark.parametrize("kind", ["wegner", "induction"])
+def test_pool_runners_build_one_operator_per_ball(tmp_path, monkeypatch, kind):
+    """configs/wegner.cfg (2 couplings, 200 samples) and configs/induction.cfg
+    (2 scales, 40 samples each) enumerate each distinct ball once per run."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.setenv("MPMSA_THREADS", "1")
+    balls = _count_operator_builds(monkeypatch)
+    out = tmp_path / kind
+    assert main([kind, "--config", str(root / "configs" / f"{kind}.cfg"), "--out", str(out)]) == 0
+    assert balls and len(balls) == len(set(balls))
+
+
+def test_green_maps_reuse_the_solved_ball(monkeypatch):
+    from mpmsa.configspace import MultiBall
+    from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
+    from mpmsa.domination import green_magnitude_maps
+    from mpmsa.graphs import build_graph
+    from mpmsa.spectral import BallOperators, BallSpectra
+
+    graph = build_graph("path:20")
+    ball = MultiBall(graph, (9,), 6)
+    sample = sample_potential(uniform_distribution(0, 1), graph, 5)
+    spectra = BallSpectra(BallOperators(graph, ZERO_INTERACTION), sample, 100.0)
+    spec = spectra.spectrum(ball)
+    balls = _count_operator_builds(monkeypatch)
+    maps = green_magnitude_maps(spectra, ball, float(spec.eigenvalues[0]) - 1.0)
+    assert len(maps) == 2 and balls == []
 
 
 def test_shipped_configs_parse_and_declare_their_kind():

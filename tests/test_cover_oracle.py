@@ -21,7 +21,7 @@ from mpmsa.hamiltonian import spectral_window
 from mpmsa.induction import _bisect_many, _merge, _rational, _rational_deriv, cover_from_profile
 from mpmsa.msa import MassSchedule
 from mpmsa.rng import substream
-from mpmsa.spectral import BallSpectra, BoundaryProfile, boundary_profile
+from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, boundary_profile
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -119,8 +119,9 @@ def _bridge_profiles(cfg, trials):
     radius = cfg.get_int("run", "radius")
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
     level = math.exp(-MassSchedule(params).m(n) * float(radius) ** params.delta)
+    operators = BallOperators(graph, interaction)
     for i in range(trials):
-        spectra = BallSpectra(graph, sample_potential(dist, graph, substream(seed, i)), g, interaction)
+        spectra = BallSpectra(operators, sample_potential(dist, graph, substream(seed, i)), g)
         for key in ("center_x", "center_y"):
             ball = MultiBall(graph, cfg.get_config_tuple("run", key), radius)
             yield boundary_profile(spectra.spectrum(ball), ball, cert), level, window

@@ -5,7 +5,6 @@ import pytest
 
 from mpmsa.disorder import (
     InteractionPotential,
-    mean_fluctuation_split,
     parse_distribution_spec,
     parse_interaction_spec,
     sample_potential,
@@ -14,6 +13,8 @@ from mpmsa.disorder import (
 )
 from mpmsa.errors import ConfigurationError, ContractViolation
 from mpmsa.graphs import build_graph
+
+from helpers import mean_fluctuation_split
 
 
 def test_same_seed_identical_samples():

@@ -17,7 +17,7 @@ from mpmsa.domination import (
 )
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.msa import MassSchedule, ParameterSet, scales
-from mpmsa.spectral import BallSpectra
+from mpmsa.spectral import BallOperators, BallSpectra
 
 DIST = uniform_distribution(0, 1)
 
@@ -176,7 +176,7 @@ def _gf_setup(seed, g_amp=1e3):
     sched = scales(params, kmax=1)  # (2, 8)
     smp = sample_potential(DIST, g, seed)
     ball = MultiBall(g, (12,), 8)
-    spectra = BallSpectra(g, smp, g_amp, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, g_amp)
     return g, cert, params, mass, sched, smp, ball, spectra
 
 
@@ -222,6 +222,8 @@ def test_gf_report_carries_the_verified_green_maps():
         kept = np.asarray([f_map[c] for c in ham.volume.configs])
         assert np.allclose(kept[kept > 0], col[kept > 0], rtol=1e-10, atol=0)
         assert (kept > 0).sum() >= 2
+        ctx = DominationContext(graph=g, center=(12,), radius=8, ell=2, q=rep.q, f=f_map)
+        assert rep.partitions[y] == regular_set(ctx)
 
 
 def test_gf_domination_xi_whole_ball_vacuous_hypotheses():

@@ -19,7 +19,10 @@ from mpmsa.evc import (
     wegner_estimate,
 )
 from mpmsa.graphs import build_graph
-from mpmsa.hamiltonian import assemble_ball, norm_bound
+from mpmsa.hamiltonian import norm_bound
+from mpmsa.spectral import BallOperators
+
+from helpers import assemble_ball
 
 DIST = uniform_distribution(0, 1)
 
@@ -35,7 +38,7 @@ def test_wegner_deterministic_potential_far_energy():
     g = build_graph("path:9")
     ball = MultiBall(g, (4,), 4)
     flat = uniform_distribution(0.5, 0.5)
-    est = wegner_estimate(ball, flat, ZERO_INTERACTION, 1.0, 100.0, 0.3, 50, 3)
+    est = wegner_estimate(ball, flat, BallOperators(g, ZERO_INTERACTION), 1.0, 100.0, 0.3, 50, 3)
     assert est.estimate == 0.0
 
 
@@ -44,15 +47,16 @@ def test_wegner_g_zero_exact_eigenvalue():
     ball = MultiBall(g, (4,), 4)
     smp = sample_potential(DIST, g, 0)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 0.0, smp, ZERO_INTERACTION).matrix)
-    est = wegner_estimate(ball, DIST, ZERO_INTERACTION, 0.0, float(lam[2]), 0.3, 50, 3)
+    est = wegner_estimate(ball, DIST, BallOperators(g, ZERO_INTERACTION), 0.0, float(lam[2]), 0.3, 50, 3)
     assert est.estimate == 1.0
 
 
 def test_wegner_matches_higher_resolution_oracle():
     g = build_graph("path:9")
     ball = MultiBall(g, (4,), 4)
-    est = wegner_estimate(ball, DIST, ZERO_INTERACTION, 1.0, 2.0, 0.3, 10_000, 11)
-    oracle = wegner_estimate(ball, DIST, ZERO_INTERACTION, 1.0, 2.0, 0.3, 100_000, 12)
+    operators = BallOperators(g, ZERO_INTERACTION)
+    est = wegner_estimate(ball, DIST, operators, 1.0, 2.0, 0.3, 10_000, 11)
+    oracle = wegner_estimate(ball, DIST, operators, 1.0, 2.0, 0.3, 100_000, 12)
     assert est.ci_low <= oracle.estimate <= est.ci_high
 
 
@@ -62,9 +66,10 @@ def wegner_g_sweep(ball, dist, interaction, g_grid, energy_of_g, beta, trials, s
     energy_of_g maps g to the probed energy (resonance windows track the
     spectrum's scale, so a fixed absolute E would trivially empty out).
     """
+    operators = BallOperators(ball.graph, interaction)
     out = []
     for g in g_grid:
-        est = wegner_estimate(ball, dist, interaction, g, energy_of_g(g), beta, trials, seed)
+        est = wegner_estimate(ball, dist, operators, g, energy_of_g(g), beta, trials, seed)
         out.append((float(g), est))
     return out
 
@@ -87,7 +92,7 @@ def test_two_volume_edge_probabilities():
     ball_y = MultiBall(g, (25, 29), 2)
     u = InteractionPotential(1.0, 0.5)
     diam = 2 * norm_bound(g, 2, 1.0, DIST.sup_abs, u)
-    fit = two_volume_evc(ball_x, ball_y, DIST, u, 1.0, [0.0, diam], 300, 21)
+    fit = two_volume_evc(ball_x, ball_y, DIST, BallOperators(g, u), 1.0, [0.0, diam], 300, 21)
     assert fit.probabilities[0] == 0.0  # continuous disorder, exact ties have measure 0
     assert fit.probabilities[-1] == 1.0
 
@@ -96,8 +101,8 @@ def test_two_volume_requires_distant_balls():
     g = build_graph("path:40")
     with pytest.raises(ContractViolation):
         two_volume_evc(
-            MultiBall(g, (5, 9), 2), MultiBall(g, (8, 12), 2), DIST, ZERO_INTERACTION,
-            1.0, [0.1], 10, 1,
+            MultiBall(g, (5, 9), 2), MultiBall(g, (8, 12), 2), DIST,
+            BallOperators(g, ZERO_INTERACTION), 1.0, [0.1], 10, 1,
         )
 
 
@@ -106,7 +111,7 @@ def test_two_volume_probability_monotone_in_s():
     ball_x = MultiBall(g, (5, 9), 2)
     ball_y = MultiBall(g, (25, 29), 2)
     fit = two_volume_evc(
-        ball_x, ball_y, DIST, ZERO_INTERACTION, 1.0,
+        ball_x, ball_y, DIST, BallOperators(g, ZERO_INTERACTION), 1.0,
         [1e-3, 3e-3, 1e-2, 3e-2, 1e-1], 800, 5,
     )
     probs = list(fit.probabilities)
@@ -118,8 +123,8 @@ def test_spectral_distances_reproducible():
     g = build_graph("path:40")
     ball_x = MultiBall(g, (5, 9), 2)
     ball_y = MultiBall(g, (25, 29), 2)
-    a = spectral_distances(ball_x, ball_y, DIST, ZERO_INTERACTION, 1.0, 50, 7)
-    b = spectral_distances(ball_x, ball_y, DIST, ZERO_INTERACTION, 1.0, 50, 7)
+    a = spectral_distances(ball_x, ball_y, DIST, BallOperators(g, ZERO_INTERACTION), 1.0, 50, 7)
+    b = spectral_distances(ball_x, ball_y, DIST, BallOperators(g, ZERO_INTERACTION), 1.0, 50, 7)
     assert np.array_equal(a, b)
 
 
@@ -129,7 +134,7 @@ def test_shift_zero_t():
     ball_y = MultiBall(g, (25, 29), 1)
     cert = weak_separation(ball_x, ball_y)
     smp = sample_potential(DIST, g, 2)
-    rep = spectral_shift_check(ball_x, ball_y, cert, 0.0, 1.0, smp, ZERO_INTERACTION)
+    rep = spectral_shift_check(ball_x, ball_y, cert, 0.0, 1.0, smp, BallOperators(g, ZERO_INTERACTION))
     assert rep.holds and rep.expected_shift_primary == 0.0
 
 
@@ -141,7 +146,7 @@ def test_shift_two_particles_captured():
     assert cert.n1 == 2 and cert.n2 == 0
     smp = sample_potential(DIST, g, 3)
     u = InteractionPotential(1.0, 0.5)
-    rep = spectral_shift_check(ball_x, ball_y, cert, 0.5, 1.0, smp, u)
+    rep = spectral_shift_check(ball_x, ball_y, cert, 0.5, 1.0, smp, BallOperators(g, u))
     assert rep.holds
     assert rep.expected_shift_primary == pytest.approx(1.0)
     assert rep.expected_shift_secondary == 0.0
@@ -154,7 +159,9 @@ def test_shift_single_particle_negative_g():
     cert = weak_separation(ball_x, ball_y)
     assert cert.n1 == 1 and cert.n2 == 0
     smp = sample_potential(DIST, g, 4)
-    rep = spectral_shift_check(ball_x, ball_y, cert, 0.25, -2.0, smp, ZERO_INTERACTION)
+    rep = spectral_shift_check(
+        ball_x, ball_y, cert, 0.25, -2.0, smp, BallOperators(g, ZERO_INTERACTION)
+    )
     assert rep.holds
     assert rep.expected_shift_primary == pytest.approx(-0.5)
 

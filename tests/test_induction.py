@@ -8,7 +8,7 @@ from mpmsa.configspace import MultiBall
 from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import VolumeIndex, assemble_ball, spectral_window
+from mpmsa.hamiltonian import VolumeIndex, spectral_window
 from mpmsa.induction import (
     EnergyIntervalCover,
     _rational,
@@ -22,7 +22,9 @@ from mpmsa.induction import (
     sup_min_functional,
 )
 from mpmsa.msa import MassSchedule, ParameterSet, scales
-from mpmsa.spectral import BoundaryProfile, boundary_profile, eigendecompose
+from mpmsa.spectral import BallOperators, BoundaryProfile, boundary_profile, eigendecompose
+
+from helpers import assemble_ball
 
 DIST = uniform_distribution(0, 1)
 
@@ -97,7 +99,7 @@ def test_cover_shift_covariance():
     cover = sublevel_cover(spec, ball, cert, level, window)
     t = 0.41
     ham = assemble_ball(ball, 2.0, sample_potential(DIST, g, 9), ZERO_INTERACTION)
-    sh = HamiltonianMatrix(ham.volume, ham.matrix + t * np.eye(len(ham.volume)), ham.provenance)
+    sh = HamiltonianMatrix(ham.volume, ham.matrix + t * np.eye(len(ham.volume)))
     cover_t = sublevel_cover(
         eigendecompose(sh), ball, cert, level, (window[0] + t, window[1] + t)
     )
@@ -115,14 +117,14 @@ def test_scale_probabilities_s_zero_for_single_particle():
     cert = certify_growth(g, 1.0, 12)
     window = spectral_window(g, 1, 1000.0, DIST.sup_abs, ZERO_INTERACTION)
     rep = scale_probabilities(
-        g, (14,), DIST, ZERO_INTERACTION, 1000.0, params, mass, sched, cert,
+        BallOperators(g, ZERO_INTERACTION), (14,), DIST, 1000.0, params, mass, sched, cert,
         "fixed:500", window, trials=60, seed=4,
     )
     assert rep.rows[1].s is not None and rep.rows[1].s.estimate == 0.0
     assert rep.rows[0].s is None  # no sub-scale below L_0
     with pytest.raises(ContractViolation):
         scale_probabilities(
-            g, (14,), DIST, ZERO_INTERACTION, 1000.0, params, mass, sched, cert,
+            BallOperators(g, ZERO_INTERACTION), (14,), DIST, 1000.0, params, mass, sched, cert,
             "fixed:500", window, trials=0, seed=4,
         )
 
@@ -268,12 +270,12 @@ def test_scale_probabilities_worst_over_grid_policy():
     cert = certify_growth(g, 1.0, 12)
     window = spectral_window(g, 1, 50.0, DIST.sup_abs, ZERO_INTERACTION)
     grid_rep = scale_probabilities(
-        g, (11,), DIST, ZERO_INTERACTION, 50.0, params, mass, sched, cert,
+        BallOperators(g, ZERO_INTERACTION), (11,), DIST, 50.0, params, mass, sched, cert,
         "grid:21", window, trials=120, seed=9,
     )
     mid = 0.5 * (window[0] + window[1])
     fixed_rep = scale_probabilities(
-        g, (11,), DIST, ZERO_INTERACTION, 50.0, params, mass, sched, cert,
+        BallOperators(g, ZERO_INTERACTION), (11,), DIST, 50.0, params, mass, sched, cert,
         f"fixed:{mid}", window, trials=120, seed=9,
     )
     for grid_row, fixed_row in zip(grid_rep.rows, fixed_rep.rows):

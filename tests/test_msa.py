@@ -7,7 +7,6 @@ from mpmsa.configspace import MultiBall
 from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
 from mpmsa.errors import ConfigurationError, ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import assemble_ball
 from mpmsa.msa import (
     MassSchedule,
     ParameterSet,
@@ -17,7 +16,9 @@ from mpmsa.msa import (
     scales,
     validate,
 )
-from mpmsa.spectral import BallSpectra
+from mpmsa.spectral import BallOperators, BallSpectra
+
+from helpers import assemble_ball, laplacian
 
 DIST = uniform_distribution(0, 1)
 
@@ -105,7 +106,7 @@ def test_classify_nonresonant_far_energy():
     params = _params()
     mass = MassSchedule(params)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
-    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     flags = classify(ball, lam.max() + 10.0, params, mass, spectra, cert)
     assert flags.resonant is False
 
@@ -115,7 +116,7 @@ def test_classify_resonant_exact_eigenvalue():
     params = _params()
     mass = MassSchedule(params)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
-    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     flags = classify(ball, float(lam[3]), params, mass, spectra, cert)
     assert flags.resonant is True
     assert flags.nonsingular is None  # resolvent guard tripped
@@ -130,7 +131,7 @@ def test_classify_strong_disorder_mostly_nonsingular():
     trials = 200
     for i in range(trials):
         smp = sample_potential(DIST, g, 40_000 + i)
-        spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+        spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
         flags = classify(ball, 5000.0, params, mass, spectra, cert)
         hits += int(flags.nonsingular is True)
     assert hits / trials >= 0.9
@@ -142,7 +143,7 @@ def test_cnr_implies_nr_and_needs_schedule_index():
     mass = MassSchedule(params)
     sched = scales(params, kmax=2)
     ball = MultiBall(g, (9,), 4)  # radius = L_1
-    spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
     flags = classify(ball, 5000.0, params, mass, spectra, cert, schedule=sched)
     if flags.cnr:
         assert flags.resonant is False
@@ -159,7 +160,7 @@ def test_classify_wi_fnr_far_energy():
     sched = scales(params, kmax=2)
     smp = sample_potential(DIST, g, 5)
     ball = MultiBall(g, (2, 33), 4)  # radius L_1 = 4, diam 31 > 24
-    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     flags = classify_wi(ball, 1e6, params, mass, spectra, cert, sched)
     assert flags.weakly_interactive and flags.fnr is True and flags.pns is True
 
@@ -180,7 +181,7 @@ def test_classify_wi_not_fnr_on_resonant_shift():
     lam_prime = np.linalg.eigvalsh(dec.h_prime.matrix)
     mu_second = np.linalg.eigvalsh(dec.h_second.matrix)
     energy = float(lam_prime[0] + mu_second[0])  # E - lambda' hits Sigma'' exactly
-    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     flags = classify_wi(ball, energy, params, mass, spectra, cert, sched)
     assert flags.fnr is False
 
@@ -193,7 +194,7 @@ def test_classify_wi_rejects_radius_zero():
     sched = scales(params, kmax=2)
     smp = sample_potential(DIST, g, 7)
     ball = MultiBall(g, (0, 30), 0)
-    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     with pytest.raises(ContractViolation):
         classify_wi(ball, 1.0, params, mass, spectra, cert, sched)
 
@@ -211,13 +212,13 @@ def _good_setup():
 def test_good_ball_strong_disorder():
     g, cert, params, mass, sched, ball = _good_setup()
     smp = sample_potential(DIST, g, 97)
-    spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
     rep = is_good(ball, 5000.25, params, mass, spectra, cert, sched)
     assert rep.cnr and rep.good and rep.forbidden_collection is None
 
 
 def test_good_ball_planted_counterexample():
-    from mpmsa.hamiltonian import VolumeIndex, laplacian
+    from mpmsa.hamiltonian import VolumeIndex
 
     g, cert, params, mass, sched, ball = _good_setup()
     smp = sample_potential(DIST, g, 98)
@@ -229,7 +230,7 @@ def test_good_ball_planted_counterexample():
         lam0 = float(np.linalg.eigvalsh(-laplacian(VolumeIndex.from_ball(sub)))[0])
         for u in g.ball(v_center, 2):
             smp.values[u] = (energy - lam0 + 1e-8) / 1.0
-    spectra = BallSpectra(g, smp, 1.0, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     rep = is_good(ball, energy, params, mass, spectra, cert, sched)
     assert rep.forbidden_collection is not None
     assert not rep.good
@@ -241,7 +242,7 @@ def test_good_ball_requires_cnr():
     g, cert, params, mass, sched, ball = _good_setup()
     smp = sample_potential(DIST, g, 99)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1e4, smp, ZERO_INTERACTION).matrix)
-    spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
     rep = is_good(ball, float(lam[5]), params, mass, spectra, cert, sched)
     assert not rep.cnr and not rep.good
 
@@ -253,7 +254,7 @@ def test_good_implies_ns_mechanism():
     for i in range(30):
         smp = sample_potential(DIST, g, 7000 + i)
         energy = 5000.25
-        spectra = BallSpectra(g, smp, 1e4, ZERO_INTERACTION)
+        spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
         rep = is_good(ball, energy, params, mass, spectra, cert, sched)
         flags = classify(ball, energy, params, mass, spectra, cert, schedule=sched)
         dist = flags.witnesses["dist_to_spectrum"]

@@ -3,7 +3,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import efc_test_function_value
 from mpmsa.configspace import Config, MultiBall, rho_s
 from mpmsa.disorder import (
     ZERO_INTERACTION,
@@ -13,13 +12,13 @@ from mpmsa.disorder import (
 )
 from mpmsa.errors import ContractViolation, DataError, ResonanceError
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import HamiltonianMatrix, Provenance, VolumeIndex, assemble, assemble_ball
+from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex
 from mpmsa.rng import CounterRng
 from mpmsa import spectral
 from mpmsa.spectral import (
+    BallOperators,
     BallSpectra,
     SpectralData,
-    boundary_functional,
     efc,
     eigendecompose,
     green,
@@ -28,13 +27,19 @@ from mpmsa.spectral import (
     ns_flags,
 )
 
+from helpers import (
+    assemble,
+    assemble_ball,
+    boundary_functional,
+    clusters,
+    efc_test_function_value,
+)
+
 DIST = uniform_distribution(0, 1)
 
 
 def _matrix_ham(graph, volume_configs, matrix):
-    vol = VolumeIndex(graph, volume_configs)
-    prov = Provenance(graph.name, vol.label, 0.0, 0, "direct", "none")
-    return HamiltonianMatrix(vol, np.asarray(matrix, dtype=float), prov)
+    return HamiltonianMatrix(VolumeIndex(graph, volume_configs), np.asarray(matrix, dtype=float))
 
 
 def test_diagonal_matrix_spectrum():
@@ -186,7 +191,7 @@ def test_efc_closed_form_dominates_random_functions():
     # the sign pattern of the projections attains the sup exactly
     per = spec.component(x) * spec.component(y)
     sign_vals = []
-    for block in spec.clusters():
+    for block in clusters(spec):
         s = per[block].sum()
         sign_vals.append(1.0 if s >= 0 else -1.0)
     attained = efc_test_function_value(spec, x, y, np.asarray(sign_vals))
@@ -333,7 +338,7 @@ def test_ball_spectra_solves_each_ball_once(monkeypatch):
         return eigendecompose(ham)
 
     monkeypatch.setattr(spectral, "eigendecompose", counting)
-    spectra = BallSpectra(g, smp, 1.5, ZERO_INTERACTION)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.5)
     balls = [MultiBall(g, (5,), r) for r in (1, 2, 3)] + [MultiBall(g, (7,), 2)]
     first = [spectra.spectrum(b) for b in balls]
     again = [spectra.spectrum(MultiBall(g, b.center, b.radius)) for b in reversed(balls)]
@@ -345,6 +350,37 @@ def test_ball_spectra_solves_each_ball_once(monkeypatch):
     with pytest.raises(ContractViolation):
         spectra.spectrum(MultiBall(build_graph("path:12"), (5,), 1))
     assert len(solves) == len(balls)
+
+
+def test_ball_operators_shared_by_racing_threads():
+    # more threads than cores and a short switch interval: two threads may
+    # build the same operator, but every Hamiltonian formed from it is equal
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    g = build_graph("path:30")
+    u = InteractionPotential(0.5, 1.0)
+    balls = [MultiBall(g, (c, c + 3), 2) for c in (4, 10, 16)]
+    samples = [sample_potential(DIST, g, seed) for seed in range(4)]
+    expected = {
+        (b.center, smp.seed): assemble_ball(b, 1.5, smp, u).matrix for b in balls for smp in samples
+    }
+    operators = BallOperators(g, u)
+    jobs = [(b, smp) for _ in range(8) for b in balls for smp in samples]
+
+    def one(job):
+        ball, smp = job
+        return BallSpectra(operators, smp, 1.5).hamiltonian(ball).matrix
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(one, jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (ball, smp), h in zip(jobs, results):
+        assert np.array_equal(h, expected[(ball.center, smp.seed)])
 
 
 def test_ns_flags_guard_and_empty_boundary():

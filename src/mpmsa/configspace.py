@@ -81,6 +81,19 @@ class MultiBall:
         """Lexicographic enumeration of the Cartesian product of vertex balls."""
         return [tuple(c) for c in itertools.product(*[b.tolist() for b in self.vertex_balls()])]
 
+    def inner_boundary_positions(self) -> np.ndarray:
+        """Ascending positions in members() of the inner boundary: a rho-1 step
+        leaves a product set iff some coordinate can leave its vertex ball, so
+        the boundary flags are an OR over particles on the product grid."""
+        g, balls = self.graph, self.vertex_balls()
+        on_boundary = np.zeros([len(b) for b in balls], dtype=bool)
+        for j, (c, b) in enumerate(zip(self.center, balls)):
+            leaves = [any(g.dist[c, w] > self.radius for w in g.neighbors[v]) for v in b]
+            shape = [1] * len(balls)
+            shape[j] = -1
+            on_boundary |= np.asarray(leaves, dtype=bool).reshape(shape)
+        return np.flatnonzero(on_boundary)
+
     def size(self) -> int:
         out = 1
         for b in self.vertex_balls():
@@ -144,26 +157,6 @@ def inner_boundary(graph: Graph, volume) -> list[Config]:
     for u in sorted(vol):
         if any(v not in vol for v in rho_one_neighbors(graph, u)):
             out.append(u)
-    return out
-
-
-def ball_inner_boundary(ball: MultiBall) -> list[Config]:
-    """Inner boundary of a product ball, computed coordinate-wise.
-
-    For product sets, a rho-1 step exits iff some single coordinate can exit its
-    own vertex ball, so u is boundary iff some u_j has a neighbor outside
-    B(center_j, radius).  Cross-checked against inner_boundary in the tests.
-    """
-    g = ball.graph
-    balls = [set(b.tolist()) for b in ball.vertex_balls()]
-    exit_flags = []
-    for j, bset in enumerate(balls):
-        flags = {v: any(w not in bset for w in g.neighbors[v]) for v in bset}
-        exit_flags.append(flags)
-    out = []
-    for x in ball.members():
-        if any(exit_flags[j][v] for j, v in enumerate(x)):
-            out.append(x)
     return out
 
 

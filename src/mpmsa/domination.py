@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import Config, MultiBall, ball_inner_boundary, rho
+from .configspace import Config, MultiBall, rho
 from .errors import ContractViolation
 from .graphs import GrowthCertificate
 from .msa import MassSchedule, ParameterSet, ScaleSchedule, classify
-from .spectral import BallSpectra
+from .spectral import BallSpectra, ball_boundary, dist_to_spectrum
 
 
 @dataclass(frozen=True)
@@ -277,11 +277,11 @@ def green_magnitude_maps(spectra: BallSpectra, ball: MultiBall, energy: float) -
     spec = spectra.spectrum(ball)
     ham = spectra.hamiltonian(ball)
     eps = float(np.finfo(float).eps)
-    dist = spec.dist_to_spectrum(energy)
+    dist = float(dist_to_spectrum(spec.eigenvalues, energy))
     n_vol = len(ham.volume)
     noise_floor = 64.0 * n_vol * eps * eps * max(1.0, spec.h_norm) * (1.0 + 1.0 / max(dist, eps))
-    boundary = ball_inner_boundary(ball)
-    rhs = np.eye(n_vol)[:, [ham.volume.position(y) for y in boundary]]
-    cols = np.abs(np.linalg.solve(ham.matrix - energy * np.eye(n_vol), rhs))
+    boundary = ball_boundary(spec, ball)
+    cols = np.abs(np.linalg.solve(ham.matrix - energy * np.eye(n_vol), np.eye(n_vol)[:, boundary]))
     cols[cols < noise_floor] = 0.0
-    return {y: dict(zip(ham.volume.configs, col)) for y, col in zip(boundary, cols.T.tolist())}
+    configs = ham.volume.configs
+    return {configs[y]: dict(zip(configs, col)) for y, col in zip(boundary, cols.T.tolist())}

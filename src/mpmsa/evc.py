@@ -15,22 +15,24 @@ import numpy as np
 from .configspace import MultiBall, SeparationCertificate, rho_s
 from .disorder import DisorderSample, PotentialDistribution, sample_potential
 from .errors import ContractViolation
-from .msa import resonance_threshold
+from .msa import resonant
 from .parallel import run_trials
 from .rng import substream
-from .spectral import BallOperators, BallSpectra
+from .spectral import BallOperators, BallSpectra, dist_to_spectrum
 
 _Z95 = 1.959963984540054
 
 
 def wilson_interval(p: float, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval at critical value z for a binomial proportion p
-    observed over `trials`, clipped to [0, 1]."""
+    observed over `trials`, clipped to [0, 1] and exactly 0 or 1 at p = 0 or 1."""
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if p == 0.0 else max(0.0, center - half)
+    hi = 1.0 if p == 1.0 else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,6 @@ class McEstimate:
             raise ContractViolation("trials must be >= 1")
         p = successes / trials
         lo, hi = wilson_interval(p, trials)
-        lo = 0.0 if successes == 0 else lo
-        hi = 1.0 if successes == trials else hi
         return cls(
             trials=trials, successes=successes, estimate=p, ci_low=lo, ci_high=hi, seed=seed
         )
@@ -81,13 +81,12 @@ def wegner_estimate(
     """Fraction of disorder samples for which the ball is (E, beta)-resonant."""
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    threshold = resonance_threshold(ball.radius, beta)
     op = operators.operator(ball)
 
     def one(trial_seed: int, _idx: int) -> int:
         sample = sample_potential(dist, ball.graph, trial_seed)
         lam = np.linalg.eigvalsh(op.hamiltonian(g, sample).matrix)
-        return int(np.abs(lam - energy).min() < threshold)
+        return int(resonant(lam, energy, ball.radius, beta))
 
     hits = run_trials(one, trials, seed)
     return McEstimate.from_counts(sum(hits), trials, seed)
@@ -150,7 +149,7 @@ def spectral_distances(
         sample = sample_potential(dist, ballx.graph, trial_seed)
         lam_x = np.linalg.eigvalsh(op_x.hamiltonian(g, sample).matrix)
         lam_y = np.linalg.eigvalsh(op_y.hamiltonian(g, sample).matrix)
-        return float(np.abs(lam_x[:, None] - lam_y[None, :]).min())
+        return float(dist_to_spectrum(lam_y, lam_x).min())
 
     return np.asarray(run_trials(one, trials, seed))
 

@@ -48,7 +48,7 @@ from .msa import (
 from .quantiles import T_DF_MAX
 from .reporting import Report
 from .rng import CounterRng, substream
-from .spectral import BallOperators, BallSpectra, eigendecompose, gri_check
+from .spectral import BallOperators, BallSpectra, dist_to_spectrum, eigendecompose, gri_check
 
 # ---------------------------------------------------------------------------
 # Config unpacking
@@ -139,7 +139,7 @@ def off_spectrum_energy(specs, window, rng: CounterRng, guard: float = 1e-8) -> 
     """Uniform energy in the window at distance > guard from every spectrum."""
     for _ in range(1000):
         e = rng.uniform(window[0], window[1])
-        if all(s.dist_to_spectrum(e) > guard for s in specs):
+        if all(dist_to_spectrum(s.eigenvalues, e) > guard for s in specs):
             return e
     raise RuntimeError("could not find an off-spectrum energy")
 

@@ -16,9 +16,9 @@ from .errors import BudgetExceeded, ConfigurationError
 DEFAULT_VERTEX_BUDGET = 5000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected connected graph on vertices 0..n-1 with no self-loops."""
+    """Undirected connected graph on vertices 0..n-1 with no self-loops; compared by identity."""
 
     name: str
     n_vertices: int

@@ -22,10 +22,13 @@ VOLUME_BUDGET = 4000  # configurations of a dense Hamiltonian
 
 
 class VolumeIndex:
-    """Deterministic lexicographic enumeration of a finite set of configurations."""
+    """Deterministic lexicographic enumeration of a finite set of configurations;
+    a ball's volume also keeps the ball and its inner-boundary positions."""
 
-    def __init__(self, graph: Graph, configs, label: str = "volume"):
+    def __init__(self, graph: Graph, configs, label: str = "volume", ball: MultiBall | None = None):
         self.graph = graph
+        self.ball = ball
+        self.boundary = None if ball is None else ball.inner_boundary_positions()
         self.configs: tuple[Config, ...] = tuple(sorted(set(map(tuple, configs))))
         if not self.configs:
             raise ContractViolation("volume must be nonempty")
@@ -52,7 +55,7 @@ class VolumeIndex:
         size = ball.size()
         if size > VOLUME_BUDGET:
             raise BudgetExceeded(f"ball has {size} configurations; dense budget is {VOLUME_BUDGET}")
-        return cls(ball.graph, ball.members(), label=f"ball{ball.center}r{ball.radius}")
+        return cls(ball.graph, ball.members(), label=f"ball{ball.center}r{ball.radius}", ball=ball)
 
     def config_array(self) -> np.ndarray:
         return np.asarray(self.configs, dtype=np.int64)

@@ -35,7 +35,7 @@ from .msa import (
     ScaleSchedule,
     classify_interactivity,
     ns_threshold,
-    resonance_threshold,
+    resonant,
 )
 from .evc import McEstimate, wilson_interval
 from .parallel import run_trials
@@ -48,6 +48,7 @@ from .spectral import (
     SpectralData,
     boundary_profile,
     cluster_sums,
+    dist_to_spectrum,
     efc,
     eigendecompose,
     ns_flags,
@@ -207,7 +208,7 @@ def _column_segments(
     mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
     if mids.size == 0:
         return []
-    near_pole = np.abs(p[None, :] - mids[:, None]).min(axis=1) <= guard
+    near_pole = dist_to_spectrum(p, mids) <= guard
     inside = near_pole | (np.abs(_rational(mids, p, c)) >= level)
     for i in np.nonzero(inside)[0]:
         a, b = float(breakpoints[i]), float(breakpoints[i + 1])
@@ -446,7 +447,6 @@ def scale_probabilities(
                          target=mass.singularity_target(n, radius), skipped=True)
             )
             continue
-        thr_res = resonance_threshold(radius, params.beta)
         thr_ns = ns_threshold(params, m_n, radius)
         sub_radius = schedule.levels[k - 1] if k >= 1 else None
         sub_centers: list[Config] = []
@@ -462,8 +462,7 @@ def scale_probabilities(
             sample = sample_potential(dist, graph, trial_seed)
             spectra = BallSpectra(operators, sample, g)
             spec = spectra.spectrum(ball)
-            dmin = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
-            resonant = dmin < thr_res
+            res = resonant(spec.eigenvalues, energies, radius, params.beta)
             # an undetermined NS flag counts as singular
             singular = ~ns_flags(spec, ball, cert, energies, thr_ns)[0]
             wi_sing = np.zeros(len(energies), dtype=bool)
@@ -473,7 +472,7 @@ def scale_probabilities(
                 wi_sing |= ~ns_flags(spectra.spectrum(sub), sub, cert, energies, thr_sub)[0]
                 if wi_sing.all():
                     break
-            return resonant, singular, wi_sing
+            return res, singular, wi_sing
 
         outcomes = run_trials(one, trials, seed)
         res_m = np.stack([o[0] for o in outcomes])

@@ -16,7 +16,7 @@ import numpy as np
 from .configspace import CanonicalSplit, MultiBall, classify_interactivity, rho_s
 from .errors import ConfigurationError, ContractViolation
 from .graphs import GrowthCertificate
-from .spectral import BallSpectra, SpectralData, ns_flags
+from .spectral import BallSpectra, SpectralData, dist_to_spectrum, ns_flags
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,10 @@ class MassSchedule:
         return float(radius) ** (-self.p_exponent(n))
 
 
-def resonance_threshold(radius: int, beta: float) -> float:
-    return 2.0 * math.exp(-float(radius) ** beta)
+def resonant(eigenvalues: np.ndarray, energies, radius: int, beta: float):
+    """(E, beta)-resonance of a radius-L ball at each energy:
+    dist(E, spectrum) < 2 exp(-L**beta)."""
+    return dist_to_spectrum(eigenvalues, energies) < 2.0 * math.exp(-float(radius) ** beta)
 
 
 def ns_threshold(params: ParameterSet, mass: float, radius: int) -> float:
@@ -196,10 +198,6 @@ class BallClassification:
     witnesses: dict = field(default_factory=dict)
 
 
-def _is_resonant(spec: SpectralData, energy: float, radius: int, beta: float) -> bool:
-    return spec.dist_to_spectrum(energy) < resonance_threshold(radius, beta)
-
-
 def _is_cnr(
     ball: MultiBall,
     energy: float,
@@ -213,7 +211,7 @@ def _is_cnr(
         raise ContractViolation("CNR needs radius equal to some L_k with k >= 1")
     lo, hi = schedule.level(k - 1), schedule.level(k)
     for ell in range(lo, hi + 1):
-        if _is_resonant(spectra.spectrum(ball.concentric(ell)), energy, ell, params.beta):
+        if resonant(spectra.spectrum(ball.concentric(ell)).eigenvalues, energy, ell, params.beta):
             return False, {"cnr_failed_radius": ell}
     return True, {}
 
@@ -235,9 +233,8 @@ def classify(
     """
     out = BallClassification(radius=ball.radius, n_particles=ball.n_particles, energy=energy)
     spec = spectra.spectrum(ball)
-    dist = spec.dist_to_spectrum(energy)
-    out.resonant = dist < resonance_threshold(ball.radius, params.beta)
-    out.witnesses["dist_to_spectrum"] = dist
+    out.resonant = bool(resonant(spec.eigenvalues, energy, ball.radius, params.beta))
+    out.witnesses["dist_to_spectrum"] = float(dist_to_spectrum(spec.eigenvalues, energy))
 
     if ball.n_particles >= 2:
         kind, split = classify_interactivity(ball)
@@ -295,24 +292,18 @@ def classify_wi(
 
     lo, hi = schedule.level(k - 1), schedule.level(k)
 
-    def cnr_profile(factor_ball: MultiBall) -> list[SpectralData]:
-        return [spectra.spectrum(factor_ball.concentric(ell)) for ell in range(lo, hi + 1)]
-
-    def all_cnr(radius_specs: list[SpectralData], energies: np.ndarray) -> tuple[bool, dict]:
-        for ell, spec in zip(range(lo, hi + 1), radius_specs):
-            thr = resonance_threshold(ell, params.beta)
-            dist = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
-            bad = np.nonzero(dist < thr)[0]
+    def all_cnr(factor_ball: MultiBall, energies: np.ndarray) -> tuple[bool, dict]:
+        for ell in range(lo, hi + 1):
+            lam = spectra.spectrum(factor_ball.concentric(ell)).eigenvalues
+            bad = np.nonzero(resonant(lam, energies, ell, params.beta))[0]
             if bad.size:
                 return False, {"fnr_failed": {"radius": ell, "shift_index": int(bad[0])}}
         return True, {}
 
-    profiles_s = cnr_profile(ball_s)
-    profiles_p = cnr_profile(ball_p)
     shifts_from_p = energy - spec_p.eigenvalues  # test second factor at E - lambda'
     shifts_from_s = energy - spec_s.eigenvalues
-    ok_s, wit_s = all_cnr(profiles_s, shifts_from_p)
-    ok_p, wit_p = all_cnr(profiles_p, shifts_from_s)
+    ok_s, wit_s = all_cnr(ball_s, shifts_from_p)
+    ok_p, wit_p = all_cnr(ball_p, shifts_from_s)
     out.fnr = ok_s and ok_p
     out.witnesses.update({f"second:{key}": v for key, v in wit_s.items()})
     out.witnesses.update({f"prime:{key}": v for key, v in wit_p.items()})

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import Config, MultiBall, ball_inner_boundary, edge_boundary
+from .configspace import Config, MultiBall, edge_boundary
 from .disorder import DisorderSample, InteractionPotential
 from .errors import ContractViolation, DataError, ResonanceError
 from .graphs import Graph, GrowthCertificate
@@ -15,6 +15,16 @@ from .hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
 
 RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
+
+
+def dist_to_spectrum(eigenvalues: np.ndarray, energies):
+    """min_j |lambda_j - E| per energy, for ascending eigenvalues: rounded
+    subtraction is monotone, so the nearer neighbour of E attains the minimum."""
+    energies = np.asarray(energies, dtype=np.float64)
+    i = np.searchsorted(eigenvalues, energies)
+    below = eigenvalues[np.maximum(i - 1, 0)]
+    above = eigenvalues[np.minimum(i, eigenvalues.size - 1)]
+    return np.minimum(np.abs(energies - below), np.abs(above - energies))
 
 
 @dataclass(frozen=True)
@@ -25,9 +35,6 @@ class SpectralData:
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     h_norm: float
-
-    def dist_to_spectrum(self, energy: float) -> float:
-        return float(np.abs(self.eigenvalues - energy).min())
 
     def component(self, config: Config) -> np.ndarray:
         """Row of the eigenvector matrix at a configuration (values psi_j(x))."""
@@ -132,7 +139,7 @@ class BallSpectra:
 
 
 def _check_resonance(spec: SpectralData, energy: float, guard: float) -> None:
-    dist = spec.dist_to_spectrum(energy)
+    dist = float(dist_to_spectrum(spec.eigenvalues, energy))
     if dist <= guard:
         raise ResonanceError(dist, guard)
 
@@ -165,10 +172,8 @@ class BoundaryProfile:
     """
 
     eigenvalues: np.ndarray = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)  # (n_eigs, n_boundary)
-    boundary: tuple[Config, ...]
+    coefficients: np.ndarray = field(repr=False)  # (n_eigs, n_boundary), C order
     prefactor: float
-    center: Config
 
     def green_values(self, energies: np.ndarray) -> np.ndarray:
         """(n_energies, n_boundary) array of G(center, z; E); no resonance guard."""
@@ -182,9 +187,17 @@ class BoundaryProfile:
         energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
         vals = self.prefactor * np.abs(self.green_values(energies)).max(axis=1)
         if guard > 0.0:
-            dist = np.abs(self.eigenvalues[None, :] - energies[:, None]).min(axis=1)
-            vals = np.where(dist <= guard, np.inf, vals)
+            vals = np.where(dist_to_spectrum(self.eigenvalues, energies) <= guard, np.inf, vals)
         return vals
+
+
+def ball_boundary(spec: SpectralData, ball: MultiBall) -> np.ndarray:
+    """Positions of the ball's inner boundary in the volume of its spectrum."""
+    if spec.volume.ball != ball:
+        raise ContractViolation(
+            f"spectrum over {spec.volume.label} is not of ball{ball.center}r{ball.radius}"
+        )
+    return spec.volume.boundary
 
 
 def boundary_profile(
@@ -192,18 +205,17 @@ def boundary_profile(
 ) -> BoundaryProfile:
     if ball.radius < 1:
         raise ContractViolation("boundary functional needs radius >= 1")
-    boundary = ball_inner_boundary(ball)
-    if not boundary:
+    boundary = ball_boundary(spec, ball)
+    if not boundary.size:
         raise ContractViolation("ball has empty inner boundary (it exhausts the graph)")
-    center_row = spec.component(ball.center)
-    coeff = np.stack([center_row * spec.component(z) for z in boundary], axis=1)
-    pref = cert.prefactor(ball.n_particles, ball.radius)
+    # C order keeps the summation order of the cover's matrix products
+    coeff = np.multiply(
+        spec.component(ball.center)[:, None], spec.eigenvectors[boundary].T, order="C"
+    )
     return BoundaryProfile(
         eigenvalues=spec.eigenvalues,
         coefficients=coeff,
-        boundary=tuple(boundary),
-        prefactor=pref,
-        center=ball.center,
+        prefactor=cert.prefactor(ball.n_particles, ball.radius),
     )
 
 
@@ -218,15 +230,14 @@ def ns_flags(
 
     Returns boolean arrays (ns, undetermined).  An energy within the resolvent
     guard of the spectrum is undetermined and not NS; a ball without an inner
-    boundary is vacuously NS at every energy.
+    boundary is vacuously NS at every energy.  A spectrum of another volume
+    and a radius-0 ball with a boundary raise ContractViolation.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-    try:
-        prof = boundary_profile(spec, ball, cert)
-    except ContractViolation:
+    if not ball_boundary(spec, ball).size:
         return np.ones(energies.shape, dtype=bool), np.zeros(energies.shape, dtype=bool)
-    dist = np.abs(spec.eigenvalues[None, :] - energies[:, None]).min(axis=1)
-    undetermined = dist <= RESOLVENT_GUARD
+    prof = boundary_profile(spec, ball, cert)
+    undetermined = dist_to_spectrum(spec.eigenvalues, energies) <= RESOLVENT_GUARD
     return (prof.evaluate(energies) <= threshold) & ~undetermined, undetermined
 
 

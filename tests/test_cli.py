@@ -401,6 +401,50 @@ def test_pool_runners_build_one_operator_per_ball(tmp_path, monkeypatch, kind):
     assert balls and len(balls) == len(set(balls))
 
 
+def test_classify_enumerates_each_ball_once(tmp_path, monkeypatch):
+    """A 120-energy classify run enumerates each distinct ball once: the
+    boundary of every NS test is read from the ball's volume (centre (8, 30)
+    at radius 6 with L0 = 3: the ball and its CNR radii 3..6, four balls)."""
+    from mpmsa.configspace import MultiBall
+
+    calls = []
+    members = MultiBall.members
+
+    def counting_members(ball):
+        calls.append((ball.center, ball.radius))
+        return members(ball)
+
+    monkeypatch.setattr(MultiBall, "members", counting_members)
+    energies = ",".join(repr(float(e)) for e in np.linspace(0.0, 2000.0, 120))
+    cfg = _write(tmp_path, f"""\
+[experiment]
+kind = classify
+seed = 3100
+out = {tmp_path / "o"}
+
+[model]
+graph = path:40
+particles = 2
+distribution = uniform:0:1
+interaction = u:C=1:zeta=0.5:rcut=inf
+g = 1000
+
+[params]
+mode = subexp
+nstar = 2
+l0 = 3
+b = 2
+
+[run]
+center = 8,30
+radius = 6
+kmax = 1
+energy = {energies}
+""")
+    assert main(["classify", "--config", cfg]) == 0
+    assert sorted(calls) == [((8, 30), r) for r in (3, 4, 5, 6)]
+
+
 def test_green_maps_reuse_the_solved_ball(monkeypatch):
     from mpmsa.configspace import MultiBall
     from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution

@@ -5,7 +5,6 @@ import pytest
 
 from mpmsa.configspace import (
     MultiBall,
-    ball_inner_boundary,
     ball_support,
     boundaries,
     classify_interactivity,
@@ -20,6 +19,7 @@ from mpmsa.configspace import (
 )
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
+from mpmsa.hamiltonian import VolumeIndex
 
 
 def test_rho_and_swap_permutation():
@@ -69,12 +69,32 @@ def test_edge_boundary_single_particle_example():
 
 
 def test_ball_boundary_matches_exhaustive_scan():
-    g = build_graph("path:7")
-    for center, radius in [((1, 4), 1), ((3, 3), 2), ((0, 6), 1)]:
+    cases = [
+        ("path:7", (1, 4), 1),
+        ("path:7", (3, 3), 2),
+        ("path:7", (0, 6), 1),
+        ("path:7", (3,), 0),
+        ("path:7", (3,), 3),  # exhausts the graph: no boundary
+        ("path:7", (0, 6, 3), 2),
+        ("cycle:8", (0, 3), 2),
+        ("cycle:8", (1, 5, 6), 1),
+        ("cycle:5", (0, 2), 2),  # exhausts the graph
+        ("grid:4x3", (5,), 1),
+        ("grid:4x3", (0, 11), 2),
+        ("grid:4x3", (1, 6, 10), 1),
+        ("grid:4x3", (5, 6), 0),
+        ("tree:2x3", (0,), 2),
+        ("tree:2x3", (3, 12), 1),
+        ("tree:2x3", (1, 2, 7), 1),
+        ("tree:2x3", (7, 7), 6),  # exhausts the graph
+    ]
+    for spec, center, radius in cases:
+        g = build_graph(spec)
         ball = MultiBall(g, center, radius)
-        fast = set(ball_inner_boundary(ball))
-        slow = set(inner_boundary(g, ball.members()))
-        assert fast == slow
+        volume = VolumeIndex.from_ball(ball)
+        # positions in volume order, against the generic scan
+        assert [volume.configs[p] for p in volume.boundary] == inner_boundary(g, volume.configs)
+        assert volume.ball is ball
 
 
 def test_edge_boundary_exhaustive_pair_scan():
@@ -97,7 +117,7 @@ def test_boundary_cardinality_bound():
     cert = certify_growth(g, 1.0, 12)
     for center, radius in [((10, 17), 2), ((5, 20), 3)]:
         ball = MultiBall(g, center, radius)
-        bnd = ball_inner_boundary(ball)
+        bnd = ball.inner_boundary_positions()
         assert len(bnd) <= cert.C ** (2 * 2) * radius ** (2 * 1)
 
 

@@ -178,13 +178,7 @@ def profiles(draw):
     hi = lo + draw(st.floats(0.01, 6.0))
     level = 10.0 ** draw(st.floats(-3.0, 2.0))
     prefactor = draw(st.sampled_from([1.0, 2.5, 37.0]))
-    prof = BoundaryProfile(
-        eigenvalues=lam,
-        coefficients=coeffs,
-        boundary=tuple((j,) for j in range(n_cols)),
-        prefactor=prefactor,
-        center=(0,),
-    )
+    prof = BoundaryProfile(eigenvalues=lam, coefficients=coeffs, prefactor=prefactor)
     return prof, level, (lo, hi)
 
 
@@ -202,7 +196,7 @@ def test_cover_of_larger_cluster_agrees_to_rounding():
     agree to the bisection tolerance."""
     lam = np.asarray([-1.0, 0.3, 0.3 + 4e-11, 0.3 + 8e-11, 1.7])
     coeffs = np.asarray([[0.2, -0.1], [0.123456789, 0.3], [-0.37, 0.111], [0.0611, -0.29], [0.5, 0.4]])
-    prof = BoundaryProfile(lam, coeffs, ((0,), (1,)), 4.0, (0,))
+    prof = BoundaryProfile(lam, coeffs, 4.0)
     window = (-3.0, 3.0)
     for level in (0.5, 5.0, 50.0):
         got = cover_from_profile(prof, level, window, len(lam)).intervals

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mpmsa.configspace import MultiBall, ball_inner_boundary, rho
+from mpmsa.configspace import MultiBall, inner_boundary, rho
 from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
 from mpmsa.domination import (
     AnnulusCover,
@@ -215,7 +215,7 @@ def test_gf_report_carries_the_verified_green_maps():
     assert rep.green_maps == green_magnitude_maps(spectra, ball, 500.25)
     ham = spectra.hamiltonian(ball)
     inverse = np.linalg.inv(ham.matrix - 500.25 * np.eye(ham.size))
-    assert sorted(rep.green_maps) == sorted(ball_inner_boundary(ball))
+    assert sorted(rep.green_maps) == inner_boundary(g, ball.members())
     for y, f_map in rep.green_maps.items():
         assert sorted(f_map) == list(ham.volume.configs)
         col = np.abs(inverse[:, ham.volume.position(y)])

@@ -20,6 +20,7 @@ from mpmsa.evc import (
 )
 from mpmsa.graphs import build_graph
 from mpmsa.hamiltonian import norm_bound
+from mpmsa.induction import _worst_estimate
 from mpmsa.spectral import BallOperators
 
 from helpers import assemble_ball
@@ -32,6 +33,17 @@ def test_wilson_interval_contains_estimate():
     assert est.ci_low <= est.estimate <= est.ci_high
     zero = McEstimate.from_counts(0, 50, seed=1)
     assert zero.ci_low == 0.0 and zero.ci_high > 0.0
+
+
+@pytest.mark.parametrize("n_energies", [2, 3, 41, 120])
+def test_widened_wilson_interval_pins_the_ends(n_energies):
+    # the Bonferroni-widened interval of induction._worst_estimate keeps the
+    # end rule of from_counts: exactly 0 with no hits, exactly 1 with all hits
+    for trials in range(1, 400):
+        none = _worst_estimate(np.zeros((trials, n_energies), bool), trials, 1, n_energies)
+        every = _worst_estimate(np.ones((trials, n_energies), bool), trials, 1, n_energies)
+        assert none.ci_low == 0.0 and none.ci_high > 0.0
+        assert every.ci_high == 1.0 and every.ci_low < 1.0
 
 
 def test_wegner_deterministic_potential_far_energy():

@@ -43,9 +43,7 @@ def test_cover_one_by_one_closed_form():
     profile = BoundaryProfile(
         eigenvalues=np.asarray([h]),
         coefficients=np.asarray([[c]]),
-        boundary=((0,),),
         prefactor=pref,
-        center=(0,),
     )
     cover = cover_from_profile(profile, level, (-10.0, 10.0), ball_size=1)
     half = pref * c / level
@@ -60,9 +58,7 @@ def test_cover_empty_when_level_above_max():
     profile = BoundaryProfile(
         eigenvalues=np.asarray([h]),
         coefficients=np.asarray([[c]]),
-        boundary=((0,),),
         prefactor=pref,
-        center=(0,),
     )
     # on a window bounded away from the pole the sup is pref*c/2, so pick more
     cover = cover_from_profile(profile, 1e6, (2.0, 10.0), ball_size=1)
@@ -287,8 +283,7 @@ def test_reciprocals_next_to_a_pole_warn_nothing():
     # 1 / 5e-324 overflows to inf; the pole convention makes that a value
     es, poles, w = np.asarray([5e-324]), np.asarray([0.0]), np.asarray([1.0])
     profile = BoundaryProfile(
-        eigenvalues=poles, coefficients=np.asarray([[1.0]]), boundary=((1,),),
-        prefactor=1.0, center=(0,),
+        eigenvalues=poles, coefficients=np.asarray([[1.0]]), prefactor=1.0
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

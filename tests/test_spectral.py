@@ -2,6 +2,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpmsa.configspace import Config, MultiBall, rho_s
 from mpmsa.disorder import (
@@ -19,6 +21,7 @@ from mpmsa.spectral import (
     BallOperators,
     BallSpectra,
     SpectralData,
+    dist_to_spectrum,
     efc,
     eigendecompose,
     green,
@@ -398,3 +401,44 @@ def test_ns_flags_guard_and_empty_boundary():
     spec_whole = eigendecompose(assemble_ball(whole, 1.0, smp, ZERO_INTERACTION))
     ns, undetermined = ns_flags(spec_whole, whole, cert, spec_whole.eigenvalues[:2], 1e-3)
     assert ns.all() and not undetermined.any()
+
+
+def test_ns_flags_rejects_a_spectrum_of_another_ball():
+    g = build_graph("path:20")
+    cert = certify_growth(g, 1.0, 8)
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), sample_potential(DIST, g, 3), 1.0)
+    ball = MultiBall(g, (3,), 2)
+    spec = spectra.spectrum(ball)
+    energy = np.asarray([spec.eigenvalues[0] - 0.5])
+    assert not ns_flags(spec, ball, cert, energy, 1e-30)[0][0]
+    for other in (MultiBall(g, (14,), 2), MultiBall(g, (3,), 3)):
+        with pytest.raises(ContractViolation):
+            ns_flags(spec, other, cert, energy, 1e-30)
+    # a radius-0 ball has a boundary but no boundary functional
+    point = MultiBall(g, (3,), 0)
+    with pytest.raises(ContractViolation):
+        ns_flags(spectra.spectrum(point), point, cert, energy, 1e-30)
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _spectrum_and_energies(draw):
+    lam = np.sort(np.asarray(draw(st.lists(_FINITE, min_size=1, max_size=12)), dtype=np.float64))
+    if draw(st.booleans()):
+        lam = np.sort(np.concatenate([lam, lam[: draw(st.integers(1, lam.size))]]))
+    on = st.sampled_from(lam.tolist())
+    midpoint = st.integers(0, lam.size - 1).map(lambda i: float(0.5 * (lam[i] + lam[i - 1])))
+    energy = st.one_of(_FINITE, on, midpoint, st.sampled_from([np.inf, -np.inf]))
+    return lam, np.asarray(draw(st.lists(energy, min_size=1, max_size=20)), dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_spectrum_and_energies())
+def test_dist_to_spectrum_equals_the_broadcast_minimum(case):
+    lam, energies = case
+    got = dist_to_spectrum(lam, energies)
+    want = np.abs(lam[None, :] - energies[:, None]).min(axis=1)
+    assert got.tobytes() == want.tobytes()
+    assert all(float(dist_to_spectrum(lam, e)) == w for e, w in zip(energies, want))

@@ -8,17 +8,17 @@ of weak separation, and the conditional-modulus table for the sample mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .configspace import MultiBall, SeparationCertificate, rho_s
 from .disorder import DisorderSample, PotentialDistribution, sample_potential
 from .errors import ContractViolation
-from .msa import resonant
+from .msa import resonance_radius, resonant
 from .parallel import run_trials
 from .rng import substream
-from .spectral import BallOperators, BallSpectra, dist_to_spectrum
+from .spectral import BallOperators, BallSpectra, dist_to_spectrum, inertia
 
 _Z95 = 1.959963984540054
 
@@ -68,6 +68,14 @@ class McEstimate:
         )
 
 
+@dataclass(frozen=True)
+class WegnerEstimate(McEstimate):
+    """A resonance frequency and the number of its samples whose inertia
+    counts came within round-off and were decided by eigvalsh instead."""
+
+    fallbacks: int = 0
+
+
 def wegner_estimate(
     ball: MultiBall,
     dist: PotentialDistribution,
@@ -77,19 +85,33 @@ def wegner_estimate(
     beta: float,
     trials: int,
     seed: int,
-) -> McEstimate:
-    """Fraction of disorder samples for which the ball is (E, beta)-resonant."""
+) -> WegnerEstimate:
+    """Fraction of disorder samples for which the ball is (E, beta)-resonant.
+
+    A sample is resonant when H has an eigenvalue in the open interval
+    (E - t, E + t), t = resonance_radius(L, beta): the inertia counts of
+    H - (E + t) and H - (E - t) differ.  A sample whose counts are None (an
+    eigenvalue within round-off of E - t or E + t, where the tie rule needs
+    the spectrum, or a pivot block within round-off of singular) is decided
+    by eigvalsh and msa.resonant.
+    """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     op = operators.operator(ball)
+    t = resonance_radius(ball.radius, beta)
+    shifts = (energy - t, energy + t)
 
-    def one(trial_seed: int, _idx: int) -> int:
+    def one(trial_seed: int, _idx: int) -> tuple[bool, bool]:
         sample = sample_potential(dist, ball.graph, trial_seed)
+        counts = inertia(op, g, sample, shifts)
+        if counts is not None:
+            return bool(counts[1] > counts[0]), False
         lam = np.linalg.eigvalsh(op.hamiltonian(g, sample).matrix)
-        return int(resonant(lam, energy, ball.radius, beta))
+        return bool(resonant(lam, energy, ball.radius, beta)), True
 
-    hits = run_trials(one, trials, seed)
-    return McEstimate.from_counts(sum(hits), trials, seed)
+    hits, fallbacks = zip(*run_trials(one, trials, seed))
+    est = WegnerEstimate.from_counts(sum(hits), trials, seed)
+    return replace(est, fallbacks=sum(fallbacks))
 
 
 @dataclass(frozen=True)

@@ -250,12 +250,14 @@ def run_wegner(config: ExperimentConfig, report: Report) -> None:
         ),
     )
     operators = BallOperators(graph, interaction)
-    estimates = []
+    estimates, fallbacks = [], []
     for gv in g_grid:
         est = wegner_estimate(ball, dist, operators, gv, energy, params.beta, trials, seed)
         estimates.append(est.estimate)
+        fallbacks.append(est.fallbacks)
         tbl.add(gv, est.estimate, est.ci_low, est.ci_high, est.successes, est.trials, est.seed)
     report.results["estimates"] = estimates
+    report.results["eigvalsh_fallbacks"] = fallbacks
     report.pass_flags["ran"] = True
 
 

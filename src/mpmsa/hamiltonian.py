@@ -19,6 +19,7 @@ from .errors import BudgetExceeded, ContractViolation, DataError
 from .graphs import Graph
 
 VOLUME_BUDGET = 4000  # configurations of a dense Hamiltonian
+MIN_BLOCK_ROWS = 16  # BFS layers are merged into blocks of at least this many rows
 
 
 class VolumeIndex:
@@ -117,21 +118,113 @@ class VolumeOperator:
                     rows.append(i)
                     cols.append(j)
         self.edges = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
+        self._partition: LayerPartition | None = None
 
     @classmethod
     def from_ball(cls, ball: MultiBall, interaction: InteractionPotential) -> "VolumeOperator":
         return cls(VolumeIndex.from_ball(ball), interaction)
 
-    def hamiltonian(self, g: float, sample: DisorderSample) -> HamiltonianMatrix:
-        """H at coupling g under one disorder sample."""
+    def diagonal(self, g: float, sample: DisorderSample) -> np.ndarray:
+        """Diagonal of H at coupling g under one disorder sample; every other
+        entry of H is -1 on an edge and 0 elsewhere."""
         if len(sample.values) < self.volume.graph.n_vertices:
             raise ContractViolation("sample does not cover the volume's graph")
+        potential = g * sample.values[self.configs].sum(axis=1)
+        return self.degree + (potential + self.interaction_sum)
+
+    def hamiltonian(self, g: float, sample: DisorderSample) -> HamiltonianMatrix:
+        """H at coupling g under one disorder sample."""
+        diagonal = self.diagonal(g, sample)
         m = len(self.volume)
         h = np.zeros((m, m))
         h[self.edges] = -1.0
-        potential = g * sample.values[self.configs].sum(axis=1)
-        h[np.diag_indices(m)] = self.degree + (potential + self.interaction_sum)
+        h[np.diag_indices(m)] = diagonal
         return HamiltonianMatrix(self.volume, h)
+
+    def partition(self) -> "LayerPartition":
+        """The layer partition, built on first use and kept.  Two threads may
+        build it at once; the copies are equal."""
+        if self._partition is None:
+            self._partition = LayerPartition.of(self)
+        return self._partition
+
+
+@dataclass(frozen=True, eq=False)
+class LayerPartition:
+    """A volume split into consecutive blocks of positions in which H is
+    block tridiagonal: every edge joins a block to itself or to the next.
+
+    `blocks[k]` holds ascending volume positions, `hopping[k]` is H off its
+    diagonal on block k, and `coupling[k]` is the block of H between blocks
+    k - 1 and k (`coupling[0]` has no rows).
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    hopping: tuple[np.ndarray, ...]
+    coupling: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, op: VolumeOperator) -> "LayerPartition":
+        """The blocks of `layer_blocks`, or a single block in volume order when
+        they would cost more than one eigenvalue solve of the volume, 4/3 m**3.
+        A block of b rows is costed as six eigensolves with vectors (the two
+        shifts of a Wegner sample, measured and then bracketed), 9 b**3 each,
+        with b taken MIN_BLOCK_ROWS larger for the fixed cost of a small solve."""
+        m = len(op.volume)
+        blocks = layer_blocks(op)
+        if 6 * 9 * sum((len(b) + MIN_BLOCK_ROWS) ** 3 for b in blocks) > 4 / 3 * m**3:
+            blocks = [np.arange(m)]
+        return cls.from_blocks(op, blocks)
+
+    @classmethod
+    def from_blocks(cls, op: VolumeOperator, blocks) -> "LayerPartition":
+        """The partition into `blocks`, which must keep H block tridiagonal."""
+        m = len(op.volume)
+        rows, cols = op.edges
+        block_of = np.empty(m, dtype=np.int64)
+        local = np.empty(m, dtype=np.int64)
+        for k, b in enumerate(blocks):
+            block_of[b] = k
+            local[b] = np.arange(len(b))
+        row_block, col_block = block_of[rows], block_of[cols]
+        hopping, coupling = [], []
+        for k, b in enumerate(blocks):
+            inside = (row_block == k) & (col_block == k)
+            hop = np.zeros((len(b), len(b)))
+            hop[local[rows[inside]], local[cols[inside]]] = -1.0
+            hopping.append(hop)
+            across = (row_block == k - 1) & (col_block == k)
+            coup = np.zeros((len(blocks[k - 1]) if k else 0, len(b)))
+            coup[local[rows[across]], local[cols[across]]] = -1.0
+            coupling.append(coup)
+        return cls(tuple(blocks), tuple(hopping), tuple(coupling))
+
+
+def layer_blocks(op: VolumeOperator) -> list[np.ndarray]:
+    """BFS layers of the product graph inside the volume, merged into
+    consecutive blocks of at least MIN_BLOCK_ROWS rows (a short tail joins
+    the last block), each in ascending position order."""
+    rows, cols = op.edges
+    layer = np.full(len(op.volume), -1, dtype=np.int64)
+    layers: list[np.ndarray] = []
+    while (layer < 0).any():
+        # a BFS from the first unreached position; a volume that is not
+        # connected continues its layers component by component
+        frontier = np.flatnonzero(layer < 0)[:1]
+        while frontier.size:
+            layer[frontier] = len(layers)
+            layers.append(frontier)
+            reached = cols[layer[rows] == len(layers) - 1]
+            frontier = np.unique(reached[layer[reached] < 0])
+    blocks: list[np.ndarray] = []
+    for positions in layers:
+        if blocks and len(blocks[-1]) < MIN_BLOCK_ROWS:
+            blocks[-1] = np.concatenate((blocks[-1], positions))
+        else:
+            blocks.append(positions)
+    if len(blocks) > 1 and len(blocks[-1]) < MIN_BLOCK_ROWS:
+        blocks[-2:] = [np.concatenate(blocks[-2:])]
+    return [np.sort(b) for b in blocks]
 
 
 def norm_bound(

@@ -140,6 +140,12 @@ class MassSchedule:
 
     params: ParameterSet
 
+    def __post_init__(self):
+        # the mass recursion takes L0 to a negative power; the parameter
+        # waiver admits other table violations but never this one
+        if self.params.L0 < 1:
+            raise ConfigurationError(f"L0 must be >= 1, got {self.params.L0}")
+
     def m(self, n: int) -> float:
         p = self.params
         return p.m_star * (1.0 + 4.0 * p.L0 ** (p.beta - p.delta)) ** (p.n_star - n + 1)
@@ -163,10 +169,15 @@ class MassSchedule:
         return float(radius) ** (-self.p_exponent(n))
 
 
+def resonance_radius(radius: int, beta: float) -> float:
+    """Half-width 2 exp(-L**beta) of the resonance window of a radius-L ball."""
+    return 2.0 * math.exp(-float(radius) ** beta)
+
+
 def resonant(eigenvalues: np.ndarray, energies, radius: int, beta: float):
     """(E, beta)-resonance of a radius-L ball at each energy:
-    dist(E, spectrum) < 2 exp(-L**beta)."""
-    return dist_to_spectrum(eigenvalues, energies) < 2.0 * math.exp(-float(radius) ** beta)
+    dist(E, spectrum) < resonance_radius(L, beta)."""
+    return dist_to_spectrum(eigenvalues, energies) < resonance_radius(radius, beta)
 
 
 def ns_threshold(params: ParameterSet, mass: float, radius: int) -> float:

@@ -15,6 +15,14 @@ from .hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
 
 RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
+EPS = float(np.finfo(np.float64).eps)
+
+
+def roundoff_floor(n: int, scale):
+    """n * eps * scale: the round-off level of a value computed in an
+    n-dimensional problem from terms of magnitude up to `scale`.  A value
+    whose magnitude does not exceed its floor has no reliable sign."""
+    return n * EPS * scale
 
 
 def dist_to_spectrum(eigenvalues: np.ndarray, energies):
@@ -136,6 +144,97 @@ class BallSpectra:
         if spec is None:
             spec = self._solved[key] = eigendecompose(op.hamiltonian(self.g, self.sample))
         return spec
+
+
+def inertia(op: VolumeOperator, g: float, sample: DisorderSample, sigmas) -> np.ndarray | None:
+    """Number of eigenvalues of H below each shift sigma, or None when a
+    count is not above round-off.
+
+    By Sylvester's law of inertia the count is the number of negative
+    eigenvalues of H - sigma, and by Haynsworth's inertia additivity it is
+    the sum of the negative counts of the pivot blocks of a block LDL^T
+    factorisation in the block tridiagonal order of `op.partition()`:
+    D_0 = A_0 - sigma and D_k = A_k - sigma - B_k^T D_{k-1}^{-1} B_k.  The
+    first block is diagonalised once for every shift; later pivot blocks are
+    diagonalised per shift, all shifts in one stacked call.  A single-block
+    volume costs one eigvalsh of H.
+
+    The computed pivots are exact for H + E, E block diagonal with block k
+    at most the roundoff_floor of the entries that formed D_k (scale
+    |A_k| + max |sigma| + |B_k^T| |D_{k-1}^{-1}| |B_k|); `err` is the
+    largest.  A first factorisation at sigma measures err, and each count
+    is then taken at sigma - w and sigma + w, w = 2 err + delta, with delta
+    the round-off of an eigvalsh spectrum of H.  When both counts agree and
+    the bracket's own err' is at most w - delta, no eigenvalue of H lies
+    within delta of sigma and the count is the one an eigvalsh spectrum
+    gives; a bracket whose err' is larger is retried with err = err', three
+    brackets at most.  A single-block volume has err = delta.  The result is
+    None when the two counts disagree, when no bracket holds, or when some
+    pivot eigenvalue lies within its floor of 0.
+    """
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=np.float64))
+    diagonal = op.diagonal(g, sample)
+    if not np.isfinite(diagonal).all():
+        raise DataError("Hamiltonian has non-finite entries")
+    part = op.partition()
+    # |A_k - sigma| <= max |diagonal| + max |sigma| + the largest row count
+    # of -1 entries, which the full-graph degree bounds
+    base = float(op.degree.max()) + float(np.abs(sigmas).max())
+    delta = roundoff_floor(len(diagonal), base + float(np.abs(diagonal).max()))
+    if len(part.blocks) == 1:
+        lam = np.linalg.eigvalsh(_block(part, diagonal, 0))
+        width = 3.0 * delta
+        below = np.searchsorted(lam, sigmas - width)
+        return below if np.array_equal(below, np.searchsorted(lam, sigmas + width)) else None
+    first = np.linalg.eigh(_block(part, diagonal, 0))
+    measured = _pivot_counts(part, diagonal, first, sigmas, base)
+    if measured is None:
+        return None
+    err = measured[1]
+    for _ in range(3):
+        width = 2.0 * err + delta
+        bracket = _pivot_counts(part, diagonal, first, np.concatenate((sigmas - width, sigmas + width)), base)
+        if bracket is None:
+            return None
+        negative, err = bracket
+        if err <= width - delta:
+            below, above = np.split(negative, 2)
+            return below if np.array_equal(below, above) else None
+    return None
+
+
+def _block(part, diagonal: np.ndarray, k: int) -> np.ndarray:
+    a = part.hopping[k].copy()
+    a[np.diag_indices(len(a))] = diagonal[part.blocks[k]]
+    return a
+
+
+def _pivot_counts(part, diagonal, first, sigmas, base) -> tuple[np.ndarray, float] | None:
+    """Negative counts of the pivot blocks per shift and the largest pivot
+    floor, or None when a pivot eigenvalue lies within its floor of 0."""
+    m, last = len(diagonal), len(part.blocks) - 1
+    mu, q = first
+    pivots = mu - sigmas[:, None]
+    negative = np.zeros(sigmas.shape, dtype=np.int64)
+    err = 0.0
+    for k in range(last + 1):
+        block = diagonal[part.blocks[k]]
+        scale = base + float(np.abs(block).max())
+        if k:
+            inv = 1.0 / pivots
+            scale += float((np.abs(inv) * np.square(w).sum(axis=-1)).sum(axis=1).max())
+            d = _block(part, diagonal, k) - np.swapaxes(w, -1, -2) @ (inv[:, :, None] * w)
+            rows = np.arange(len(block))
+            d[:, rows, rows] -= sigmas[:, None]
+            pivots, q = np.linalg.eigh(d)
+        floor = roundoff_floor(m, scale)
+        if np.abs(pivots).min() <= floor:
+            return None
+        err = max(err, floor)
+        negative += np.count_nonzero(pivots < 0, axis=1)
+        if k < last:
+            w = np.swapaxes(q, -1, -2) @ part.coupling[k + 1]
+    return negative, err
 
 
 def _check_resonance(spec: SpectralData, energy: float, guard: float) -> None:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -180,6 +181,20 @@ energy_policy = fixed:500
     assert main(["induction", "--config", _write(tmp_path, waived, "ind2.cfg")]) == 0
 
 
+@pytest.mark.parametrize("kind", ["induction", "bridge"])
+def test_nonpositive_l0_exits_2_despite_the_waiver(tmp_path, kind):
+    """L0 < 1 takes L0 to a negative power in the mass recursion; the
+    parameter waiver does not admit it."""
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "configs" / f"{kind}.cfg").read_text()
+    text = text.replace("l0 = 3", "l0 = 0").replace("kmax = 1", "kmax = 0")
+    assert "l0 = 0" in text
+    if kind == "induction":
+        assert "allow_param_violations = true" in text
+    path = _write(tmp_path, text, f"{kind}.cfg")
+    assert main([kind, "--config", path, "--out", str(tmp_path / kind)]) == 2
+
+
 BASE_GRI = """\
 [experiment]
 kind = gri
@@ -221,16 +236,16 @@ def test_csv_bitwise_deterministic_across_runs_and_threads(tmp_path):
     assert a == b == c
 
 
-def _pool_run_csvs(tmp_path, kind, threads):
-    """CSV bytes of the shipped config of `kind`, run in a child process with
-    one BLAS thread and `threads` pool workers."""
+def _pool_run_csvs(tmp_path, kind, threads, config=None):
+    """CSV bytes of the shipped config of `kind` (or of `config`), run in a
+    child process with one BLAS thread and `threads` pool workers."""
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / f"{kind}-{threads}"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MPMSA_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "mpmsa.cli", kind, "--config", str(root / "configs" / f"{kind}.cfg"),
-         "--out", str(out)],
+        [sys.executable, "-m", "mpmsa.cli", kind, "--config",
+         config or str(root / "configs" / f"{kind}.cfg"), "--out", str(out)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -242,6 +257,37 @@ def _pool_run_csvs(tmp_path, kind, threads):
 @pytest.mark.parametrize("kind", ["efc", "wegner", "induction", "evc2"])
 def test_pool_runners_bitwise_deterministic_across_worker_counts(tmp_path, kind):
     assert _pool_run_csvs(tmp_path, kind, 1) == _pool_run_csvs(tmp_path, kind, 2)
+
+
+MULTI_BLOCK_WEGNER = """\
+[experiment]
+kind = wegner
+trials = 40
+seed = 5
+out = {out}
+
+[model]
+graph = path:30
+particles = 2
+distribution = uniform:0:1
+interaction = u:C=1:zeta=0.5:rcut=inf
+g = 1.0
+
+[params]
+beta = 0.7
+
+[run]
+center = 15,15
+radius = 10
+energy = 2.5
+g_grid = 0.5,1.0
+"""
+
+
+def test_multi_block_wegner_bitwise_deterministic_across_worker_counts(tmp_path):
+    """A 441-configuration ball, decided by inertia counts over 21 blocks."""
+    cfg = _write(tmp_path, MULTI_BLOCK_WEGNER.format(out=tmp_path / "unused"), "wegner-mb.cfg")
+    assert _pool_run_csvs(tmp_path, "wegner", 1, cfg) == _pool_run_csvs(tmp_path, "wegner", 2, cfg)
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -399,6 +445,51 @@ def test_pool_runners_build_one_operator_per_ball(tmp_path, monkeypatch, kind):
     out = tmp_path / kind
     assert main([kind, "--config", str(root / "configs" / f"{kind}.cfg"), "--out", str(out)]) == 0
     assert balls and len(balls) == len(set(balls))
+
+
+@pytest.mark.parametrize("kind,builds", [("efc", 0), ("classify", 0), ("wegner", 1)])
+def test_only_wegner_builds_a_layer_partition(tmp_path, monkeypatch, kind, builds):
+    """The layer partition is built on first use by the inertia counts, so
+    runs that only diagonalise never pay for it."""
+    from mpmsa.hamiltonian import LayerPartition
+
+    root = Path(__file__).resolve().parent.parent
+    calls = []
+    build = LayerPartition.of.__func__
+
+    def counting(cls, op):
+        calls.append(op.volume.label)
+        return build(cls, op)
+
+    monkeypatch.setattr(LayerPartition, "of", classmethod(counting))
+    monkeypatch.setenv("MPMSA_THREADS", "1")
+    cfg = str(root / "configs" / f"{kind}.cfg")
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / kind)]) == 0
+    assert len(calls) == builds
+
+
+def test_wegner_summary_counts_eigvalsh_fallbacks(tmp_path):
+    """With g = 0 every sample has the same spectrum; E + t placed on an
+    eigenvalue sends every sample to eigvalsh, E elsewhere sends none."""
+    import math
+
+    from mpmsa.configspace import MultiBall
+    from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
+    from mpmsa.graphs import build_graph
+    from mpmsa.spectral import BallOperators
+
+    graph = build_graph("path:9")
+    op = BallOperators(graph, ZERO_INTERACTION).operator(MultiBall(graph, (4,), 4))
+    lam = np.linalg.eigvalsh(op.hamiltonian(0.0, sample_potential(uniform_distribution(0, 1), graph, 0)).matrix)
+    t = 2.0 * math.exp(-(4.0**0.3))
+    for name, energy, fallbacks in (("edge", lam[2] - t, 60), ("inside", lam[2], 0)):
+        out = tmp_path / name
+        text = BASE_WEGNER.format(out=out).replace("g = 1.0", "g = 0.0")
+        text = text.replace("energy = 2.0", f"energy = {float(energy)!r}")
+        assert main(["wegner", "--config", _write(tmp_path, text, f"{name}.cfg")]) == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["eigvalsh_fallbacks"] == [fallbacks]
+        assert results["estimates"] == [1.0]
 
 
 def test_classify_enumerates_each_ball_once(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from mpmsa.evc import (
 from mpmsa.graphs import build_graph
 from mpmsa.hamiltonian import norm_bound
 from mpmsa.induction import _worst_estimate
+from mpmsa.msa import resonance_radius
 from mpmsa.spectral import BallOperators
 
 from helpers import assemble_ball
@@ -61,6 +62,19 @@ def test_wegner_g_zero_exact_eigenvalue():
     lam = np.linalg.eigvalsh(assemble_ball(ball, 0.0, smp, ZERO_INTERACTION).matrix)
     est = wegner_estimate(ball, DIST, BallOperators(g, ZERO_INTERACTION), 0.0, float(lam[2]), 0.3, 50, 3)
     assert est.estimate == 1.0
+    assert est.fallbacks == 0
+
+
+def test_wegner_falls_back_to_eigvalsh_at_the_window_edge():
+    # g = 0: every sample has the spectrum lam, and E + t lands on lam[2]
+    # within rounding, so no sample's inertia counts are above round-off
+    g = build_graph("path:9")
+    ball = MultiBall(g, (4,), 4)
+    lam = np.linalg.eigvalsh(assemble_ball(ball, 0.0, sample_potential(DIST, g, 0), ZERO_INTERACTION).matrix)
+    energy = float(lam[2]) - resonance_radius(4, 0.3)
+    est = wegner_estimate(ball, DIST, BallOperators(g, ZERO_INTERACTION), 0.0, energy, 0.3, 50, 3)
+    assert est.fallbacks == 50
+    assert est.estimate == 1.0  # lam[0] and lam[1] lie inside the window
 
 
 def test_wegner_matches_higher_resolution_oracle():

@@ -32,6 +32,7 @@ from .evc import (
 from .graphs import Graph, GrowthCertificate, build_graph, certify_growth
 from .hamiltonian import VolumeIndex, VolumeOperator, spectral_window
 from .induction import (
+    RootCounts,
     bridge_parameters,
     efc_decay_experiment,
     recursion_bound,
@@ -482,12 +483,16 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
         ),
     )
     operators = BallOperators(graph, interaction)
+    roots = {"turn": RootCounts(), "level": RootCounts()}
     for i in range(trials):
         sample = sample_potential(dist, graph, substream(seed, i))
         spectra = BallSpectra(operators, sample, g)
         spec_x = spectra.spectrum(ball_x)
         spec_y = spectra.spectrum(ball_y)
         res = sup_min_functional(spec_x, ball_x, spec_y, ball_y, cert, level, window)
+        for cover in (res.cover_x, res.cover_y):
+            for kind, counts in cover.roots.items():
+                roots[kind].add(counts)
         exceed += int(res.exceeded)
         cover_ok &= res.cover_x.count < 3 * res.cover_x.ball_size
         cover_ok &= res.cover_y.count < 3 * res.cover_y.ball_size
@@ -498,6 +503,7 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
     report.results["exceed_ci"] = [est.ci_low, est.ci_high]
     report.results["bridge_constants"] = {k: v for k, v in bp.items()}
     report.results["structural_target"] = math.exp(-mass.nu(n) * float(radius) ** params.kappa / 9.0)
+    report.results["cover_roots"] = {kind: vars(counts) for kind, counts in roots.items()}
     report.pass_flags["bridge_precondition"] = bool(bp["precondition_ok"])
     report.pass_flags["cover_counts"] = cover_ok
 

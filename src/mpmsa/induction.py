@@ -20,7 +20,7 @@ window, so the construction is translation-covariant under H -> H + tI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,19 @@ from .spectral import (
 # Energy interval covers
 
 
+@dataclass
+class RootCounts:
+    """Brackets bisected and reciprocal rows 1 / (p_j - E) formed for them:
+    one per bracket for its lower end and one per bracket and step."""
+
+    brackets: int = 0
+    rows: int = 0
+
+    def add(self, other: RootCounts) -> None:
+        self.brackets += other.brackets
+        self.rows += other.rows
+
+
 @dataclass(frozen=True)
 class EnergyIntervalCover:
     """Closed intervals covering {E in window : F_u(E) >= level}."""
@@ -67,6 +80,9 @@ class EnergyIntervalCover:
     level: float
     window: tuple[float, float]
     ball_size: int
+    # bisection work per kind of root: "turn" (zeros of F') and "level"
+    # (|F| = level crossings); not part of the cover's value
+    roots: dict[str, RootCounts] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -84,31 +100,76 @@ class EnergyIntervalCover:
         return mask
 
 
-def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _reciprocals(es: np.ndarray, poles: np.ndarray, power: int, out=None) -> np.ndarray:
+    """(energies x poles) matrix 1 / (p_j - E)^power, power 1 or 2, formed in
+    `out` if given; a pole gives inf.  The differences p_j - E come from the
+    rank-2 product [1, E] . [p_j, -1]: each is one rounding of the exact
+    difference, the bits of a subtraction, and BLAS forms them in place some
+    4x faster than a broadcast subtraction allocates them."""
+    ones = np.empty((es.size, 2))
+    ones[:, 0], ones[:, 1] = 1.0, es
+    out = np.matmul(ones, np.stack((poles, -np.ones(poles.size))), out=out)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return (1.0 / (poles[None, :] - es[:, None])) @ w
+        if power == 2:
+            np.multiply(out, out, out=out)
+        return np.divide(1.0, out, out=out)
+
+
+def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reciprocals(es, poles, 1) @ w
 
 
 def _rational_deriv(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return (1.0 / (poles[None, :] - es[:, None]) ** 2) @ w
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reciprocals(es, poles, 2) @ w
 
 
-def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Vectorized bisection; fn maps an energy array to residuals with a sign
-    change inside every [lo_i, hi_i] bracket."""
+def _bisect_many(
+    p, c, t, power, lo: np.ndarray, hi: np.ndarray, xtol: float, counts: RootCounts
+) -> np.ndarray:
+    """Vectorized bisection of G(E) = sum_j c_j / (p_j - E)^power - t, power
+    1 or 2, on brackets [lo_i, hi_i] with a sign change.
+
+    Every step evaluates G at all midpoints as _rational(mid, p, c) - t and
+    _rational_deriv(mid, p, c) do, bit for bit: the same (brackets x poles)
+    C-order reciprocal matrix times the same c, formed in one buffer that
+    every step reuses.  `counts` gains the brackets and the rows formed.
+    """
     if lo.size == 0:
         return lo
-    flo = fn(lo)
-    for _ in range(80):
-        if (hi - lo).max() <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        same = (flo <= 0.0) == (fm <= 0.0)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+    # The whole matrix, every step: the product reciprocals @ c gives each
+    # row bits that depend on the batch size and the row's position (BLAS
+    # kernels block the rows and treat the remainder apart; for a 119 x 169
+    # matrix and a strided column, 102 of 119 rows differ from one-row
+    # products), so no row can come from a smaller product.  The matrix is
+    # formed as _reciprocals forms it, with the step-invariant parts built
+    # once: calling _reciprocals per step costs the cover some 15 %.
+    recip = np.empty((lo.size, p.size))
+    ones = np.ones((lo.size, 2))
+    diff = np.stack((p, -np.ones(p.size)))
+
+    def negative(es: np.ndarray) -> np.ndarray:
+        ones[:, 1] = es
+        np.matmul(ones, diff, out=recip)
+        if power == 2:
+            np.multiply(recip, recip, out=recip)
+        np.divide(1.0, recip, out=recip)
+        return recip @ c - t <= 0.0
+
+    counts.brackets += lo.size
+    counts.rows += lo.size
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the sign at lo never changes: lo moves only to midpoints of its sign
+        neg_lo = negative(lo)
+        for _ in range(80):
+            if (hi - lo).max() <= xtol:
+                break
+            counts.rows += lo.size
+            mid = 0.5 * (lo + hi)
+            same = neg_lo == negative(mid)
+            lo = np.where(same, mid, lo)
+            hi = np.where(same, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -139,7 +200,7 @@ def _gap_samples(edges: np.ndarray, xtol: float) -> np.ndarray:
 
 def _group_segments(
     poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float], xtol: float,
-    scratch: np.ndarray,
+    scratch: np.ndarray, roots: dict[str, RootCounts],
 ) -> list[tuple[float, float]]:
     """Sublevel segments {|F_col| >= level} of every column of `weights`; all
     columns share the live poles, hence the samples and the reciprocals."""
@@ -150,9 +211,8 @@ def _group_segments(
         return []
     # one (samples x poles) array, overwritten in place to bound the memory
     recip = scratch[: samples.size * poles.size].reshape(samples.size, -1)
-    np.subtract(poles[None, :], samples[:, None], out=recip)
+    _reciprocals(samples, poles, 1, out=recip)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(1.0, recip, out=recip)
         values = recip @ weights
         slopes = np.square(recip, out=recip) @ weights
     del recip
@@ -164,7 +224,7 @@ def _group_segments(
     for col in range(weights.shape[1]):
         segments.extend(
             _column_segments(poles, weights[:, col], samples, values[:, col], turns[:, col],
-                             edges, level, window, xtol)
+                             edges, level, window, xtol, roots)
         )
     return segments
 
@@ -179,46 +239,44 @@ def _column_segments(
     level: float,
     window: tuple[float, float],
     xtol: float,
+    roots: dict[str, RootCounts],
 ) -> list[tuple[float, float]]:
     """Sublevel segments {|F| >= level} of one rational column on the window,
     given F at the shared samples and the samples after which F' changes sign."""
     lo_w, hi_w = window
     idx = np.nonzero(turns)[0]
-    dzeros = _bisect_many(lambda e: _rational_deriv(e, p, c), samples[idx], samples[idx + 1], xtol)
+    dzeros = _bisect_many(p, c, 0.0, 2, samples[idx], samples[idx + 1], xtol, roots["turn"])
 
     # |F| = level crossings bracketed on the refined point set
     extra = np.concatenate([dzeros, edges])
     pts, first = np.unique(np.concatenate([samples, extra]), return_index=True)
     vals = np.concatenate([sample_values, _rational(extra, p, c)])[first]
-    same_gap = np.searchsorted(p, pts[:-1]) == np.searchsorted(p, pts[1:])
+    gap = np.searchsorted(p, pts)
+    same_gap = gap[:-1] == gap[1:]
     crossings = [edges]
     for target in (level, -level):
         resid = vals - target
         flip = (np.sign(resid[:-1]) * np.sign(resid[1:]) < 0) & same_gap
         idx = np.nonzero(flip)[0]
-        roots = _bisect_many(
-            lambda e, t=target: _rational(e, p, c) - t, pts[idx], pts[idx + 1], xtol
-        )
-        crossings.append(roots)
+        crossings.append(_bisect_many(p, c, target, 1, pts[idx], pts[idx + 1], xtol, roots["level"]))
     breakpoints = np.clip(np.concatenate(crossings + [dzeros]), lo_w, hi_w)
     breakpoints = np.unique(breakpoints)
 
-    segments: list[tuple[float, float]] = []
     guard = max(xtol, 1e-15)
     mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
     if mids.size == 0:
         return []
     near_pole = dist_to_spectrum(p, mids) <= guard
-    inside = near_pole | (np.abs(_rational(mids, p, c)) >= level)
-    for i in np.nonzero(inside)[0]:
-        a, b = float(breakpoints[i]), float(breakpoints[i + 1])
-        if b - a <= 0:
-            continue
-        if segments and a <= segments[-1][1] + guard:
-            segments[-1] = (segments[-1][0], b)
-        else:
-            segments.append((a, b))
-    return segments
+    inside = np.flatnonzero(near_pole | (np.abs(_rational(mids, p, c)) >= level))
+    a, b = breakpoints[inside], breakpoints[inside + 1]
+    a, b = a[b - a > 0], b[b - a > 0]
+    if not a.size:
+        return []
+    # an interval starting within guard of the previous one's end extends it
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] > b[:-1] + guard
+    last = np.append(np.flatnonzero(first)[1:] - 1, a.size - 1)
+    return list(zip(a[first].tolist(), b[last].tolist()))
 
 
 def _merge(intervals: list[tuple[float, float]], eps: float) -> list[tuple[float, float]]:
@@ -259,17 +317,19 @@ def cover_from_profile(
     n_live = int(live.sum(axis=0).max())
     scratch = np.empty(_GAP_SAMPLES * (n_live + 1) * n_live)
     segments: list[tuple[float, float]] = []
+    roots = {"turn": RootCounts(), "level": RootCounts()}
     for cols in groups.values():
         mask = live[:, cols[0]]
         if mask.any():
             segments.extend(_group_segments(
-                poles[mask], weights[mask][:, cols], entry_level, window, xtol, scratch
+                poles[mask], weights[mask][:, cols], entry_level, window, xtol, scratch, roots
             ))
     return EnergyIntervalCover(
         intervals=tuple(_merge(segments, eps=xtol)),
         level=level,
         window=window,
         ball_size=ball_size,
+        roots=roots,
     )
 
 

@@ -43,6 +43,9 @@ class SpectralData:
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     h_norm: float
+    # the boundary profile of the volume's ball per growth certificate,
+    # formed on first request (see boundary_profile)
+    profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def component(self, config: Config) -> np.ndarray:
         """Row of the eigenvector matrix at a configuration (values psi_j(x))."""
@@ -302,20 +305,25 @@ def ball_boundary(spec: SpectralData, ball: MultiBall) -> np.ndarray:
 def boundary_profile(
     spec: SpectralData, ball: MultiBall, cert: GrowthCertificate
 ) -> BoundaryProfile:
+    """F_u data of the ball of `spec`, formed once per (spectrum, certificate):
+    a classification at many energies evaluates one profile."""
     if ball.radius < 1:
         raise ContractViolation("boundary functional needs radius >= 1")
     boundary = ball_boundary(spec, ball)
     if not boundary.size:
         raise ContractViolation("ball has empty inner boundary (it exhausts the graph)")
-    # C order keeps the summation order of the cover's matrix products
-    coeff = np.multiply(
-        spec.component(ball.center)[:, None], spec.eigenvectors[boundary].T, order="C"
-    )
-    return BoundaryProfile(
-        eigenvalues=spec.eigenvalues,
-        coefficients=coeff,
-        prefactor=cert.prefactor(ball.n_particles, ball.radius),
-    )
+    prof = spec.profiles.get(cert)
+    if prof is None:
+        # C order keeps the summation order of the cover's matrix products
+        coeff = np.multiply(
+            spec.component(ball.center)[:, None], spec.eigenvectors[boundary].T, order="C"
+        )
+        prof = spec.profiles[cert] = BoundaryProfile(
+            eigenvalues=spec.eigenvalues,
+            coefficients=coeff,
+            prefactor=cert.prefactor(ball.n_particles, ball.radius),
+        )
+    return prof
 
 
 def ns_flags(

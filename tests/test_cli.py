@@ -569,3 +569,106 @@ def test_shipped_validate_params_config_passes(tmp_path):
 
     cfg = Path(__file__).resolve().parent.parent / "configs" / "validate-params.cfg"
     assert main(["validate-params", "--config", str(cfg), "--out", str(tmp_path / "vp")]) == 0
+
+
+def test_classify_forms_one_boundary_profile_per_ball(tmp_path, monkeypatch):
+    """A 120-energy classify run forms the ball's boundary profile once and
+    evaluates it at each energy (the NS test is the only profile user)."""
+    from mpmsa import spectral
+
+    formed = []
+    profile = spectral.BoundaryProfile
+
+    def counting_profile(**kwargs):
+        formed.append(kwargs["coefficients"].shape)
+        return profile(**kwargs)
+
+    monkeypatch.setattr(spectral, "BoundaryProfile", counting_profile)
+    energies = ",".join(repr(float(e)) for e in np.linspace(0.0, 2000.0, 120))
+    cfg = _write(tmp_path, f"""\
+[experiment]
+kind = classify
+seed = 3100
+out = {tmp_path / "o"}
+
+[model]
+graph = path:40
+particles = 2
+distribution = uniform:0:1
+interaction = u:C=1:zeta=0.5:rcut=inf
+g = 1000
+
+[params]
+mode = subexp
+nstar = 2
+l0 = 3
+b = 2
+
+[run]
+center = 8,30
+radius = 6
+kmax = 1
+energy = {energies}
+""")
+    assert main(["classify", "--config", cfg]) == 0
+    assert len(formed) == 1
+
+
+# one bench-like bridge ball pair: two particles on path:40, g = 300
+BRIDGE_TWO_PARTICLES = """\
+[experiment]
+kind = bridge
+trials = 1
+seed = 4100
+out = {out}
+
+[model]
+graph = path:40
+particles = 2
+distribution = uniform:0:1
+interaction = u:C=1:zeta=0.5:rcut=inf
+g = 300
+
+[params]
+mode = subexp
+nstar = 2
+nustar = 20
+l0 = 3
+b = 2
+
+[run]
+radius = 6
+center_x = 7,9
+center_y = 28,31
+kmax = 1
+"""
+
+
+def _bridge_run(tmp_path, config, blas_threads):
+    """bridge.csv bytes and summary results of `config`, run in a child
+    process with `blas_threads` BLAS threads."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / f"{Path(config).stem}-{blas_threads}"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), MPMSA_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpmsa.cli", "bridge", "--config", str(config), "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return (out / "bridge.csv").read_bytes(), json.loads((out / "summary.json").read_text())["results"]
+
+
+def test_bridge_csv_identical_across_blas_threads(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    two = Path(_write(tmp_path, BRIDGE_TWO_PARTICLES.format(out=tmp_path / "unused"), "two.cfg"))
+    for config in (root / "configs" / "bridge.cfg", two):
+        one_thread, results = _bridge_run(tmp_path, config, 1)
+        two_threads, _ = _bridge_run(tmp_path, config, 2)
+        assert one_thread == two_threads
+        # the bisection work of the covers: each bracket forms one row for
+        # its lower end and one per step
+        for kind in ("turn", "level"):
+            counts = results["cover_roots"][kind]
+            assert counts["brackets"] > 0
+            assert 2 * counts["brackets"] <= counts["rows"] <= 81 * counts["brackets"]

@@ -3,7 +3,10 @@
 `cover_from_profile` shares the eigenvalue clusters, the gap samples and the
 reciprocal matrix between all boundary columns of a ball.  The oracle below is
 the column-at-a-time construction it replaces, kept verbatim as the
-reference: both must return the same interval tuples, float for float.
+reference: both must return the same interval tuples, float for float.  Its
+bisection `_bisect_many` is kept verbatim too, as the reference for the
+cover's bisection, which forms the same reciprocal matrices another way and
+must return the same roots, bit for bit.
 """
 
 import math
@@ -18,7 +21,8 @@ from mpmsa.configspace import MultiBall
 from mpmsa.disorder import sample_potential
 from mpmsa.experiments import certificate_for, model_from_config, params_from_config
 from mpmsa.hamiltonian import spectral_window
-from mpmsa.induction import _bisect_many, _merge, _rational, _rational_deriv, cover_from_profile
+from mpmsa import induction
+from mpmsa.induction import RootCounts, _merge, _rational, _rational_deriv, cover_from_profile
 from mpmsa.msa import MassSchedule
 from mpmsa.rng import substream
 from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, boundary_profile
@@ -28,6 +32,24 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # ---------------------------------------------------------------------------
 # Oracle: one column at a time
+
+
+def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
+    """Vectorized bisection; fn maps an energy array to residuals with a sign
+    change inside every [lo_i, hi_i] bracket."""
+    if lo.size == 0:
+        return lo
+    flo = fn(lo)
+    for _ in range(80):
+        if (hi - lo).max() <= xtol:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        same = (flo <= 0.0) == (fm <= 0.0)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _cluster_poles(lam, coeffs, gap=1e-10):
@@ -203,3 +225,117 @@ def test_cover_of_larger_cluster_agrees_to_rounding():
         want = oracle_intervals(prof, level, window)
         assert len(got) == len(want) > 0
         np.testing.assert_allclose(np.asarray(got), np.asarray(want), rtol=0, atol=1e-11)
+
+
+def test_cover_counts_the_rows_of_plain_bisection(monkeypatch):
+    """The cover's bisection work equals the oracle's: a row per bracket for
+    its lower end and per bracket and step."""
+    cfg = load_config(CONFIGS / "bridge.cfg")
+    cfg.table["model"].update(graph="path:40", particles="2", g="300",
+                              interaction="u:C=1:zeta=0.5:rcut=inf")
+    cfg.table["params"].update(nstar="2")
+    cfg.table["run"].update(center_x="7,9")
+    cfg.table["experiment"]["seed"] = "4100"
+    prof, level, window = next(_bridge_profiles(cfg, 1))
+    cover = cover_from_profile(prof, level, window, 169)
+    seen = {"brackets": 0, "rows": 0}
+    plain = _bisect_many
+
+    def counting(fn, lo, hi, xtol):
+        def rows(e):
+            seen["rows"] += e.size
+            return fn(e)
+
+        seen["brackets"] += lo.size
+        return plain(rows, lo, hi, xtol)
+
+    monkeypatch.setitem(globals(), "_bisect_many", counting)
+    assert cover.intervals == oracle_intervals(prof, level, window)
+    turn, level_roots = cover.roots["turn"], cover.roots["level"]
+    assert turn.brackets > 0 and level_roots.brackets > 0
+    assert turn.brackets + level_roots.brackets == seen["brackets"]
+    assert turn.rows + level_roots.rows == seen["rows"]
+
+
+# ---------------------------------------------------------------------------
+# The cover's bisection against the verbatim plain bisection
+
+
+def _plain_roots(p, c, t, power, lo, hi, xtol):
+    if power == 1:
+        return _bisect_many(lambda e: _rational(e, p, c) - t, lo, hi, xtol)
+    return _bisect_many(lambda e: _rational_deriv(e, p, c), lo, hi, xtol)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def bisections(draw):
+    """Poles (some 3e-11 apart), a column of signed weights (some pairs
+    cancelling to 1e-12), a level down to 1e-12 or an F' zero, and a batch
+    of brackets: sign changes on the cover's gap samples and brackets that
+    end on a pole, 1-9 or about 120 of them."""
+    ks = draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=8, unique=True))
+    poles = []
+    for k in ks:
+        poles.append(k * 1e-3)
+        if draw(st.booleans()):
+            poles.append(k * 1e-3 + 3e-11)
+    p = np.sort(np.asarray(poles))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.choice([-1.0, 1.0], p.size) * 10.0 ** rng.uniform(-6.0, 0.0, p.size)
+    if p.size >= 2 and draw(st.booleans()):
+        c[1] = -c[0] * (1.0 + 1e-12)  # heavy cancellation away from the two poles
+    weights = np.stack([c, -c[::-1]], axis=1)  # the cover bisects strided columns
+    power = draw(st.sampled_from([1, 2]))
+    t = 0.0 if power == 2 else draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-12.0, 1.0))
+    xtol = draw(st.sampled_from([1e-12, 1e-15, 1e-300]))  # 1e-300 runs into the 80-step cap
+    edges = np.concatenate(([p[0] - 1.0], p, [p[-1] + 1.0]))
+    samples = induction._gap_samples(edges, 1e-12)
+    col = weights[:, draw(st.integers(0, 1))]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = _rational(samples, p, col) - t if power == 1 else _rational_deriv(samples, p, col)
+    same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
+    idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & same_gap)
+    below = np.searchsorted(samples, p) - 1  # the last sample before each pole
+    below = below[(below >= 0) & (samples[np.maximum(below, 0)] < p)]
+    lo = np.concatenate((samples[idx], samples[below]))
+    hi = np.concatenate((samples[idx + 1], p[np.searchsorted(p, samples[below])]))
+    if lo.size == 0:
+        return p, col, t, power, lo, hi, xtol
+    size = draw(st.sampled_from([1, 2, 3, 5, 6, 7, 9, 117, 119, 121, 123]))
+    pick = rng.integers(0, lo.size, size)
+    return p, col, t, power, lo[pick], hi[pick], xtol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bisections())
+def test_bisection_matches_plain_bisection_bitwise(case):
+    p, c, t, power, lo, hi, xtol = case
+    counts = RootCounts()
+    got = induction._bisect_many(p, c, t, power, lo, hi, xtol, counts)
+    assert _same_bits(got, _plain_roots(p, c, t, power, lo, hi, xtol))
+    assert counts.brackets == lo.size
+
+
+def test_bisection_of_three_turns_and_of_a_pole_end():
+    """A bracket holding three zeros of F', and brackets ending on a pole,
+    where midpoints land on the pole (+-inf) once xtol is below the ulp."""
+    p = np.asarray([-3.0, -1.0, 1.0, 3.0])
+    weights = np.asarray([[3.206, 1.0], [-0.002, -3.0], [0.042, 3.0], [-4.375, -1.0]])
+    c = weights[:, 0]
+    xs = np.linspace(-0.95, 0.9, 2001)
+    dvals = _rational_deriv(xs, p, c)
+    assert np.flatnonzero(np.sign(dvals[:-1]) * np.sign(dvals[1:]) < 0).size == 3
+    lo, hi = xs[:1], xs[-1:]
+    for xtol in (1e-12, 1e-300):
+        got = induction._bisect_many(p, c, 0.0, 2, lo, hi, xtol, RootCounts())
+        assert _same_bits(got, _plain_roots(p, c, 0.0, 2, lo, hi, xtol))
+    lo = np.asarray([0.5, 1.0 - 1e-9, np.nextafter(1.0, 0.0)])
+    hi = np.ones(3)
+    for power, t in ((1, 2.0), (1, -2.0), (2, 0.0)):
+        for xtol in (1e-12, 1e-300):
+            got = induction._bisect_many(p, weights[:, 1], t, power, lo, hi, xtol, RootCounts())
+            assert _same_bits(got, _plain_roots(p, weights[:, 1], t, power, lo, hi, xtol))

@@ -220,11 +220,14 @@ def _group_segments(
     same_gap = gap_index[:-1] == gap_index[1:]
     # derivative sign changes within each gap give the monotone breakpoints
     turns = (np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0) & same_gap[:, None]
+    # the samples ascend; a pole can be the last sample of one gap and the
+    # first of the next
+    distinct = np.flatnonzero(np.concatenate(([True], samples[1:] != samples[:-1])))
     segments: list[tuple[float, float]] = []
     for col in range(weights.shape[1]):
         segments.extend(
             _column_segments(poles, weights[:, col], samples, values[:, col], turns[:, col],
-                             edges, level, window, xtol, roots)
+                             distinct, gap_index, edges, level, window, xtol, roots)
         )
     return segments
 
@@ -235,6 +238,8 @@ def _column_segments(
     samples: np.ndarray,
     sample_values: np.ndarray,
     turns: np.ndarray,
+    distinct: np.ndarray,
+    gap_index: np.ndarray,
     edges: np.ndarray,
     level: float,
     window: tuple[float, float],
@@ -242,16 +247,26 @@ def _column_segments(
     roots: dict[str, RootCounts],
 ) -> list[tuple[float, float]]:
     """Sublevel segments {|F| >= level} of one rational column on the window,
-    given F at the shared samples and the samples after which F' changes sign."""
+    given F at the shared samples (the first of equal ones at `distinct`, in
+    the gaps `gap_index`) and the samples after which F' changes sign."""
     lo_w, hi_w = window
     idx = np.nonzero(turns)[0]
     dzeros = _bisect_many(p, c, 0.0, 2, samples[idx], samples[idx + 1], xtol, roots["turn"])
 
-    # |F| = level crossings bracketed on the refined point set
+    # |F| = level crossings bracketed on the refined point set: the distinct
+    # samples and extra points, each value at its first occurrence (as
+    # np.unique of samples then extras keeps it), merged instead of sorted
     extra = np.concatenate([dzeros, edges])
-    pts, first = np.unique(np.concatenate([samples, extra]), return_index=True)
-    vals = np.concatenate([sample_values, _rational(extra, p, c)])[first]
-    gap = np.searchsorted(p, pts)
+    order = np.argsort(extra, kind="stable")
+    ex, ex_vals = extra[order], _rational(extra, p, c)[order]
+    points = samples[distinct]
+    at = np.searchsorted(points, ex)
+    new = points[np.minimum(at, points.size - 1)] != ex
+    new[1:] &= ex[1:] != ex[:-1]
+    at, ex, ex_vals = at[new], ex[new], ex_vals[new]
+    pts = np.insert(points, at, ex)
+    vals = np.insert(sample_values[distinct], at, ex_vals)
+    gap = np.insert(gap_index[distinct], at, np.searchsorted(p, ex))
     same_gap = gap[:-1] == gap[1:]
     crossings = [edges]
     for target in (level, -level):

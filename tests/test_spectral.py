@@ -1,8 +1,9 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpmsa.configspace import Config, MultiBall, rho_s
@@ -14,7 +15,7 @@ from mpmsa.disorder import (
 )
 from mpmsa.errors import ContractViolation, DataError, ResonanceError
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex
+from mpmsa.hamiltonian import SYMMETRY_STRIP, HamiltonianMatrix, VolumeIndex, VolumeOperator
 from mpmsa.rng import CounterRng
 from mpmsa import spectral
 from mpmsa.spectral import (
@@ -28,6 +29,7 @@ from mpmsa.spectral import (
     green_row,
     gri_check,
     ns_flags,
+    roundoff_floor,
 )
 
 from helpers import (
@@ -95,6 +97,158 @@ def test_eigendecompose_rejects_nan_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh_with_nan)
     with pytest.raises(DataError):
+        eigendecompose(ham)
+
+
+CONTRACT_GRAPHS = ("path:7", "cycle:6", "grid:3x3", "tree:2x2")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(CONTRACT_GRAPHS),
+    st.integers(1, 3),
+    st.sampled_from(("ball", "full", "submatrix", "shifted", "weighted")),
+    st.integers(0, 2**32 - 1),
+)
+def test_structured_residual_matches_dense_oracle(spec, n, kind, seed):
+    """The residual from H's diagonal and off-diagonal runs equals the dense
+    max |HV - V diag(lam)| to round-off, at the eigenpairs and at random (lam, V),
+    on balls, full volumes (as in criterion 09), submatrices, H + t I and H
+    with off-diagonal entries other than -1."""
+    graph = build_graph(spec)
+    rng = np.random.default_rng(seed)
+    smp = sample_potential(DIST, graph, seed)
+    interaction = InteractionPotential(1.0, 0.5)
+    if kind == "ball":
+        center = tuple(int(v) for v in rng.integers(graph.n_vertices, size=n))
+        ham = assemble_ball(MultiBall(graph, center, int(rng.integers(0, 3))), 3.0, smp, interaction)
+    else:
+        assume(graph.n_vertices**n <= 343)
+        volume = VolumeIndex(graph, itertools.product(range(graph.n_vertices), repeat=n), label="full")
+        ham = assemble(volume, 3.0, smp, interaction)
+    # runs read off the matrix are the operator's runs
+    assert HamiltonianMatrix(ham.volume, ham.matrix).runs == ham.runs
+    if kind == "submatrix":
+        keep = rng.random(len(ham.volume)) < 0.6
+        keep[rng.integers(len(ham.volume))] = True
+        ham = ham.submatrix([c for c, k in zip(ham.volume.configs, keep) if k])
+    elif kind == "shifted":
+        ham = HamiltonianMatrix(ham.volume, ham.matrix + rng.uniform(-5, 5) * np.eye(len(ham.volume)))
+    elif kind == "weighted":
+        w = rng.choice([1.0, 0.5, -2.0], size=ham.matrix.shape)
+        w = np.triu(w) + np.triu(w, 1).T
+        np.fill_diagonal(w, 1.0)
+        ham = HamiltonianMatrix(ham.volume, ham.matrix * w)
+    h = ham.matrix
+    m = len(h)
+    # the largest off-diagonal row sum, the degree when every entry is -1
+    degree = np.abs(h - np.diag(np.diagonal(h))).sum(axis=1).max()
+    spec = eigendecompose(ham)
+    for lam, vec in (
+        (spec.eigenvalues, spec.eigenvectors),
+        (rng.uniform(-10, 10, m), rng.uniform(-1, 1, (m, m))),
+    ):
+        oracle = np.abs(h @ vec - vec * lam).max()
+        tol = roundoff_floor(m, np.abs(np.diagonal(h)).max() + np.abs(lam).max() + degree)
+        assert abs(spectral._residual(ham, lam, vec) - oracle) <= tol
+
+
+def _two_particle_path(n_vertices: int, g: float, interaction=InteractionPotential(1.0, 0.5)):
+    graph = build_graph(f"path:{n_vertices}")
+    volume = VolumeIndex(graph, itertools.product(range(n_vertices), repeat=2), label="full")
+    return assemble(volume, g, sample_potential(DIST, graph, 3), interaction)
+
+
+def test_operator_hamiltonians_share_its_runs():
+    graph = build_graph("path:30")
+    volume = VolumeIndex(graph, itertools.product(range(30), repeat=2), label="full")
+    op = VolumeOperator(volume, InteractionPotential(1.0, 0.5))
+    # x2 moves: 30 runs of 29 rows per direction; x1 moves: one run each
+    assert len(op.runs) == 62
+    assert sum(stop - start for start, stop, _, _ in op.runs) == len(op.edges[0]) == 3480
+    assert op.hamiltonian(50.0, sample_potential(DIST, graph, 1)).runs is op.runs
+
+
+def test_symmetry_check_covers_every_strip():
+    ham = _two_particle_path(12, 5.0)
+    m = len(ham.matrix)
+    assert m > 2 * SYMMETRY_STRIP
+    for i, j in ((0, m - 1), (m - 1, 0), (70, 71), (140, 139), (m - 1, m - 2), (SYMMETRY_STRIP, 3)):
+        h = ham.matrix.copy()
+        h[i, j] += 1e-15
+        HamiltonianMatrix(ham.volume, h)  # within the 1e-14 bound
+        h[i, j] += 1e-13
+        with pytest.raises(DataError, match="not symmetric"):
+            HamiltonianMatrix(ham.volume, h)
+
+
+def test_contracts_reject_nan_in_a_neighbour_row(monkeypatch):
+    ham = _two_particle_path(12, 5.0)  # m = 144: 26 runs and 3 symmetry strips
+    assert len(ham.runs) == 26
+    # the last row of the last run and its neighbour, which lies in the last strip
+    start, stop, offset, _ = ham.runs[-1]
+    i, j = stop - 1, stop - 1 + offset
+    assert j >= 2 * SYMMETRY_STRIP and ham.matrix[i, j] == -1.0
+
+    h = ham.matrix.copy()
+    h[i, j] = h[j, i] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        HamiltonianMatrix(ham.volume, h)
+
+    mutated = HamiltonianMatrix(ham.volume, ham.matrix.copy(), ham.runs)
+    mutated.matrix[i, j] = mutated.matrix[j, i] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        eigendecompose(mutated)
+
+    lam, vec = np.linalg.eigh(ham.matrix)
+    vec[j, 5] = np.nan
+    assert np.isnan(spectral._residual(ham, lam, vec))
+    real_eigh = np.linalg.eigh
+
+    def eigh_with_nan(matrix):
+        lam, vec = real_eigh(matrix)
+        vec[j, 5] = np.nan
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_with_nan)
+    with pytest.raises(DataError, match="residual"):
+        eigendecompose(ham)
+
+
+def test_residual_contract_rejects_a_swapped_eigenvalue_pair(monkeypatch):
+    ham = _two_particle_path(12, 5.0)
+    real_eigh = np.linalg.eigh
+    lam = real_eigh(ham.matrix)[0]
+    gaps = np.diff(lam)
+    # the closest pair whose swap is still above the bound 1e-9 max(||H||, 1)
+    k = int(np.argmin(np.where(gaps > 1e-7 * np.abs(lam).max(), gaps, np.inf)))
+
+    def swapped(matrix):
+        lam, vec = real_eigh(matrix)
+        lam[[k, k + 1]] = lam[[k + 1, k]]
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", swapped)
+    with pytest.raises(DataError, match="residual"):
+        eigendecompose(ham)
+
+
+def test_gram_contract_rejects_a_non_orthogonal_mix(monkeypatch):
+    # g = 0 and no interaction: the two-particle path Laplacian has
+    # degenerate pairs, inside which any mix of eigenvectors passes the residual
+    ham = _two_particle_path(12, 0.0, ZERO_INTERACTION)
+    real_eigh = np.linalg.eigh
+    lam = real_eigh(ham.matrix)[0]
+    k = int(np.argmin(np.diff(lam)))
+    assert lam[k + 1] - lam[k] < 1e-12
+
+    def mixed(matrix):
+        lam, vec = real_eigh(matrix)
+        vec[:, k + 1] = (vec[:, k] + vec[:, k + 1]) / np.sqrt(2.0)
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    with pytest.raises(DataError, match="gram"):
         eigendecompose(ham)
 
 

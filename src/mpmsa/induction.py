@@ -11,10 +11,20 @@ per-cluster weights of all columns.  Columns with the same live poles (nonzero
 weights) form a group, usually one; per group: the gap samples, the matrix of
 reciprocals 1/(p_j - E) at the samples, and the values and slopes of every
 column at the samples as two matrix products.  Per column stay the sign-change
-brackets, the bisections for the derivative zeros and the level crossings, and
-the segments they bound, so each column's result is what a column-at-a-time
-construction gives.  All sampling offsets are anchored to the poles and the
-window, so the construction is translation-covariant under H -> H + tI.
+brackets of the derivative zeros ("turn") and of the level crossings
+("level"), and the segments they bound.
+
+Only roots that can bound the union are bisected: a turn bracket on which a
+bound keeps |F| below half the level, and a level bracket that lies well
+inside the union of the columns already done, are skipped (`_group_segments`
+says how, and why the union stays the same).  The rest are bisected in
+batches across the columns of a group.  The bisection uses no BLAS: it
+evaluates each bracket's column as a row-wise product with numpy's pairwise
+sum, so a root's bits depend on its own bracket alone, and each bracket stops
+at float convergence or after 80 steps.  `EnergyIntervalCover.roots` counts
+per kind of root the brackets bisected and skipped and the reciprocal rows
+formed.  All sampling offsets are anchored to the poles and the window, so the
+construction is translation-covariant under H -> H + tI.
 """
 
 from __future__ import annotations
@@ -61,15 +71,19 @@ from .spectral import (
 
 @dataclass
 class RootCounts:
-    """Brackets bisected and reciprocal rows 1 / (p_j - E) formed for them:
-    one per bracket for its lower end and one per bracket and step."""
+    """Brackets found for one kind of root: `brackets` bisected and `skipped`
+    (their root cannot bound the union), and the reciprocal `rows`
+    1 / (p_j - E) formed for the bisected ones: one per bracket for its lower
+    end and one per bracket and step."""
 
     brackets: int = 0
     rows: int = 0
+    skipped: int = 0
 
     def add(self, other: RootCounts) -> None:
         self.brackets += other.brackets
         self.rows += other.rows
+        self.skipped += other.skipped
 
 
 @dataclass(frozen=True)
@@ -100,82 +114,95 @@ class EnergyIntervalCover:
         return mask
 
 
-def _reciprocals(es: np.ndarray, poles: np.ndarray, power: int, out=None) -> np.ndarray:
-    """(energies x poles) matrix 1 / (p_j - E)^power, power 1 or 2, formed in
-    `out` if given; a pole gives inf.  The differences p_j - E come from the
-    rank-2 product [1, E] . [p_j, -1]: each is one rounding of the exact
-    difference, the bits of a subtraction, and BLAS forms them in place some
-    4x faster than a broadcast subtraction allocates them."""
+def _reciprocals(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
+    """(energies x poles) matrix 1 / (p_j - E), formed in `out` if given; a
+    pole gives inf.  The differences p_j - E come from the rank-2 product
+    [1, E] . [p_j, -1]: each is one rounding of the exact difference, the bits
+    of a subtraction, and BLAS forms them in place some 4x faster than a
+    broadcast subtraction allocates them."""
     ones = np.empty((es.size, 2))
     ones[:, 0], ones[:, 1] = 1.0, es
     out = np.matmul(ones, np.stack((poles, -np.ones(poles.size))), out=out)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if power == 2:
-            np.multiply(out, out, out=out)
         return np.divide(1.0, out, out=out)
 
 
 def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        return _reciprocals(es, poles, 1) @ w
+        return _reciprocals(es, poles) @ w
 
 
-def _rational_deriv(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _reciprocals(es, poles, 2) @ w
+_MAX_STEPS = 80
 
 
-def _bisect_many(
-    p, c, t, power, lo: np.ndarray, hi: np.ndarray, xtol: float, counts: RootCounts
+def _bisect(
+    p: np.ndarray, wt: np.ndarray, col: np.ndarray, t, power: int, lo: np.ndarray, hi: np.ndarray,
+    scratch: np.ndarray, counts: RootCounts,
 ) -> np.ndarray:
-    """Vectorized bisection of G(E) = sum_j c_j / (p_j - E)^power - t, power
-    1 or 2, on brackets [lo_i, hi_i] with a sign change.
+    """Bisection of G_i(E) = sum_j wt[col_i, j] / (p_j - E)^power - t_i, power
+    1 or 2, on brackets [lo_i, hi_i] with a sign change; returns the final
+    midpoints 0.5 (lo_i + hi_i).
 
-    Every step evaluates G at all midpoints as _rational(mid, p, c) - t and
-    _rational_deriv(mid, p, c) do, bit for bit: the same (brackets x poles)
-    C-order reciprocal matrix times the same c, formed in one buffer that
-    every step reuses.  `counts` gains the brackets and the rows formed.
+    G_i is evaluated row by row, as np.multiply(recip_i, c_i).sum() (numpy's
+    pairwise sum over the row), so a root's bits depend on its own bracket
+    alone: brackets of any columns share a batch, and dropping or regrouping
+    some moves no other root.  A bracket stops when its midpoint no longer
+    lies strictly inside it (float convergence) or after 80 steps.  A batch
+    keeps its reciprocals and weight rows in `scratch`, so it holds at most
+    scratch.size / (2 len(p)) brackets; `counts` gains the brackets and rows.
     """
-    if lo.size == 0:
-        return lo
-    # The whole matrix, every step: the product reciprocals @ c gives each
-    # row bits that depend on the batch size and the row's position (BLAS
-    # kernels block the rows and treat the remainder apart; for a 119 x 169
-    # matrix and a strided column, 102 of 119 rows differ from one-row
-    # products), so no row can come from a smaller product.  The matrix is
-    # formed as _reciprocals forms it, with the step-invariant parts built
-    # once: calling _reciprocals per step costs the cover some 15 %.
-    recip = np.empty((lo.size, p.size))
-    ones = np.ones((lo.size, 2))
-    diff = np.stack((p, -np.ones(p.size)))
+    t = np.broadcast_to(t, lo.shape)
+    roots = np.empty(lo.size)
+    size = scratch.size // (2 * p.size)
+    for s in range(0, lo.size, size):
+        part = slice(s, s + size)
+        roots[part] = _bisect_batch(p, wt, col[part], t[part], power, lo[part], hi[part], scratch, counts)
+    return roots
 
-    def negative(es: np.ndarray) -> np.ndarray:
-        ones[:, 1] = es
-        np.matmul(ones, diff, out=recip)
+
+def _bisect_batch(p, wt, col, t, power, lo, hi, scratch, counts) -> np.ndarray:
+    k, n = lo.size, p.size
+    recip = scratch[: k * n].reshape(k, n)
+    c = scratch[k * n : 2 * k * n].reshape(k, n)
+    np.take(wt, col, axis=0, out=c, mode="clip")
+
+    def negative(es: np.ndarray, t: np.ndarray) -> np.ndarray:
+        r = recip[: es.size]
+        np.subtract(p, es[:, None], out=r)
         if power == 2:
-            np.multiply(recip, recip, out=recip)
-        np.divide(1.0, recip, out=recip)
-        return recip @ c - t <= 0.0
+            np.multiply(r, r, out=r)
+        np.divide(1.0, r, out=r)
+        return np.multiply(r, c[: es.size], out=r).sum(axis=1) - t <= 0.0
 
-    counts.brackets += lo.size
-    counts.rows += lo.size
+    roots = np.empty(k)
+    live = np.arange(k)  # the bracket of each row still bisected
+    counts.brackets += k
+    counts.rows += k
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the sign at lo never changes: lo moves only to midpoints of its sign
-        neg_lo = negative(lo)
-        for _ in range(80):
-            if (hi - lo).max() <= xtol:
-                break
-            counts.rows += lo.size
+        neg_lo = negative(lo, t)
+        for step in range(_MAX_STEPS + 1):
             mid = 0.5 * (lo + hi)
-            same = neg_lo == negative(mid)
+            inner = (lo < mid) & (mid < hi) if step < _MAX_STEPS else np.zeros(mid.size, dtype=bool)
+            if not inner.all():
+                roots[live[~inner]] = mid[~inner]
+                keep = np.flatnonzero(inner)
+                if not keep.size:
+                    break
+                live, lo, hi, mid, neg_lo, t = (a[keep] for a in (live, lo, hi, mid, neg_lo, t))
+                np.take(wt, col[live], axis=0, out=c[: live.size], mode="clip")
+            counts.rows += live.size
+            same = neg_lo == negative(mid, t)
             lo = np.where(same, mid, lo)
             hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    return roots
 
 
 _INTERIOR_FRACTIONS = np.linspace(0.0, 1.0, 35)[1:-1]
 _EDGE_FRACTIONS = np.asarray([10.0**-j for j in range(1, 13)])
-_GAP_SAMPLES = _INTERIOR_FRACTIONS.size + 2 * _EDGE_FRACTIONS.size
+# rows of a block of reciprocals in the scratch buffer (at the most live
+# poles): a block of samples, or a bisection batch next to its weight rows
+_BLOCK_ROWS = 512
 
 
 def _gap_samples(edges: np.ndarray, xtol: float) -> np.ndarray:
@@ -198,67 +225,68 @@ def _gap_samples(edges: np.ndarray, xtol: float) -> np.ndarray:
     return grid[fresh]
 
 
-def _group_segments(
-    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float], xtol: float,
-    scratch: np.ndarray, roots: dict[str, RootCounts],
-) -> list[tuple[float, float]]:
-    """Sublevel segments {|F_col| >= level} of every column of `weights`; all
-    columns share the live poles, hence the samples and the reciprocals."""
-    lo_w, hi_w = window
-    edges = np.concatenate(([lo_w], poles[(poles > lo_w) & (poles < hi_w)], [hi_w]))
-    samples = _gap_samples(edges, xtol)
-    if samples.size == 0:
-        return []
-    # one (samples x poles) array, overwritten in place to bound the memory
-    recip = scratch[: samples.size * poles.size].reshape(samples.size, -1)
-    _reciprocals(samples, poles, 1, out=recip)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = recip @ weights
-        slopes = np.square(recip, out=recip) @ weights
-    del recip
-    gap_index = np.searchsorted(poles, samples)
-    same_gap = gap_index[:-1] == gap_index[1:]
-    # derivative sign changes within each gap give the monotone breakpoints
-    turns = (np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0) & same_gap[:, None]
-    # the samples ascend; a pole can be the last sample of one gap and the
-    # first of the next
-    distinct = np.flatnonzero(np.concatenate(([True], samples[1:] != samples[:-1])))
-    segments: list[tuple[float, float]] = []
-    for col in range(weights.shape[1]):
-        segments.extend(
-            _column_segments(poles, weights[:, col], samples, values[:, col], turns[:, col],
-                             distinct, gap_index, edges, level, window, xtol, roots)
-        )
-    return segments
+def _turn_skips(
+    poles: np.ndarray, weights: np.ndarray, samples: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    level: float, guard: float, scratch: np.ndarray,
+) -> np.ndarray:
+    """Turn brackets [s_i, s_i+1] (sample rows i, columns `cols`) whose root
+    cannot bound the union: both ends lie more than 4 guard from every pole,
+    and sum_j |w_j| / min(|p_j - s_i|, |p_j - s_i+1|) < level / 2, which
+    bounds |F| on the bracket (no pole lies inside it).  Such a zero of F'
+    is neither a crossing nor next to one, and sits in no guard piece."""
+    far = (dist_to_spectrum(poles, samples[rows]) > 4 * guard) & (
+        dist_to_spectrum(poles, samples[rows + 1]) > 4 * guard
+    )
+    uniq, at = np.unique(rows[far], return_inverse=True)
+    bound = np.empty((uniq.size, weights.shape[1]))
+    size = scratch.size // (2 * poles.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, uniq.size, size):
+            r = uniq[s : s + size]
+            near = scratch[: r.size * poles.size].reshape(r.size, -1)
+            other = scratch[r.size * poles.size : 2 * r.size * poles.size].reshape(r.size, -1)
+            np.abs(np.subtract(poles, samples[r, None], out=near), out=near)
+            np.abs(np.subtract(poles, samples[r + 1, None], out=other), out=other)
+            np.divide(1.0, np.minimum(near, other, out=near), out=near)
+            np.matmul(near, np.abs(weights), out=bound[s : s + size])
+    skip = far.copy()
+    skip[far] = bound[at, cols[far]] < 0.5 * level
+    return skip
 
 
-def _column_segments(
+def _level_skips(union: np.ndarray, lo: np.ndarray, hi: np.ndarray, margin: float) -> np.ndarray:
+    """Level brackets [lo, hi] whose widened span [lo - w - margin, hi + w +
+    margin] (w = hi - lo) lies inside one interval of `union`, the merged
+    cover so far as its (2 x intervals) starts and ends."""
+    starts, ends = union
+    width = hi - lo
+    k = np.searchsorted(starts, lo - width - margin, side="right") - 1
+    return (k >= 0) & (ends[np.maximum(k, 0)] >= hi + width + margin) if starts.size else np.zeros(lo.size, bool)
+
+
+def _level_brackets(
     p: np.ndarray,
     c: np.ndarray,
     samples: np.ndarray,
     sample_values: np.ndarray,
-    turns: np.ndarray,
     distinct: np.ndarray,
     gap_index: np.ndarray,
     edges: np.ndarray,
+    edge_values: np.ndarray,
+    dzeros: np.ndarray,
     level: float,
-    window: tuple[float, float],
-    xtol: float,
-    roots: dict[str, RootCounts],
-) -> list[tuple[float, float]]:
-    """Sublevel segments {|F| >= level} of one rational column on the window,
-    given F at the shared samples (the first of equal ones at `distinct`, in
-    the gaps `gap_index`) and the samples after which F' changes sign."""
-    lo_w, hi_w = window
-    idx = np.nonzero(turns)[0]
-    dzeros = _bisect_many(p, c, 0.0, 2, samples[idx], samples[idx + 1], xtol, roots["turn"])
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Brackets [lo, hi] of the crossings |F| = level of one rational column,
+    their targets +-level, and each bracket's end outside {|F| >= level}.
 
-    # |F| = level crossings bracketed on the refined point set: the distinct
-    # samples and extra points, each value at its first occurrence (as
-    # np.unique of samples then extras keeps it), merged instead of sorted
+    They are the sign changes of F -+ level on the refined point set: the
+    shared samples (the first of equal ones at `distinct`, in the gaps
+    `gap_index`) with F's values, plus the zeros of F' and the edges (with
+    F's values there), each value at its first occurrence (as np.unique of
+    samples then extras keeps it), merged instead of sorted."""
     extra = np.concatenate([dzeros, edges])
     order = np.argsort(extra, kind="stable")
-    ex, ex_vals = extra[order], _rational(extra, p, c)[order]
+    ex, ex_vals = extra[order], np.concatenate([_rational(dzeros, p, c), edge_values])[order]
     points = samples[distinct]
     at = np.searchsorted(points, ex)
     new = points[np.minimum(at, points.size - 1)] != ex
@@ -268,16 +296,26 @@ def _column_segments(
     vals = np.insert(sample_values[distinct], at, ex_vals)
     gap = np.insert(gap_index[distinct], at, np.searchsorted(p, ex))
     same_gap = gap[:-1] == gap[1:]
-    crossings = [edges]
+    los, targets, outside_lo = [], [], []
     for target in (level, -level):
-        resid = vals - target
-        flip = (np.sign(resid[:-1]) * np.sign(resid[1:]) < 0) & same_gap
-        idx = np.nonzero(flip)[0]
-        crossings.append(_bisect_many(p, c, target, 1, pts[idx], pts[idx + 1], xtol, roots["level"]))
-    breakpoints = np.clip(np.concatenate(crossings + [dzeros]), lo_w, hi_w)
-    breakpoints = np.unique(breakpoints)
+        sign = np.sign(vals - target)
+        idx = np.flatnonzero((sign[:-1] * sign[1:] < 0) & same_gap)
+        los.append(idx)
+        targets.append(np.full(idx.size, target))
+        # outside means F < level for +level and F > -level for -level
+        outside_lo.append(sign[idx] != np.sign(target))
+    idx, outside_lo = np.concatenate(los), np.concatenate(outside_lo)
+    return pts[idx], pts[idx + 1], np.concatenate(targets), np.where(outside_lo, pts[idx], pts[idx + 1])
 
-    guard = max(xtol, 1e-15)
+
+def _column_segments(
+    p: np.ndarray, c: np.ndarray, breakpoints: np.ndarray, level: float, window: tuple[float, float], guard: float
+) -> list[tuple[float, float]]:
+    """Sublevel segments {|F| >= level} of one rational column on the window:
+    the pieces between consecutive breakpoints (edges, crossings and zeros of
+    F') where |F| at the midpoint reaches the level or the midpoint lies
+    within guard of a pole."""
+    breakpoints = np.unique(np.clip(breakpoints, *window))
     mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
     if mids.size == 0:
         return []
@@ -292,6 +330,87 @@ def _column_segments(
     first[1:] = a[1:] > b[:-1] + guard
     last = np.append(np.flatnonzero(first)[1:] - 1, a.size - 1)
     return list(zip(a[first].tolist(), b[last].tolist()))
+
+
+def _group_segments(
+    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float], xtol: float,
+    scratch: np.ndarray, roots: dict[str, RootCounts], union: list[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """`union` (merged, ascending) grown by the sublevel segments
+    {|F_col| >= level} of every column of `weights`; all columns share the
+    live poles, hence the samples, the reciprocals and the bisection batches.
+
+    Only roots that can bound the union are bisected.  A zero of F' is
+    skipped where `_turn_skips` bounds |F| below level / 2.  The columns then
+    join the union in rounds of 1, 2, 4, ... columns, most level brackets
+    first; a level bracket [u, v] (w = v - u) whose [u - w, v + w] lies inside
+    the union of earlier rounds, with margin 2 xtol + 4 guard, keeps its end
+    outside {|F| >= level} as breakpoint instead of its root.  That moves the
+    column's segments only inside the union, so the union's endpoints are
+    the roots every bracket would give."""
+    lo_w, hi_w = window
+    edges = np.concatenate(([lo_w], poles[(poles > lo_w) & (poles < hi_w)], [hi_w]))
+    samples = _gap_samples(edges, xtol)
+    if samples.size == 0:
+        return union
+    # the (samples x poles) reciprocals a block of rows at a time, in place
+    # in `scratch`, where they stay in cache for both products
+    values = np.empty((samples.size, weights.shape[1]))
+    slopes = np.empty_like(values)
+    block_rows = scratch.size // (2 * poles.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for s in range(0, samples.size, block_rows):
+            part = slice(s, s + block_rows)
+            block = samples[part]
+            recip = _reciprocals(block, poles, out=scratch[: block.size * poles.size].reshape(block.size, -1))
+            np.matmul(recip, weights, out=values[part])
+            np.matmul(np.square(recip, out=recip), weights, out=slopes[part])
+    gap_index = np.searchsorted(poles, samples)
+    same_gap = gap_index[:-1] == gap_index[1:]
+    # derivative sign changes within each gap give the monotone breakpoints
+    turns = (np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0) & same_gap[:, None]
+    # the samples ascend; a pole can be the last sample of one gap and the
+    # first of the next
+    distinct = np.flatnonzero(np.concatenate(([True], samples[1:] != samples[:-1])))
+    guard = max(xtol, 1e-15)
+    wt = np.ascontiguousarray(weights.T)
+    n_cols = wt.shape[0]
+
+    # the zeros of F' of all columns in one bisection, ordered by column
+    cols, rows = np.nonzero(turns.T)
+    skip = _turn_skips(poles, weights, samples, rows, cols, level, guard, scratch)
+    roots["turn"].skipped += int(skip.sum())
+    cols, rows = cols[~skip], rows[~skip]
+    dzeros = _bisect(poles, wt, cols, 0.0, 2, samples[rows], samples[rows + 1], scratch, roots["turn"])
+    dzeros = np.split(dzeros, np.searchsorted(cols, np.arange(1, n_cols)))
+
+    # per column: its level brackets, their targets and their outside ends
+    edge_values = _rational(edges, poles, weights)
+    brackets = [
+        _level_brackets(poles, wt[col], samples, values[:, col], distinct, gap_index, edges, edge_values[:, col],
+                        dzeros[col], level)
+        for col in range(n_cols)
+    ]
+    counts = np.asarray([lo.size for lo, *_ in brackets])
+    order = np.argsort(-counts, kind="stable")
+    margin = 2 * xtol + 4 * guard
+    start, size = 0, 1
+    while start < n_cols:
+        batch = order[start : start + size]
+        start, size = start + size, 2 * size
+        lo, hi, target, outside = (np.concatenate(part) for part in zip(*(brackets[col] for col in batch)))
+        skip = _level_skips(np.asarray(union).reshape(-1, 2).T, lo, hi, margin)
+        roots["level"].skipped += int(skip.sum())
+        bisect = ~skip
+        crossings = outside.copy()
+        crossings[bisect] = _bisect(poles, wt, np.repeat(batch, counts[batch])[bisect], target[bisect], 1,
+                                    lo[bisect], hi[bisect], scratch, roots["level"])
+        segments = list(union)
+        for col, found in zip(batch, np.split(crossings, np.cumsum(counts[batch])[:-1])):
+            breakpoints = np.concatenate((edges, found, dzeros[col]))
+            segments.extend(_column_segments(poles, wt[col], breakpoints, level, window, guard))
+        union = _merge(segments, eps=xtol)
+    return union
 
 
 def _merge(intervals: list[tuple[float, float]], eps: float) -> list[tuple[float, float]]:
@@ -327,38 +446,26 @@ def cover_from_profile(
     groups: dict[bytes, list[int]] = {}
     for col in range(weights.shape[1]):
         groups.setdefault(live[:, col].tobytes(), []).append(col)
-    # every group's reciprocals fit this one buffer, reused in turn; fresh ~12 MB
-    # blocks per group fragment the heap, so peak RSS swings with unrelated edits
+    # one buffer for every group's blocks of reciprocals and bisection
+    # batches, reused in turn: about 1.4 MB at 169 poles, so a block stays
+    # in cache, and no fresh blocks per group fragment the heap
     n_live = int(live.sum(axis=0).max())
-    scratch = np.empty(_GAP_SAMPLES * (n_live + 1) * n_live)
-    segments: list[tuple[float, float]] = []
+    scratch = np.empty(2 * _BLOCK_ROWS * n_live)
+    union: list[tuple[float, float]] = []
     roots = {"turn": RootCounts(), "level": RootCounts()}
     for cols in groups.values():
         mask = live[:, cols[0]]
         if mask.any():
-            segments.extend(_group_segments(
-                poles[mask], weights[mask][:, cols], entry_level, window, xtol, scratch, roots
-            ))
+            union = _group_segments(
+                poles[mask], weights[mask][:, cols], entry_level, window, xtol, scratch, roots, union
+            )
     return EnergyIntervalCover(
-        intervals=tuple(_merge(segments, eps=xtol)),
+        intervals=tuple(union),
         level=level,
         window=window,
         ball_size=ball_size,
         roots=roots,
     )
-
-
-def sublevel_cover(
-    spec: SpectralData,
-    ball: MultiBall,
-    cert: GrowthCertificate,
-    level: float,
-    window: tuple[float, float],
-    xtol: float = 1e-12,
-) -> EnergyIntervalCover:
-    """Interval cover of {E in window : F_u(E) >= level} for a ball's Green data."""
-    prof = boundary_profile(spec, ball, cert)
-    return cover_from_profile(prof, level, window, len(spec.volume), xtol=xtol)
 
 
 # ---------------------------------------------------------------------------

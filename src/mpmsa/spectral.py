@@ -68,6 +68,21 @@ def cluster_sums(
     return np.add.reduceat(eigenvalues, starts) / sizes, np.add.reduceat(values, starts, axis=0)
 
 
+def _sign_anchors(vec: np.ndarray) -> np.ndarray:
+    """Per column, the sign (+1 for 0) of its largest-magnitude entry, the
+    smallest index winning ties: the rule of np.argmax(np.abs(vec), axis=0)
+    without forming |vec|.  The column maximum and minimum decide it unless
+    they tie in magnitude with opposite signs; only those columns look up the
+    first index of each by argmax and argmin."""
+    high, low = vec.max(axis=0), -vec.min(axis=0)
+    signs = np.where(high < low, -1.0, 1.0)
+    tie = np.flatnonzero((high == low) & (high > 0.0))
+    if tie.size:
+        sub = vec[:, tie]
+        signs[tie] = np.where(np.argmin(sub, axis=0) < np.argmax(sub, axis=0), -1.0, 1.0)
+    return signs
+
+
 def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
     """Full spectrum with orthonormal eigenvectors and a fixed sign convention.
 
@@ -80,10 +95,7 @@ def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
     if not np.isfinite(ham.matrix).all():
         raise DataError("matrix has non-finite entries")
     lam, vec = np.linalg.eigh(ham.matrix)
-    anchor = np.argmax(np.abs(vec), axis=0)
-    signs = np.sign(vec[anchor, np.arange(vec.shape[1])])
-    signs[signs == 0] = 1.0
-    vec *= signs
+    vec *= _sign_anchors(vec)
     h_norm = float(np.abs(lam).max()) if lam.size else 0.0
     resid = _residual(ham, lam, vec)
     # `not <=` so that a NaN residual or Gram deviation fails the contract

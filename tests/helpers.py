@@ -9,6 +9,7 @@ from mpmsa.disorder import ZERO_INTERACTION, DisorderSample, InteractionPotentia
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import GrowthCertificate
 from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
+from mpmsa.induction import EnergyIntervalCover, _reciprocals, cover_from_profile
 from mpmsa.spectral import (
     DEGENERACY_GAP,
     RESOLVENT_GUARD,
@@ -60,6 +61,27 @@ def boundary_functional(
     _check_resonance(spec, energy, guard)
     prof = boundary_profile(spec, ball, cert)
     return float(prof.evaluate(np.asarray([energy]))[0])
+
+
+def sublevel_cover(
+    spec: SpectralData,
+    ball: MultiBall,
+    cert: GrowthCertificate,
+    level: float,
+    window: tuple[float, float],
+    xtol: float = 1e-12,
+) -> EnergyIntervalCover:
+    """Interval cover of {E in window : F_u(E) >= level} for a ball's Green data."""
+    prof = boundary_profile(spec, ball, cert)
+    return cover_from_profile(prof, level, window, len(spec.volume), xtol=xtol)
+
+
+def rational_deriv(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j / (p_j - E)^2 at the energies, as the cover forms its slopes;
+    a pole gives inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        recip = _reciprocals(es, poles)
+        return np.square(recip, out=recip) @ w
 
 
 @dataclass(frozen=True)

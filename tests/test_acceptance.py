@@ -40,7 +40,6 @@ from mpmsa.induction import (
     efc_decay_experiment,
     recursion_bound,
     scale_probabilities,
-    sublevel_cover,
 )
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.rng import CounterRng, substream
@@ -53,7 +52,7 @@ from mpmsa.spectral import (
     gri_check,
 )
 
-from helpers import assemble, assemble_ball, clusters, efc_test_function_value
+from helpers import assemble, assemble_ball, clusters, efc_test_function_value, sublevel_cover
 
 DIST = uniform_distribution(0, 1)
 MASTER = 20250810

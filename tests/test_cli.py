@@ -670,5 +670,6 @@ def test_bridge_csv_identical_across_blas_threads(tmp_path):
         # its lower end and one per step
         for kind in ("turn", "level"):
             counts = results["cover_roots"][kind]
+            assert set(counts) == {"brackets", "rows", "skipped"}
             assert counts["brackets"] > 0
             assert 2 * counts["brackets"] <= counts["rows"] <= 81 * counts["brackets"]

@@ -1,18 +1,22 @@
-"""The batched energy-interval cover against the per-column reference algorithm.
+"""The energy-interval cover against the per-column reference algorithm.
 
 `cover_from_profile` shares the eigenvalue clusters, the gap samples and the
-reciprocal matrix between all boundary columns of a ball.  The oracle below is
-the column-at-a-time construction it replaces, kept verbatim as the
-reference: both must return the same interval tuples, float for float.  Its
-bisection `_bisect_many` is kept verbatim too, as the reference for the
-cover's bisection, which forms the same reciprocal matrices another way and
-must return the same roots, bit for bit.
+reciprocal matrix between all boundary columns of a ball, bisects the brackets
+of many columns in one batch, and skips the brackets whose root cannot bound
+the union.  The oracle below is the column-at-a-time construction that
+bisects every bracket, one bracket at a time: both must return the same
+interval tuples, float for float.  The oracle's bisection evaluates
+G(E) = sum_j c_j / (p_j - E)^power - t with the cover's arithmetic (a
+row-wise product and numpy's pairwise sum) and stops where the cover does,
+so the cover's roots must equal it bit for bit.
 """
 
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,34 +26,51 @@ from mpmsa.disorder import sample_potential
 from mpmsa.experiments import certificate_for, model_from_config, params_from_config
 from mpmsa.hamiltonian import spectral_window
 from mpmsa import induction
-from mpmsa.induction import RootCounts, _merge, _rational, _rational_deriv, cover_from_profile
+from mpmsa.induction import RootCounts, _merge, _rational, cover_from_profile
 from mpmsa.msa import MassSchedule
 from mpmsa.rng import substream
 from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, boundary_profile
+
+from helpers import rational_deriv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
-# Oracle: one column at a time
+# Oracle: one column at a time, one bracket at a time
 
 
-def _bisect_many(fn, lo: np.ndarray, hi: np.ndarray, xtol: float) -> np.ndarray:
-    """Vectorized bisection; fn maps an energy array to residuals with a sign
-    change inside every [lo_i, hi_i] bracket."""
-    if lo.size == 0:
-        return lo
-    flo = fn(lo)
-    for _ in range(80):
-        if (hi - lo).max() <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        same = (flo <= 0.0) == (fm <= 0.0)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+def _bisect_each(p, c, t, power, lo, hi, counts=None) -> np.ndarray:
+    """Plain bisection of G(E) = sum_j c_j / (p_j - E)^power - t on each
+    bracket [lo_i, hi_i] in turn, as a scalar loop; a bracket stops when its
+    midpoint no longer lies strictly inside it or after 80 steps.  `counts`
+    gains a row for each bracket's lower end and one per step."""
+
+    def negative(e):
+        d = p - e
+        if power == 2:
+            d = d * d
+        return np.multiply(1.0 / d, c).sum() - t <= 0.0
+
+    roots = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            neg_a = negative(a)
+            steps = 0
+            while steps < 80:
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
+                    break
+                steps += 1
+                if negative(mid) == neg_a:
+                    a = mid
+                else:
+                    b = mid
+            roots.append(0.5 * (a + b))
+            if counts is not None:
+                counts.brackets += 1
+                counts.rows += 1 + steps
+    return np.asarray(roots, dtype=np.float64)
 
 
 def _cluster_poles(lam, coeffs, gap=1e-10):
@@ -72,7 +93,7 @@ def _gap_points(lo, hi):
     return np.unique(np.concatenate([base, lo + width * _EDGE_FRACTIONS, hi - width * _EDGE_FRACTIONS]))
 
 
-def _segments_for_column(poles, w, level, window, xtol):
+def _segments_for_column(poles, w, level, window, xtol, counts):
     lo_w, hi_w = window
     live = np.abs(w) > 0.0
     p, c = poles[live], w[live]
@@ -87,10 +108,10 @@ def _segments_for_column(poles, w, level, window, xtol):
     if not sample_blocks:
         return []
     samples = np.concatenate(sample_blocks)
-    dvals = _rational_deriv(samples, p, c)
+    dvals = rational_deriv(samples, p, c)
     in_same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
     idx = np.nonzero((np.sign(dvals[:-1]) * np.sign(dvals[1:]) < 0) & in_same_gap)[0]
-    dzeros = _bisect_many(lambda e: _rational_deriv(e, p, c), samples[idx], samples[idx + 1], xtol)
+    dzeros = _bisect_each(p, c, 0.0, 2, samples[idx], samples[idx + 1], counts["turn"])
     pts = np.unique(np.concatenate([samples, dzeros, np.asarray(gap_edges)]))
     vals = _rational(pts, p, c)
     same_gap = np.searchsorted(p, pts[:-1]) == np.searchsorted(p, pts[1:])
@@ -98,9 +119,7 @@ def _segments_for_column(poles, w, level, window, xtol):
     for target in (level, -level):
         resid = vals - target
         idx = np.nonzero((np.sign(resid[:-1]) * np.sign(resid[1:]) < 0) & same_gap)[0]
-        crossings.append(_bisect_many(
-            lambda e, t=target: _rational(e, p, c) - t, pts[idx], pts[idx + 1], xtol
-        ))
+        crossings.append(_bisect_each(p, c, target, 1, pts[idx], pts[idx + 1], counts["level"]))
     breakpoints = np.unique(np.clip(np.concatenate(crossings + [dzeros]), lo_w, hi_w))
     segments = []
     guard = max(xtol, 1e-15)
@@ -120,13 +139,55 @@ def _segments_for_column(poles, w, level, window, xtol):
     return segments
 
 
-def oracle_intervals(profile, level, window, xtol=1e-12):
+def oracle_intervals(profile, level, window, xtol=1e-12, counts=None):
+    """The cover's intervals; `counts` (per kind of root) gains the brackets
+    and rows of bisecting every bracket."""
+    if counts is None:
+        counts = {"turn": RootCounts(), "level": RootCounts()}
     entry_level = level / profile.prefactor
     segments = []
     for col in range(profile.coefficients.shape[1]):
         poles, weights = _cluster_poles(profile.eigenvalues, profile.coefficients[:, col])
-        segments.extend(_segments_for_column(poles, weights, entry_level, window, xtol))
+        segments.extend(_segments_for_column(poles, weights, entry_level, window, xtol, counts))
     return tuple(_merge(segments, eps=xtol))
+
+
+def _cover_without_skips(prof, level, window, ball_size):
+    """The cover with every bracket bisected: both skip tests say no."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induction, "_turn_skips", lambda poles, w, samples, rows, *_: np.zeros(rows.size, bool))
+        mp.setattr(induction, "_level_skips", lambda union, lo, hi, margin: np.zeros(lo.size, bool))
+        return cover_from_profile(prof, level, window, ball_size)
+
+
+def _cover_recording_turn_skips(prof, level, window, ball_size):
+    """The cover and, per group, the poles, weights, samples, entry level and
+    the (sample row, column) of every skipped zero of F'."""
+    seen = []
+    plain = induction._turn_skips
+
+    def recording(poles, weights, samples, rows, cols, entry_level, guard, scratch):
+        skip = plain(poles, weights, samples, rows, cols, entry_level, guard, scratch)
+        seen.append((poles, weights.copy(), samples, rows[skip], cols[skip], entry_level))
+        return skip
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induction, "_turn_skips", recording)
+        return cover_from_profile(prof, level, window, ball_size), seen
+
+
+def _assert_skipped_turns_stay_below_level(seen) -> int:
+    """|F| < level on a 65-point grid of every skipped turn bracket; returns
+    how many brackets were checked."""
+    fractions = np.linspace(0.0, 1.0, 65)
+    checked = 0
+    for poles, weights, samples, rows, cols, level in seen:
+        for col in np.unique(cols):
+            r = rows[cols == col]
+            grid = samples[r, None] + (samples[r + 1] - samples[r])[:, None] * fractions
+            assert (np.abs(_rational(grid.ravel(), poles, weights[:, col])) < level).all()
+            checked += r.size
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +210,21 @@ def _bridge_profiles(cfg, trials):
             yield boundary_profile(spectra.spectrum(ball), ball, cert), level, window
 
 
+@functools.cache
+def _two_particle_ball(seed=4100):
+    """The x ball of a variant of the benchmark's bridge balls: 169
+    eigenvalues, 48 columns (path:40, g = 300, seed 4100 + variant)."""
+    cfg = load_config(CONFIGS / "bridge.cfg")
+    cfg.table["model"].update(graph="path:40", particles="2", g="300",
+                              interaction="u:C=1:zeta=0.5:rcut=inf")
+    cfg.table["params"].update(nstar="2")
+    cfg.table["run"].update(center_x="7,9")
+    cfg.table["experiment"]["seed"] = str(seed)
+    prof, level, window = next(_bridge_profiles(cfg, 1))
+    assert prof.coefficients.shape == (169, 48)
+    return prof, level, window
+
+
 def test_batched_cover_matches_oracle_on_shipped_bridge_balls():
     cfg = load_config(CONFIGS / "bridge.cfg")
     checked = 0
@@ -160,18 +236,55 @@ def test_batched_cover_matches_oracle_on_shipped_bridge_balls():
 
 
 def test_batched_cover_matches_oracle_on_two_particle_bridge_ball():
-    # one variant of the benchmark's bridge balls: 169 eigenvalues, 48 columns
-    cfg = load_config(CONFIGS / "bridge.cfg")
-    cfg.table["model"].update(graph="path:40", particles="2", g="300",
-                              interaction="u:C=1:zeta=0.5:rcut=inf")
-    cfg.table["params"].update(nstar="2")
-    cfg.table["run"].update(center_x="7,9")
-    cfg.table["experiment"]["seed"] = "4100"
-    prof, level, window = next(_bridge_profiles(cfg, 1))
-    assert prof.coefficients.shape == (169, 48)
+    prof, level, window = _two_particle_ball()
     cover = cover_from_profile(prof, level, window, 169)
     assert cover.count > 0
     assert cover.intervals == oracle_intervals(prof, level, window)
+
+
+def test_cover_bisects_only_what_can_bound_the_union():
+    """A work guard without timing: bisecting every bracket of the
+    two-particle bench ball in lockstep batches formed 539,746 reciprocal
+    rows; the cover must stay within a quarter of that."""
+    prof, level, window = _two_particle_ball()
+    cover = cover_from_profile(prof, level, window, 169)
+    assert sum(counts.rows for counts in cover.roots.values()) <= 135_000
+
+
+def test_cover_counts_the_rows_of_plain_bisection():
+    """Every bracket the oracle bisects is bisected or counted as skipped by
+    the cover, and a bisected bracket forms the oracle's rows: one for its
+    lower end and one per step.  With both skip tests off, the counts equal
+    the oracle's and so do the intervals."""
+    prof, level, window = _two_particle_ball()
+    seen = {"turn": RootCounts(), "level": RootCounts()}
+    want = oracle_intervals(prof, level, window, counts=seen)
+    cover = cover_from_profile(prof, level, window, 169)
+    full = _cover_without_skips(prof, level, window, 169)
+    assert cover.intervals == full.intervals == want
+    for kind in ("turn", "level"):
+        got, every = cover.roots[kind], full.roots[kind]
+        assert got.brackets > 0 and got.skipped > 0 and every.skipped == 0
+        assert got.brackets + got.skipped == every.brackets == seen[kind].brackets
+        assert every.rows == seen[kind].rows
+        assert got.rows < every.rows
+
+
+@pytest.mark.parametrize("seed", [4101, 4107])
+def test_skips_leave_bench_balls_unchanged(seed):
+    """Two more bench balls, float for float against every bracket bisected.
+    On both, skipping turns next to a pole (no 4 guard margin) moves the
+    cover: an endpoint on one, the interval count on the other."""
+    prof, level, window = _two_particle_ball(seed)
+    cover = cover_from_profile(prof, level, window, 169)
+    assert cover.roots["turn"].skipped > 0 and cover.roots["level"].skipped > 0
+    assert cover.intervals == _cover_without_skips(prof, level, window, 169).intervals
+
+
+def test_skipped_turns_stay_below_level_on_the_bench_ball():
+    prof, level, window = _two_particle_ball()
+    cover, seen = _cover_recording_turn_skips(prof, level, window, 169)
+    assert _assert_skipped_turns_stay_below_level(seen) == cover.roots["turn"].skipped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +325,39 @@ def test_batched_cover_matches_oracle_on_random_profiles(case):
     assert cover.intervals == oracle_intervals(prof, level, window)
 
 
+@st.composite
+def wide_profiles(draw):
+    """Up to 40 poles spread over [-10, 10], weights from 1e-6 to 1 (a fifth
+    of them zero): wide gaps whose turns stay below the level, as on the
+    bench balls, so both kinds of skip occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    n_cols = draw(st.integers(1, 6))
+    lam = np.sort(rng.uniform(-10.0, 10.0, n))
+    coeffs = rng.choice([-1.0, 1.0], (n, n_cols)) * 10.0 ** rng.uniform(-6.0, 0.0, (n, n_cols))
+    coeffs[rng.random((n, n_cols)) < 0.2] = 0.0
+    lo = draw(st.floats(-12.0, 0.0))
+    hi = lo + draw(st.floats(1.0, 24.0))
+    level = 10.0 ** draw(st.floats(-1.0, 2.0))
+    prefactor = draw(st.sampled_from([1.0, 2.5, 37.0]))
+    return BoundaryProfile(eigenvalues=lam, coefficients=coeffs, prefactor=prefactor), level, (lo, hi)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(profiles(), wide_profiles()))
+def test_skips_leave_the_cover_unchanged_on_random_profiles(case):
+    """The cover with skips equals the cover with every bracket bisected and
+    the oracle, float for float, and every skipped zero of F' lies on a
+    bracket where |F| < level on a dense grid."""
+    prof, level, window = case
+    cover, seen = _cover_recording_turn_skips(prof, level, window, len(prof.eigenvalues))
+    full = _cover_without_skips(prof, level, window, len(prof.eigenvalues))
+    assert cover.intervals == full.intervals == oracle_intervals(prof, level, window)
+    for kind in ("turn", "level"):
+        assert cover.roots[kind].brackets + cover.roots[kind].skipped == full.roots[kind].brackets
+    assert _assert_skipped_turns_stay_below_level(seen) == cover.roots["turn"].skipped
+
+
 def test_cover_of_larger_cluster_agrees_to_rounding():
     """Runs of three or more eigenvalues within DEGENERACY_GAP are summed by
     np.add.reduceat, whose order differs from a sequential sum; the covers
@@ -227,44 +373,18 @@ def test_cover_of_larger_cluster_agrees_to_rounding():
         np.testing.assert_allclose(np.asarray(got), np.asarray(want), rtol=0, atol=1e-11)
 
 
-def test_cover_counts_the_rows_of_plain_bisection(monkeypatch):
-    """The cover's bisection work equals the oracle's: a row per bracket for
-    its lower end and per bracket and step."""
-    cfg = load_config(CONFIGS / "bridge.cfg")
-    cfg.table["model"].update(graph="path:40", particles="2", g="300",
-                              interaction="u:C=1:zeta=0.5:rcut=inf")
-    cfg.table["params"].update(nstar="2")
-    cfg.table["run"].update(center_x="7,9")
-    cfg.table["experiment"]["seed"] = "4100"
-    prof, level, window = next(_bridge_profiles(cfg, 1))
-    cover = cover_from_profile(prof, level, window, 169)
-    seen = {"brackets": 0, "rows": 0}
-    plain = _bisect_many
-
-    def counting(fn, lo, hi, xtol):
-        def rows(e):
-            seen["rows"] += e.size
-            return fn(e)
-
-        seen["brackets"] += lo.size
-        return plain(rows, lo, hi, xtol)
-
-    monkeypatch.setitem(globals(), "_bisect_many", counting)
-    assert cover.intervals == oracle_intervals(prof, level, window)
-    turn, level_roots = cover.roots["turn"], cover.roots["level"]
-    assert turn.brackets > 0 and level_roots.brackets > 0
-    assert turn.brackets + level_roots.brackets == seen["brackets"]
-    assert turn.rows + level_roots.rows == seen["rows"]
-
-
 # ---------------------------------------------------------------------------
-# The cover's bisection against the verbatim plain bisection
+# The cover's bisection against the scalar loop
 
 
-def _plain_roots(p, c, t, power, lo, hi, xtol):
-    if power == 1:
-        return _bisect_many(lambda e: _rational(e, p, c) - t, lo, hi, xtol)
-    return _bisect_many(lambda e: _rational_deriv(e, p, c), lo, hi, xtol)
+def _cover_bisect(p, weights, col, t, power, lo, hi, scratch_rows=None):
+    """The cover's bisection of the brackets [lo_i, hi_i] of columns col_i;
+    its batches hold `scratch_rows` brackets if given."""
+    rows = scratch_rows or max(lo.size, 1)
+    scratch = np.empty(2 * rows * p.size)
+    counts = RootCounts()
+    wt = np.ascontiguousarray(weights.T)
+    return induction._bisect(p, wt, col, t, power, lo, hi, scratch, counts), counts
 
 
 def _same_bits(a, b):
@@ -273,10 +393,10 @@ def _same_bits(a, b):
 
 @st.composite
 def bisections(draw):
-    """Poles (some 3e-11 apart), a column of signed weights (some pairs
-    cancelling to 1e-12), a level down to 1e-12 or an F' zero, and a batch
-    of brackets: sign changes on the cover's gap samples and brackets that
-    end on a pole, 1-9 or about 120 of them."""
+    """Poles (some 3e-11 apart), two columns of signed weights (some pairs
+    cancelling to 1e-12), a level down to 1e-12 or an F' zero, and a batch of
+    brackets of both columns: sign changes on the cover's gap samples and
+    brackets that end on a pole, 1-9 or about 120 of them."""
     ks = draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=8, unique=True))
     poles = []
     for k in ks:
@@ -288,54 +408,92 @@ def bisections(draw):
     c = rng.choice([-1.0, 1.0], p.size) * 10.0 ** rng.uniform(-6.0, 0.0, p.size)
     if p.size >= 2 and draw(st.booleans()):
         c[1] = -c[0] * (1.0 + 1e-12)  # heavy cancellation away from the two poles
-    weights = np.stack([c, -c[::-1]], axis=1)  # the cover bisects strided columns
+    weights = np.stack([c, -c[::-1]], axis=1)
     power = draw(st.sampled_from([1, 2]))
-    t = 0.0 if power == 2 else draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-12.0, 1.0))
-    xtol = draw(st.sampled_from([1e-12, 1e-15, 1e-300]))  # 1e-300 runs into the 80-step cap
+    level = 0.0 if power == 2 else 10.0 ** draw(st.floats(-12.0, 1.0))
     edges = np.concatenate(([p[0] - 1.0], p, [p[-1] + 1.0]))
     samples = induction._gap_samples(edges, 1e-12)
-    col = weights[:, draw(st.integers(0, 1))]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = _rational(samples, p, col) - t if power == 1 else _rational_deriv(samples, p, col)
     same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
-    idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & same_gap)
     below = np.searchsorted(samples, p) - 1  # the last sample before each pole
     below = below[(below >= 0) & (samples[np.maximum(below, 0)] < p)]
-    lo = np.concatenate((samples[idx], samples[below]))
-    hi = np.concatenate((samples[idx + 1], p[np.searchsorted(p, samples[below])]))
-    if lo.size == 0:
-        return p, col, t, power, lo, hi, xtol
-    size = draw(st.sampled_from([1, 2, 3, 5, 6, 7, 9, 117, 119, 121, 123]))
-    pick = rng.integers(0, lo.size, size)
-    return p, col, t, power, lo[pick], hi[pick], xtol
+    lo, hi, col, t = [], [], [], []
+    for j in (0, 1):
+        for target in ((level, -level) if power == 1 else (0.0,)):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                g = (_rational(samples, p, weights[:, j]) - target if power == 1
+                     else rational_deriv(samples, p, weights[:, j]))
+            idx = np.flatnonzero((np.sign(g[:-1]) * np.sign(g[1:]) < 0) & same_gap)
+            lo.extend((samples[idx], samples[below]))
+            hi.extend((samples[idx + 1], p[np.searchsorted(p, samples[below])]))
+            count = idx.size + below.size
+            col.append(np.full(count, j))
+            t.append(np.full(count, target))
+    lo, hi, col, t = (np.concatenate(a) for a in (lo, hi, col, t))
+    if lo.size:
+        size = draw(st.sampled_from([1, 2, 3, 5, 6, 7, 9, 117, 119, 121, 123]))
+        pick = rng.integers(0, lo.size, size)
+        lo, hi, col, t = lo[pick], hi[pick], col[pick], t[pick]
+    return p, weights, col, t, power, lo, hi, rng.permutation(lo.size)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(bisections())
 def test_bisection_matches_plain_bisection_bitwise(case):
-    p, c, t, power, lo, hi, xtol = case
-    counts = RootCounts()
-    got = induction._bisect_many(p, c, t, power, lo, hi, xtol, counts)
-    assert _same_bits(got, _plain_roots(p, c, t, power, lo, hi, xtol))
-    assert counts.brackets == lo.size
+    p, weights, col, t, power, lo, hi, _ = case
+    got, counts = _cover_bisect(p, weights, col, t, power, lo, hi)
+    want = np.empty(lo.size)
+    seen = RootCounts()
+    for i in range(lo.size):
+        want[i:i + 1] = _bisect_each(p, weights[:, col[i]], t[i], power, lo[i:i + 1], hi[i:i + 1], seen)
+    assert _same_bits(got, want)
+    assert counts.brackets == seen.brackets == lo.size
+    assert counts.rows == seen.rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bisections())
+def test_a_root_does_not_depend_on_its_batch(case):
+    """Each root is bit-identical whether its bracket is bisected alone, in a
+    shuffled batch with the other column's brackets, or in batches of 3."""
+    p, weights, col, t, power, lo, hi, perm = case
+    alone = np.asarray([_cover_bisect(p, weights, col[i:i + 1], t[i:i + 1], power, lo[i:i + 1], hi[i:i + 1])[0][0]
+                        for i in range(lo.size)])
+    shuffled, _ = _cover_bisect(p, weights, col[perm], t[perm], power, lo[perm], hi[perm])
+    chunked, _ = _cover_bisect(p, weights, col, t, power, lo, hi, scratch_rows=3)
+    assert _same_bits(shuffled, alone[perm])
+    assert _same_bits(chunked, alone)
 
 
 def test_bisection_of_three_turns_and_of_a_pole_end():
     """A bracket holding three zeros of F', and brackets ending on a pole,
-    where midpoints land on the pole (+-inf) once xtol is below the ulp."""
+    where midpoints land on the pole (+-inf)."""
     p = np.asarray([-3.0, -1.0, 1.0, 3.0])
     weights = np.asarray([[3.206, 1.0], [-0.002, -3.0], [0.042, 3.0], [-4.375, -1.0]])
-    c = weights[:, 0]
     xs = np.linspace(-0.95, 0.9, 2001)
-    dvals = _rational_deriv(xs, p, c)
+    dvals = rational_deriv(xs, p, weights[:, 0])
     assert np.flatnonzero(np.sign(dvals[:-1]) * np.sign(dvals[1:]) < 0).size == 3
     lo, hi = xs[:1], xs[-1:]
-    for xtol in (1e-12, 1e-300):
-        got = induction._bisect_many(p, c, 0.0, 2, lo, hi, xtol, RootCounts())
-        assert _same_bits(got, _plain_roots(p, c, 0.0, 2, lo, hi, xtol))
+    got, _ = _cover_bisect(p, weights, np.zeros(1, int), 0.0, 2, lo, hi)
+    assert _same_bits(got, _bisect_each(p, weights[:, 0], 0.0, 2, lo, hi))
     lo = np.asarray([0.5, 1.0 - 1e-9, np.nextafter(1.0, 0.0)])
     hi = np.ones(3)
     for power, t in ((1, 2.0), (1, -2.0), (2, 0.0)):
-        for xtol in (1e-12, 1e-300):
-            got = induction._bisect_many(p, weights[:, 1], t, power, lo, hi, xtol, RootCounts())
-            assert _same_bits(got, _plain_roots(p, weights[:, 1], t, power, lo, hi, xtol))
+        got, _ = _cover_bisect(p, weights, np.ones(3, int), t, power, lo, hi)
+        assert _same_bits(got, _bisect_each(p, weights[:, 1], t, power, lo, hi))
+
+
+def test_bisection_stops_at_float_convergence_or_after_80_steps():
+    """Adjacent ends take no step; a root at 0 never converges in floats and
+    stops at the cap; a root near 0.6 converges after about 53 steps."""
+    p, weights = np.asarray([-1.0, 1.0]), np.ones((2, 1))  # F(E) = 2E / (1 - E^2)
+    lo = np.asarray([0.5, -0.5, 0.5])
+    hi = np.asarray([np.nextafter(0.5, 1.0), 0.25, 0.75])
+    t = np.asarray([0.0, 0.0, 2 * 0.6 / (1 - 0.36)])
+    got, counts = _cover_bisect(p, weights, np.zeros(3, int), t, 1, lo, hi)
+    steps = [_cover_bisect(p, weights, np.zeros(1, int), t[i:i + 1], 1, lo[i:i + 1], hi[i:i + 1])[1].rows - 1
+             for i in range(3)]
+    assert steps[:2] == [0, 80] and 40 < steps[2] < 80
+    assert counts.rows == 3 + sum(steps)
+    assert got[0] == 0.5 * (lo[0] + hi[0]) and abs(got[1]) < 1e-15 and abs(got[2] - 0.6) < 1e-15
+    want = np.concatenate([_bisect_each(p, weights[:, 0], t[i], 1, lo[i:i + 1], hi[i:i + 1]) for i in range(3)])
+    assert _same_bits(got, want)

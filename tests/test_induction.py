@@ -12,19 +12,17 @@ from mpmsa.hamiltonian import VolumeIndex, spectral_window
 from mpmsa.induction import (
     EnergyIntervalCover,
     _rational,
-    _rational_deriv,
     bridge_parameters,
     cover_from_profile,
     efc_decay_experiment,
     recursion_bound,
     scale_probabilities,
-    sublevel_cover,
     sup_min_functional,
 )
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.spectral import BallOperators, BoundaryProfile, boundary_profile, eigendecompose
 
-from helpers import assemble_ball
+from helpers import assemble_ball, rational_deriv, sublevel_cover
 
 DIST = uniform_distribution(0, 1)
 
@@ -288,5 +286,5 @@ def test_reciprocals_next_to_a_pole_warn_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _rational(es, poles, w)[0] == -math.inf
-        assert _rational_deriv(es, poles, w)[0] == math.inf
+        assert rational_deriv(es, poles, w)[0] == math.inf
         assert profile.green_values(-es)[0, 0] == math.inf

@@ -596,3 +596,33 @@ def test_dist_to_spectrum_equals_the_broadcast_minimum(case):
     want = np.abs(lam[None, :] - energies[:, None]).min(axis=1)
     assert got.tobytes() == want.tobytes()
     assert all(float(dist_to_spectrum(lam, e)) == w for e, w in zip(energies, want))
+
+
+def _abs_anchor_signs(vec):
+    """The sign rule as first written: np.argmax of |vec| per column."""
+    anchor = np.argmax(np.abs(vec), axis=0)
+    signs = np.sign(vec[anchor, np.arange(vec.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sign_anchors_match_the_abs_argmax_rule(data):
+    """Exact +-ties, repeated maxima and minima, zero columns and signed
+    zeros: the anchor from argmax and argmin gives the signs of the |vec|
+    oracle, bit for bit."""
+    rows = data.draw(st.integers(1, 9))
+    cols = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                      st.floats(-3.0, 3.0, allow_nan=False))
+    vec = np.asarray(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                        min_size=rows, max_size=rows)))
+    got = spectral._sign_anchors(vec)
+    assert np.array_equal(got.view(np.int64), _abs_anchor_signs(vec).view(np.int64))
+
+
+def test_sign_anchors_break_opposite_sign_ties_by_index():
+    vec = np.asarray([[0.5, -2.0, 1.0, 0.0], [-0.5, 2.0, -1.0, 0.0], [0.25, 2.0, 1.0, -0.0]])
+    assert spectral._sign_anchors(vec).tolist() == [1.0, -1.0, 1.0, 1.0]
+    assert spectral._sign_anchors(-vec[::-1]).tolist() == [1.0, -1.0, -1.0, 1.0]

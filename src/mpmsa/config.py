@@ -8,12 +8,12 @@ into reports:
     trials = 2000
 
 Unknown sections or keys are rejected by name; values are kept as raw strings
-(parsing happens at the point of use) so a parse -> serialize -> parse round
-trip is lossless.
+and parsed at the point of use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,10 +72,7 @@ class ExperimentConfig:
 
     def get_float(self, section: str, key: str, default: str | None = None) -> float:
         raw = self.get(section, key, default)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigurationError(f"[{section}] {key} = '{raw}' is not a number") from None
+        return _finite(section, key, raw, [raw])[0]
 
     def get_bool(self, section: str, key: str, default: str = "false") -> bool:
         raw = self.get(section, key, default).strip().lower()
@@ -87,10 +84,7 @@ class ExperimentConfig:
 
     def get_floats(self, section: str, key: str, default: str | None = None) -> list[float]:
         raw = self.get(section, key, default)
-        try:
-            return [float(p) for p in raw.split(",") if p.strip()]
-        except ValueError:
-            raise ConfigurationError(f"[{section}] {key} = '{raw}' is not a float list") from None
+        return _finite(section, key, raw, [p for p in raw.split(",") if p.strip()])
 
     def get_ints(self, section: str, key: str, default: str | None = None) -> list[int]:
         raw = self.get(section, key, default)
@@ -120,6 +114,18 @@ class ExperimentConfig:
 
     def flat(self) -> dict[str, str]:
         return {f"{sec}.{key}": val for sec, kv in sorted(self.table.items()) for key, val in sorted(kv.items())}
+
+
+def _finite(section: str, key: str, raw: str, parts: list[str]) -> list[float]:
+    """The parts of [section] key = raw as floats, each finite: nan and +-inf
+    are refused like text that is not a number."""
+    try:
+        values = [float(p) for p in parts]
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    raise ConfigurationError(f"[{section}] {key} = '{raw}' is not a finite number or list of them")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -152,13 +158,3 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(Path(path).read_text())
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    lines = []
-    for section in sorted(config.table):
-        lines.append(f"[{section}]")
-        for key in sorted(config.table[section]):
-            lines.append(f"{key} = {config.table[section][key]}")
-        lines.append("")
-    return "\n".join(lines)

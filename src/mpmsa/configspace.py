@@ -9,6 +9,7 @@ weak-interactivity / weak-separation geometry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -46,14 +47,6 @@ def product_neighbors(graph: Graph, x: Config):
     for j, v in enumerate(x):
         for w in graph.neighbors[v]:
             yield x[:j] + (w,) + x[j + 1 :]
-
-
-def rho_one_neighbors(graph: Graph, x: Config):
-    """All configurations y != x with rho(x, y) = 1 (every coordinate moves <= 1)."""
-    options = [(v, *graph.neighbors[v]) for v in x]
-    for combo in itertools.product(*options):
-        if combo != x:
-            yield combo
 
 
 @dataclass(frozen=True)
@@ -104,13 +97,6 @@ class MultiBall:
         return MultiBall(self.graph, self.center, radius)
 
 
-def support(graph: Graph, x: Config, subset=None) -> frozenset[int]:
-    """Union of coordinates of x restricted to a particle subset (1-based indices)."""
-    if subset is None:
-        subset = range(1, len(x) + 1)
-    return frozenset(x[j - 1] for j in subset)
-
-
 def ball_support(ball: MultiBall, subset=None) -> frozenset[int]:
     """Union of the single-particle balls of the selected particles."""
     if subset is None:
@@ -119,21 +105,6 @@ def ball_support(ball: MultiBall, subset=None) -> frozenset[int]:
     for j in subset:
         out.update(ball.graph.ball(ball.center[j - 1], ball.radius).tolist())
     return frozenset(out)
-
-
-def supports(graph: Graph, x: Config, subset, radius: int):
-    """Full and partial supports of a configuration and its ball, plus diam.
-
-    Returns (support(x), support_J(x), support(ball), support_J(ball), diam).
-    The empty subset yields empty partial supports.
-    """
-    ball = MultiBall(graph, x, radius)
-    full = support(graph, x)
-    part = support(graph, x, subset) if subset else frozenset()
-    bfull = ball_support(ball)
-    bpart = ball_support(ball, subset) if subset else frozenset()
-    diam = graph.diameter_of(full)
-    return full, part, bfull, bpart, diam
 
 
 def edge_boundary(graph: Graph, volume, subset) -> list[tuple[Config, Config]]:
@@ -148,21 +119,6 @@ def edge_boundary(graph: Graph, volume, subset) -> list[tuple[Config, Config]]:
             if v in vol and v not in sub:
                 out.append((u, v))
     return out
-
-
-def inner_boundary(graph: Graph, volume) -> list[Config]:
-    """{u in V : rho(u, complement of V in the full product graph) = 1}."""
-    vol = set(volume)
-    out = []
-    for u in sorted(vol):
-        if any(v not in vol for v in rho_one_neighbors(graph, u)):
-            out.append(u)
-    return out
-
-
-def boundaries(graph: Graph, volume, subset):
-    """(inner boundary of V, edge boundary of W in V) per the product-graph rules."""
-    return inner_boundary(graph, volume), edge_boundary(graph, volume, subset)
 
 
 @dataclass(frozen=True)
@@ -244,10 +200,12 @@ def vertex_ball_mask(graph: Graph, v: int, radius: int) -> int:
     return mask
 
 
-def separation_candidates(graph: Graph, n: int, radius: int) -> list[tuple[int, int, int]]:
+@functools.lru_cache(maxsize=16)
+def separation_candidates(graph: Graph, n: int, radius: int) -> tuple[tuple[int, int, int], ...]:
     """Candidate capturing balls (center, radius, vertex mask) in the
     documented deterministic order: center index, then radius ascending,
-    keeping radii 0..2NL and diameters <= 2NL."""
+    keeping radii 0..2NL and diameters <= 2NL.  They depend on (graph, N, L)
+    alone, so the last few are kept for the many pairs a run scans."""
     max_diam = 2 * n * radius
     out = []
     for c in range(graph.n_vertices):
@@ -256,7 +214,7 @@ def separation_candidates(graph: Graph, n: int, radius: int) -> list[tuple[int, 
             if r > 0 and graph.diameter_of(verts) > max_diam:
                 break  # diameters only grow with r
             out.append((c, r, vertex_ball_mask(graph, c, r)))
-    return out
+    return tuple(out)
 
 
 def _capture_split(ball_masks: list[int], b_mask: int) -> tuple[int, ...] | None:
@@ -271,26 +229,18 @@ def _capture_split(ball_masks: list[int], b_mask: int) -> tuple[int, ...] | None
     return tuple(inside)
 
 
-def weak_separation(
-    ballx: MultiBall,
-    bally: MultiBall,
-    candidates: list[tuple[int, int, int]] | None = None,
-) -> SeparationCertificate | None:
+def weak_separation(ballx: MultiBall, bally: MultiBall) -> SeparationCertificate | None:
     """Search for a weak-separation certificate, or None.
 
     The first candidate ball (see separation_candidates for the order) that
     captures strictly more particles of one ball than of the other wins.
-    Precomputed candidates may be passed in when scanning many pairs.
     """
     if ballx.n_particles != bally.n_particles or ballx.radius != bally.radius:
         raise ContractViolation("weak separation needs equal N and L")
-    g = ballx.graph
-    n, radius = ballx.n_particles, ballx.radius
-    if candidates is None:
-        candidates = separation_candidates(g, n, radius)
+    g, radius = ballx.graph, ballx.radius
     masks_x = [vertex_ball_mask(g, v, radius) for v in ballx.center]
     masks_y = [vertex_ball_mask(g, v, radius) for v in bally.center]
-    for c, r, b_mask in candidates:
+    for c, r, b_mask in separation_candidates(g, ballx.n_particles, radius):
         jx = _capture_split(masks_x, b_mask)
         if jx is None:
             continue

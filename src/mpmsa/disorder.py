@@ -39,12 +39,6 @@ class PotentialDistribution:
     deriv_bound: float = 0.0
 
     @property
-    def spec(self) -> str:
-        if self.kind == "uniform":
-            return f"uniform:{self.a:g}:{self.b:g}"
-        return f"tgauss:{self.mu:g}:{self.sigma:g}:{self.a:g}:{self.b:g}"
-
-    @property
     def sup_abs(self) -> float:
         return max(abs(self.a), abs(self.b))
 
@@ -104,9 +98,6 @@ class DisorderSample:
     distribution: PotentialDistribution
     graph_name: str
 
-    def value(self, vertex: int) -> float:
-        return float(self.values[vertex])
-
     def shifted_on(self, vertices, t: float) -> "DisorderSample":
         """Sample with V + t * indicator(vertices); used by spectral-shift checks."""
         vals = self.values.copy()
@@ -137,20 +128,6 @@ class InteractionPotential:
         if self.c_u < 0 or self.zeta <= 0:
             raise ConfigurationError("interaction needs C_U >= 0 and zeta > 0")
 
-    @property
-    def spec(self) -> str:
-        rcut = "inf" if math.isinf(self.truncation_radius) else f"{self.truncation_radius:g}"
-        return f"u:C={self.c_u:g}:zeta={self.zeta:g}:rcut={rcut}"
-
-    def value(self, r: int | float) -> float:
-        if r < 0:
-            raise ContractViolation("interaction distance must be >= 0")
-        if r > self.truncation_radius:
-            return 0.0
-        if r == 0:
-            return self.c_u
-        return self.c_u * math.exp(-float(r) ** self.zeta)
-
     def values(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         if (r < 0).any():
@@ -159,9 +136,6 @@ class InteractionPotential:
         out[r == 0] = self.c_u
         out[r > self.truncation_radius] = 0.0
         return out
-
-
-ZERO_INTERACTION = InteractionPotential(c_u=0.0, zeta=1.0)
 
 
 def parse_interaction_spec(spec: str) -> InteractionPotential:

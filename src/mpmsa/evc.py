@@ -21,6 +21,8 @@ from .rng import substream
 from .spectral import BallOperators, BallSpectra, dist_to_spectrum, inertia
 
 _Z95 = 1.959963984540054
+FIT_MIN_SUCCESSES = 10
+SHIFT_TOL = 1e-9
 
 
 def wilson_interval(p: float, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -129,11 +131,13 @@ class PowerLawFit:
     seed: int
 
 
-def fit_power_law(s_grid, probs, counts, trials: int, seed: int, min_successes: int = 10) -> PowerLawFit:
+def fit_power_law(s_grid, probs, counts, trials: int, seed: int) -> PowerLawFit:
+    """Least-squares line through log P against log s over the grid points
+    with at least FIT_MIN_SUCCESSES successes; nan without two of them."""
     s = np.asarray(s_grid, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
     c = np.asarray(counts, dtype=np.int64)
-    mask = c >= min_successes
+    mask = c >= FIT_MIN_SUCCESSES
     if mask.sum() >= 2:
         xs, ys = np.log(s[mask]), np.log(p[mask])
         coeffs, res = np.polyfit(xs, ys, 1, full=True)[:2]
@@ -227,13 +231,13 @@ def spectral_shift_check(
     g: float,
     sample: DisorderSample,
     operators: BallOperators,
-    tol: float = 1e-9,
 ) -> ShiftReport:
     """Exact spectral-shift law from weak separation.
 
     Every configuration of the primary ball has exactly n1 coordinates inside
     the separating ball B, so H(V + t 1_B) = H(V) + g n1 t I; eigenvalues shift
-    rigidly, and likewise with n2 for the secondary ball.
+    rigidly, and likewise with n2 for the secondary ball.  The law holds when
+    both deviations are at most SHIFT_TOL.
     """
     if certificate is None:
         raise ContractViolation("no separation certificate")
@@ -259,7 +263,7 @@ def spectral_shift_check(
         expected_shift_secondary=g * certificate.n2 * t,
         max_dev_primary=dev_p,
         max_dev_secondary=dev_s,
-        holds=dev_p <= tol and dev_s <= tol,
+        holds=dev_p <= SHIFT_TOL and dev_s <= SHIFT_TOL,
     )
 
 

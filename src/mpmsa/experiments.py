@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .config import ExperimentConfig
-from .configspace import MultiBall, rho_s, weak_separation
+from .configspace import Config, MultiBall, rho_s, weak_separation
 from .disorder import (
     parse_distribution_spec,
     parse_interaction_spec,
@@ -92,6 +92,23 @@ def certificate_for(graph: Graph, params: ParameterSet) -> GrowthCertificate:
     return certify_growth(graph, params.d, lmax)
 
 
+def _configuration(config: ExperimentConfig, key: str, graph: Graph, n: int):
+    """[run] key as a configuration of n particles on the graph's vertices,
+    or for key 'pairs' as a list of pairs of them."""
+    if key == "pairs":
+        return [tuple(_checked(key, c, graph, n) for c in pair) for pair in config.get_pairs("run", key)]
+    return _checked(key, config.get_config_tuple("run", key), graph, n)
+
+
+def _checked(key: str, config: Config, graph: Graph, n: int) -> Config:
+    if len(config) != n or not all(0 <= v < graph.n_vertices for v in config):
+        raise ConfigurationError(
+            f"[run] {key}: {config} is not a configuration of {n} particles on vertices "
+            f"0..{graph.n_vertices - 1}"
+        )
+    return config
+
+
 def _seed_trials_out(config: ExperimentConfig):
     return (
         config.get_int("experiment", "seed", "1"),
@@ -125,10 +142,11 @@ def random_gri_instance(graph: Graph, n: int, rng: CounterRng, max_volume: int =
     raise RuntimeError("could not draw a GRI instance; graph too small")
 
 
-def random_separated_pair(graph: Graph, n: int, radius: int, rng: CounterRng, tries: int = 600):
-    """A 3NL-distant pair of ball centers (weak separation then exists)."""
+def random_separated_pair(graph: Graph, n: int, radius: int, rng: CounterRng):
+    """A 3NL-distant pair of ball centers (weak separation then exists), or
+    None when 600 draws find none."""
     need = 3 * n * radius
-    for _ in range(tries):
+    for _ in range(600):
         x = tuple(rng.randint(0, graph.n_vertices - 1) for _ in range(n))
         y = tuple(rng.randint(0, graph.n_vertices - 1) for _ in range(n))
         if rho_s(graph, x, y) >= need:
@@ -168,7 +186,7 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
     seed, _, _ = _seed_trials_out(config)
-    center = config.get_config_tuple("run", "center")
+    center = _configuration(config, "center", graph, n)
     radius = config.get_int("run", "radius")
     kmax = config.get_int("run", "kmax", "3")
     schedule = scales(params, kmax, lmax=int(graph.dist.max()))
@@ -232,7 +250,7 @@ def run_wegner(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
     params = params_from_config(config)
     seed, trials, _ = _seed_trials_out(config)
-    center = config.get_config_tuple("run", "center")
+    center = _configuration(config, "center", graph, n)
     radius = config.get_int("run", "radius")
     energy = config.get_float("run", "energy")
     ball = MultiBall(graph, center, radius)
@@ -266,8 +284,8 @@ def run_evc2(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
     seed, trials, _ = _seed_trials_out(config)
     radius = config.get_int("run", "radius")
-    ball_x = MultiBall(graph, config.get_config_tuple("run", "center_x"), radius)
-    ball_y = MultiBall(graph, config.get_config_tuple("run", "center_y"), radius)
+    ball_x = MultiBall(graph, _configuration(config, "center_x", graph, n), radius)
+    ball_y = MultiBall(graph, _configuration(config, "center_y", graph, n), radius)
     s_grid = config.get_floats("run", "s_grid")
     operators = BallOperators(graph, interaction)
     fit = two_volume_evc(ball_x, ball_y, dist, operators, g, s_grid, trials, seed)
@@ -380,7 +398,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
     seed, trials, _ = _seed_trials_out(config)
-    center = config.get_config_tuple("run", "center")
+    center = _configuration(config, "center", graph, n)
     kmax = config.get_int("run", "kmax", "1")
     schedule = scales(params, kmax, lmax=int(graph.dist.max()))
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
@@ -460,8 +478,8 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
     cert = certificate_for(graph, params)
     seed, trials, _ = _seed_trials_out(config)
     radius = config.get_int("run", "radius")
-    ball_x = MultiBall(graph, config.get_config_tuple("run", "center_x"), radius)
-    ball_y = MultiBall(graph, config.get_config_tuple("run", "center_y"), radius)
+    ball_x = MultiBall(graph, _configuration(config, "center_x", graph, n), radius)
+    ball_y = MultiBall(graph, _configuration(config, "center_y", graph, n), radius)
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
     level = config.get_float(
         "run", "level",
@@ -512,7 +530,7 @@ def run_efc(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
     params = params_from_config(config)
     seed, trials, _ = _seed_trials_out(config)
-    pairs = config.get_pairs("run", "pairs")
+    pairs = _configuration(config, "pairs", graph, n)
     g_grid = config.get_floats("run", "g_grid", str(g))
     batches = config.get_int("run", "batches", "10")
     if not 1 <= batches <= T_DF_MAX + 1:  # the t interval has batches - 1 df
@@ -556,7 +574,7 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
     seed, trials, _ = _seed_trials_out(config)
-    center = config.get_config_tuple("run", "center")
+    center = _configuration(config, "center", graph, n)
     radius = config.get_int("run", "radius")
     ell = config.get_int("run", "ell", "1")
     kmax = config.get_int("run", "kmax", "1")

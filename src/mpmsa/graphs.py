@@ -2,7 +2,7 @@
 
 Supported families: path(n), cycle(n), grid(w,h), balanced-tree(b,depth).
 All-pairs distances are stored densely, so construction is capped by a
-configurable vertex budget (storage is quadratic).
+fixed vertex budget (storage is quadratic).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigurationError
 
-DEFAULT_VERTEX_BUDGET = 5000
+VERTEX_BUDGET = 5000  # vertices of a dense distance table
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,9 +37,6 @@ class Graph:
     def ball(self, x: int, radius: int) -> np.ndarray:
         """Vertices at distance <= radius from x, ascending."""
         return np.nonzero(self.dist[x] <= radius)[0]
-
-    def ball_size(self, x: int, radius: int) -> int:
-        return int(np.count_nonzero(self.dist[x] <= radius))
 
     def diameter_of(self, vertices) -> int:
         """Max pairwise distance within a vertex set (0 for singletons)."""
@@ -127,14 +124,12 @@ def _family_edges(family: str, sizes: tuple[int, ...]) -> tuple[int, list[tuple[
     raise ConfigurationError(f"unknown graph family '{family}'")
 
 
-def build_graph(spec: str, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
+def build_graph(spec: str) -> Graph:
     """Build a graph from a spec string: 'path:5', 'cycle:6', 'grid:9x9', 'tree:2x4'."""
     family, sizes = parse_graph_spec(spec)
     n, edges, name = _family_edges(family, sizes)
-    if n > vertex_budget:
-        raise BudgetExceeded(
-            f"{name} has {n} vertices; dense distance table capped at {vertex_budget}"
-        )
+    if n > VERTEX_BUDGET:
+        raise BudgetExceeded(f"{name} has {n} vertices; dense distance table capped at {VERTEX_BUDGET}")
     neighbors: list[list[int]] = [[] for _ in range(n)]
     seen = set()
     for a, b in edges:

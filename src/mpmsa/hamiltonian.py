@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import CanonicalSplit, Config, MultiBall, product_neighbors
+from .configspace import Config, MultiBall, product_neighbors
 from .disorder import DisorderSample, InteractionPotential
 from .errors import BudgetExceeded, ContractViolation, DataError
 from .graphs import Graph
@@ -109,10 +109,6 @@ class HamiltonianMatrix:
             off = rows != cols
             rows, cols = rows[off], cols[off]
             object.__setattr__(self, "runs", row_runs(rows, cols, h[rows, cols]))
-
-    @property
-    def size(self) -> int:
-        return len(self.volume)
 
     def submatrix(self, configs) -> "HamiltonianMatrix":
         """Principal submatrix over a sub-volume (exact, by the 1_V Delta 1_V rule).
@@ -288,82 +284,3 @@ def spectral_window(
     """The compact energy interval I*_g = [-bound, +bound] containing all spectra."""
     b = norm_bound(graph, n_particles, g, sup_abs_potential, interaction)
     return (-b, b)
-
-
-@dataclass(frozen=True)
-class DecoupledForm:
-    """Exact tensor decomposition of a WI ball's Hamiltonian.
-
-    In the kron enumeration (J-block configurations major, complement minor;
-    `ordered_configs` lists the corresponding full configurations),
-    reassembled() == kron(h_prime, I) + kron(I, h_second) + diag(coupling)
-    equals the ball Hamiltonian reindexed by `permutation`, which maps kron
-    positions to positions in the ball's lexicographic enumeration.
-    """
-
-    h_prime: HamiltonianMatrix
-    h_second: HamiltonianMatrix
-    coupling: np.ndarray = field(repr=False)
-    ordered_configs: tuple[Config, ...]
-    permutation: np.ndarray = field(repr=False)
-    coupling_norm: float
-    coupling_norm_bound: float
-
-    def noninteracting_matrix(self) -> np.ndarray:
-        eye_p = np.eye(self.h_prime.size)
-        eye_s = np.eye(self.h_second.size)
-        return np.kron(self.h_prime.matrix, eye_s) + np.kron(eye_p, self.h_second.matrix)
-
-    def reassembled(self) -> np.ndarray:
-        return self.noninteracting_matrix() + np.diag(self.coupling)
-
-
-def decouple(
-    ball: MultiBall,
-    split: CanonicalSplit,
-    g: float,
-    sample: DisorderSample,
-    interaction: InteractionPotential,
-) -> DecoupledForm:
-    """Split a WI ball's Hamiltonian into reduced Hamiltonians plus a diagonal
-    cross-interaction whose norm is bounded by C_U * N^2 * exp(-L**zeta)."""
-    graph = ball.graph
-    j_idx = [j - 1 for j in split.J]
-    jc_idx = [j - 1 for j in split.Jc]
-    if not j_idx or not jc_idx:
-        raise ContractViolation("split must be a nonempty proper decomposition")
-    ball_p = MultiBall(graph, tuple(ball.center[i] for i in j_idx), ball.radius)
-    ball_s = MultiBall(graph, tuple(ball.center[i] for i in jc_idx), ball.radius)
-    h_prime = VolumeOperator.from_ball(ball_p, interaction).hamiltonian(g, sample)
-    h_second = VolumeOperator.from_ball(ball_s, interaction).hamiltonian(g, sample)
-
-    ordered: list[Config] = []
-    for xp in h_prime.volume.configs:
-        for xs in h_second.volume.configs:
-            full = [0] * ball.n_particles
-            for pos, j in enumerate(j_idx):
-                full[j] = xp[pos]
-            for pos, j in enumerate(jc_idx):
-                full[j] = xs[pos]
-            ordered.append(tuple(full))
-    ball_volume = VolumeIndex.from_ball(ball)
-    permutation = np.asarray([ball_volume.position(c) for c in ordered], dtype=np.int64)
-
-    coupling = np.zeros(len(ordered))
-    for pos, cfg in enumerate(ordered):
-        total = 0.0
-        for i in j_idx:
-            for j in jc_idx:
-                total += interaction.value(int(graph.dist[cfg[i], cfg[j]]))
-        coupling[pos] = total
-    norm = float(np.abs(coupling).max()) if coupling.size else 0.0
-    bound = interaction.c_u * ball.n_particles**2 * float(np.exp(-float(ball.radius) ** interaction.zeta))
-    return DecoupledForm(
-        h_prime=h_prime,
-        h_second=h_second,
-        coupling=coupling,
-        ordered_configs=tuple(ordered),
-        permutation=permutation,
-        coupling_norm=norm,
-        coupling_norm_bound=bound,
-    )

@@ -36,7 +36,7 @@ import numpy as np
 
 from .configspace import Config, MultiBall, rho_s
 from .disorder import InteractionPotential, PotentialDistribution, sample_potential
-from .errors import ContractViolation
+from .errors import ConfigurationError, ContractViolation
 from .graphs import Graph, GrowthCertificate
 from .hamiltonian import VOLUME_BUDGET, VolumeIndex, VolumeOperator
 from .msa import (
@@ -102,17 +102,6 @@ class EnergyIntervalCover:
     def count(self) -> int:
         return len(self.intervals)
 
-    @property
-    def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
-
-    def covered(self, energies: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        energies = np.asarray(energies, dtype=np.float64)
-        mask = np.zeros(energies.shape, dtype=bool)
-        for a, b in self.intervals:
-            mask |= (energies >= a - slack) & (energies <= b + slack)
-        return mask
-
 
 def _reciprocals(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
     """(energies x poles) matrix 1 / (p_j - E), formed in `out` if given; a
@@ -133,6 +122,7 @@ def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 _MAX_STEPS = 80
+XTOL = 1e-12  # energy resolution of a cover
 
 
 def _bisect(
@@ -205,12 +195,12 @@ _EDGE_FRACTIONS = np.asarray([10.0**-j for j in range(1, 13)])
 _BLOCK_ROWS = 512
 
 
-def _gap_samples(edges: np.ndarray, xtol: float) -> np.ndarray:
+def _gap_samples(edges: np.ndarray) -> np.ndarray:
     """Ascending sample points of every gap between consecutive edges wider
-    than 4 xtol: 33 interior points and 12 on each side approaching the edge
+    than 4 XTOL: 33 interior points and 12 on each side approaching the edge
     geometrically, all parameterized by the gap (covariant)."""
     lo, hi = edges[:-1], edges[1:]
-    wide = hi - lo > 4 * xtol
+    wide = hi - lo > 4 * XTOL
     lo, hi = lo[wide, None], hi[wide, None]
     width = hi - lo
     grid = np.sort(
@@ -333,7 +323,7 @@ def _column_segments(
 
 
 def _group_segments(
-    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float], xtol: float,
+    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float],
     scratch: np.ndarray, roots: dict[str, RootCounts], union: list[tuple[float, float]],
 ) -> list[tuple[float, float]]:
     """`union` (merged, ascending) grown by the sublevel segments
@@ -344,13 +334,13 @@ def _group_segments(
     skipped where `_turn_skips` bounds |F| below level / 2.  The columns then
     join the union in rounds of 1, 2, 4, ... columns, most level brackets
     first; a level bracket [u, v] (w = v - u) whose [u - w, v + w] lies inside
-    the union of earlier rounds, with margin 2 xtol + 4 guard, keeps its end
+    the union of earlier rounds, with margin 2 XTOL + 4 guard, keeps its end
     outside {|F| >= level} as breakpoint instead of its root.  That moves the
     column's segments only inside the union, so the union's endpoints are
     the roots every bracket would give."""
     lo_w, hi_w = window
     edges = np.concatenate(([lo_w], poles[(poles > lo_w) & (poles < hi_w)], [hi_w]))
-    samples = _gap_samples(edges, xtol)
+    samples = _gap_samples(edges)
     if samples.size == 0:
         return union
     # the (samples x poles) reciprocals a block of rows at a time, in place
@@ -372,7 +362,7 @@ def _group_segments(
     # the samples ascend; a pole can be the last sample of one gap and the
     # first of the next
     distinct = np.flatnonzero(np.concatenate(([True], samples[1:] != samples[:-1])))
-    guard = max(xtol, 1e-15)
+    guard = XTOL
     wt = np.ascontiguousarray(weights.T)
     n_cols = wt.shape[0]
 
@@ -393,7 +383,7 @@ def _group_segments(
     ]
     counts = np.asarray([lo.size for lo, *_ in brackets])
     order = np.argsort(-counts, kind="stable")
-    margin = 2 * xtol + 4 * guard
+    margin = 2 * XTOL + 4 * guard
     start, size = 0, 1
     while start < n_cols:
         batch = order[start : start + size]
@@ -409,7 +399,7 @@ def _group_segments(
         for col, found in zip(batch, np.split(crossings, np.cumsum(counts[batch])[:-1])):
             breakpoints = np.concatenate((edges, found, dzeros[col]))
             segments.extend(_column_segments(poles, wt[col], breakpoints, level, window, guard))
-        union = _merge(segments, eps=xtol)
+        union = _merge(segments, eps=XTOL)
     return union
 
 
@@ -427,16 +417,13 @@ def _merge(intervals: list[tuple[float, float]], eps: float) -> list[tuple[float
 
 
 def cover_from_profile(
-    profile: BoundaryProfile,
-    level: float,
-    window: tuple[float, float],
-    ball_size: int,
-    xtol: float = 1e-12,
+    profile: BoundaryProfile, level: float, window: tuple[float, float], ball_size: int
 ) -> EnergyIntervalCover:
     """Union over boundary vertices of the per-column sublevel segments.
 
     The per-column threshold is level / prefactor since F carries the scale
-    factor in front of the Green entries.
+    factor in front of the Green entries.  Gaps between poles narrower than
+    4 XTOL are not sampled, and segments closer than XTOL are merged.
     """
     if level <= 0:
         raise ContractViolation("cover level must be positive")
@@ -457,7 +444,7 @@ def cover_from_profile(
         mask = live[:, cols[0]]
         if mask.any():
             union = _group_segments(
-                poles[mask], weights[mask][:, cols], entry_level, window, xtol, scratch, roots, union
+                poles[mask], weights[mask][:, cols], entry_level, window, scratch, roots, union
             )
     return EnergyIntervalCover(
         intervals=tuple(union),
@@ -470,6 +457,10 @@ def cover_from_profile(
 
 # ---------------------------------------------------------------------------
 # Sup-min functional over two balls
+
+
+SUPMIN_GRID_POINTS = 2001
+SUPMIN_REFINE_POINTS = 65
 
 
 @dataclass(frozen=True)
@@ -490,26 +481,25 @@ def sup_min_functional(
     cert: GrowthCertificate,
     level: float,
     window: tuple[float, float],
-    grid_points: int = 2001,
-    refine_points: int = 65,
 ) -> SupMinResult:
     """sup over E of min(F_x(E), F_y(E)) with cover-driven refinement.
 
     The min can only reach `level` where both covers overlap, so the base grid
-    is refined inside intersections of the two covers.  Guarded energies
-    evaluate to +inf (they lie inside the covers by construction).
+    of SUPMIN_GRID_POINTS is refined by SUPMIN_REFINE_POINTS inside each
+    intersection of the two covers.  Guarded energies evaluate to +inf (they
+    lie inside the covers by construction).
     """
     prof_x = boundary_profile(spec_x, ball_x, cert)
     prof_y = boundary_profile(spec_y, ball_y, cert)
     cov_x = cover_from_profile(prof_x, level, window, len(spec_x.volume))
     cov_y = cover_from_profile(prof_y, level, window, len(spec_y.volume))
 
-    points = [np.linspace(window[0], window[1], grid_points)]
+    points = [np.linspace(window[0], window[1], SUPMIN_GRID_POINTS)]
     for ax, bx in cov_x.intervals:
         for ay, by in cov_y.intervals:
             lo, hi = max(ax, ay), min(bx, by)
             if lo <= hi:
-                points.append(np.linspace(lo, hi, refine_points))
+                points.append(np.linspace(lo, hi, SUPMIN_REFINE_POINTS))
     energies = np.unique(np.concatenate(points))
     fx = prof_x.evaluate(energies, guard=RESOLVENT_GUARD)
     fy = prof_y.evaluate(energies, guard=RESOLVENT_GUARD)
@@ -571,13 +561,23 @@ class ScaleReport:
 
 
 def _policy_energies(policy: str, window: tuple[float, float]) -> np.ndarray:
+    """'fixed:E' (a finite E) or 'grid[:count]' (count >= 1, default 41
+    energies spanning the window)."""
     kind, _, rest = policy.partition(":")
-    if kind == "fixed":
-        return np.asarray([float(rest)])
-    if kind == "grid":
-        count = int(rest) if rest else 41
-        return np.linspace(window[0], window[1], count)
-    raise ContractViolation(f"unknown energy policy '{policy}'")
+    try:
+        if kind == "fixed":
+            energy = float(rest)
+            if math.isfinite(energy):
+                return np.asarray([energy])
+        elif kind == "grid":
+            count = int(rest) if rest else 41
+            if count >= 1:
+                return np.linspace(window[0], window[1], count)
+    except ValueError:
+        pass
+    raise ConfigurationError(
+        f"[run] energy_policy = '{policy}' is not fixed:<finite energy> or grid[:<count >= 1>]"
+    )
 
 
 def _worst_estimate(hit_matrix: np.ndarray, trials: int, seed: int, n_energies: int) -> McEstimate:

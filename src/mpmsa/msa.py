@@ -7,16 +7,15 @@ super-exponential scales L_{k+1} = floor(L_k**alpha) with exponential ones.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import CanonicalSplit, MultiBall, classify_interactivity, rho_s
+from .configspace import CanonicalSplit, MultiBall, classify_interactivity
 from .errors import ConfigurationError, ContractViolation
 from .graphs import GrowthCertificate
-from .spectral import BallSpectra, SpectralData, dist_to_spectrum, ns_flags
+from .spectral import BallSpectra, dist_to_spectrum, ns_flags
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,6 @@ class ScaleSchedule:
     mode: str
     levels: tuple[int, ...]
     truncated: bool = False
-
-    def level(self, k: int) -> int:
-        return self.levels[k]
 
     def index_of(self, radius: int) -> int | None:
         try:
@@ -203,9 +199,6 @@ class BallClassification:
     cnr: bool | None = None
     weakly_interactive: bool | None = None
     split: CanonicalSplit | None = None
-    fnr: bool | None = None
-    pns: bool | None = None
-    good: bool | None = None
     witnesses: dict = field(default_factory=dict)
 
 
@@ -220,7 +213,7 @@ def _is_cnr(
     k = schedule.index_of(ball.radius)
     if k is None or k < 1:
         raise ContractViolation("CNR needs radius equal to some L_k with k >= 1")
-    lo, hi = schedule.level(k - 1), schedule.level(k)
+    lo, hi = schedule.levels[k - 1], schedule.levels[k]
     for ell in range(lo, hi + 1):
         if resonant(spectra.spectrum(ball.concentric(ell)).eigenvalues, energy, ell, params.beta):
             return False, {"cnr_failed_radius": ell}
@@ -268,160 +261,3 @@ def classify(
             out.cnr = flag
             out.witnesses.update(extra)
     return out
-
-
-def classify_wi(
-    ball: MultiBall,
-    energy: float,
-    params: ParameterSet,
-    mass: MassSchedule,
-    spectra: BallSpectra,
-    cert: GrowthCertificate,
-    schedule: ScaleSchedule,
-) -> BallClassification:
-    """FNR/PNS for a weakly interactive ball via its reduced Hamiltonians.
-
-    FNR: for every reduced eigenvalue lambda' of one factor, the other factor
-    is (E - lambda', beta)-CNR; PNS replaces CNR by the Green-decay predicate
-    with the companion factor's mass (the crossed-index convention).
-    """
-    kind, split = classify_interactivity(ball)
-    if kind != "WI":
-        raise ContractViolation("classify_wi needs a weakly interactive ball")
-    k = schedule.index_of(ball.radius)
-    if k is None or k < 1:
-        raise ContractViolation("FNR needs radius equal to some L_k with k >= 1")
-    out = BallClassification(radius=ball.radius, n_particles=ball.n_particles, energy=energy)
-    out.weakly_interactive = True
-    out.split = split
-
-    # the reduced Hamiltonians of the decoupled form are the factor-ball Hamiltonians
-    ball_p = MultiBall(ball.graph, tuple(ball.center[j - 1] for j in split.J), ball.radius)
-    ball_s = MultiBall(ball.graph, tuple(ball.center[j - 1] for j in split.Jc), ball.radius)
-    spec_p = spectra.spectrum(ball_p)
-    spec_s = spectra.spectrum(ball_s)
-
-    lo, hi = schedule.level(k - 1), schedule.level(k)
-
-    def all_cnr(factor_ball: MultiBall, energies: np.ndarray) -> tuple[bool, dict]:
-        for ell in range(lo, hi + 1):
-            lam = spectra.spectrum(factor_ball.concentric(ell)).eigenvalues
-            bad = np.nonzero(resonant(lam, energies, ell, params.beta))[0]
-            if bad.size:
-                return False, {"fnr_failed": {"radius": ell, "shift_index": int(bad[0])}}
-        return True, {}
-
-    shifts_from_p = energy - spec_p.eigenvalues  # test second factor at E - lambda'
-    shifts_from_s = energy - spec_s.eigenvalues
-    ok_s, wit_s = all_cnr(ball_s, shifts_from_p)
-    ok_p, wit_p = all_cnr(ball_p, shifts_from_s)
-    out.fnr = ok_s and ok_p
-    out.witnesses.update({f"second:{key}": v for key, v in wit_s.items()})
-    out.witnesses.update({f"prime:{key}": v for key, v in wit_p.items()})
-
-    def all_ns(
-        factor_ball: MultiBall, spec: SpectralData, energies: np.ndarray, m_val: float
-    ) -> tuple[bool, dict]:
-        thr = ns_threshold(params, m_val, factor_ball.radius)
-        ns, _ = ns_flags(spec, factor_ball, cert, energies, thr)  # undetermined fails
-        bad = np.nonzero(~ns)[0]
-        if bad.size:
-            return False, {"pns_failed_shift_index": int(bad[0])}
-        return True, {}
-
-    n_p, n_s = len(split.J), len(split.Jc)
-    ok_pns_s, wit1 = all_ns(ball_s, spec_s, shifts_from_p, mass.m(n_p))
-    ok_pns_p, wit2 = all_ns(ball_p, spec_p, shifts_from_s, mass.m(n_s))
-    out.pns = ok_pns_s and ok_pns_p
-    out.witnesses.update({f"second:{key}": v for key, v in wit1.items()})
-    out.witnesses.update({f"prime:{key}": v for key, v in wit2.items()})
-    return out
-
-
-def _pairwise_distant_subset(
-    graph, centers: list, threshold: int, want: int
-) -> list | None:
-    """A subset of `want` centers with pairwise rho_S >= threshold, or None.
-
-    Exhaustive over <= 12 candidates, greedy farthest-point packing beyond
-    (the counting argument only needs existence, not maximality).
-    """
-    m = len(centers)
-    if m < want:
-        return None
-    dist = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[i, j] = dist[j, i] = rho_s(graph, centers[i], centers[j])
-    if m <= 12:
-        for combo in itertools.combinations(range(m), want):
-            if all(dist[a, b] >= threshold for a, b in itertools.combinations(combo, 2)):
-                return [centers[i] for i in combo]
-        return None
-    chosen = [0]
-    for cand in range(1, m):
-        if all(dist[cand, c] >= threshold for c in chosen):
-            chosen.append(cand)
-            if len(chosen) == want:
-                return [centers[i] for i in chosen]
-    return None
-
-
-@dataclass(frozen=True)
-class GoodBallReport:
-    good: bool
-    cnr: bool
-    singular_centers: tuple
-    forbidden_collection: tuple | None
-    strategy: str
-
-
-def is_good(
-    ball: MultiBall,
-    energy: float,
-    params: ParameterSet,
-    mass: MassSchedule,
-    spectra: BallSpectra,
-    cert: GrowthCertificate,
-    schedule: ScaleSchedule,
-) -> GoodBallReport:
-    """Good ball at L_{k+1}: CNR and no K+1 pairwise-distant singular sub-balls.
-
-    Sub-ball centers range over rho(center, v) <= L_{k+1} - L_k; the distance
-    rule is 8*N*L_k (subexp) or L_k**tau with the two-ball count (exp).
-    """
-    k1 = schedule.index_of(ball.radius)
-    if k1 is None or k1 < 1:
-        raise ContractViolation("good-ball predicate needs radius = L_{k+1}, k+1 >= 1")
-    l_small = schedule.level(k1 - 1)
-    n = ball.n_particles
-    if params.mode == "subexp":
-        threshold = 8 * n * l_small
-        count_bound = params.K
-    else:
-        threshold = int(math.floor(float(l_small) ** params.tau))
-        count_bound = 1
-
-    cnr_flag, _ = _is_cnr(ball, energy, params, schedule, spectra)
-
-    centers_ball = MultiBall(ball.graph, ball.center, ball.radius - l_small)
-    singular = []
-    thr = ns_threshold(params, mass.m(n), l_small)
-    energies = np.asarray([energy])
-    for v in centers_ball.members():
-        sub = MultiBall(ball.graph, v, l_small)
-        ns, _ = ns_flags(spectra.spectrum(sub), sub, cert, energies, thr)
-        if not ns[0]:
-            singular.append(v)  # undetermined NS counts against goodness
-
-    strategy = "exhaustive" if len(singular) <= 12 else "greedy"
-    collection = _pairwise_distant_subset(ball.graph, singular, threshold, count_bound + 1)
-    good = cnr_flag and collection is None
-    return GoodBallReport(
-        good=good,
-        cnr=cnr_flag,
-        singular_centers=tuple(singular),
-        forbidden_collection=tuple(collection) if collection else None,
-        strategy=strategy,
-    )
-

@@ -15,6 +15,7 @@ from .hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
 
 RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
+GRI_SLACK = 1e-9  # relative tolerance of the geometric resolvent inequality
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -52,18 +53,17 @@ class SpectralData:
         return self.eigenvectors[self.volume.position(config), :]
 
 
-def cluster_starts(eigenvalues: np.ndarray, gap: float = DEGENERACY_GAP) -> np.ndarray:
+def cluster_starts(eigenvalues: np.ndarray) -> np.ndarray:
     """First indices of the maximal runs of ascending eigenvalues whose
-    consecutive gaps are <= gap (the numerically degenerate clusters)."""
-    return np.concatenate(([0], np.flatnonzero(np.diff(eigenvalues) > gap) + 1))
+    consecutive gaps are <= DEGENERACY_GAP (the numerically degenerate
+    clusters)."""
+    return np.concatenate(([0], np.flatnonzero(np.diff(eigenvalues) > DEGENERACY_GAP) + 1))
 
 
-def cluster_sums(
-    eigenvalues: np.ndarray, values: np.ndarray, gap: float = DEGENERACY_GAP
-) -> tuple[np.ndarray, np.ndarray]:
+def cluster_sums(eigenvalues: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean eigenvalue of each cluster and the per-cluster sums of `values`
     along axis 0 (one row per eigenvalue)."""
-    starts = cluster_starts(eigenvalues, gap)
+    starts = cluster_starts(eigenvalues)
     sizes = np.diff(starts, append=eigenvalues.size)
     return np.add.reduceat(eigenvalues, starts) / sizes, np.add.reduceat(values, starts, axis=0)
 
@@ -272,27 +272,17 @@ def _pivot_counts(part, diagonal, first, sigmas, base) -> tuple[np.ndarray, floa
     return negative, err
 
 
-def _check_resonance(spec: SpectralData, energy: float, guard: float) -> None:
+def _check_resonance(spec: SpectralData, energy: float) -> None:
     dist = float(dist_to_spectrum(spec.eigenvalues, energy))
-    if dist <= guard:
-        raise ResonanceError(dist, guard)
+    if dist <= RESOLVENT_GUARD:
+        raise ResonanceError(dist, RESOLVENT_GUARD)
 
 
-def green(
-    spec: SpectralData, energy: float, x: Config, y: Config, guard: float = RESOLVENT_GUARD
-) -> float:
-    """Matrix entry of (H - E I)^{-1}: sum_j psi_j(x) psi_j(y) / (lambda_j - E)."""
-    _check_resonance(spec, energy, guard)
-    cx = spec.component(x)
-    cy = spec.component(y)
-    return float(np.sum(cx * cy / (spec.eigenvalues - energy)))
-
-
-def green_row(
-    spec: SpectralData, energy: float, x: Config, guard: float = RESOLVENT_GUARD
-) -> np.ndarray:
-    """G(x, .; E) over the whole volume as one vector."""
-    _check_resonance(spec, energy, guard)
+def green_row(spec: SpectralData, energy: float, x: Config) -> np.ndarray:
+    """G(x, .; E) over the whole volume as one vector, sum_j psi_j(x) psi_j(.)
+    / (lambda_j - E); an energy within RESOLVENT_GUARD of the spectrum raises
+    ResonanceError."""
+    _check_resonance(spec, energy)
     weights = spec.component(x) / (spec.eigenvalues - energy)
     return spec.eigenvectors @ weights
 
@@ -389,13 +379,13 @@ class EfcResult:
     cluster_energies: tuple[float, ...]
 
 
-def efc(spec: SpectralData, x: Config, y: Config, gap: float = DEGENERACY_GAP) -> EfcResult:
+def efc(spec: SpectralData, x: Config, y: Config) -> EfcResult:
     """Closed form: sum over distinct-eigenvalue clusters of |<1_y P 1_x>|.
 
     The sup over bounded test functions is attained by the sign pattern of the
     per-cluster projections, so no optimization is needed.
     """
-    energies, sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y), gap)
+    energies, sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y))
     contribs = [abs(float(v)) for v in sums]
     return EfcResult(
         value=float(sum(contribs)),
@@ -418,20 +408,18 @@ def gri_check(
     x: Config,
     y: Config,
     energy: float,
-    guard: float = RESOLVENT_GUARD,
-    slack: float = 1e-9,
 ) -> GriReport:
     """Geometric resolvent inequality over (V, W):
 
         |G_V(x,y)| <= sum over boundary edges (u,v) of |G_W(x,u)| |G_V(v,y)|
 
-    for x in W, y in V \\ W, E off both spectra, given the spectrum of H_V
-    and of its principal submatrix over W.  The inequality is exact
-    mathematics; a failure beyond the tolerance indicates an implementation
-    bug.  Small Green values
-    come out of strongly canceling spectral sums, so on near-equality
-    instances the relative slack is topped up with a machine-noise floor
-    proportional to the cancellation mass sum_j |psi_j(x) psi_j(y)| / |l_j - E|.
+    for x in W, y in V \\ W, E off both spectra (RESOLVENT_GUARD), given the
+    spectrum of H_V and of its principal submatrix over W.  The inequality is
+    exact mathematics; a failure beyond the tolerance (relative GRI_SLACK)
+    indicates an implementation bug.  Small Green values come out of strongly
+    canceling spectral sums, so on near-equality instances the relative slack
+    is topped up with a machine-noise floor proportional to the cancellation
+    mass sum_j |psi_j(x) psi_j(y)| / |l_j - E|.
     """
     vol_big, vol_sub = spec_big.volume, spec_sub.volume
     if tuple(x) not in vol_sub:
@@ -439,11 +427,8 @@ def gri_check(
     if tuple(y) in vol_sub or tuple(y) not in vol_big:
         raise ContractViolation("y must lie in V \\ W")
     edges = edge_boundary(vol_big.graph, vol_big.configs, vol_sub.configs)
-    _check_resonance(spec_big, energy, guard)
-    _check_resonance(spec_sub, energy, guard)
-
-    g_big_y = green_row(spec_big, energy, y, guard)
-    g_sub_x = green_row(spec_sub, energy, x, guard)
+    g_big_y = green_row(spec_big, energy, y)
+    g_sub_x = green_row(spec_sub, energy, x)
     lhs = abs(float(g_big_y[vol_big.position(x)]))
     rhs = 0.0
     for u, v in edges:
@@ -460,6 +445,6 @@ def gri_check(
     return GriReport(
         lhs=lhs,
         rhs=rhs,
-        holds=lhs <= rhs * (1.0 + slack) + noise_floor,
+        holds=lhs <= rhs * (1.0 + GRI_SLACK) + noise_floor,
         n_boundary_edges=len(edges),
     )

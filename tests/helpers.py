@@ -1,24 +1,57 @@
-"""Test-only helpers shared by several test modules."""
+"""Test-only helpers shared by several test modules: oracles and
+constructions the tests check the package against."""
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from mpmsa.configspace import Config, MultiBall
-from mpmsa.disorder import ZERO_INTERACTION, DisorderSample, InteractionPotential
+from mpmsa.configspace import CanonicalSplit, Config, MultiBall
+from mpmsa.disorder import DisorderSample, InteractionPotential
 from mpmsa.errors import ContractViolation
-from mpmsa.graphs import GrowthCertificate
+from mpmsa.graphs import Graph, GrowthCertificate
 from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
 from mpmsa.induction import EnergyIntervalCover, _reciprocals, cover_from_profile
 from mpmsa.spectral import (
-    DEGENERACY_GAP,
-    RESOLVENT_GUARD,
     SpectralData,
     _check_resonance,
     boundary_profile,
     cluster_starts,
     cluster_sums,
 )
+
+ZERO_INTERACTION = InteractionPotential(c_u=0.0, zeta=1.0)
+
+
+def interaction_value(u: InteractionPotential, r: int | float) -> float:
+    """u(r) at one distance, the scalar oracle of InteractionPotential.values."""
+    if r < 0:
+        raise ContractViolation("interaction distance must be >= 0")
+    if r > u.truncation_radius:
+        return 0.0
+    if r == 0:
+        return u.c_u
+    return u.c_u * math.exp(-float(r) ** u.zeta)
+
+
+def rho_one_neighbors(graph: Graph, x: Config):
+    """All configurations y != x with rho(x, y) = 1 (every coordinate moves <= 1)."""
+    options = [(v, *graph.neighbors[v]) for v in x]
+    for combo in itertools.product(*options):
+        if combo != x:
+            yield combo
+
+
+def inner_boundary(graph: Graph, volume) -> list[Config]:
+    """{u in V : rho(u, complement of V in the full product graph) = 1}, the
+    oracle of MultiBall.inner_boundary_positions."""
+    vol = set(volume)
+    out = []
+    for u in sorted(vol):
+        if any(v not in vol for v in rho_one_neighbors(graph, u)):
+            out.append(u)
+    return out
 
 
 def assemble(
@@ -43,37 +76,39 @@ def laplacian(volume: VolumeIndex) -> np.ndarray:
     return out
 
 
-def clusters(spec: SpectralData, gap: float = DEGENERACY_GAP) -> list[slice]:
-    """Maximal runs of eigenvalues whose consecutive gaps are <= gap."""
-    starts = cluster_starts(spec.eigenvalues, gap)
+def clusters(spec: SpectralData) -> list[slice]:
+    """Maximal runs of eigenvalues whose consecutive gaps are <= DEGENERACY_GAP."""
+    starts = cluster_starts(spec.eigenvalues)
     ends = np.append(starts[1:], spec.eigenvalues.size)
     return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
 
-def boundary_functional(
-    spec: SpectralData,
-    ball: MultiBall,
-    energy: float,
-    cert: GrowthCertificate,
-    guard: float = RESOLVENT_GUARD,
-) -> float:
+def boundary_functional(spec: SpectralData, ball: MultiBall, energy: float, cert: GrowthCertificate) -> float:
     """F_u(E) = C^(2N) L^(Nd) * max over inner-boundary z of |G_ball(u, z; E)|."""
-    _check_resonance(spec, energy, guard)
+    _check_resonance(spec, energy)
     prof = boundary_profile(spec, ball, cert)
     return float(prof.evaluate(np.asarray([energy]))[0])
 
 
 def sublevel_cover(
-    spec: SpectralData,
-    ball: MultiBall,
-    cert: GrowthCertificate,
-    level: float,
-    window: tuple[float, float],
-    xtol: float = 1e-12,
+    spec: SpectralData, ball: MultiBall, cert: GrowthCertificate, level: float, window: tuple[float, float]
 ) -> EnergyIntervalCover:
     """Interval cover of {E in window : F_u(E) >= level} for a ball's Green data."""
     prof = boundary_profile(spec, ball, cert)
-    return cover_from_profile(prof, level, window, len(spec.volume), xtol=xtol)
+    return cover_from_profile(prof, level, window, len(spec.volume))
+
+
+def covered(cover: EnergyIntervalCover, energies: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    """Per energy, whether some interval of the cover, widened by slack, holds it."""
+    energies = np.asarray(energies, dtype=np.float64)
+    mask = np.zeros(energies.shape, dtype=bool)
+    for a, b in cover.intervals:
+        mask |= (energies >= a - slack) & (energies <= b + slack)
+    return mask
+
+
+def total_length(cover: EnergyIntervalCover) -> float:
+    return float(sum(b - a for a, b in cover.intervals))
 
 
 def rational_deriv(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -104,12 +139,85 @@ def mean_fluctuation_split(sample: DisorderSample, vertices) -> MeanFluctuationS
     )
 
 
-def efc_test_function_value(
-    spec: SpectralData, x: Config, y: Config, f_values: np.ndarray, gap: float = DEGENERACY_GAP
-) -> float:
+def efc_test_function_value(spec: SpectralData, x: Config, y: Config, f_values: np.ndarray) -> float:
     """|<1_y| f(H) |1_x>| for f given by its values on the cluster energies."""
-    sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y), gap)[1]
+    sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y))[1]
     total = 0.0
     for f_val, s in zip(f_values, sums):
         total += f_val * float(s)
     return abs(total)
+
+
+@dataclass(frozen=True)
+class DecoupledForm:
+    """Exact tensor decomposition of a WI ball's Hamiltonian.
+
+    In the kron enumeration (J-block configurations major, complement minor;
+    `ordered_configs` lists the corresponding full configurations),
+    reassembled() == kron(h_prime, I) + kron(I, h_second) + diag(coupling)
+    equals the ball Hamiltonian reindexed by `permutation`, which maps kron
+    positions to positions in the ball's lexicographic enumeration.
+    """
+
+    h_prime: HamiltonianMatrix
+    h_second: HamiltonianMatrix
+    coupling: np.ndarray = field(repr=False)
+    ordered_configs: tuple[Config, ...]
+    permutation: np.ndarray = field(repr=False)
+    coupling_norm: float
+    coupling_norm_bound: float
+
+    def noninteracting_matrix(self) -> np.ndarray:
+        eye_p = np.eye(len(self.h_prime.volume))
+        eye_s = np.eye(len(self.h_second.volume))
+        return np.kron(self.h_prime.matrix, eye_s) + np.kron(eye_p, self.h_second.matrix)
+
+    def reassembled(self) -> np.ndarray:
+        return self.noninteracting_matrix() + np.diag(self.coupling)
+
+
+def decouple(
+    ball: MultiBall, split: CanonicalSplit, g: float, sample: DisorderSample, interaction: InteractionPotential
+) -> DecoupledForm:
+    """Split a WI ball's Hamiltonian into reduced Hamiltonians plus a diagonal
+    cross-interaction whose norm is bounded by C_U * N^2 * exp(-L**zeta)."""
+    graph = ball.graph
+    j_idx = [j - 1 for j in split.J]
+    jc_idx = [j - 1 for j in split.Jc]
+    if not j_idx or not jc_idx:
+        raise ContractViolation("split must be a nonempty proper decomposition")
+    ball_p = MultiBall(graph, tuple(ball.center[i] for i in j_idx), ball.radius)
+    ball_s = MultiBall(graph, tuple(ball.center[i] for i in jc_idx), ball.radius)
+    h_prime = assemble_ball(ball_p, g, sample, interaction)
+    h_second = assemble_ball(ball_s, g, sample, interaction)
+
+    ordered: list[Config] = []
+    for xp in h_prime.volume.configs:
+        for xs in h_second.volume.configs:
+            full = [0] * ball.n_particles
+            for pos, j in enumerate(j_idx):
+                full[j] = xp[pos]
+            for pos, j in enumerate(jc_idx):
+                full[j] = xs[pos]
+            ordered.append(tuple(full))
+    ball_volume = VolumeIndex.from_ball(ball)
+    permutation = np.asarray([ball_volume.position(c) for c in ordered], dtype=np.int64)
+
+    coupling = np.zeros(len(ordered))
+    for pos, cfg in enumerate(ordered):
+        total = 0.0
+        for i in j_idx:
+            for j in jc_idx:
+                total += interaction_value(interaction, int(graph.dist[cfg[i], cfg[j]]))
+        coupling[pos] = total
+    norm = float(np.abs(coupling).max()) if coupling.size else 0.0
+    bound = interaction.c_u * ball.n_particles**2 * float(np.exp(-float(ball.radius) ** interaction.zeta))
+    return DecoupledForm(
+        h_prime=h_prime,
+        h_second=h_second,
+        coupling=coupling,
+        ordered_configs=tuple(ordered),
+        permutation=permutation,
+        coupling_norm=norm,
+        coupling_norm_bound=bound,
+    )

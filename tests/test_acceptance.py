@@ -16,16 +16,10 @@ from mpmsa.cli import main as cli_main
 from mpmsa.configspace import (
     MultiBall,
     classify_interactivity,
-    separation_candidates,
     vertex_ball_mask,
     weak_separation,
 )
-from mpmsa.disorder import (
-    ZERO_INTERACTION,
-    InteractionPotential,
-    sample_potential,
-    uniform_distribution,
-)
+from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.domination import (
     AnnulusCover,
     DominationContext,
@@ -35,7 +29,7 @@ from mpmsa.domination import (
 from mpmsa.evc import spectral_shift_check, two_volume_evc
 from mpmsa.experiments import off_spectrum_energy, random_gri_instance
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, decouple, spectral_window
+from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, spectral_window
 from mpmsa.induction import (
     efc_decay_experiment,
     recursion_bound,
@@ -52,7 +46,16 @@ from mpmsa.spectral import (
     gri_check,
 )
 
-from helpers import assemble, assemble_ball, clusters, efc_test_function_value, sublevel_cover
+from helpers import (
+    ZERO_INTERACTION,
+    assemble,
+    assemble_ball,
+    clusters,
+    covered,
+    decouple,
+    efc_test_function_value,
+    sublevel_cover,
+)
 
 DIST = uniform_distribution(0, 1)
 MASTER = 20250810
@@ -290,7 +293,6 @@ def _check_wi_splits(graph, n: int, radii) -> int:
 def _check_weak_separation(graph, n: int, radius: int) -> int:
     configs = [tuple(int(v) for v in row) for row in _config_grid(graph.n_vertices, n)]
     arr = np.asarray(configs)
-    cands = separation_candidates(graph, n, radius)
     need = 3 * n * radius
     perms = list(itertools.permutations(range(n)))
     checked = 0
@@ -304,9 +306,7 @@ def _check_weak_separation(graph, n: int, radius: int) -> int:
             best = d if best is None else np.minimum(best, d)
         for row in arr[best >= need]:
             y = tuple(int(v) for v in row)
-            cert = weak_separation(
-                MultiBall(graph, x, radius), MultiBall(graph, y, radius), cands
-            )
+            cert = weak_separation(MultiBall(graph, x, radius), MultiBall(graph, y, radius))
             assert cert is not None, (x, y)
             checked += 1
     return checked
@@ -391,7 +391,7 @@ def test_criterion_06_interval_covers():
         es = np.linspace(window[0], window[1], 100_001)
         vals = prof.evaluate(es, guard=1e-12)
         step = es[1] - es[0]
-        scan_ok &= not ((vals >= level) & ~cover.covered(es, slack=step)).any()
+        scan_ok &= not ((vals >= level) & ~covered(cover, es, slack=step)).any()
 
         shifted = HamiltonianMatrix(ham.volume, ham.matrix + t_shift * np.eye(len(spec.volume)))
         cover_t = sublevel_cover(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,16 @@ import numpy as np
 import pytest
 
 from mpmsa.cli import main
-from mpmsa.config import load_config, parse_config_text, serialize_config
+from mpmsa.config import load_config, parse_config_text
+from mpmsa.configspace import MultiBall
+from mpmsa.disorder import sample_potential, uniform_distribution
 from mpmsa.errors import ConfigurationError
+from mpmsa.graphs import build_graph
+from mpmsa.spectral import BallOperators, BallSpectra
+
+from helpers import ZERO_INTERACTION
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_WEGNER = """\
 [experiment]
@@ -42,11 +51,8 @@ def _write(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
-def test_config_round_trip(tmp_path):
-    path = _write(tmp_path, BASE_WEGNER.format(out=tmp_path / "o"))
-    cfg = load_config(path)
-    again = parse_config_text(serialize_config(cfg))
-    assert again.table == cfg.table
+def test_config_flat_echo(tmp_path):
+    cfg = load_config(_write(tmp_path, BASE_WEGNER.format(out=tmp_path / "o")))
     assert "experiment.kind" in cfg.flat()
 
 
@@ -89,10 +95,36 @@ def test_zero_trials_exits_2(tmp_path):
 def test_efc_batches_out_of_range_exit_2(tmp_path, batches):
     # below 1 the runner used to write nan intervals; above 10001 the t
     # quantile of the interval is refused
-    root = Path(__file__).resolve().parent.parent
-    text = (root / "configs" / "efc.cfg").read_text().replace("batches = 5", f"batches = {batches}")
+    text = (ROOT / "configs" / "efc.cfg").read_text().replace("batches = 5", f"batches = {batches}")
     out = tmp_path / "x"
     assert main(["efc", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,old,new", [
+    # energy policies that are not fixed:<finite energy> or grid[:<count >= 1>]
+    ("induction", "energy_policy = fixed:500", "energy_policy = grid:abc"),
+    ("induction", "energy_policy = fixed:500", "energy_policy = fixed:abc"),
+    ("induction", "energy_policy = fixed:500", "energy_policy = grid:0"),
+    ("induction", "energy_policy = fixed:500", "energy_policy = grid:-3"),
+    ("induction", "energy_policy = fixed:500", "energy_policy = fixed:nan"),
+    # non-finite numbers
+    ("classify", "energy = 1.0,5.0,50.0", "energy = nan,5.0"),
+    ("wegner", "energy = 2.0", "energy = nan"),
+    ("wegner", "energy = 2.0", "energy = -inf"),
+    # configurations off the graph or with another particle count than [model]
+    ("wegner", "center = 4", "center = -1"),
+    ("classify", "center = 4,24", "center = 4,99"),
+    ("efc", "pairs = 3|5;3|7;3|9;3|11", "pairs = 3|5;3|7;3|9;3|99"),
+    ("classify", "center = 4,24", "center = 4"),
+    ("bridge", "center_x = 7", "center_x = 7,3"),
+])
+def test_malformed_run_values_exit_2(tmp_path, kind, old, new):
+    text = (ROOT / "configs" / f"{kind}.cfg").read_text()
+    assert old in text
+    out = tmp_path / "x"
+    path = _write(tmp_path, text.replace(old, new))
+    assert main([kind, "--config", path, "--out", str(out), "--trials", "2"]) == 2
     assert not out.exists()
 
 
@@ -185,8 +217,7 @@ energy_policy = fixed:500
 def test_nonpositive_l0_exits_2_despite_the_waiver(tmp_path, kind):
     """L0 < 1 takes L0 to a negative power in the mass recursion; the
     parameter waiver does not admit it."""
-    root = Path(__file__).resolve().parent.parent
-    text = (root / "configs" / f"{kind}.cfg").read_text()
+    text = (ROOT / "configs" / f"{kind}.cfg").read_text()
     text = text.replace("l0 = 3", "l0 = 0").replace("kmax = 1", "kmax = 0")
     assert "l0 = 0" in text
     if kind == "induction":
@@ -239,13 +270,12 @@ def test_csv_bitwise_deterministic_across_runs_and_threads(tmp_path):
 def _pool_run_csvs(tmp_path, kind, threads, config=None):
     """CSV bytes of the shipped config of `kind` (or of `config`), run in a
     child process with one BLAS thread and `threads` pool workers."""
-    root = Path(__file__).resolve().parent.parent
     out = tmp_path / f"{kind}-{threads}"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MPMSA_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "mpmsa.cli", kind, "--config",
-         config or str(root / "configs" / f"{kind}.cfg"), "--out", str(out)],
+         config or str(ROOT / "configs" / f"{kind}.cfg"), "--out", str(out)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -346,8 +376,7 @@ pairs = 0,0|1,1;0,0|2,2
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency; the package needs numpy alone
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, mpmsa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
@@ -360,7 +389,6 @@ def test_cli_import_loads_no_scipy():
 def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
     """A Green trial of `dominate` diagonalizes its ball once, and a trial
     that passes the hypotheses solves (H - E) once for all boundary columns."""
-    root = Path(__file__).resolve().parent.parent
     ball_size = 13  # configs/dominate.cfg: path:20, one particle, radius 6
     eigh_sizes, solves = [], []
     eigh, solve = np.linalg.eigh, np.linalg.solve
@@ -376,7 +404,7 @@ def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     out = tmp_path / "dominate"
-    code = main(["dominate", "--config", str(root / "configs" / "dominate.cfg"), "--out", str(out)])
+    code = main(["dominate", "--config", str(ROOT / "configs" / "dominate.cfg"), "--out", str(out)])
     assert code == 0
     rows = [line.split(",") for line in (out / "dominate.csv").read_text().splitlines()
             if line[:1].isdigit()]
@@ -396,7 +424,6 @@ def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
     bounds, 4 partitions)."""
     from mpmsa import domination, experiments
 
-    root = Path(__file__).resolve().parent.parent
     built, per_bound = [], []
     regular_set, domination_bound = domination.regular_set, domination.domination_bound
 
@@ -413,7 +440,7 @@ def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(domination, "regular_set", counting_regular_set)
     monkeypatch.setattr(experiments, "domination_bound", counting_domination_bound)
     out = tmp_path / "dominate"
-    code = main(["dominate", "--config", str(root / "configs" / "dominate.cfg"), "--out", str(out)])
+    code = main(["dominate", "--config", str(ROOT / "configs" / "dominate.cfg"), "--out", str(out)])
     assert code == 0
     assert per_bound == [1, 1, 0, 0]
     assert len(built) == 4
@@ -439,11 +466,10 @@ def _count_operator_builds(monkeypatch):
 def test_pool_runners_build_one_operator_per_ball(tmp_path, monkeypatch, kind):
     """configs/wegner.cfg (2 couplings, 200 samples) and configs/induction.cfg
     (2 scales, 40 samples each) enumerate each distinct ball once per run."""
-    root = Path(__file__).resolve().parent.parent
     monkeypatch.setenv("MPMSA_THREADS", "1")
     balls = _count_operator_builds(monkeypatch)
     out = tmp_path / kind
-    assert main([kind, "--config", str(root / "configs" / f"{kind}.cfg"), "--out", str(out)]) == 0
+    assert main([kind, "--config", str(ROOT / "configs" / f"{kind}.cfg"), "--out", str(out)]) == 0
     assert balls and len(balls) == len(set(balls))
 
 
@@ -453,7 +479,6 @@ def test_only_wegner_builds_a_layer_partition(tmp_path, monkeypatch, kind, build
     runs that only diagonalise never pay for it."""
     from mpmsa.hamiltonian import LayerPartition
 
-    root = Path(__file__).resolve().parent.parent
     calls = []
     build = LayerPartition.of.__func__
 
@@ -463,7 +488,7 @@ def test_only_wegner_builds_a_layer_partition(tmp_path, monkeypatch, kind, build
 
     monkeypatch.setattr(LayerPartition, "of", classmethod(counting))
     monkeypatch.setenv("MPMSA_THREADS", "1")
-    cfg = str(root / "configs" / f"{kind}.cfg")
+    cfg = str(ROOT / "configs" / f"{kind}.cfg")
     assert main([kind, "--config", cfg, "--out", str(tmp_path / kind)]) == 0
     assert len(calls) == builds
 
@@ -471,13 +496,6 @@ def test_only_wegner_builds_a_layer_partition(tmp_path, monkeypatch, kind, build
 def test_wegner_summary_counts_eigvalsh_fallbacks(tmp_path):
     """With g = 0 every sample has the same spectrum; E + t placed on an
     eigenvalue sends every sample to eigvalsh, E elsewhere sends none."""
-    import math
-
-    from mpmsa.configspace import MultiBall
-    from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
-    from mpmsa.graphs import build_graph
-    from mpmsa.spectral import BallOperators
-
     graph = build_graph("path:9")
     op = BallOperators(graph, ZERO_INTERACTION).operator(MultiBall(graph, (4,), 4))
     lam = np.linalg.eigvalsh(op.hamiltonian(0.0, sample_potential(uniform_distribution(0, 1), graph, 0)).matrix)
@@ -496,8 +514,6 @@ def test_classify_enumerates_each_ball_once(tmp_path, monkeypatch):
     """A 120-energy classify run enumerates each distinct ball once: the
     boundary of every NS test is read from the ball's volume (centre (8, 30)
     at radius 6 with L0 = 3: the ball and its CNR radii 3..6, four balls)."""
-    from mpmsa.configspace import MultiBall
-
     calls = []
     members = MultiBall.members
 
@@ -537,11 +553,7 @@ energy = {energies}
 
 
 def test_green_maps_reuse_the_solved_ball(monkeypatch):
-    from mpmsa.configspace import MultiBall
-    from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
     from mpmsa.domination import green_magnitude_maps
-    from mpmsa.graphs import build_graph
-    from mpmsa.spectral import BallOperators, BallSpectra
 
     graph = build_graph("path:20")
     ball = MultiBall(graph, (9,), 6)
@@ -554,9 +566,7 @@ def test_green_maps_reuse_the_solved_ball(monkeypatch):
 
 
 def test_shipped_configs_parse_and_declare_their_kind():
-    from pathlib import Path
-
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    config_dir = ROOT / "configs"
     paths = sorted(config_dir.glob("*.cfg"))
     assert len(paths) == 11
     for path in paths:
@@ -565,9 +575,7 @@ def test_shipped_configs_parse_and_declare_their_kind():
 
 
 def test_shipped_validate_params_config_passes(tmp_path):
-    from pathlib import Path
-
-    cfg = Path(__file__).resolve().parent.parent / "configs" / "validate-params.cfg"
+    cfg = ROOT / "configs" / "validate-params.cfg"
     assert main(["validate-params", "--config", str(cfg), "--out", str(tmp_path / "vp")]) == 0
 
 
@@ -647,10 +655,9 @@ kmax = 1
 def _bridge_run(tmp_path, config, blas_threads):
     """bridge.csv bytes and summary results of `config`, run in a child
     process with `blas_threads` BLAS threads."""
-    root = Path(__file__).resolve().parent.parent
     out = tmp_path / f"{Path(config).stem}-{blas_threads}"
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), MPMSA_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "mpmsa.cli", "bridge", "--config", str(config), "--out", str(out)],
         env=env, capture_output=True, text=True,
@@ -660,9 +667,8 @@ def _bridge_run(tmp_path, config, blas_threads):
 
 
 def test_bridge_csv_identical_across_blas_threads(tmp_path):
-    root = Path(__file__).resolve().parent.parent
     two = Path(_write(tmp_path, BRIDGE_TWO_PARTICLES.format(out=tmp_path / "unused"), "two.cfg"))
-    for config in (root / "configs" / "bridge.cfg", two):
+    for config in (ROOT / "configs" / "bridge.cfg", two):
         one_thread, results = _bridge_run(tmp_path, config, 1)
         two_threads, _ = _bridge_run(tmp_path, config, 2)
         assert one_thread == two_threads

@@ -6,20 +6,18 @@ import pytest
 from mpmsa.configspace import (
     MultiBall,
     ball_support,
-    boundaries,
     classify_interactivity,
     edge_boundary,
-    inner_boundary,
     rho,
-    rho_one_neighbors,
     rho_s,
     separation_candidates,
-    supports,
     weak_separation,
 )
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import VolumeIndex
+
+from helpers import inner_boundary, rho_one_neighbors
 
 
 def test_rho_and_swap_permutation():
@@ -63,7 +61,8 @@ def test_inner_boundary_whole_graph_empty():
 
 def test_edge_boundary_single_particle_example():
     g = build_graph("path:5")
-    inner, edges = boundaries(g, [(0,), (1,), (2,)], [(0,)])
+    inner = inner_boundary(g, [(0,), (1,), (2,)])
+    edges = edge_boundary(g, [(0,), (1,), (2,)], [(0,)])
     assert edges == [((0,), (1,))]
     assert ((2,) in inner) and ((0,) not in inner)
 
@@ -122,16 +121,14 @@ def test_boundary_cardinality_bound():
 
 
 def test_supports_examples():
+    # the (partial) supports of a configuration are those of its radius-0 ball
     g = build_graph("path:10")
-    full, part, bfull, bpart, diam = supports(g, (3, 3), (1,), 1)
-    assert full == frozenset({3}) and diam == 0
-    assert part == frozenset({3})
-    assert bfull == frozenset({2, 3, 4})
-    _, empty, _, bempty, _ = supports(g, (3, 5), (), 1)
-    assert empty == frozenset() and bempty == frozenset()
-    g10 = build_graph("path:10")
-    *_, diam3 = supports(g10, (0, 4, 9), (1,), 0)
-    assert diam3 == 9
+    point = MultiBall(g, (3, 3), 0)
+    assert ball_support(point) == ball_support(point, (1,)) == frozenset({3})
+    assert g.diameter_of(ball_support(point)) == 0
+    assert ball_support(MultiBall(g, (3, 3), 1)) == frozenset({2, 3, 4})
+    assert ball_support(MultiBall(g, (3, 5), 0), ()) == ball_support(MultiBall(g, (3, 5), 1), ()) == frozenset()
+    assert g.diameter_of(ball_support(MultiBall(g, (0, 4, 9), 0))) == 9
 
 
 def test_wi_classification_examples():
@@ -201,12 +198,13 @@ def test_weak_separation_single_particle_disjoint():
 def test_weak_separation_distant_pairs_exhaustive():
     g = build_graph("path:14")
     n, radius = 2, 1
-    cands = separation_candidates(g, n, radius)
+    # the candidates depend on (graph, N, L) alone and are built once
+    assert separation_candidates(g, n, radius) is separation_candidates(g, n, radius)
     centers = [(a, b) for a in range(14) for b in range(14)]
     checked = 0
     for x, y in itertools.product(centers[::3], centers[::3]):
         if rho_s(g, x, y) >= 3 * n * radius:
-            cert = weak_separation(MultiBall(g, x, radius), MultiBall(g, y, radius), cands)
+            cert = weak_separation(MultiBall(g, x, radius), MultiBall(g, y, radius))
             assert cert is not None, (x, y)
             checked += 1
     assert checked > 100

@@ -412,7 +412,7 @@ def bisections(draw):
     power = draw(st.sampled_from([1, 2]))
     level = 0.0 if power == 2 else 10.0 ** draw(st.floats(-12.0, 1.0))
     edges = np.concatenate(([p[0] - 1.0], p, [p[-1] + 1.0]))
-    samples = induction._gap_samples(edges, 1e-12)
+    samples = induction._gap_samples(edges)
     same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
     below = np.searchsorted(samples, p) - 1  # the last sample before each pole
     below = below[(below >= 0) & (samples[np.maximum(below, 0)] < p)]

@@ -14,7 +14,20 @@ from mpmsa.disorder import (
 from mpmsa.errors import ConfigurationError, ContractViolation
 from mpmsa.graphs import build_graph
 
-from helpers import mean_fluctuation_split
+from helpers import interaction_value, mean_fluctuation_split
+
+
+def distribution_spec(dist) -> str:
+    """The spec string parse_distribution_spec reads back to `dist`."""
+    if dist.kind == "uniform":
+        return f"uniform:{dist.a:g}:{dist.b:g}"
+    return f"tgauss:{dist.mu:g}:{dist.sigma:g}:{dist.a:g}:{dist.b:g}"
+
+
+def interaction_spec(u) -> str:
+    """The spec string parse_interaction_spec reads back to `u`."""
+    rcut = "inf" if math.isinf(u.truncation_radius) else f"{u.truncation_radius:g}"
+    return f"u:C={u.c_u:g}:zeta={u.zeta:g}:rcut={rcut}"
 
 
 def test_same_seed_identical_samples():
@@ -62,7 +75,7 @@ def test_truncated_gaussian_support_and_bounds():
 def test_distribution_spec_round_trip():
     for spec in ("uniform:0:1", "tgauss:0:1:-2:2"):
         dist = parse_distribution_spec(spec)
-        assert dist.spec == spec
+        assert distribution_spec(dist) == spec
     with pytest.raises(ConfigurationError):
         parse_distribution_spec("uniform:1")
     with pytest.raises(ConfigurationError):
@@ -71,28 +84,30 @@ def test_distribution_spec_round_trip():
 
 def test_interaction_values():
     u = InteractionPotential(1.0, 1.0)
-    assert u.value(1) == pytest.approx(math.exp(-1))
+    assert u.values([1])[0] == pytest.approx(math.exp(-1))
     u2 = InteractionPotential(2.0, 0.5)
-    assert u2.value(4) == pytest.approx(2 * math.exp(-2))
-    assert u2.value(0) == 2.0  # continuity of the bound at shared vertices
+    assert u2.values([4])[0] == pytest.approx(2 * math.exp(-2))
+    assert u2.values([0])[0] == 2.0  # continuity of the bound at shared vertices
     ut = InteractionPotential(1.0, 1.0, truncation_radius=3)
-    assert ut.value(4) == 0.0
-    assert ut.value(3) > 0.0
+    assert ut.values([4])[0] == 0.0
+    assert ut.values([3])[0] > 0.0
     with pytest.raises(ContractViolation):
-        u.value(-1)
+        u.values([-1])
+    with pytest.raises(ContractViolation):
+        interaction_value(u, -1)
 
 
 def test_interaction_vectorized_matches_scalar():
     u = InteractionPotential(1.5, 0.7, truncation_radius=5)
     rs = np.arange(0, 9)
     vec = u.values(rs)
-    assert vec == pytest.approx([u.value(int(r)) for r in rs])
+    assert vec == pytest.approx([interaction_value(u, int(r)) for r in rs])
 
 
 def test_interaction_spec_round_trip():
     spec = "u:C=1:zeta=0.5:rcut=inf"
     u = parse_interaction_spec(spec)
-    assert u.spec == spec
+    assert interaction_spec(u) == spec
     assert math.isinf(u.truncation_radius)
     with pytest.raises(ConfigurationError):
         parse_interaction_spec("u:C=1")
@@ -105,7 +120,7 @@ def test_mean_fluctuation_examples():
     dist = uniform_distribution(0, 1)
     smp = sample_potential(dist, g, 5)
     one = mean_fluctuation_split(smp, [2])
-    assert one.xi == smp.value(2)
+    assert one.xi == smp.values[2]
     assert one.eta[2] == 0.0
 
     smp2 = sample_potential(dist, g, 6)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mpmsa.configspace import MultiBall, inner_boundary, rho
-from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
+from mpmsa.configspace import MultiBall, rho
+from mpmsa.disorder import sample_potential, uniform_distribution
 from mpmsa.domination import (
     AnnulusCover,
     DominationContext,
@@ -18,6 +18,8 @@ from mpmsa.domination import (
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.spectral import BallOperators, BallSpectra
+
+from helpers import ZERO_INTERACTION, inner_boundary
 
 DIST = uniform_distribution(0, 1)
 
@@ -214,7 +216,7 @@ def test_gf_report_carries_the_verified_green_maps():
         pytest.fail("no strong-disorder draw met the hypotheses")
     assert rep.green_maps == green_magnitude_maps(spectra, ball, 500.25)
     ham = spectra.hamiltonian(ball)
-    inverse = np.linalg.inv(ham.matrix - 500.25 * np.eye(ham.size))
+    inverse = np.linalg.inv(ham.matrix - 500.25 * np.eye(len(ham.volume)))
     assert sorted(rep.green_maps) == inner_boundary(g, ball.members())
     for y, f_map in rep.green_maps.items():
         assert sorted(f_map) == list(ham.volume.configs)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from mpmsa.configspace import MultiBall, weak_separation
-from mpmsa.disorder import (
-    ZERO_INTERACTION,
-    InteractionPotential,
-    sample_potential,
-    uniform_distribution,
-)
+from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation
 from mpmsa.evc import (
     McEstimate,
@@ -24,7 +19,7 @@ from mpmsa.induction import _worst_estimate
 from mpmsa.msa import resonance_radius
 from mpmsa.spectral import BallOperators
 
-from helpers import assemble_ball
+from helpers import ZERO_INTERACTION, assemble_ball
 
 DIST = uniform_distribution(0, 1)
 

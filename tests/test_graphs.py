@@ -41,12 +41,9 @@ def test_bad_specs_rejected():
             build_graph(bad)
 
 
-def test_vertex_budget_configurable():
+def test_vertex_budget_caps_dense_distances():
     with pytest.raises(BudgetExceeded):
-        build_graph("path:6000")  # default cap: dense distances are quadratic
-    with pytest.raises(BudgetExceeded):
-        build_graph("path:100", vertex_budget=50)
-    assert build_graph("path:100", vertex_budget=100).n_vertices == 100
+        build_graph("path:6000")  # fixed cap: dense distances are quadratic
 
 
 def test_parse_spec_forms():

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from mpmsa.configspace import MultiBall, classify_interactivity
-from mpmsa.disorder import (
-    InteractionPotential,
-    ZERO_INTERACTION,
-    sample_potential,
-    uniform_distribution,
-)
+from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.errors import BudgetExceeded, ContractViolation
 from mpmsa.graphs import build_graph
-from mpmsa.hamiltonian import VolumeIndex, decouple, norm_bound
+from mpmsa.hamiltonian import VolumeIndex, norm_bound
 
-from helpers import assemble, assemble_ball, laplacian
+from helpers import ZERO_INTERACTION, assemble, assemble_ball, decouple, interaction_value, laplacian
 
 DIST = uniform_distribution(0, 1)
 
@@ -57,7 +52,7 @@ def test_assemble_single_configuration_value():
     u = InteractionPotential(0.7, 1.0)
     for gval in (0.0, 2.5, -1.0):
         ham = assemble(VolumeIndex(g, [(1, 1)]), gval, smp, u)
-        expected = 4.0 + 2 * gval * smp.value(1) + u.value(0)
+        expected = 4.0 + 2 * gval * smp.values[1] + interaction_value(u, 0)
         assert ham.matrix == pytest.approx(np.array([[expected]]))
 
 
@@ -160,7 +155,7 @@ def test_decouple_kron_eigenvalue_sum_oracle_2x2():
     kind, split = classify_interactivity(ball)
     assert kind == "WI"
     dec = decouple(ball, split, 1.0, smp, ZERO_INTERACTION)
-    assert dec.h_prime.size == 2 and dec.h_second.size == 2
+    assert len(dec.h_prime.volume) == 2 and len(dec.h_second.volume) == 2
     lam_p = np.linalg.eigvalsh(dec.h_prime.matrix)
     lam_s = np.linalg.eigvalsh(dec.h_second.matrix)
     ni = dec.noninteracting_matrix()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpmsa.configspace import MultiBall
-from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
+from mpmsa.disorder import sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import VolumeIndex, spectral_window
@@ -22,7 +22,7 @@ from mpmsa.induction import (
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.spectral import BallOperators, BoundaryProfile, boundary_profile, eigendecompose
 
-from helpers import assemble_ball, rational_deriv, sublevel_cover
+from helpers import ZERO_INTERACTION, assemble_ball, covered, rational_deriv, sublevel_cover, total_length
 
 DIST = uniform_distribution(0, 1)
 
@@ -60,7 +60,7 @@ def test_cover_empty_when_level_above_max():
     )
     # on a window bounded away from the pole the sup is pref*c/2, so pick more
     cover = cover_from_profile(profile, 1e6, (2.0, 10.0), ball_size=1)
-    assert cover.count == 0 and cover.total_length == 0.0
+    assert cover.count == 0 and total_length(cover) == 0.0
 
 
 def _ball_cover_setup(seed, graph_spec="path:13", center=(6,), radius=4, g_amp=2.0):
@@ -82,7 +82,7 @@ def test_cover_validated_by_dense_grid():
         es = np.linspace(window[0], window[1], 100_001)
         vals = prof.evaluate(es, guard=1e-12)
         step = es[1] - es[0]
-        assert not ((vals >= level) & ~cover.covered(es, slack=step)).any()
+        assert not ((vals >= level) & ~covered(cover, es, slack=step)).any()
 
 
 def test_cover_shift_covariance():
@@ -233,8 +233,8 @@ def test_cover_dataclass_helpers():
         intervals=((0.0, 1.0), (2.0, 2.5)), level=0.1, window=(-1, 3), ball_size=4
     )
     assert cover.count == 2
-    assert cover.total_length == pytest.approx(1.5)
-    mask = cover.covered(np.asarray([0.5, 1.75, 2.2]))
+    assert total_length(cover) == pytest.approx(1.5)
+    mask = covered(cover, np.asarray([0.5, 1.75, 2.2]))
     assert mask.tolist() == [True, False, True]
 
 

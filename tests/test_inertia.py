@@ -9,12 +9,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from mpmsa.configspace import MultiBall
-from mpmsa.disorder import (
-    ZERO_INTERACTION,
-    InteractionPotential,
-    sample_potential,
-    uniform_distribution,
-)
+from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.graphs import build_graph
 from mpmsa.hamiltonian import (
     MIN_BLOCK_ROWS,
@@ -24,6 +19,8 @@ from mpmsa.hamiltonian import (
     layer_blocks,
 )
 from mpmsa.spectral import BallOperators, inertia
+
+from helpers import ZERO_INTERACTION
 
 DIST = uniform_distribution(0, 1)
 GRAPHS = ("path:12", "cycle:10", "grid:4x4", "tree:2x3")

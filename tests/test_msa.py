@@ -1,24 +1,27 @@
+import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from mpmsa.configspace import MultiBall
-from mpmsa.disorder import ZERO_INTERACTION, sample_potential, uniform_distribution
+from mpmsa.configspace import CanonicalSplit, MultiBall, classify_interactivity, rho_s
+from mpmsa.disorder import sample_potential, uniform_distribution
 from mpmsa.errors import ConfigurationError, ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.msa import (
     MassSchedule,
     ParameterSet,
+    _is_cnr,
     classify,
-    classify_wi,
-    is_good,
+    ns_threshold,
+    resonant,
     scales,
     validate,
 )
-from mpmsa.spectral import BallOperators, BallSpectra
+from mpmsa.spectral import BallOperators, BallSpectra, ns_flags
 
-from helpers import assemble_ball, laplacian
+from helpers import ZERO_INTERACTION, assemble_ball, decouple, laplacian
 
 DIST = uniform_distribution(0, 1)
 
@@ -152,6 +155,65 @@ def test_cnr_implies_nr_and_needs_schedule_index():
     assert flags2.cnr is None
 
 
+@dataclass
+class WiClassification:
+    """FNR/PNS flags of a weakly interactive ball at one energy."""
+
+    split: CanonicalSplit
+    fnr: bool
+    pns: bool
+    weakly_interactive: bool = True
+    witnesses: dict = field(default_factory=dict)
+
+
+def classify_wi(ball, energy, params, mass, spectra, cert, schedule) -> WiClassification:
+    """FNR/PNS for a weakly interactive ball via its reduced Hamiltonians.
+
+    FNR: for every reduced eigenvalue lambda' of one factor, the other factor
+    is (E - lambda', beta)-CNR; PNS replaces CNR by the Green-decay predicate
+    with the companion factor's mass (the crossed-index convention).
+    """
+    kind, split = classify_interactivity(ball)
+    if kind != "WI":
+        raise ContractViolation("classify_wi needs a weakly interactive ball")
+    k = schedule.index_of(ball.radius)
+    if k is None or k < 1:
+        raise ContractViolation("FNR needs radius equal to some L_k with k >= 1")
+    # the reduced Hamiltonians of the decoupled form are the factor-ball Hamiltonians
+    ball_p = MultiBall(ball.graph, tuple(ball.center[j - 1] for j in split.J), ball.radius)
+    ball_s = MultiBall(ball.graph, tuple(ball.center[j - 1] for j in split.Jc), ball.radius)
+    spec_p = spectra.spectrum(ball_p)
+    spec_s = spectra.spectrum(ball_s)
+    lo, hi = schedule.levels[k - 1], schedule.levels[k]
+    witnesses = {}
+
+    def all_cnr(factor_ball, energies, tag) -> bool:
+        for ell in range(lo, hi + 1):
+            lam = spectra.spectrum(factor_ball.concentric(ell)).eigenvalues
+            bad = np.nonzero(resonant(lam, energies, ell, params.beta))[0]
+            if bad.size:
+                witnesses[f"{tag}:fnr_failed"] = {"radius": ell, "shift_index": int(bad[0])}
+                return False
+        return True
+
+    def all_ns(factor_ball, spec, energies, m_val, tag) -> bool:
+        thr = ns_threshold(params, m_val, factor_ball.radius)
+        ns, _ = ns_flags(spec, factor_ball, cert, energies, thr)  # undetermined fails
+        bad = np.nonzero(~ns)[0]
+        if bad.size:
+            witnesses[f"{tag}:pns_failed_shift_index"] = int(bad[0])
+        return not bad.size
+
+    shifts_from_p = energy - spec_p.eigenvalues  # test second factor at E - lambda'
+    shifts_from_s = energy - spec_s.eigenvalues
+    fnr = all_cnr(ball_s, shifts_from_p, "second") & all_cnr(ball_p, shifts_from_s, "prime")
+    n_p, n_s = len(split.J), len(split.Jc)
+    pns = all_ns(ball_s, spec_s, shifts_from_p, mass.m(n_p), "second") & all_ns(
+        ball_p, spec_p, shifts_from_s, mass.m(n_s), "prime"
+    )
+    return WiClassification(split=split, fnr=fnr, pns=pns, witnesses=witnesses)
+
+
 def test_classify_wi_fnr_far_energy():
     g = build_graph("path:40")
     cert = certify_growth(g, 1.0, 20)
@@ -173,9 +235,6 @@ def test_classify_wi_not_fnr_on_resonant_shift():
     sched = scales(params, kmax=2)
     smp = sample_potential(DIST, g, 6)
     ball = MultiBall(g, (2, 33), 4)
-    from mpmsa.hamiltonian import decouple
-    from mpmsa.configspace import classify_interactivity
-
     _, split = classify_interactivity(ball)
     dec = decouple(ball, split, 1.0, smp, ZERO_INTERACTION)
     lam_prime = np.linalg.eigvalsh(dec.h_prime.matrix)
@@ -197,6 +256,73 @@ def test_classify_wi_rejects_radius_zero():
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     with pytest.raises(ContractViolation):
         classify_wi(ball, 1.0, params, mass, spectra, cert, sched)
+
+
+def _pairwise_distant_subset(graph, centers: list, threshold: int, want: int) -> list | None:
+    """A subset of `want` centers with pairwise rho_S >= threshold, or None.
+
+    Exhaustive over <= 12 candidates, greedy farthest-point packing beyond
+    (the counting argument only needs existence, not maximality).
+    """
+    m = len(centers)
+    if m < want:
+        return None
+    dist = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(i + 1, m):
+            dist[i, j] = dist[j, i] = rho_s(graph, centers[i], centers[j])
+    if m <= 12:
+        for combo in itertools.combinations(range(m), want):
+            if all(dist[a, b] >= threshold for a, b in itertools.combinations(combo, 2)):
+                return [centers[i] for i in combo]
+        return None
+    chosen = [0]
+    for cand in range(1, m):
+        if all(dist[cand, c] >= threshold for c in chosen):
+            chosen.append(cand)
+            if len(chosen) == want:
+                return [centers[i] for i in chosen]
+    return None
+
+
+@dataclass(frozen=True)
+class GoodBallReport:
+    good: bool
+    cnr: bool
+    singular_centers: tuple
+    forbidden_collection: tuple | None
+
+
+def is_good(ball, energy, params, mass, spectra, cert, schedule) -> GoodBallReport:
+    """Good ball at L_{k+1}: CNR and no K+1 pairwise-distant singular sub-balls.
+
+    Sub-ball centers range over rho(center, v) <= L_{k+1} - L_k; the distance
+    rule is 8*N*L_k (subexp) or L_k**tau with the two-ball count (exp).
+    """
+    k1 = schedule.index_of(ball.radius)
+    if k1 is None or k1 < 1:
+        raise ContractViolation("good-ball predicate needs radius = L_{k+1}, k+1 >= 1")
+    l_small = schedule.levels[k1 - 1]
+    n = ball.n_particles
+    if params.mode == "subexp":
+        threshold, count_bound = 8 * n * l_small, params.K
+    else:
+        threshold, count_bound = int(math.floor(float(l_small) ** params.tau)), 1
+    cnr_flag, _ = _is_cnr(ball, energy, params, schedule, spectra)
+    singular = []
+    thr = ns_threshold(params, mass.m(n), l_small)
+    for v in MultiBall(ball.graph, ball.center, ball.radius - l_small).members():
+        sub = MultiBall(ball.graph, v, l_small)
+        ns, _ = ns_flags(spectra.spectrum(sub), sub, cert, np.asarray([energy]), thr)
+        if not ns[0]:
+            singular.append(v)  # undetermined NS counts against goodness
+    collection = _pairwise_distant_subset(ball.graph, singular, threshold, count_bound + 1)
+    return GoodBallReport(
+        good=cnr_flag and collection is None,
+        cnr=cnr_flag,
+        singular_centers=tuple(singular),
+        forbidden_collection=tuple(collection) if collection else None,
+    )
 
 
 def _good_setup():

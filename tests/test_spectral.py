@@ -7,12 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpmsa.configspace import Config, MultiBall, rho_s
-from mpmsa.disorder import (
-    ZERO_INTERACTION,
-    InteractionPotential,
-    sample_potential,
-    uniform_distribution,
-)
+from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation, DataError, ResonanceError
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import SYMMETRY_STRIP, HamiltonianMatrix, VolumeIndex, VolumeOperator
@@ -25,7 +20,6 @@ from mpmsa.spectral import (
     dist_to_spectrum,
     efc,
     eigendecompose,
-    green,
     green_row,
     gri_check,
     ns_flags,
@@ -33,6 +27,7 @@ from mpmsa.spectral import (
 )
 
 from helpers import (
+    ZERO_INTERACTION,
     assemble,
     assemble_ball,
     boundary_functional,
@@ -256,7 +251,7 @@ def test_green_one_by_one():
     g = build_graph("path:3")
     ham = _matrix_ham(g, [(1,)], [[2.5]])
     spec = eigendecompose(ham)
-    assert green(spec, 1.0, (1,), (1,)) == pytest.approx(1.0 / (2.5 - 1.0))
+    assert green_row(spec, 1.0, (1,))[0] == pytest.approx(1.0 / (2.5 - 1.0))
 
 
 def test_green_two_by_two_closed_form():
@@ -267,7 +262,7 @@ def test_green_two_by_two_closed_form():
     inv = np.linalg.inv(m - e * np.eye(2))
     for i, x in enumerate([(0,), (1,)]):
         for j, y in enumerate([(0,), (1,)]):
-            assert green(spec, e, x, y) == pytest.approx(inv[i, j], rel=1e-12)
+            assert green_row(spec, e, x)[spec.volume.position(y)] == pytest.approx(inv[i, j], rel=1e-12)
 
 
 def test_resolvent_identity_columnwise():
@@ -288,7 +283,7 @@ def test_resonance_guard():
     g = build_graph("path:3")
     spec = eigendecompose(_matrix_ham(g, [(0,), (1,), (2,)], np.diag([1.0, 2.0, 3.0])))
     with pytest.raises(ResonanceError) as err:
-        green(spec, 2.0 + 1e-13, (0,), (0,))
+        green_row(spec, 2.0 + 1e-13, (0,))
     assert err.value.dist_to_spectrum <= 1e-12
 
 
@@ -318,7 +313,8 @@ def test_boundary_functional_matches_direct_enumeration():
     ball = MultiBall(g, (5,), 3)
     spec = eigendecompose(assemble_ball(ball, 2.0, smp, ZERO_INTERACTION))
     e = 0.123
-    direct = max(abs(green(spec, e, (5,), z)) for z in [(2,), (8,)])
+    row = green_row(spec, e, (5,))
+    direct = max(abs(row[spec.volume.position(z)]) for z in [(2,), (8,)])
     pref = cert.C ** 2 * 3.0
     assert boundary_functional(spec, ball, e, cert) == pytest.approx(pref * direct)
 

@@ -201,10 +201,14 @@ class LayerPartition:
         they would cost more than one eigenvalue solve of the volume, 4/3 m**3.
         A block of b rows is costed as six eigensolves with vectors (the two
         shifts of a Wegner sample, measured and then bracketed), 9 b**3 each,
-        with b taken MIN_BLOCK_ROWS larger for the fixed cost of a small solve."""
+        with b taken 24 rows larger for the fixed cost of a small solve.  That
+        fits inertia against eigvalsh on two-particle path balls (2 vCPUs, 1
+        BLAS thread): 12 against 9 ms at m = 361 (17 layer blocks), which
+        takes one block, 22 against 109 ms at m = 961 and 76 against 956 ms
+        at m = 2025."""
         m = len(op.volume)
         blocks = layer_blocks(op)
-        if 6 * 9 * sum((len(b) + MIN_BLOCK_ROWS) ** 3 for b in blocks) > 4 / 3 * m**3:
+        if 6 * 9 * sum((len(b) + 24) ** 3 for b in blocks) > 4 / 3 * m**3:
             blocks = [np.arange(m)]
         return cls.from_blocks(op, blocks)
 

@@ -6,25 +6,29 @@ sum_j w_j(z) / (p_j - E), with poles p_j at the eigenvalue clusters and a
 derivative with finitely many zeros between consecutive poles.  The cover is
 the union over columns of their segments {|column| >= a / prefactor}.
 
-What is shared is computed once.  Per ball: the eigenvalue clusters and the
-per-cluster weights of all columns.  Columns with the same live poles (nonzero
-weights) form a group, usually one; per group: the gap samples, the matrix of
-reciprocals 1/(p_j - E) at the samples, and the values and slopes of every
-column at the samples as two matrix products.  Per column stay the sign-change
-brackets of the derivative zeros ("turn") and of the level crossings
-("level"), and the segments they bound.
+One sample grid serves a ball: the gap samples between consecutive poles and
+the edges, with the values and slopes of every column there as two matrix
+products per block of reciprocals 1/(p_j - E).  A column with a dead pole
+(weight exactly 0) in the window has gaps merged across it; it keeps the
+shared samples outside them and takes its own inside, the point set it has on
+its own ("spliced").  On a bench ball 5-11 sets of live poles occur: about 40
+columns with every pole live, and single columns with 1-20 dead poles.  The
+sign-change brackets of the derivative zeros ("turn") and of the level
+crossings ("level") are found for all columns at once, along the grid and
+along one list of the spliced columns' points.
 
 Only roots that can bound the union are bisected: a turn bracket on which a
 bound keeps |F| below half the level, and a level bracket that lies well
-inside the union of the columns already done, are skipped (`_group_segments`
+inside the union of the columns already done, are skipped (`_ball_union`
 says how, and why the union stays the same).  The rest are bisected in
-batches across the columns of a group.  The bisection uses no BLAS: it
-evaluates each bracket's column as a row-wise product with numpy's pairwise
-sum, so a root's bits depend on its own bracket alone, and each bracket stops
-at float convergence or after 80 steps.  `EnergyIntervalCover.roots` counts
-per kind of root the brackets bisected and skipped and the reciprocal rows
-formed.  All sampling offsets are anchored to the poles and the window, so the
-construction is translation-covariant under H -> H + tI.
+batches across the columns with the same live poles.  The bisection uses no
+BLAS: it evaluates each bracket's column as a row-wise product with numpy's
+pairwise sum over the column's live poles, so a root's bits depend on its own
+bracket alone, and each bracket stops at float convergence or after 80 steps.
+`EnergyIntervalCover.roots` counts per kind of root the brackets bisected and
+skipped and the reciprocal rows formed.  All sampling offsets are anchored to
+the poles and the window, so the construction is translation-covariant under
+H -> H + tI.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .spectral import (
     BallSpectra,
     BoundaryProfile,
     SpectralData,
+    _reciprocals,
     boundary_profile,
     cluster_sums,
     dist_to_spectrum,
@@ -101,24 +106,6 @@ class EnergyIntervalCover:
     @property
     def count(self) -> int:
         return len(self.intervals)
-
-
-def _reciprocals(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
-    """(energies x poles) matrix 1 / (p_j - E), formed in `out` if given; a
-    pole gives inf.  The differences p_j - E come from the rank-2 product
-    [1, E] . [p_j, -1]: each is one rounding of the exact difference, the bits
-    of a subtraction, and BLAS forms them in place some 4x faster than a
-    broadcast subtraction allocates them."""
-    ones = np.empty((es.size, 2))
-    ones[:, 0], ones[:, 1] = 1.0, es
-    out = np.matmul(ones, np.stack((poles, -np.ones(poles.size))), out=out)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.divide(1.0, out, out=out)
-
-
-def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _reciprocals(es, poles) @ w
 
 
 _MAX_STEPS = 80
@@ -190,17 +177,17 @@ def _bisect_batch(p, wt, col, t, power, lo, hi, scratch, counts) -> np.ndarray:
 
 _INTERIOR_FRACTIONS = np.linspace(0.0, 1.0, 35)[1:-1]
 _EDGE_FRACTIONS = np.asarray([10.0**-j for j in range(1, 13)])
-# rows of a block of reciprocals in the scratch buffer (at the most live
-# poles): a block of samples, or a bisection batch next to its weight rows
+# rows of a block of reciprocals in the scratch buffer (at all poles): a
+# block of samples, or a bisection batch next to its weight rows
 _BLOCK_ROWS = 512
 
 
-def _gap_samples(edges: np.ndarray) -> np.ndarray:
-    """Ascending sample points of every gap between consecutive edges wider
-    than 4 XTOL: 33 interior points and 12 on each side approaching the edge
-    geometrically, all parameterized by the gap (covariant)."""
-    lo, hi = edges[:-1], edges[1:]
-    wide = hi - lo > 4 * XTOL
+def _gap_samples(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample points of every gap [lo_i, hi_i] wider than 4 XTOL, ascending
+    within a gap, and the gap i of each: 33 interior points and 12 on each
+    side approaching the edge geometrically, all parameterized by the gap
+    (covariant)."""
+    wide = np.flatnonzero(hi - lo > 4 * XTOL)
     lo, hi = lo[wide, None], hi[wide, None]
     width = hi - lo
     grid = np.sort(
@@ -212,7 +199,7 @@ def _gap_samples(edges: np.ndarray) -> np.ndarray:
     )
     fresh = np.ones(grid.shape, dtype=bool)
     fresh[:, 1:] = grid[:, 1:] != grid[:, :-1]
-    return grid[fresh]
+    return grid[fresh], np.broadcast_to(wide[:, None], grid.shape)[fresh]
 
 
 def _turn_skips(
@@ -254,166 +241,244 @@ def _level_skips(union: np.ndarray, lo: np.ndarray, hi: np.ndarray, margin: floa
     return (k >= 0) & (ends[np.maximum(k, 0)] >= hi + width + margin) if starts.size else np.zeros(lo.size, bool)
 
 
-def _level_brackets(
-    p: np.ndarray,
-    c: np.ndarray,
-    samples: np.ndarray,
-    sample_values: np.ndarray,
-    distinct: np.ndarray,
-    gap_index: np.ndarray,
-    edges: np.ndarray,
-    edge_values: np.ndarray,
-    dzeros: np.ndarray,
-    level: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Brackets [lo, hi] of the crossings |F| = level of one rational column,
-    their targets +-level, and each bracket's end outside {|F| >= level}.
-
-    They are the sign changes of F -+ level on the refined point set: the
-    shared samples (the first of equal ones at `distinct`, in the gaps
-    `gap_index`) with F's values, plus the zeros of F' and the edges (with
-    F's values there), each value at its first occurrence (as np.unique of
-    samples then extras keeps it), merged instead of sorted."""
-    extra = np.concatenate([dzeros, edges])
-    order = np.argsort(extra, kind="stable")
-    ex, ex_vals = extra[order], np.concatenate([_rational(dzeros, p, c), edge_values])[order]
-    points = samples[distinct]
-    at = np.searchsorted(points, ex)
-    new = points[np.minimum(at, points.size - 1)] != ex
-    new[1:] &= ex[1:] != ex[:-1]
-    at, ex, ex_vals = at[new], ex[new], ex_vals[new]
-    pts = np.insert(points, at, ex)
-    vals = np.insert(sample_values[distinct], at, ex_vals)
-    gap = np.insert(gap_index[distinct], at, np.searchsorted(p, ex))
-    same_gap = gap[:-1] == gap[1:]
-    los, targets, outside_lo = [], [], []
-    for target in (level, -level):
-        sign = np.sign(vals - target)
-        idx = np.flatnonzero((sign[:-1] * sign[1:] < 0) & same_gap)
-        los.append(idx)
-        targets.append(np.full(idx.size, target))
-        # outside means F < level for +level and F > -level for -level
-        outside_lo.append(sign[idx] != np.sign(target))
-    idx, outside_lo = np.concatenate(los), np.concatenate(outside_lo)
-    return pts[idx], pts[idx + 1], np.concatenate(targets), np.where(outside_lo, pts[idx], pts[idx + 1])
-
-
-def _column_segments(
-    p: np.ndarray, c: np.ndarray, breakpoints: np.ndarray, level: float, window: tuple[float, float], guard: float
-) -> list[tuple[float, float]]:
-    """Sublevel segments {|F| >= level} of one rational column on the window:
-    the pieces between consecutive breakpoints (edges, crossings and zeros of
-    F') where |F| at the midpoint reaches the level or the midpoint lies
-    within guard of a pole."""
-    breakpoints = np.unique(np.clip(breakpoints, *window))
-    mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
-    if mids.size == 0:
-        return []
-    near_pole = dist_to_spectrum(p, mids) <= guard
-    inside = np.flatnonzero(near_pole | (np.abs(_rational(mids, p, c)) >= level))
-    a, b = breakpoints[inside], breakpoints[inside + 1]
-    a, b = a[b - a > 0], b[b - a > 0]
-    if not a.size:
-        return []
-    # an interval starting within guard of the previous one's end extends it
-    first = np.ones(a.size, dtype=bool)
-    first[1:] = a[1:] > b[:-1] + guard
-    last = np.append(np.flatnonzero(first)[1:] - 1, a.size - 1)
-    return list(zip(a[first].tolist(), b[last].tolist()))
-
-
-def _group_segments(
-    poles: np.ndarray, weights: np.ndarray, level: float, window: tuple[float, float],
-    scratch: np.ndarray, roots: dict[str, RootCounts], union: list[tuple[float, float]],
-) -> list[tuple[float, float]]:
-    """`union` (merged, ascending) grown by the sublevel segments
-    {|F_col| >= level} of every column of `weights`; all columns share the
-    live poles, hence the samples, the reciprocals and the bisection batches.
-
-    Only roots that can bound the union are bisected.  A zero of F' is
-    skipped where `_turn_skips` bounds |F| below level / 2.  The columns then
-    join the union in rounds of 1, 2, 4, ... columns, most level brackets
-    first; a level bracket [u, v] (w = v - u) whose [u - w, v + w] lies inside
-    the union of earlier rounds, with margin 2 XTOL + 4 guard, keeps its end
-    outside {|F| >= level} as breakpoint instead of its root.  That moves the
-    column's segments only inside the union, so the union's endpoints are
-    the roots every bracket would give."""
-    lo_w, hi_w = window
-    edges = np.concatenate(([lo_w], poles[(poles > lo_w) & (poles < hi_w)], [hi_w]))
-    samples = _gap_samples(edges)
-    if samples.size == 0:
-        return union
-    # the (samples x poles) reciprocals a block of rows at a time, in place
-    # in `scratch`, where they stay in cache for both products
-    values = np.empty((samples.size, weights.shape[1]))
-    slopes = np.empty_like(values)
-    block_rows = scratch.size // (2 * poles.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for s in range(0, samples.size, block_rows):
-            part = slice(s, s + block_rows)
-            block = samples[part]
-            recip = _reciprocals(block, poles, out=scratch[: block.size * poles.size].reshape(block.size, -1))
-            np.matmul(recip, weights, out=values[part])
-            np.matmul(np.square(recip, out=recip), weights, out=slopes[part])
-    gap_index = np.searchsorted(poles, samples)
-    same_gap = gap_index[:-1] == gap_index[1:]
-    # derivative sign changes within each gap give the monotone breakpoints
-    turns = (np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0) & same_gap[:, None]
-    # the samples ascend; a pole can be the last sample of one gap and the
-    # first of the next
-    distinct = np.flatnonzero(np.concatenate(([True], samples[1:] != samples[:-1])))
-    guard = XTOL
-    wt = np.ascontiguousarray(weights.T)
-    n_cols = wt.shape[0]
-
-    # the zeros of F' of all columns in one bisection, ordered by column
-    cols, rows = np.nonzero(turns.T)
-    skip = _turn_skips(poles, weights, samples, rows, cols, level, guard, scratch)
-    roots["turn"].skipped += int(skip.sum())
-    cols, rows = cols[~skip], rows[~skip]
-    dzeros = _bisect(poles, wt, cols, 0.0, 2, samples[rows], samples[rows + 1], scratch, roots["turn"])
-    dzeros = np.split(dzeros, np.searchsorted(cols, np.arange(1, n_cols)))
-
-    # per column: its level brackets, their targets and their outside ends
-    edge_values = _rational(edges, poles, weights)
-    brackets = [
-        _level_brackets(poles, wt[col], samples, values[:, col], distinct, gap_index, edges, edge_values[:, col],
-                        dzeros[col], level)
-        for col in range(n_cols)
-    ]
-    counts = np.asarray([lo.size for lo, *_ in brackets])
-    order = np.argsort(-counts, kind="stable")
-    margin = 2 * XTOL + 4 * guard
-    start, size = 0, 1
-    while start < n_cols:
-        batch = order[start : start + size]
-        start, size = start + size, 2 * size
-        lo, hi, target, outside = (np.concatenate(part) for part in zip(*(brackets[col] for col in batch)))
-        skip = _level_skips(np.asarray(union).reshape(-1, 2).T, lo, hi, margin)
-        roots["level"].skipped += int(skip.sum())
-        bisect = ~skip
-        crossings = outside.copy()
-        crossings[bisect] = _bisect(poles, wt, np.repeat(batch, counts[batch])[bisect], target[bisect], 1,
-                                    lo[bisect], hi[bisect], scratch, roots["level"])
-        segments = list(union)
-        for col, found in zip(batch, np.split(crossings, np.cumsum(counts[batch])[:-1])):
-            breakpoints = np.concatenate((edges, found, dzeros[col]))
-            segments.extend(_column_segments(poles, wt[col], breakpoints, level, window, guard))
-        union = _merge(segments, eps=XTOL)
-    return union
-
-
-def _merge(intervals: list[tuple[float, float]], eps: float) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    out = [intervals[0]]
-    for a, b in intervals[1:]:
-        if a <= out[-1][1] + eps:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
+def _signs(slopes, values, level: float, out=None) -> np.ndarray:
+    """The signs of F', F - level and F + level, stacked as int8 (NaN gives
+    0)."""
+    out = np.empty((3, *np.shape(values)), dtype=np.int8) if out is None else out
+    for sign, v, t in zip(out, (slopes, values, values), (0.0, level, -level)):
+        np.subtract(v > t, v < t, out=sign, dtype=np.int8)
     return out
+
+
+def _changes(signs: np.ndarray, pair: np.ndarray):
+    """Where `signs` flips from row i to row i + 1 (0 flips nothing) and
+    `pair` holds: the index tuple of row i (and column), and whether row i is
+    negative."""
+    at = np.nonzero((signs[:-1] * signs[1:] < 0) & pair)
+    return at, signs[:-1][at] < 0
+
+
+def _merge(intervals, eps: float) -> list[tuple[float, float]]:
+    """Union of closed intervals (pairs or an (n, 2) array), joining those
+    at most eps apart: the ascending sweep, with the running maximum of the
+    ends as the end of the current interval."""
+    iv = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    if not iv.size:
+        return []
+    iv = iv[np.lexsort((iv[:, 1], iv[:, 0]))]
+    reach = np.maximum.accumulate(iv[:, 1])
+    first = np.ones(len(iv), dtype=bool)
+    first[1:] = iv[1:, 0] > reach[:-1] + eps
+    last = np.append(np.flatnonzero(first)[1:] - 1, len(iv) - 1)
+    return list(zip(iv[first, 0].tolist(), reach[last].tolist()))
+
+
+class _Columns:
+    """The boundary columns of one ball as rational functions: the poles
+    live in some column and the (poles x columns) weights.  Columns with the
+    same live poles form a class; every sum over poles below runs over the
+    live poles of its column only, as the column-at-a-time construction
+    does, so a root keeps its bits."""
+
+    def __init__(self, poles: np.ndarray, weights: np.ndarray):
+        self.poles, self.weights = poles, weights
+        sets, kind = np.unique((np.abs(weights) > 0.0).T, axis=0, return_inverse=True)
+        self.kind = kind.ravel()
+        self.classes = [(poles[s], np.ascontiguousarray(weights[s].T)) for s in sets]
+        # one buffer for every block of reciprocals and bisection batch,
+        # reused in turn: about 1.4 MB at 169 poles, so a block stays in cache
+        self.scratch = np.empty(2 * _BLOCK_ROWS * poles.size)
+
+    def _split(self, col: np.ndarray):
+        """Per class in `col`: its poles, its (columns x poles) weights and
+        the positions in `col` of its columns, ordered by column."""
+        kind = self.kind[col]
+        for k in np.unique(kind):
+            at = np.flatnonzero(kind == k)
+            yield *self.classes[k], at[np.argsort(col[at], kind="stable")]
+
+    def bisect(self, col, t, power, lo, hi, counts: RootCounts) -> np.ndarray:
+        t = np.broadcast_to(t, lo.shape)
+        roots = np.empty(lo.size)
+        for p, wt, at in self._split(col):
+            roots[at] = _bisect(p, wt, col[at], t[at], power, lo[at], hi[at], self.scratch, counts)
+        return roots
+
+    def values(self, col: np.ndarray, es: np.ndarray, power: int = 1, guard: float | None = None) -> np.ndarray:
+        """sum_j w_j / (p_j - E)^power of column col_i at E = es_i, one
+        matrix-vector product per run of equal columns; +inf within `guard`
+        of a live pole."""
+        out = np.empty(es.size)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for p, wt, at in self._split(col):
+                runs = np.flatnonzero(np.diff(col[at], prepend=-1, append=-1))
+                size = self.scratch.size // p.size
+                for s, e in zip(runs[:-1], runs[1:]):
+                    for b in range(s, e, size):
+                        i = at[b : min(b + size, e)]
+                        r = np.subtract(p, es[i, None], out=self.scratch[: i.size * p.size].reshape(i.size, -1))
+                        if power == 2:
+                            np.multiply(r, r, out=r)
+                        out[i] = np.divide(1.0, r, out=r) @ wt[col[i[0]]]
+                if guard is not None:
+                    out[at[dist_to_spectrum(p, es[at]) <= guard]] = np.inf
+        return out
+
+
+def _ball_union(columns: _Columns, level: float, window: tuple[float, float], roots: dict[str, RootCounts]):
+    """The merged segments {|F_col| >= level} of every column.
+
+    A zero of F' is skipped where `_turn_skips` bounds |F| below level / 2.
+    The columns join the union in rounds of 1, 2, 4, ... columns, most level
+    brackets first; a level bracket [u, v] (w = v - u) whose [u - w, v + w]
+    lies inside the union of earlier rounds, with margin 2 XTOL + 4 guard,
+    keeps its end outside {|F| >= level} as breakpoint instead of its root.
+    That moves the column's segments only inside the union, so the union's
+    endpoints are the roots every bracket would give."""
+    poles, weights = columns.poles, columns.weights
+    n_cols = weights.shape[1]
+    lo_w, hi_w = window
+    guard = XTOL
+    inner = (poles > lo_w) & (poles < hi_w)
+    edges = np.concatenate(([lo_w], poles[inner], [hi_w]))
+    samples, gap = _gap_samples(edges[:-1], edges[1:])
+    # the grid: the samples, and in between the edges no sample equals
+    new = np.flatnonzero(~np.isin(edges, samples))
+    at = np.searchsorted(samples, edges[new])
+    grid, gap = np.insert(samples, at, edges[new]), np.insert(gap, at, -1)
+
+    # the signs of F', F - level and F + level of every column on the grid,
+    # from two matrix products per block of reciprocals, formed in place in
+    # `scratch`, where it stays in cache for both; an edge has no slope
+    signs = np.empty((3, grid.size, n_cols), dtype=np.int8)
+    block_rows = columns.scratch.size // (2 * poles.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for s in range(0, grid.size, block_rows):
+            part = slice(s, s + block_rows)
+            block = grid[part]
+            recip = _reciprocals(block, poles, columns.scratch[: block.size * poles.size].reshape(block.size, -1))
+            values = recip @ weights
+            _signs(np.square(recip, out=recip) @ weights, values, level, out=signs[:, part])
+    signs[0, gap < 0] = 0
+
+    # per column, the edges it lacks (dead poles) and the gaps it does not
+    # share: those touching a dead pole, at a window end too; its own gaps
+    # are the runs of those joined at dead edges
+    dead = ~(np.abs(weights) > 0.0)
+    ends = dead[poles == lo_w].any(axis=0), dead[poles == hi_w].any(axis=0)
+    dead_edge = np.vstack((np.zeros(n_cols, dtype=bool), dead[inner], np.zeros(n_cols, dtype=bool)))
+    touched = np.vstack((ends[0], dead[inner], ends[1]))
+    own = touched[:-1] | touched[1:]
+    spliced = np.flatnonzero(own.any(axis=0))
+    own_col, first = np.nonzero((own & ~dead_edge[:-1]).T)
+    last = np.nonzero((own & ~dead_edge[1:]).T)[1]
+    own_pos, own_gap = _gap_samples(edges[first], edges[last + 1])
+    own_col, own_gap = own_col[own_gap], first[own_gap]
+
+    # the spliced columns' points, one column after the other: shared and
+    # own samples by gap, each edge before the samples of the gap above it
+    # and none where a sample sits
+    kept_col, kept = np.nonzero(~own[gap][:, spliced].T & (gap >= 0))
+    kept_col = spliced[kept_col]
+    edge_col, edge = np.nonzero(~dead_edge[:, spliced].T)
+    edge_col = spliced[edge_col]
+    key = np.concatenate((2 * gap[kept] + 1, 2 * own_gap + 1, 2 * edge))
+    order = np.lexsort((key, np.concatenate((kept_col, own_col, edge_col))))
+    t_col = np.concatenate((kept_col, own_col, edge_col))[order]
+    t_pos = np.concatenate((grid[kept], own_pos, edges[edge]))[order]
+    t_signs = np.concatenate((
+        signs[:, kept, kept_col],
+        _signs(columns.values(own_col, own_pos, 2), columns.values(own_col, own_pos), level),
+        _signs(np.full(edge.size, np.nan), columns.values(edge_col, edges[edge]), level),
+    ), axis=1)[:, order]
+    same = (t_col[1:] == t_col[:-1]) & (t_pos[1:] == t_pos[:-1])
+    keep = (key[order] % 2 == 1) | ~(np.append(same, False) | np.insert(same, 0, False))
+    t_col, t_pos, t_signs = t_col[keep], t_pos[keep], t_signs[:, keep]
+    del kept, kept_col, key, order  # freed before the level brackets, the memory peak
+
+    # the gap of a point among its column's live poles, distinct between columns
+    cum_dead = np.vstack((np.zeros(n_cols, dtype=np.int64), np.cumsum(dead, axis=0)))
+
+    def same_gap(col: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(poles, pos)
+        g = k - cum_dead[k, col] + col * (poles.size + 1)
+        return g[:-1] == g[1:]
+
+    # zeros of F': sign changes of the slope between consecutive samples of
+    # a gap, along the grid and along the spliced columns' points
+    grid_gap = np.searchsorted(poles, grid)
+    pairs = np.repeat((grid_gap[:-1] == grid_gap[1:])[:, None], n_cols, axis=1)
+    pairs[:, spliced] = False
+    (rows, col), _ = _changes(signs[0], pairs)
+    (seq,), _ = _changes(t_signs[0], same_gap(t_col, t_pos))
+    points = np.concatenate((grid, t_pos))
+    rows, col = np.concatenate((rows, grid.size + seq)), np.concatenate((col, t_col[seq]))
+    skip = _turn_skips(poles, weights, points, rows, col, level, guard, columns.scratch)
+    roots["turn"].skipped += int(skip.sum())
+    rows, dz_col = rows[~skip], col[~skip]
+    dz = columns.bisect(dz_col, 0.0, 2, points[rows], points[rows + 1], roots["turn"])
+    dz_signs = _signs(np.full(dz.size, np.nan), columns.values(dz_col, dz), level)
+
+    # level brackets: sign changes of F -+ level between consecutive points
+    # of a gap, the zeros of F' among them.  A spliced column gets its zeros
+    # inserted; on the grid a pair holding one is split in three points.
+    split = (dz != points[rows]) & (dz != points[rows + 1])
+    shared = split & (rows < grid.size)
+    r, c = rows[shared], dz_col[shared]
+    pairs[r, c] = False
+    inserted = split & ~shared
+    at = rows[inserted] - grid.size + 1
+    f_col = np.concatenate((np.insert(t_col, at, dz_col[inserted]), np.repeat(c, 3)))
+    f_pos = np.concatenate(
+        (np.insert(t_pos, at, dz[inserted]), np.stack((grid[r], dz[shared], grid[r + 1]), 1).ravel())
+    )
+    f_signs = np.concatenate((
+        np.insert(t_signs, at, dz_signs[:, inserted], axis=1),
+        np.stack((signs[:, r, c], dz_signs[:, shared], signs[:, r + 1, c]), 2).reshape(3, -1),
+    ), axis=1)
+    f_pairs = same_gap(f_col, f_pos)
+    f_pairs[f_col.size - 3 * r.size + 2 :: 3] = False  # between two split pairs
+    brackets = []
+    for pos, sign, pair, col_of in ((grid, signs, pairs, None), (f_pos, f_signs, f_pairs, f_col)):
+        for target, z in zip((level, -level), sign[1:]):
+            (i, *in_col), below = _changes(z, pair)
+            # the end outside {|F| >= level}: F < level, or F > -level
+            outside = np.where(below if target > 0 else ~below, pos[i], pos[i + 1])
+            brackets.append((pos[i], pos[i + 1], np.full(i.size, target), outside, in_col[0] if in_col else col_of[i]))
+    lo, hi, target, outside, lcol = (np.concatenate(v) for v in zip(*brackets))
+
+    # rounds of 1, 2, 4, ... columns, most level brackets first
+    order = np.argsort(-np.bincount(lcol, minlength=n_cols), kind="stable")
+    round_of = np.empty(n_cols, dtype=np.int64)
+    round_of[order] = np.frexp(np.arange(1.0, n_cols + 1))[1] - 1
+    margin = 2 * XTOL + 4 * guard
+    union: list[tuple[float, float]] = []
+    for k in range(int(round_of.max()) + 1):
+        part = np.flatnonzero(round_of[lcol] == k)
+        starts, ends = np.asarray(union).reshape(-1, 2).T
+        skip = _level_skips((starts, ends), lo[part], hi[part], margin)
+        roots["level"].skipped += int(skip.sum())
+        crossings = outside[part]
+        done = part[~skip]
+        crossings[~skip] = columns.bisect(lcol[done], target[done], 1, lo[done], hi[done], roots["level"])
+        # the round's breakpoints per column: edges, crossings and zeros of
+        # F'; a piece between two is in where |F| at its midpoint reaches
+        # the level or the midpoint lies within guard of a pole, and a piece
+        # inside an interval of the union so far cannot change it
+        batch = order[round_of[order] == k]
+        e_col, e_at = np.nonzero(~dead_edge[:, batch].T)
+        b_col = np.concatenate((batch[e_col], lcol[part], dz_col[round_of[dz_col] == k]))
+        b_pos = np.concatenate((edges[e_at], crossings, dz[round_of[dz_col] == k]))
+        keep = np.lexsort((b_pos, b_col))
+        b_col, b_pos = b_col[keep], b_pos[keep]
+        piece = np.flatnonzero((b_col[:-1] == b_col[1:]) & (b_pos[:-1] != b_pos[1:]))
+        a, b = b_pos[piece], b_pos[piece + 1]
+        i = np.searchsorted(starts, a, side="right") - 1
+        piece = piece[(i < 0) | (ends[np.maximum(i, 0)] < b)] if starts.size else piece
+        a, b = b_pos[piece], b_pos[piece + 1]
+        inside = np.abs(columns.values(b_col[piece], 0.5 * (a + b), guard=guard)) >= level
+        union = _merge(np.concatenate((np.column_stack((starts, ends)), np.column_stack((a, b))[inside])), XTOL)
+    return union
 
 
 def cover_from_profile(
@@ -427,25 +492,12 @@ def cover_from_profile(
     """
     if level <= 0:
         raise ContractViolation("cover level must be positive")
-    entry_level = level / profile.prefactor
     poles, weights = cluster_sums(profile.eigenvalues, profile.coefficients)
     live = np.abs(weights) > 0.0
-    groups: dict[bytes, list[int]] = {}
-    for col in range(weights.shape[1]):
-        groups.setdefault(live[:, col].tobytes(), []).append(col)
-    # one buffer for every group's blocks of reciprocals and bisection
-    # batches, reused in turn: about 1.4 MB at 169 poles, so a block stays
-    # in cache, and no fresh blocks per group fragment the heap
-    n_live = int(live.sum(axis=0).max())
-    scratch = np.empty(2 * _BLOCK_ROWS * n_live)
-    union: list[tuple[float, float]] = []
+    # poles dead in every column and columns without a live pole take no part
+    poles, weights = poles[live.any(axis=1)], weights[live.any(axis=1)][:, live.any(axis=0)]
     roots = {"turn": RootCounts(), "level": RootCounts()}
-    for cols in groups.values():
-        mask = live[:, cols[0]]
-        if mask.any():
-            union = _group_segments(
-                poles[mask], weights[mask][:, cols], entry_level, window, scratch, roots, union
-            )
+    union = _ball_union(_Columns(poles, weights), level / profile.prefactor, window, roots) if weights.size else []
     return EnergyIntervalCover(
         intervals=tuple(union),
         level=level,

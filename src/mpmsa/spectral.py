@@ -17,6 +17,7 @@ RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
 GRI_SLACK = 1e-9  # relative tolerance of the geometric resolvent inequality
 EPS = float(np.finfo(np.float64).eps)
+PROFILE_ROWS = 512  # energies per block of reciprocals when a profile is evaluated
 
 
 def roundoff_floor(n: int, scale):
@@ -34,6 +35,19 @@ def dist_to_spectrum(eigenvalues: np.ndarray, energies):
     below = eigenvalues[np.maximum(i - 1, 0)]
     above = eigenvalues[np.minimum(i, eigenvalues.size - 1)]
     return np.minimum(np.abs(energies - below), np.abs(above - energies))
+
+
+def _reciprocals(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
+    """(energies x poles) matrix 1 / (p_j - E), formed in `out` if given; a
+    pole gives inf.  The differences p_j - E come from the rank-2 product
+    [1, E] . [p_j, -1]: each is one rounding of the exact difference, the bits
+    of a subtraction, and BLAS forms them in place some 4x faster than a
+    broadcast subtraction allocates them."""
+    ones = np.empty((es.size, 2))
+    ones[:, 0], ones[:, 1] = 1.0, es
+    out = np.matmul(ones, np.stack((poles, -np.ones(poles.size))), out=out)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.divide(1.0, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -300,11 +314,18 @@ class BoundaryProfile:
     prefactor: float
 
     def green_values(self, energies: np.ndarray) -> np.ndarray:
-        """(n_energies, n_boundary) array of G(center, z; E); no resonance guard."""
+        """(n_energies, n_boundary) array of G(center, z; E); no resonance
+        guard.  The reciprocals 1 / (lambda_j - E) are formed PROFILE_ROWS
+        energies at a time in one buffer."""
         energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            weights = 1.0 / (self.eigenvalues[None, :] - energies[:, None])
-            return weights @ self.coefficients
+        out = np.empty((energies.size, self.coefficients.shape[1]))
+        buf = np.empty((min(energies.size, PROFILE_ROWS), self.eigenvalues.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, energies.size, PROFILE_ROWS):
+                part = energies[s : s + PROFILE_ROWS]
+                recip = _reciprocals(part, self.eigenvalues, buf[: part.size])
+                np.matmul(recip, self.coefficients, out=out[s : s + part.size])
+        return out
 
     def evaluate(self, energies, guard: float = 0.0) -> np.ndarray:
         """F values per energy; energies within `guard` of a pole give +inf."""

@@ -12,10 +12,11 @@ from mpmsa.disorder import DisorderSample, InteractionPotential
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import Graph, GrowthCertificate
 from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
-from mpmsa.induction import EnergyIntervalCover, _reciprocals, cover_from_profile
+from mpmsa.induction import EnergyIntervalCover, cover_from_profile
 from mpmsa.spectral import (
     SpectralData,
     _check_resonance,
+    _reciprocals,
     boundary_profile,
     cluster_starts,
     cluster_sums,
@@ -109,6 +110,13 @@ def covered(cover: EnergyIntervalCover, energies: np.ndarray, slack: float = 0.0
 
 def total_length(cover: EnergyIntervalCover) -> float:
     return float(sum(b - a for a, b in cover.intervals))
+
+
+def _rational(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j / (p_j - E) at the energies, as the cover forms its sample
+    values; a pole gives inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _reciprocals(es, poles) @ w
 
 
 def rational_deriv(es: np.ndarray, poles: np.ndarray, w: np.ndarray) -> np.ndarray:

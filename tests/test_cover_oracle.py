@@ -26,14 +26,15 @@ from mpmsa.disorder import sample_potential
 from mpmsa.experiments import certificate_for, model_from_config, params_from_config
 from mpmsa.hamiltonian import spectral_window
 from mpmsa import induction
-from mpmsa.induction import RootCounts, _merge, _rational, cover_from_profile
+from mpmsa.induction import RootCounts, _merge, cover_from_profile
 from mpmsa.msa import MassSchedule
 from mpmsa.rng import substream
-from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, boundary_profile
+from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, boundary_profile, cluster_sums
 
-from helpers import rational_deriv
+from helpers import _rational, rational_deriv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +212,15 @@ def _bridge_profiles(cfg, trials):
 
 
 @functools.cache
-def _two_particle_ball(seed=4100):
-    """The x ball of a variant of the benchmark's bridge balls: 169
-    eigenvalues, 48 columns (path:40, g = 300, seed 4100 + variant)."""
+def _two_particle_ball(seed=4100, center="7,9"):
+    """A ball of a variant of the benchmark's bridge balls, the x ball
+    (center 7,9) or the y ball (28,31): 169 eigenvalues, 48 columns
+    (path:40, g = 300, seed 4100 + variant)."""
     cfg = load_config(CONFIGS / "bridge.cfg")
     cfg.table["model"].update(graph="path:40", particles="2", g="300",
                               interaction="u:C=1:zeta=0.5:rcut=inf")
     cfg.table["params"].update(nstar="2")
-    cfg.table["run"].update(center_x="7,9")
+    cfg.table["run"].update(center_x=center)
     cfg.table["experiment"]["seed"] = str(seed)
     prof, level, window = next(_bridge_profiles(cfg, 1))
     assert prof.coefficients.shape == (169, 48)
@@ -240,6 +242,68 @@ def test_batched_cover_matches_oracle_on_two_particle_bridge_ball():
     cover = cover_from_profile(prof, level, window, 169)
     assert cover.count > 0
     assert cover.intervals == oracle_intervals(prof, level, window)
+
+
+def test_batched_cover_matches_oracle_on_the_bench_y_ball():
+    prof, level, window = _two_particle_ball(center="28,31")
+    cover = cover_from_profile(prof, level, window, 169)
+    assert cover.count > 0
+    assert cover.intervals == oracle_intervals(prof, level, window)
+
+
+def test_cover_forms_one_sample_grid_per_ball(monkeypatch):
+    """A work guard without timing: the rows of reciprocals the cover forms
+    through `_reciprocals` stay within the shared grid (the gap samples
+    between consecutive poles and the edges) plus the samples of the gaps
+    that columns merge across their dead poles.  A grid per set of live
+    poles, with the values at zeros of F' and at segment midpoints formed
+    the same way, came to about 8x that on this ball."""
+    prof, level, window = _two_particle_ball()
+    rows = []
+    plain = induction._reciprocals
+
+    def counting(es, poles, out=None):
+        rows.append(es.size)
+        return plain(es, poles, out)
+
+    monkeypatch.setattr(induction, "_reciprocals", counting)
+    cover_from_profile(prof, level, window, 169)
+    poles, weights = cluster_sums(prof.eigenvalues, prof.coefficients)
+    live = np.abs(weights) > 0.0
+    lo, hi = window
+
+    def edges_and_gaps(p):
+        edges = [lo, *p[(p > lo) & (p < hi)], hi]
+        return edges, [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 4e-12]
+
+    edges, gaps = edges_and_gaps(poles[live.any(axis=1)])
+    shared = len(edges) + sum(_gap_points(a, b).size for a, b in gaps)
+    merged = 0
+    for col in live.T:
+        dead = poles[live.any(axis=1) & ~col]
+        merged += sum(_gap_points(a, b).size for a, b in edges_and_gaps(poles[col])[1]
+                      if ((dead >= a) & (dead <= b)).any())
+    assert merged > 0
+    assert 0 < sum(rows) <= shared + merged
+
+
+def test_bridge_covers_match_the_bench_reference(tmp_path, monkeypatch):
+    """Every bench bridge-covers variant, run in process, against its stored
+    reference: exit code, pass flags and cover counts exactly, sup_min and
+    its energy to the bench tolerances.  A changed cover shows here before
+    it fails the benchmark."""
+    from mpmsa.cli import main
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import PARTS, POOL, compare, load_reference, read_output
+
+    part = PARTS["bridge-covers"]
+    reference = load_reference(part)["variants"]
+    for variant in range(POOL):
+        out, cfg = tmp_path / str(variant), tmp_path / f"{variant}.cfg"
+        cfg.write_text(part.make_config(variant, str(out)))
+        code = main([part.kind, "--config", str(cfg)])
+        assert compare(part, read_output(out, code), reference[str(variant)]) == [], variant
 
 
 def test_cover_bisects_only_what_can_bound_the_union():
@@ -358,6 +422,49 @@ def test_skips_leave_the_cover_unchanged_on_random_profiles(case):
     assert _assert_skipped_turns_stay_below_level(seen) == cover.roots["turn"].skipped
 
 
+@st.composite
+def bench_shaped_profiles(draw):
+    """Shaped like the bench balls: up to 48 columns over 2-14 poles, most
+    with every pole live and a few with 1-11 dead ones: adjacent dead poles,
+    the first or last pole inside the window dead, scattered ones; sometimes
+    a pole dead in every column, and sometimes a window whose ends are the
+    first and last pole."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 14))
+    lam = np.sort(rng.uniform(-10.0, 10.0, n))
+    n_cols = draw(st.integers(1, 48))
+    coeffs = rng.choice([-1.0, 1.0], (n, n_cols)) * 10.0 ** rng.uniform(-6.0, 0.0, (n, n_cols))
+    for col in rng.choice(n_cols, draw(st.integers(0, min(n_cols, 4))), replace=False):
+        k = draw(st.integers(1, min(11, n - 1)))
+        kind = draw(st.sampled_from(["adjacent", "first", "last", "scattered"]))
+        if kind == "scattered":
+            dead = rng.choice(n, k, replace=False)
+        else:
+            start = 0 if kind == "first" else n - k if kind == "last" else draw(st.integers(0, n - k))
+            dead = np.arange(start, start + k)
+        coeffs[dead, col] = 0.0
+    if draw(st.booleans()):
+        coeffs[draw(st.integers(0, n - 1))] = 0.0
+    window = (lam[0], lam[-1])
+    if draw(st.integers(0, 3)):
+        window = (lam[0] - draw(st.floats(0.01, 5.0)), lam[-1] + draw(st.floats(0.01, 5.0)))
+    level = 10.0 ** draw(st.floats(-1.0, 2.0))
+    prefactor = draw(st.sampled_from([1.0, 2.5, 37.0]))
+    return BoundaryProfile(eigenvalues=lam, coefficients=coeffs, prefactor=prefactor), level, window
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bench_shaped_profiles())
+def test_cover_matches_oracle_on_bench_shaped_profiles(case):
+    """Columns that splice their own samples into the shared grid next to
+    columns that use it all: equal to every bracket bisected and to the
+    oracle, float for float."""
+    prof, level, window = case
+    cover = cover_from_profile(prof, level, window, len(prof.eigenvalues))
+    full = _cover_without_skips(prof, level, window, len(prof.eigenvalues))
+    assert cover.intervals == full.intervals == oracle_intervals(prof, level, window)
+
+
 def test_cover_of_larger_cluster_agrees_to_rounding():
     """Runs of three or more eigenvalues within DEGENERACY_GAP are summed by
     np.add.reduceat, whose order differs from a sequential sum; the covers
@@ -371,6 +478,29 @@ def test_cover_of_larger_cluster_agrees_to_rounding():
         want = oracle_intervals(prof, level, window)
         assert len(got) == len(want) > 0
         np.testing.assert_allclose(np.asarray(got), np.asarray(want), rtol=0, atol=1e-11)
+
+
+def _merge_sweep(intervals, eps):
+    """The ascending sweep over sorted pairs, one interval at a time."""
+    out = []
+    for a, b in sorted(intervals):
+        if out and a <= out[-1][1] + eps:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 1e-12, 2e-12, 0.5, 1.0]),
+                          st.floats(0.0, 1.0)), max_size=12),
+       st.sampled_from([0.0, 1e-12]))
+def test_merge_equals_the_ascending_sweep(starts_and_widths, eps):
+    """`_merge` on arrays, against the loop it replaced: intervals that
+    touch, overlap, nest, repeat or lie eps apart."""
+    intervals = [(a, a + w) for a, w in starts_and_widths]
+    assert _merge(intervals, eps) == _merge_sweep(intervals, eps)
+    assert _merge(np.asarray(intervals).reshape(-1, 2), eps) == _merge_sweep(intervals, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +542,7 @@ def bisections(draw):
     power = draw(st.sampled_from([1, 2]))
     level = 0.0 if power == 2 else 10.0 ** draw(st.floats(-12.0, 1.0))
     edges = np.concatenate(([p[0] - 1.0], p, [p[-1] + 1.0]))
-    samples = induction._gap_samples(edges)
+    samples, _ = induction._gap_samples(edges[:-1], edges[1:])
     same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
     below = np.searchsorted(samples, p) - 1  # the last sample before each pole
     below = below[(below >= 0) & (samples[np.maximum(below, 0)] < p)]

@@ -11,7 +11,6 @@ from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import VolumeIndex, spectral_window
 from mpmsa.induction import (
     EnergyIntervalCover,
-    _rational,
     bridge_parameters,
     cover_from_profile,
     efc_decay_experiment,
@@ -22,7 +21,7 @@ from mpmsa.induction import (
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.spectral import BallOperators, BoundaryProfile, boundary_profile, eigendecompose
 
-from helpers import ZERO_INTERACTION, assemble_ball, covered, rational_deriv, sublevel_cover, total_length
+from helpers import ZERO_INTERACTION, _rational, assemble_ball, covered, rational_deriv, sublevel_cover, total_length
 
 DIST = uniform_distribution(0, 1)
 

@@ -148,12 +148,16 @@ def test_partition_covers_the_volume_and_is_block_tridiagonal(spec, center, radi
 
 
 def test_cost_rule_keeps_layers_only_for_large_volumes():
-    # m = 169 and 343: one eigvalsh is cheaper; m = 441 and the m = 2025
-    # ball of the Wegner benchmark: the layer blocks are
+    # m = 169, 343 and 361 (17 layer blocks): one eigvalsh is cheaper;
+    # m = 441, 961 and the m = 2025 ball of the Wegner benchmark: the layer
+    # blocks are
     for spec, center, radius, blocks in (
         ("path:20", (10, 10), 6, 1),
         ("path:12", (6, 6, 6), 3, 1),
+        ("path:19", (9, 9), 9, 1),
+        ("path:25", (12, 12), 9, 1),
         ("path:30", (15, 15), 10, 21),
+        ("path:31", (15, 15), 15, 41),
         ("path:45", (22, 22), 22, 69),
     ):
         op = _operator(spec, center, radius)

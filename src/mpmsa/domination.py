@@ -181,10 +181,8 @@ def domination_bound(
 @dataclass(frozen=True)
 class GfDominationReport:
     q: float
-    m_prime: float
     dominated_for_all_boundaries: bool
     precondition_failures: tuple[str, ...]
-    per_boundary_failures: dict
     green_maps: dict  # inner-boundary y -> |G(., y; E)|; empty when a precondition fails
     partitions: dict  # inner-boundary y -> RegularPartition of its map
 
@@ -236,28 +234,23 @@ def gf_domination_check(
 
     if failures:
         return GfDominationReport(
-            q=q, m_prime=m_prime, dominated_for_all_boundaries=False,
-            precondition_failures=tuple(failures), per_boundary_failures={}, green_maps={},
+            q=q, dominated_for_all_boundaries=False, precondition_failures=tuple(failures), green_maps={},
             partitions={},
         )
 
     maps = green_magnitude_maps(spectra, ball, energy)
-    per_boundary: dict = {}
+    dominated = True
     partitions: dict = {}
     for y, f_map in maps.items():
         ctx = DominationContext(
             graph=graph, center=center, radius=radius, ell=ell, q=q, f=f_map, xi=xi
         )
         partitions[y] = regular_set(ctx)
-        ok, why = is_dominated(ctx, partitions[y])
-        if not ok:
-            per_boundary[y] = why
+        dominated &= is_dominated(ctx, partitions[y])[0]
     return GfDominationReport(
         q=q,
-        m_prime=m_prime,
-        dominated_for_all_boundaries=not per_boundary,
+        dominated_for_all_boundaries=dominated,
         precondition_failures=(),
-        per_boundary_failures=per_boundary,
         green_maps=maps,
         partitions=partitions,
     )

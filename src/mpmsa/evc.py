@@ -126,7 +126,6 @@ class PowerLawFit:
     trials: int
     theta_hat: float
     log_constant: float
-    residual: float
     n_fit_points: int
     seed: int
 
@@ -139,13 +138,9 @@ def fit_power_law(s_grid, probs, counts, trials: int, seed: int) -> PowerLawFit:
     c = np.asarray(counts, dtype=np.int64)
     mask = c >= FIT_MIN_SUCCESSES
     if mask.sum() >= 2:
-        xs, ys = np.log(s[mask]), np.log(p[mask])
-        coeffs, res = np.polyfit(xs, ys, 1, full=True)[:2]
-        theta, logc = float(coeffs[0]), float(coeffs[1])
-        residual = float(res[0]) if len(res) else 0.0
-        nfit = int(mask.sum())
+        theta, logc = (float(v) for v in np.polyfit(np.log(s[mask]), np.log(p[mask]), 1))
     else:
-        theta, logc, residual, nfit = float("nan"), float("nan"), float("nan"), int(mask.sum())
+        theta, logc = float("nan"), float("nan")
     return PowerLawFit(
         s_grid=tuple(float(v) for v in s),
         probabilities=tuple(float(v) for v in p),
@@ -153,8 +148,7 @@ def fit_power_law(s_grid, probs, counts, trials: int, seed: int) -> PowerLawFit:
         trials=trials,
         theta_hat=theta,
         log_constant=logc,
-        residual=residual,
-        n_fit_points=nfit,
+        n_fit_points=int(mask.sum()),
         seed=seed,
     )
 
@@ -212,7 +206,6 @@ def two_volume_evc(
 class ShiftReport:
     """Measured eigenvalue shifts after V -> V + t on a separating ball."""
 
-    t: float
     g: float
     n1: int
     n2: int
@@ -255,7 +248,6 @@ def spectral_shift_check(
     dev_p = deviation(primary, certificate.n1)
     dev_s = deviation(secondary, certificate.n2)
     return ShiftReport(
-        t=t,
         g=g,
         n1=certificate.n1,
         n2=certificate.n2,
@@ -276,7 +268,6 @@ class RcmRow:
     modulus_threshold: float
     budget: float
     trials: int
-    n_cells: int
     passes: bool | None  # None when the budget is degenerate (R = 0)
 
 
@@ -340,7 +331,7 @@ def rcm_modulus(
                 raise ContractViolation("s must be >= 0")
             if s == 0:
                 # the CDF increment over an empty window is identically 0
-                rows.append(RcmRow(int(q_size), 0.0, 0.0, 0.0, 0.0, 0.0, trials, cells, True))
+                rows.append(RcmRow(int(q_size), 0.0, 0.0, 0.0, 0.0, 0.0, trials, True))
                 continue
             exceed = 0
             worst = 0.0
@@ -366,7 +357,6 @@ def rcm_modulus(
                     modulus_threshold=threshold,
                     budget=budget,
                     trials=trials,
-                    n_cells=cells,
                     passes=passes,
                 )
             )

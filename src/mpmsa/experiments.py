@@ -457,7 +457,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
         point = recursion_bound(
             prev.p.estimate, nxt.s.estimate if nxt.s else 0.0,
             nxt.q.estimate if nxt.q else 0.0,
-            params, mass, cert, n, nxt.radius, p_next=nxt.p.estimate,
+            params, mass, cert, n, nxt.radius,
         )
         wide = recursion_bound(
             prev.p.ci_high, nxt.s.ci_high if nxt.s else 0.0,

@@ -9,13 +9,15 @@ the union over columns of their segments {|column| >= a / prefactor}.
 One sample grid serves a ball: the gap samples between consecutive poles and
 the edges, with the values and slopes of every column there as two matrix
 products per block of reciprocals 1/(p_j - E).  A column with a dead pole
-(weight exactly 0) in the window has gaps merged across it; it keeps the
-shared samples outside them and takes its own inside, the point set it has on
-its own ("spliced").  On a bench ball 5-11 sets of live poles occur: about 40
-columns with every pole live, and single columns with 1-20 dead poles.  The
-sign-change brackets of the derivative zeros ("turn") and of the level
-crossings ("level") are found for all columns at once, along the grid and
-along one list of the spliced columns' points.
+(weight exactly 0) in the window has its own gaps, the runs of gaps merged
+across its dead poles.  It uses the grid in every gap it shares and leaves it
+only inside its own: one patch list holds their samples and the live edges
+that bound each run, so grid and patch give the point set the column has on
+its own.  On a bench ball 5-11 sets of live poles occur: about 40 columns
+with every pole live, and single columns with 1-20 dead poles; the patch
+holds 470-1,830 points next to a grid of about 9,400.  The sign-change brackets
+of the derivative zeros ("turn") and of the level crossings ("level") are
+found for all columns at once, along the grid and along the patch.
 
 Only roots that can bound the union are bisected: a turn bracket on which a
 bound keeps |F| below half the level, and a level bracket that lies well
@@ -96,8 +98,6 @@ class EnergyIntervalCover:
     """Closed intervals covering {E in window : F_u(E) >= level}."""
 
     intervals: tuple[tuple[float, float], ...]
-    level: float
-    window: tuple[float, float]
     ball_size: int
     # bisection work per kind of root: "turn" (zeros of F') and "level"
     # (|F| = level crossings); not part of the cover's value
@@ -369,32 +369,31 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     dead_edge = np.vstack((np.zeros(n_cols, dtype=bool), dead[inner], np.zeros(n_cols, dtype=bool)))
     touched = np.vstack((ends[0], dead[inner], ends[1]))
     own = touched[:-1] | touched[1:]
-    spliced = np.flatnonzero(own.any(axis=0))
     own_col, first = np.nonzero((own & ~dead_edge[:-1]).T)
     last = np.nonzero((own & ~dead_edge[1:]).T)[1]
+    bound = np.zeros_like(dead_edge)
+    bound[first, own_col] = bound[last + 1, own_col] = True
     own_pos, own_gap = _gap_samples(edges[first], edges[last + 1])
     own_col, own_gap = own_col[own_gap], first[own_gap]
 
-    # the spliced columns' points, one column after the other: shared and
-    # own samples by gap, each edge before the samples of the gap above it
-    # and none where a sample sits
-    kept_col, kept = np.nonzero(~own[gap][:, spliced].T & (gap >= 0))
-    kept_col = spliced[kept_col]
-    edge_col, edge = np.nonzero(~dead_edge[:, spliced].T)
-    edge_col = spliced[edge_col]
-    key = np.concatenate((2 * gap[kept] + 1, 2 * own_gap + 1, 2 * edge))
-    order = np.lexsort((key, np.concatenate((kept_col, own_col, edge_col))))
-    t_col = np.concatenate((kept_col, own_col, edge_col))[order]
-    t_pos = np.concatenate((grid[kept], own_pos, edges[edge]))[order]
-    t_signs = np.concatenate((
-        signs[:, kept, kept_col],
-        _signs(columns.values(own_col, own_pos, 2), columns.values(own_col, own_pos), level),
-        _signs(np.full(edge.size, np.nan), columns.values(edge_col, edges[edge]), level),
-    ), axis=1)[:, order]
+    # the patch: per column its own samples and the live edges bounding its
+    # runs, each edge before the samples of the gap above it and none where a
+    # sample sits; a pole belongs to the gap below it, so an edge that a
+    # shared sample of the gap above equals takes that sample's slope
+    edge_col, edge = np.nonzero(bound.T)
+    e_signs = _signs(np.full(edge.size, np.nan), columns.values(edge_col, edges[edge]), level)
+    at = np.searchsorted(grid, edges[edge], side="right") - 1
+    above = (gap[at] == edge) & ~own[gap[at], edge_col]
+    e_signs[0, above] = signs[0, at[above], edge_col[above]]
+    key = np.concatenate((2 * own_gap + 1, 2 * edge))
+    order = np.lexsort((key, np.concatenate((own_col, edge_col))))
+    t_col = np.concatenate((own_col, edge_col))[order]
+    t_pos = np.concatenate((own_pos, edges[edge]))[order]
+    own_signs = _signs(columns.values(own_col, own_pos, 2), columns.values(own_col, own_pos), level)
+    t_signs = np.concatenate((own_signs, e_signs), axis=1)[:, order]
     same = (t_col[1:] == t_col[:-1]) & (t_pos[1:] == t_pos[:-1])
     keep = (key[order] % 2 == 1) | ~(np.append(same, False) | np.insert(same, 0, False))
     t_col, t_pos, t_signs = t_col[keep], t_pos[keep], t_signs[:, keep]
-    del kept, kept_col, key, order  # freed before the level brackets, the memory peak
 
     # the gap of a point among its column's live poles, distinct between columns
     cum_dead = np.vstack((np.zeros(n_cols, dtype=np.int64), np.cumsum(dead, axis=0)))
@@ -405,10 +404,10 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
         return g[:-1] == g[1:]
 
     # zeros of F': sign changes of the slope between consecutive samples of
-    # a gap, along the grid and along the spliced columns' points
+    # a gap, along the grid (a pair in the gap of its upper point, and in no
+    # column's own gap) and along the patch
     grid_gap = np.searchsorted(poles, grid)
-    pairs = np.repeat((grid_gap[:-1] == grid_gap[1:])[:, None], n_cols, axis=1)
-    pairs[:, spliced] = False
+    pairs = (grid_gap[:-1] == grid_gap[1:])[:, None] & ~own[np.searchsorted(edges, grid[1:]) - 1]
     (rows, col), _ = _changes(signs[0], pairs)
     (seq,), _ = _changes(t_signs[0], same_gap(t_col, t_pos))
     points = np.concatenate((grid, t_pos))
@@ -420,8 +419,8 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     dz_signs = _signs(np.full(dz.size, np.nan), columns.values(dz_col, dz), level)
 
     # level brackets: sign changes of F -+ level between consecutive points
-    # of a gap, the zeros of F' among them.  A spliced column gets its zeros
-    # inserted; on the grid a pair holding one is split in three points.
+    # of a gap, the zeros of F' among them.  A zero on the patch is inserted
+    # into it; on the grid a pair holding one is split in three points.
     split = (dz != points[rows]) & (dz != points[rows + 1])
     shared = split & (rows < grid.size)
     r, c = rows[shared], dz_col[shared]
@@ -498,13 +497,7 @@ def cover_from_profile(
     poles, weights = poles[live.any(axis=1)], weights[live.any(axis=1)][:, live.any(axis=0)]
     roots = {"turn": RootCounts(), "level": RootCounts()}
     union = _ball_union(_Columns(poles, weights), level / profile.prefactor, window, roots) if weights.size else []
-    return EnergyIntervalCover(
-        intervals=tuple(union),
-        level=level,
-        window=window,
-        ball_size=ball_size,
-        roots=roots,
-    )
+    return EnergyIntervalCover(intervals=tuple(union), ball_size=ball_size, roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +516,22 @@ class SupMinResult:
     n_evaluations: int
     cover_x: EnergyIntervalCover
     cover_y: EnergyIntervalCover
+
+
+def _overlaps(xs, ys) -> list[tuple[float, float]]:
+    """The intersections (max(ax, ay), min(bx, by)) of every overlapping or
+    touching pair of intervals from two sorted, disjoint lists, in the order
+    of the double loop over xs then ys: the ys meeting [ax, bx] are those
+    from the first ending at or after ax to the last starting at or before
+    bx."""
+    x, y = (np.asarray(v, dtype=np.float64).reshape(-1, 2) for v in (xs, ys))
+    first = np.searchsorted(y[:, 1], x[:, 0])
+    count = np.maximum(np.searchsorted(y[:, 0], x[:, 1], side="right") - first, 0)
+    i = np.repeat(np.arange(len(x)), count)
+    j = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    (ax, bx), (ay, by) = x[i].T, y[j].T
+    # Python's max and min: the first argument on a tie, so signed zeros too
+    return list(zip(np.where(ay > ax, ay, ax).tolist(), np.where(by < bx, by, bx).tolist()))
 
 
 def sup_min_functional(
@@ -547,11 +556,7 @@ def sup_min_functional(
     cov_y = cover_from_profile(prof_y, level, window, len(spec_y.volume))
 
     points = [np.linspace(window[0], window[1], SUPMIN_GRID_POINTS)]
-    for ax, bx in cov_x.intervals:
-        for ay, by in cov_y.intervals:
-            lo, hi = max(ax, ay), min(bx, by)
-            if lo <= hi:
-                points.append(np.linspace(lo, hi, SUPMIN_REFINE_POINTS))
+    points += [np.linspace(lo, hi, SUPMIN_REFINE_POINTS) for lo, hi in _overlaps(cov_x.intervals, cov_y.intervals)]
     energies = np.unique(np.concatenate(points))
     fx = prof_x.evaluate(energies, guard=RESOLVENT_GUARD)
     fy = prof_y.evaluate(energies, guard=RESOLVENT_GUARD)
@@ -608,7 +613,6 @@ class ScaleRow:
 @dataclass(frozen=True)
 class ScaleReport:
     rows: tuple[ScaleRow, ...]
-    energy_policy: str
     n_particles: int
 
 
@@ -728,7 +732,7 @@ def scale_probabilities(
                 target=mass.singularity_target(n, radius),
             )
         )
-    return ScaleReport(rows=tuple(rows), energy_policy=energy_policy, n_particles=n)
+    return ScaleReport(rows=tuple(rows), n_particles=n)
 
 
 @dataclass(frozen=True)
@@ -736,9 +740,6 @@ class RecursionCheck:
     first_term: float
     rhs: float
     target: float
-    p_next: float | None
-    satisfied: bool | None
-    rhs_meets_target: bool
 
 
 def recursion_bound(
@@ -750,10 +751,9 @@ def recursion_bound(
     cert: GrowthCertificate,
     n: int,
     radius_next: int,
-    p_next: float | None = None,
 ) -> RecursionCheck:
-    """rhs = C^(KN) L^(KNd) p_k^(K+1) / 2 + s_next + q_next / 4, compared to
-    the measured next-scale singularity probability and the mode target.
+    """rhs = C^(KN) L^(KNd) p_k^(K+1) / 2 + s_next + q_next / 4, next to the
+    mode target of the next scale.
 
     q_next carries the factor-4 resonance convention, so it lives in [0, 4]
     (q_next / 4 is the raw probability).
@@ -766,15 +766,7 @@ def recursion_bound(
     kk = params.K
     first = 0.5 * cert.C ** (kk * n) * float(radius_next) ** (kk * n * params.d) * p_k ** (kk + 1)
     rhs = first + s_next + 0.25 * q_next
-    target = mass.singularity_target(n, radius_next)
-    return RecursionCheck(
-        first_term=first,
-        rhs=rhs,
-        target=target,
-        p_next=p_next,
-        satisfied=None if p_next is None else p_next <= rhs,
-        rhs_meets_target=rhs <= target,
-    )
+    return RecursionCheck(first_term=first, rhs=rhs, target=mass.singularity_target(n, radius_next))
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +777,6 @@ def recursion_bound(
 class DecayFit:
     g: float
     mass: float
-    intercept: float
     ci_low: float
     ci_high: float
     n_batches: int
@@ -794,11 +785,10 @@ class DecayFit:
     batch_masses: tuple[float, ...] = ()
 
 
-def _fit_mass(distances: np.ndarray, mean_efc: np.ndarray, kappa: float) -> tuple[float, float]:
+def _fit_mass(distances: np.ndarray, mean_efc: np.ndarray, kappa: float) -> float:
     xs = distances.astype(np.float64) ** kappa
     ys = -np.log(np.maximum(mean_efc, 1e-300))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept)
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def efc_decay_experiment(
@@ -835,14 +825,14 @@ def efc_decay_experiment(
 
         values = np.stack(run_trials(one, seeds, seed))  # (seeds, pairs)
         mean_efc = values.mean(axis=0)
-        m_hat, intercept = _fit_mass(distances[keep], mean_efc[keep], kappa)
+        m_hat = _fit_mass(distances[keep], mean_efc[keep], kappa)
         batch_edges = np.linspace(0, seeds, n_batches + 1).astype(int)
         batch_fits = []
         for b0, b1 in zip(batch_edges[:-1], batch_edges[1:]):
             if b1 <= b0:
                 continue
             bm = values[b0:b1].mean(axis=0)
-            batch_fits.append(_fit_mass(distances[keep], bm[keep], kappa)[0])
+            batch_fits.append(_fit_mass(distances[keep], bm[keep], kappa))
         arr = np.asarray(batch_fits)
         if arr.size >= 2:
             crit = t_quantile(0.975, arr.size - 1)
@@ -854,7 +844,6 @@ def efc_decay_experiment(
             DecayFit(
                 g=float(g),
                 mass=m_hat,
-                intercept=intercept,
                 ci_low=ci[0],
                 ci_high=ci[1],
                 n_batches=int(arr.size),

@@ -193,7 +193,6 @@ class BallClassification:
 
     radius: int
     n_particles: int
-    energy: float
     resonant: bool | None = None
     nonsingular: bool | None = None
     cnr: bool | None = None
@@ -235,7 +234,7 @@ def classify(
     the graph is vacuously nonsingular.  When the energy sits inside the
     resolvent guard, the ball is reported resonant with NS undetermined.
     """
-    out = BallClassification(radius=ball.radius, n_particles=ball.n_particles, energy=energy)
+    out = BallClassification(radius=ball.radius, n_particles=ball.n_particles)
     spec = spectra.spectrum(ball)
     out.resonant = bool(resonant(spec.eigenvalues, energy, ball.radius, params.beta))
     out.witnesses["dist_to_spectrum"] = float(dist_to_spectrum(spec.eigenvalues, energy))

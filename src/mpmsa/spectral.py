@@ -397,7 +397,6 @@ class EfcResult:
 
     value: float
     contributions: tuple[float, ...]  # |<1_y P_lambda 1_x>| per eigenvalue cluster
-    cluster_energies: tuple[float, ...]
 
 
 def efc(spec: SpectralData, x: Config, y: Config) -> EfcResult:
@@ -406,13 +405,9 @@ def efc(spec: SpectralData, x: Config, y: Config) -> EfcResult:
     The sup over bounded test functions is attained by the sign pattern of the
     per-cluster projections, so no optimization is needed.
     """
-    energies, sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y))
+    _, sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y))
     contribs = [abs(float(v)) for v in sums]
-    return EfcResult(
-        value=float(sum(contribs)),
-        contributions=tuple(contribs),
-        cluster_energies=tuple(float(e) for e in energies),
-    )
+    return EfcResult(value=float(sum(contribs)), contributions=tuple(contribs))
 
 
 @dataclass(frozen=True)
@@ -420,7 +415,6 @@ class GriReport:
     lhs: float
     rhs: float
     holds: bool
-    n_boundary_edges: int
 
 
 def gri_check(
@@ -467,5 +461,4 @@ def gri_check(
         lhs=lhs,
         rhs=rhs,
         holds=lhs <= rhs * (1.0 + GRI_SLACK) + noise_floor,
-        n_boundary_edges=len(edges),
     )

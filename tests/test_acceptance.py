@@ -618,7 +618,7 @@ def test_criterion_10_recursion_sanity():
     )
     point = recursion_bound(
         p0.estimate, s1.estimate if s1 else 0.0, q1.estimate, params, mass, cert, 1,
-        rep.rows[1].radius, p_next=p1.estimate,
+        rep.rows[1].radius,
     )
     ok = (
         p1.ci_low <= wide.rhs

@@ -456,13 +456,81 @@ def bench_shaped_profiles(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(bench_shaped_profiles())
 def test_cover_matches_oracle_on_bench_shaped_profiles(case):
-    """Columns that splice their own samples into the shared grid next to
+    """Columns that patch their own gaps beside the shared grid next to
     columns that use it all: equal to every bracket bisected and to the
     oracle, float for float."""
     prof, level, window = case
     cover = cover_from_profile(prof, level, window, len(prof.eigenvalues))
     full = _cover_without_skips(prof, level, window, len(prof.eigenvalues))
     assert cover.intervals == full.intervals == oracle_intervals(prof, level, window)
+
+
+# ---------------------------------------------------------------------------
+# Columns with dead poles: the grid in shared gaps, the patch in their own
+
+
+_LAM = np.asarray([-2.0, -1.0, 0.5, 1.5, 3.0])
+_W = np.asarray([0.7, -0.4, 0.9, 0.3, -0.6])
+# the first sample of [1000, 1000.01] rounds onto 1000, a live pole whose
+# weight is too small to set the sign of F' just below it
+_NARROW = np.asarray([998.0, 999.0, 999.5, 1000.0, 1000.01, 1000.02])
+_NARROW_W = np.asarray([-0.5, -0.3, 0.2, 1e-30, -0.01, -0.4])
+
+
+@pytest.mark.parametrize("dead, window, lam, w, level", [
+    pytest.param([(), (0,), (4,)], (-2.0, 3.0), _LAM, _W, 2.0, id="dead-pole-at-window-end"),
+    pytest.param([(), (1,), (3,)], (-2.0, 3.0), _LAM, _W, 2.0, id="live-window-end-next-to-dead"),
+    pytest.param([(), (1, 3)], (-2.5, 3.5), _LAM, _W, 2.0, id="dead-live-dead"),
+    pytest.param([(), (1, 2, 3)], (-1.5, 2.0), _LAM, _W, 2.0, id="every-inner-pole-dead"),
+    pytest.param([(), (2,)], (997.5, 1000.5), _NARROW, _NARROW_W, 0.5, id="narrow-gaps-at-1e3"),
+])
+def test_dead_pole_columns_match_the_oracle(dead, window, lam, w, level):
+    """One column with every pole live and columns with dead poles, whose
+    gaps merge across them: equal to every bracket bisected and to the
+    oracle, float for float, and so are the brackets and rows bisected."""
+    coeffs = w[:, None] * (1.0 + 0.1 * np.arange(len(dead)))
+    for col, poles in enumerate(dead):
+        coeffs[list(poles), col] = 0.0
+    prof = BoundaryProfile(lam, coeffs, 1.0)
+    seen = {"turn": RootCounts(), "level": RootCounts()}
+    want = oracle_intervals(prof, level, window, counts=seen)
+    cover = cover_from_profile(prof, level, window, lam.size)
+    full = _cover_without_skips(prof, level, window, lam.size)
+    assert len(want) > 0
+    assert cover.intervals == full.intervals == want
+    for kind in ("turn", "level"):
+        got, every = cover.roots[kind], full.roots[kind]
+        assert got.brackets + got.skipped == every.brackets == seen[kind].brackets > 0
+        assert every.rows == seen[kind].rows
+
+
+def test_dead_pole_columns_add_only_their_own_gaps_to_the_grid(monkeypatch):
+    """A work guard without timing: beside the shared grid, the columns with
+    a dead pole add at most the samples of their own gaps (the runs of gaps
+    merged across their dead poles) and the two live edges that bound each
+    run.  Copying every shared sample such a column keeps added 54,348
+    points on this ball."""
+    prof, level, window = _two_particle_ball()
+    sampled, points = [], []
+    plain_samples, plain_skips = induction._gap_samples, induction._turn_skips
+
+    def sampling(lo, hi):
+        out = plain_samples(lo, hi)
+        sampled.append((lo, hi, out[0]))
+        return out
+
+    def skipping(poles, weights, samples, *rest):
+        points.append(samples.size)
+        return plain_skips(poles, weights, samples, *rest)
+
+    monkeypatch.setattr(induction, "_gap_samples", sampling)
+    monkeypatch.setattr(induction, "_turn_skips", skipping)
+    cover_from_profile(prof, level, window, 169)
+    (lo, hi, shared), (runs, _, own) = sampled
+    edges = np.append(lo, hi[-1])
+    grid = shared.size + np.count_nonzero(~np.isin(edges, shared))
+    assert own.size > 0
+    assert 0 < points[0] - grid <= own.size + 2 * runs.size
 
 
 def test_cover_of_larger_cluster_agrees_to_rounding():

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpmsa.configspace import MultiBall
 from mpmsa.disorder import sample_potential, uniform_distribution
@@ -11,6 +13,7 @@ from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import VolumeIndex, spectral_window
 from mpmsa.induction import (
     EnergyIntervalCover,
+    _overlaps,
     bridge_parameters,
     cover_from_profile,
     efc_decay_experiment,
@@ -140,6 +143,40 @@ def test_recursion_bound_arithmetic():
         recursion_bound(1.5, 0.0, 0.0, params, mass, cert3, 2, 12)
 
 
+@st.composite
+def interval_lists(draw):
+    """Sorted, disjoint intervals as a cover holds them, with ends on a grid
+    of quarters so that two lists touch, nest and repeat: zero-width ones,
+    and either sign of zero."""
+    starts = sorted(draw(st.lists(st.integers(0, 12), unique=True, max_size=6)))
+    ends = [draw(st.integers(a, b - 1)) for a, b in zip(starts, [*starts[1:], 13])]
+
+    def value(k):
+        return draw(st.sampled_from([-0.0, 0.0])) if k == 6 else 0.25 * (k - 6)
+
+    return [(value(a), value(b)) for a, b in zip(starts, ends)]
+
+
+def _overlaps_loop(xs, ys):
+    """The double loop `_overlaps` replaced."""
+    out = []
+    for ax, bx in xs:
+        for ay, by in ys:
+            lo, hi = max(ax, ay), min(bx, by)
+            if lo <= hi:
+                out.append((lo, hi))
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(interval_lists(), st.one_of(interval_lists(), st.just(None)))
+def test_overlaps_equal_the_double_loop(xs, ys):
+    """Bit for bit, signed zeros included; `None` stands for a copy of xs."""
+    ys = list(xs) if ys is None else ys
+    assert repr(_overlaps(xs, ys)) == repr(_overlaps_loop(xs, ys))
+    assert repr(_overlaps(ys, xs)) == repr(_overlaps_loop(ys, xs))
+
+
 def test_sup_min_identical_balls():
     g, cert, ball, spec, window = _ball_cover_setup(10)
     level = 1e-3
@@ -228,9 +265,7 @@ def test_efc_decay_flat_at_zero_coupling_on_cycle():
 
 
 def test_cover_dataclass_helpers():
-    cover = EnergyIntervalCover(
-        intervals=((0.0, 1.0), (2.0, 2.5)), level=0.1, window=(-1, 3), ball_size=4
-    )
+    cover = EnergyIntervalCover(intervals=((0.0, 1.0), (2.0, 2.5)), ball_size=4)
     assert cover.count == 2
     assert total_length(cover) == pytest.approx(1.5)
     mask = covered(cover, np.asarray([0.5, 1.75, 2.2]))

@@ -5,6 +5,9 @@ every top-level function, class, constant and method of the package whose
 name its code mentions (as a name or an attribute, so matching is loose), and
 a reached class also reaches its dunder methods, which Python and the
 dataclass machinery call implicitly.  Code only tests use belongs in tests/.
+
+Every field of a dataclass in src/mpmsa is read: some code in src/, tests/ or
+bench/ loads an attribute of that name (matched by name alone, as loosely).
 """
 
 import ast
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import mpmsa
 
+ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {"__init__.__version__"}
 
 
@@ -73,3 +77,28 @@ def unreached() -> list[str]:
 
 def test_every_definition_is_reached_from_the_cli():
     assert unreached() == []
+
+
+def _dataclass_fields():
+    """(qualified name, field name) for every field of a dataclass in src/mpmsa."""
+    for path in sorted(Path(mpmsa.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{path.stem}.{node.name}.{item.target.id}", item.target.id
+
+
+def unread_fields() -> list[str]:
+    read = {
+        sub.attr
+        for part in ("src", "tests", "bench")
+        for path in sorted((ROOT / part).rglob("*.py"))
+        for sub in ast.walk(ast.parse(path.read_text()))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    return [qual for qual, name in _dataclass_fields() if name not in read]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []

@@ -150,6 +150,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.lower()
         if section in KNOWN_KEYS and key not in KNOWN_KEYS[section]:
             unknown.append(f"[{section}] {key}")
+        if key in table[section]:
+            raise ConfigurationError(f"line {lineno}: [{section}] {key} given twice")
         table[section][key] = value
     if unknown:
         raise ConfigurationError("unknown config keys: " + ", ".join(unknown))

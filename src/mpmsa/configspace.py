@@ -3,7 +3,7 @@
 Particles are distinguishable; the state space is the Cartesian power of the
 vertex set with the product-graph edge relation (exactly one coordinate moves
 along an edge).  The max-metric rho and its permutation-symmetrized variant
-rho_S live here, together with product balls, boundaries, supports and the
+rho_S live here, together with product balls, boundaries and the
 weak-interactivity / weak-separation geometry.
 """
 
@@ -97,16 +97,6 @@ class MultiBall:
         return MultiBall(self.graph, self.center, radius)
 
 
-def ball_support(ball: MultiBall, subset=None) -> frozenset[int]:
-    """Union of the single-particle balls of the selected particles."""
-    if subset is None:
-        subset = range(1, ball.n_particles + 1)
-    out: set[int] = set()
-    for j in subset:
-        out.update(ball.graph.ball(ball.center[j - 1], ball.radius).tolist())
-    return frozenset(out)
-
-
 def edge_boundary(graph: Graph, volume, subset) -> list[tuple[Config, Config]]:
     """Ordered pairs (u, v): u in W, v in V \\ W, u<->v a product-graph edge."""
     vol = set(volume)
@@ -121,50 +111,18 @@ def edge_boundary(graph: Graph, volume, subset) -> list[tuple[Config, Config]]:
     return out
 
 
-@dataclass(frozen=True)
-class CanonicalSplit:
-    """Deterministic decomposition of a weakly interactive ball's particles.
+def weakly_interactive(ball: MultiBall) -> bool:
+    """Weakly interactive (WI): diam(support of center) > 3*N*L; otherwise
+    strongly interactive.
 
-    J is 1-based, contains particle 1 and is the lexicographically smallest
-    subset whose partial ball supports are more than `radius` apart.
+    A WI ball always splits its particles into two groups whose partial ball
+    supports are more than L apart: two vertex balls of radius 3L/2 intersect
+    only if their centers are within 3L, and the particle graph with edges
+    d(u_i, u_j) <= 3L must be disconnected when the diameter exceeds 3NL.
     """
-
-    J: tuple[int, ...]
-    Jc: tuple[int, ...]
-    separation: int
-
-
-def _subsets_containing_one(n: int):
-    """Nonempty proper subsets of {1..n} containing 1, lexicographic by sorted tuple."""
-    rest = list(range(2, n + 1))
-    combos = []
-    for k in range(0, n - 1):  # proper subset: exclude the full set
-        combos.extend(itertools.combinations(rest, k))
-    combos.sort()
-    for extra in combos:
-        yield (1, *extra)
-
-
-def classify_interactivity(ball: MultiBall) -> tuple[str, CanonicalSplit | None]:
-    """'WI' with a canonical split when diam(support of center) > 3*N*L, else 'SI'.
-
-    A valid split always exists for WI balls: two vertex balls of radius 3L/2
-    intersect only if their centers are within 3L, and the particle graph with
-    edges d(u_i, u_j) <= 3L must be disconnected when the diameter exceeds 3NL.
-    """
-    n = ball.n_particles
-    if n < 2:
+    if ball.n_particles < 2:
         raise ContractViolation("interactivity is undefined for a single particle")
-    g = ball.graph
-    diam = g.diameter_of(set(ball.center))
-    if diam <= 3 * n * ball.radius:
-        return "SI", None
-    for j_set in _subsets_containing_one(n):
-        jc = tuple(j for j in range(1, n + 1) if j not in j_set)
-        sep = g.set_distance(ball_support(ball, j_set), ball_support(ball, jc))
-        if sep > ball.radius:
-            return "WI", CanonicalSplit(J=j_set, Jc=jc, separation=sep)
-    raise AssertionError("WI ball without a valid split; the diameter bound is contradicted")
+    return ball.graph.diameter_of(set(ball.center)) > 3 * ball.n_particles * ball.radius
 
 
 @dataclass(frozen=True)

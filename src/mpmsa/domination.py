@@ -219,16 +219,15 @@ def gf_domination_check(
     m_prime = m - 2.0 * float(ell) ** (-params.delta) * float(radius) ** params.beta if ell > 0 else -math.inf
     q = math.exp(-m_prime * float(ell) ** params.delta) if m_prime > 0 else 0.5
 
-    flags = classify(ball, energy, params, mass, spectra, cert, schedule=schedule)
-    if flags.cnr is not True:
+    cnr = classify(ball, energy, params, mass, spectra, cert, schedule=schedule)[3]
+    if cnr is None or not cnr[0]:
         failures.append("ball is (E,beta)-CNR")
 
     if radius - ell >= 0:
         for v in MultiBall(graph, center, radius - ell).members():
             if v in xi:
                 continue
-            cls = classify(MultiBall(graph, v, ell), energy, params, mass, spectra, cert)
-            if cls.nonsingular is not True:
+            if not classify(MultiBall(graph, v, ell), energy, params, mass, spectra, cert)[1][0]:
                 failures.append(f"sub-ball at {v} outside Xi is not (E,delta,m)-NS")
                 break
 

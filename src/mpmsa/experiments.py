@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .config import ExperimentConfig
-from .configspace import Config, MultiBall, rho_s, weak_separation
+from .configspace import Config, MultiBall, rho, rho_s, weak_separation
 from .disorder import (
     parse_distribution_spec,
     parse_interaction_spec,
@@ -109,12 +109,8 @@ def _checked(key: str, config: Config, graph: Graph, n: int) -> Config:
     return config
 
 
-def _seed_trials_out(config: ExperimentConfig):
-    return (
-        config.get_int("experiment", "seed", "1"),
-        config.get_int("experiment", "trials", "100"),
-        config.get("experiment", "out", "runs/out"),
-    )
+def _seed_trials(config: ExperimentConfig) -> tuple[int, int]:
+    return config.get_int("experiment", "seed", "1"), config.get_int("experiment", "trials", "100")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +181,7 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
     params = params_from_config(config)
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
-    seed, _, _ = _seed_trials_out(config)
+    seed, _ = _seed_trials(config)
     center = _configuration(config, "center", graph, n)
     radius = config.get_int("run", "radius")
     kmax = config.get_int("run", "kmax", "3")
@@ -206,22 +202,23 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
             "distance from E to the ball spectrum",
         ),
     )
-    for e in energies:
-        flags = classify(ball, e, params, mass, spectra, cert, schedule=schedule)
+    res, ns, undetermined, cnr, wi = classify(ball, energies, params, mass, spectra, cert, schedule=schedule)
+    dist = dist_to_spectrum(spectra.spectrum(ball).eigenvalues, energies)
+    for i, e in enumerate(energies):
         tbl.add(
             e,
-            flags.resonant,
-            "" if flags.nonsingular is None else flags.nonsingular,
-            "" if flags.cnr is None else flags.cnr,
-            "" if flags.weakly_interactive is None else flags.weakly_interactive,
-            flags.witnesses.get("dist_to_spectrum", float("nan")),
+            bool(res[i]),
+            "" if undetermined[i] else bool(ns[i]),
+            "" if cnr is None else bool(cnr[i]),
+            "" if wi is None else wi,
+            float(dist[i]),
         )
     report.pass_flags["classified"] = True
 
 
 def run_gri(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
     energies_per = config.get_int("run", "energies_per_instance", "5")
     tbl = report.table(
@@ -249,7 +246,7 @@ def run_gri(config: ExperimentConfig, report: Report) -> None:
 def run_wegner(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
     params = params_from_config(config)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     center = _configuration(config, "center", graph, n)
     radius = config.get_int("run", "radius")
     energy = config.get_float("run", "energy")
@@ -282,7 +279,7 @@ def run_wegner(config: ExperimentConfig, report: Report) -> None:
 
 def run_evc2(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     radius = config.get_int("run", "radius")
     ball_x = MultiBall(graph, _configuration(config, "center_x", graph, n), radius)
     ball_y = MultiBall(graph, _configuration(config, "center_y", graph, n), radius)
@@ -319,7 +316,7 @@ def run_evc2(config: ExperimentConfig, report: Report) -> None:
 
 def run_rcm(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     q_sizes = config.get_ints("run", "q_sizes", "1,2,4")
     s_grid = config.get_floats("run", "s_grid", "0.01,0.05,0.1")
     table = rcm_modulus(dist, q_sizes, s_grid, trials, seed)
@@ -350,7 +347,7 @@ def run_rcm(config: ExperimentConfig, report: Report) -> None:
 
 def run_shift(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     radius = config.get_int("run", "radius", "1")
     t_val = config.get_float("run", "t", "0.5")
     tbl = report.table(
@@ -397,7 +394,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
         raise ConfigurationError("parameter table violations: " + "; ".join(violations))
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     center = _configuration(config, "center", graph, n)
     kmax = config.get_int("run", "kmax", "1")
     schedule = scales(params, kmax, lmax=int(graph.dist.max()))
@@ -457,16 +454,16 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
         point = recursion_bound(
             prev.p.estimate, nxt.s.estimate if nxt.s else 0.0,
             nxt.q.estimate if nxt.q else 0.0,
-            params, mass, cert, n, nxt.radius,
+            params, cert, n, nxt.radius,
         )
         wide = recursion_bound(
             prev.p.ci_high, nxt.s.ci_high if nxt.s else 0.0,
             nxt.q.ci_high if nxt.q else 0.0,
-            params, mass, cert, n, nxt.radius,
+            params, cert, n, nxt.radius,
         )
-        ok = nxt.p.ci_low <= wide.rhs
+        ok = nxt.p.ci_low <= wide
         all_ok &= ok
-        checks.add(nxt.k, point.rhs, wide.rhs, nxt.p.estimate, nxt.p.ci_low, ok)
+        checks.add(nxt.k, point, wide, nxt.p.estimate, nxt.p.ci_low, ok)
     report.results["n_scales"] = len(rep.rows)
     report.pass_flags["recursion_within_ci"] = all_ok
 
@@ -476,7 +473,7 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
     params = params_from_config(config)
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     radius = config.get_int("run", "radius")
     ball_x = MultiBall(graph, _configuration(config, "center_x", graph, n), radius)
     ball_y = MultiBall(graph, _configuration(config, "center_y", graph, n), radius)
@@ -529,7 +526,7 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
 def run_efc(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
     params = params_from_config(config)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     pairs = _configuration(config, "pairs", graph, n)
     g_grid = config.get_floats("run", "g_grid", str(g))
     batches = config.get_int("run", "batches", "10")
@@ -573,7 +570,7 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
     params = params_from_config(config)
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
-    seed, trials, _ = _seed_trials_out(config)
+    seed, trials = _seed_trials(config)
     center = _configuration(config, "center", graph, n)
     radius = config.get_int("run", "radius")
     ell = config.get_int("run", "ell", "1")
@@ -597,15 +594,13 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
     all_hold = True
 
     # synthetic geometric profiles (always dominated by construction)
-    from .configspace import rho as rho_metric
-
     ball = MultiBall(graph, center, radius)
     for i in range(max(1, trials // 2)):
         rng = CounterRng(substream(seed, 500 + i))
         q = rng.uniform(0.05, 0.8)
         scale = rng.uniform(0.5, 2.0)
         f = {
-            c: scale * q ** ((radius + 1 - rho_metric(graph, center, c)) / max(ell, 1))
+            c: scale * q ** ((radius + 1 - rho(graph, center, c)) / max(ell, 1))
             for c in MultiBall(graph, center, radius + 1).members()
         }
         ctx = DominationContext(

@@ -45,14 +45,6 @@ class Graph:
             return 0
         return int(self.dist[np.ix_(idx, idx)].max())
 
-    def set_distance(self, a, b) -> int:
-        """Min distance between two nonempty vertex sets."""
-        ia = np.asarray(sorted(a), dtype=np.int64)
-        ib = np.asarray(sorted(b), dtype=np.int64)
-        if ia.size == 0 or ib.size == 0:
-            raise ValueError("set_distance needs nonempty sets")
-        return int(self.dist[np.ix_(ia, ib)].min())
-
 
 @dataclass(frozen=True)
 class GrowthCertificate:

@@ -40,19 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configspace import Config, MultiBall, rho_s
+from .configspace import Config, MultiBall, rho_s, weakly_interactive
 from .disorder import InteractionPotential, PotentialDistribution, sample_potential
 from .errors import ConfigurationError, ContractViolation
 from .graphs import Graph, GrowthCertificate
 from .hamiltonian import VOLUME_BUDGET, VolumeIndex, VolumeOperator
-from .msa import (
-    MassSchedule,
-    ParameterSet,
-    ScaleSchedule,
-    classify_interactivity,
-    ns_threshold,
-    resonant,
-)
+from .msa import MassSchedule, ParameterSet, ScaleSchedule, classify
 from .evc import McEstimate, wilson_interval
 from .parallel import run_trials
 from .quantiles import normal_quantile, t_quantile
@@ -68,7 +61,6 @@ from .spectral import (
     dist_to_spectrum,
     efc,
     eigendecompose,
-    ns_flags,
 )
 
 
@@ -675,7 +667,6 @@ def scale_probabilities(
     graph = operators.graph
     n = len(center)
     energies = _policy_energies(energy_policy, window)
-    m_n = mass.m(n)
     rows: list[ScaleRow] = []
     for k, radius in enumerate(schedule.levels):
         ball = MultiBall(graph, center, radius)
@@ -685,7 +676,6 @@ def scale_probabilities(
                          target=mass.singularity_target(n, radius), skipped=True)
             )
             continue
-        thr_ns = ns_threshold(params, m_n, radius)
         sub_radius = schedule.levels[k - 1] if k >= 1 else None
         sub_centers: list[Config] = []
         if k >= 1 and n >= 2 and radius - sub_radius >= 0:
@@ -693,24 +683,20 @@ def scale_probabilities(
             sub_centers = [
                 v
                 for v in MultiBall(graph, center, radius - sub_radius).members()
-                if classify_interactivity(MultiBall(graph, v, sub_radius))[0] == "WI"
+                if weakly_interactive(MultiBall(graph, v, sub_radius))
             ]
 
         def one(trial_seed: int, _idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sample = sample_potential(dist, graph, trial_seed)
             spectra = BallSpectra(operators, sample, g)
-            spec = spectra.spectrum(ball)
-            res = resonant(spec.eigenvalues, energies, radius, params.beta)
             # an undetermined NS flag counts as singular
-            singular = ~ns_flags(spec, ball, cert, energies, thr_ns)[0]
+            res, ns, _, _, _ = classify(ball, energies, params, mass, spectra, cert)
             wi_sing = np.zeros(len(energies), dtype=bool)
             for v in sub_centers:
-                sub = MultiBall(graph, v, sub_radius)
-                thr_sub = ns_threshold(params, m_n, sub_radius)
-                wi_sing |= ~ns_flags(spectra.spectrum(sub), sub, cert, energies, thr_sub)[0]
+                wi_sing |= ~classify(MultiBall(graph, v, sub_radius), energies, params, mass, spectra, cert)[1]
                 if wi_sing.all():
                     break
-            return res, singular, wi_sing
+            return res, ~ns, wi_sing
 
         outcomes = run_trials(one, trials, seed)
         res_m = np.stack([o[0] for o in outcomes])
@@ -735,25 +721,16 @@ def scale_probabilities(
     return ScaleReport(rows=tuple(rows), n_particles=n)
 
 
-@dataclass(frozen=True)
-class RecursionCheck:
-    first_term: float
-    rhs: float
-    target: float
-
-
 def recursion_bound(
     p_k: float,
     s_next: float,
     q_next: float,
     params: ParameterSet,
-    mass: MassSchedule,
     cert: GrowthCertificate,
     n: int,
     radius_next: int,
-) -> RecursionCheck:
-    """rhs = C^(KN) L^(KNd) p_k^(K+1) / 2 + s_next + q_next / 4, next to the
-    mode target of the next scale.
+) -> float:
+    """rhs = C^(KN) L^(KNd) p_k^(K+1) / 2 + s_next + q_next / 4.
 
     q_next carries the factor-4 resonance convention, so it lives in [0, 4]
     (q_next / 4 is the raw probability).
@@ -765,8 +742,7 @@ def recursion_bound(
         raise ContractViolation("q_next uses the factor-4 convention and lies in [0,4]")
     kk = params.K
     first = 0.5 * cert.C ** (kk * n) * float(radius_next) ** (kk * n * params.d) * p_k ** (kk + 1)
-    rhs = first + s_next + 0.25 * q_next
-    return RecursionCheck(first_term=first, rhs=rhs, target=mass.singularity_target(n, radius_next))
+    return first + s_next + 0.25 * q_next
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +797,7 @@ def efc_decay_experiment(
         def one(trial_seed: int, _idx: int) -> np.ndarray:
             sample = sample_potential(dist, graph, trial_seed)
             spec = eigendecompose(operator.hamiltonian(g, sample))
-            return np.asarray([efc(spec, x, y).value for x, y in pairs])
+            return np.asarray([efc(spec, x, y) for x, y in pairs])
 
         values = np.stack(run_trials(one, seeds, seed))  # (seeds, pairs)
         mean_efc = values.mean(axis=0)

@@ -8,12 +8,12 @@ super-exponential scales L_{k+1} = floor(L_k**alpha) with exponential ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .configspace import CanonicalSplit, MultiBall, classify_interactivity
-from .errors import ConfigurationError, ContractViolation
+from .configspace import MultiBall, weakly_interactive
+from .errors import ConfigurationError
 from .graphs import GrowthCertificate
 from .spectral import BallSpectra, dist_to_spectrum, ns_flags
 
@@ -187,76 +187,42 @@ def ns_threshold(params: ParameterSet, mass: float, radius: int) -> float:
     return math.exp(-MassSchedule.gamma(mass, radius) * float(radius))
 
 
-@dataclass
-class BallClassification:
-    """Flags for one ball at one energy; None marks not-applicable/undetermined."""
-
-    radius: int
-    n_particles: int
-    resonant: bool | None = None
-    nonsingular: bool | None = None
-    cnr: bool | None = None
-    weakly_interactive: bool | None = None
-    split: CanonicalSplit | None = None
-    witnesses: dict = field(default_factory=dict)
-
-
-def _is_cnr(
-    ball: MultiBall,
-    energy: float,
-    params: ParameterSet,
-    schedule: ScaleSchedule,
-    spectra: BallSpectra,
-) -> tuple[bool, dict]:
-    """Completely non-resonant: NR at every integer radius in [L_{k-1}, L_k]."""
-    k = schedule.index_of(ball.radius)
-    if k is None or k < 1:
-        raise ContractViolation("CNR needs radius equal to some L_k with k >= 1")
-    lo, hi = schedule.levels[k - 1], schedule.levels[k]
-    for ell in range(lo, hi + 1):
-        if resonant(spectra.spectrum(ball.concentric(ell)).eigenvalues, energy, ell, params.beta):
-            return False, {"cnr_failed_radius": ell}
-    return True, {}
-
-
 def classify(
     ball: MultiBall,
-    energy: float,
+    energies,
     params: ParameterSet,
     mass: MassSchedule,
     spectra: BallSpectra,
     cert: GrowthCertificate,
     schedule: ScaleSchedule | None = None,
-) -> BallClassification:
-    """Resonance, Green-decay singularity, WI/SI and (optionally) CNR flags.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, bool | None]:
+    """Resonance, Green-decay nonsingularity and (optionally) CNR flags of
+    one ball at each energy, and its WI flag.
 
-    NS needs radius >= 1 and a nonempty inner boundary; a ball that exhausts
-    the graph is vacuously nonsingular.  When the energy sits inside the
-    resolvent guard, the ball is reported resonant with NS undetermined.
+    Returns (resonant, nonsingular, undetermined, cnr, weakly_interactive):
+    boolean arrays over the energies, except that cnr is None unless the
+    radius is some L_k with k >= 1 and weakly_interactive is a bool, None for
+    one particle.  NS needs radius >= 1, so a radius-0 ball is undetermined at
+    every energy; an energy within the resolvent guard of the spectrum is
+    undetermined and not NS (see ns_flags).  Completely non-resonant (CNR)
+    means non-resonant at every integer radius in [L_{k-1}, L_k]; the radii
+    are scanned upward only while some energy is still CNR.
     """
-    out = BallClassification(radius=ball.radius, n_particles=ball.n_particles)
+    energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
     spec = spectra.spectrum(ball)
-    out.resonant = bool(resonant(spec.eigenvalues, energy, ball.radius, params.beta))
-    out.witnesses["dist_to_spectrum"] = float(dist_to_spectrum(spec.eigenvalues, energy))
-
-    if ball.n_particles >= 2:
-        kind, split = classify_interactivity(ball)
-        out.weakly_interactive = kind == "WI"
-        out.split = split
-
+    res = resonant(spec.eigenvalues, energies, ball.radius, params.beta)
+    wi = weakly_interactive(ball) if ball.n_particles >= 2 else None
     if ball.radius >= 1:
         threshold = ns_threshold(params, mass.m(ball.n_particles), ball.radius)
-        ns, undetermined = ns_flags(spec, ball, cert, np.asarray([energy]), threshold)
-        out.witnesses["ns_threshold"] = threshold
-        if undetermined[0]:
-            out.witnesses["ns_undetermined"] = "resolvent guard tripped"
-        else:
-            out.nonsingular = bool(ns[0])
-
-    if schedule is not None:
-        k = schedule.index_of(ball.radius)
-        if k is not None and k >= 1:
-            flag, extra = _is_cnr(ball, energy, params, schedule, spectra)
-            out.cnr = flag
-            out.witnesses.update(extra)
-    return out
+        ns, undetermined = ns_flags(spec, ball, cert, energies, threshold)
+    else:
+        ns, undetermined = np.zeros(energies.shape, dtype=bool), np.ones(energies.shape, dtype=bool)
+    k = None if schedule is None else schedule.index_of(ball.radius)
+    cnr = None
+    if k is not None and k >= 1:
+        cnr = np.ones(energies.shape, dtype=bool)
+        for ell in range(schedule.levels[k - 1], ball.radius + 1):
+            cnr &= ~resonant(spectra.spectrum(ball.concentric(ell)).eigenvalues, energies, ell, params.beta)
+            if not cnr.any():
+                break
+    return res, ns, undetermined, cnr, wi

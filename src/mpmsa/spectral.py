@@ -391,23 +391,16 @@ def ns_flags(
     return (prof.evaluate(energies) <= threshold) & ~undetermined, undetermined
 
 
-@dataclass(frozen=True)
-class EfcResult:
-    """Eigenfunction correlator sup over |f| <= 1 of |<1_y| f(H) |1_x>|."""
-
-    value: float
-    contributions: tuple[float, ...]  # |<1_y P_lambda 1_x>| per eigenvalue cluster
-
-
-def efc(spec: SpectralData, x: Config, y: Config) -> EfcResult:
-    """Closed form: sum over distinct-eigenvalue clusters of |<1_y P 1_x>|.
+def efc(spec: SpectralData, x: Config, y: Config) -> float:
+    """Eigenfunction correlator sup over |f| <= 1 of |<1_y| f(H) |1_x>|, in
+    closed form: the sum over distinct-eigenvalue clusters of |<1_y P 1_x>|,
+    taken left to right as Python floats.
 
     The sup over bounded test functions is attained by the sign pattern of the
     per-cluster projections, so no optimization is needed.
     """
     _, sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y))
-    contribs = [abs(float(v)) for v in sums]
-    return EfcResult(value=float(sum(contribs)), contributions=tuple(contribs))
+    return float(sum(abs(float(v)) for v in sums))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mpmsa.configspace import CanonicalSplit, Config, MultiBall
+from mpmsa.configspace import Config, MultiBall, weakly_interactive
 from mpmsa.disorder import DisorderSample, InteractionPotential
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import Graph, GrowthCertificate
@@ -154,6 +154,64 @@ def efc_test_function_value(spec: SpectralData, x: Config, y: Config, f_values: 
     for f_val, s in zip(f_values, sums):
         total += f_val * float(s)
     return abs(total)
+
+
+def set_distance(graph: Graph, a, b) -> int:
+    """Min distance between two nonempty vertex sets."""
+    ia = np.asarray(sorted(a), dtype=np.int64)
+    ib = np.asarray(sorted(b), dtype=np.int64)
+    if ia.size == 0 or ib.size == 0:
+        raise ValueError("set_distance needs nonempty sets")
+    return int(graph.dist[np.ix_(ia, ib)].min())
+
+
+def ball_support(ball: MultiBall, subset=None) -> frozenset[int]:
+    """Union of the single-particle balls of the selected particles."""
+    if subset is None:
+        subset = range(1, ball.n_particles + 1)
+    out: set[int] = set()
+    for j in subset:
+        out.update(ball.graph.ball(ball.center[j - 1], ball.radius).tolist())
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class CanonicalSplit:
+    """Deterministic decomposition of a weakly interactive ball's particles.
+
+    J is 1-based, contains particle 1 and is the lexicographically smallest
+    subset whose partial ball supports are more than `radius` apart.
+    """
+
+    J: tuple[int, ...]
+    Jc: tuple[int, ...]
+    separation: int
+
+
+def _subsets_containing_one(n: int):
+    """Nonempty proper subsets of {1..n} containing 1, lexicographic by sorted tuple."""
+    rest = list(range(2, n + 1))
+    combos = []
+    for k in range(0, n - 1):  # proper subset: exclude the full set
+        combos.extend(itertools.combinations(rest, k))
+    combos.sort()
+    for extra in combos:
+        yield (1, *extra)
+
+
+def classify_interactivity(ball: MultiBall) -> tuple[str, CanonicalSplit | None]:
+    """'WI' with its canonical split when mpmsa's weakly_interactive holds,
+    else ('SI', None).  The search checks the diameter argument behind that
+    test: every WI ball has a split with separation > L."""
+    if not weakly_interactive(ball):
+        return "SI", None
+    n = ball.n_particles
+    for j_set in _subsets_containing_one(n):
+        jc = tuple(j for j in range(1, n + 1) if j not in j_set)
+        sep = set_distance(ball.graph, ball_support(ball, j_set), ball_support(ball, jc))
+        if sep > ball.radius:
+            return "WI", CanonicalSplit(J=j_set, Jc=jc, separation=sep)
+    raise AssertionError("WI ball without a valid split; the diameter bound is contradicted")
 
 
 @dataclass(frozen=True)

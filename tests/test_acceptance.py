@@ -15,7 +15,6 @@ import numpy as np
 from mpmsa.cli import main as cli_main
 from mpmsa.configspace import (
     MultiBall,
-    classify_interactivity,
     vertex_ball_mask,
     weak_separation,
 )
@@ -50,6 +49,7 @@ from helpers import (
     ZERO_INTERACTION,
     assemble,
     assemble_ball,
+    classify_interactivity,
     clusters,
     covered,
     decouple,
@@ -143,13 +143,13 @@ def test_criterion_02_resolvent_and_efc_identities():
         per_state = spec.component(x) * spec.component(y)
         for _ in range(100):
             f_vals = np.asarray([rng.uniform(-1, 1) for _ in blocks])
-            if efc_test_function_value(spec, x, y, f_vals) > closed.value + 1e-12:
+            if efc_test_function_value(spec, x, y, f_vals) > closed + 1e-12:
                 dominated = False
         signs = np.asarray(
             [1.0 if per_state[blk].sum() >= 0 else -1.0 for blk in blocks]
         )
         worst_gap = max(
-            worst_gap, abs(efc_test_function_value(spec, x, y, signs) - closed.value)
+            worst_gap, abs(efc_test_function_value(spec, x, y, signs) - closed)
         )
     _verdict(
         2,
@@ -613,15 +613,15 @@ def test_criterion_10_recursion_sanity():
     q1 = rep.rows[1].q
     s1 = rep.rows[1].s
     wide = recursion_bound(
-        p0.ci_high, s1.ci_high if s1 else 0.0, q1.ci_high, params, mass, cert, 1,
+        p0.ci_high, s1.ci_high if s1 else 0.0, q1.ci_high, params, cert, 1,
         rep.rows[1].radius,
     )
     point = recursion_bound(
-        p0.estimate, s1.estimate if s1 else 0.0, q1.estimate, params, mass, cert, 1,
+        p0.estimate, s1.estimate if s1 else 0.0, q1.estimate, params, cert, 1,
         rep.rows[1].radius,
     )
     ok = (
-        p1.ci_low <= wide.rhs
+        p1.ci_low <= wide
         and (s1 is None or s1.estimate == 0.0)
         and p0.estimate < 0.05  # strong-disorder initial-scale estimate
     )
@@ -630,7 +630,7 @@ def test_criterion_10_recursion_sanity():
         "P_1 satisfies the recursion within two-sided 95% intervals",
         ok,
         f"P_0 = {p0.estimate:.4f}, P_1 = {p1.estimate:.4f}, "
-        f"rhs = {point.rhs:.4f} (CI-widened {wide.rhs:.4f})",
+        f"rhs = {point:.4f} (CI-widened {wide:.4f})",
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,21 @@ def test_unknown_keys_rejected():
     assert "bogus_key" in str(err.value)
     with pytest.raises(ConfigurationError):
         parse_config_text("[mystery]\nkind = gri\n")
+
+
+def test_key_given_twice_exits_2(tmp_path):
+    # the last value used to win silently: seed = 2 ran
+    text = BASE_WEGNER.format(out=tmp_path / "x").replace("seed = 7\n", "seed = 1\nseed = 2\n")
+    with pytest.raises(ConfigurationError, match=r"\[experiment\] seed given twice"):
+        parse_config_text(text)
+    assert main(["wegner", "--config", _write(tmp_path, text)]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_example_config_runs(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL).group(1)
+    cfg = _write(tmp_path, block, "readme.cfg")
+    assert main(["wegner", "--config", cfg, "--out", str(tmp_path / "o"), "--trials", "20"]) == 0
 
 
 @pytest.mark.parametrize("key", ["volumes", "grid_points", "xi"])
@@ -510,20 +526,10 @@ def test_wegner_summary_counts_eigvalsh_fallbacks(tmp_path):
         assert results["estimates"] == [1.0]
 
 
-def test_classify_enumerates_each_ball_once(tmp_path, monkeypatch):
-    """A 120-energy classify run enumerates each distinct ball once: the
-    boundary of every NS test is read from the ball's volume (centre (8, 30)
-    at radius 6 with L0 = 3: the ball and its CNR radii 3..6, four balls)."""
-    calls = []
-    members = MultiBall.members
-
-    def counting_members(ball):
-        calls.append((ball.center, ball.radius))
-        return members(ball)
-
-    monkeypatch.setattr(MultiBall, "members", counting_members)
+def _classify_sweep(tmp_path):
+    """A 120-energy classify config: centre (8, 30) at radius 6 with L0 = 3."""
     energies = ",".join(repr(float(e)) for e in np.linspace(0.0, 2000.0, 120))
-    cfg = _write(tmp_path, f"""\
+    return _write(tmp_path, f"""\
 [experiment]
 kind = classify
 seed = 3100
@@ -548,6 +554,21 @@ radius = 6
 kmax = 1
 energy = {energies}
 """)
+
+
+def test_classify_enumerates_each_ball_once(tmp_path, monkeypatch):
+    """A 120-energy classify run enumerates each distinct ball once: the
+    boundary of every NS test is read from the ball's volume (centre (8, 30)
+    at radius 6 with L0 = 3: the ball and its CNR radii 3..6, four balls)."""
+    calls = []
+    members = MultiBall.members
+
+    def counting_members(ball):
+        calls.append((ball.center, ball.radius))
+        return members(ball)
+
+    monkeypatch.setattr(MultiBall, "members", counting_members)
+    cfg = _classify_sweep(tmp_path)
     assert main(["classify", "--config", cfg]) == 0
     assert sorted(calls) == [((8, 30), r) for r in (3, 4, 5, 6)]
 
@@ -592,34 +613,25 @@ def test_classify_forms_one_boundary_profile_per_ball(tmp_path, monkeypatch):
         return profile(**kwargs)
 
     monkeypatch.setattr(spectral, "BoundaryProfile", counting_profile)
-    energies = ",".join(repr(float(e)) for e in np.linspace(0.0, 2000.0, 120))
-    cfg = _write(tmp_path, f"""\
-[experiment]
-kind = classify
-seed = 3100
-out = {tmp_path / "o"}
-
-[model]
-graph = path:40
-particles = 2
-distribution = uniform:0:1
-interaction = u:C=1:zeta=0.5:rcut=inf
-g = 1000
-
-[params]
-mode = subexp
-nstar = 2
-l0 = 3
-b = 2
-
-[run]
-center = 8,30
-radius = 6
-kmax = 1
-energy = {energies}
-""")
+    cfg = _classify_sweep(tmp_path)
     assert main(["classify", "--config", cfg]) == 0
     assert len(formed) == 1
+
+
+def test_classify_calls_classify_once_per_ball(tmp_path, monkeypatch):
+    """A 120-energy classify run classifies all its energies in one call."""
+    from mpmsa import experiments
+
+    calls = []
+    classify = experiments.classify
+
+    def counting_classify(ball, energies, *args, **kwargs):
+        calls.append(np.size(energies))
+        return classify(ball, energies, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "classify", counting_classify)
+    assert main(["classify", "--config", _classify_sweep(tmp_path)]) == 0
+    assert calls == [120]
 
 
 # one bench-like bridge ball pair: two particles on path:40, g = 300

@@ -5,8 +5,6 @@ import pytest
 
 from mpmsa.configspace import (
     MultiBall,
-    ball_support,
-    classify_interactivity,
     edge_boundary,
     rho,
     rho_s,
@@ -17,7 +15,7 @@ from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.hamiltonian import VolumeIndex
 
-from helpers import inner_boundary, rho_one_neighbors
+from helpers import ball_support, classify_interactivity, inner_boundary, rho_one_neighbors, set_distance
 
 
 def test_rho_and_swap_permutation():
@@ -156,8 +154,8 @@ def test_wi_split_satisfies_separation_exhaustively():
                 kind, split = classify_interactivity(ball)
                 if kind == "WI":
                     assert g.diameter_of({a, b}) > 3 * 2 * radius
-                    sep = g.set_distance(
-                        ball_support(ball, split.J), ball_support(ball, split.Jc)
+                    sep = set_distance(
+                        g, ball_support(ball, split.J), ball_support(ball, split.Jc)
                     )
                     assert sep > radius
                 else:

@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from mpmsa.configspace import MultiBall, classify_interactivity
+from mpmsa.configspace import MultiBall
 from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.errors import BudgetExceeded, ContractViolation
 from mpmsa.graphs import build_graph
 from mpmsa.hamiltonian import VolumeIndex, norm_bound
 
-from helpers import ZERO_INTERACTION, assemble, assemble_ball, decouple, interaction_value, laplacian
+from helpers import (
+    ZERO_INTERACTION,
+    CanonicalSplit,
+    assemble,
+    assemble_ball,
+    classify_interactivity,
+    decouple,
+    interaction_value,
+    laplacian,
+)
 
 DIST = uniform_distribution(0, 1)
 
@@ -169,8 +178,6 @@ def test_decouple_rejects_trivial_split():
     smp = sample_potential(DIST, g, 16)
     ball = MultiBall(g, (2, 22), 2)
     _, split = classify_interactivity(ball)
-    from mpmsa.configspace import CanonicalSplit
-
     with pytest.raises(ContractViolation):
         decouple(ball, CanonicalSplit(J=(1, 2), Jc=(), separation=99), 1.0, smp, ZERO_INTERACTION)
 

@@ -127,20 +127,19 @@ def test_scale_probabilities_s_zero_for_single_particle():
 
 def test_recursion_bound_arithmetic():
     params = _params(K=1, d=1.0)
-    mass = MassSchedule(params)
     cert = certify_growth(build_graph("path:40"), 1.0, 12)
-    zero = recursion_bound(0.0, 0.0, 0.0, params, mass, cert, 2, 12)
-    assert zero.first_term == 0.0
+    zero = recursion_bound(0.0, 0.0, 0.0, params, cert, 2, 12)
+    assert zero == 0.0  # rhs at s = q = 0 is the first term
 
     cert3 = type(cert)(d=1.0, C=3.0, lmax=12)
-    chk = recursion_bound(0.01, 0.0, 0.0, params, mass, cert3, 2, 12)
-    assert chk.first_term == pytest.approx(0.5 * 9 * 144 * 1e-4)
+    chk = recursion_bound(0.01, 0.0, 0.0, params, cert3, 2, 12)
+    assert chk == pytest.approx(0.5 * 9 * 144 * 1e-4)
 
-    lo = recursion_bound(0.01, 0.0, 0.0, params, mass, cert3, 2, 12)
-    hi = recursion_bound(0.02, 0.0, 0.0, params, mass, cert3, 2, 12)
-    assert hi.rhs > lo.rhs
+    lo = recursion_bound(0.01, 0.0, 0.0, params, cert3, 2, 12)
+    hi = recursion_bound(0.02, 0.0, 0.0, params, cert3, 2, 12)
+    assert hi > lo
     with pytest.raises(ContractViolation):
-        recursion_bound(1.5, 0.0, 0.0, params, mass, cert3, 2, 12)
+        recursion_bound(1.5, 0.0, 0.0, params, cert3, 2, 12)
 
 
 @st.composite

@@ -5,23 +5,29 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from mpmsa.configspace import CanonicalSplit, MultiBall, classify_interactivity, rho_s
+from mpmsa.configspace import MultiBall, rho_s
 from mpmsa.disorder import sample_potential, uniform_distribution
 from mpmsa.errors import ConfigurationError, ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.msa import (
     MassSchedule,
     ParameterSet,
-    _is_cnr,
     classify,
     ns_threshold,
     resonant,
     scales,
     validate,
 )
-from mpmsa.spectral import BallOperators, BallSpectra, ns_flags
+from mpmsa.spectral import BallOperators, BallSpectra, dist_to_spectrum, ns_flags
 
-from helpers import ZERO_INTERACTION, assemble_ball, decouple, laplacian
+from helpers import (
+    ZERO_INTERACTION,
+    CanonicalSplit,
+    assemble_ball,
+    classify_interactivity,
+    decouple,
+    laplacian,
+)
 
 DIST = uniform_distribution(0, 1)
 
@@ -110,8 +116,8 @@ def test_classify_nonresonant_far_energy():
     mass = MassSchedule(params)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
-    flags = classify(ball, lam.max() + 10.0, params, mass, spectra, cert)
-    assert flags.resonant is False
+    res, *_ = classify(ball, [lam.max() + 10.0], params, mass, spectra, cert)
+    assert res.tolist() == [False]
 
 
 def test_classify_resonant_exact_eigenvalue():
@@ -120,10 +126,10 @@ def test_classify_resonant_exact_eigenvalue():
     mass = MassSchedule(params)
     lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
-    flags = classify(ball, float(lam[3]), params, mass, spectra, cert)
-    assert flags.resonant is True
-    assert flags.nonsingular is None  # resolvent guard tripped
-    assert "ns_undetermined" in flags.witnesses
+    res, ns, undetermined, _, _ = classify(ball, [float(lam[3])], params, mass, spectra, cert)
+    assert res.tolist() == [True]
+    assert ns.tolist() == [False]  # resolvent guard tripped
+    assert undetermined.tolist() == [True]
 
 
 def test_classify_strong_disorder_mostly_nonsingular():
@@ -135,8 +141,8 @@ def test_classify_strong_disorder_mostly_nonsingular():
     for i in range(trials):
         smp = sample_potential(DIST, g, 40_000 + i)
         spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
-        flags = classify(ball, 5000.0, params, mass, spectra, cert)
-        hits += int(flags.nonsingular is True)
+        _, ns, _, _, _ = classify(ball, [5000.0], params, mass, spectra, cert)
+        hits += int(ns[0])
     assert hits / trials >= 0.9
 
 
@@ -147,12 +153,39 @@ def test_cnr_implies_nr_and_needs_schedule_index():
     sched = scales(params, kmax=2)
     ball = MultiBall(g, (9,), 4)  # radius = L_1
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
-    flags = classify(ball, 5000.0, params, mass, spectra, cert, schedule=sched)
-    if flags.cnr:
-        assert flags.resonant is False
+    res, _, _, cnr, _ = classify(ball, [5000.0], params, mass, spectra, cert, schedule=sched)
+    if cnr[0]:
+        assert not res[0]
     bad = MultiBall(g, (9,), 5)  # not an L_k
-    flags2 = classify(bad, 5000.0, params, mass, spectra, cert, schedule=sched)
-    assert flags2.cnr is None
+    cnr2 = classify(bad, [5000.0], params, mass, spectra, cert, schedule=sched)[3]
+    assert cnr2 is None
+
+
+def test_classify_energy_array_matches_single_energies():
+    """One call over an energy array gives, flag for flag, what one call per
+    energy gives: on an eigenvalue (resonant, NS undetermined, not CNR), far
+    from the spectrum, and on an eigenvalue of an inner concentric ball that
+    the radius-L_1 ball is not resonant with (CNR fails at the inner radius)."""
+    g = build_graph("path:30")
+    cert = certify_growth(g, 1.0, 15)
+    params = _params(n_star=2, L0=2, B=2, beta=0.9)
+    mass = MassSchedule(params)
+    sched = scales(params, kmax=2)
+    ball = MultiBall(g, (2, 27), 4)  # radius L_1 = 4, diam 25 > 24
+    spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), sample_potential(DIST, g, 8), 1.0)
+    lam = spectra.spectrum(ball).eigenvalues
+    inner = np.concatenate([spectra.spectrum(ball.concentric(ell)).eigenvalues for ell in (2, 3)])
+    inner = inner[~resonant(lam, inner, 4, params.beta)]
+    assert inner.size
+    energies = np.asarray([float(lam[5]), float(inner[0]), float(lam.max()) + 10.0])
+    res, ns, undetermined, cnr, wi = classify(ball, energies, params, mass, spectra, cert, schedule=sched)
+    assert res.tolist() == [True, False, False]
+    assert undetermined.tolist() == [True, False, False] and not ns[0]
+    assert cnr.tolist() == [False, False, True] and wi is True
+    for i, e in enumerate(energies):
+        one = classify(ball, e, params, mass, spectra, cert, schedule=sched)
+        assert [a.tolist() for a in one[:4]] == [[a[i]] for a in (res, ns, undetermined, cnr)]
+        assert one[4] is wi
 
 
 @dataclass
@@ -308,7 +341,7 @@ def is_good(ball, energy, params, mass, spectra, cert, schedule) -> GoodBallRepo
         threshold, count_bound = 8 * n * l_small, params.K
     else:
         threshold, count_bound = int(math.floor(float(l_small) ** params.tau)), 1
-    cnr_flag, _ = _is_cnr(ball, energy, params, schedule, spectra)
+    cnr_flag = bool(classify(ball, [energy], params, mass, spectra, cert, schedule=schedule)[3][0])
     singular = []
     thr = ns_threshold(params, mass.m(n), l_small)
     for v in MultiBall(ball.graph, ball.center, ball.radius - l_small).members():
@@ -382,9 +415,9 @@ def test_good_implies_ns_mechanism():
         energy = 5000.25
         spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
         rep = is_good(ball, energy, params, mass, spectra, cert, sched)
-        flags = classify(ball, energy, params, mass, spectra, cert, schedule=sched)
-        dist = flags.witnesses["dist_to_spectrum"]
+        _, ns, _, _, _ = classify(ball, [energy], params, mass, spectra, cert, schedule=sched)
+        dist = dist_to_spectrum(spectra.spectrum(ball).eigenvalues, energy)
         if rep.good and dist >= math.exp(-float(ball.radius) ** params.beta):
-            if flags.nonsingular is not True:
+            if not ns[0]:
                 counterexamples.append(i)
     assert counterexamples == []

@@ -17,6 +17,7 @@ from mpmsa.spectral import (
     BallOperators,
     BallSpectra,
     SpectralData,
+    cluster_starts,
     dist_to_spectrum,
     efc,
     eigendecompose,
@@ -325,7 +326,7 @@ def test_efc_diagonal_and_bounds():
     spec = eigendecompose(ham)
     for i in range(4):
         for j in range(4):
-            val = efc(spec, (i,), (j,)).value
+            val = efc(spec, (i,), (j,))
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
@@ -337,10 +338,10 @@ def test_efc_closed_form_dominates_random_functions():
     rng = CounterRng(99)
     x, y = (1,), (4,)
     closed = efc(spec, x, y)
-    n_clusters = len(closed.contributions)
+    n_clusters = len(cluster_starts(spec.eigenvalues))
     for _ in range(2000):
         f_vals = np.asarray([rng.uniform(-1, 1) for _ in range(n_clusters)])
-        assert efc_test_function_value(spec, x, y, f_vals) <= closed.value + 1e-12
+        assert efc_test_function_value(spec, x, y, f_vals) <= closed + 1e-12
     # the sign pattern of the projections attains the sup exactly
     per = spec.component(x) * spec.component(y)
     sign_vals = []
@@ -348,10 +349,10 @@ def test_efc_closed_form_dominates_random_functions():
         s = per[block].sum()
         sign_vals.append(1.0 if s >= 0 else -1.0)
     attained = efc_test_function_value(spec, x, y, np.asarray(sign_vals))
-    assert attained == pytest.approx(closed.value, abs=1e-10)
-    assert closed.value <= 1.0 + 1e-12
-    assert efc(spec, y, x).value == pytest.approx(closed.value, abs=1e-12)
-    assert efc(spec, x, x).value == pytest.approx(1.0, abs=1e-10)
+    assert attained == pytest.approx(closed, abs=1e-10)
+    assert closed <= 1.0 + 1e-12
+    assert efc(spec, y, x) == pytest.approx(closed, abs=1e-12)
+    assert efc(spec, x, x) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gri_holds_on_random_instances():

@@ -4,9 +4,10 @@
 
 Every subcommand maps one-to-one onto a module operation; reports land in
 <out>/summary.json plus one CSV per detail table.  Exit codes: 0 all pass
-flags true, 1 some pass flag false, 2 invalid config or usage, 3 volume or
-vertex budget exceeded.  MPMSA_THREADS sets the worker count without
-changing any output byte; a value that is not an integer >= 1 exits 2.
+flags true, 1 some pass flag false, 2 invalid config or usage or an out
+directory that cannot be written, 3 volume or vertex budget exceeded.
+MPMSA_THREADS sets the worker count without changing any output byte; a
+value that is not an integer >= 1 exits 2.
 """
 
 from __future__ import annotations
@@ -88,7 +89,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     out_dir = config.get("experiment", "out", "runs/out")
-    report.write(out_dir)
+    try:
+        report.write(out_dir)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     flags = ", ".join(f"{k}={v}" for k, v in report.pass_flags.items()) or "none"
     print(f"{args.kind}: pass={report.all_pass} ({flags}) -> {out_dir}")
     return code

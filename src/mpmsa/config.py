@@ -84,12 +84,12 @@ class ExperimentConfig:
 
     def get_floats(self, section: str, key: str, default: str | None = None) -> list[float]:
         raw = self.get(section, key, default)
-        return _finite(section, key, raw, [p for p in raw.split(",") if p.strip()])
+        return _finite(section, key, raw, _items(section, key, raw))
 
     def get_ints(self, section: str, key: str, default: str | None = None) -> list[int]:
         raw = self.get(section, key, default)
         try:
-            return [int(p) for p in raw.split(",") if p.strip()]
+            return [int(p) for p in _items(section, key, raw)]
         except ValueError:
             raise ConfigurationError(f"[{section}] {key} = '{raw}' is not an int list") from None
 
@@ -114,6 +114,15 @@ class ExperimentConfig:
 
     def flat(self) -> dict[str, str]:
         return {f"{sec}.{key}": val for sec, kv in sorted(self.table.items()) for key, val in sorted(kv.items())}
+
+
+def _items(section: str, key: str, raw: str) -> list[str]:
+    """The non-empty comma-separated parts of [section] key = raw; a list
+    without any is refused."""
+    parts = [p for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ConfigurationError(f"[{section}] {key} is an empty list")
+    return parts
 
 
 def _finite(section: str, key: str, raw: str, parts: list[str]) -> list[float]:

@@ -146,17 +146,14 @@ class DominationBound:
     precondition_failures: tuple[str, ...]
 
 
-def domination_bound(
-    ctx: DominationContext, annuli: AnnulusCover, partition: RegularPartition | None = None
-) -> DominationBound:
+def domination_bound(ctx: DominationContext, annuli: AnnulusCover) -> DominationBound:
     """f(u) <= q**W * (max f over B(u, L+1)) with W = (L+1-w)/(ell+1).
 
-    Callers supply the annuli (this module does not choose coverings) and may
-    pass the context's prebuilt partition; when a precondition fails the
-    result reports it and claims no bound.
+    Callers supply the annuli (this module does not choose coverings); when a
+    precondition fails the result reports it and claims no bound.
     """
     failures: list[str] = []
-    part = partition if partition is not None else regular_set(ctx)
+    part = regular_set(ctx)
     ok, def_failures = is_dominated(ctx, part)
     if not ok:
         failures.extend(def_failures)
@@ -178,15 +175,6 @@ def domination_bound(
     )
 
 
-@dataclass(frozen=True)
-class GfDominationReport:
-    q: float
-    dominated_for_all_boundaries: bool
-    precondition_failures: tuple[str, ...]
-    green_maps: dict  # inner-boundary y -> |G(., y; E)|; empty when a precondition fails
-    partitions: dict  # inner-boundary y -> RegularPartition of its map
-
-
 def gf_domination_check(
     spectra: BallSpectra,
     ball: MultiBall,
@@ -197,7 +185,7 @@ def gf_domination_check(
     mass: MassSchedule,
     cert: GrowthCertificate,
     schedule: ScaleSchedule,
-) -> GfDominationReport:
+) -> tuple[float, tuple[str, ...], dict[Config, DominationBound]]:
     """Green functions of a completely non-resonant ball are dominated.
 
     Hypotheses checked by name: the ball is (E,beta)-CNR, m * ell**delta >
@@ -206,8 +194,13 @@ def gf_domination_check(
     certificate is its own sub-ball).  When they hold, f = |G(., y; E)| over
     the ball's own volume is verified to be (ell, q, Xi)-dominated for each
     inner-boundary y, with q = exp(-m' ell**delta), m' = m - 2 ell**(-delta)
-    L**beta, and the verified maps and their partitions are returned with the
-    report.
+    L**beta.
+
+    Returns q, the failed hypotheses, and per inner-boundary y the
+    domination_bound of its map without annuli (none when a hypothesis
+    fails).  The definition check is among the bound's preconditions, so with
+    Xi empty a bound without precondition failures is a map verified
+    dominated.
     """
     failures: list[str] = []
     graph, center, radius = ball.graph, ball.center, ball.radius
@@ -232,27 +225,15 @@ def gf_domination_check(
                 break
 
     if failures:
-        return GfDominationReport(
-            q=q, dominated_for_all_boundaries=False, precondition_failures=tuple(failures), green_maps={},
-            partitions={},
+        return q, tuple(failures), {}
+    bounds = {
+        y: domination_bound(
+            DominationContext(graph=graph, center=center, radius=radius, ell=ell, q=q, f=f_map, xi=xi),
+            AnnulusCover(bounds=()),
         )
-
-    maps = green_magnitude_maps(spectra, ball, energy)
-    dominated = True
-    partitions: dict = {}
-    for y, f_map in maps.items():
-        ctx = DominationContext(
-            graph=graph, center=center, radius=radius, ell=ell, q=q, f=f_map, xi=xi
-        )
-        partitions[y] = regular_set(ctx)
-        dominated &= is_dominated(ctx, partitions[y])[0]
-    return GfDominationReport(
-        q=q,
-        dominated_for_all_boundaries=dominated,
-        precondition_failures=(),
-        green_maps=maps,
-        partitions=partitions,
-    )
+        for y, f_map in green_magnitude_maps(spectra, ball, energy).items()
+    }
+    return q, (), bounds
 
 
 def green_magnitude_maps(spectra: BallSpectra, ball: MultiBall, energy: float) -> dict:

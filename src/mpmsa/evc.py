@@ -8,7 +8,7 @@ of weak separation, and the conditional-modulus table for the sample mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +70,6 @@ class McEstimate:
         )
 
 
-@dataclass(frozen=True)
-class WegnerEstimate(McEstimate):
-    """A resonance frequency and the number of its samples whose inertia
-    counts came within round-off and were decided by eigvalsh instead."""
-
-    fallbacks: int = 0
-
-
 def wegner_estimate(
     ball: MultiBall,
     dist: PotentialDistribution,
@@ -87,8 +79,9 @@ def wegner_estimate(
     beta: float,
     trials: int,
     seed: int,
-) -> WegnerEstimate:
-    """Fraction of disorder samples for which the ball is (E, beta)-resonant.
+) -> tuple[McEstimate, int]:
+    """Fraction of disorder samples for which the ball is (E, beta)-resonant,
+    and the number of samples decided by eigvalsh.
 
     A sample is resonant when H has an eigenvalue in the open interval
     (E - t, E + t), t = resonance_radius(L, beta): the inertia counts of
@@ -103,7 +96,7 @@ def wegner_estimate(
     t = resonance_radius(ball.radius, beta)
     shifts = (energy - t, energy + t)
 
-    def one(trial_seed: int, _idx: int) -> tuple[bool, bool]:
+    def one(trial_seed: int) -> tuple[bool, bool]:
         sample = sample_potential(dist, ball.graph, trial_seed)
         counts = inertia(op, g, sample, shifts)
         if counts is not None:
@@ -112,45 +105,7 @@ def wegner_estimate(
         return bool(resonant(lam, energy, ball.radius, beta)), True
 
     hits, fallbacks = zip(*run_trials(one, trials, seed))
-    est = WegnerEstimate.from_counts(sum(hits), trials, seed)
-    return replace(est, fallbacks=sum(fallbacks))
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Empirical P{dist <= s} on a grid with a log-log small-s fit."""
-
-    s_grid: tuple[float, ...]
-    probabilities: tuple[float, ...]
-    counts: tuple[int, ...]
-    trials: int
-    theta_hat: float
-    log_constant: float
-    n_fit_points: int
-    seed: int
-
-
-def fit_power_law(s_grid, probs, counts, trials: int, seed: int) -> PowerLawFit:
-    """Least-squares line through log P against log s over the grid points
-    with at least FIT_MIN_SUCCESSES successes; nan without two of them."""
-    s = np.asarray(s_grid, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    c = np.asarray(counts, dtype=np.int64)
-    mask = c >= FIT_MIN_SUCCESSES
-    if mask.sum() >= 2:
-        theta, logc = (float(v) for v in np.polyfit(np.log(s[mask]), np.log(p[mask]), 1))
-    else:
-        theta, logc = float("nan"), float("nan")
-    return PowerLawFit(
-        s_grid=tuple(float(v) for v in s),
-        probabilities=tuple(float(v) for v in p),
-        counts=tuple(int(v) for v in c),
-        trials=trials,
-        theta_hat=theta,
-        log_constant=logc,
-        n_fit_points=int(mask.sum()),
-        seed=seed,
-    )
+    return McEstimate.from_counts(sum(hits), trials, seed), sum(fallbacks)
 
 
 def spectral_distances(
@@ -165,7 +120,7 @@ def spectral_distances(
     """dist(Sigma_x, Sigma_y) = min over eigenvalue pairs, one value per trial."""
     op_x, op_y = operators.operator(ballx), operators.operator(bally)
 
-    def one(trial_seed: int, _idx: int) -> float:
+    def one(trial_seed: int) -> float:
         sample = sample_potential(dist, ballx.graph, trial_seed)
         lam_x = np.linalg.eigvalsh(op_x.hamiltonian(g, sample).matrix)
         lam_y = np.linalg.eigvalsh(op_y.hamiltonian(g, sample).matrix)
@@ -183,8 +138,14 @@ def two_volume_evc(
     s_grid,
     trials: int,
     seed: int,
-) -> PowerLawFit:
-    """Empirical two-volume concentration law for 3NL-distant balls."""
+) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """Empirical two-volume concentration law for 3NL-distant balls.
+
+    Returns the sorted s grid, the count of trials with dist <= s at each grid
+    point, and the least-squares line log P = theta log s + log C through the
+    points with at least FIT_MIN_SUCCESSES successes: theta, log C (both nan
+    without two such points) and the number of points fitted.
+    """
     n = ballx.n_particles
     if bally.n_particles != n or bally.radius != ballx.radius:
         raise ContractViolation("balls must share N and L")
@@ -198,22 +159,12 @@ def two_volume_evc(
     values = spectral_distances(ballx, bally, dist, operators, g, trials, seed)
     s = np.asarray(sorted(s_grid), dtype=np.float64)
     counts = (values[None, :] <= s[:, None]).sum(axis=1)
-    probs = counts / trials
-    return fit_power_law(s, probs, counts, trials, seed)
-
-
-@dataclass(frozen=True)
-class ShiftReport:
-    """Measured eigenvalue shifts after V -> V + t on a separating ball."""
-
-    g: float
-    n1: int
-    n2: int
-    expected_shift_primary: float
-    expected_shift_secondary: float
-    max_dev_primary: float
-    max_dev_secondary: float
-    holds: bool
+    fit = counts >= FIT_MIN_SUCCESSES
+    if fit.sum() >= 2:
+        theta, logc = (float(v) for v in np.polyfit(np.log(s[fit]), np.log(counts[fit] / trials), 1))
+    else:
+        theta, logc = float("nan"), float("nan")
+    return s, counts, theta, logc, int(fit.sum())
 
 
 def spectral_shift_check(
@@ -224,13 +175,14 @@ def spectral_shift_check(
     g: float,
     sample: DisorderSample,
     operators: BallOperators,
-) -> ShiftReport:
+) -> tuple[float, float, bool]:
     """Exact spectral-shift law from weak separation.
 
     Every configuration of the primary ball has exactly n1 coordinates inside
     the separating ball B, so H(V + t 1_B) = H(V) + g n1 t I; eigenvalues shift
-    rigidly, and likewise with n2 for the secondary ball.  The law holds when
-    both deviations are at most SHIFT_TOL.
+    rigidly, and likewise with n2 for the secondary ball.  Returns the largest
+    deviation from the rigid shift on each ball and whether both are at most
+    SHIFT_TOL.
     """
     if certificate is None:
         raise ContractViolation("no separation certificate")
@@ -247,34 +199,7 @@ def spectral_shift_check(
 
     dev_p = deviation(primary, certificate.n1)
     dev_s = deviation(secondary, certificate.n2)
-    return ShiftReport(
-        g=g,
-        n1=certificate.n1,
-        n2=certificate.n2,
-        expected_shift_primary=g * certificate.n1 * t,
-        expected_shift_secondary=g * certificate.n2 * t,
-        max_dev_primary=dev_p,
-        max_dev_secondary=dev_s,
-        holds=dev_p <= SHIFT_TOL and dev_s <= SHIFT_TOL,
-    )
-
-
-@dataclass(frozen=True)
-class RcmRow:
-    q_size: int
-    s: float
-    exceed_frequency: float
-    modulus_max: float
-    modulus_threshold: float
-    budget: float
-    trials: int
-    passes: bool | None  # None when the budget is degenerate (R = 0)
-
-
-@dataclass(frozen=True)
-class RcmTable:
-    rows: tuple[RcmRow, ...]
-    constants: dict = field(default_factory=dict)
+    return dev_p, dev_s, dev_p <= SHIFT_TOL and dev_s <= SHIFT_TOL
 
 
 def _empirical_modulus(sorted_values: np.ndarray, s: float) -> float:
@@ -297,7 +222,7 @@ def rcm_modulus(
     trials: int,
     seed: int,
     n_cells: int = 16,
-) -> RcmTable:
+) -> tuple[list[tuple], dict[str, float]]:
     """Stratified conditional-modulus table for the sample mean.
 
     Trials are stratified by the fluctuation range (max eta - min eta) into
@@ -305,13 +230,17 @@ def rcm_modulus(
     by the empirical CDF within each cell, and a trial's modulus is its cell's
     modulus.  The constants C'=1, A'=1, b'=2/3 set the exceedance
     threshold and C''=(4 R p_upper)^2, A''=0, b''=2/3 the probability budget.
+
+    Returns one row (q_size, s, exceedance frequency, largest cell modulus,
+    threshold, budget, frequency <= budget) per (#Q, s), the last None when
+    the budget is degenerate (R = 0), and the constants by name.
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
     c_prime, a_prime, b_prime = 1.0, 1.0, 2.0 / 3.0
     c_sec = (4.0 * dist.deriv_bound * dist.p_upper) ** 2
     b_sec = 2.0 / 3.0
-    rows: list[RcmRow] = []
+    rows: list[tuple] = []
     for q_size in q_sizes:
         if q_size < 1:
             raise ContractViolation("#Q must be >= 1")
@@ -331,7 +260,7 @@ def rcm_modulus(
                 raise ContractViolation("s must be >= 0")
             if s == 0:
                 # the CDF increment over an empty window is identically 0
-                rows.append(RcmRow(int(q_size), 0.0, 0.0, 0.0, 0.0, 0.0, trials, True))
+                rows.append((int(q_size), 0.0, 0.0, 0.0, 0.0, 0.0, True))
                 continue
             exceed = 0
             worst = 0.0
@@ -348,26 +277,12 @@ def rcm_modulus(
                     exceed += members.size
             freq = exceed / trials
             passes = None if c_sec == 0.0 or not math.isfinite(c_sec) else freq <= budget
-            rows.append(
-                RcmRow(
-                    q_size=int(q_size),
-                    s=float(s),
-                    exceed_frequency=freq,
-                    modulus_max=worst,
-                    modulus_threshold=threshold,
-                    budget=budget,
-                    trials=trials,
-                    passes=passes,
-                )
-            )
-    return RcmTable(
-        rows=tuple(rows),
-        constants={
-            "C_prime": c_prime,
-            "A_prime": a_prime,
-            "b_prime": b_prime,
-            "C_second": c_sec,
-            "A_second": 0.0,
-            "b_second": b_sec,
-        },
-    )
+            rows.append((int(q_size), float(s), freq, worst, threshold, budget, passes))
+    return rows, {
+        "C_prime": c_prime,
+        "A_prime": a_prime,
+        "b_prime": b_prime,
+        "C_second": c_sec,
+        "A_second": 0.0,
+        "b_second": b_sec,
+    }

@@ -128,10 +128,12 @@ def random_gri_instance(graph: Graph, n: int, rng: CounterRng, max_volume: int =
         volume = ball.members()
         w_center = volume[rng.randint(0, len(volume) - 1)]
         w_radius = rng.randint(0, max(0, radius - 1))
-        sub = [c for c in MultiBall(graph, w_center, w_radius).members() if c in set(volume)]
+        in_volume = set(volume)
+        sub = [c for c in MultiBall(graph, w_center, w_radius).members() if c in in_volume]
         if not sub or len(sub) == len(volume):
             continue
-        outside = [c for c in volume if c not in set(sub)]
+        in_sub = set(sub)
+        outside = [c for c in volume if c not in in_sub]
         x = sub[rng.randint(0, len(sub) - 1)]
         y = outside[rng.randint(0, len(outside) - 1)]
         return volume, sub, x, y
@@ -236,9 +238,9 @@ def run_gri(config: ExperimentConfig, report: Report) -> None:
         spec_w = eigendecompose(ham.submatrix(sub))
         for _ in range(energies_per):
             e = off_spectrum_energy((spec_v, spec_w), window, rng)
-            res = gri_check(spec_v, spec_w, x, y, e)
-            all_hold &= res.holds
-            tbl.add(i, e, res.lhs, res.rhs, res.holds)
+            lhs, rhs, holds = gri_check(spec_v, spec_w, x, y, e)
+            all_hold &= holds
+            tbl.add(i, e, lhs, rhs, holds)
     report.results["instances"] = trials
     report.pass_flags["gri_holds"] = all_hold
 
@@ -268,9 +270,9 @@ def run_wegner(config: ExperimentConfig, report: Report) -> None:
     operators = BallOperators(graph, interaction)
     estimates, fallbacks = [], []
     for gv in g_grid:
-        est = wegner_estimate(ball, dist, operators, gv, energy, params.beta, trials, seed)
+        est, fell_back = wegner_estimate(ball, dist, operators, gv, energy, params.beta, trials, seed)
         estimates.append(est.estimate)
-        fallbacks.append(est.fallbacks)
+        fallbacks.append(fell_back)
         tbl.add(gv, est.estimate, est.ci_low, est.ci_high, est.successes, est.trials, est.seed)
     report.results["estimates"] = estimates
     report.results["eigvalsh_fallbacks"] = fallbacks
@@ -285,7 +287,9 @@ def run_evc2(config: ExperimentConfig, report: Report) -> None:
     ball_y = MultiBall(graph, _configuration(config, "center_y", graph, n), radius)
     s_grid = config.get_floats("run", "s_grid")
     operators = BallOperators(graph, interaction)
-    fit = two_volume_evc(ball_x, ball_y, dist, operators, g, s_grid, trials, seed)
+    s_sorted, counts, theta_hat, log_constant, n_fit = two_volume_evc(
+        ball_x, ball_y, dist, operators, g, s_grid, trials, seed
+    )
     tbl = report.table(
         "evc2",
         ("s", "probability", "ci_low", "ci_high", "successes", "trials", "seed"),
@@ -299,17 +303,15 @@ def run_evc2(config: ExperimentConfig, report: Report) -> None:
             "master seed",
         ),
     )
-    for s, p, c in zip(fit.s_grid, fit.probabilities, fit.counts):
-        est = McEstimate.from_counts(int(c), fit.trials, seed)
-        tbl.add(s, p, est.ci_low, est.ci_high, c, fit.trials, seed)
-    report.results["theta_hat"] = fit.theta_hat
-    report.results["log_constant"] = fit.log_constant
-    report.results["n_fit_points"] = fit.n_fit_points
+    for s, c in zip(s_sorted.tolist(), counts.tolist()):
+        est = McEstimate.from_counts(c, trials, seed)
+        tbl.add(s, est.estimate, est.ci_low, est.ci_high, c, trials, seed)
+    report.results["theta_hat"] = theta_hat
+    report.results["log_constant"] = log_constant
+    report.results["n_fit_points"] = n_fit
     if config.has("run", "theta_floor"):
         floor = config.get_float("run", "theta_floor")
-        report.pass_flags["theta_at_least_floor"] = (
-            math.isfinite(fit.theta_hat) and fit.theta_hat >= floor
-        )
+        report.pass_flags["theta_at_least_floor"] = math.isfinite(theta_hat) and theta_hat >= floor
     else:
         report.pass_flags["ran"] = True
 
@@ -319,7 +321,7 @@ def run_rcm(config: ExperimentConfig, report: Report) -> None:
     seed, trials = _seed_trials(config)
     q_sizes = config.get_ints("run", "q_sizes", "1,2,4")
     s_grid = config.get_floats("run", "s_grid", "0.01,0.05,0.1")
-    table = rcm_modulus(dist, q_sizes, s_grid, trials, seed)
+    rows, constants = rcm_modulus(dist, q_sizes, s_grid, trials, seed)
     tbl = report.table(
         "rcm",
         ("q_size", "s", "exceed_frequency", "modulus_max", "modulus_threshold", "budget", "passes"),
@@ -334,14 +336,11 @@ def run_rcm(config: ExperimentConfig, report: Report) -> None:
         ),
     )
     overall = True
-    for row in table.rows:
-        tbl.add(
-            row.q_size, row.s, row.exceed_frequency, row.modulus_max, row.modulus_threshold,
-            row.budget, "" if row.passes is None else row.passes,
-        )
-        if row.passes is not None:
-            overall &= row.passes
-    report.results["constants"] = table.constants
+    for *cells, passes in rows:
+        tbl.add(*cells, "" if passes is None else passes)
+        if passes is not None:
+            overall &= passes
+    report.results["constants"] = constants
     report.pass_flags["within_budget"] = overall
 
 
@@ -378,10 +377,10 @@ def run_shift(config: ExperimentConfig, report: Report) -> None:
             tbl.add(i, -1, -1, float("nan"), float("nan"), False)
             continue
         sample = sample_potential(dist, graph, substream(seed, 88_000 + i))
-        rep = spectral_shift_check(ball_x, ball_y, certificate, t_val, g, sample, operators)
-        all_hold &= rep.holds
+        dev_p, dev_s, holds = spectral_shift_check(ball_x, ball_y, certificate, t_val, g, sample, operators)
+        all_hold &= holds
         produced += 1
-        tbl.add(i, rep.n1, rep.n2, rep.max_dev_primary, rep.max_dev_secondary, rep.holds)
+        tbl.add(i, certificate.n1, certificate.n2, dev_p, dev_s, holds)
     report.results["instances_with_certificates"] = produced
     report.pass_flags["shift_law_exact"] = all_hold and produced > 0
 
@@ -400,7 +399,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
     schedule = scales(params, kmax, lmax=int(graph.dist.max()))
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
     policy = config.get("run", "energy_policy", "fixed:0")
-    rep = scale_probabilities(
+    rows = scale_probabilities(
         BallOperators(graph, interaction), center, dist, g, params, mass, schedule, cert,
         policy, window, trials, seed,
     )
@@ -422,7 +421,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
         ),
     )
     nanv = float("nan")
-    for row in rep.rows:
+    for row in rows:
         tbl.add(
             row.k,
             row.radius,
@@ -449,7 +448,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
         ),
     )
     all_ok = True
-    usable = [r for r in rep.rows if not r.skipped]
+    usable = [r for r in rows if not r.skipped]
     for prev, nxt in zip(usable[:-1], usable[1:]):
         point = recursion_bound(
             prev.p.estimate, nxt.s.estimate if nxt.s else 0.0,
@@ -464,7 +463,7 @@ def run_induction(config: ExperimentConfig, report: Report) -> None:
         ok = nxt.p.ci_low <= wide
         all_ok &= ok
         checks.add(nxt.k, point, wide, nxt.p.estimate, nxt.p.ci_low, ok)
-    report.results["n_scales"] = len(rep.rows)
+    report.results["n_scales"] = len(rows)
     report.pass_flags["recursion_within_ci"] = all_ok
 
 
@@ -533,7 +532,7 @@ def run_efc(config: ExperimentConfig, report: Report) -> None:
     if not 1 <= batches <= T_DF_MAX + 1:  # the t interval has batches - 1 df
         raise ConfigurationError(f"[run] batches must be between 1 and {T_DF_MAX + 1}")
     full = VolumeIndex.from_ball(MultiBall(graph, tuple([0] * n), int(graph.dist.max())))
-    fits = efc_decay_experiment(
+    distances, mean_efc, masses, ci, batch_masses = efc_decay_experiment(
         graph, full, pairs, dist, interaction, g_grid, params.kappa, trials, seed, batches
     )
     tbl = report.table(
@@ -557,11 +556,11 @@ def run_efc(config: ExperimentConfig, report: Report) -> None:
             "number of seed batches",
         ),
     )
-    for fit in fits:
-        for idx, (r, v) in enumerate(zip(fit.pair_distances, fit.mean_efc)):
-            tbl.add(fit.g, idx, r, v)
-        fitt.add(fit.g, fit.mass, fit.ci_low, fit.ci_high, fit.n_batches)
-    report.results["masses"] = {str(f.g): f.mass for f in fits}
+    for gv, means, m, (lo, hi) in zip(g_grid, mean_efc.tolist(), masses.tolist(), ci.tolist()):
+        for idx, (r, v) in enumerate(zip(distances.tolist(), means)):
+            tbl.add(gv, idx, r, v)
+        fitt.add(gv, m, lo, hi, batch_masses.shape[1])
+    report.results["masses"] = dict(zip(map(str, g_grid), masses.tolist()))
     report.pass_flags["ran"] = True
 
 
@@ -618,24 +617,20 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
         rng = CounterRng(substream(seed, 1300 + i))
         spectra = BallSpectra(operators, sample, g)
         energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
-        gf = gf_domination_check(
+        q, failures, bounds = gf_domination_check(
             spectra, ball, energy, ell, frozenset(), params, mass, cert, schedule
         )
-        if gf.precondition_failures:
+        if failures:
             # not dominated is a precondition outcome, not a bound violation
-            tbl.add(1000 + i, "gf-skipped:" + ";".join(gf.precondition_failures), gf.q,
+            tbl.add(1000 + i, "gf-skipped:" + ";".join(failures), q,
                     float("nan"), float("nan"), float("nan"), True)
             continue
-        ok = gf.dominated_for_all_boundaries
+        # with Xi empty, a bound without precondition failures is a dominated map
+        ok = not any(res.precondition_failures for res in bounds.values())
         if ok:
-            for y, f in gf.green_maps.items():
-                ctx = DominationContext(
-                    graph=graph, center=center, radius=radius, ell=ell, q=gf.q, f=f,
-                    xi=frozenset(),
-                )
-                res = domination_bound(ctx, AnnulusCover(bounds=()), gf.partitions[y])
+            for res in bounds.values():
                 ok &= res.holds
-                tbl.add(1000 + i, "gf", gf.q, res.W, res.f_center, res.bound, res.holds)
+                tbl.add(1000 + i, "gf", q, res.W, res.f_center, res.bound, res.holds)
         all_hold &= ok
     report.pass_flags["domination_bounds_hold"] = all_hold
 

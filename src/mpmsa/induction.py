@@ -602,12 +602,6 @@ class ScaleRow:
     skipped: bool = False
 
 
-@dataclass(frozen=True)
-class ScaleReport:
-    rows: tuple[ScaleRow, ...]
-    n_particles: int
-
-
 def _policy_energies(policy: str, window: tuple[float, float]) -> np.ndarray:
     """'fixed:E' (a finite E) or 'grid[:count]' (count >= 1, default 41
     energies spanning the window)."""
@@ -655,7 +649,7 @@ def scale_probabilities(
     window: tuple[float, float],
     trials: int,
     seed: int,
-) -> ScaleReport:
+) -> list[ScaleRow]:
     """Empirical singularity (P), resonance (Q, with the factor-4 convention)
     and WI-singular-sub-ball (S) probabilities at each scale.
 
@@ -686,7 +680,7 @@ def scale_probabilities(
                 if weakly_interactive(MultiBall(graph, v, sub_radius))
             ]
 
-        def one(trial_seed: int, _idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def one(trial_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sample = sample_potential(dist, graph, trial_seed)
             spectra = BallSpectra(operators, sample, g)
             # an undetermined NS flag counts as singular
@@ -718,7 +712,7 @@ def scale_probabilities(
                 target=mass.singularity_target(n, radius),
             )
         )
-    return ScaleReport(rows=tuple(rows), n_particles=n)
+    return rows
 
 
 def recursion_bound(
@@ -749,18 +743,6 @@ def recursion_bound(
 # EFC decay experiment
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    g: float
-    mass: float
-    ci_low: float
-    ci_high: float
-    n_batches: int
-    pair_distances: tuple[int, ...]
-    mean_efc: tuple[float, ...]
-    batch_masses: tuple[float, ...] = ()
-
-
 def _fit_mass(distances: np.ndarray, mean_efc: np.ndarray, kappa: float) -> float:
     xs = distances.astype(np.float64) ** kappa
     ys = -np.log(np.maximum(mean_efc, 1e-300))
@@ -778,11 +760,13 @@ def efc_decay_experiment(
     seeds: int,
     seed: int,
     n_batches: int = 10,
-) -> list[DecayFit]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean EFC per pair and the decay-mass fit -log(mean EFC) ~ M * rho_S**kappa.
 
     Pairs at rho_S = 0 are excluded from the fit.  The confidence interval on
-    M comes from refitting on disjoint seed batches (t interval).
+    M comes from refitting on disjoint seed batches (t interval).  Returns the
+    pair distances rho_S, and per coupling in g_values the mean EFC of each
+    pair, the mass, its interval (low, high) and the mass of each batch.
     """
     if seeds < n_batches:
         n_batches = max(1, seeds)
@@ -792,40 +776,27 @@ def efc_decay_experiment(
         raise ContractViolation("need at least two pairs at distinct positive rho_S")
 
     operator = VolumeOperator(volume, interaction)
-    fits: list[DecayFit] = []
+    batch_edges = np.linspace(0, seeds, n_batches + 1).astype(int)
+    means, masses, cis, batches = [], [], [], []
     for g in g_values:
-        def one(trial_seed: int, _idx: int) -> np.ndarray:
+        def one(trial_seed: int) -> np.ndarray:
             sample = sample_potential(dist, graph, trial_seed)
             spec = eigendecompose(operator.hamiltonian(g, sample))
             return np.asarray([efc(spec, x, y) for x, y in pairs])
 
         values = np.stack(run_trials(one, seeds, seed))  # (seeds, pairs)
         mean_efc = values.mean(axis=0)
-        m_hat = _fit_mass(distances[keep], mean_efc[keep], kappa)
-        batch_edges = np.linspace(0, seeds, n_batches + 1).astype(int)
-        batch_fits = []
-        for b0, b1 in zip(batch_edges[:-1], batch_edges[1:]):
-            if b1 <= b0:
-                continue
-            bm = values[b0:b1].mean(axis=0)
-            batch_fits.append(_fit_mass(distances[keep], bm[keep], kappa))
-        arr = np.asarray(batch_fits)
-        if arr.size >= 2:
-            crit = t_quantile(0.975, arr.size - 1)
-            half = crit * arr.std(ddof=1) / math.sqrt(arr.size)
-            ci = (float(arr.mean() - half), float(arr.mean() + half))
+        batch_fits = np.asarray([
+            _fit_mass(distances[keep], values[b0:b1].mean(axis=0)[keep], kappa)
+            for b0, b1 in zip(batch_edges[:-1], batch_edges[1:])
+        ])
+        if batch_fits.size >= 2:
+            crit = t_quantile(0.975, batch_fits.size - 1)
+            half = crit * batch_fits.std(ddof=1) / math.sqrt(batch_fits.size)
+            cis.append((batch_fits.mean() - half, batch_fits.mean() + half))
         else:
-            ci = (float("nan"), float("nan"))
-        fits.append(
-            DecayFit(
-                g=float(g),
-                mass=m_hat,
-                ci_low=ci[0],
-                ci_high=ci[1],
-                n_batches=int(arr.size),
-                pair_distances=tuple(int(v) for v in distances),
-                mean_efc=tuple(float(v) for v in mean_efc),
-                batch_masses=tuple(float(v) for v in batch_fits),
-            )
-        )
-    return fits
+            cis.append((math.nan, math.nan))
+        means.append(mean_efc)
+        masses.append(_fit_mass(distances[keep], mean_efc[keep], kappa))
+        batches.append(batch_fits)
+    return distances, np.stack(means), np.asarray(masses), np.asarray(cis), np.stack(batches)

@@ -1,15 +1,14 @@
 """Deterministic worker pool over independent trials.
 
 MPMSA_THREADS sets the worker count (default 1), capped at the CPU count and
-the number of trials.  Each trial is a pure function of
-(substream(master_seed, index), index) and results land in a per-index slot,
-so any schedule produces identical output.
+the number of trials.  Each trial is a pure function of its seed
+substream(master_seed, index) and results land in a per-index slot, so any
+schedule produces identical output.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 from .errors import ConfigurationError
@@ -31,18 +30,15 @@ def thread_count(n_trials: int | None = None) -> int:
     return max(1, min(int(raw), cap))
 
 
-def run_trials(fn: Callable[[int, int], T], n_trials: int, master_seed: int) -> list[T]:
-    """results[i] = fn(trial_seed_i, i); reduction is by trial index."""
+def run_trials(fn: Callable[[int], T], n_trials: int, master_seed: int) -> list[T]:
+    """results[i] = fn(substream(master_seed, i)); reduction is by trial index."""
     seeds = [substream(master_seed, i) for i in range(n_trials)]
     workers = thread_count(n_trials)
-    results: list[T] = [None] * n_trials  # type: ignore[list-item]
     if workers == 1:
-        for i, s in enumerate(seeds):
-            results[i] = fn(s, i)
-        return results
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, s, i): i for i, s in enumerate(seeds)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
-    return results
+        return [fn(s) for s in seeds]
+    # imported here: the pool and the logging it loads cost start-up of every
+    # process, and the default of one worker never uses them
+    from concurrent.futures import ThreadPoolExecutor
 
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, seeds))

@@ -403,20 +403,13 @@ def efc(spec: SpectralData, x: Config, y: Config) -> float:
     return float(sum(abs(float(v)) for v in sums))
 
 
-@dataclass(frozen=True)
-class GriReport:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
 def gri_check(
     spec_big: SpectralData,
     spec_sub: SpectralData,
     x: Config,
     y: Config,
     energy: float,
-) -> GriReport:
+) -> tuple[float, float, bool]:
     """Geometric resolvent inequality over (V, W):
 
         |G_V(x,y)| <= sum over boundary edges (u,v) of |G_W(x,u)| |G_V(v,y)|
@@ -427,7 +420,7 @@ def gri_check(
     indicates an implementation bug.  Small Green values come out of strongly
     canceling spectral sums, so on near-equality instances the relative slack
     is topped up with a machine-noise floor proportional to the cancellation
-    mass sum_j |psi_j(x) psi_j(y)| / |l_j - E|.
+    mass sum_j |psi_j(x) psi_j(y)| / |l_j - E|.  Returns (lhs, rhs, holds).
     """
     vol_big, vol_sub = spec_big.volume, spec_sub.volume
     if tuple(x) not in vol_sub:
@@ -450,8 +443,4 @@ def gri_check(
         )
     )
     noise_floor = 1e-12 * (1.0 + cancel_mass)
-    return GriReport(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs * (1.0 + GRI_SLACK) + noise_floor,
-    )
+    return lhs, rhs, lhs <= rhs * (1.0 + GRI_SLACK) + noise_floor

@@ -134,6 +134,13 @@ def test_efc_batches_out_of_range_exit_2(tmp_path, batches):
     ("efc", "pairs = 3|5;3|7;3|9;3|11", "pairs = 3|5;3|7;3|9;3|99"),
     ("classify", "center = 4,24", "center = 4"),
     ("bridge", "center_x = 7", "center_x = 7,3"),
+    # list values with no item
+    ("rcm", "q_sizes = 1,2", "q_sizes ="),
+    ("rcm", "s_grid = 0.05,0.2", "s_grid = ,"),
+    ("classify", "energy = 1.0,5.0,50.0", "energy ="),
+    ("wegner", "g_grid = 0.5,1.0", "g_grid ="),
+    ("efc", "g_grid = 0,20", "g_grid ="),
+    ("evc2", "s_grid = 0.001,0.01,0.1", "s_grid ="),
 ])
 def test_malformed_run_values_exit_2(tmp_path, kind, old, new):
     text = (ROOT / "configs" / f"{kind}.cfg").read_text()
@@ -142,6 +149,16 @@ def test_malformed_run_values_exit_2(tmp_path, kind, old, new):
     path = _write(tmp_path, text.replace(old, new))
     assert main([kind, "--config", path, "--out", str(out), "--trials", "2"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    path = _write(tmp_path, BASE_WEGNER.format(out=blocker / below))
+    assert main(["wegner", "--config", path]) == 2
+    assert "output error" in capsys.readouterr().err
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -391,11 +408,13 @@ pairs = 0,0|1,1;0,0|2,2
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; the package needs numpy alone
+    # scipy is a test-only dependency; the package needs numpy alone, and the
+    # thread pool only when more than one worker runs
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mpmsa.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         "import sys, mpmsa.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -434,32 +453,41 @@ def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
 
 
 def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
-    """Each map is partitioned once: `domination_bound` hands its partition to
-    `is_dominated`, and a verified Green map's bound reuses the partition that
-    `gf_domination_check` built (configs/dominate.cfg: 2 synthetic and 2 Green
-    bounds, 4 partitions)."""
+    """Each map is partitioned and checked against the definition once:
+    `domination_bound` hands its partition to `is_dominated`, and
+    `gf_domination_check` returns the bound of each verified Green map, which
+    the runner writes as it is (configs/dominate.cfg: 2 synthetic and 2 Green
+    bounds, 4 partitions, 4 definition checks)."""
     from mpmsa import domination, experiments
 
-    built, per_bound = [], []
-    regular_set, domination_bound = domination.regular_set, domination.domination_bound
+    built, checked, per_bound = [], [], []
+    regular_set, is_dominated = domination.regular_set, domination.is_dominated
+    domination_bound = domination.domination_bound
 
     def counting_regular_set(ctx):
         built.append(ctx)
         return regular_set(ctx)
 
-    def counting_domination_bound(ctx, annuli, partition=None):
+    def counting_is_dominated(ctx, partition=None):
+        checked.append(ctx)
+        return is_dominated(ctx, partition)
+
+    def counting_domination_bound(ctx, annuli):
         before = len(built)
-        result = domination_bound(ctx, annuli, partition)
+        result = domination_bound(ctx, annuli)
         per_bound.append(len(built) - before)
         return result
 
     monkeypatch.setattr(domination, "regular_set", counting_regular_set)
+    monkeypatch.setattr(domination, "is_dominated", counting_is_dominated)
+    monkeypatch.setattr(domination, "domination_bound", counting_domination_bound)
     monkeypatch.setattr(experiments, "domination_bound", counting_domination_bound)
     out = tmp_path / "dominate"
     code = main(["dominate", "--config", str(ROOT / "configs" / "dominate.cfg"), "--out", str(out)])
     assert code == 0
-    assert per_bound == [1, 1, 0, 0]
+    assert per_bound == [1, 1, 1, 1]
     assert len(built) == 4
+    assert len(checked) == 4
 
 
 def _count_operator_builds(monkeypatch):

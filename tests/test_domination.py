@@ -184,55 +184,56 @@ def _gf_setup(seed, g_amp=1e3):
 
 def test_gf_domination_rejects_small_ell():
     g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(1)
-    rep = gf_domination_check(spectra, ball, 500.0, 0, frozenset(), params, mass, cert, sched)
-    assert "m * ell^delta > 2 L^beta" in rep.precondition_failures
+    _, failures, _ = gf_domination_check(spectra, ball, 500.0, 0, frozenset(), params, mass, cert, sched)
+    assert "m * ell^delta > 2 L^beta" in failures
 
 
 def test_gf_domination_strong_disorder():
     hits = 0
     for seed in range(12):
         g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(3000 + seed)
-        rep = gf_domination_check(
+        q, failures, bounds = gf_domination_check(
             spectra, ball, 500.25, 2, frozenset(), params, mass, cert, sched
         )
-        if not rep.precondition_failures:
-            assert rep.q == pytest.approx(
+        if not failures:
+            assert q == pytest.approx(
                 math.exp(-(mass.m(1) - 2 * 2**-0.5 * 8**0.3) * 2**0.5)
             )
-            assert rep.dominated_for_all_boundaries
+            # with Xi empty, a bound without precondition failures is a dominated map
+            assert not any(res.precondition_failures for res in bounds.values())
             hits += 1
     assert hits >= 3  # hypotheses hold on a healthy share of strong-disorder draws
 
 
-def test_gf_report_carries_the_verified_green_maps():
+def test_gf_check_bounds_each_verified_green_map():
     for seed in range(3000, 3012):
         g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(seed)
-        rep = gf_domination_check(
+        q, failures, bounds = gf_domination_check(
             spectra, ball, 500.25, 2, frozenset(), params, mass, cert, sched
         )
-        if not rep.precondition_failures:
+        if not failures:
             break
     else:
         pytest.fail("no strong-disorder draw met the hypotheses")
-    assert rep.green_maps == green_magnitude_maps(spectra, ball, 500.25)
+    maps = green_magnitude_maps(spectra, ball, 500.25)
     ham = spectra.hamiltonian(ball)
     inverse = np.linalg.inv(ham.matrix - 500.25 * np.eye(len(ham.volume)))
-    assert sorted(rep.green_maps) == inner_boundary(g, ball.members())
-    for y, f_map in rep.green_maps.items():
+    assert sorted(bounds) == sorted(maps) == inner_boundary(g, ball.members())
+    for y, f_map in maps.items():
         assert sorted(f_map) == list(ham.volume.configs)
         col = np.abs(inverse[:, ham.volume.position(y)])
         kept = np.asarray([f_map[c] for c in ham.volume.configs])
         assert np.allclose(kept[kept > 0], col[kept > 0], rtol=1e-10, atol=0)
         assert (kept > 0).sum() >= 2
-        ctx = DominationContext(graph=g, center=(12,), radius=8, ell=2, q=rep.q, f=f_map)
-        assert rep.partitions[y] == regular_set(ctx)
+        ctx = DominationContext(graph=g, center=(12,), radius=8, ell=2, q=q, f=f_map)
+        assert bounds[y] == domination_bound(ctx, AnnulusCover(bounds=()))
 
 
 def test_gf_domination_xi_whole_ball_vacuous_hypotheses():
     g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(2)
     xi = frozenset(MultiBall(g, (12,), 8 - 2 - 1).members())
-    rep = gf_domination_check(spectra, ball, 500.25, 2, xi, params, mass, cert, sched)
-    assert "sub-ball" not in ";".join(rep.precondition_failures)
+    _, failures, _ = gf_domination_check(spectra, ball, 500.25, 2, xi, params, mass, cert, sched)
+    assert "sub-ball" not in ";".join(failures)
 
 
 def test_q_below_one_iff_margin_positive():

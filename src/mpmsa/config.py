@@ -14,7 +14,6 @@ and parsed at the point of use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -33,17 +32,12 @@ KNOWN_KEYS: dict[str, tuple[str, ...]] = {
     ),
 }
 
-KINDS = (
-    "validate-params", "classify", "gri", "wegner", "evc2", "rcm", "shift",
-    "induction", "bridge", "efc", "dominate",
-)
 
-
-@dataclass
 class ExperimentConfig:
     """Raw section/key/value table plus typed accessors."""
 
-    table: dict[str, dict[str, str]] = field(default_factory=dict)
+    def __init__(self, table: dict[str, dict[str, str]]):
+        self.table = table
 
     # -- raw access ---------------------------------------------------------
     def get(self, section: str, key: str, default: str | None = None) -> str:
@@ -168,4 +162,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from None

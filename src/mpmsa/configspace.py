@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,19 +49,17 @@ def product_neighbors(graph: Graph, x: Config):
             yield x[:j] + (w,) + x[j + 1 :]
 
 
-@dataclass(frozen=True)
-class MultiBall:
+class MultiBall(NamedTuple("MultiBall", [("graph", Graph), ("center", Config), ("radius", int)])):
     """Product ball B(center, radius) = X_j B(center_j, radius) in the max-metric."""
 
-    graph: Graph
-    center: Config
-    radius: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __new__(cls, graph: Graph, center: Config, radius: int):
+        if radius < 0:
             raise ContractViolation("ball radius must be >= 0")
-        if len(self.center) < 1:
+        if len(center) < 1:
             raise ContractViolation("configuration needs at least one particle")
+        return super().__new__(cls, graph, center, radius)
 
     @property
     def n_particles(self) -> int:
@@ -125,8 +123,7 @@ def weakly_interactive(ball: MultiBall) -> bool:
     return ball.graph.diameter_of(set(ball.center)) > 3 * ball.n_particles * ball.radius
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(NamedTuple):
     """Witness that one ball is weakly separated from another.
 
     The single-particle ball B = B(center, radius) captures the vertex balls of

@@ -8,7 +8,7 @@ chunking and thread counts cannot change values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .quantiles import normal_cdf, normal_quantile
 from .rng import uniform01
 
 
-@dataclass(frozen=True)
-class PotentialDistribution:
+class PotentialDistribution(NamedTuple):
     """Bounded-support marginal with density bounds and a derivative bound.
 
     kind 'uniform' on [a, b]; kind 'tgauss' is a Gaussian(mu, sigma) truncated
@@ -89,8 +88,7 @@ def parse_distribution_spec(spec: str) -> PotentialDistribution:
     raise ConfigurationError(f"bad distribution spec '{spec}'")
 
 
-@dataclass(frozen=True)
-class DisorderSample:
+class DisorderSample(NamedTuple):
     """One realization of the external potential over a graph's vertices."""
 
     values: np.ndarray
@@ -111,8 +109,9 @@ def sample_potential(dist: PotentialDistribution, graph: Graph, seed: int) -> Di
     return DisorderSample(values=values, seed=seed, distribution=dist, graph_name=graph.name)
 
 
-@dataclass(frozen=True)
-class InteractionPotential:
+class InteractionPotential(
+    NamedTuple("InteractionPotential", [("c_u", float), ("zeta", float), ("truncation_radius", float)])
+):
     """Two-body potential u(r) = C_U * exp(-r**zeta) for r >= 1, u(0) = C_U.
 
     The bound defines u only for r >= 1; two distinguishable particles can
@@ -120,13 +119,12 @@ class InteractionPotential:
     beyond truncation_radius (math.inf keeps the full range).
     """
 
-    c_u: float
-    zeta: float
-    truncation_radius: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c_u < 0 or self.zeta <= 0:
+    def __new__(cls, c_u: float, zeta: float, truncation_radius: float = math.inf):
+        if c_u < 0 or zeta <= 0:
             raise ConfigurationError("interaction needs C_U >= 0 and zeta > 0")
+        return super().__new__(cls, c_u, zeta, truncation_radius)
 
     def values(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)

@@ -12,7 +12,7 @@ regular (the -ln 0 = +inf convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,30 +23,27 @@ from .msa import MassSchedule, ParameterSet, ScaleSchedule, classify
 from .spectral import BallSpectra, ball_boundary, dist_to_spectrum
 
 
-@dataclass(frozen=True)
-class DominationContext:
+class DominationContext(NamedTuple("DominationContext", [
+    ("graph", object), ("center", Config), ("radius", int), ("ell", int), ("q", float),
+    ("f", dict), ("xi", frozenset),
+])):
     """A function over (at least) the ball B(center, radius), with parameters."""
 
-    graph: object
-    center: Config
-    radius: int
-    ell: int
-    q: float
-    f: dict[Config, float]
-    xi: frozenset[Config] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.q < 1:
+    def __new__(cls, graph, center: Config, radius: int, ell: int, q: float,
+                f: dict[Config, float], xi: frozenset[Config] = frozenset()):
+        if not 0 < q < 1:
             raise ContractViolation("q must lie in (0,1)")
-        if not 0 <= self.ell <= self.radius:
+        if not 0 <= ell <= radius:
             raise ContractViolation("need 0 <= ell <= radius")
-        missing = [c for c in MultiBall(self.graph, self.center, self.radius).members()
-                   if c not in self.f]
+        missing = [c for c in MultiBall(graph, center, radius).members() if c not in f]
         if missing:
             raise ContractViolation(f"f undefined on {len(missing)} points of B(u, L)")
-        bad = [c for c, v in self.f.items() if not (v >= 0.0 and math.isfinite(v))]
+        bad = [c for c, v in f.items() if not (v >= 0.0 and math.isfinite(v))]
         if bad:
             raise ContractViolation("f must be finite and nonnegative")
+        return super().__new__(cls, graph, center, radius, ell, q, f, xi)
 
     def sup_over_ball(self, center: Config, radius: int) -> float:
         """Max of f over B(center, radius) clipped to f's domain."""
@@ -61,8 +58,7 @@ class DominationContext:
         return [c for c in MultiBall(self.graph, self.center, r).members() if c not in inner]
 
 
-@dataclass(frozen=True)
-class RegularPartition:
+class RegularPartition(NamedTuple):
     regular: frozenset[Config]
     singular: frozenset[Config]
     layer_regular: tuple[bool, ...]  # index r = 0 .. radius - ell
@@ -118,8 +114,7 @@ def is_dominated(
     return not failures, failures
 
 
-@dataclass(frozen=True)
-class AnnulusCover:
+class AnnulusCover(NamedTuple):
     """Concentric annuli [a_j, b_j] (inclusive radii); width is sum(b - a + 1)."""
 
     bounds: tuple[tuple[int, int], ...]
@@ -136,8 +131,7 @@ class AnnulusCover:
         return True
 
 
-@dataclass(frozen=True)
-class DominationBound:
+class DominationBound(NamedTuple):
     W: float
     bound: float
     f_center: float

@@ -27,7 +27,6 @@ class ResonanceError(ArithmeticError):
 
     def __init__(self, dist_to_spectrum: float, guard: float):
         self.dist_to_spectrum = float(dist_to_spectrum)
-        self.guard = float(guard)
         super().__init__(
             f"energy within {dist_to_spectrum:.3e} of the spectrum (guard {guard:.1e})"
         )

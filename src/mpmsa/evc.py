@@ -8,7 +8,7 @@ of weak separation, and the conditional-modulus table for the sample mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ def wilson_interval(p: float, trials: int, z: float = _Z95) -> tuple[float, floa
     return lo, hi
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Binomial point estimate with a Wilson 95% interval."""
 
     trials: int
@@ -54,19 +53,12 @@ class McEstimate:
             raise ContractViolation("trials must be >= 1")
         p = successes / trials
         lo, hi = wilson_interval(p, trials)
-        return cls(
-            trials=trials, successes=successes, estimate=p, ci_low=lo, ci_high=hi, seed=seed
-        )
+        return cls(trials, successes, p, lo, hi, seed)
 
     def scaled(self, factor: float) -> "McEstimate":
         """Estimate of factor * p (used by the factor-4 resonance convention)."""
-        return McEstimate(
-            trials=self.trials,
-            successes=self.successes,
-            estimate=factor * self.estimate,
-            ci_low=factor * self.ci_low,
-            ci_high=factor * self.ci_high,
-            seed=self.seed,
+        return self._replace(
+            estimate=factor * self.estimate, ci_low=factor * self.ci_low, ci_high=factor * self.ci_high
         )
 
 

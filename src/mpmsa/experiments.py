@@ -1,52 +1,21 @@
-"""Experiment runners behind the CLI subcommands.
+"""Config unpacking shared by every runner, and the runners that need only
+the spectral core: validate-params, classify and gri.
 
 Each runner consumes an ExperimentConfig, runs a deterministic seeded
 computation, and fills a Report (summary results, pass flags, CSV tables).
+The other runners live in experiments_evc, experiments_induction and
+experiments_domination, so a process imports only its runner's estimators.
 """
 
 from __future__ import annotations
 
-import math
-
 from .config import ExperimentConfig
-from .configspace import Config, MultiBall, rho, rho_s, weak_separation
-from .disorder import (
-    parse_distribution_spec,
-    parse_interaction_spec,
-    sample_potential,
-)
-from .domination import (
-    AnnulusCover,
-    DominationContext,
-    domination_bound,
-    gf_domination_check,
-)
+from .configspace import Config, MultiBall
+from .disorder import parse_distribution_spec, parse_interaction_spec, sample_potential
 from .errors import ConfigurationError
-from .evc import (
-    McEstimate,
-    rcm_modulus,
-    spectral_shift_check,
-    two_volume_evc,
-    wegner_estimate,
-)
 from .graphs import Graph, GrowthCertificate, build_graph, certify_growth
 from .hamiltonian import VolumeIndex, VolumeOperator, spectral_window
-from .induction import (
-    RootCounts,
-    bridge_parameters,
-    efc_decay_experiment,
-    recursion_bound,
-    scale_probabilities,
-    sup_min_functional,
-)
-from .msa import (
-    MassSchedule,
-    ParameterSet,
-    classify,
-    scales,
-    validate,
-)
-from .quantiles import T_DF_MAX
+from .msa import MassSchedule, ParameterSet, classify, scales, validate
 from .reporting import Report
 from .rng import CounterRng, substream
 from .spectral import BallOperators, BallSpectra, dist_to_spectrum, eigendecompose, gri_check
@@ -92,7 +61,7 @@ def certificate_for(graph: Graph, params: ParameterSet) -> GrowthCertificate:
     return certify_growth(graph, params.d, lmax)
 
 
-def _configuration(config: ExperimentConfig, key: str, graph: Graph, n: int):
+def configuration_at(config: ExperimentConfig, key: str, graph: Graph, n: int):
     """[run] key as a configuration of n particles on the graph's vertices,
     or for key 'pairs' as a list of pairs of them."""
     if key == "pairs":
@@ -109,7 +78,7 @@ def _checked(key: str, config: Config, graph: Graph, n: int) -> Config:
     return config
 
 
-def _seed_trials(config: ExperimentConfig) -> tuple[int, int]:
+def seed_trials(config: ExperimentConfig) -> tuple[int, int]:
     return config.get_int("experiment", "seed", "1"), config.get_int("experiment", "trials", "100")
 
 
@@ -140,16 +109,6 @@ def random_gri_instance(graph: Graph, n: int, rng: CounterRng, max_volume: int =
     raise RuntimeError("could not draw a GRI instance; graph too small")
 
 
-def random_separated_pair(graph: Graph, n: int, radius: int, rng: CounterRng):
-    """A 3NL-distant pair of ball centers (weak separation then exists), or
-    None when 600 draws find none."""
-    need = 3 * n * radius
-    for _ in range(600):
-        x = tuple(rng.randint(0, graph.n_vertices - 1) for _ in range(n))
-        y = tuple(rng.randint(0, graph.n_vertices - 1) for _ in range(n))
-        if rho_s(graph, x, y) >= need:
-            return x, y
-    return None
 
 
 def off_spectrum_energy(specs, window, rng: CounterRng, guard: float = 1e-8) -> float:
@@ -183,8 +142,8 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
     params = params_from_config(config)
     mass = MassSchedule(params)
     cert = certificate_for(graph, params)
-    seed, _ = _seed_trials(config)
-    center = _configuration(config, "center", graph, n)
+    seed, _ = seed_trials(config)
+    center = configuration_at(config, "center", graph, n)
     radius = config.get_int("run", "radius")
     kmax = config.get_int("run", "kmax", "3")
     schedule = scales(params, kmax, lmax=int(graph.dist.max()))
@@ -220,7 +179,7 @@ def run_classify(config: ExperimentConfig, report: Report) -> None:
 
 def run_gri(config: ExperimentConfig, report: Report) -> None:
     graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials = _seed_trials(config)
+    seed, trials = seed_trials(config)
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
     energies_per = config.get_int("run", "energies_per_instance", "5")
     tbl = report.table(
@@ -243,408 +202,3 @@ def run_gri(config: ExperimentConfig, report: Report) -> None:
             tbl.add(i, e, lhs, rhs, holds)
     report.results["instances"] = trials
     report.pass_flags["gri_holds"] = all_hold
-
-
-def run_wegner(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    params = params_from_config(config)
-    seed, trials = _seed_trials(config)
-    center = _configuration(config, "center", graph, n)
-    radius = config.get_int("run", "radius")
-    energy = config.get_float("run", "energy")
-    ball = MultiBall(graph, center, radius)
-    g_grid = config.get_floats("run", "g_grid", str(g))
-    tbl = report.table(
-        "wegner",
-        ("g", "estimate", "ci_low", "ci_high", "successes", "trials", "seed"),
-        (
-            "coupling amplitude",
-            "empirical resonance probability",
-            "Wilson 95% lower bound",
-            "Wilson 95% upper bound",
-            "resonant samples",
-            "Monte Carlo trials",
-            "master seed",
-        ),
-    )
-    operators = BallOperators(graph, interaction)
-    estimates, fallbacks = [], []
-    for gv in g_grid:
-        est, fell_back = wegner_estimate(ball, dist, operators, gv, energy, params.beta, trials, seed)
-        estimates.append(est.estimate)
-        fallbacks.append(fell_back)
-        tbl.add(gv, est.estimate, est.ci_low, est.ci_high, est.successes, est.trials, est.seed)
-    report.results["estimates"] = estimates
-    report.results["eigvalsh_fallbacks"] = fallbacks
-    report.pass_flags["ran"] = True
-
-
-def run_evc2(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials = _seed_trials(config)
-    radius = config.get_int("run", "radius")
-    ball_x = MultiBall(graph, _configuration(config, "center_x", graph, n), radius)
-    ball_y = MultiBall(graph, _configuration(config, "center_y", graph, n), radius)
-    s_grid = config.get_floats("run", "s_grid")
-    operators = BallOperators(graph, interaction)
-    s_sorted, counts, theta_hat, log_constant, n_fit = two_volume_evc(
-        ball_x, ball_y, dist, operators, g, s_grid, trials, seed
-    )
-    tbl = report.table(
-        "evc2",
-        ("s", "probability", "ci_low", "ci_high", "successes", "trials", "seed"),
-        (
-            "spectral distance threshold",
-            "empirical P{dist(Sigma_x, Sigma_y) <= s}",
-            "Wilson 95% lower bound",
-            "Wilson 95% upper bound",
-            "trials below threshold",
-            "Monte Carlo trials",
-            "master seed",
-        ),
-    )
-    for s, c in zip(s_sorted.tolist(), counts.tolist()):
-        est = McEstimate.from_counts(c, trials, seed)
-        tbl.add(s, est.estimate, est.ci_low, est.ci_high, c, trials, seed)
-    report.results["theta_hat"] = theta_hat
-    report.results["log_constant"] = log_constant
-    report.results["n_fit_points"] = n_fit
-    if config.has("run", "theta_floor"):
-        floor = config.get_float("run", "theta_floor")
-        report.pass_flags["theta_at_least_floor"] = math.isfinite(theta_hat) and theta_hat >= floor
-    else:
-        report.pass_flags["ran"] = True
-
-
-def run_rcm(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials = _seed_trials(config)
-    q_sizes = config.get_ints("run", "q_sizes", "1,2,4")
-    s_grid = config.get_floats("run", "s_grid", "0.01,0.05,0.1")
-    rows, constants = rcm_modulus(dist, q_sizes, s_grid, trials, seed)
-    tbl = report.table(
-        "rcm",
-        ("q_size", "s", "exceed_frequency", "modulus_max", "modulus_threshold", "budget", "passes"),
-        (
-            "conditioning set size #Q",
-            "CDF increment width",
-            "fraction of trials whose cell modulus meets the threshold",
-            "largest empirical cell modulus",
-            "C' (#Q)^A' s^b' exceedance threshold",
-            "C'' s^b'' probability budget (0 when the density derivative bound is 0)",
-            "frequency <= budget (empty when the budget is degenerate)",
-        ),
-    )
-    overall = True
-    for *cells, passes in rows:
-        tbl.add(*cells, "" if passes is None else passes)
-        if passes is not None:
-            overall &= passes
-    report.results["constants"] = constants
-    report.pass_flags["within_budget"] = overall
-
-
-def run_shift(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    seed, trials = _seed_trials(config)
-    radius = config.get_int("run", "radius", "1")
-    t_val = config.get_float("run", "t", "0.5")
-    tbl = report.table(
-        "shift",
-        ("instance", "n1", "n2", "dev_primary", "dev_secondary", "holds"),
-        (
-            "instance index",
-            "captured particles of the primary ball",
-            "captured particles of the secondary ball",
-            "max |shift - g*n1*t| over the primary spectrum",
-            "max |shift - g*n2*t| over the secondary spectrum",
-            "both deviations <= 1e-9",
-        ),
-    )
-    operators = BallOperators(graph, interaction)
-    all_hold = True
-    produced = 0
-    for i in range(trials):
-        rng = CounterRng(substream(seed, 77_000 + i))
-        pair = random_separated_pair(graph, n, radius, rng)
-        if pair is None:
-            continue
-        ball_x = MultiBall(graph, pair[0], radius)
-        ball_y = MultiBall(graph, pair[1], radius)
-        certificate = weak_separation(ball_x, ball_y)
-        if certificate is None:
-            all_hold = False
-            tbl.add(i, -1, -1, float("nan"), float("nan"), False)
-            continue
-        sample = sample_potential(dist, graph, substream(seed, 88_000 + i))
-        dev_p, dev_s, holds = spectral_shift_check(ball_x, ball_y, certificate, t_val, g, sample, operators)
-        all_hold &= holds
-        produced += 1
-        tbl.add(i, certificate.n1, certificate.n2, dev_p, dev_s, holds)
-    report.results["instances_with_certificates"] = produced
-    report.pass_flags["shift_law_exact"] = all_hold and produced > 0
-
-
-def run_induction(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    params = params_from_config(config)
-    violations = validate(params)
-    if violations and not config.get_bool("run", "allow_param_violations", "false"):
-        raise ConfigurationError("parameter table violations: " + "; ".join(violations))
-    mass = MassSchedule(params)
-    cert = certificate_for(graph, params)
-    seed, trials = _seed_trials(config)
-    center = _configuration(config, "center", graph, n)
-    kmax = config.get_int("run", "kmax", "1")
-    schedule = scales(params, kmax, lmax=int(graph.dist.max()))
-    window = spectral_window(graph, n, g, dist.sup_abs, interaction)
-    policy = config.get("run", "energy_policy", "fixed:0")
-    rows = scale_probabilities(
-        BallOperators(graph, interaction), center, dist, g, params, mass, schedule, cert,
-        policy, window, trials, seed,
-    )
-    tbl = report.table(
-        "induction",
-        ("k", "radius", "p", "p_lo", "p_hi", "q", "q_lo", "q_hi", "s", "target", "skipped"),
-        (
-            "scale index",
-            "ball radius L_k",
-            "singularity probability estimate",
-            "Wilson 95% lower (Bonferroni-widened for grid policies)",
-            "Wilson 95% upper",
-            "resonance estimate with the factor-4 convention",
-            "lower bound",
-            "upper bound",
-            "WI singular sub-ball probability (0 for N=1)",
-            "mode target for the singularity probability",
-            "scale skipped by the volume budget",
-        ),
-    )
-    nanv = float("nan")
-    for row in rows:
-        tbl.add(
-            row.k,
-            row.radius,
-            row.p.estimate if row.p else nanv,
-            row.p.ci_low if row.p else nanv,
-            row.p.ci_high if row.p else nanv,
-            row.q.estimate if row.q else nanv,
-            row.q.ci_low if row.q else nanv,
-            row.q.ci_high if row.q else nanv,
-            row.s.estimate if row.s else 0.0,
-            row.target,
-            row.skipped,
-        )
-    checks = report.table(
-        "recursion",
-        ("k_next", "rhs", "rhs_hi", "p_next", "p_next_lo", "satisfied_within_ci"),
-        (
-            "target scale index",
-            "recursion right-hand side from point estimates",
-            "right-hand side from CI-upper inputs",
-            "measured next-scale singularity estimate",
-            "its Wilson 95% lower bound",
-            "p_next lower bound <= rhs upper bound",
-        ),
-    )
-    all_ok = True
-    usable = [r for r in rows if not r.skipped]
-    for prev, nxt in zip(usable[:-1], usable[1:]):
-        point = recursion_bound(
-            prev.p.estimate, nxt.s.estimate if nxt.s else 0.0,
-            nxt.q.estimate if nxt.q else 0.0,
-            params, cert, n, nxt.radius,
-        )
-        wide = recursion_bound(
-            prev.p.ci_high, nxt.s.ci_high if nxt.s else 0.0,
-            nxt.q.ci_high if nxt.q else 0.0,
-            params, cert, n, nxt.radius,
-        )
-        ok = nxt.p.ci_low <= wide
-        all_ok &= ok
-        checks.add(nxt.k, point, wide, nxt.p.estimate, nxt.p.ci_low, ok)
-    report.results["n_scales"] = len(rows)
-    report.pass_flags["recursion_within_ci"] = all_ok
-
-
-def run_bridge(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    params = params_from_config(config)
-    mass = MassSchedule(params)
-    cert = certificate_for(graph, params)
-    seed, trials = _seed_trials(config)
-    radius = config.get_int("run", "radius")
-    ball_x = MultiBall(graph, _configuration(config, "center_x", graph, n), radius)
-    ball_y = MultiBall(graph, _configuration(config, "center_y", graph, n), radius)
-    window = spectral_window(graph, n, g, dist.sup_abs, interaction)
-    level = config.get_float(
-        "run", "level",
-        str(math.exp(-mass.m(n) * float(radius) ** params.delta)),
-    )
-    bp = bridge_parameters(mass, n, radius, (ball_x.size(), ball_y.size()))
-    exceed = 0
-    cover_ok = True
-    tbl = report.table(
-        "bridge",
-        ("trial", "sup_min", "argmax_energy", "exceeded", "cover_count_x", "cover_count_y"),
-        (
-            "trial index",
-            "sup over E of min(F_x, F_y) on the refined grid",
-            "maximizing energy",
-            "sup >= level",
-            "intervals in the x cover",
-            "intervals in the y cover",
-        ),
-    )
-    operators = BallOperators(graph, interaction)
-    roots = {"turn": RootCounts(), "level": RootCounts()}
-    for i in range(trials):
-        sample = sample_potential(dist, graph, substream(seed, i))
-        spectra = BallSpectra(operators, sample, g)
-        spec_x = spectra.spectrum(ball_x)
-        spec_y = spectra.spectrum(ball_y)
-        res = sup_min_functional(spec_x, ball_x, spec_y, ball_y, cert, level, window)
-        for cover in (res.cover_x, res.cover_y):
-            for kind, counts in cover.roots.items():
-                roots[kind].add(counts)
-        exceed += int(res.exceeded)
-        cover_ok &= res.cover_x.count < 3 * res.cover_x.ball_size
-        cover_ok &= res.cover_y.count < 3 * res.cover_y.ball_size
-        tbl.add(i, res.sup_value, res.argmax_energy, res.exceeded,
-                res.cover_x.count, res.cover_y.count)
-    est = McEstimate.from_counts(exceed, trials, seed)
-    report.results["exceed_estimate"] = est.estimate
-    report.results["exceed_ci"] = [est.ci_low, est.ci_high]
-    report.results["bridge_constants"] = {k: v for k, v in bp.items()}
-    report.results["structural_target"] = math.exp(-mass.nu(n) * float(radius) ** params.kappa / 9.0)
-    report.results["cover_roots"] = {kind: vars(counts) for kind, counts in roots.items()}
-    report.pass_flags["bridge_precondition"] = bool(bp["precondition_ok"])
-    report.pass_flags["cover_counts"] = cover_ok
-
-
-def run_efc(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    params = params_from_config(config)
-    seed, trials = _seed_trials(config)
-    pairs = _configuration(config, "pairs", graph, n)
-    g_grid = config.get_floats("run", "g_grid", str(g))
-    batches = config.get_int("run", "batches", "10")
-    if not 1 <= batches <= T_DF_MAX + 1:  # the t interval has batches - 1 df
-        raise ConfigurationError(f"[run] batches must be between 1 and {T_DF_MAX + 1}")
-    full = VolumeIndex.from_ball(MultiBall(graph, tuple([0] * n), int(graph.dist.max())))
-    distances, mean_efc, masses, ci, batch_masses = efc_decay_experiment(
-        graph, full, pairs, dist, interaction, g_grid, params.kappa, trials, seed, batches
-    )
-    tbl = report.table(
-        "efc",
-        ("g", "pair_index", "rho_s", "mean_efc"),
-        (
-            "coupling amplitude",
-            "index into the configured pair list",
-            "symmetrized distance of the pair",
-            "mean eigenfunction correlator over seeds",
-        ),
-    )
-    fitt = report.table(
-        "efc_fit",
-        ("g", "mass", "ci_low", "ci_high", "n_batches"),
-        (
-            "coupling amplitude",
-            "fitted decay mass M of -log(mean EFC) vs rho_S^kappa",
-            "95% t-interval lower bound over seed batches",
-            "upper bound",
-            "number of seed batches",
-        ),
-    )
-    for gv, means, m, (lo, hi) in zip(g_grid, mean_efc.tolist(), masses.tolist(), ci.tolist()):
-        for idx, (r, v) in enumerate(zip(distances.tolist(), means)):
-            tbl.add(gv, idx, r, v)
-        fitt.add(gv, m, lo, hi, batch_masses.shape[1])
-    report.results["masses"] = dict(zip(map(str, g_grid), masses.tolist()))
-    report.pass_flags["ran"] = True
-
-
-def run_dominate(config: ExperimentConfig, report: Report) -> None:
-    graph, n, dist, interaction, g = model_from_config(config)
-    params = params_from_config(config)
-    mass = MassSchedule(params)
-    cert = certificate_for(graph, params)
-    seed, trials = _seed_trials(config)
-    center = _configuration(config, "center", graph, n)
-    radius = config.get_int("run", "radius")
-    ell = config.get_int("run", "ell", "1")
-    kmax = config.get_int("run", "kmax", "1")
-    schedule = scales(params, kmax, lmax=int(graph.dist.max()))
-    window = spectral_window(graph, n, g, dist.sup_abs, interaction)
-
-    tbl = report.table(
-        "dominate",
-        ("trial", "kind", "q", "W", "f_center", "bound", "holds"),
-        (
-            "trial index",
-            "synthetic profile or Green-function derived",
-            "contraction factor q",
-            "exponent (L+1-w)/(ell+1)",
-            "value at the ball center",
-            "q^W times the enclosing max",
-            "bound holds (preconditions included)",
-        ),
-    )
-    all_hold = True
-
-    # synthetic geometric profiles (always dominated by construction)
-    ball = MultiBall(graph, center, radius)
-    for i in range(max(1, trials // 2)):
-        rng = CounterRng(substream(seed, 500 + i))
-        q = rng.uniform(0.05, 0.8)
-        scale = rng.uniform(0.5, 2.0)
-        f = {
-            c: scale * q ** ((radius + 1 - rho(graph, center, c)) / max(ell, 1))
-            for c in MultiBall(graph, center, radius + 1).members()
-        }
-        ctx = DominationContext(
-            graph=graph, center=center, radius=radius, ell=ell, q=q, f=f, xi=frozenset()
-        )
-        res = domination_bound(ctx, AnnulusCover(bounds=()))
-        all_hold &= res.holds
-        tbl.add(i, "synthetic", q, res.W, res.f_center, res.bound, res.holds)
-
-    # Green-function instances under strong disorder
-    gf_trials = max(1, trials - max(1, trials // 2))
-    operators = BallOperators(graph, interaction)
-    for i in range(gf_trials):
-        sample = sample_potential(dist, graph, substream(seed, 900 + i))
-        rng = CounterRng(substream(seed, 1300 + i))
-        spectra = BallSpectra(operators, sample, g)
-        energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
-        q, failures, bounds = gf_domination_check(
-            spectra, ball, energy, ell, frozenset(), params, mass, cert, schedule
-        )
-        if failures:
-            # not dominated is a precondition outcome, not a bound violation
-            tbl.add(1000 + i, "gf-skipped:" + ";".join(failures), q,
-                    float("nan"), float("nan"), float("nan"), True)
-            continue
-        # with Xi empty, a bound without precondition failures is a dominated map
-        ok = not any(res.precondition_failures for res in bounds.values())
-        if ok:
-            for res in bounds.values():
-                ok &= res.holds
-                tbl.add(1000 + i, "gf", q, res.W, res.f_center, res.bound, res.holds)
-        all_hold &= ok
-    report.pass_flags["domination_bounds_hold"] = all_hold
-
-
-RUNNERS = {
-    "validate-params": run_validate_params,
-    "classify": run_classify,
-    "gri": run_gri,
-    "wegner": run_wegner,
-    "evc2": run_evc2,
-    "rcm": run_rcm,
-    "shift": run_shift,
-    "induction": run_induction,
-    "bridge": run_bridge,
-    "efc": run_efc,
-    "dominate": run_dominate,
-}

@@ -7,7 +7,8 @@ fixed vertex budget (storage is quadratic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .errors import BudgetExceeded, ConfigurationError
 VERTEX_BUDGET = 5000  # vertices of a dense distance table
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Graph:
     """Undirected connected graph on vertices 0..n-1 with no self-loops; compared by identity."""
 
@@ -24,7 +25,7 @@ class Graph:
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...]
-    dist: np.ndarray = field(repr=False)  # (n, n) int32 shortest-path distances
+    dist: np.ndarray  # (n, n) int32 shortest-path distances
 
     @property
     def degree(self) -> np.ndarray:
@@ -46,8 +47,7 @@ class Graph:
         return int(self.dist[np.ix_(idx, idx)].max())
 
 
-@dataclass(frozen=True)
-class GrowthCertificate:
+class GrowthCertificate(NamedTuple):
     """Certified polynomial ball growth: #B(x,L) <= C * L**d for 1 <= L <= lmax."""
 
     d: float

@@ -9,7 +9,7 @@ over any enclosing volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,9 @@ def row_runs(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
+class HamiltonianMatrix(
+    NamedTuple("HamiltonianMatrix", [("volume", VolumeIndex), ("matrix", np.ndarray), ("runs", tuple)])
+):
     """Dense real symmetric Hamiltonian over an enumerated volume.
 
     `runs` is H off its diagonal as the maximal runs of `row_runs`; every
@@ -89,12 +90,10 @@ class HamiltonianMatrix:
     entries.
     """
 
-    volume: VolumeIndex
-    matrix: np.ndarray = field(repr=False)
-    runs: tuple | None = field(default=None, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        h = self.matrix
+    def __new__(cls, volume: VolumeIndex, matrix: np.ndarray, runs: tuple | None = None):
+        h = matrix
         if not np.isfinite(h).all():
             raise DataError("Hamiltonian has non-finite entries")
         # strip by strip, rows [a, a + SYMMETRY_STRIP) against their columns
@@ -104,11 +103,12 @@ class HamiltonianMatrix:
             asym = h[a:b, a:] - h[a:, a:b].T
             if not np.abs(asym, out=asym).max() <= 1e-14:
                 raise DataError("Hamiltonian is not symmetric")
-        if self.runs is None:
+        if runs is None:
             rows, cols = np.nonzero(h)
             off = rows != cols
             rows, cols = rows[off], cols[off]
-            object.__setattr__(self, "runs", row_runs(rows, cols, h[rows, cols]))
+            runs = row_runs(rows, cols, h[rows, cols])
+        return super().__new__(cls, volume, matrix, runs)
 
     def submatrix(self, configs) -> "HamiltonianMatrix":
         """Principal submatrix over a sub-volume (exact, by the 1_V Delta 1_V rule).
@@ -181,8 +181,7 @@ class VolumeOperator:
         return self._partition
 
 
-@dataclass(frozen=True, eq=False)
-class LayerPartition:
+class LayerPartition(NamedTuple):
     """A volume split into consecutive blocks of positions in which H is
     block tridiagonal: every edge joins a block to itself or to the next.
 

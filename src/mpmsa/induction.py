@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,16 +69,14 @@ from .spectral import (
 # Energy interval covers
 
 
-@dataclass
 class RootCounts:
     """Brackets found for one kind of root: `brackets` bisected and `skipped`
     (their root cannot bound the union), and the reciprocal `rows`
     1 / (p_j - E) formed for the bisected ones: one per bracket for its lower
     end and one per bracket and step."""
 
-    brackets: int = 0
-    rows: int = 0
-    skipped: int = 0
+    def __init__(self):
+        self.brackets = self.rows = self.skipped = 0
 
     def add(self, other: RootCounts) -> None:
         self.brackets += other.brackets
@@ -85,15 +84,15 @@ class RootCounts:
         self.skipped += other.skipped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EnergyIntervalCover:
     """Closed intervals covering {E in window : F_u(E) >= level}."""
 
     intervals: tuple[tuple[float, float], ...]
     ball_size: int
     # bisection work per kind of root: "turn" (zeros of F') and "level"
-    # (|F| = level crossings); not part of the cover's value
-    roots: dict[str, RootCounts] = field(default_factory=dict, compare=False, repr=False)
+    # (|F| = level crossings)
+    roots: dict[str, RootCounts] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -500,8 +499,7 @@ SUPMIN_GRID_POINTS = 2001
 SUPMIN_REFINE_POINTS = 65
 
 
-@dataclass(frozen=True)
-class SupMinResult:
+class SupMinResult(NamedTuple):
     sup_value: float
     argmax_energy: float
     exceeded: bool
@@ -591,8 +589,7 @@ def bridge_parameters(mass: MassSchedule, n: int, radius: int, ball_sizes: tuple
 # Scale probabilities
 
 
-@dataclass(frozen=True)
-class ScaleRow:
+class ScaleRow(NamedTuple):
     k: int
     radius: int
     p: McEstimate | None

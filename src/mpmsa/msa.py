@@ -8,7 +8,7 @@ super-exponential scales L_{k+1} = floor(L_k**alpha) with exponential ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .graphs import GrowthCertificate
 from .spectral import BallSpectra, dist_to_spectrum, ns_flags
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(NamedTuple):
     """Parameters of the two scaling schemes with their consistency inequalities."""
 
     mode: str  # 'subexp' | 'exp'
@@ -92,8 +91,7 @@ def validate(params: ParameterSet) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class ScaleSchedule:
+class ScaleSchedule(NamedTuple):
     mode: str
     levels: tuple[int, ...]
     truncated: bool = False
@@ -130,17 +128,17 @@ def scales(params: ParameterSet, kmax: int, lmax: int | None = None) -> ScaleSch
     return ScaleSchedule(mode=params.mode, levels=tuple(levels), truncated=truncated)
 
 
-@dataclass(frozen=True)
-class MassSchedule:
+class MassSchedule(NamedTuple("MassSchedule", [("params", ParameterSet)])):
     """Per-particle-number decay masses and singularity-probability exponents."""
 
-    params: ParameterSet
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, params: ParameterSet):
         # the mass recursion takes L0 to a negative power; the parameter
         # waiver admits other table violations but never this one
-        if self.params.L0 < 1:
-            raise ConfigurationError(f"L0 must be >= 1, got {self.params.L0}")
+        if params.L0 < 1:
+            raise ConfigurationError(f"L0 must be >= 1, got {params.L0}")
+        return super().__new__(cls, params)
 
     def m(self, n: int) -> float:
         p = self.params

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -26,12 +25,10 @@ def format_value(value) -> str:
     return str(value)
 
 
-@dataclass
 class CsvTable:
-    name: str
-    columns: tuple[str, ...]
-    descriptions: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    def __init__(self, name: str, columns: tuple[str, ...], descriptions: tuple[str, ...]):
+        self.name, self.columns, self.descriptions = name, columns, descriptions
+        self.rows: list[tuple] = []
 
     def add(self, *values) -> None:
         if len(values) != len(self.columns):
@@ -46,14 +43,13 @@ class CsvTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
 class Report:
-    experiment: str
-    config_echo: dict
-    results: dict = field(default_factory=dict)
-    pass_flags: dict = field(default_factory=dict)
-    tables: list[CsvTable] = field(default_factory=list)
-    runtime_seconds: float = 0.0
+    def __init__(self, experiment: str, config_echo: dict):
+        self.experiment, self.config_echo = experiment, config_echo
+        self.results: dict = {}
+        self.pass_flags: dict = {}
+        self.tables: list[CsvTable] = []
+        self.runtime_seconds = 0.0
 
     @property
     def all_pass(self) -> bool:

@@ -3,7 +3,7 @@ eigenfunction correlator and the geometric resolvent inequality check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,17 +50,16 @@ def _reciprocals(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
         return np.divide(1.0, out, out=out)
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Ascending eigenvalues with orthonormal eigenvector columns."""
 
     volume: VolumeIndex
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     h_norm: float
     # the boundary profile of the volume's ball per growth certificate,
-    # formed on first request (see boundary_profile)
-    profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # formed on first request (see boundary_profile); starts empty
+    profiles: dict
 
     def component(self, config: Config) -> np.ndarray:
         """Row of the eigenvector matrix at a configuration (values psi_j(x))."""
@@ -121,7 +120,7 @@ def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
     gram_err = np.abs(gram, out=gram).max()
     if not gram_err <= 1e-10:
         raise DataError(f"eigenvector gram deviation {gram_err:.3e} too large")
-    return SpectralData(volume=ham.volume, eigenvalues=lam, eigenvectors=vec, h_norm=h_norm)
+    return SpectralData(ham.volume, lam, vec, h_norm, profiles={})
 
 
 def _residual(ham: HamiltonianMatrix, lam: np.ndarray, vec: np.ndarray) -> float:
@@ -139,7 +138,6 @@ def _residual(ham: HamiltonianMatrix, lam: np.ndarray, vec: np.ndarray) -> float
     return float(np.abs(r, out=r).max())
 
 
-@dataclass(eq=False)
 class BallOperators:
     """Sample-independent operators of the balls of one graph and interaction.
 
@@ -149,11 +147,9 @@ class BallOperators:
     are equal, so the race costs work but never changes a value.
     """
 
-    graph: Graph
-    interaction: InteractionPotential
-    _built: dict[tuple[Config, int], VolumeOperator] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    def __init__(self, graph: Graph, interaction: InteractionPotential):
+        self.graph, self.interaction = graph, interaction
+        self._built: dict[tuple[Config, int], VolumeOperator] = {}
 
     def operator(self, ball: MultiBall) -> VolumeOperator:
         if ball.graph is not self.graph:
@@ -165,7 +161,6 @@ class BallOperators:
         return op
 
 
-@dataclass(eq=False)
 class BallSpectra:
     """Spectra of the balls of one graph under one disorder sample and one
     coupling: the one path from (ball, sample) to spectral data.
@@ -176,12 +171,9 @@ class BallSpectra:
     shared operators on request and not kept.
     """
 
-    operators: BallOperators
-    sample: DisorderSample
-    g: float
-    _solved: dict[tuple[Config, int], SpectralData] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    def __init__(self, operators: BallOperators, sample: DisorderSample, g: float):
+        self.operators, self.sample, self.g = operators, sample, g
+        self._solved: dict[tuple[Config, int], SpectralData] = {}
 
     def hamiltonian(self, ball: MultiBall) -> HamiltonianMatrix:
         return self.operators.operator(ball).hamiltonian(self.g, self.sample)
@@ -301,16 +293,15 @@ def green_row(spec: SpectralData, energy: float, x: Config) -> np.ndarray:
     return spec.eigenvectors @ weights
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(NamedTuple):
     """Reusable data for evaluating F_u(E) on many energies.
 
     F_u(E) = prefactor * max over boundary z of |sum_j c_j(z) / (lambda_j - E)|
     with c_j(z) = psi_j(u) psi_j(z).
     """
 
-    eigenvalues: np.ndarray = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)  # (n_eigs, n_boundary), C order
+    eigenvalues: np.ndarray
+    coefficients: np.ndarray  # (n_eigs, n_boundary), C order
     prefactor: float
 
     def green_values(self, energies: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import gc
+import importlib
 import json
 import math
 import os
@@ -44,6 +46,12 @@ center = 4
 radius = 4
 energy = 2.0
 """
+
+
+def _child_env(**extra):
+    """The environment of a child process that imports mpmsa from src/."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -191,6 +199,34 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["wegner", "--config", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe[experiment]\nkind = wegner\n")
+    assert main(["wegner", "--config", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed, source):
+    """Seeds feed SplitMix64 streams, which would mask them to 64 bits (-1
+    and 2**64 - 1 would draw the same samples)."""
+    text = BASE_WEGNER.format(out=tmp_path / "x")
+    flag = []
+    if source == "config":
+        text = text.replace("seed = 7", f"seed = {seed}")
+    else:
+        flag = ["--seed", str(seed)]
+    assert main(["wegner", "--config", _write(tmp_path, text), *flag]) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_largest_64_bit_seed_runs(tmp_path):
+    path = _write(tmp_path, BASE_WEGNER.format(out=tmp_path / "x"))
+    assert main(["wegner", "--config", path, "--seed", str(2**64 - 1), "--trials", "5"]) == 0
+
+
 def test_kind_mismatch_exits_2(tmp_path):
     path = _write(tmp_path, BASE_WEGNER.format(out=tmp_path / "x"))
     assert main(["gri", "--config", path]) == 2
@@ -304,8 +340,7 @@ def _pool_run_csvs(tmp_path, kind, threads, config=None):
     """CSV bytes of the shipped config of `kind` (or of `config`), run in a
     child process with one BLAS thread and `threads` pool workers."""
     out = tmp_path / f"{kind}-{threads}"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", MPMSA_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = _child_env(OPENBLAS_NUM_THREADS="1", MPMSA_THREADS=str(threads))
     proc = subprocess.run(
         [sys.executable, "-m", "mpmsa.cli", kind, "--config",
          config or str(ROOT / "configs" / f"{kind}.cfg"), "--out", str(out)],
@@ -407,18 +442,70 @@ pairs = 0,0|1,1;0,0|2,2
     assert main(["efc", "--config", _write(tmp_path, text, "efc.cfg")]) == 3
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency; the package needs numpy alone, and the
-    # thread pool only when more than one worker runs
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mpmsa.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"],
-        env=env, capture_output=True, text=True,
+    # thread pool only when more than one worker runs.  A process imports
+    # only its own runner's module, so a classify run at one worker loads
+    # neither the pool nor the estimators of the other runners.
+    probe = (
+        "import sys, mpmsa.cli; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent') "
+        "or m in ('mpmsa.induction', 'mpmsa.domination', 'mpmsa.evc')); "
+        "print(loaded()); "
+        f"code = mpmsa.cli.main(['classify', '--config', {str(ROOT / 'configs' / 'classify.cfg')!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, loaded())"
     )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(MPMSA_THREADS="1"),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_runner_table_names_every_subcommand_and_resolves():
+    from mpmsa import cli
+
+    assert tuple(cli.RUNNERS) == (
+        "validate-params", "classify", "gri", "wegner", "evc2", "rcm", "shift",
+        "induction", "bridge", "efc", "dominate",
+    )
+    for kind, target in cli.RUNNERS.items():
+        module, name = target.split(":")
+        runner = getattr(importlib.import_module(f"mpmsa.{module}"), name)
+        assert callable(runner) and runner.__name__ == f"run_{kind.replace('-', '_')}"
+
+
+@pytest.mark.parametrize("case", ["pass", "fail", "config", "budget"])
+def test_process_entry_matches_in_process_main(tmp_path, case):
+    """`python -m mpmsa.cli` exits with the code and writes the CSV bytes of
+    an in-process main(); main() itself leaves the heap unfrozen."""
+    if case == "pass":
+        cfg = _write(tmp_path, BASE_WEGNER.format(out=tmp_path / "unused"))
+        args = ["wegner", "--config", cfg]
+    elif case == "fail":  # no exponent estimate reaches the floor: pass flag false
+        text = (ROOT / "configs" / "evc2.cfg").read_text() + "theta_floor = 1e9\n"
+        args = ["evc2", "--config", _write(tmp_path, text), "--trials", "20"]
+    elif case == "config":
+        args = ["wegner", "--config", str(ROOT / "configs" / "wegner.cfg"), "--seed", "-1"]
+    else:
+        # a two-particle ball of 79**2 configurations, over the volume cap
+        text = (ROOT / "configs" / "classify.cfg").read_text()
+        for old, new in (("path:30", "path:80"), ("4,24", "40,40"), ("radius = 6", "radius = 39")):
+            text = text.replace(old, new)
+        args = ["classify", "--config", _write(tmp_path, text)]
+    expected = {"pass": 0, "fail": 1, "config": 2, "budget": 3}[case]
+    code = main([*args, "--out", str(tmp_path / "in")])
+    assert code == expected
+    assert gc.get_freeze_count() == 0
+    proc = subprocess.run([sys.executable, "-m", "mpmsa.cli", *args, "--out", str(tmp_path / "child")],
+                          env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == expected, proc.stderr
+
+    def csvs(out):
+        return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+    assert csvs(tmp_path / "child") == csvs(tmp_path / "in")
+    assert bool(csvs(tmp_path / "in")) == (expected < 2)
 
 
 def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
@@ -458,7 +545,7 @@ def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
     `gf_domination_check` returns the bound of each verified Green map, which
     the runner writes as it is (configs/dominate.cfg: 2 synthetic and 2 Green
     bounds, 4 partitions, 4 definition checks)."""
-    from mpmsa import domination, experiments
+    from mpmsa import domination, experiments_domination
 
     built, checked, per_bound = [], [], []
     regular_set, is_dominated = domination.regular_set, domination.is_dominated
@@ -481,7 +568,7 @@ def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(domination, "regular_set", counting_regular_set)
     monkeypatch.setattr(domination, "is_dominated", counting_is_dominated)
     monkeypatch.setattr(domination, "domination_bound", counting_domination_bound)
-    monkeypatch.setattr(experiments, "domination_bound", counting_domination_bound)
+    monkeypatch.setattr(experiments_domination, "domination_bound", counting_domination_bound)
     out = tmp_path / "dominate"
     code = main(["dominate", "--config", str(ROOT / "configs" / "dominate.cfg"), "--out", str(out)])
     assert code == 0
@@ -696,8 +783,7 @@ def _bridge_run(tmp_path, config, blas_threads):
     """bridge.csv bytes and summary results of `config`, run in a child
     process with `blas_threads` BLAS threads."""
     out = tmp_path / f"{Path(config).stem}-{blas_threads}"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), MPMSA_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = _child_env(OPENBLAS_NUM_THREADS=str(blas_threads), MPMSA_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "mpmsa.cli", "bridge", "--config", str(config), "--out", str(out)],
         env=env, capture_output=True, text=True,

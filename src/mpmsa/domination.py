@@ -20,7 +20,7 @@ from .configspace import Config, MultiBall, rho
 from .errors import ContractViolation
 from .graphs import GrowthCertificate
 from .msa import MassSchedule, ParameterSet, ScaleSchedule, classify
-from .spectral import BallSpectra, ball_boundary, dist_to_spectrum
+from .spectral import BallSpectra, dist_to_spectrum
 
 
 class DominationContext(NamedTuple("DominationContext", [
@@ -247,7 +247,7 @@ def green_magnitude_maps(spectra: BallSpectra, ball: MultiBall, energy: float) -
     dist = float(dist_to_spectrum(spec.eigenvalues, energy))
     n_vol = len(ham.volume)
     noise_floor = 64.0 * n_vol * eps * eps * max(1.0, spec.h_norm) * (1.0 + 1.0 / max(dist, eps))
-    boundary = ball_boundary(spec, ball)
+    boundary = spec.volume.boundary
     cols = np.abs(np.linalg.solve(ham.matrix - energy * np.eye(n_vol), np.eye(n_vol)[:, boundary]))
     cols[cols < noise_floor] = 0.0
     configs = ham.volume.configs

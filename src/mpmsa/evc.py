@@ -38,7 +38,7 @@ def wilson_interval(p: float, trials: int, z: float = _Z95) -> tuple[float, floa
 
 
 class McEstimate(NamedTuple):
-    """Binomial point estimate with a Wilson 95% interval."""
+    """Binomial point estimate with a Wilson interval (95 % unless widened)."""
 
     trials: int
     successes: int
@@ -48,11 +48,12 @@ class McEstimate(NamedTuple):
     seed: int
 
     @classmethod
-    def from_counts(cls, successes: int, trials: int, seed: int) -> "McEstimate":
+    def from_counts(cls, successes: int, trials: int, seed: int, z: float = _Z95) -> "McEstimate":
+        """successes / trials with its Wilson interval at critical value z."""
         if trials < 1:
             raise ContractViolation("trials must be >= 1")
         p = successes / trials
-        lo, hi = wilson_interval(p, trials)
+        lo, hi = wilson_interval(p, trials, z)
         return cls(trials, successes, p, lo, hi, seed)
 
     def scaled(self, factor: float) -> "McEstimate":

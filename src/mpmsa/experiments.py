@@ -12,7 +12,7 @@ from __future__ import annotations
 from .config import ExperimentConfig
 from .configspace import Config, MultiBall
 from .disorder import parse_distribution_spec, parse_interaction_spec, sample_potential
-from .errors import ConfigurationError
+from .errors import BudgetExceeded, ConfigurationError
 from .graphs import Graph, GrowthCertificate, build_graph, certify_growth
 from .hamiltonian import VolumeIndex, VolumeOperator, spectral_window
 from .msa import MassSchedule, ParameterSet, classify, scales, validate
@@ -87,7 +87,9 @@ def seed_trials(config: ExperimentConfig) -> tuple[int, int]:
 
 
 def random_gri_instance(graph: Graph, n: int, rng: CounterRng, max_volume: int = 600):
-    """A random ball volume V, a proper sub-volume W, and a pair x in W, y in V-W."""
+    """A random ball V of 2 to max_volume configurations, the configurations
+    of a proper sub-volume W, and a pair x in W, y in V - W.  Raises
+    BudgetExceeded when 400 draws find none."""
     for _ in range(400):
         center = tuple(rng.randint(0, graph.n_vertices - 1) for _ in range(n))
         radius = rng.randint(1, max(1, int(graph.dist.max())))
@@ -105,10 +107,11 @@ def random_gri_instance(graph: Graph, n: int, rng: CounterRng, max_volume: int =
         outside = [c for c in volume if c not in in_sub]
         x = sub[rng.randint(0, len(sub) - 1)]
         y = outside[rng.randint(0, len(outside) - 1)]
-        return volume, sub, x, y
-    raise RuntimeError("could not draw a GRI instance; graph too small")
-
-
+        return ball, sub, x, y
+    raise BudgetExceeded(
+        f"no GRI instance in 400 draws: no ball drawn has 2 to {max_volume} configurations "
+        f"(the {max_volume}-configuration instance cap) and a proper sub-volume"
+    )
 
 
 def off_spectrum_energy(specs, window, rng: CounterRng, guard: float = 1e-8) -> float:
@@ -182,19 +185,23 @@ def run_gri(config: ExperimentConfig, report: Report) -> None:
     seed, trials = seed_trials(config)
     window = spectral_window(graph, n, g, dist.sup_abs, interaction)
     energies_per = config.get_int("run", "energies_per_instance", "5")
+    if energies_per < 1:
+        raise ConfigurationError("[run] energies_per_instance must be >= 1")
     tbl = report.table(
         "gri",
         ("instance", "energy", "lhs", "rhs", "holds"),
         ("instance index", "probed energy", "|G_V(x,y)|", "boundary sum bound", "lhs <= rhs"),
     )
     all_hold = True
+    operators = BallOperators(graph, interaction)
     for i in range(trials):
         rng = CounterRng(substream(seed, i))
-        volume, sub, x, y = random_gri_instance(graph, n, rng)
+        ball, sub, x, y = random_gri_instance(graph, n, rng)
         sample = sample_potential(dist, graph, substream(seed, 10_000_000 + i))
-        ham = VolumeOperator(VolumeIndex(graph, volume), interaction).hamiltonian(g, sample)
-        spec_v = eigendecompose(ham)
-        spec_w = eigendecompose(ham.submatrix(sub))
+        spec_v = BallSpectra(operators, sample, g).spectrum(ball)
+        # W is not a ball: its own operator, whose H is V's principal
+        # submatrix under the Dirichlet convention
+        spec_w = eigendecompose(VolumeOperator(VolumeIndex(graph, sub), interaction).hamiltonian(g, sample))
         for _ in range(energies_per):
             e = off_spectrum_energy((spec_v, spec_w), window, rng)
             lhs, rhs, holds = gri_check(spec_v, spec_w, x, y, e)

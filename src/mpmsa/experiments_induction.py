@@ -13,7 +13,7 @@ from .evc import McEstimate
 from .experiments import (
     certificate_for, configuration_at, model_from_config, params_from_config, seed_trials,
 )
-from .hamiltonian import VolumeIndex, spectral_window
+from .hamiltonian import spectral_window
 from .induction import (
     RootCounts, bridge_parameters, efc_decay_experiment, recursion_bound, scale_probabilities,
     sup_min_functional,
@@ -121,7 +121,8 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
         "run", "level",
         str(math.exp(-mass.m(n) * float(radius) ** params.delta)),
     )
-    bp = bridge_parameters(mass, n, radius, (ball_x.size(), ball_y.size()))
+    size_x, size_y = ball_x.size(), ball_y.size()
+    bp = bridge_parameters(mass, n, radius, (size_x, size_y))
     exceed = 0
     cover_ok = True
     tbl = report.table(
@@ -141,15 +142,13 @@ def run_bridge(config: ExperimentConfig, report: Report) -> None:
     for i in range(trials):
         sample = sample_potential(dist, graph, substream(seed, i))
         spectra = BallSpectra(operators, sample, g)
-        spec_x = spectra.spectrum(ball_x)
-        spec_y = spectra.spectrum(ball_y)
-        res = sup_min_functional(spec_x, ball_x, spec_y, ball_y, cert, level, window)
+        res = sup_min_functional(spectra.spectrum(ball_x), spectra.spectrum(ball_y), cert, level, window)
         for cover in (res.cover_x, res.cover_y):
             for kind, counts in cover.roots.items():
                 roots[kind].add(counts)
         exceed += int(res.exceeded)
-        cover_ok &= res.cover_x.count < 3 * res.cover_x.ball_size
-        cover_ok &= res.cover_y.count < 3 * res.cover_y.ball_size
+        cover_ok &= res.cover_x.count < 3 * size_x
+        cover_ok &= res.cover_y.count < 3 * size_y
         tbl.add(i, res.sup_value, res.argmax_energy, res.exceeded,
                 res.cover_x.count, res.cover_y.count)
     est = McEstimate.from_counts(exceed, trials, seed)
@@ -171,9 +170,9 @@ def run_efc(config: ExperimentConfig, report: Report) -> None:
     batches = config.get_int("run", "batches", "10")
     if not 1 <= batches <= T_DF_MAX + 1:  # the t interval has batches - 1 df
         raise ConfigurationError(f"[run] batches must be between 1 and {T_DF_MAX + 1}")
-    full = VolumeIndex.from_ball(MultiBall(graph, tuple([0] * n), int(graph.dist.max())))
+    full = MultiBall(graph, tuple([0] * n), int(graph.dist.max()))
     distances, mean_efc, masses, ci, batch_masses = efc_decay_experiment(
-        graph, full, pairs, dist, interaction, g_grid, params.kappa, trials, seed, batches
+        full, pairs, dist, BallOperators(graph, interaction), g_grid, params.kappa, trials, seed, batches
     )
     tbl = report.table(
         "efc",

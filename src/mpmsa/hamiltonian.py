@@ -84,15 +84,14 @@ class HamiltonianMatrix(
 ):
     """Dense real symmetric Hamiltonian over an enumerated volume.
 
-    `runs` is H off its diagonal as the maximal runs of `row_runs`; every
-    off-diagonal entry outside them is 0.  A VolumeOperator passes the runs
-    it formed once for its volume; any other matrix has them read off its
-    entries.
+    `runs` is H off its diagonal as the maximal runs of `row_runs`, which a
+    VolumeOperator forms once for its volume; every off-diagonal entry
+    outside them is 0.
     """
 
     __slots__ = ()
 
-    def __new__(cls, volume: VolumeIndex, matrix: np.ndarray, runs: tuple | None = None):
+    def __new__(cls, volume: VolumeIndex, matrix: np.ndarray, runs: tuple):
         h = matrix
         if not np.isfinite(h).all():
             raise DataError("Hamiltonian has non-finite entries")
@@ -103,22 +102,7 @@ class HamiltonianMatrix(
             asym = h[a:b, a:] - h[a:, a:b].T
             if not np.abs(asym, out=asym).max() <= 1e-14:
                 raise DataError("Hamiltonian is not symmetric")
-        if runs is None:
-            rows, cols = np.nonzero(h)
-            off = rows != cols
-            rows, cols = rows[off], cols[off]
-            runs = row_runs(rows, cols, h[rows, cols])
         return super().__new__(cls, volume, matrix, runs)
-
-    def submatrix(self, configs) -> "HamiltonianMatrix":
-        """Principal submatrix over a sub-volume (exact, by the 1_V Delta 1_V rule).
-
-        Laplacian diagonals keep the full-graph degree, so restriction only
-        removes rows/columns and the edges leaving the sub-volume.
-        """
-        sub = VolumeIndex(self.volume.graph, configs, label=self.volume.label + "|sub")
-        idx = np.asarray([self.volume.position(c) for c in sub.configs], dtype=np.int64)
-        return HamiltonianMatrix(sub, self.matrix[np.ix_(idx, idx)])
 
 
 class VolumeOperator:

@@ -42,12 +42,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .configspace import Config, MultiBall, rho_s, weakly_interactive
-from .disorder import InteractionPotential, PotentialDistribution, sample_potential
+from .disorder import PotentialDistribution, sample_potential
 from .errors import ConfigurationError, ContractViolation
-from .graphs import Graph, GrowthCertificate
-from .hamiltonian import VOLUME_BUDGET, VolumeIndex, VolumeOperator
+from .graphs import GrowthCertificate
+from .hamiltonian import VOLUME_BUDGET
 from .msa import MassSchedule, ParameterSet, ScaleSchedule, classify
-from .evc import McEstimate, wilson_interval
+from .evc import McEstimate
 from .parallel import run_trials
 from .quantiles import normal_quantile, t_quantile
 from .spectral import (
@@ -61,7 +61,6 @@ from .spectral import (
     cluster_sums,
     dist_to_spectrum,
     efc,
-    eigendecompose,
 )
 
 
@@ -89,7 +88,6 @@ class EnergyIntervalCover:
     """Closed intervals covering {E in window : F_u(E) >= level}."""
 
     intervals: tuple[tuple[float, float], ...]
-    ball_size: int
     # bisection work per kind of root: "turn" (zeros of F') and "level"
     # (|F| = level crossings)
     roots: dict[str, RootCounts] = field(default_factory=dict)
@@ -329,7 +327,7 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     poles, weights = columns.poles, columns.weights
     n_cols = weights.shape[1]
     lo_w, hi_w = window
-    guard = XTOL
+    guard = RESOLVENT_GUARD
     inner = (poles > lo_w) & (poles < hi_w)
     edges = np.concatenate(([lo_w], poles[inner], [hi_w]))
     samples, gap = _gap_samples(edges[:-1], edges[1:])
@@ -472,7 +470,7 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
 
 
 def cover_from_profile(
-    profile: BoundaryProfile, level: float, window: tuple[float, float], ball_size: int
+    profile: BoundaryProfile, level: float, window: tuple[float, float]
 ) -> EnergyIntervalCover:
     """Union over boundary vertices of the per-column sublevel segments.
 
@@ -488,7 +486,7 @@ def cover_from_profile(
     poles, weights = poles[live.any(axis=1)], weights[live.any(axis=1)][:, live.any(axis=0)]
     roots = {"turn": RootCounts(), "level": RootCounts()}
     union = _ball_union(_Columns(poles, weights), level / profile.prefactor, window, roots) if weights.size else []
-    return EnergyIntervalCover(intervals=tuple(union), ball_size=ball_size, roots=roots)
+    return EnergyIntervalCover(intervals=tuple(union), roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -526,24 +524,23 @@ def _overlaps(xs, ys) -> list[tuple[float, float]]:
 
 def sup_min_functional(
     spec_x: SpectralData,
-    ball_x: MultiBall,
     spec_y: SpectralData,
-    ball_y: MultiBall,
     cert: GrowthCertificate,
     level: float,
     window: tuple[float, float],
 ) -> SupMinResult:
-    """sup over E of min(F_x(E), F_y(E)) with cover-driven refinement.
+    """sup over E of min(F_x(E), F_y(E)) of the balls of two spectra, with
+    cover-driven refinement.
 
     The min can only reach `level` where both covers overlap, so the base grid
     of SUPMIN_GRID_POINTS is refined by SUPMIN_REFINE_POINTS inside each
     intersection of the two covers.  Guarded energies evaluate to +inf (they
     lie inside the covers by construction).
     """
-    prof_x = boundary_profile(spec_x, ball_x, cert)
-    prof_y = boundary_profile(spec_y, ball_y, cert)
-    cov_x = cover_from_profile(prof_x, level, window, len(spec_x.volume))
-    cov_y = cover_from_profile(prof_y, level, window, len(spec_y.volume))
+    prof_x = boundary_profile(spec_x, cert)
+    prof_y = boundary_profile(spec_y, cert)
+    cov_x = cover_from_profile(prof_x, level, window)
+    cov_y = cover_from_profile(prof_y, level, window)
 
     points = [np.linspace(window[0], window[1], SUPMIN_GRID_POINTS)]
     points += [np.linspace(lo, hi, SUPMIN_REFINE_POINTS) for lo, hi in _overlaps(cov_x.intervals, cov_y.intervals)]
@@ -621,16 +618,11 @@ def _policy_energies(policy: str, window: tuple[float, float]) -> np.ndarray:
 
 def _worst_estimate(hit_matrix: np.ndarray, trials: int, seed: int, n_energies: int) -> McEstimate:
     """Max estimate over the energy grid with Bonferroni-widened Wilson CI."""
-    hits = hit_matrix.sum(axis=0)
-    worst = int(np.argmax(hits))
-    base = McEstimate.from_counts(int(hits[worst]), trials, seed)
+    worst = int(hit_matrix.sum(axis=0).max())
     if n_energies <= 1:
-        return base
+        return McEstimate.from_counts(worst, trials, seed)
     # widen: Wilson at level alpha / n_energies
-    lo, hi = wilson_interval(base.estimate, trials, float(normal_quantile(1 - 0.025 / n_energies)))
-    return McEstimate(
-        trials=trials, successes=base.successes, estimate=base.estimate, ci_low=lo, ci_high=hi, seed=seed
-    )
+    return McEstimate.from_counts(worst, trials, seed, float(normal_quantile(1 - 0.025 / n_energies)))
 
 
 def scale_probabilities(
@@ -747,18 +739,18 @@ def _fit_mass(distances: np.ndarray, mean_efc: np.ndarray, kappa: float) -> floa
 
 
 def efc_decay_experiment(
-    graph: Graph,
-    volume: VolumeIndex,
+    ball: MultiBall,
     pairs: list[tuple[Config, Config]],
     dist: PotentialDistribution,
-    interaction: InteractionPotential,
+    operators: BallOperators,
     g_values,
     kappa: float,
     seeds: int,
     seed: int,
     n_batches: int = 10,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean EFC per pair and the decay-mass fit -log(mean EFC) ~ M * rho_S**kappa.
+    """Mean EFC per pair over the spectra of one ball and the decay-mass fit
+    -log(mean EFC) ~ M * rho_S**kappa.
 
     Pairs at rho_S = 0 are excluded from the fit.  The confidence interval on
     M comes from refitting on disjoint seed batches (t interval).  Returns the
@@ -767,18 +759,20 @@ def efc_decay_experiment(
     """
     if seeds < n_batches:
         n_batches = max(1, seeds)
+    # the operator is enumerated, and the ball checked against the dense
+    # budget, before any pair and before the trials share it
+    operators.operator(ball)
+    graph = ball.graph
     distances = np.asarray([rho_s(graph, x, y) for x, y in pairs], dtype=np.int64)
     keep = distances > 0
     if keep.sum() < 2:
         raise ContractViolation("need at least two pairs at distinct positive rho_S")
 
-    operator = VolumeOperator(volume, interaction)
     batch_edges = np.linspace(0, seeds, n_batches + 1).astype(int)
     means, masses, cis, batches = [], [], [], []
     for g in g_values:
         def one(trial_seed: int) -> np.ndarray:
-            sample = sample_potential(dist, graph, trial_seed)
-            spec = eigendecompose(operator.hamiltonian(g, sample))
+            spec = BallSpectra(operators, sample_potential(dist, graph, trial_seed), g).spectrum(ball)
             return np.asarray([efc(spec, x, y) for x, y in pairs])
 
         values = np.stack(run_trials(one, seeds, seed))  # (seeds, pairs)

@@ -212,7 +212,7 @@ def classify(
     wi = weakly_interactive(ball) if ball.n_particles >= 2 else None
     if ball.radius >= 1:
         threshold = ns_threshold(params, mass.m(ball.n_particles), ball.radius)
-        ns, undetermined = ns_flags(spec, ball, cert, energies, threshold)
+        ns, undetermined = ns_flags(spec, cert, energies, threshold)
     else:
         ns, undetermined = np.zeros(energies.shape, dtype=bool), np.ones(energies.shape, dtype=bool)
     k = None if schedule is None else schedule.index_of(ball.radius)

@@ -327,23 +327,15 @@ class BoundaryProfile(NamedTuple):
         return vals
 
 
-def ball_boundary(spec: SpectralData, ball: MultiBall) -> np.ndarray:
-    """Positions of the ball's inner boundary in the volume of its spectrum."""
-    if spec.volume.ball != ball:
-        raise ContractViolation(
-            f"spectrum over {spec.volume.label} is not of ball{ball.center}r{ball.radius}"
-        )
-    return spec.volume.boundary
-
-
-def boundary_profile(
-    spec: SpectralData, ball: MultiBall, cert: GrowthCertificate
-) -> BoundaryProfile:
+def boundary_profile(spec: SpectralData, cert: GrowthCertificate) -> BoundaryProfile:
     """F_u data of the ball of `spec`, formed once per (spectrum, certificate):
-    a classification at many energies evaluates one profile."""
+    a classification at many energies evaluates one profile.  The spectrum
+    of a volume that is not a ball raises ContractViolation."""
+    ball, boundary = spec.volume.ball, spec.volume.boundary
+    if ball is None:
+        raise ContractViolation(f"boundary functional needs a ball; {spec.volume.label} is not one")
     if ball.radius < 1:
         raise ContractViolation("boundary functional needs radius >= 1")
-    boundary = ball_boundary(spec, ball)
     if not boundary.size:
         raise ContractViolation("ball has empty inner boundary (it exhausts the graph)")
     prof = spec.profiles.get(cert)
@@ -361,23 +353,21 @@ def boundary_profile(
 
 
 def ns_flags(
-    spec: SpectralData,
-    ball: MultiBall,
-    cert: GrowthCertificate,
-    energies: np.ndarray,
-    threshold: float,
+    spec: SpectralData, cert: GrowthCertificate, energies: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Green-decay nonsingularity F_u(E) <= threshold at each energy.
+    """Green-decay nonsingularity F_u(E) <= threshold at each energy, for the
+    ball of `spec`.
 
     Returns boolean arrays (ns, undetermined).  An energy within the resolvent
     guard of the spectrum is undetermined and not NS; a ball without an inner
-    boundary is vacuously NS at every energy.  A spectrum of another volume
-    and a radius-0 ball with a boundary raise ContractViolation.
+    boundary is vacuously NS at every energy.  The spectrum of a volume that
+    is not a ball and a radius-0 ball with a boundary raise ContractViolation.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-    if not ball_boundary(spec, ball).size:
+    boundary = spec.volume.boundary
+    if boundary is not None and not boundary.size:
         return np.ones(energies.shape, dtype=bool), np.zeros(energies.shape, dtype=bool)
-    prof = boundary_profile(spec, ball, cert)
+    prof = boundary_profile(spec, cert)
     undetermined = dist_to_spectrum(spec.eigenvalues, energies) <= RESOLVENT_GUARD
     return (prof.evaluate(energies) <= threshold) & ~undetermined, undetermined
 

@@ -11,7 +11,7 @@ from mpmsa.configspace import Config, MultiBall, weakly_interactive
 from mpmsa.disorder import DisorderSample, InteractionPotential
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import Graph, GrowthCertificate
-from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
+from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator, row_runs
 from mpmsa.induction import EnergyIntervalCover, cover_from_profile
 from mpmsa.spectral import (
     SpectralData,
@@ -61,6 +61,15 @@ def assemble(
     return VolumeOperator(volume, interaction).hamiltonian(g, sample)
 
 
+def dense_hamiltonian(volume: VolumeIndex, matrix: np.ndarray) -> HamiltonianMatrix:
+    """A HamiltonianMatrix of any dense symmetric matrix, its off-diagonal
+    runs read off the entries."""
+    rows, cols = np.nonzero(matrix)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    return HamiltonianMatrix(volume, matrix, row_runs(rows, cols, matrix[rows, cols]))
+
+
 def assemble_ball(
     ball: MultiBall, g: float, sample: DisorderSample, interaction: InteractionPotential
 ) -> HamiltonianMatrix:
@@ -84,19 +93,20 @@ def clusters(spec: SpectralData) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
 
-def boundary_functional(spec: SpectralData, ball: MultiBall, energy: float, cert: GrowthCertificate) -> float:
-    """F_u(E) = C^(2N) L^(Nd) * max over inner-boundary z of |G_ball(u, z; E)|."""
+def boundary_functional(spec: SpectralData, energy: float, cert: GrowthCertificate) -> float:
+    """F_u(E) = C^(2N) L^(Nd) * max over inner-boundary z of |G_ball(u, z; E)|
+    for the ball of the spectrum."""
     _check_resonance(spec, energy)
-    prof = boundary_profile(spec, ball, cert)
+    prof = boundary_profile(spec, cert)
     return float(prof.evaluate(np.asarray([energy]))[0])
 
 
 def sublevel_cover(
-    spec: SpectralData, ball: MultiBall, cert: GrowthCertificate, level: float, window: tuple[float, float]
+    spec: SpectralData, cert: GrowthCertificate, level: float, window: tuple[float, float]
 ) -> EnergyIntervalCover:
-    """Interval cover of {E in window : F_u(E) >= level} for a ball's Green data."""
-    prof = boundary_profile(spec, ball, cert)
-    return cover_from_profile(prof, level, window, len(spec.volume))
+    """Interval cover of {E in window : F_u(E) >= level} for the Green data
+    of the ball of the spectrum."""
+    return cover_from_profile(boundary_profile(spec, cert), level, window)
 
 
 def covered(cover: EnergyIntervalCover, energies: np.ndarray, slack: float = 0.0) -> np.ndarray:

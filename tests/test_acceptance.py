@@ -85,13 +85,13 @@ def test_criterion_01_gri_suite():
     for (spec_str, n), count in zip(combos, per):
         graph = build_graph(spec_str)
         window = spectral_window(graph, n, 1.0, DIST.sup_abs, interaction)
+        operators = BallOperators(graph, interaction)
         for i in range(count):
             rng = CounterRng(substream(MASTER, 1000 * n + i))
-            volume, sub, x, y = random_gri_instance(graph, n, rng, max_volume=600)
+            ball, sub, x, y = random_gri_instance(graph, n, rng, max_volume=600)
             sample = sample_potential(DIST, graph, substream(MASTER, 5000 + total))
-            ham = assemble(VolumeIndex(graph, volume), 1.0, sample, interaction)
-            spec_v = eigendecompose(ham)
-            spec_w = eigendecompose(ham.submatrix(sub))
+            spec_v = BallSpectra(operators, sample, 1.0).spectrum(ball)
+            spec_w = eigendecompose(assemble(VolumeIndex(graph, sub), 1.0, sample, interaction))
             for _ in range(5):
                 energy = off_spectrum_energy((spec_v, spec_w), window, rng, guard=1e-4)
                 *_, holds = gri_check(spec_v, spec_w, x, y, energy)
@@ -384,18 +384,18 @@ def test_criterion_06_interval_covers():
         spec = eigendecompose(ham)
         window = spectral_window(graph, n, g_amp, DIST.sup_abs, ZERO_INTERACTION)
         level = 10.0 ** rng.uniform(-4, 0.5)
-        cover = sublevel_cover(spec, ball, cert, level, window)
+        cover = sublevel_cover(spec, cert, level, window)
         count_ok &= cover.count < 3 * len(spec.volume)
 
-        prof = boundary_profile(spec, ball, cert)
+        prof = boundary_profile(spec, cert)
         es = np.linspace(window[0], window[1], 100_001)
         vals = prof.evaluate(es, guard=1e-12)
         step = es[1] - es[0]
         scan_ok &= not ((vals >= level) & ~covered(cover, es, slack=step)).any()
 
-        shifted = HamiltonianMatrix(ham.volume, ham.matrix + t_shift * np.eye(len(spec.volume)))
+        shifted = HamiltonianMatrix(ham.volume, ham.matrix + t_shift * np.eye(len(spec.volume)), ham.runs)
         cover_t = sublevel_cover(
-            eigendecompose(shifted), ball, cert, level,
+            eigendecompose(shifted), cert, level,
             (window[0] + t_shift, window[1] + t_shift),
         )
         if cover_t.count != cover.count:
@@ -557,24 +557,20 @@ def test_criterion_08_two_volume_evc():
 def test_criterion_09_strong_disorder_decay():
     """Fitted EFC mass positive (CI excluding 0) at g = 50; flat at g = 0."""
     graph = build_graph("path:30")
-    volume = VolumeIndex(
-        graph, [(a, b) for a in range(30) for b in range(30)], label="full"
-    )
+    full = MultiBall(graph, (0, 0), 29)
     pairs = [((5, 7), (5 + r, 7 + r)) for r in (2, 4, 6, 8, 10, 12)]
     interaction = InteractionPotential(1.0, 0.5)
     _, _, masses, ci, _ = efc_decay_experiment(
-        graph, volume, pairs, DIST, interaction, [50.0], 0.5,
+        full, pairs, DIST, BallOperators(graph, interaction), [50.0], 0.5,
         seeds=200, seed=MASTER, n_batches=10,
     )
     mass, (ci_low, ci_high) = masses[0], ci[0]
 
     cyc = build_graph("cycle:17")
-    cyc_volume = VolumeIndex(
-        cyc, [(a, b) for a in range(17) for b in range(17)], label="full"
-    )
+    cyc_full = MultiBall(cyc, (0, 0), 8)
     cyc_pairs = [((2, 4), (2 + r, 4 + r)) for r in (2, 3, 5, 6)]
     control = efc_decay_experiment(
-        cyc, cyc_volume, cyc_pairs, DIST, interaction, [0.0], 0.5,
+        cyc_full, cyc_pairs, DIST, BallOperators(cyc, interaction), [0.0], 0.5,
         seeds=200, seed=MASTER, n_batches=10,
     )[2][0]
     ok = mass > 0 and ci_low > 0 and abs(control) < 0.05

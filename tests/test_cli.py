@@ -314,6 +314,26 @@ energies_per_instance = 2
 """
 
 
+def test_gri_without_energies_exits_2(tmp_path, capsys):
+    # energies_per_instance = 0 used to check nothing, write a header-only
+    # gri.csv and exit 0 with gri_holds = true
+    text = BASE_GRI.format(out=tmp_path / "gri").replace(
+        "energies_per_instance = 2", "energies_per_instance = 0"
+    )
+    assert main(["gri", "--config", _write(tmp_path, text, "gri.cfg")]) == 2
+    assert "energies_per_instance" in capsys.readouterr().err
+    assert not (tmp_path / "gri" / "gri.csv").exists()
+
+
+def test_gri_without_an_instance_exits_3(tmp_path, capsys):
+    # every ball of radius >= 1 of 10 particles on path:3 has at least 2**10
+    # configurations, over the instance cap; the draw used to end in a
+    # RuntimeError traceback
+    text = BASE_GRI.format(out=tmp_path / "gri").replace("particles = 1", "particles = 10")
+    assert main(["gri", "--config", _write(tmp_path, text.replace("path:12", "path:3"), "gri.cfg")]) == 3
+    assert "600-configuration instance cap" in capsys.readouterr().err
+
+
 def _run_and_read(tmp_path, name, threads, seed=7):
     out = tmp_path / f"{name}-{threads}"
     path = _write(tmp_path, BASE_GRI.format(out=out), f"{name}-{threads}.cfg")

@@ -153,15 +153,15 @@ def oracle_intervals(profile, level, window, xtol=1e-12, counts=None):
     return tuple(_merge(segments, eps=xtol))
 
 
-def _cover_without_skips(prof, level, window, ball_size):
+def _cover_without_skips(prof, level, window):
     """The cover with every bracket bisected: both skip tests say no."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(induction, "_turn_skips", lambda poles, w, samples, rows, *_: np.zeros(rows.size, bool))
         mp.setattr(induction, "_level_skips", lambda union, lo, hi, margin: np.zeros(lo.size, bool))
-        return cover_from_profile(prof, level, window, ball_size)
+        return cover_from_profile(prof, level, window)
 
 
-def _cover_recording_turn_skips(prof, level, window, ball_size):
+def _cover_recording_turn_skips(prof, level, window):
     """The cover and, per group, the poles, weights, samples, entry level and
     the (sample row, column) of every skipped zero of F'."""
     seen = []
@@ -174,7 +174,7 @@ def _cover_recording_turn_skips(prof, level, window, ball_size):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(induction, "_turn_skips", recording)
-        return cover_from_profile(prof, level, window, ball_size), seen
+        return cover_from_profile(prof, level, window), seen
 
 
 def _assert_skipped_turns_stay_below_level(seen) -> int:
@@ -208,7 +208,7 @@ def _bridge_profiles(cfg, trials):
         spectra = BallSpectra(operators, sample_potential(dist, graph, substream(seed, i)), g)
         for key in ("center_x", "center_y"):
             ball = MultiBall(graph, cfg.get_config_tuple("run", key), radius)
-            yield boundary_profile(spectra.spectrum(ball), ball, cert), level, window
+            yield boundary_profile(spectra.spectrum(ball), cert), level, window
 
 
 @functools.cache
@@ -231,7 +231,7 @@ def test_batched_cover_matches_oracle_on_shipped_bridge_balls():
     cfg = load_config(CONFIGS / "bridge.cfg")
     checked = 0
     for prof, level, window in _bridge_profiles(cfg, cfg.get_int("experiment", "trials")):
-        cover = cover_from_profile(prof, level, window, len(prof.eigenvalues))
+        cover = cover_from_profile(prof, level, window)
         assert cover.intervals == oracle_intervals(prof, level, window)
         checked += 1
     assert checked == 6
@@ -239,14 +239,14 @@ def test_batched_cover_matches_oracle_on_shipped_bridge_balls():
 
 def test_batched_cover_matches_oracle_on_two_particle_bridge_ball():
     prof, level, window = _two_particle_ball()
-    cover = cover_from_profile(prof, level, window, 169)
+    cover = cover_from_profile(prof, level, window)
     assert cover.count > 0
     assert cover.intervals == oracle_intervals(prof, level, window)
 
 
 def test_batched_cover_matches_oracle_on_the_bench_y_ball():
     prof, level, window = _two_particle_ball(center="28,31")
-    cover = cover_from_profile(prof, level, window, 169)
+    cover = cover_from_profile(prof, level, window)
     assert cover.count > 0
     assert cover.intervals == oracle_intervals(prof, level, window)
 
@@ -267,7 +267,7 @@ def test_cover_forms_one_sample_grid_per_ball(monkeypatch):
         return plain(es, poles, out)
 
     monkeypatch.setattr(induction, "_reciprocals", counting)
-    cover_from_profile(prof, level, window, 169)
+    cover_from_profile(prof, level, window)
     poles, weights = cluster_sums(prof.eigenvalues, prof.coefficients)
     live = np.abs(weights) > 0.0
     lo, hi = window
@@ -291,19 +291,22 @@ def test_bridge_covers_match_the_bench_reference(tmp_path, monkeypatch):
     """Every bench bridge-covers variant, run in process, against its stored
     reference: exit code, pass flags and cover counts exactly, sup_min and
     its energy to the bench tolerances.  A changed cover shows here before
-    it fails the benchmark."""
+    it fails the benchmark.  The classify-sweep and wegner-large variants,
+    whose balls go through the same spectra, are checked alike."""
     from mpmsa.cli import main
 
     monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setenv("MPMSA_THREADS", "1")
     from workloads import PARTS, POOL, compare, load_reference, read_output
 
-    part = PARTS["bridge-covers"]
-    reference = load_reference(part)["variants"]
-    for variant in range(POOL):
-        out, cfg = tmp_path / str(variant), tmp_path / f"{variant}.cfg"
-        cfg.write_text(part.make_config(variant, str(out)))
-        code = main([part.kind, "--config", str(cfg)])
-        assert compare(part, read_output(out, code), reference[str(variant)]) == [], variant
+    for name in ("bridge-covers", "classify-sweep", "wegner-large"):
+        part = PARTS[name]
+        reference = load_reference(part)["variants"]
+        for variant in range(POOL):
+            out, cfg = tmp_path / f"{name}-{variant}", tmp_path / f"{name}-{variant}.cfg"
+            cfg.write_text(part.make_config(variant, str(out)))
+            code = main([part.kind, "--config", str(cfg)])
+            assert compare(part, read_output(out, code), reference[str(variant)]) == [], (name, variant)
 
 
 def test_cover_bisects_only_what_can_bound_the_union():
@@ -311,7 +314,7 @@ def test_cover_bisects_only_what_can_bound_the_union():
     two-particle bench ball in lockstep batches formed 539,746 reciprocal
     rows; the cover must stay within a quarter of that."""
     prof, level, window = _two_particle_ball()
-    cover = cover_from_profile(prof, level, window, 169)
+    cover = cover_from_profile(prof, level, window)
     assert sum(counts.rows for counts in cover.roots.values()) <= 135_000
 
 
@@ -323,8 +326,8 @@ def test_cover_counts_the_rows_of_plain_bisection():
     prof, level, window = _two_particle_ball()
     seen = {"turn": RootCounts(), "level": RootCounts()}
     want = oracle_intervals(prof, level, window, counts=seen)
-    cover = cover_from_profile(prof, level, window, 169)
-    full = _cover_without_skips(prof, level, window, 169)
+    cover = cover_from_profile(prof, level, window)
+    full = _cover_without_skips(prof, level, window)
     assert cover.intervals == full.intervals == want
     for kind in ("turn", "level"):
         got, every = cover.roots[kind], full.roots[kind]
@@ -340,14 +343,14 @@ def test_skips_leave_bench_balls_unchanged(seed):
     On both, skipping turns next to a pole (no 4 guard margin) moves the
     cover: an endpoint on one, the interval count on the other."""
     prof, level, window = _two_particle_ball(seed)
-    cover = cover_from_profile(prof, level, window, 169)
+    cover = cover_from_profile(prof, level, window)
     assert cover.roots["turn"].skipped > 0 and cover.roots["level"].skipped > 0
-    assert cover.intervals == _cover_without_skips(prof, level, window, 169).intervals
+    assert cover.intervals == _cover_without_skips(prof, level, window).intervals
 
 
 def test_skipped_turns_stay_below_level_on_the_bench_ball():
     prof, level, window = _two_particle_ball()
-    cover, seen = _cover_recording_turn_skips(prof, level, window, 169)
+    cover, seen = _cover_recording_turn_skips(prof, level, window)
     assert _assert_skipped_turns_stay_below_level(seen) == cover.roots["turn"].skipped > 0
 
 
@@ -385,7 +388,7 @@ def profiles(draw):
 @given(profiles())
 def test_batched_cover_matches_oracle_on_random_profiles(case):
     prof, level, window = case
-    cover = cover_from_profile(prof, level, window, len(prof.eigenvalues))
+    cover = cover_from_profile(prof, level, window)
     assert cover.intervals == oracle_intervals(prof, level, window)
 
 
@@ -414,8 +417,8 @@ def test_skips_leave_the_cover_unchanged_on_random_profiles(case):
     the oracle, float for float, and every skipped zero of F' lies on a
     bracket where |F| < level on a dense grid."""
     prof, level, window = case
-    cover, seen = _cover_recording_turn_skips(prof, level, window, len(prof.eigenvalues))
-    full = _cover_without_skips(prof, level, window, len(prof.eigenvalues))
+    cover, seen = _cover_recording_turn_skips(prof, level, window)
+    full = _cover_without_skips(prof, level, window)
     assert cover.intervals == full.intervals == oracle_intervals(prof, level, window)
     for kind in ("turn", "level"):
         assert cover.roots[kind].brackets + cover.roots[kind].skipped == full.roots[kind].brackets
@@ -460,8 +463,8 @@ def test_cover_matches_oracle_on_bench_shaped_profiles(case):
     columns that use it all: equal to every bracket bisected and to the
     oracle, float for float."""
     prof, level, window = case
-    cover = cover_from_profile(prof, level, window, len(prof.eigenvalues))
-    full = _cover_without_skips(prof, level, window, len(prof.eigenvalues))
+    cover = cover_from_profile(prof, level, window)
+    full = _cover_without_skips(prof, level, window)
     assert cover.intervals == full.intervals == oracle_intervals(prof, level, window)
 
 
@@ -494,8 +497,8 @@ def test_dead_pole_columns_match_the_oracle(dead, window, lam, w, level):
     prof = BoundaryProfile(lam, coeffs, 1.0)
     seen = {"turn": RootCounts(), "level": RootCounts()}
     want = oracle_intervals(prof, level, window, counts=seen)
-    cover = cover_from_profile(prof, level, window, lam.size)
-    full = _cover_without_skips(prof, level, window, lam.size)
+    cover = cover_from_profile(prof, level, window)
+    full = _cover_without_skips(prof, level, window)
     assert len(want) > 0
     assert cover.intervals == full.intervals == want
     for kind in ("turn", "level"):
@@ -525,7 +528,7 @@ def test_dead_pole_columns_add_only_their_own_gaps_to_the_grid(monkeypatch):
 
     monkeypatch.setattr(induction, "_gap_samples", sampling)
     monkeypatch.setattr(induction, "_turn_skips", skipping)
-    cover_from_profile(prof, level, window, 169)
+    cover_from_profile(prof, level, window)
     (lo, hi, shared), (runs, _, own) = sampled
     edges = np.append(lo, hi[-1])
     grid = shared.size + np.count_nonzero(~np.isin(edges, shared))
@@ -542,7 +545,7 @@ def test_cover_of_larger_cluster_agrees_to_rounding():
     prof = BoundaryProfile(lam, coeffs, 4.0)
     window = (-3.0, 3.0)
     for level in (0.5, 5.0, 50.0):
-        got = cover_from_profile(prof, level, window, len(lam)).intervals
+        got = cover_from_profile(prof, level, window).intervals
         want = oracle_intervals(prof, level, window)
         assert len(got) == len(want) > 0
         np.testing.assert_allclose(np.asarray(got), np.asarray(want), rtol=0, atol=1e-11)

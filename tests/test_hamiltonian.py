@@ -6,8 +6,10 @@ import pytest
 from mpmsa.configspace import MultiBall
 from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.errors import BudgetExceeded, ContractViolation
+from mpmsa.experiments import random_gri_instance
 from mpmsa.graphs import build_graph
 from mpmsa.hamiltonian import VolumeIndex, norm_bound
+from mpmsa.rng import CounterRng
 
 from helpers import (
     ZERO_INTERACTION,
@@ -77,19 +79,33 @@ def test_assemble_symmetric_and_reproducible():
 
 
 def test_submatrix_consistency_nested_volumes():
-    g = build_graph("path:8")
-    smp = sample_potential(DIST, g, 4)
+    """H over a sub-volume W from W's own operator, as the GRI forms W, is
+    bit for bit the slice of H over an enclosing ball V: random subsets of a
+    ball and the W of GRI instances, on four graph families with N = 1-3."""
     u = InteractionPotential(0.4, 0.8)
     rng = np.random.default_rng(2)
-    big = MultiBall(g, (3, 4), 3)
-    ham = assemble_ball(big, 1.1, smp, u)
-    members = big.members()
-    for _ in range(10):
-        pick = rng.choice(len(members), size=rng.integers(2, 12), replace=False)
-        sub_cfgs = [members[i] for i in sorted(pick)]
-        direct = assemble(VolumeIndex(g, sub_cfgs), 1.1, smp, u)
-        via_sub = ham.submatrix(sub_cfgs)
-        assert np.array_equal(direct.matrix, via_sub.matrix)
+    for spec, center, radius in [
+        ("path:8", (3, 4), 3), ("path:10", (2, 5, 7), 1),
+        ("cycle:9", (4,), 3), ("cycle:7", (1, 5), 2),
+        ("grid:3x4", (5,), 2), ("grid:3x3", (0, 4, 8), 1),
+        ("tree:2x3", (0, 3), 2), ("tree:2x3", (1,), 3),
+    ]:
+        g = build_graph(spec)
+        smp = sample_potential(DIST, g, 4)
+        big = MultiBall(g, center, radius)
+        members = big.members()
+        cases = []
+        for _ in range(10):
+            pick = rng.choice(len(members), size=rng.integers(2, min(12, len(members) + 1)), replace=False)
+            cases.append((big, [members[i] for i in sorted(pick)]))
+        for k in range(3):
+            ball, sub, _, _ = random_gri_instance(g, len(center), CounterRng(k))
+            cases.append((ball, sub))
+        for ball, sub_cfgs in cases:
+            ham = assemble_ball(ball, 1.1, smp, u)
+            idx = [ham.volume.position(c) for c in sub_cfgs]
+            direct = assemble(VolumeIndex(g, sub_cfgs), 1.1, smp, u)
+            assert np.array_equal(direct.matrix, ham.matrix[np.ix_(idx, idx)]), (spec, center)
 
 
 def test_constant_potential_shift_moves_spectrum_rigidly():

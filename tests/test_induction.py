@@ -10,7 +10,7 @@ from mpmsa.configspace import MultiBall
 from mpmsa.disorder import sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import VolumeIndex, spectral_window
+from mpmsa.hamiltonian import spectral_window
 from mpmsa.induction import (
     EnergyIntervalCover,
     _overlaps,
@@ -45,7 +45,7 @@ def test_cover_one_by_one_closed_form():
         coefficients=np.asarray([[c]]),
         prefactor=pref,
     )
-    cover = cover_from_profile(profile, level, (-10.0, 10.0), ball_size=1)
+    cover = cover_from_profile(profile, level, (-10.0, 10.0))
     half = pref * c / level
     assert cover.count == 1
     lo, hi = cover.intervals[0]
@@ -61,7 +61,7 @@ def test_cover_empty_when_level_above_max():
         prefactor=pref,
     )
     # on a window bounded away from the pole the sup is pref*c/2, so pick more
-    cover = cover_from_profile(profile, 1e6, (2.0, 10.0), ball_size=1)
+    cover = cover_from_profile(profile, 1e6, (2.0, 10.0))
     assert cover.count == 0 and total_length(cover) == 0.0
 
 
@@ -77,9 +77,9 @@ def _ball_cover_setup(seed, graph_spec="path:13", center=(6,), radius=4, g_amp=2
 
 def test_cover_validated_by_dense_grid():
     g, cert, ball, spec, window = _ball_cover_setup(8)
-    prof = boundary_profile(spec, ball, cert)
+    prof = boundary_profile(spec, cert)
     for level in (1.0, 0.05, 1e-3):
-        cover = sublevel_cover(spec, ball, cert, level, window)
+        cover = sublevel_cover(spec, cert, level, window)
         assert cover.count < 3 * len(spec.volume)
         es = np.linspace(window[0], window[1], 100_001)
         vals = prof.evaluate(es, guard=1e-12)
@@ -92,13 +92,11 @@ def test_cover_shift_covariance():
 
     g, cert, ball, spec, window = _ball_cover_setup(9)
     level = 0.02
-    cover = sublevel_cover(spec, ball, cert, level, window)
+    cover = sublevel_cover(spec, cert, level, window)
     t = 0.41
     ham = assemble_ball(ball, 2.0, sample_potential(DIST, g, 9), ZERO_INTERACTION)
-    sh = HamiltonianMatrix(ham.volume, ham.matrix + t * np.eye(len(ham.volume)))
-    cover_t = sublevel_cover(
-        eigendecompose(sh), ball, cert, level, (window[0] + t, window[1] + t)
-    )
+    sh = HamiltonianMatrix(ham.volume, ham.matrix + t * np.eye(len(ham.volume)), ham.runs)
+    cover_t = sublevel_cover(eigendecompose(sh), cert, level, (window[0] + t, window[1] + t))
     assert cover_t.count == cover.count
     for (a, b), (at, bt) in zip(cover.intervals, cover_t.intervals):
         assert abs(at - (a + t)) <= 1e-10
@@ -179,7 +177,7 @@ def test_overlaps_equal_the_double_loop(xs, ys):
 def test_sup_min_identical_balls():
     g, cert, ball, spec, window = _ball_cover_setup(10)
     level = 1e-3
-    res = sup_min_functional(spec, ball, spec, ball, cert, level, window)
+    res = sup_min_functional(spec, spec, cert, level, window)
     assert res.exceeded  # min(F, F) = F blows up near the shared spectrum
     assert res.sup_value >= level
 
@@ -195,7 +193,7 @@ def test_sup_min_twin_balls_shared_spectrum():
     spec_y = eigendecompose(assemble_ball(ball_y, 0.0, smp, ZERO_INTERACTION))
     assert np.abs(spec_x.eigenvalues - spec_y.eigenvalues).max() < 1e-12
     window = spectral_window(g, 1, 0.0, DIST.sup_abs, ZERO_INTERACTION)
-    res = sup_min_functional(spec_x, ball_x, spec_y, ball_y, cert, 1e-6, window)
+    res = sup_min_functional(spec_x, spec_y, cert, 1e-6, window)
     assert res.exceeded
 
 
@@ -215,7 +213,7 @@ def test_sup_min_distant_strong_disorder_rarely_exceeds():
         ball_y = MultiBall(g, (23,), radius)
         sx = eigendecompose(assemble_ball(ball_x, 1e3, smp, ZERO_INTERACTION))
         sy = eigendecompose(assemble_ball(ball_y, 1e3, smp, ZERO_INTERACTION))
-        res = sup_min_functional(sx, ball_x, sy, ball_y, cert, level, window)
+        res = sup_min_functional(sx, sy, cert, level, window)
         hits += int(res.exceeded)
     assert hits / trials <= 0.1  # mechanism of the variable-energy bound
 
@@ -232,10 +230,10 @@ def test_bridge_parameters_precondition():
 
 def test_efc_decay_zero_distance_pairs_excluded():
     g = build_graph("path:12")
-    vol = VolumeIndex(g, [(a, b) for a in range(12) for b in range(12)])
+    full = MultiBall(g, (0, 0), 11)
     pairs = [((3, 5), (5, 3)), ((3, 5), (6, 8)), ((3, 5), (8, 10))]
     distances, mean_efc, *_ = efc_decay_experiment(
-        g, vol, pairs, DIST, ZERO_INTERACTION, [2.0], 0.5, seeds=4, seed=3, n_batches=2
+        full, pairs, DIST, BallOperators(g, ZERO_INTERACTION), [2.0], 0.5, seeds=4, seed=3, n_batches=2
     )
     assert distances[0] == 0
     assert len(mean_efc[0]) == 3  # measured for every pair, fit on the positive ones
@@ -243,10 +241,10 @@ def test_efc_decay_zero_distance_pairs_excluded():
 
 def test_efc_decay_needs_two_positive_distances():
     g = build_graph("path:12")
-    vol = VolumeIndex(g, [(a, b) for a in range(12) for b in range(12)])
+    full = MultiBall(g, (0, 0), 11)
     with pytest.raises(ContractViolation):
         efc_decay_experiment(
-            g, vol, [((3, 5), (5, 3))], DIST, ZERO_INTERACTION, [1.0], 0.5, 2, 1
+            full, [((3, 5), (5, 3))], DIST, BallOperators(g, ZERO_INTERACTION), [1.0], 0.5, 2, 1
         )
 
 
@@ -254,16 +252,16 @@ def test_efc_decay_flat_at_zero_coupling_on_cycle():
     # prime length avoids commensurate revivals (cycle:16 has EFC = 1 exactly
     # at the antipode), so the zero-coupling correlator is exactly flat
     g = build_graph("cycle:17")
-    vol = VolumeIndex(g, [(i,) for i in range(17)])
+    full = MultiBall(g, (0,), 8)
     pairs = [((2,), (4,)), ((2,), (6,)), ((2,), (7,)), ((2,), (9,))]
     _, _, masses, _, _ = efc_decay_experiment(
-        g, vol, pairs, DIST, ZERO_INTERACTION, [0.0], 0.5, seeds=10, seed=6, n_batches=5
+        full, pairs, DIST, BallOperators(g, ZERO_INTERACTION), [0.0], 0.5, seeds=10, seed=6, n_batches=5
     )
     assert abs(masses[0]) < 0.05
 
 
 def test_cover_dataclass_helpers():
-    cover = EnergyIntervalCover(intervals=((0.0, 1.0), (2.0, 2.5)), ball_size=4)
+    cover = EnergyIntervalCover(intervals=((0.0, 1.0), (2.0, 2.5)))
     assert cover.count == 2
     assert total_length(cover) == pytest.approx(1.5)
     mask = covered(cover, np.asarray([0.5, 1.75, 2.2]))
@@ -274,10 +272,10 @@ def test_efc_mass_ordering_matches_coupling_order():
     # shared-seed batches: the fitted decay mass should respect the disorder
     # strength ordering in at least 90% of batches
     g = build_graph("path:16")
-    vol = VolumeIndex(g, [(i,) for i in range(16)])
+    full = MultiBall(g, (0,), 15)
     pairs = [((3,), (3 + r,)) for r in (2, 4, 6, 8, 10)]
     _, _, masses, _, per_batch = efc_decay_experiment(
-        g, vol, pairs, DIST, ZERO_INTERACTION, [5.0, 20.0, 80.0], 0.5,
+        full, pairs, DIST, BallOperators(g, ZERO_INTERACTION), [5.0, 20.0, 80.0], 0.5,
         seeds=40, seed=77, n_batches=10,
     )  # per_batch: (g, batch)
     ordered = (per_batch[0] <= per_batch[1]) & (per_batch[1] <= per_batch[2])

@@ -231,7 +231,7 @@ def classify_wi(ball, energy, params, mass, spectra, cert, schedule) -> WiClassi
 
     def all_ns(factor_ball, spec, energies, m_val, tag) -> bool:
         thr = ns_threshold(params, m_val, factor_ball.radius)
-        ns, _ = ns_flags(spec, factor_ball, cert, energies, thr)  # undetermined fails
+        ns, _ = ns_flags(spec, cert, energies, thr)  # undetermined fails
         bad = np.nonzero(~ns)[0]
         if bad.size:
             witnesses[f"{tag}:pns_failed_shift_index"] = int(bad[0])
@@ -346,7 +346,7 @@ def is_good(ball, energy, params, mass, spectra, cert, schedule) -> GoodBallRepo
     thr = ns_threshold(params, mass.m(n), l_small)
     for v in MultiBall(ball.graph, ball.center, ball.radius - l_small).members():
         sub = MultiBall(ball.graph, v, l_small)
-        ns, _ = ns_flags(spectra.spectrum(sub), sub, cert, np.asarray([energy]), thr)
+        ns, _ = ns_flags(spectra.spectrum(sub), cert, np.asarray([energy]), thr)
         if not ns[0]:
             singular.append(v)  # undetermined NS counts against goodness
     collection = _pairwise_distant_subset(ball.graph, singular, threshold, count_bound + 1)

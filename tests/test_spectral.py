@@ -33,6 +33,7 @@ from helpers import (
     assemble_ball,
     boundary_functional,
     clusters,
+    dense_hamiltonian,
     efc_test_function_value,
 )
 
@@ -40,7 +41,7 @@ DIST = uniform_distribution(0, 1)
 
 
 def _matrix_ham(graph, volume_configs, matrix):
-    return HamiltonianMatrix(VolumeIndex(graph, volume_configs), np.asarray(matrix, dtype=float))
+    return dense_hamiltonian(VolumeIndex(graph, volume_configs), np.asarray(matrix, dtype=float))
 
 
 def test_diagonal_matrix_spectrum():
@@ -123,18 +124,21 @@ def test_structured_residual_matches_dense_oracle(spec, n, kind, seed):
         volume = VolumeIndex(graph, itertools.product(range(graph.n_vertices), repeat=n), label="full")
         ham = assemble(volume, 3.0, smp, interaction)
     # runs read off the matrix are the operator's runs
-    assert HamiltonianMatrix(ham.volume, ham.matrix).runs == ham.runs
+    assert dense_hamiltonian(ham.volume, ham.matrix).runs == ham.runs
     if kind == "submatrix":
+        # a sub-volume with its own operator, as the GRI's W
         keep = rng.random(len(ham.volume)) < 0.6
         keep[rng.integers(len(ham.volume))] = True
-        ham = ham.submatrix([c for c, k in zip(ham.volume.configs, keep) if k])
+        sub = VolumeIndex(graph, [c for c, k in zip(ham.volume.configs, keep) if k])
+        ham = assemble(sub, 3.0, smp, interaction)
     elif kind == "shifted":
-        ham = HamiltonianMatrix(ham.volume, ham.matrix + rng.uniform(-5, 5) * np.eye(len(ham.volume)))
+        shift = rng.uniform(-5, 5) * np.eye(len(ham.volume))
+        ham = HamiltonianMatrix(ham.volume, ham.matrix + shift, ham.runs)
     elif kind == "weighted":
         w = rng.choice([1.0, 0.5, -2.0], size=ham.matrix.shape)
         w = np.triu(w) + np.triu(w, 1).T
         np.fill_diagonal(w, 1.0)
-        ham = HamiltonianMatrix(ham.volume, ham.matrix * w)
+        ham = dense_hamiltonian(ham.volume, ham.matrix * w)
     h = ham.matrix
     m = len(h)
     # the largest off-diagonal row sum, the degree when every entry is -1
@@ -172,10 +176,10 @@ def test_symmetry_check_covers_every_strip():
     for i, j in ((0, m - 1), (m - 1, 0), (70, 71), (140, 139), (m - 1, m - 2), (SYMMETRY_STRIP, 3)):
         h = ham.matrix.copy()
         h[i, j] += 1e-15
-        HamiltonianMatrix(ham.volume, h)  # within the 1e-14 bound
+        HamiltonianMatrix(ham.volume, h, ham.runs)  # within the 1e-14 bound
         h[i, j] += 1e-13
         with pytest.raises(DataError, match="not symmetric"):
-            HamiltonianMatrix(ham.volume, h)
+            HamiltonianMatrix(ham.volume, h, ham.runs)
 
 
 def test_contracts_reject_nan_in_a_neighbour_row(monkeypatch):
@@ -189,7 +193,7 @@ def test_contracts_reject_nan_in_a_neighbour_row(monkeypatch):
     h = ham.matrix.copy()
     h[i, j] = h[j, i] = np.nan
     with pytest.raises(DataError, match="non-finite"):
-        HamiltonianMatrix(ham.volume, h)
+        HamiltonianMatrix(ham.volume, h, ham.runs)
 
     mutated = HamiltonianMatrix(ham.volume, ham.matrix.copy(), ham.runs)
     mutated.matrix[i, j] = mutated.matrix[j, i] = np.nan
@@ -295,16 +299,16 @@ def test_boundary_functional_prefactor_linearity_and_empty():
     ball = MultiBall(g, (4,), 2)
     spec = eigendecompose(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
     e = spec.eigenvalues.max() + 1.0
-    f1 = boundary_functional(spec, ball, e, cert)
+    f1 = boundary_functional(spec, e, cert)
     doubled = certify_growth(g, 1.0, 8)
     doubled = type(doubled)(d=doubled.d, C=doubled.C * 2 ** 0.5, lmax=doubled.lmax)
     # prefactor C^2 L^d doubles when C grows by sqrt(2) at N=1
-    assert boundary_functional(spec, ball, e, doubled) == pytest.approx(2 * f1)
+    assert boundary_functional(spec, e, doubled) == pytest.approx(2 * f1)
 
     whole = MultiBall(g, (4,), 8)
     spec_whole = eigendecompose(assemble_ball(whole, 1.0, smp, ZERO_INTERACTION))
     with pytest.raises(ContractViolation):
-        boundary_functional(spec_whole, whole, e, cert)
+        boundary_functional(spec_whole, e, cert)
 
 
 def test_boundary_functional_matches_direct_enumeration():
@@ -317,7 +321,7 @@ def test_boundary_functional_matches_direct_enumeration():
     row = green_row(spec, e, (5,))
     direct = max(abs(row[spec.volume.position(z)]) for z in [(2,), (8,)])
     pref = cert.C ** 2 * 3.0
-    assert boundary_functional(spec, ball, e, cert) == pytest.approx(pref * direct)
+    assert boundary_functional(spec, e, cert) == pytest.approx(pref * direct)
 
 
 def test_efc_diagonal_and_bounds():
@@ -365,11 +369,10 @@ def test_gri_holds_on_random_instances():
         window = spectral_window(g, n, 1.0, DIST.sup_abs, u)
         for i in range(25):
             rng = CounterRng(1000 * n + i)
-            volume, sub, x, y = random_gri_instance(g, n, rng, max_volume=200)
+            ball, sub, x, y = random_gri_instance(g, n, rng, max_volume=200)
             smp = sample_potential(DIST, g, 555 + i)
-            ham = assemble(VolumeIndex(g, volume), 1.0, smp, u)
-            spec_v = eigendecompose(ham)
-            spec_w = eigendecompose(ham.submatrix(sub))
+            spec_v = BallSpectra(BallOperators(g, u), smp, 1.0).spectrum(ball)
+            spec_w = eigendecompose(assemble(VolumeIndex(g, sub), 1.0, smp, u))
             e = off_spectrum_energy((spec_v, spec_w), window, rng)
             *_, holds = gri_check(spec_v, spec_w, x, y, e)
             assert holds
@@ -382,10 +385,10 @@ def test_gri_degenerate_subset():
     volume = ball.members()
     sub = volume[:-1]
     smp = sample_potential(DIST, g, 6)
-    ham = assemble(VolumeIndex(g, volume), 1.0, smp, ZERO_INTERACTION)
-    spec = eigendecompose(ham)
+    spec = eigendecompose(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
+    spec_w = eigendecompose(assemble(VolumeIndex(g, sub), 1.0, smp, ZERO_INTERACTION))
     e = spec.eigenvalues.max() + 0.8
-    *_, holds = gri_check(spec, eigendecompose(ham.submatrix(sub)), sub[0], volume[-1], e)
+    *_, holds = gri_check(spec, spec_w, sub[0], volume[-1], e)
     assert holds
 
 
@@ -545,12 +548,12 @@ def test_ns_flags_guard_and_empty_boundary():
     spec = eigendecompose(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
     lam = spec.eigenvalues
     energies = np.asarray([lam[0], lam[0] + 1e-6, lam.max() + 1e6])
-    ns, undetermined = ns_flags(spec, ball, cert, energies, threshold=1e-3)
+    ns, undetermined = ns_flags(spec, cert, energies, threshold=1e-3)
     assert undetermined.tolist() == [True, False, False]
     assert ns.tolist() == [False, False, True]
     whole = MultiBall(g, (4,), 8)  # exhausts the graph: no inner boundary
     spec_whole = eigendecompose(assemble_ball(whole, 1.0, smp, ZERO_INTERACTION))
-    ns, undetermined = ns_flags(spec_whole, whole, cert, spec_whole.eigenvalues[:2], 1e-3)
+    ns, undetermined = ns_flags(spec_whole, cert, spec_whole.eigenvalues[:2], 1e-3)
     assert ns.all() and not undetermined.any()
 
 
@@ -561,14 +564,20 @@ def test_ns_flags_rejects_a_spectrum_of_another_ball():
     ball = MultiBall(g, (3,), 2)
     spec = spectra.spectrum(ball)
     energy = np.asarray([spec.eigenvalues[0] - 0.5])
-    assert not ns_flags(spec, ball, cert, energy, 1e-30)[0][0]
-    for other in (MultiBall(g, (14,), 2), MultiBall(g, (3,), 3)):
-        with pytest.raises(ContractViolation):
-            ns_flags(spec, other, cert, energy, 1e-30)
+    assert not ns_flags(spec, cert, energy, 1e-30)[0][0]
+    # the spectrum of a volume that is not a ball, the GRI's W, has no
+    # boundary functional
+    from mpmsa.experiments import random_gri_instance
+
+    _, sub, _, _ = random_gri_instance(g, 1, CounterRng(5))
+    spec_w = eigendecompose(assemble(VolumeIndex(g, sub), 1.0, spectra.sample, ZERO_INTERACTION))
+    assert spec_w.volume.ball is None
+    with pytest.raises(ContractViolation, match="not one"):
+        ns_flags(spec_w, cert, energy, 1e-30)
     # a radius-0 ball has a boundary but no boundary functional
     point = MultiBall(g, (3,), 0)
     with pytest.raises(ContractViolation):
-        ns_flags(spectra.spectrum(point), point, cert, energy, 1e-30)
+        ns_flags(spectra.spectrum(point), cert, energy, 1e-30)
 
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

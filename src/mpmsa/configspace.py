@@ -95,20 +95,6 @@ class MultiBall(NamedTuple("MultiBall", [("graph", Graph), ("center", Config), (
         return MultiBall(self.graph, self.center, radius)
 
 
-def edge_boundary(graph: Graph, volume, subset) -> list[tuple[Config, Config]]:
-    """Ordered pairs (u, v): u in W, v in V \\ W, u<->v a product-graph edge."""
-    vol = set(volume)
-    sub = set(subset)
-    if not sub <= vol:
-        raise ContractViolation("W must be a subset of V")
-    out = []
-    for u in sorted(sub):
-        for v in product_neighbors(graph, u):
-            if v in vol and v not in sub:
-                out.append((u, v))
-    return out
-
-
 def weakly_interactive(ball: MultiBall) -> bool:
     """Weakly interactive (WI): diam(support of center) > 3*N*L; otherwise
     strongly interactive.
@@ -156,6 +142,13 @@ def vertex_ball_mask(graph: Graph, v: int, radius: int) -> int:
 
 
 @functools.lru_cache(maxsize=16)
+def vertex_ball_masks(graph: Graph, radius: int) -> tuple[int, ...]:
+    """vertex_ball_mask of every vertex at one radius, formed once per
+    (graph, radius) for the many pairs a run scans."""
+    return tuple(vertex_ball_mask(graph, v, radius) for v in range(graph.n_vertices))
+
+
+@functools.lru_cache(maxsize=16)
 def separation_candidates(graph: Graph, n: int, radius: int) -> tuple[tuple[int, int, int], ...]:
     """Candidate capturing balls (center, radius, vertex mask) in the
     documented deterministic order: center index, then radius ascending,
@@ -193,8 +186,9 @@ def weak_separation(ballx: MultiBall, bally: MultiBall) -> SeparationCertificate
     if ballx.n_particles != bally.n_particles or ballx.radius != bally.radius:
         raise ContractViolation("weak separation needs equal N and L")
     g, radius = ballx.graph, ballx.radius
-    masks_x = [vertex_ball_mask(g, v, radius) for v in ballx.center]
-    masks_y = [vertex_ball_mask(g, v, radius) for v in bally.center]
+    masks = vertex_ball_masks(g, radius)
+    masks_x = [masks[v] for v in ballx.center]
+    masks_y = [masks[v] for v in bally.center]
     for c, r, b_mask in separation_candidates(g, ballx.n_particles, radius):
         jx = _capture_split(masks_x, b_mask)
         if jx is None:

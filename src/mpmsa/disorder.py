@@ -75,17 +75,18 @@ def truncated_gaussian(mu: float, sigma: float, a: float, b: float) -> Potential
 
 
 def parse_distribution_spec(spec: str) -> PotentialDistribution:
-    parts = spec.strip().split(":")
+    """'uniform:a:b' or 'tgauss:mu:sigma:a:b', every number finite."""
+    kind, *fields = spec.strip().split(":")
+    arity, build = {"uniform": (2, uniform_distribution), "tgauss": (4, truncated_gaussian)}.get(kind, (-1, None))
+    if len(fields) != arity:
+        raise ConfigurationError(f"bad distribution spec '{spec}'")
     try:
-        if parts[0] == "uniform" and len(parts) == 3:
-            return uniform_distribution(float(parts[1]), float(parts[2]))
-        if parts[0] == "tgauss" and len(parts) == 5:
-            return truncated_gaussian(*(float(p) for p in parts[1:]))
-    except ConfigurationError:
-        raise
+        numbers = [float(f) for f in fields]
     except ValueError as exc:
         raise ConfigurationError(f"bad distribution spec '{spec}': {exc}") from exc
-    raise ConfigurationError(f"bad distribution spec '{spec}'")
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigurationError(f"bad distribution spec '{spec}': every number must be finite")
+    return build(*numbers)
 
 
 class DisorderSample(NamedTuple):
@@ -116,14 +117,15 @@ class InteractionPotential(
 
     The bound defines u only for r >= 1; two distinguishable particles can
     share a vertex, so u(0) extends the bound by continuity.  Values vanish
-    beyond truncation_radius (math.inf keeps the full range).
+    beyond truncation_radius (math.inf keeps the full range).  C_U and zeta
+    must be finite.
     """
 
     __slots__ = ()
 
     def __new__(cls, c_u: float, zeta: float, truncation_radius: float = math.inf):
-        if c_u < 0 or zeta <= 0:
-            raise ConfigurationError("interaction needs C_U >= 0 and zeta > 0")
+        if not (0 <= c_u < math.inf and 0 < zeta < math.inf and truncation_radius >= 0):
+            raise ConfigurationError("interaction needs finite C_U >= 0, finite zeta > 0 and rcut >= 0")
         return super().__new__(cls, c_u, zeta, truncation_radius)
 
     def values(self, r: np.ndarray) -> np.ndarray:
@@ -137,6 +139,7 @@ class InteractionPotential(
 
 
 def parse_interaction_spec(spec: str) -> InteractionPotential:
+    """'u:C=<C_U>:zeta=<zeta>[:rcut=<radius>]', rcut infinite by default."""
     parts = spec.strip().split(":")
     if not parts or parts[0] != "u":
         raise ConfigurationError(f"bad interaction spec '{spec}'")
@@ -149,10 +152,12 @@ def parse_interaction_spec(spec: str) -> InteractionPotential:
     try:
         c_u = float(fields.pop("c"))
         zeta = float(fields.pop("zeta"))
-        rcut_raw = fields.pop("rcut", "inf")
-        rcut = math.inf if rcut_raw == "inf" else float(rcut_raw)
+        rcut = float(fields.pop("rcut", "inf"))
     except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"bad interaction spec '{spec}': {exc}") from exc
     if fields:
         raise ConfigurationError(f"unknown interaction fields {sorted(fields)} in '{spec}'")
-    return InteractionPotential(c_u=c_u, zeta=zeta, truncation_radius=rcut)
+    try:
+        return InteractionPotential(c_u=c_u, zeta=zeta, truncation_radius=rcut)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"bad interaction spec '{spec}': {exc}") from exc

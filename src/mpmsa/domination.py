@@ -242,13 +242,13 @@ def green_magnitude_maps(spectra: BallSpectra, ball: MultiBall, energy: float) -
     -ln 0 = +inf convention makes maximally regular.
     """
     spec = spectra.spectrum(ball)
-    ham = spectra.hamiltonian(ball)
+    op = spec.volume
     eps = float(np.finfo(float).eps)
     dist = float(dist_to_spectrum(spec.eigenvalues, energy))
-    n_vol = len(ham.volume)
+    n_vol = len(op)
     noise_floor = 64.0 * n_vol * eps * eps * max(1.0, spec.h_norm) * (1.0 + 1.0 / max(dist, eps))
-    boundary = spec.volume.boundary
-    cols = np.abs(np.linalg.solve(ham.matrix - energy * np.eye(n_vol), np.eye(n_vol)[:, boundary]))
+    h = op.hamiltonian(spectra.g, spectra.sample)
+    cols = np.abs(np.linalg.solve(h - energy * np.eye(n_vol), np.eye(n_vol)[:, op.boundary]))
     cols[cols < noise_floor] = 0.0
-    configs = ham.volume.configs
-    return {configs[y]: dict(zip(configs, col)) for y, col in zip(boundary, cols.T.tolist())}
+    configs = op.configs
+    return {configs[y]: dict(zip(configs, col)) for y, col in zip(op.boundary, cols.T.tolist())}

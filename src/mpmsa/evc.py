@@ -94,7 +94,7 @@ def wegner_estimate(
         counts = inertia(op, g, sample, shifts)
         if counts is not None:
             return bool(counts[1] > counts[0]), False
-        lam = np.linalg.eigvalsh(op.hamiltonian(g, sample).matrix)
+        lam = np.linalg.eigvalsh(op.hamiltonian(g, sample))
         return bool(resonant(lam, energy, ball.radius, beta)), True
 
     hits, fallbacks = zip(*run_trials(one, trials, seed))
@@ -115,8 +115,8 @@ def spectral_distances(
 
     def one(trial_seed: int) -> float:
         sample = sample_potential(dist, ballx.graph, trial_seed)
-        lam_x = np.linalg.eigvalsh(op_x.hamiltonian(g, sample).matrix)
-        lam_y = np.linalg.eigvalsh(op_y.hamiltonian(g, sample).matrix)
+        lam_x = np.linalg.eigvalsh(op_x.hamiltonian(g, sample))
+        lam_y = np.linalg.eigvalsh(op_y.hamiltonian(g, sample))
         return float(dist_to_spectrum(lam_y, lam_x).min())
 
     return np.asarray(run_trials(one, trials, seed))

@@ -14,7 +14,7 @@ from .configspace import Config, MultiBall
 from .disorder import parse_distribution_spec, parse_interaction_spec, sample_potential
 from .errors import BudgetExceeded, ConfigurationError
 from .graphs import Graph, GrowthCertificate, build_graph, certify_growth
-from .hamiltonian import VolumeIndex, VolumeOperator, spectral_window
+from .hamiltonian import VolumeOperator, spectral_window
 from .msa import MassSchedule, ParameterSet, classify, scales, validate
 from .reporting import Report
 from .rng import CounterRng, substream
@@ -201,7 +201,7 @@ def run_gri(config: ExperimentConfig, report: Report) -> None:
         spec_v = BallSpectra(operators, sample, g).spectrum(ball)
         # W is not a ball: its own operator, whose H is V's principal
         # submatrix under the Dirichlet convention
-        spec_w = eigendecompose(VolumeOperator(VolumeIndex(graph, sub), interaction).hamiltonian(g, sample))
+        spec_w = eigendecompose(VolumeOperator(graph, sub, interaction), g, sample)
         for _ in range(energies_per):
             e = off_spectrum_energy((spec_v, spec_w), window, rng)
             lhs, rhs, holds = gri_check(spec_v, spec_w, x, y, e)

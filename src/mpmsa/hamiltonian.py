@@ -20,47 +20,6 @@ from .graphs import Graph
 
 VOLUME_BUDGET = 4000  # configurations of a dense Hamiltonian
 MIN_BLOCK_ROWS = 16  # BFS layers are merged into blocks of at least this many rows
-SYMMETRY_STRIP = 64  # rows per strip of the symmetry check
-
-
-class VolumeIndex:
-    """Deterministic lexicographic enumeration of a finite set of configurations;
-    a ball's volume also keeps the ball and its inner-boundary positions."""
-
-    def __init__(self, graph: Graph, configs, label: str = "volume", ball: MultiBall | None = None):
-        self.graph = graph
-        self.ball = ball
-        self.boundary = None if ball is None else ball.inner_boundary_positions()
-        self.configs: tuple[Config, ...] = tuple(sorted(set(map(tuple, configs))))
-        if not self.configs:
-            raise ContractViolation("volume must be nonempty")
-        self.n_particles = len(self.configs[0])
-        if any(len(c) != self.n_particles for c in self.configs):
-            raise ContractViolation("volume mixes particle counts")
-        self.index: dict[Config, int] = {c: i for i, c in enumerate(self.configs)}
-        self.label = label
-
-    def __len__(self) -> int:
-        return len(self.configs)
-
-    def __contains__(self, config) -> bool:
-        return tuple(config) in self.index
-
-    def position(self, config) -> int:
-        try:
-            return self.index[tuple(config)]
-        except KeyError:
-            raise ContractViolation(f"configuration {config} not in volume {self.label}") from None
-
-    @classmethod
-    def from_ball(cls, ball: MultiBall) -> "VolumeIndex":
-        size = ball.size()
-        if size > VOLUME_BUDGET:
-            raise BudgetExceeded(f"ball has {size} configurations; dense budget is {VOLUME_BUDGET}")
-        return cls(ball.graph, ball.members(), label=f"ball{ball.center}r{ball.radius}", ball=ball)
-
-    def config_array(self) -> np.ndarray:
-        return np.asarray(self.configs, dtype=np.int64)
 
 
 def row_runs(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> tuple:
@@ -79,83 +38,95 @@ def row_runs(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> tuple:
     )
 
 
-class HamiltonianMatrix(
-    NamedTuple("HamiltonianMatrix", [("volume", VolumeIndex), ("matrix", np.ndarray), ("runs", tuple)])
-):
-    """Dense real symmetric Hamiltonian over an enumerated volume.
-
-    `runs` is H off its diagonal as the maximal runs of `row_runs`, which a
-    VolumeOperator forms once for its volume; every off-diagonal entry
-    outside them is 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, volume: VolumeIndex, matrix: np.ndarray, runs: tuple):
-        h = matrix
-        if not np.isfinite(h).all():
-            raise DataError("Hamiltonian has non-finite entries")
-        # strip by strip, rows [a, a + SYMMETRY_STRIP) against their columns
-        # on and right of the diagonal, so no m x m temporary is formed
-        for a in range(0, len(h), SYMMETRY_STRIP):
-            b = a + SYMMETRY_STRIP
-            asym = h[a:b, a:] - h[a:, a:b].T
-            if not np.abs(asym, out=asym).max() <= 1e-14:
-                raise DataError("Hamiltonian is not symmetric")
-        return super().__new__(cls, volume, matrix, runs)
-
-
 class VolumeOperator:
-    """The sample-independent part of H over one volume.
+    """One finite volume V of N-particle configurations and the
+    sample-independent part of H_V.
 
     H = -Laplacian + g * sum_j V(x_j) + sum_{i<j} u(d(x_i, x_j)), and only the
     g * sum_j V(x_j) diagonal depends on the coupling and the disorder sample.
-    The volume is enumerated once: the operator keeps its configurations, the
-    product-graph edges inside it (also as the `row_runs` of H), and the two
-    sample-independent diagonals (the full-graph degree and the interaction
-    sum).
+    The volume is enumerated once in lexicographic order: the operator keeps
+    its configurations, the product-graph edges inside it (also as the
+    `row_runs` of H), and the two sample-independent diagonals (the
+    full-graph degree and the interaction sum).  A ball's volume also keeps
+    the ball and the ascending positions of its inner boundary.
+
+    Every off-diagonal entry of H is -1 on an edge and 0 elsewhere, so H is
+    symmetric exactly when the edge set is, which construction checks, and
+    finite exactly when its diagonal is, which `diagonal` checks.
     """
 
-    def __init__(self, volume: VolumeIndex, interaction: InteractionPotential):
-        graph, n = volume.graph, volume.n_particles
-        self.volume = volume
-        self.configs = configs = volume.config_array()
-        self.degree = graph.degree[configs].sum(axis=1).astype(np.float64)
-        self.interaction_sum = np.zeros(len(volume))
+    def __init__(self, graph: Graph, configs, interaction: InteractionPotential, ball: MultiBall | None = None):
+        self.graph = graph
+        self.ball = ball
+        self.boundary = None if ball is None else ball.inner_boundary_positions()
+        self.label = "volume" if ball is None else f"ball{ball.center}r{ball.radius}"
+        self.configs: tuple[Config, ...] = tuple(sorted(set(map(tuple, configs))))
+        if not self.configs:
+            raise ContractViolation("volume must be nonempty")
+        n = len(self.configs[0])
+        if any(len(c) != n for c in self.configs):
+            raise ContractViolation("volume mixes particle counts")
+        self.index: dict[Config, int] = {c: i for i, c in enumerate(self.configs)}
+        self.config_array = sites = np.asarray(self.configs, dtype=np.int64)
+        self.degree = graph.degree[sites].sum(axis=1).astype(np.float64)
+        self.interaction_sum = np.zeros(len(self))
         for i in range(n):
             for j in range(i + 1, n):
-                self.interaction_sum += interaction.values(graph.dist[configs[:, i], configs[:, j]])
+                self.interaction_sum += interaction.values(graph.dist[sites[:, i], sites[:, j]])
         rows, cols = [], []
-        for i, x in enumerate(volume.configs):
+        for i, x in enumerate(self.configs):
             for y in product_neighbors(graph, x):
-                j = volume.index.get(y)
+                j = self.index.get(y)
                 if j is not None:
                     rows.append(i)
                     cols.append(j)
-        self.edges = (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))
-        self.runs = row_runs(*self.edges, np.full(len(rows), -1.0))
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if not np.array_equal(np.sort(rows * len(self) + cols), np.sort(cols * len(self) + rows)):
+            raise DataError(f"edge set of {self.label} is not symmetric")
+        self.edges = (rows, cols)
+        self.runs = row_runs(rows, cols, np.full(len(rows), -1.0))
         self._partition: LayerPartition | None = None
 
     @classmethod
     def from_ball(cls, ball: MultiBall, interaction: InteractionPotential) -> "VolumeOperator":
-        return cls(VolumeIndex.from_ball(ball), interaction)
+        size = ball.size()
+        if size > VOLUME_BUDGET:
+            raise BudgetExceeded(f"ball has {size} configurations; dense budget is {VOLUME_BUDGET}")
+        return cls(ball.graph, ball.members(), interaction, ball=ball)
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def __contains__(self, config) -> bool:
+        return tuple(config) in self.index
+
+    def position(self, config) -> int:
+        try:
+            return self.index[tuple(config)]
+        except KeyError:
+            raise ContractViolation(f"configuration {config} not in volume {self.label}") from None
 
     def diagonal(self, g: float, sample: DisorderSample) -> np.ndarray:
         """Diagonal of H at coupling g under one disorder sample; every other
-        entry of H is -1 on an edge and 0 elsewhere."""
-        if len(sample.values) < self.volume.graph.n_vertices:
+        entry of H is -1 on an edge and 0 elsewhere.  A non-finite entry,
+        overflow included, raises DataError."""
+        if len(sample.values) < self.graph.n_vertices:
             raise ContractViolation("sample does not cover the volume's graph")
-        potential = g * sample.values[self.configs].sum(axis=1)
-        return self.degree + (potential + self.interaction_sum)
+        with np.errstate(over="ignore", invalid="ignore"):
+            potential = g * sample.values[self.config_array].sum(axis=1)
+            diagonal = self.degree + (potential + self.interaction_sum)
+        if not np.isfinite(diagonal).all():
+            raise DataError("Hamiltonian has non-finite entries")
+        return diagonal
 
-    def hamiltonian(self, g: float, sample: DisorderSample) -> HamiltonianMatrix:
-        """H at coupling g under one disorder sample."""
+    def hamiltonian(self, g: float, sample: DisorderSample) -> np.ndarray:
+        """H at coupling g under one disorder sample, a dense m x m array."""
         diagonal = self.diagonal(g, sample)
-        m = len(self.volume)
+        m = len(self)
         h = np.zeros((m, m))
         h[self.edges] = -1.0
         h[np.diag_indices(m)] = diagonal
-        return HamiltonianMatrix(self.volume, h, self.runs)
+        return h
 
     def partition(self) -> "LayerPartition":
         """The layer partition, built on first use and kept.  Two threads may
@@ -189,7 +160,7 @@ class LayerPartition(NamedTuple):
         BLAS thread): 12 against 9 ms at m = 361 (17 layer blocks), which
         takes one block, 22 against 109 ms at m = 961 and 76 against 956 ms
         at m = 2025."""
-        m = len(op.volume)
+        m = len(op)
         blocks = layer_blocks(op)
         if 6 * 9 * sum((len(b) + 24) ** 3 for b in blocks) > 4 / 3 * m**3:
             blocks = [np.arange(m)]
@@ -198,7 +169,7 @@ class LayerPartition(NamedTuple):
     @classmethod
     def from_blocks(cls, op: VolumeOperator, blocks) -> "LayerPartition":
         """The partition into `blocks`, which must keep H block tridiagonal."""
-        m = len(op.volume)
+        m = len(op)
         rows, cols = op.edges
         block_of = np.empty(m, dtype=np.int64)
         local = np.empty(m, dtype=np.int64)
@@ -224,7 +195,7 @@ def layer_blocks(op: VolumeOperator) -> list[np.ndarray]:
     consecutive blocks of at least MIN_BLOCK_ROWS rows (a short tail joins
     the last block), each in ascending position order."""
     rows, cols = op.edges
-    layer = np.full(len(op.volume), -1, dtype=np.int64)
+    layer = np.full(len(op), -1, dtype=np.int64)
     layers: list[np.ndarray] = []
     while (layer < 0).any():
         # a BFS from the first unreached position; a volume that is not

@@ -7,11 +7,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .configspace import Config, MultiBall, edge_boundary
+from .configspace import Config, MultiBall
 from .disorder import DisorderSample, InteractionPotential
 from .errors import ContractViolation, DataError, ResonanceError
 from .graphs import Graph, GrowthCertificate
-from .hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator
+from .hamiltonian import VolumeOperator
 
 RESOLVENT_GUARD = 1e-12
 DEGENERACY_GAP = 1e-10
@@ -51,9 +51,10 @@ def _reciprocals(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
 
 
 class SpectralData(NamedTuple):
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvector columns of H over
+    the volume of an operator."""
 
-    volume: VolumeIndex
+    volume: VolumeOperator
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     h_norm: float
@@ -96,21 +97,21 @@ def _sign_anchors(vec: np.ndarray) -> np.ndarray:
     return signs
 
 
-def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
-    """Full spectrum with orthonormal eigenvectors and a fixed sign convention.
+def eigendecompose(op: VolumeOperator, g: float, sample: DisorderSample) -> SpectralData:
+    """Full spectrum of H over the volume of `op` at coupling g under one
+    disorder sample, with orthonormal eigenvectors and a fixed sign convention.
 
     Ordering is ascending; each eigenvector is flipped so its largest-magnitude
     entry (smallest index on ties) is positive.  Residual and orthonormality
     contracts are enforced here rather than trusted: max |HV - V diag(lam)|
-    <= 1e-9 max(||H||, 1), formed from H's sparse structure (`_residual`), and
-    max |V^T V - I| <= 1e-10, one symmetric product.
+    <= 1e-9 max(||H||, 1), formed from H's diagonal and the operator's runs
+    (`_residual`), and max |V^T V - I| <= 1e-10, one symmetric product.
     """
-    if not np.isfinite(ham.matrix).all():
-        raise DataError("matrix has non-finite entries")
-    lam, vec = np.linalg.eigh(ham.matrix)
+    h = op.hamiltonian(g, sample)
+    lam, vec = np.linalg.eigh(h)
     vec *= _sign_anchors(vec)
     h_norm = float(np.abs(lam).max()) if lam.size else 0.0
-    resid = _residual(ham, lam, vec)
+    resid = _residual(np.diagonal(h), op.runs, lam, vec)
     # `not <=` so that a NaN residual or Gram deviation fails the contract
     if not resid <= 1e-9 * max(h_norm, 1.0):
         raise DataError(f"eigensolve residual {resid:.3e} too large")
@@ -120,16 +121,16 @@ def eigendecompose(ham: HamiltonianMatrix) -> SpectralData:
     gram_err = np.abs(gram, out=gram).max()
     if not gram_err <= 1e-10:
         raise DataError(f"eigenvector gram deviation {gram_err:.3e} too large")
-    return SpectralData(ham.volume, lam, vec, h_norm, profiles={})
+    return SpectralData(op, lam, vec, h_norm, profiles={})
 
 
-def _residual(ham: HamiltonianMatrix, lam: np.ndarray, vec: np.ndarray) -> float:
+def _residual(diagonal: np.ndarray, runs: tuple, lam: np.ndarray, vec: np.ndarray) -> float:
     """max |HV - V diag(lam)| from H's diagonal and its off-diagonal runs:
     (d_i - lam_j) V_ij, then one in-place slice update per run, in O(edges m)
     and one m x m array.  A NaN anywhere in V makes the result NaN."""
-    r = np.subtract.outer(np.diagonal(ham.matrix), lam)
+    r = np.subtract.outer(diagonal, lam)
     r *= vec
-    for start, stop, offset, value in ham.runs:
+    for start, stop, offset, value in runs:
         neighbours = vec[start + offset:stop + offset]
         if value == -1.0:  # every operator's hopping: no temporary
             r[start:stop] -= neighbours
@@ -168,22 +169,19 @@ class BallSpectra:
     Each (center, radius) is diagonalized on first request and memoized: the
     multi-scale predicates and the domination check ask about the same balls
     at many energies, radii and predicates.  Hamiltonians are formed from the
-    shared operators on request and not kept.
+    shared operators when a ball is solved and not kept.
     """
 
     def __init__(self, operators: BallOperators, sample: DisorderSample, g: float):
         self.operators, self.sample, self.g = operators, sample, g
         self._solved: dict[tuple[Config, int], SpectralData] = {}
 
-    def hamiltonian(self, ball: MultiBall) -> HamiltonianMatrix:
-        return self.operators.operator(ball).hamiltonian(self.g, self.sample)
-
     def spectrum(self, ball: MultiBall) -> SpectralData:
         op = self.operators.operator(ball)
         key = (tuple(ball.center), ball.radius)
         spec = self._solved.get(key)
         if spec is None:
-            spec = self._solved[key] = eigendecompose(op.hamiltonian(self.g, self.sample))
+            spec = self._solved[key] = eigendecompose(op, self.g, self.sample)
         return spec
 
 
@@ -215,8 +213,6 @@ def inertia(op: VolumeOperator, g: float, sample: DisorderSample, sigmas) -> np.
     """
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=np.float64))
     diagonal = op.diagonal(g, sample)
-    if not np.isfinite(diagonal).all():
-        raise DataError("Hamiltonian has non-finite entries")
     part = op.partition()
     # |A_k - sigma| <= max |diagonal| + max |sigma| + the largest row count
     # of -1 entries, which the full-graph degree bounds
@@ -404,19 +400,21 @@ def gri_check(
     mass sum_j |psi_j(x) psi_j(y)| / |l_j - E|.  Returns (lhs, rhs, holds).
     """
     vol_big, vol_sub = spec_big.volume, spec_sub.volume
+    in_sub = np.asarray([c in vol_sub for c in vol_big.configs])
+    if in_sub.sum() != len(vol_sub):
+        raise ContractViolation("W must be a subset of V")
     if tuple(x) not in vol_sub:
         raise ContractViolation("x must lie in W")
     if tuple(y) in vol_sub or tuple(y) not in vol_big:
         raise ContractViolation("y must lie in V \\ W")
-    edges = edge_boundary(vol_big.graph, vol_big.configs, vol_sub.configs)
     g_big_y = green_row(spec_big, energy, y)
     g_sub_x = green_row(spec_sub, energy, x)
     lhs = abs(float(g_big_y[vol_big.position(x)]))
     rhs = 0.0
-    for u, v in edges:
-        rhs += abs(float(g_sub_x[vol_sub.position(u)])) * abs(
-            float(g_big_y[vol_big.position(v)])
-        )
+    # the boundary edges in the order of V's edges: u ascending in V
+    for u, v in zip(*(e.tolist() for e in vol_big.edges)):
+        if in_sub[u] and not in_sub[v]:
+            rhs += abs(float(g_sub_x[vol_sub.position(vol_big.configs[u])])) * abs(float(g_big_y[v]))
     cancel_mass = float(
         np.sum(
             np.abs(spec_big.component(x) * spec_big.component(y))

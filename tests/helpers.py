@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mpmsa.configspace import Config, MultiBall, weakly_interactive
+from mpmsa.configspace import Config, MultiBall, product_neighbors, weakly_interactive
 from mpmsa.disorder import DisorderSample, InteractionPotential
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import Graph, GrowthCertificate
-from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, VolumeOperator, row_runs
+from mpmsa.hamiltonian import VolumeOperator, row_runs
 from mpmsa.induction import EnergyIntervalCover, cover_from_profile
 from mpmsa.spectral import (
     SpectralData,
@@ -55,34 +55,59 @@ def inner_boundary(graph: Graph, volume) -> list[Config]:
     return out
 
 
+def edge_boundary(graph: Graph, volume, subset) -> list[tuple[Config, Config]]:
+    """Ordered pairs (u, v): u in W, v in V \\ W, u<->v a product-graph edge,
+    u ascending; the oracle of the boundary edges gri_check reads off V's
+    operator."""
+    vol = set(volume)
+    sub = set(subset)
+    if not sub <= vol:
+        raise ContractViolation("W must be a subset of V")
+    out = []
+    for u in sorted(sub):
+        for v in product_neighbors(graph, u):
+            if v in vol and v not in sub:
+                out.append((u, v))
+    return out
+
+
 def assemble(
-    volume: VolumeIndex, g: float, sample: DisorderSample, interaction: InteractionPotential
-) -> HamiltonianMatrix:
-    return VolumeOperator(volume, interaction).hamiltonian(g, sample)
-
-
-def dense_hamiltonian(volume: VolumeIndex, matrix: np.ndarray) -> HamiltonianMatrix:
-    """A HamiltonianMatrix of any dense symmetric matrix, its off-diagonal
-    runs read off the entries."""
-    rows, cols = np.nonzero(matrix)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    return HamiltonianMatrix(volume, matrix, row_runs(rows, cols, matrix[rows, cols]))
+    graph: Graph, configs, g: float, sample: DisorderSample, interaction: InteractionPotential
+) -> np.ndarray:
+    """H over a volume of configurations, from the volume's own operator."""
+    return VolumeOperator(graph, configs, interaction).hamiltonian(g, sample)
 
 
 def assemble_ball(
     ball: MultiBall, g: float, sample: DisorderSample, interaction: InteractionPotential
-) -> HamiltonianMatrix:
+) -> np.ndarray:
     return VolumeOperator.from_ball(ball, interaction).hamiltonian(g, sample)
 
 
-def laplacian(volume: VolumeIndex) -> np.ndarray:
-    """Graph Laplacian restricted to the volume, from the operator's edges and
-    degrees: full-graph degree negated on the diagonal, +1 on each edge."""
-    op = VolumeOperator(volume, ZERO_INTERACTION)
-    out = np.zeros((len(volume), len(volume)))
+class DenseOperator(VolumeOperator):
+    """Operator-shaped stand-in whose H is a given dense symmetric matrix
+    over the volume of `op`, whatever the coupling and sample: its runs are
+    read off the matrix's off-diagonal entries.  Every other attribute is
+    that of `op`, so only eigendecompose may be given it."""
+
+    def __init__(self, op: VolumeOperator, matrix):
+        self.__dict__.update(op.__dict__)
+        self.matrix = matrix = np.asarray(matrix, dtype=np.float64)
+        rows, cols = np.nonzero(matrix)
+        off = rows != cols
+        rows, cols = rows[off], cols[off]
+        self.runs = row_runs(rows, cols, matrix[rows, cols])
+
+    def hamiltonian(self, g, sample) -> np.ndarray:
+        return self.matrix
+
+
+def laplacian(op: VolumeOperator) -> np.ndarray:
+    """Graph Laplacian restricted to the operator's volume, from its edges
+    and degrees: full-graph degree negated on the diagonal, +1 on each edge."""
+    out = np.zeros((len(op), len(op)))
     out[op.edges] = 1.0
-    out[np.diag_indices(len(volume))] = -op.degree
+    out[np.diag_indices(len(op))] = -op.degree
     return out
 
 
@@ -235,8 +260,8 @@ class DecoupledForm:
     positions to positions in the ball's lexicographic enumeration.
     """
 
-    h_prime: HamiltonianMatrix
-    h_second: HamiltonianMatrix
+    h_prime: np.ndarray = field(repr=False)
+    h_second: np.ndarray = field(repr=False)
     coupling: np.ndarray = field(repr=False)
     ordered_configs: tuple[Config, ...]
     permutation: np.ndarray = field(repr=False)
@@ -244,9 +269,9 @@ class DecoupledForm:
     coupling_norm_bound: float
 
     def noninteracting_matrix(self) -> np.ndarray:
-        eye_p = np.eye(len(self.h_prime.volume))
-        eye_s = np.eye(len(self.h_second.volume))
-        return np.kron(self.h_prime.matrix, eye_s) + np.kron(eye_p, self.h_second.matrix)
+        eye_p = np.eye(len(self.h_prime))
+        eye_s = np.eye(len(self.h_second))
+        return np.kron(self.h_prime, eye_s) + np.kron(eye_p, self.h_second)
 
     def reassembled(self) -> np.ndarray:
         return self.noninteracting_matrix() + np.diag(self.coupling)
@@ -264,19 +289,19 @@ def decouple(
         raise ContractViolation("split must be a nonempty proper decomposition")
     ball_p = MultiBall(graph, tuple(ball.center[i] for i in j_idx), ball.radius)
     ball_s = MultiBall(graph, tuple(ball.center[i] for i in jc_idx), ball.radius)
-    h_prime = assemble_ball(ball_p, g, sample, interaction)
-    h_second = assemble_ball(ball_s, g, sample, interaction)
+    op_p = VolumeOperator.from_ball(ball_p, interaction)
+    op_s = VolumeOperator.from_ball(ball_s, interaction)
 
     ordered: list[Config] = []
-    for xp in h_prime.volume.configs:
-        for xs in h_second.volume.configs:
+    for xp in op_p.configs:
+        for xs in op_s.configs:
             full = [0] * ball.n_particles
             for pos, j in enumerate(j_idx):
                 full[j] = xp[pos]
             for pos, j in enumerate(jc_idx):
                 full[j] = xs[pos]
             ordered.append(tuple(full))
-    ball_volume = VolumeIndex.from_ball(ball)
+    ball_volume = VolumeOperator.from_ball(ball, interaction)
     permutation = np.asarray([ball_volume.position(c) for c in ordered], dtype=np.int64)
 
     coupling = np.zeros(len(ordered))
@@ -289,8 +314,8 @@ def decouple(
     norm = float(np.abs(coupling).max()) if coupling.size else 0.0
     bound = interaction.c_u * ball.n_particles**2 * float(np.exp(-float(ball.radius) ** interaction.zeta))
     return DecoupledForm(
-        h_prime=h_prime,
-        h_second=h_second,
+        h_prime=op_p.hamiltonian(g, sample),
+        h_second=op_s.hamiltonian(g, sample),
         coupling=coupling,
         ordered_configs=tuple(ordered),
         permutation=permutation,

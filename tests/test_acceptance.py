@@ -28,7 +28,7 @@ from mpmsa.domination import (
 from mpmsa.evc import spectral_shift_check, two_volume_evc
 from mpmsa.experiments import off_spectrum_energy, random_gri_instance
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import HamiltonianMatrix, VolumeIndex, spectral_window
+from mpmsa.hamiltonian import VolumeOperator, spectral_window
 from mpmsa.induction import (
     efc_decay_experiment,
     recursion_bound,
@@ -47,7 +47,7 @@ from mpmsa.spectral import (
 
 from helpers import (
     ZERO_INTERACTION,
-    assemble,
+    DenseOperator,
     assemble_ball,
     classify_interactivity,
     clusters,
@@ -91,7 +91,7 @@ def test_criterion_01_gri_suite():
             ball, sub, x, y = random_gri_instance(graph, n, rng, max_volume=600)
             sample = sample_potential(DIST, graph, substream(MASTER, 5000 + total))
             spec_v = BallSpectra(operators, sample, 1.0).spectrum(ball)
-            spec_w = eigendecompose(assemble(VolumeIndex(graph, sub), 1.0, sample, interaction))
+            spec_w = eigendecompose(VolumeOperator(graph, sub, interaction), 1.0, sample)
             for _ in range(5):
                 energy = off_spectrum_energy((spec_v, spec_w), window, rng, guard=1e-4)
                 *_, holds = gri_check(spec_v, spec_w, x, y, energy)
@@ -125,14 +125,14 @@ def test_criterion_02_resolvent_and_efc_identities():
         center = tuple(rng.randint(0, graph.n_vertices - 1) for _ in range(n))
         ball = MultiBall(graph, center, rng.randint(1, 3))
         sample = sample_potential(DIST, graph, substream(MASTER, 41_000 + idx))
-        ham = assemble_ball(ball, g_amp, sample, interaction)
-        assert len(ham.volume) <= 700
-        spec = eigendecompose(ham)
+        op = VolumeOperator.from_ball(ball, interaction)
+        assert len(op) <= 700
+        spec = eigendecompose(op, g_amp, sample)
         window = spectral_window(graph, n, g_amp, DIST.sup_abs, interaction)
         energy = off_spectrum_energy((spec,), window, rng, guard=1e-3)
         m = len(spec.volume)
         g_mat = (spec.eigenvectors / (spec.eigenvalues - energy)) @ spec.eigenvectors.T
-        resid = np.abs((ham.matrix - energy * np.eye(m)) @ g_mat - np.eye(m)).max()
+        resid = np.abs((op.hamiltonian(g_amp, sample) - energy * np.eye(m)) @ g_mat - np.eye(m)).max()
         worst_resid = max(worst_resid, resid)
 
         xs = spec.volume.configs
@@ -184,9 +184,9 @@ def test_criterion_03_decoupling():
         interaction = InteractionPotential(1.0 + (built % 4) * 0.5, zeta)
         sample = sample_potential(DIST, graph, substream(MASTER, 61_000 + idx))
         dec = decouple(ball, split, 1.0, sample, interaction)
-        ham = assemble_ball(ball, 1.0, sample, interaction)
+        h = assemble_ball(ball, 1.0, sample, interaction)
         perm = dec.permutation
-        dev = np.abs(ham.matrix[np.ix_(perm, perm)] - dec.reassembled()).max()
+        dev = np.abs(h[np.ix_(perm, perm)] - dec.reassembled()).max()
         worst_dev = max(worst_dev, dev)
         limit = interaction.c_u * n**2 * math.exp(-float(radius) ** zeta)
         bound_ok &= dec.coupling_norm <= limit + 1e-15
@@ -380,8 +380,8 @@ def test_criterion_06_interval_covers():
         cert = certify_growth(graph, 1.0, 10)
         g_amp = rng.uniform(0.5, 3.0)
         sample = sample_potential(DIST, graph, substream(MASTER, 91_000 + idx))
-        ham = assemble_ball(ball, g_amp, sample, ZERO_INTERACTION)
-        spec = eigendecompose(ham)
+        op = VolumeOperator.from_ball(ball, ZERO_INTERACTION)
+        spec = eigendecompose(op, g_amp, sample)
         window = spectral_window(graph, n, g_amp, DIST.sup_abs, ZERO_INTERACTION)
         level = 10.0 ** rng.uniform(-4, 0.5)
         cover = sublevel_cover(spec, cert, level, window)
@@ -393,9 +393,9 @@ def test_criterion_06_interval_covers():
         step = es[1] - es[0]
         scan_ok &= not ((vals >= level) & ~covered(cover, es, slack=step)).any()
 
-        shifted = HamiltonianMatrix(ham.volume, ham.matrix + t_shift * np.eye(len(spec.volume)), ham.runs)
+        shifted = DenseOperator(op, op.hamiltonian(g_amp, sample) + t_shift * np.eye(len(op)))
         cover_t = sublevel_cover(
-            eigendecompose(shifted), cert, level,
+            eigendecompose(shifted, g_amp, None), cert, level,
             (window[0] + t_shift, window[1] + t_shift),
         )
         if cover_t.count != cover.count:

@@ -149,6 +149,8 @@ def test_efc_batches_out_of_range_exit_2(tmp_path, batches):
     ("wegner", "g_grid = 0.5,1.0", "g_grid ="),
     ("efc", "g_grid = 0,20", "g_grid ="),
     ("evc2", "s_grid = 0.001,0.01,0.1", "s_grid ="),
+    # a coupling at which the diagonal of H overflows
+    ("classify", "g = 2.0", "g = 1e308"),
 ])
 def test_malformed_run_values_exit_2(tmp_path, kind, old, new):
     text = (ROOT / "configs" / f"{kind}.cfg").read_text()
@@ -157,6 +159,28 @@ def test_malformed_run_values_exit_2(tmp_path, kind, old, new):
     path = _write(tmp_path, text.replace(old, new))
     assert main([kind, "--config", path, "--out", str(out), "--trials", "2"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,old,new", [
+    # a non-finite number in a distribution spec
+    ("rcm", "graph = path:5", "graph = path:5\ndistribution = uniform:nan:1"),
+    ("rcm", "graph = path:5", "graph = path:5\ndistribution = uniform:0:inf"),
+    ("rcm", "graph = path:5", "graph = path:5\ndistribution = tgauss:0:1:-1:nan"),
+    # an interaction spec with a negative or NaN rcut, or an infinite zeta
+    ("classify", "u:C=1:zeta=0.5:rcut=inf", "u:C=1:zeta=1:rcut=-1"),
+    ("classify", "u:C=1:zeta=0.5:rcut=inf", "u:C=1:zeta=0.5:rcut=nan"),
+    ("classify", "u:C=1:zeta=0.5:rcut=inf", "u:C=1:zeta=inf:rcut=inf"),
+])
+def test_bad_model_specs_exit_2(tmp_path, capsys, kind, old, new):
+    """rcm used to write nan budget cells with within_budget = true, and
+    classify used to drop an interaction with rcut < 0 silently."""
+    text = (ROOT / "configs" / f"{kind}.cfg").read_text()
+    assert old in text
+    out = tmp_path / "x"
+    assert main([kind, "--config", _write(tmp_path, text.replace(old, new)), "--out", str(out)]) == 2
+    assert not out.exists()
+    spec = new.split(" = ")[-1] if kind == "rcm" else new
+    assert f"'{spec}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
@@ -598,18 +622,17 @@ def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
 
 
 def _count_operator_builds(monkeypatch):
-    """Record the ball of every volume enumeration, the step an operator
-    build starts with."""
-    from mpmsa.hamiltonian import VolumeIndex
+    """Record the ball of every ball operator build."""
+    from mpmsa.hamiltonian import VolumeOperator
 
     balls = []
-    from_ball = VolumeIndex.from_ball
+    from_ball = VolumeOperator.from_ball
 
-    def counting_from_ball(cls, ball):
+    def counting_from_ball(cls, ball, interaction):
         balls.append((tuple(ball.center), ball.radius))
-        return from_ball(ball)
+        return from_ball(ball, interaction)
 
-    monkeypatch.setattr(VolumeIndex, "from_ball", classmethod(counting_from_ball))
+    monkeypatch.setattr(VolumeOperator, "from_ball", classmethod(counting_from_ball))
     return balls
 
 
@@ -634,7 +657,7 @@ def test_only_wegner_builds_a_layer_partition(tmp_path, monkeypatch, kind, build
     build = LayerPartition.of.__func__
 
     def counting(cls, op):
-        calls.append(op.volume.label)
+        calls.append(op.label)
         return build(cls, op)
 
     monkeypatch.setattr(LayerPartition, "of", classmethod(counting))
@@ -649,7 +672,7 @@ def test_wegner_summary_counts_eigvalsh_fallbacks(tmp_path):
     eigenvalue sends every sample to eigvalsh, E elsewhere sends none."""
     graph = build_graph("path:9")
     op = BallOperators(graph, ZERO_INTERACTION).operator(MultiBall(graph, (4,), 4))
-    lam = np.linalg.eigvalsh(op.hamiltonian(0.0, sample_potential(uniform_distribution(0, 1), graph, 0)).matrix)
+    lam = np.linalg.eigvalsh(op.hamiltonian(0.0, sample_potential(uniform_distribution(0, 1), graph, 0)))
     t = 2.0 * math.exp(-(4.0**0.3))
     for name, energy, fallbacks in (("edge", lam[2] - t, 60), ("inside", lam[2], 0)):
         out = tmp_path / name

@@ -5,17 +5,26 @@ import pytest
 
 from mpmsa.configspace import (
     MultiBall,
-    edge_boundary,
     rho,
     rho_s,
     separation_candidates,
+    vertex_ball_mask,
+    vertex_ball_masks,
     weak_separation,
 )
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import VolumeIndex
+from mpmsa.hamiltonian import VolumeOperator
 
-from helpers import ball_support, classify_interactivity, inner_boundary, rho_one_neighbors, set_distance
+from helpers import (
+    ZERO_INTERACTION,
+    ball_support,
+    classify_interactivity,
+    edge_boundary,
+    inner_boundary,
+    rho_one_neighbors,
+    set_distance,
+)
 
 
 def test_rho_and_swap_permutation():
@@ -88,7 +97,7 @@ def test_ball_boundary_matches_exhaustive_scan():
     for spec, center, radius in cases:
         g = build_graph(spec)
         ball = MultiBall(g, center, radius)
-        volume = VolumeIndex.from_ball(ball)
+        volume = VolumeOperator.from_ball(ball, ZERO_INTERACTION)
         # positions in volume order, against the generic scan
         assert [volume.configs[p] for p in volume.boundary] == inner_boundary(g, volume.configs)
         assert volume.ball is ball
@@ -206,6 +215,19 @@ def test_weak_separation_distant_pairs_exhaustive():
             assert cert is not None, (x, y)
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("spec", ["path:14", "cycle:11", "grid:4x5", "tree:2x3"])
+def test_vertex_ball_masks_are_the_per_vertex_masks(spec):
+    """One tuple of masks per (graph, radius), equal to vertex_ball_mask and
+    to the bits of the vertices within the radius."""
+    g = build_graph(spec)
+    for radius in range(4):
+        masks = vertex_ball_masks(g, radius)
+        assert masks is vertex_ball_masks(g, radius)
+        assert list(masks) == [vertex_ball_mask(g, v, radius) for v in range(g.n_vertices)]
+        for v, mask in enumerate(masks):
+            assert mask == sum(1 << u for u in range(g.n_vertices) if g.dist[v, u] <= radius)
 
 
 def test_weak_separation_certificate_is_valid():

@@ -216,13 +216,13 @@ def test_gf_check_bounds_each_verified_green_map():
     else:
         pytest.fail("no strong-disorder draw met the hypotheses")
     maps = green_magnitude_maps(spectra, ball, 500.25)
-    ham = spectra.hamiltonian(ball)
-    inverse = np.linalg.inv(ham.matrix - 500.25 * np.eye(len(ham.volume)))
+    op = spectra.operators.operator(ball)
+    inverse = np.linalg.inv(op.hamiltonian(spectra.g, spectra.sample) - 500.25 * np.eye(len(op)))
     assert sorted(bounds) == sorted(maps) == inner_boundary(g, ball.members())
     for y, f_map in maps.items():
-        assert sorted(f_map) == list(ham.volume.configs)
-        col = np.abs(inverse[:, ham.volume.position(y)])
-        kept = np.asarray([f_map[c] for c in ham.volume.configs])
+        assert sorted(f_map) == list(op.configs)
+        col = np.abs(inverse[:, op.position(y)])
+        kept = np.asarray([f_map[c] for c in op.configs])
         assert np.allclose(kept[kept > 0], col[kept > 0], rtol=1e-10, atol=0)
         assert (kept > 0).sum() >= 2
         ctx = DominationContext(graph=g, center=(12,), radius=8, ell=2, q=q, f=f_map)

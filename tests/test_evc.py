@@ -54,7 +54,7 @@ def test_wegner_g_zero_exact_eigenvalue():
     g = build_graph("path:9")
     ball = MultiBall(g, (4,), 4)
     smp = sample_potential(DIST, g, 0)
-    lam = np.linalg.eigvalsh(assemble_ball(ball, 0.0, smp, ZERO_INTERACTION).matrix)
+    lam = np.linalg.eigvalsh(assemble_ball(ball, 0.0, smp, ZERO_INTERACTION))
     est, fallbacks = wegner_estimate(ball, DIST, BallOperators(g, ZERO_INTERACTION), 0.0, float(lam[2]), 0.3, 50, 3)
     assert est.estimate == 1.0
     assert fallbacks == 0
@@ -65,7 +65,7 @@ def test_wegner_falls_back_to_eigvalsh_at_the_window_edge():
     # within rounding, so no sample's inertia counts are above round-off
     g = build_graph("path:9")
     ball = MultiBall(g, (4,), 4)
-    lam = np.linalg.eigvalsh(assemble_ball(ball, 0.0, sample_potential(DIST, g, 0), ZERO_INTERACTION).matrix)
+    lam = np.linalg.eigvalsh(assemble_ball(ball, 0.0, sample_potential(DIST, g, 0), ZERO_INTERACTION))
     energy = float(lam[2]) - resonance_radius(4, 0.3)
     est, fallbacks = wegner_estimate(ball, DIST, BallOperators(g, ZERO_INTERACTION), 0.0, energy, 0.3, 50, 3)
     assert fallbacks == 50

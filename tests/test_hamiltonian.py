@@ -5,10 +5,10 @@ import pytest
 
 from mpmsa.configspace import MultiBall
 from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
-from mpmsa.errors import BudgetExceeded, ContractViolation
+from mpmsa.errors import BudgetExceeded, ContractViolation, DataError
 from mpmsa.experiments import random_gri_instance
-from mpmsa.graphs import build_graph
-from mpmsa.hamiltonian import VolumeIndex, norm_bound
+from mpmsa.graphs import Graph, build_graph
+from mpmsa.hamiltonian import VolumeOperator, norm_bound
 from mpmsa.rng import CounterRng
 
 from helpers import (
@@ -27,23 +27,21 @@ DIST = uniform_distribution(0, 1)
 
 def test_laplacian_middle_vertex():
     g = build_graph("path:3")
-    vol = VolumeIndex(g, [(1,)])
-    assert (-laplacian(vol)) == pytest.approx(np.array([[2.0]]))
+    op = VolumeOperator(g, [(1,)], ZERO_INTERACTION)
+    assert (-laplacian(op)) == pytest.approx(np.array([[2.0]]))
 
 
 def test_laplacian_row_sums_full_volume():
     g = build_graph("cycle:7")
-    vol = VolumeIndex(g, [(i,) for i in range(7)])
-    rows = (-laplacian(vol)).sum(axis=1)
+    op = VolumeOperator(g, [(i,) for i in range(7)], ZERO_INTERACTION)
+    rows = (-laplacian(op)).sum(axis=1)
     assert rows == pytest.approx(np.zeros(7))
 
 
 def test_two_particle_laplacian_kronecker_oracle():
     g = build_graph("path:3")
-    vol1 = VolumeIndex(g, [(i,) for i in range(3)])
-    lap1 = laplacian(vol1)
-    vol2 = VolumeIndex(g, [(a, b) for a in range(3) for b in range(3)])
-    lap2 = laplacian(vol2)
+    lap1 = laplacian(VolumeOperator(g, [(i,) for i in range(3)], ZERO_INTERACTION))
+    lap2 = laplacian(VolumeOperator(g, [(a, b) for a in range(3) for b in range(3)], ZERO_INTERACTION))
     eye = np.eye(3)
     oracle = np.kron(lap1, eye) + np.kron(eye, lap1)
     assert np.abs(lap2 - oracle).max() == 0.0
@@ -51,10 +49,9 @@ def test_two_particle_laplacian_kronecker_oracle():
 
 def test_assemble_g_zero_no_interaction():
     g = build_graph("path:5")
-    vol = VolumeIndex(g, [(i,) for i in range(5)])
+    op = VolumeOperator(g, [(i,) for i in range(5)], ZERO_INTERACTION)
     smp = sample_potential(DIST, g, 3)
-    ham = assemble(vol, 0.0, smp, ZERO_INTERACTION)
-    assert np.array_equal(ham.matrix, -laplacian(vol))
+    assert np.array_equal(op.hamiltonian(0.0, smp), -laplacian(op))
 
 
 def test_assemble_single_configuration_value():
@@ -62,20 +59,64 @@ def test_assemble_single_configuration_value():
     smp = sample_potential(DIST, g, 9)
     u = InteractionPotential(0.7, 1.0)
     for gval in (0.0, 2.5, -1.0):
-        ham = assemble(VolumeIndex(g, [(1, 1)]), gval, smp, u)
+        h = assemble(g, [(1, 1)], gval, smp, u)
         expected = 4.0 + 2 * gval * smp.values[1] + interaction_value(u, 0)
-        assert ham.matrix == pytest.approx(np.array([[expected]]))
+        assert h == pytest.approx(np.array([[expected]]))
+
+
+NESTED_BALLS = [
+    ("path:8", (3, 4), 3), ("path:10", (2, 5, 7), 1),
+    ("cycle:9", (4,), 3), ("cycle:7", (1, 5), 2),
+    ("grid:3x4", (5,), 2), ("grid:3x3", (0, 4, 8), 1),
+    ("tree:2x3", (0, 3), 2), ("tree:2x3", (1,), 3),
+]
 
 
 def test_assemble_symmetric_and_reproducible():
-    g = build_graph("grid:3x3")
-    ball = MultiBall(g, (4, 0), 1)
-    smp = sample_potential(DIST, g, 21)
+    """Every operator-built H is exactly symmetric, and equal samples give
+    equal H: four graph families, N = 1-3."""
     u = InteractionPotential(1.0, 0.5)
-    h1 = assemble_ball(ball, 1.3, smp, u)
-    h2 = assemble_ball(ball, 1.3, sample_potential(DIST, g, 21), u)
-    assert np.array_equal(h1.matrix, h2.matrix)
-    assert np.abs(h1.matrix - h1.matrix.T).max() == 0.0
+    for spec, center, radius in [("grid:3x3", (4, 0), 1), *NESTED_BALLS]:
+        g = build_graph(spec)
+        ball = MultiBall(g, center, radius)
+        h1 = assemble_ball(ball, 1.3, sample_potential(DIST, g, 21), u)
+        h2 = assemble_ball(ball, 1.3, sample_potential(DIST, g, 21), u)
+        assert np.array_equal(h1, h2), spec
+        assert np.array_equal(h1, h1.T), spec
+
+
+def test_asymmetric_edge_set_raises_at_construction():
+    """A graph whose neighbour lists are not symmetric (vertex 2 lists 1,
+    but 1 does not list 2) gives an asymmetric edge set."""
+    path = build_graph("path:3")
+    broken = Graph("broken", 3, path.edges, ((1,), (0,), (1,)), path.dist)
+    with pytest.raises(DataError, match="not symmetric"):
+        VolumeOperator(broken, [(0,), (1,), (2,)], ZERO_INTERACTION)
+    with pytest.raises(DataError, match="not symmetric"):
+        VolumeOperator.from_ball(MultiBall(broken, (1, 1), 1), ZERO_INTERACTION)
+    VolumeOperator(broken, [(0,), (1,)], ZERO_INTERACTION)  # the edge 0-1 alone is symmetric
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_diagonal_raises(value):
+    """H is finite exactly when its diagonal is: a non-finite potential value
+    or an overflowing coupling raises DataError from hamiltonian and from
+    inertia, which read the same diagonal."""
+    from mpmsa.spectral import eigendecompose, inertia
+
+    g = build_graph("path:6")
+    op = VolumeOperator.from_ball(MultiBall(g, (2, 3), 2), InteractionPotential(1.0, 0.5))
+    smp = sample_potential(DIST, g, 1)
+    bad = smp._replace(values=smp.values.copy())
+    bad.values[3] = value
+    ones = smp._replace(values=np.ones_like(smp.values))
+    for sample, coupling in ((bad, 1.0), (ones, 1e308), (smp._replace(values=smp.values * 1e308), 10.0)):
+        with pytest.raises(DataError, match="non-finite"):
+            op.hamiltonian(coupling, sample)
+        with pytest.raises(DataError, match="non-finite"):
+            inertia(op, coupling, sample, [0.0, 1.0])
+        with pytest.raises(DataError, match="non-finite"):
+            eigendecompose(op, coupling, sample)
 
 
 def test_submatrix_consistency_nested_volumes():
@@ -84,12 +125,7 @@ def test_submatrix_consistency_nested_volumes():
     ball and the W of GRI instances, on four graph families with N = 1-3."""
     u = InteractionPotential(0.4, 0.8)
     rng = np.random.default_rng(2)
-    for spec, center, radius in [
-        ("path:8", (3, 4), 3), ("path:10", (2, 5, 7), 1),
-        ("cycle:9", (4,), 3), ("cycle:7", (1, 5), 2),
-        ("grid:3x4", (5,), 2), ("grid:3x3", (0, 4, 8), 1),
-        ("tree:2x3", (0, 3), 2), ("tree:2x3", (1,), 3),
-    ]:
+    for spec, center, radius in NESTED_BALLS:
         g = build_graph(spec)
         smp = sample_potential(DIST, g, 4)
         big = MultiBall(g, center, radius)
@@ -102,10 +138,10 @@ def test_submatrix_consistency_nested_volumes():
             ball, sub, _, _ = random_gri_instance(g, len(center), CounterRng(k))
             cases.append((ball, sub))
         for ball, sub_cfgs in cases:
-            ham = assemble_ball(ball, 1.1, smp, u)
-            idx = [ham.volume.position(c) for c in sub_cfgs]
-            direct = assemble(VolumeIndex(g, sub_cfgs), 1.1, smp, u)
-            assert np.array_equal(direct.matrix, ham.matrix[np.ix_(idx, idx)]), (spec, center)
+            op = VolumeOperator.from_ball(ball, u)
+            idx = [op.position(c) for c in sub_cfgs]
+            direct = assemble(g, sub_cfgs, 1.1, smp, u)
+            assert np.array_equal(direct, op.hamiltonian(1.1, smp)[np.ix_(idx, idx)]), (spec, center)
 
 
 def test_constant_potential_shift_moves_spectrum_rigidly():
@@ -114,9 +150,9 @@ def test_constant_potential_shift_moves_spectrum_rigidly():
     smp = sample_potential(DIST, g, 8)
     u = InteractionPotential(0.5, 1.0)
     gval, t = 1.7, 0.37
-    base = np.linalg.eigvalsh(assemble_ball(ball, gval, smp, u).matrix)
+    base = np.linalg.eigvalsh(assemble_ball(ball, gval, smp, u))
     shifted_sample = smp.shifted_on(range(g.n_vertices), t)
-    shifted = np.linalg.eigvalsh(assemble_ball(ball, gval, shifted_sample, u).matrix)
+    shifted = np.linalg.eigvalsh(assemble_ball(ball, gval, shifted_sample, u))
     n = 2
     assert np.abs(shifted - (base + n * gval * t)).max() < 1e-10
 
@@ -127,7 +163,7 @@ def test_norm_bound_contains_spectrum():
     for seed in range(5):
         smp = sample_potential(DIST, g, seed)
         ball = MultiBall(g, (5, 10), 2)
-        lam = np.linalg.eigvalsh(assemble_ball(ball, 3.0, smp, u).matrix)
+        lam = np.linalg.eigvalsh(assemble_ball(ball, 3.0, smp, u))
         bound = norm_bound(g, 2, 3.0, DIST.sup_abs, u)
         assert np.abs(lam).max() <= bound
 
@@ -147,9 +183,9 @@ def test_decouple_exact_and_bounded():
     kind, split = classify_interactivity(ball)
     assert kind == "WI"
     dec = decouple(ball, split, 1.0, smp, u)
-    ham = assemble_ball(ball, 1.0, smp, u)
+    h = assemble_ball(ball, 1.0, smp, u)
     perm = dec.permutation
-    dev = np.abs(ham.matrix[np.ix_(perm, perm)] - dec.reassembled()).max()
+    dev = np.abs(h[np.ix_(perm, perm)] - dec.reassembled()).max()
     assert dev <= 1e-12
     assert dec.coupling_norm <= dec.coupling_norm_bound
     assert dec.coupling_norm_bound == pytest.approx(
@@ -164,8 +200,8 @@ def test_decouple_zero_interaction_tensor_spectrum():
     _, split = classify_interactivity(ball)
     dec = decouple(ball, split, 2.0, smp, ZERO_INTERACTION)
     assert np.abs(dec.coupling).max() == 0.0
-    lam_p = np.linalg.eigvalsh(dec.h_prime.matrix)
-    lam_s = np.linalg.eigvalsh(dec.h_second.matrix)
+    lam_p = np.linalg.eigvalsh(dec.h_prime)
+    lam_s = np.linalg.eigvalsh(dec.h_second)
     sums = np.sort((lam_p[:, None] + lam_s[None, :]).ravel())
     full = np.linalg.eigvalsh(dec.reassembled())
     assert np.abs(full - sums).max() < 1e-10
@@ -180,9 +216,9 @@ def test_decouple_kron_eigenvalue_sum_oracle_2x2():
     kind, split = classify_interactivity(ball)
     assert kind == "WI"
     dec = decouple(ball, split, 1.0, smp, ZERO_INTERACTION)
-    assert len(dec.h_prime.volume) == 2 and len(dec.h_second.volume) == 2
-    lam_p = np.linalg.eigvalsh(dec.h_prime.matrix)
-    lam_s = np.linalg.eigvalsh(dec.h_second.matrix)
+    assert len(dec.h_prime) == 2 and len(dec.h_second) == 2
+    lam_p = np.linalg.eigvalsh(dec.h_prime)
+    lam_s = np.linalg.eigvalsh(dec.h_second)
     ni = dec.noninteracting_matrix()
     assert np.abs(
         np.sort(np.linalg.eigvalsh(ni)) - np.sort((lam_p[:, None] + lam_s[None, :]).ravel())

@@ -10,7 +10,7 @@ from mpmsa.configspace import MultiBall
 from mpmsa.disorder import sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import spectral_window
+from mpmsa.hamiltonian import VolumeOperator, spectral_window
 from mpmsa.induction import (
     EnergyIntervalCover,
     _overlaps,
@@ -24,7 +24,7 @@ from mpmsa.induction import (
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.spectral import BallOperators, BoundaryProfile, boundary_profile, eigendecompose
 
-from helpers import ZERO_INTERACTION, _rational, assemble_ball, covered, rational_deriv, sublevel_cover, total_length
+from helpers import ZERO_INTERACTION, DenseOperator, _rational, covered, rational_deriv, sublevel_cover, total_length
 
 DIST = uniform_distribution(0, 1)
 
@@ -70,7 +70,7 @@ def _ball_cover_setup(seed, graph_spec="path:13", center=(6,), radius=4, g_amp=2
     cert = certify_growth(g, 1.0, 12)
     smp = sample_potential(DIST, g, seed)
     ball = MultiBall(g, center, radius)
-    spec = eigendecompose(assemble_ball(ball, g_amp, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator.from_ball(ball, ZERO_INTERACTION), g_amp, smp)
     window = spectral_window(g, len(center), g_amp, DIST.sup_abs, ZERO_INTERACTION)
     return g, cert, ball, spec, window
 
@@ -88,15 +88,13 @@ def test_cover_validated_by_dense_grid():
 
 
 def test_cover_shift_covariance():
-    from mpmsa.hamiltonian import HamiltonianMatrix
-
     g, cert, ball, spec, window = _ball_cover_setup(9)
     level = 0.02
     cover = sublevel_cover(spec, cert, level, window)
     t = 0.41
-    ham = assemble_ball(ball, 2.0, sample_potential(DIST, g, 9), ZERO_INTERACTION)
-    sh = HamiltonianMatrix(ham.volume, ham.matrix + t * np.eye(len(ham.volume)), ham.runs)
-    cover_t = sublevel_cover(eigendecompose(sh), cert, level, (window[0] + t, window[1] + t))
+    op = spec.volume
+    shifted = DenseOperator(op, op.hamiltonian(2.0, sample_potential(DIST, g, 9)) + t * np.eye(len(op)))
+    cover_t = sublevel_cover(eigendecompose(shifted, 2.0, None), cert, level, (window[0] + t, window[1] + t))
     assert cover_t.count == cover.count
     for (a, b), (at, bt) in zip(cover.intervals, cover_t.intervals):
         assert abs(at - (a + t)) <= 1e-10
@@ -189,8 +187,8 @@ def test_sup_min_twin_balls_shared_spectrum():
     smp = sample_potential(DIST, g, 11)
     ball_x = MultiBall(g, (3,), 3)
     ball_y = MultiBall(g, (15,), 3)
-    spec_x = eigendecompose(assemble_ball(ball_x, 0.0, smp, ZERO_INTERACTION))
-    spec_y = eigendecompose(assemble_ball(ball_y, 0.0, smp, ZERO_INTERACTION))
+    spec_x = eigendecompose(VolumeOperator.from_ball(ball_x, ZERO_INTERACTION), 0.0, smp)
+    spec_y = eigendecompose(VolumeOperator.from_ball(ball_y, ZERO_INTERACTION), 0.0, smp)
     assert np.abs(spec_x.eigenvalues - spec_y.eigenvalues).max() < 1e-12
     window = spectral_window(g, 1, 0.0, DIST.sup_abs, ZERO_INTERACTION)
     res = sup_min_functional(spec_x, spec_y, cert, 1e-6, window)
@@ -211,8 +209,8 @@ def test_sup_min_distant_strong_disorder_rarely_exceeds():
         smp = sample_potential(DIST, g, 5000 + seed)
         ball_x = MultiBall(g, (6,), radius)
         ball_y = MultiBall(g, (23,), radius)
-        sx = eigendecompose(assemble_ball(ball_x, 1e3, smp, ZERO_INTERACTION))
-        sy = eigendecompose(assemble_ball(ball_y, 1e3, smp, ZERO_INTERACTION))
+        sx = eigendecompose(VolumeOperator.from_ball(ball_x, ZERO_INTERACTION), 1e3, smp)
+        sy = eigendecompose(VolumeOperator.from_ball(ball_y, ZERO_INTERACTION), 1e3, smp)
         res = sup_min_functional(sx, sy, cert, level, window)
         hits += int(res.exceeded)
     assert hits / trials <= 0.1  # mechanism of the variable-energy bound

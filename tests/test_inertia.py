@@ -14,7 +14,6 @@ from mpmsa.graphs import build_graph
 from mpmsa.hamiltonian import (
     MIN_BLOCK_ROWS,
     LayerPartition,
-    VolumeIndex,
     VolumeOperator,
     layer_blocks,
 )
@@ -51,7 +50,7 @@ def _operator(spec, center, radius, interaction=ZERO_INTERACTION, layered=False)
 
 def _oracle(op, g, sample, shifts):
     """Eigenvalues below each shift, from the full eigvalsh spectrum."""
-    lam = np.linalg.eigvalsh(op.hamiltonian(g, sample).matrix)
+    lam = np.linalg.eigvalsh(op.hamiltonian(g, sample))
     return lam, np.searchsorted(lam, shifts)
 
 
@@ -80,7 +79,7 @@ def test_counts_equal_eigvalsh_or_are_none(case):
     spec, center, radius, interaction, g, seed, picks, layered = case
     op = _operator(spec, center, radius, interaction, layered)
     event(f"{min(len(op.partition().blocks), 3)}+ blocks")
-    sample = sample_potential(DIST, op.volume.graph, seed)
+    sample = sample_potential(DIST, op.graph, seed)
     lam, _ = _oracle(op, g, sample, [])
     shifts = [lam[min(int(u * len(lam)), len(lam) - 1)] + offset for u, offset in picks]
     _, oracle = _oracle(op, g, sample, shifts)
@@ -96,8 +95,8 @@ def test_counts_equal_eigvalsh_or_are_none(case):
 def test_multi_block_counts_near_eigenvalues(spec, center, radius, g):
     op = _operator(spec, center, radius, InteractionPotential(1.0, 0.5), layered=True)
     assert len(op.partition().blocks) >= 3
-    sample = sample_potential(DIST, op.volume.graph, 17)
-    lam = np.linalg.eigvalsh(op.hamiltonian(g, sample).matrix)
+    sample = sample_potential(DIST, op.graph, 17)
+    lam = np.linalg.eigvalsh(op.hamiltonian(g, sample))
     # half-way between neighbours the count is decided; within 1e-12 of an
     # eigenvalue it is the oracle's or undetermined
     gaps = np.diff(lam)
@@ -114,8 +113,8 @@ def test_multi_block_counts_near_eigenvalues(spec, center, radius, g):
 def test_single_block_volume_counts_its_eigvalsh_spectrum():
     op = _operator("path:9", (4,), 4)
     assert len(op.partition().blocks) == 1
-    sample = sample_potential(DIST, op.volume.graph, 3)
-    lam = np.linalg.eigvalsh(op.hamiltonian(1.0, sample).matrix)
+    sample = sample_potential(DIST, op.graph, 3)
+    lam = np.linalg.eigvalsh(op.hamiltonian(1.0, sample))
     assert inertia(op, 1.0, sample, [lam[0] - 1.0, lam[4] + 1e-3, lam[-1] + 1.0]).tolist() == [0, 5, 9]
     assert inertia(op, 1.0, sample, [lam[4]]) is None
 
@@ -125,7 +124,7 @@ def test_single_block_volume_counts_its_eigvalsh_spectrum():
 def test_partition_covers_the_volume_and_is_block_tridiagonal(spec, center, radius, layered):
     op = _operator(spec, center, radius, layered=layered)
     part = op.partition()
-    block_of = np.full(len(op.volume), -1)
+    block_of = np.full(len(op), -1)
     for k, block in enumerate(part.blocks):
         assert (np.diff(block) > 0).all()
         assert (block_of[block] == -1).all()  # each position in one block only
@@ -136,7 +135,7 @@ def test_partition_covers_the_volume_and_is_block_tridiagonal(spec, center, radi
     if len(part.blocks) > 1:
         assert min(map(len, part.blocks)) >= MIN_BLOCK_ROWS
     # the blocks put together are H off its diagonal
-    h = op.hamiltonian(1.0, sample_potential(DIST, op.volume.graph, 1)).matrix
+    h = op.hamiltonian(1.0, sample_potential(DIST, op.graph, 1))
     rebuilt = np.zeros_like(h)
     for k, block in enumerate(part.blocks):
         rebuilt[np.ix_(block, block)] = part.hopping[k]
@@ -168,13 +167,13 @@ def test_cost_rule_keeps_layers_only_for_large_volumes():
 def test_partition_of_a_disconnected_volume():
     graph = _graph("path:40")
     configs = [(x,) for x in list(range(0, 20)) + list(range(22, 40))]
-    op = VolumeOperator(VolumeIndex(graph, configs), ZERO_INTERACTION)
+    op = VolumeOperator(graph, configs, ZERO_INTERACTION)
     op._partition = LayerPartition.from_blocks(op, layer_blocks(op))
     part = op.partition()
     assert len(part.blocks) == 2
     assert sorted(np.concatenate(part.blocks).tolist()) == list(range(len(configs)))
     sample = sample_potential(DIST, graph, 2)
-    lam = np.linalg.eigvalsh(op.hamiltonian(1.0, sample).matrix)
+    lam = np.linalg.eigvalsh(op.hamiltonian(1.0, sample))
     mids = (lam[:-1] + lam[1:]) / 2
     assert inertia(op, 1.0, sample, mids).tolist() == list(range(1, len(lam)))
 
@@ -189,7 +188,7 @@ def test_partition_is_built_once_per_operator(monkeypatch):
 
     monkeypatch.setattr(LayerPartition, "of", classmethod(counting))
     op = _operator("path:20", (10, 10), 6)
-    sample = sample_potential(DIST, op.volume.graph, 1)
+    sample = sample_potential(DIST, op.graph, 1)
     for shift in (0.5, 1.5):
         inertia(op, 1.0, sample, [shift])
     assert op.partition() is op.partition()

@@ -114,7 +114,7 @@ def test_classify_nonresonant_far_energy():
     g, cert, smp, ball = _setup_ball()
     params = _params()
     mass = MassSchedule(params)
-    lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
+    lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     res, *_ = classify(ball, [lam.max() + 10.0], params, mass, spectra, cert)
     assert res.tolist() == [False]
@@ -124,7 +124,7 @@ def test_classify_resonant_exact_eigenvalue():
     g, cert, smp, ball = _setup_ball()
     params = _params()
     mass = MassSchedule(params)
-    lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION).matrix)
+    lam = np.linalg.eigvalsh(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     res, ns, undetermined, _, _ = classify(ball, [float(lam[3])], params, mass, spectra, cert)
     assert res.tolist() == [True]
@@ -270,8 +270,8 @@ def test_classify_wi_not_fnr_on_resonant_shift():
     ball = MultiBall(g, (2, 33), 4)
     _, split = classify_interactivity(ball)
     dec = decouple(ball, split, 1.0, smp, ZERO_INTERACTION)
-    lam_prime = np.linalg.eigvalsh(dec.h_prime.matrix)
-    mu_second = np.linalg.eigvalsh(dec.h_second.matrix)
+    lam_prime = np.linalg.eigvalsh(dec.h_prime)
+    mu_second = np.linalg.eigvalsh(dec.h_second)
     energy = float(lam_prime[0] + mu_second[0])  # E - lambda' hits Sigma'' exactly
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     flags = classify_wi(ball, energy, params, mass, spectra, cert, sched)
@@ -377,7 +377,7 @@ def test_good_ball_strong_disorder():
 
 
 def test_good_ball_planted_counterexample():
-    from mpmsa.hamiltonian import VolumeIndex
+    from mpmsa.hamiltonian import VolumeOperator
 
     g, cert, params, mass, sched, ball = _good_setup()
     smp = sample_potential(DIST, g, 98)
@@ -386,7 +386,7 @@ def test_good_ball_planted_counterexample():
     # at two centers 20 >= 8*N*L_0 = 16 apart
     for v_center in (12, 32):
         sub = MultiBall(g, (v_center,), 2)
-        lam0 = float(np.linalg.eigvalsh(-laplacian(VolumeIndex.from_ball(sub)))[0])
+        lam0 = float(np.linalg.eigvalsh(-laplacian(VolumeOperator.from_ball(sub, ZERO_INTERACTION)))[0])
         for u in g.ball(v_center, 2):
             smp.values[u] = (energy - lam0 + 1e-8) / 1.0
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
@@ -400,7 +400,7 @@ def test_good_ball_planted_counterexample():
 def test_good_ball_requires_cnr():
     g, cert, params, mass, sched, ball = _good_setup()
     smp = sample_potential(DIST, g, 99)
-    lam = np.linalg.eigvalsh(assemble_ball(ball, 1e4, smp, ZERO_INTERACTION).matrix)
+    lam = np.linalg.eigvalsh(assemble_ball(ball, 1e4, smp, ZERO_INTERACTION))
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1e4)
     rep = is_good(ball, float(lam[5]), params, mass, spectra, cert, sched)
     assert not rep.cnr and not rep.good

@@ -10,7 +10,7 @@ from mpmsa.configspace import Config, MultiBall, rho_s
 from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation, DataError, ResonanceError
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import SYMMETRY_STRIP, HamiltonianMatrix, VolumeIndex, VolumeOperator
+from mpmsa.hamiltonian import VolumeOperator
 from mpmsa.rng import CounterRng
 from mpmsa import spectral
 from mpmsa.spectral import (
@@ -29,25 +29,28 @@ from mpmsa.spectral import (
 
 from helpers import (
     ZERO_INTERACTION,
-    assemble,
     assemble_ball,
     boundary_functional,
+    DenseOperator,
     clusters,
-    dense_hamiltonian,
+    edge_boundary,
     efc_test_function_value,
 )
 
 DIST = uniform_distribution(0, 1)
 
 
-def _matrix_ham(graph, volume_configs, matrix):
-    return dense_hamiltonian(VolumeIndex(graph, volume_configs), np.asarray(matrix, dtype=float))
+def _dense_op(graph, volume_configs, matrix):
+    return DenseOperator(VolumeOperator(graph, volume_configs, ZERO_INTERACTION), matrix)
+
+
+def _dense_spectrum(graph, volume_configs, matrix):
+    return eigendecompose(_dense_op(graph, volume_configs, matrix), 0.0, None)
 
 
 def test_diagonal_matrix_spectrum():
     g = build_graph("path:3")
-    ham = _matrix_ham(g, [(0,), (1,), (2,)], np.diag([3.0, -1.0, 2.0]))
-    spec = eigendecompose(ham)
+    spec = _dense_spectrum(g, [(0,), (1,), (2,)], np.diag([3.0, -1.0, 2.0]))
     assert spec.eigenvalues == pytest.approx([-1.0, 2.0, 3.0])
 
 
@@ -63,9 +66,8 @@ def test_path3_laplacian_closed_form():
     assert expected == pytest.approx([0.0, 1.0, 3.0])
 
     g = build_graph("path:3")
-    vol = VolumeIndex(g, [(i,) for i in range(3)])
-    smp = sample_potential(DIST, g, 0)
-    spec = eigendecompose(assemble(vol, 0.0, smp, ZERO_INTERACTION))
+    op = VolumeOperator(g, [(i,) for i in range(3)], ZERO_INTERACTION)
+    spec = eigendecompose(op, 0.0, sample_potential(DIST, g, 0))
     assert spec.eigenvalues == pytest.approx(expected, abs=1e-12)
 
 
@@ -73,9 +75,9 @@ def test_eigendecompose_contracts():
     g = build_graph("grid:3x3")
     ball = MultiBall(g, (4, 4), 2)
     smp = sample_potential(DIST, g, 5)
-    ham = assemble_ball(ball, 2.0, smp, InteractionPotential(1.0, 0.5))
-    spec = eigendecompose(ham)
-    resid = np.abs(ham.matrix @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max()
+    op = VolumeOperator.from_ball(ball, InteractionPotential(1.0, 0.5))
+    spec = eigendecompose(op, 2.0, smp)
+    resid = np.abs(op.hamiltonian(2.0, smp) @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues).max()
     assert resid <= 1e-9 * max(spec.h_norm, 1.0)
     gram = spec.eigenvectors.T @ spec.eigenvectors
     assert np.abs(gram - np.eye(len(spec.volume))).max() <= 1e-10
@@ -83,7 +85,7 @@ def test_eigendecompose_contracts():
 
 def test_eigendecompose_rejects_nan_eigenvectors(monkeypatch):
     g = build_graph("path:3")
-    ham = _matrix_ham(g, [(0,), (1,), (2,)], np.diag([3.0, -1.0, 2.0]))
+    op = _dense_op(g, [(0,), (1,), (2,)], np.diag([3.0, -1.0, 2.0]))
     real_eigh = np.linalg.eigh
 
     def eigh_with_nan(matrix):
@@ -94,7 +96,7 @@ def test_eigendecompose_rejects_nan_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh_with_nan)
     with pytest.raises(DataError):
-        eigendecompose(ham)
+        eigendecompose(op, 0.0, None)
 
 
 CONTRACT_GRAPHS = ("path:7", "cycle:6", "grid:3x3", "tree:2x2")
@@ -118,91 +120,72 @@ def test_structured_residual_matches_dense_oracle(spec, n, kind, seed):
     interaction = InteractionPotential(1.0, 0.5)
     if kind == "ball":
         center = tuple(int(v) for v in rng.integers(graph.n_vertices, size=n))
-        ham = assemble_ball(MultiBall(graph, center, int(rng.integers(0, 3))), 3.0, smp, interaction)
+        op = VolumeOperator.from_ball(MultiBall(graph, center, int(rng.integers(0, 3))), interaction)
     else:
         assume(graph.n_vertices**n <= 343)
-        volume = VolumeIndex(graph, itertools.product(range(graph.n_vertices), repeat=n), label="full")
-        ham = assemble(volume, 3.0, smp, interaction)
+        op = VolumeOperator(graph, itertools.product(range(graph.n_vertices), repeat=n), interaction)
+    h = op.hamiltonian(3.0, smp)
     # runs read off the matrix are the operator's runs
-    assert dense_hamiltonian(ham.volume, ham.matrix).runs == ham.runs
+    assert DenseOperator(op, h).runs == op.runs
     if kind == "submatrix":
         # a sub-volume with its own operator, as the GRI's W
-        keep = rng.random(len(ham.volume)) < 0.6
-        keep[rng.integers(len(ham.volume))] = True
-        sub = VolumeIndex(graph, [c for c, k in zip(ham.volume.configs, keep) if k])
-        ham = assemble(sub, 3.0, smp, interaction)
+        keep = rng.random(len(op)) < 0.6
+        keep[rng.integers(len(op))] = True
+        op = VolumeOperator(graph, [c for c, k in zip(op.configs, keep) if k], interaction)
     elif kind == "shifted":
-        shift = rng.uniform(-5, 5) * np.eye(len(ham.volume))
-        ham = HamiltonianMatrix(ham.volume, ham.matrix + shift, ham.runs)
+        # a diagonal shift keeps the operator's runs
+        shifted = DenseOperator(op, h + rng.uniform(-5, 5) * np.eye(len(op)))
+        assert shifted.runs == op.runs
+        op = shifted
     elif kind == "weighted":
-        w = rng.choice([1.0, 0.5, -2.0], size=ham.matrix.shape)
+        w = rng.choice([1.0, 0.5, -2.0], size=h.shape)
         w = np.triu(w) + np.triu(w, 1).T
         np.fill_diagonal(w, 1.0)
-        ham = dense_hamiltonian(ham.volume, ham.matrix * w)
-    h = ham.matrix
+        op = DenseOperator(op, h * w)
+    h = op.hamiltonian(3.0, smp)
     m = len(h)
     # the largest off-diagonal row sum, the degree when every entry is -1
     degree = np.abs(h - np.diag(np.diagonal(h))).sum(axis=1).max()
-    spec = eigendecompose(ham)
+    spec = eigendecompose(op, 3.0, smp)
     for lam, vec in (
         (spec.eigenvalues, spec.eigenvectors),
         (rng.uniform(-10, 10, m), rng.uniform(-1, 1, (m, m))),
     ):
         oracle = np.abs(h @ vec - vec * lam).max()
         tol = roundoff_floor(m, np.abs(np.diagonal(h)).max() + np.abs(lam).max() + degree)
-        assert abs(spectral._residual(ham, lam, vec) - oracle) <= tol
+        assert abs(spectral._residual(np.diagonal(h), op.runs, lam, vec) - oracle) <= tol
 
 
 def _two_particle_path(n_vertices: int, g: float, interaction=InteractionPotential(1.0, 0.5)):
+    """The operator of the full two-particle volume of a path, its H at
+    coupling g and the sample."""
     graph = build_graph(f"path:{n_vertices}")
-    volume = VolumeIndex(graph, itertools.product(range(n_vertices), repeat=2), label="full")
-    return assemble(volume, g, sample_potential(DIST, graph, 3), interaction)
+    op = VolumeOperator(graph, itertools.product(range(n_vertices), repeat=2), interaction)
+    smp = sample_potential(DIST, graph, 3)
+    return op, op.hamiltonian(g, smp), smp
 
 
 def test_operator_hamiltonians_share_its_runs():
     graph = build_graph("path:30")
-    volume = VolumeIndex(graph, itertools.product(range(30), repeat=2), label="full")
-    op = VolumeOperator(volume, InteractionPotential(1.0, 0.5))
+    op = VolumeOperator(graph, itertools.product(range(30), repeat=2), InteractionPotential(1.0, 0.5))
     # x2 moves: 30 runs of 29 rows per direction; x1 moves: one run each
     assert len(op.runs) == 62
     assert sum(stop - start for start, stop, _, _ in op.runs) == len(op.edges[0]) == 3480
-    assert op.hamiltonian(50.0, sample_potential(DIST, graph, 1)).runs is op.runs
-
-
-def test_symmetry_check_covers_every_strip():
-    ham = _two_particle_path(12, 5.0)
-    m = len(ham.matrix)
-    assert m > 2 * SYMMETRY_STRIP
-    for i, j in ((0, m - 1), (m - 1, 0), (70, 71), (140, 139), (m - 1, m - 2), (SYMMETRY_STRIP, 3)):
-        h = ham.matrix.copy()
-        h[i, j] += 1e-15
-        HamiltonianMatrix(ham.volume, h, ham.runs)  # within the 1e-14 bound
-        h[i, j] += 1e-13
-        with pytest.raises(DataError, match="not symmetric"):
-            HamiltonianMatrix(ham.volume, h, ham.runs)
+    h = op.hamiltonian(50.0, sample_potential(DIST, graph, 1))
+    assert DenseOperator(op, h).runs == op.runs
 
 
 def test_contracts_reject_nan_in_a_neighbour_row(monkeypatch):
-    ham = _two_particle_path(12, 5.0)  # m = 144: 26 runs and 3 symmetry strips
-    assert len(ham.runs) == 26
-    # the last row of the last run and its neighbour, which lies in the last strip
-    start, stop, offset, _ = ham.runs[-1]
+    op, h, smp = _two_particle_path(12, 5.0)  # m = 144: 26 runs
+    assert len(op.runs) == 26
+    # the last row of the last run and its neighbour
+    start, stop, offset, _ = op.runs[-1]
     i, j = stop - 1, stop - 1 + offset
-    assert j >= 2 * SYMMETRY_STRIP and ham.matrix[i, j] == -1.0
+    assert h[i, j] == -1.0
 
-    h = ham.matrix.copy()
-    h[i, j] = h[j, i] = np.nan
-    with pytest.raises(DataError, match="non-finite"):
-        HamiltonianMatrix(ham.volume, h, ham.runs)
-
-    mutated = HamiltonianMatrix(ham.volume, ham.matrix.copy(), ham.runs)
-    mutated.matrix[i, j] = mutated.matrix[j, i] = np.nan
-    with pytest.raises(DataError, match="non-finite"):
-        eigendecompose(mutated)
-
-    lam, vec = np.linalg.eigh(ham.matrix)
+    lam, vec = np.linalg.eigh(h)
     vec[j, 5] = np.nan
-    assert np.isnan(spectral._residual(ham, lam, vec))
+    assert np.isnan(spectral._residual(np.diagonal(h), op.runs, lam, vec))
     real_eigh = np.linalg.eigh
 
     def eigh_with_nan(matrix):
@@ -212,13 +195,13 @@ def test_contracts_reject_nan_in_a_neighbour_row(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh_with_nan)
     with pytest.raises(DataError, match="residual"):
-        eigendecompose(ham)
+        eigendecompose(op, 5.0, smp)
 
 
 def test_residual_contract_rejects_a_swapped_eigenvalue_pair(monkeypatch):
-    ham = _two_particle_path(12, 5.0)
+    op, h, smp = _two_particle_path(12, 5.0)
     real_eigh = np.linalg.eigh
-    lam = real_eigh(ham.matrix)[0]
+    lam = real_eigh(h)[0]
     gaps = np.diff(lam)
     # the closest pair whose swap is still above the bound 1e-9 max(||H||, 1)
     k = int(np.argmin(np.where(gaps > 1e-7 * np.abs(lam).max(), gaps, np.inf)))
@@ -230,15 +213,15 @@ def test_residual_contract_rejects_a_swapped_eigenvalue_pair(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", swapped)
     with pytest.raises(DataError, match="residual"):
-        eigendecompose(ham)
+        eigendecompose(op, 5.0, smp)
 
 
 def test_gram_contract_rejects_a_non_orthogonal_mix(monkeypatch):
     # g = 0 and no interaction: the two-particle path Laplacian has
     # degenerate pairs, inside which any mix of eigenvectors passes the residual
-    ham = _two_particle_path(12, 0.0, ZERO_INTERACTION)
+    op, h, smp = _two_particle_path(12, 0.0, ZERO_INTERACTION)
     real_eigh = np.linalg.eigh
-    lam = real_eigh(ham.matrix)[0]
+    lam = real_eigh(h)[0]
     k = int(np.argmin(np.diff(lam)))
     assert lam[k + 1] - lam[k] < 1e-12
 
@@ -249,20 +232,19 @@ def test_gram_contract_rejects_a_non_orthogonal_mix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", mixed)
     with pytest.raises(DataError, match="gram"):
-        eigendecompose(ham)
+        eigendecompose(op, 0.0, smp)
 
 
 def test_green_one_by_one():
     g = build_graph("path:3")
-    ham = _matrix_ham(g, [(1,)], [[2.5]])
-    spec = eigendecompose(ham)
+    spec = _dense_spectrum(g, [(1,)], [[2.5]])
     assert green_row(spec, 1.0, (1,))[0] == pytest.approx(1.0 / (2.5 - 1.0))
 
 
 def test_green_two_by_two_closed_form():
     g = build_graph("path:2")
     m = np.array([[1.0, -1.0], [-1.0, 3.0]])
-    spec = eigendecompose(_matrix_ham(g, [(0,), (1,)], m))
+    spec = _dense_spectrum(g, [(0,), (1,)], m)
     e = 0.35
     inv = np.linalg.inv(m - e * np.eye(2))
     for i, x in enumerate([(0,), (1,)]):
@@ -274,19 +256,20 @@ def test_resolvent_identity_columnwise():
     g = build_graph("path:10")
     ball = MultiBall(g, (4,), 4)
     smp = sample_potential(DIST, g, 7)
-    ham = assemble_ball(ball, 1.5, smp, ZERO_INTERACTION)
-    spec = eigendecompose(ham)
+    op = VolumeOperator.from_ball(ball, ZERO_INTERACTION)
+    spec = eigendecompose(op, 1.5, smp)
+    h = op.hamiltonian(1.5, smp)
     e = spec.eigenvalues.max() + 0.5
-    for x in ham.volume.configs:
+    for x in op.configs:
         col = green_row(spec, e, x)
-        unit = np.zeros(len(ham.volume))
-        unit[ham.volume.position(x)] = 1.0
-        assert np.abs((ham.matrix - e * np.eye(len(ham.volume))) @ col - unit).max() <= 1e-9
+        unit = np.zeros(len(op))
+        unit[op.position(x)] = 1.0
+        assert np.abs((h - e * np.eye(len(op))) @ col - unit).max() <= 1e-9
 
 
 def test_resonance_guard():
     g = build_graph("path:3")
-    spec = eigendecompose(_matrix_ham(g, [(0,), (1,), (2,)], np.diag([1.0, 2.0, 3.0])))
+    spec = _dense_spectrum(g, [(0,), (1,), (2,)], np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(ResonanceError) as err:
         green_row(spec, 2.0 + 1e-13, (0,))
     assert err.value.dist_to_spectrum <= 1e-12
@@ -297,7 +280,7 @@ def test_boundary_functional_prefactor_linearity_and_empty():
     cert = certify_growth(g, 1.0, 8)
     smp = sample_potential(DIST, g, 2)
     ball = MultiBall(g, (4,), 2)
-    spec = eigendecompose(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator.from_ball(ball, ZERO_INTERACTION), 1.0, smp)
     e = spec.eigenvalues.max() + 1.0
     f1 = boundary_functional(spec, e, cert)
     doubled = certify_growth(g, 1.0, 8)
@@ -306,7 +289,7 @@ def test_boundary_functional_prefactor_linearity_and_empty():
     assert boundary_functional(spec, e, doubled) == pytest.approx(2 * f1)
 
     whole = MultiBall(g, (4,), 8)
-    spec_whole = eigendecompose(assemble_ball(whole, 1.0, smp, ZERO_INTERACTION))
+    spec_whole = eigendecompose(VolumeOperator.from_ball(whole, ZERO_INTERACTION), 1.0, smp)
     with pytest.raises(ContractViolation):
         boundary_functional(spec_whole, e, cert)
 
@@ -316,7 +299,7 @@ def test_boundary_functional_matches_direct_enumeration():
     cert = certify_growth(g, 1.0, 10)
     smp = sample_potential(DIST, g, 3)
     ball = MultiBall(g, (5,), 3)
-    spec = eigendecompose(assemble_ball(ball, 2.0, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator.from_ball(ball, ZERO_INTERACTION), 2.0, smp)
     e = 0.123
     row = green_row(spec, e, (5,))
     direct = max(abs(row[spec.volume.position(z)]) for z in [(2,), (8,)])
@@ -326,8 +309,7 @@ def test_boundary_functional_matches_direct_enumeration():
 
 def test_efc_diagonal_and_bounds():
     g = build_graph("path:4")
-    ham = _matrix_ham(g, [(i,) for i in range(4)], np.diag([0.3, 1.2, 2.0, 5.5]))
-    spec = eigendecompose(ham)
+    spec = _dense_spectrum(g, [(i,) for i in range(4)], np.diag([0.3, 1.2, 2.0, 5.5]))
     for i in range(4):
         for j in range(4):
             val = efc(spec, (i,), (j,))
@@ -337,8 +319,7 @@ def test_efc_diagonal_and_bounds():
 def test_efc_closed_form_dominates_random_functions():
     g = build_graph("path:6")
     smp = sample_potential(DIST, g, 11)
-    vol = VolumeIndex(g, [(i,) for i in range(6)])
-    spec = eigendecompose(assemble(vol, 2.0, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator(g, [(i,) for i in range(6)], ZERO_INTERACTION), 2.0, smp)
     rng = CounterRng(99)
     x, y = (1,), (4,)
     closed = efc(spec, x, y)
@@ -372,7 +353,7 @@ def test_gri_holds_on_random_instances():
             ball, sub, x, y = random_gri_instance(g, n, rng, max_volume=200)
             smp = sample_potential(DIST, g, 555 + i)
             spec_v = BallSpectra(BallOperators(g, u), smp, 1.0).spectrum(ball)
-            spec_w = eigendecompose(assemble(VolumeIndex(g, sub), 1.0, smp, u))
+            spec_w = eigendecompose(VolumeOperator(g, sub, u), 1.0, smp)
             e = off_spectrum_energy((spec_v, spec_w), window, rng)
             *_, holds = gri_check(spec_v, spec_w, x, y, e)
             assert holds
@@ -385,11 +366,40 @@ def test_gri_degenerate_subset():
     volume = ball.members()
     sub = volume[:-1]
     smp = sample_potential(DIST, g, 6)
-    spec = eigendecompose(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
-    spec_w = eigendecompose(assemble(VolumeIndex(g, sub), 1.0, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator.from_ball(ball, ZERO_INTERACTION), 1.0, smp)
+    spec_w = eigendecompose(VolumeOperator(g, sub, ZERO_INTERACTION), 1.0, smp)
     e = spec.eigenvalues.max() + 0.8
     *_, holds = gri_check(spec, spec_w, sub[0], volume[-1], e)
     assert holds
+
+
+def test_gri_boundary_sum_over_the_edge_boundary_oracle():
+    """The rhs of gri_check, read off V's operator edges, is bit for bit the
+    sum over edge_boundary in its order; a W outside V is refused."""
+    from mpmsa.experiments import off_spectrum_energy, random_gri_instance
+    from mpmsa.hamiltonian import spectral_window
+
+    u = InteractionPotential(1.0, 0.5)
+    for graph_spec, n in [("path:12", 1), ("path:8", 2), ("cycle:9", 1), ("grid:3x4", 1), ("tree:2x3", 2)]:
+        g = build_graph(graph_spec)
+        window = spectral_window(g, n, 1.0, DIST.sup_abs, u)
+        for i in range(5):
+            rng = CounterRng(7000 * n + i)
+            ball, sub, x, y = random_gri_instance(g, n, rng, max_volume=200)
+            smp = sample_potential(DIST, g, 90 + i)
+            spec_v = BallSpectra(BallOperators(g, u), smp, 1.0).spectrum(ball)
+            spec_w = eigendecompose(VolumeOperator(g, sub, u), 1.0, smp)
+            e = off_spectrum_energy((spec_v, spec_w), window, rng)
+            _, rhs, _ = gri_check(spec_v, spec_w, x, y, e)
+            g_v, g_w = green_row(spec_v, e, y), green_row(spec_w, e, x)
+            oracle = 0.0
+            for a, b in edge_boundary(g, ball.members(), sub):
+                oracle += abs(float(g_w[spec_w.volume.position(a)])) * abs(float(g_v[spec_v.volume.position(b)]))
+            assert rhs == oracle, (graph_spec, i)
+    far = next(c for c in itertools.product(range(g.n_vertices), repeat=n) if c not in spec_v.volume)
+    outside = eigendecompose(VolumeOperator(g, [*sub, far], u), 1.0, smp)
+    with pytest.raises(ContractViolation, match="subset"):
+        gri_check(spec_v, outside, x, y, e)
 
 
 @dataclass(frozen=True)
@@ -450,9 +460,8 @@ def localization_profile(spec: SpectralData, floor: float = 1e-14) -> Localizati
 
 def test_localization_profile_strong_disorder():
     g = build_graph("path:20")
-    vol = VolumeIndex(g, [(i,) for i in range(20)])
     smp = sample_potential(DIST, g, 31)
-    spec = eigendecompose(assemble(vol, 1e3, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator(g, [(i,) for i in range(20)], ZERO_INTERACTION), 1e3, smp)
     prof = localization_profile(spec)
     masses = prof.masses()
     assert np.all(masses[np.isfinite(masses)] > 0)
@@ -461,16 +470,14 @@ def test_localization_profile_strong_disorder():
 
 def test_localization_profile_point_support():
     g = build_graph("path:4")
-    ham = _matrix_ham(g, [(i,) for i in range(4)], np.diag([1.0, 2.0, 3.0, 4.0]))
-    prof = localization_profile(eigendecompose(ham))
+    prof = localization_profile(_dense_spectrum(g, [(i,) for i in range(4)], np.diag([1.0, 2.0, 3.0, 4.0])))
     assert all(f.point_support for f in prof.fits)
 
 
 def test_localization_profile_extended_state():
     g = build_graph("cycle:12")
-    vol = VolumeIndex(g, [(i,) for i in range(12)])
     smp = sample_potential(DIST, g, 1)
-    spec = eigendecompose(assemble(vol, 0.0, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator(g, [(i,) for i in range(12)], ZERO_INTERACTION), 0.0, smp)
     prof = localization_profile(spec)
     ground = prof.fits[0]  # constant eigenfunction of the cycle Laplacian
     assert abs(ground.mass) < 1e-8
@@ -480,7 +487,7 @@ def test_parseval_per_configuration():
     g = build_graph("grid:3x3")
     ball = MultiBall(g, (4, 2), 1)
     smp = sample_potential(DIST, g, 8)
-    spec = eigendecompose(assemble_ball(ball, 1.0, smp, InteractionPotential(0.5, 1.0)))
+    spec = eigendecompose(VolumeOperator.from_ball(ball, InteractionPotential(0.5, 1.0)), 1.0, smp)
     sums = (spec.eigenvectors**2).sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-10
 
@@ -490,9 +497,9 @@ def test_ball_spectra_solves_each_ball_once(monkeypatch):
     smp = sample_potential(DIST, g, 4)
     solves = []
 
-    def counting(ham):
-        solves.append(ham.volume.configs)
-        return eigendecompose(ham)
+    def counting(op, g, sample):
+        solves.append(op.configs)
+        return eigendecompose(op, g, sample)
 
     monkeypatch.setattr(spectral, "eigendecompose", counting)
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.5)
@@ -501,7 +508,7 @@ def test_ball_spectra_solves_each_ball_once(monkeypatch):
     again = [spectra.spectrum(MultiBall(g, b.center, b.radius)) for b in reversed(balls)]
     assert len(solves) == len(balls) == len(set(solves))
     assert all(a is b for a, b in zip(first, reversed(again)))
-    direct = eigendecompose(assemble_ball(balls[1], 1.5, smp, ZERO_INTERACTION))
+    direct = eigendecompose(VolumeOperator.from_ball(balls[1], ZERO_INTERACTION), 1.5, smp)
     assert np.array_equal(first[1].eigenvalues, direct.eigenvalues)
     assert np.array_equal(first[1].eigenvectors, direct.eigenvectors)
     with pytest.raises(ContractViolation):
@@ -520,14 +527,14 @@ def test_ball_operators_shared_by_racing_threads():
     balls = [MultiBall(g, (c, c + 3), 2) for c in (4, 10, 16)]
     samples = [sample_potential(DIST, g, seed) for seed in range(4)]
     expected = {
-        (b.center, smp.seed): assemble_ball(b, 1.5, smp, u).matrix for b in balls for smp in samples
+        (b.center, smp.seed): assemble_ball(b, 1.5, smp, u) for b in balls for smp in samples
     }
     operators = BallOperators(g, u)
     jobs = [(b, smp) for _ in range(8) for b in balls for smp in samples]
 
     def one(job):
         ball, smp = job
-        return BallSpectra(operators, smp, 1.5).hamiltonian(ball).matrix
+        return operators.operator(ball).hamiltonian(1.5, smp)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -545,14 +552,14 @@ def test_ns_flags_guard_and_empty_boundary():
     cert = certify_growth(g, 1.0, 8)
     smp = sample_potential(DIST, g, 11)
     ball = MultiBall(g, (4,), 2)
-    spec = eigendecompose(assemble_ball(ball, 1.0, smp, ZERO_INTERACTION))
+    spec = eigendecompose(VolumeOperator.from_ball(ball, ZERO_INTERACTION), 1.0, smp)
     lam = spec.eigenvalues
     energies = np.asarray([lam[0], lam[0] + 1e-6, lam.max() + 1e6])
     ns, undetermined = ns_flags(spec, cert, energies, threshold=1e-3)
     assert undetermined.tolist() == [True, False, False]
     assert ns.tolist() == [False, False, True]
     whole = MultiBall(g, (4,), 8)  # exhausts the graph: no inner boundary
-    spec_whole = eigendecompose(assemble_ball(whole, 1.0, smp, ZERO_INTERACTION))
+    spec_whole = eigendecompose(VolumeOperator.from_ball(whole, ZERO_INTERACTION), 1.0, smp)
     ns, undetermined = ns_flags(spec_whole, cert, spec_whole.eigenvalues[:2], 1e-3)
     assert ns.all() and not undetermined.any()
 
@@ -570,7 +577,7 @@ def test_ns_flags_rejects_a_spectrum_of_another_ball():
     from mpmsa.experiments import random_gri_instance
 
     _, sub, _, _ = random_gri_instance(g, 1, CounterRng(5))
-    spec_w = eigendecompose(assemble(VolumeIndex(g, sub), 1.0, spectra.sample, ZERO_INTERACTION))
+    spec_w = eigendecompose(VolumeOperator(g, sub, ZERO_INTERACTION), 1.0, spectra.sample)
     assert spec_w.volume.ball is None
     with pytest.raises(ContractViolation, match="not one"):
         ns_flags(spec_w, cert, energy, 1e-30)

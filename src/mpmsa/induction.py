@@ -20,13 +20,16 @@ of the derivative zeros ("turn") and of the level crossings ("level") are
 found for all columns at once, along the grid and along the patch.
 
 Only roots that can bound the union are bisected: a turn bracket on which a
-bound keeps |F| below half the level, and a level bracket that lies well
-inside the union of the columns already done, are skipped (`_ball_union`
-says how, and why the union stays the same).  The rest are bisected in
-batches across the columns with the same live poles.  The bisection uses no
-BLAS: it evaluates each bracket's column as a row-wise product with numpy's
-pairwise sum over the column's live poles, so a root's bits depend on its own
-bracket alone, and each bracket stops at float convergence or after 80 steps.
+bound keeps |F| below half the level is skipped.  The level brackets whose
+outside end no column reaches the level at, on the grid, can end the union;
+they are bisected first (the envelope round), and the pieces they prove
+start the union.  Every other level bracket that lies well inside the union
+so far is skipped (`_ball_union` says how, and why the union stays the
+same).  The rest are bisected in batches across the columns with the same
+live poles.  The bisection evaluates each bracket's column as a row-wise
+product with numpy's pairwise sum over the column's live poles (no BLAS
+sum), so a root's bits depend on its own bracket alone, and each bracket
+stops at float convergence or after 80 steps.
 `EnergyIntervalCover.roots` counts per kind of root the brackets bisected and
 skipped and the reciprocal rows formed.  All sampling offsets are anchored to
 the poles and the window, so the construction is translation-covariant under
@@ -131,10 +134,14 @@ def _bisect_batch(p, wt, col, t, power, lo, hi, scratch, counts) -> np.ndarray:
     recip = scratch[: k * n].reshape(k, n)
     c = scratch[k * n : 2 * k * n].reshape(k, n)
     np.take(wt, col, axis=0, out=c, mode="clip")
+    # p_j - E as the rank-2 product [1, E] . [p_j, -1], formed in place: the
+    # bits of the subtraction (see _reciprocals)
+    ones, poles = np.ones((k, 2)), np.stack((p, -np.ones(n)))
 
     def negative(es: np.ndarray, t: np.ndarray) -> np.ndarray:
         r = recip[: es.size]
-        np.subtract(p, es[:, None], out=r)
+        ones[: es.size, 1] = es
+        np.matmul(ones[: es.size], poles, out=r)
         if power == 2:
             np.multiply(r, r, out=r)
         np.divide(1.0, r, out=r)
@@ -318,12 +325,20 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     """The merged segments {|F_col| >= level} of every column.
 
     A zero of F' is skipped where `_turn_skips` bounds |F| below level / 2.
-    The columns join the union in rounds of 1, 2, 4, ... columns, most level
-    brackets first; a level bracket [u, v] (w = v - u) whose [u - w, v + w]
-    lies inside the union of earlier rounds, with margin 2 XTOL + 4 guard,
-    keeps its end outside {|F| >= level} as breakpoint instead of its root.
-    That moves the column's segments only inside the union, so the union's
-    endpoints are the roots every bracket would give."""
+    The envelope round bisects the level brackets whose end outside
+    {|F| >= level} is a grid row where no column reaches the level; on the
+    bench balls none of them lies well inside the final union.  The union
+    starts from the pieces between a column's edges, zeros of F' and those
+    roots that no other level bracket of the column overlaps.  Such a piece
+    is a piece of the column with every bracket bisected, so the starting
+    union lies inside the final one.  The other level brackets follow in rounds
+    of 1, 2, 4, ... columns, most brackets first; a bracket [u, v]
+    (w = v - u) whose [u - w, v + w] lies inside the union so far, with
+    margin 2 XTOL + 4 guard, keeps its end outside {|F| >= level} as
+    breakpoint instead of its root.  That moves the column's segments only
+    inside the union, so the union's endpoints are the roots every bracket
+    would give; and a root's bits depend on its own bracket alone, so the
+    order of the work changes none."""
     poles, weights = columns.poles, columns.weights
     n_cols = weights.shape[1]
     lo_w, hi_w = window
@@ -426,47 +441,92 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     ), axis=1)
     f_pairs = same_gap(f_col, f_pos)
     f_pairs[f_col.size - 3 * r.size + 2 :: 3] = False  # between two split pairs
+    # the grid rows where some column has |F| > level
+    above = (signs[1] > 0).any(axis=1) | (signs[2] < 0).any(axis=1)
     brackets = []
     for pos, sign, pair, col_of in ((grid, signs, pairs, None), (f_pos, f_signs, f_pairs, f_col)):
         for target, z in zip((level, -level), sign[1:]):
             (i, *in_col), below = _changes(z, pair)
             # the end outside {|F| >= level}: F < level, or F > -level
-            outside = np.where(below if target > 0 else ~below, pos[i], pos[i + 1])
-            brackets.append((pos[i], pos[i + 1], np.full(i.size, target), outside, in_col[0] if in_col else col_of[i]))
-    lo, hi, target, outside, lcol = (np.concatenate(v) for v in zip(*brackets))
+            out = np.where(below if target > 0 else ~below, i, i + 1)
+            col = in_col[0] if in_col else col_of[i]
+            envelope = ~above[out] if col_of is None else np.zeros(i.size, dtype=bool)
+            brackets.append((col, pos[i], pos[i + 1], np.full(i.size, target), pos[out], envelope))
+    # ordered by column, so that the searches below run along the keys
+    by_col = np.argsort(np.concatenate([b[0] for b in brackets]), kind="stable")
+    lcol, lo, hi, target, crossings, envelope = (np.concatenate(v)[by_col] for v in zip(*brackets))
+    del signs, pairs, brackets  # the sign planes are done with: a lower peak in the rounds
 
-    # rounds of 1, 2, 4, ... columns, most level brackets first
-    order = np.argsort(-np.bincount(lcol, minlength=n_cols), kind="stable")
+    # the envelope round: a root can end the union only where no column
+    # reaches the level at its bracket's outside end.  The grid brackets
+    # whose outside row shows none are bisected first.  A patch point or a
+    # zero of F' has no signs of the other columns; on the bench balls 56 of
+    # the 60 brackets per ball that end there lie well inside the union.  The
+    # union starts from the pieces between the known breakpoints (edges,
+    # zeros of F' and those roots) that no other bracket of their column
+    # overlaps: pieces of the final cover.
+    first, rest = np.flatnonzero(envelope), np.flatnonzero(~envelope)
+    crossings[first] = columns.bisect(lcol[first], target[first], 1, lo[first], hi[first], roots["level"])
+    e_col, e_at = np.nonzero(~dead_edge.T)
+    k_key = np.sort(_keys(np.concatenate((e_col, dz_col, lcol[first])),
+                          np.concatenate((edges[e_at], dz, crossings[first]))))
+    # the pieces (k_i, k_i+1) that a bracket [lo, hi] overlaps: k_i < hi and k_i+1 > lo
+    a = np.searchsorted(k_key, _keys(lcol[rest], lo[rest]), side="right") - 1
+    b = np.maximum(np.searchsorted(k_key, _keys(lcol[rest], hi[rest])) - 1, a)
+    blocked = np.cumsum(np.bincount(a, minlength=k_key.size) - np.bincount(b + 1, minlength=k_key.size + 1)[:-1]) > 0
+    union = _union_of_pieces(columns, k_key, ~blocked[:-1], level, guard, [])
+
+    # the rest in rounds of 1, 2, 4, ... columns, most brackets first; a
+    # bracket [u, v] (w = v - u) whose [u - w, v + w] lies inside the union
+    # so far, with margin 2 XTOL + 4 guard, keeps its outside end as
+    # breakpoint.  Then the round's pieces the envelope round left out, those
+    # between its crossings and the known breakpoints, join the union.
+    margin = 2 * XTOL + 4 * guard
+    order = np.argsort(-np.bincount(lcol[rest], minlength=n_cols), kind="stable")
     round_of = np.empty(n_cols, dtype=np.int64)
     round_of[order] = np.frexp(np.arange(1.0, n_cols + 1))[1] - 1
-    margin = 2 * XTOL + 4 * guard
-    union: list[tuple[float, float]] = []
+    k_round = round_of[k_key.real.astype(np.int64)]
     for k in range(int(round_of.max()) + 1):
-        part = np.flatnonzero(round_of[lcol] == k)
-        starts, ends = np.asarray(union).reshape(-1, 2).T
-        skip = _level_skips((starts, ends), lo[part], hi[part], margin)
+        part = rest[round_of[lcol[rest]] == k]
+        skip = _level_skips(np.asarray(union).reshape(-1, 2).T, lo[part], hi[part], margin)
         roots["level"].skipped += int(skip.sum())
-        crossings = outside[part]
         done = part[~skip]
-        crossings[~skip] = columns.bisect(lcol[done], target[done], 1, lo[done], hi[done], roots["level"])
-        # the round's breakpoints per column: edges, crossings and zeros of
-        # F'; a piece between two is in where |F| at its midpoint reaches
-        # the level or the midpoint lies within guard of a pole, and a piece
-        # inside an interval of the union so far cannot change it
-        batch = order[round_of[order] == k]
-        e_col, e_at = np.nonzero(~dead_edge[:, batch].T)
-        b_col = np.concatenate((batch[e_col], lcol[part], dz_col[round_of[dz_col] == k]))
-        b_pos = np.concatenate((edges[e_at], crossings, dz[round_of[dz_col] == k]))
-        keep = np.lexsort((b_pos, b_col))
-        b_col, b_pos = b_col[keep], b_pos[keep]
-        piece = np.flatnonzero((b_col[:-1] == b_col[1:]) & (b_pos[:-1] != b_pos[1:]))
-        a, b = b_pos[piece], b_pos[piece + 1]
-        i = np.searchsorted(starts, a, side="right") - 1
-        piece = piece[(i < 0) | (ends[np.maximum(i, 0)] < b)] if starts.size else piece
-        a, b = b_pos[piece], b_pos[piece + 1]
-        inside = np.abs(columns.values(b_col[piece], 0.5 * (a + b), guard=guard)) >= level
-        union = _merge(np.concatenate((np.column_stack((starts, ends)), np.column_stack((a, b))[inside])), XTOL)
+        crossings[done] = columns.bisect(lcol[done], target[done], 1, lo[done], hi[done], roots["level"])
+        mine = np.flatnonzero(k_round == k)
+        # stable: a known breakpoint comes first on a tie; a piece between
+        # two known ones was judged if no bracket blocked it
+        key = np.concatenate((k_key[mine], _keys(lcol[part], crossings[part])))
+        order = np.argsort(key, kind="stable")
+        known = order < mine.size
+        judged = known[:-1] & known[1:] & ~blocked[mine][np.where(known, order, 0)[:-1]]
+        union = _union_of_pieces(columns, key[order], ~judged, level, guard, union)
     return union
+
+
+def _keys(col: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """(column, position) pairs as complex numbers, which numpy sorts and
+    searches lexicographically: by column, then by position."""
+    key = np.empty(col.size, dtype=np.complex128)
+    key.real, key.imag = col, pos
+    return key
+
+
+def _union_of_pieces(columns: _Columns, key: np.ndarray, todo: np.ndarray, level: float, guard: float, union):
+    """`union` merged with the pieces between consecutive breakpoints of a
+    column, `key` (see _keys) in order, that `todo` marks (one flag per
+    breakpoint but the last).  A piece is in where |F| at its midpoint
+    reaches the level or the midpoint lies within guard of a pole; a piece
+    inside an interval of `union` cannot change it."""
+    col, pos = key.real.astype(np.int64), key.imag
+    piece = np.flatnonzero(todo & (col[:-1] == col[1:]) & (pos[:-1] != pos[1:]))
+    a, b = pos[piece], pos[piece + 1]
+    starts, ends = np.asarray(union).reshape(-1, 2).T
+    if starts.size:
+        i = np.searchsorted(starts, a, side="right") - 1
+        new = (i < 0) | (ends[np.maximum(i, 0)] < b)
+        piece, a, b = piece[new], a[new], b[new]
+    inside = np.abs(columns.values(col[piece], 0.5 * (a + b), guard=guard)) >= level
+    return _merge(np.concatenate((np.column_stack((starts, ends)), np.column_stack((a, b))[inside])), XTOL)
 
 
 def cover_from_profile(
@@ -478,7 +538,7 @@ def cover_from_profile(
     factor in front of the Green entries.  Gaps between poles narrower than
     4 XTOL are not sampled, and segments closer than XTOL are merged.
     """
-    if level <= 0:
+    if not level > 0:  # NaN too
         raise ContractViolation("cover level must be positive")
     poles, weights = cluster_sums(profile.eigenvalues, profile.coefficients)
     live = np.abs(weights) > 0.0

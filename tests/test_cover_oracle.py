@@ -311,11 +311,37 @@ def test_bridge_covers_match_the_bench_reference(tmp_path, monkeypatch):
 
 def test_cover_bisects_only_what_can_bound_the_union():
     """A work guard without timing: bisecting every bracket of the
-    two-particle bench ball in lockstep batches formed 539,746 reciprocal
-    rows; the cover must stay within a quarter of that."""
+    two-particle bench ball in lockstep batches forms 539,746 reciprocal
+    rows, and skipping against the union of the columns done in rounds
+    50,592.  With the envelope round first the cover forms 25,707 (13,295
+    for zeros of F', 12,412 for level crossings); the bound leaves about
+    9 % above that."""
     prof, level, window = _two_particle_ball()
     cover = cover_from_profile(prof, level, window)
-    assert sum(counts.rows for counts in cover.roots.values()) <= 135_000
+    assert sum(counts.rows for counts in cover.roots.values()) <= 28_000
+
+
+@pytest.mark.parametrize("center", ["7,9", "28,31"])
+def test_envelope_round_bisects_only_brackets_the_final_union_needs(center):
+    """Every level bracket of the envelope round (the first bisection of
+    level crossings) fails the skip test against the final cover: the round
+    orders the work and adds none."""
+    prof, level, window = _two_particle_ball(center=center)
+    calls = []
+    plain = induction._Columns.bisect
+
+    def recording(self, col, t, power, lo, hi, counts):
+        if power == 1:
+            calls.append((lo.copy(), hi.copy()))
+        return plain(self, col, t, power, lo, hi, counts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induction._Columns, "bisect", recording)
+        cover = cover_from_profile(prof, level, window)
+    lo, hi = calls[0]
+    union = np.asarray(cover.intervals).T
+    margin = 2 * induction.XTOL + 4 * induction.RESOLVENT_GUARD
+    assert lo.size > 0 and not induction._level_skips(union, lo, hi, margin).any()
 
 
 def test_cover_counts_the_rows_of_plain_bisection():

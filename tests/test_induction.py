@@ -65,6 +65,14 @@ def test_cover_empty_when_level_above_max():
     assert cover.count == 0 and total_length(cover) == 0.0
 
 
+@pytest.mark.parametrize("level", [0.0, -1.0, math.nan])
+def test_cover_level_must_be_positive(level):
+    """A NaN level used to pass the check and give an empty cover."""
+    profile = BoundaryProfile(eigenvalues=np.asarray([0.0]), coefficients=np.asarray([[0.5]]), prefactor=1.0)
+    with pytest.raises(ContractViolation, match="positive"):
+        cover_from_profile(profile, level, (-1.0, 1.0))
+
+
 def _ball_cover_setup(seed, graph_spec="path:13", center=(6,), radius=4, g_amp=2.0):
     g = build_graph(graph_spec)
     cert = certify_growth(g, 1.0, 12)

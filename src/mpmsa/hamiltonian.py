@@ -204,8 +204,9 @@ def layer_blocks(op: VolumeOperator) -> list[np.ndarray]:
         while frontier.size:
             layer[frontier] = len(layers)
             layers.append(frontier)
-            reached = cols[layer[rows] == len(layers) - 1]
-            frontier = np.unique(reached[layer[reached] < 0])
+            fresh = np.zeros(len(op), dtype=bool)
+            fresh[cols[layer[rows] == len(layers) - 1]] = True
+            frontier = np.flatnonzero(fresh & (layer < 0))
     blocks: list[np.ndarray] = []
     for positions in layers:
         if blocks and len(blocks[-1]) < MIN_BLOCK_ROWS:

@@ -59,6 +59,8 @@ from .spectral import (
     BallSpectra,
     BoundaryProfile,
     SpectralData,
+    _difference_factors,
+    _differences,
     _reciprocals,
     boundary_profile,
     cluster_sums,
@@ -135,8 +137,8 @@ def _bisect_batch(p, wt, col, t, power, lo, hi, scratch, counts) -> np.ndarray:
     c = scratch[k * n : 2 * k * n].reshape(k, n)
     np.take(wt, col, axis=0, out=c, mode="clip")
     # p_j - E as the rank-2 product [1, E] . [p_j, -1], formed in place: the
-    # bits of the subtraction (see _reciprocals)
-    ones, poles = np.ones((k, 2)), np.stack((p, -np.ones(n)))
+    # bits of the subtraction (see _difference_factors)
+    ones, poles = _difference_factors(lo, p)
 
     def negative(es: np.ndarray, t: np.ndarray) -> np.ndarray:
         r = recip[: es.size]
@@ -218,8 +220,8 @@ def _turn_skips(
             r = uniq[s : s + size]
             near = scratch[: r.size * poles.size].reshape(r.size, -1)
             other = scratch[r.size * poles.size : 2 * r.size * poles.size].reshape(r.size, -1)
-            np.abs(np.subtract(poles, samples[r, None], out=near), out=near)
-            np.abs(np.subtract(poles, samples[r + 1, None], out=other), out=other)
+            np.abs(_differences(samples[r], poles, near), out=near)
+            np.abs(_differences(samples[r + 1], poles, other), out=other)
             np.divide(1.0, np.minimum(near, other, out=near), out=near)
             np.matmul(near, np.abs(weights), out=bound[s : s + size])
     skip = far.copy()
@@ -278,9 +280,14 @@ class _Columns:
 
     def __init__(self, poles: np.ndarray, weights: np.ndarray):
         self.poles, self.weights = poles, weights
-        sets, kind = np.unique((np.abs(weights) > 0.0).T, axis=0, return_inverse=True)
-        self.kind = kind.ravel()
-        self.classes = [(poles[s], np.ascontiguousarray(weights[s].T)) for s in sets]
+        # a class per distinct live-pole mask, keyed by the mask's packed
+        # bytes and represented by its first column
+        live = (np.abs(weights) > 0.0).T
+        seen = {}
+        first = np.asarray([seen.setdefault(row.tobytes(), c) for c, row in enumerate(np.packbits(live, axis=1))])
+        reps = np.flatnonzero(first == np.arange(first.size))
+        self.kind = np.searchsorted(reps, first)
+        self.classes = [(poles[live[c]], np.ascontiguousarray(weights[live[c]].T)) for c in reps]
         # one buffer for every block of reciprocals and bisection batch,
         # reused in turn: about 1.4 MB at 169 poles, so a block stays in cache
         self.scratch = np.empty(2 * _BLOCK_ROWS * poles.size)
@@ -289,9 +296,10 @@ class _Columns:
         """Per class in `col`: its poles, its (columns x poles) weights and
         the positions in `col` of its columns, ordered by column."""
         kind = self.kind[col]
-        for k in np.unique(kind):
-            at = np.flatnonzero(kind == k)
-            yield *self.classes[k], at[np.argsort(col[at], kind="stable")]
+        order = np.lexsort((col, kind))
+        starts = np.flatnonzero(np.diff(kind[order], prepend=-1))
+        for s, e in zip(starts, np.append(starts[1:], order.size)):
+            yield *self.classes[kind[order[s]]], order[s:e]
 
     def bisect(self, col, t, power, lo, hi, counts: RootCounts) -> np.ndarray:
         t = np.broadcast_to(t, lo.shape)
@@ -303,19 +311,22 @@ class _Columns:
     def values(self, col: np.ndarray, es: np.ndarray, power: int = 1, guard: float | None = None) -> np.ndarray:
         """sum_j w_j / (p_j - E)^power of column col_i at E = es_i, one
         matrix-vector product per run of equal columns; +inf within `guard`
-        of a live pole."""
+        of a live pole.  The differences p_j - E of a run are one rank-2
+        product in `scratch`, its factors formed once per class (see
+        _difference_factors)."""
         out = np.empty(es.size)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for p, wt, at in self._split(col):
                 runs = np.flatnonzero(np.diff(col[at], prepend=-1, append=-1))
                 size = self.scratch.size // p.size
+                ones, poles = _difference_factors(es[at], p)
                 for s, e in zip(runs[:-1], runs[1:]):
                     for b in range(s, e, size):
-                        i = at[b : min(b + size, e)]
-                        r = np.subtract(p, es[i, None], out=self.scratch[: i.size * p.size].reshape(i.size, -1))
+                        part = slice(b, min(b + size, e))
+                        r = np.matmul(ones[part], poles, out=self.scratch[: p.size * (part.stop - b)].reshape(-1, p.size))
                         if power == 2:
                             np.multiply(r, r, out=r)
-                        out[i] = np.divide(1.0, r, out=r) @ wt[col[i[0]]]
+                        out[at[part]] = np.divide(1.0, r, out=r) @ wt[col[at[b]]]
                 if guard is not None:
                     out[at[dist_to_spectrum(p, es[at]) <= guard]] = np.inf
         return out
@@ -347,9 +358,9 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     edges = np.concatenate(([lo_w], poles[inner], [hi_w]))
     samples, gap = _gap_samples(edges[:-1], edges[1:])
     # the grid: the samples, and in between the edges no sample equals
-    new = np.flatnonzero(~np.isin(edges, samples))
-    at = np.searchsorted(samples, edges[new])
-    grid, gap = np.insert(samples, at, edges[new]), np.insert(gap, at, -1)
+    at = np.searchsorted(samples, edges)
+    new = np.flatnonzero(np.append(samples, np.nan)[at] != edges)
+    grid, gap = np.insert(samples, at[new], edges[new]), np.insert(gap, at[new], -1)
 
     # the signs of F', F - level and F + level of every column on the grid,
     # from two matrix products per block of reciprocals, formed in place in
@@ -604,7 +615,8 @@ def sup_min_functional(
 
     points = [np.linspace(window[0], window[1], SUPMIN_GRID_POINTS)]
     points += [np.linspace(lo, hi, SUPMIN_REFINE_POINTS) for lo, hi in _overlaps(cov_x.intervals, cov_y.intervals)]
-    energies = np.unique(np.concatenate(points))
+    energies = np.sort(np.concatenate(points))
+    energies = energies[np.insert(energies[1:] != energies[:-1], 0, True)]
     fx = prof_x.evaluate(energies, guard=RESOLVENT_GUARD)
     fy = prof_y.evaluate(energies, guard=RESOLVENT_GUARD)
     mins = np.minimum(fx, fy)

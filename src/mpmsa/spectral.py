@@ -37,16 +37,30 @@ def dist_to_spectrum(eigenvalues: np.ndarray, energies):
     return np.minimum(np.abs(energies - below), np.abs(above - energies))
 
 
+def _difference_factors(es: np.ndarray, poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors [1, E] (energies x 2) and [p_j, -1] (2 x poles) whose
+    product is the matrix p_j - E: each entry is one rounding of the exact
+    difference, the bits of a subtraction, and BLAS forms them in place some
+    4x faster than a broadcast subtraction allocates them.  One case
+    differs: p_j = -0.0 at E = +0.0 gives +0.0 (the product starts from
+    +0.0), where the subtraction gives -0.0, so its reciprocal is +inf, not
+    -inf."""
+    ones = np.ones((es.size, 2))
+    ones[:, 1] = es
+    return ones, np.stack((poles, -np.ones(poles.size)))
+
+
+def _differences(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
+    """(energies x poles) matrix p_j - E, formed in `out` if given, as the
+    rank-2 product of `_difference_factors`."""
+    return np.matmul(*_difference_factors(es, poles), out=out)
+
+
 def _reciprocals(es: np.ndarray, poles: np.ndarray, out=None) -> np.ndarray:
-    """(energies x poles) matrix 1 / (p_j - E), formed in `out` if given; a
-    pole gives inf.  The differences p_j - E come from the rank-2 product
-    [1, E] . [p_j, -1]: each is one rounding of the exact difference, the bits
-    of a subtraction, and BLAS forms them in place some 4x faster than a
-    broadcast subtraction allocates them."""
-    ones = np.empty((es.size, 2))
-    ones[:, 0], ones[:, 1] = 1.0, es
-    out = np.matmul(ones, np.stack((poles, -np.ones(poles.size))), out=out)
+    """(energies x poles) matrix 1 / (p_j - E), formed in `out` if given,
+    from `_differences`; a pole gives inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = _differences(es, poles, out)
         return np.divide(1.0, out, out=out)
 
 

@@ -490,21 +490,32 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency; the package needs numpy alone, and the
     # thread pool only when more than one worker runs.  A process imports
     # only its own runner's module, so a classify run at one worker loads
-    # neither the pool nor the estimators of the other runners.
-    probe = (
-        "import sys, mpmsa.cli; "
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent') "
-        "or m in ('mpmsa.induction', 'mpmsa.domination', 'mpmsa.evc')); "
-        "print(loaded()); "
-        f"code = mpmsa.cli.main(['classify', '--config', {str(ROOT / 'configs' / 'classify.cfg')!r}, "
-        f"'--out', {str(tmp_path / 'out')!r}]); "
-        "print(code, loaded())"
-    )
+    # neither the pool nor the estimators of the other runners.  numpy.ma is
+    # imported lazily by numpy's plain np.unique and np.isin (10-20 ms and
+    # about 1.3 MB); the same process then runs every shipped config, rcm
+    # last, and names the first kind after which numpy.ma was loaded: rcm,
+    # whose np.quantile loads it.
+    configs = sorted((ROOT / "configs").glob("*.cfg"), key=lambda path: (path.stem == "rcm", path.stem))
+    probe = f"""
+import sys, mpmsa.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')
+                        or m in ('numpy.ma', 'mpmsa.induction', 'mpmsa.domination', 'mpmsa.evc'))
+print(loaded())
+code = mpmsa.cli.main(['classify', '--config', {str(ROOT / 'configs' / 'classify.cfg')!r}, '--out', {str(tmp_path / 'out')!r}])
+print(code, loaded())
+codes, first = [], None
+for kind, path in {[(path.stem, str(path)) for path in configs]!r}:
+    codes.append(mpmsa.cli.main([kind, '--config', path, '--out', {str(tmp_path)!r} + '/' + kind]))
+    first = first or ('numpy.ma' in sys.modules and kind)
+print(codes, first, [m for m in loaded() if m.split('.')[0] in ('scipy', 'concurrent')])
+"""
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(MPMSA_THREADS="1"),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[2] == "0 []"
+    assert lines[-1] == f"{[0] * len(configs)} rcm []"
 
 
 def test_runner_table_names_every_subcommand_and_resolves():

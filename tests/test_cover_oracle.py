@@ -380,6 +380,88 @@ def test_skipped_turns_stay_below_level_on_the_bench_ball():
     assert _assert_skipped_turns_stay_below_level(seen) == cover.roots["turn"].skipped > 0
 
 
+def _values_by_subtraction(columns, col, es, power):
+    """`_Columns.values` without a guard, with p_j - E from a broadcast
+    subtraction: per column, its points in order, in blocks of the rows the
+    scratch buffer holds."""
+    out = np.empty(es.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for c in np.unique(col):
+            p, wt = columns.classes[columns.kind[c]]
+            at = np.flatnonzero(col == c)
+            size = columns.scratch.size // p.size
+            for b in range(0, at.size, size):
+                i = at[b : b + size]
+                r = np.subtract(p, es[i, None])
+                if power == 2:
+                    r = r * r
+                out[i] = (1.0 / r) @ wt[c]
+    return out
+
+
+def test_rank2_differences_keep_the_bits_of_the_subtraction_on_the_bench_ball():
+    """Every `_Columns.values` and `_turn_skips` call of a bench ball's cover
+    equals its form with p_j - E from a broadcast subtraction: the values
+    bit for bit, the skips flag for flag, and the |p_j - s| the skip bound is
+    formed from bit for bit at every sample."""
+    prof, level, window = _two_particle_ball()
+    values, turns = [], []
+    plain_values, plain_turns = induction._Columns.values, induction._turn_skips
+
+    def recording_values(self, col, es, power=1, guard=None):
+        got = plain_values(self, col, es, power)
+        values.append((self, col, es, power, got))
+        return plain_values(self, col, es, power, guard)
+
+    def recording_turns(*args):
+        turns.append((args, plain_turns(*args)))
+        return turns[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(induction._Columns, "values", recording_values)
+        mp.setattr(induction, "_turn_skips", recording_turns)
+        cover_from_profile(prof, level, window)
+    assert len(values) > 5 and len(turns) == 1
+    for columns, col, es, power, got in values:
+        assert _same_bits(got, _values_by_subtraction(columns, col, es, power))
+    (poles, weights, samples, rows, cols, entry_level, guard, scratch), skip = turns[0]
+    far = (induction.dist_to_spectrum(poles, samples[rows]) > 4 * guard) & (
+        induction.dist_to_spectrum(poles, samples[rows + 1]) > 4 * guard)
+    near = np.minimum(np.abs(poles - samples[rows[far], None]), np.abs(poles - samples[rows[far] + 1, None]))
+    bound = (1.0 / near @ np.abs(weights))[np.arange(near.shape[0]), cols[far]]
+    want = far.copy()
+    want[far] = bound < 0.5 * entry_level
+    assert skip.any() and (~skip).any() and np.array_equal(skip, want)
+    assert _same_bits(np.abs(induction._differences(samples, poles)), np.abs(poles - samples[:, None]))
+
+
+def test_column_classes_equal_the_unique_rows_of_the_live_masks():
+    """The columns grouped by the packed bytes of their live-pole masks form
+    the partition of np.unique(axis=0) over the masks, with the same live
+    poles and weights per class: 13 poles (two packed bytes, the second
+    padded), an all-live column, a column with one live pole, masks that
+    differ only past the eighth pole, and the bench ball's columns."""
+    rng = np.random.default_rng(5)
+    poles = np.sort(rng.normal(size=13))
+    masks = [np.ones(13, bool), np.eye(13, dtype=bool)[4], np.eye(13, dtype=bool)[12]]
+    masks += [np.r_[np.ones(8, bool), np.eye(5, dtype=bool)[j]] for j in range(5)]
+    masks += list(rng.random((6, 13)) < 0.7)
+    cols = rng.permutation(masks + masks[::2] + masks[1::3])
+    cases = [(poles, np.where(np.asarray(cols).T, rng.normal(size=(13, len(cols))), 0.0))]
+    prof = _two_particle_ball()[0]
+    cases.append(cluster_sums(prof.eigenvalues, prof.coefficients))
+    for poles, weights in cases:
+        columns = induction._Columns(poles, weights)
+        live = np.abs(weights) > 0.0
+        sets, kind = np.unique(live.T, axis=0, return_inverse=True)
+        kind = kind.ravel()
+        assert len(columns.classes) == len(sets) > 1
+        assert np.array_equal(columns.kind[:, None] == columns.kind, kind[:, None] == kind)
+        for c in range(weights.shape[1]):
+            p, wt = columns.classes[columns.kind[c]]
+            assert _same_bits(p, poles[sets[kind[c]]]) and _same_bits(wt[c], weights[sets[kind[c]], c])
+
+
 # ---------------------------------------------------------------------------
 # Random rational profiles
 

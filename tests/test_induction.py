@@ -22,7 +22,7 @@ from mpmsa.induction import (
     sup_min_functional,
 )
 from mpmsa.msa import MassSchedule, ParameterSet, scales
-from mpmsa.spectral import BallOperators, BoundaryProfile, boundary_profile, eigendecompose
+from mpmsa.spectral import BallOperators, BoundaryProfile, _reciprocals, boundary_profile, eigendecompose
 
 from helpers import ZERO_INTERACTION, DenseOperator, _rational, covered, rational_deriv, sublevel_cover, total_length
 
@@ -323,3 +323,24 @@ def test_reciprocals_next_to_a_pole_warn_nothing():
         assert _rational(es, poles, w)[0] == -math.inf
         assert rational_deriv(es, poles, w)[0] == math.inf
         assert profile.green_values(-es)[0, 0] == math.inf
+
+
+def test_reciprocals_equal_the_subtraction_bit_for_bit():
+    """The rank-2 product [1, E] . [p_j, -1] gives the bits of 1 / (p_j - E)
+    on random, subnormal, huge and exact-pole inputs, signed zeros and infs
+    included; the one exception is p_j = -0.0 at E = +0.0 (+inf, not -inf)."""
+    rng = np.random.default_rng(22)
+    tiny, huge = 5e-324, np.finfo(np.float64).max
+    poles = np.concatenate((
+        rng.normal(size=40) * 10.0 ** rng.integers(-12, 12, 40),
+        [tiny, -tiny, 3 * tiny, 2.2e-308, -2.2e-308, huge, -huge, 1e308, 0.5 * huge, 0.0, 1.0, -1.0],
+    ))
+    es = np.concatenate((rng.normal(size=40) * 10.0 ** rng.integers(-12, 12, 40), poles, -poles))
+    got = _reciprocals(es, poles)
+    minus_zero = np.asarray([-0.0])
+    with np.errstate(divide="ignore", over="ignore"):
+        want = 1.0 / (poles - es[:, None])
+        assert 1.0 / (minus_zero - 0.0)[0] == -np.inf
+    assert (got == np.inf).sum() >= poles.size and (got == -np.inf).any() and (got == 0.0).any()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert _reciprocals(np.zeros(1), minus_zero)[0, 0] == np.inf

@@ -89,25 +89,10 @@ def parse_distribution_spec(spec: str) -> PotentialDistribution:
     return build(*numbers)
 
 
-class DisorderSample(NamedTuple):
-    """One realization of the external potential over a graph's vertices."""
-
-    values: np.ndarray
-    seed: int
-    distribution: PotentialDistribution
-    graph_name: str
-
-    def shifted_on(self, vertices, t: float) -> "DisorderSample":
-        """Sample with V + t * indicator(vertices); used by spectral-shift checks."""
-        vals = self.values.copy()
-        vals[np.asarray(sorted(vertices), dtype=np.int64)] += t
-        return DisorderSample(vals, self.seed, self.distribution, self.graph_name + "+shift")
-
-
-def sample_potential(dist: PotentialDistribution, graph: Graph, seed: int) -> DisorderSample:
-    """One independent draw per vertex of the graph."""
-    values = dist.sample_values(seed, graph.n_vertices)
-    return DisorderSample(values=values, seed=seed, distribution=dist, graph_name=graph.name)
+def sample_potential(dist: PotentialDistribution, graph: Graph, seed: int) -> np.ndarray:
+    """One independent draw per vertex of the graph: a disorder sample is
+    the array of the potential's values."""
+    return dist.sample_values(seed, graph.n_vertices)
 
 
 class InteractionPotential(

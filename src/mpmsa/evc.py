@@ -13,10 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .configspace import MultiBall, SeparationCertificate, rho_s
-from .disorder import DisorderSample, PotentialDistribution, sample_potential
+from .disorder import PotentialDistribution, sample_potential
 from .errors import ContractViolation
 from .msa import resonance_radius, resonant
 from .parallel import run_trials
+from .quantiles import sample_quantiles
 from .rng import substream
 from .spectral import BallOperators, BallSpectra, dist_to_spectrum, inertia
 
@@ -166,7 +167,7 @@ def spectral_shift_check(
     certificate: SeparationCertificate,
     t: float,
     g: float,
-    sample: DisorderSample,
+    sample: np.ndarray,
     operators: BallOperators,
 ) -> tuple[float, float, bool]:
     """Exact spectral-shift law from weak separation.
@@ -180,8 +181,8 @@ def spectral_shift_check(
     if certificate is None:
         raise ContractViolation("no separation certificate")
     primary, secondary = (ballx, bally) if certificate.primary == "x" else (bally, ballx)
-    b_vertices = primary.graph.ball(certificate.center, certificate.radius).tolist()
-    shifted = sample.shifted_on(b_vertices, t)
+    shifted = sample.copy()
+    shifted[primary.graph.ball(certificate.center, certificate.radius)] += t
 
     base = BallSpectra(operators, sample, g)
     moved = BallSpectra(operators, shifted, g)
@@ -246,7 +247,7 @@ def rcm_modulus(
             cells = 1
         else:
             cells = min(n_cells, trials)
-            edges = np.quantile(spread, np.linspace(0, 1, cells + 1)[1:-1])
+            edges = sample_quantiles(spread, np.linspace(0, 1, cells + 1)[1:-1])
             cell_of = np.searchsorted(edges, spread, side="right")
         for s in s_grid:
             if s < 0:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .configspace import Config, MultiBall, product_neighbors
-from .disorder import DisorderSample, InteractionPotential
+from .disorder import InteractionPotential
 from .errors import BudgetExceeded, ContractViolation, DataError
 from .graphs import Graph
 
@@ -85,7 +85,7 @@ class VolumeOperator:
             raise DataError(f"edge set of {self.label} is not symmetric")
         self.edges = (rows, cols)
         self.runs = row_runs(rows, cols, np.full(len(rows), -1.0))
-        self._partition: LayerPartition | None = None
+        self._partition: LayerPartition | None | bool = False  # False: not decided yet
 
     @classmethod
     def from_ball(cls, ball: MultiBall, interaction: InteractionPotential) -> "VolumeOperator":
@@ -106,20 +106,21 @@ class VolumeOperator:
         except KeyError:
             raise ContractViolation(f"configuration {config} not in volume {self.label}") from None
 
-    def diagonal(self, g: float, sample: DisorderSample) -> np.ndarray:
-        """Diagonal of H at coupling g under one disorder sample; every other
-        entry of H is -1 on an edge and 0 elsewhere.  A non-finite entry,
-        overflow included, raises DataError."""
-        if len(sample.values) < self.graph.n_vertices:
+    def diagonal(self, g: float, sample: np.ndarray) -> np.ndarray:
+        """Diagonal of H at coupling g under one disorder sample, the
+        potential's values per vertex; every other entry of H is -1 on an
+        edge and 0 elsewhere.  A non-finite entry, overflow included, raises
+        DataError."""
+        if len(sample) < self.graph.n_vertices:
             raise ContractViolation("sample does not cover the volume's graph")
         with np.errstate(over="ignore", invalid="ignore"):
-            potential = g * sample.values[self.config_array].sum(axis=1)
+            potential = g * sample[self.config_array].sum(axis=1)
             diagonal = self.degree + (potential + self.interaction_sum)
         if not np.isfinite(diagonal).all():
             raise DataError("Hamiltonian has non-finite entries")
         return diagonal
 
-    def hamiltonian(self, g: float, sample: DisorderSample) -> np.ndarray:
+    def hamiltonian(self, g: float, sample: np.ndarray) -> np.ndarray:
         """H at coupling g under one disorder sample, a dense m x m array."""
         diagonal = self.diagonal(g, sample)
         m = len(self)
@@ -128,10 +129,11 @@ class VolumeOperator:
         h[np.diag_indices(m)] = diagonal
         return h
 
-    def partition(self) -> "LayerPartition":
-        """The layer partition, built on first use and kept.  Two threads may
-        build it at once; the copies are equal."""
-        if self._partition is None:
+    def partition(self) -> "LayerPartition | None":
+        """The layer partition, or None when the volume is counted whole
+        (`LayerPartition.of`); decided on first use and kept.  Two threads
+        may decide at once; the results are equal."""
+        if self._partition is False:
             self._partition = LayerPartition.of(self)
         return self._partition
 
@@ -150,20 +152,19 @@ class LayerPartition(NamedTuple):
     coupling: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, op: VolumeOperator) -> "LayerPartition":
-        """The blocks of `layer_blocks`, or a single block in volume order when
-        they would cost more than one eigenvalue solve of the volume, 4/3 m**3.
+    def of(cls, op: VolumeOperator) -> "LayerPartition | None":
+        """The blocks of `layer_blocks`, or None, for the whole volume, when
+        they would cost more than one eigenvalue solve of it, 4/3 m**3.
         A block of b rows is costed as six eigensolves with vectors (the two
         shifts of a Wegner sample, measured and then bracketed), 9 b**3 each,
         with b taken 24 rows larger for the fixed cost of a small solve.  That
         fits inertia against eigvalsh on two-particle path balls (2 vCPUs, 1
         BLAS thread): 12 against 9 ms at m = 361 (17 layer blocks), which
-        takes one block, 22 against 109 ms at m = 961 and 76 against 956 ms
+        is counted whole, 22 against 109 ms at m = 961 and 76 against 956 ms
         at m = 2025."""
-        m = len(op)
         blocks = layer_blocks(op)
-        if 6 * 9 * sum((len(b) + 24) ** 3 for b in blocks) > 4 / 3 * m**3:
-            blocks = [np.arange(m)]
+        if 6 * 9 * sum((len(b) + 24) ** 3 for b in blocks) > 4 / 3 * len(op) ** 3:
+            return None
         return cls.from_blocks(op, blocks)
 
     @classmethod

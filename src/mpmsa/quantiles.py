@@ -1,9 +1,10 @@
-"""The normal CDF, the normal quantile and the Student-t quantile.
+"""The normal CDF, the normal quantile, the Student-t quantile and sample
+quantiles.
 
 These are the only special functions the Monte Carlo bounds need (truncated
 Gaussian sampling, Bonferroni-widened Wilson intervals, the t interval on a
-fitted decay mass).  The module imports only numpy and math, which keeps the
-package's start-up light.
+fitted decay mass, the conditional-modulus cells).  The module imports only
+numpy and math, which keeps the package's start-up light.
 """
 
 from __future__ import annotations
@@ -170,3 +171,23 @@ def t_quantile(q: float, df: int) -> float:
         if step <= 4.0 * math.ulp(t):  # below the rounding of the sums
             break
     return t if q > 0.5 else -t
+
+
+def sample_quantiles(values: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """np.quantile(values, qs) of a 1-D array without NaN, q in [0, 1], bit
+    for bit: numpy 2.4's default 'linear' method, from a full sort instead of
+    numpy's partition, whose index set (a plain np.unique) imports numpy.ma
+    in the middle of a run.  The virtual index (n - 1) q lies between the
+    sorted values a and b, and the interpolation is numpy's _lerp:
+    a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5."""
+    ordered = np.sort(values)
+    virtual = (ordered.size - 1) * np.asarray(qs, dtype=np.float64)
+    below = np.floor(virtual)
+    above = below + 1
+    # at or past the last value both neighbours are the largest value
+    last = virtual >= ordered.size - 1
+    below[last], above[last] = -1, -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    a, b, t = ordered[below], ordered[above], virtual - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .configspace import Config, MultiBall
-from .disorder import DisorderSample, InteractionPotential
+from .disorder import InteractionPotential
 from .errors import ContractViolation, DataError, ResonanceError
 from .graphs import Graph, GrowthCertificate
 from .hamiltonian import VolumeOperator
@@ -72,9 +72,6 @@ class SpectralData(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     h_norm: float
-    # the boundary profile of the volume's ball per growth certificate,
-    # formed on first request (see boundary_profile); starts empty
-    profiles: dict
 
     def component(self, config: Config) -> np.ndarray:
         """Row of the eigenvector matrix at a configuration (values psi_j(x))."""
@@ -111,7 +108,7 @@ def _sign_anchors(vec: np.ndarray) -> np.ndarray:
     return signs
 
 
-def eigendecompose(op: VolumeOperator, g: float, sample: DisorderSample) -> SpectralData:
+def eigendecompose(op: VolumeOperator, g: float, sample: np.ndarray) -> SpectralData:
     """Full spectrum of H over the volume of `op` at coupling g under one
     disorder sample, with orthonormal eigenvectors and a fixed sign convention.
 
@@ -135,7 +132,7 @@ def eigendecompose(op: VolumeOperator, g: float, sample: DisorderSample) -> Spec
     gram_err = np.abs(gram, out=gram).max()
     if not gram_err <= 1e-10:
         raise DataError(f"eigenvector gram deviation {gram_err:.3e} too large")
-    return SpectralData(op, lam, vec, h_norm, profiles={})
+    return SpectralData(op, lam, vec, h_norm)
 
 
 def _residual(diagonal: np.ndarray, runs: tuple, lam: np.ndarray, vec: np.ndarray) -> float:
@@ -186,7 +183,7 @@ class BallSpectra:
     shared operators when a ball is solved and not kept.
     """
 
-    def __init__(self, operators: BallOperators, sample: DisorderSample, g: float):
+    def __init__(self, operators: BallOperators, sample: np.ndarray, g: float):
         self.operators, self.sample, self.g = operators, sample, g
         self._solved: dict[tuple[Config, int], SpectralData] = {}
 
@@ -199,7 +196,7 @@ class BallSpectra:
         return spec
 
 
-def inertia(op: VolumeOperator, g: float, sample: DisorderSample, sigmas) -> np.ndarray | None:
+def inertia(op: VolumeOperator, g: float, sample: np.ndarray, sigmas) -> np.ndarray | None:
     """Number of eigenvalues of H below each shift sigma, or None when a
     count is not above round-off.
 
@@ -209,8 +206,9 @@ def inertia(op: VolumeOperator, g: float, sample: DisorderSample, sigmas) -> np.
     factorisation in the block tridiagonal order of `op.partition()`:
     D_0 = A_0 - sigma and D_k = A_k - sigma - B_k^T D_{k-1}^{-1} B_k.  The
     first block is diagonalised once for every shift; later pivot blocks are
-    diagonalised per shift, all shifts in one stacked call.  A single-block
-    volume costs one eigvalsh of H.
+    diagonalised per shift, all shifts in one stacked call.  A volume
+    counted whole (no partition) costs one eigvalsh of H, whose counts are
+    taken at sigma -/+ 3 delta.
 
     The computed pivots are exact for H + E, E block diagonal with block k
     at most the roundoff_floor of the entries that formed D_k (scale
@@ -221,9 +219,9 @@ def inertia(op: VolumeOperator, g: float, sample: DisorderSample, sigmas) -> np.
     the bracket's own err' is at most w - delta, no eigenvalue of H lies
     within delta of sigma and the count is the one an eigvalsh spectrum
     gives; a bracket whose err' is larger is retried with err = err', three
-    brackets at most.  A single-block volume has err = delta.  The result is
-    None when the two counts disagree, when no bracket holds, or when some
-    pivot eigenvalue lies within its floor of 0.
+    brackets at most.  The result is None when the two counts disagree,
+    when no bracket holds, or when some pivot eigenvalue lies within its
+    floor of 0.
     """
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=np.float64))
     diagonal = op.diagonal(g, sample)
@@ -232,8 +230,8 @@ def inertia(op: VolumeOperator, g: float, sample: DisorderSample, sigmas) -> np.
     # of -1 entries, which the full-graph degree bounds
     base = float(op.degree.max()) + float(np.abs(sigmas).max())
     delta = roundoff_floor(len(diagonal), base + float(np.abs(diagonal).max()))
-    if len(part.blocks) == 1:
-        lam = np.linalg.eigvalsh(_block(part, diagonal, 0))
+    if part is None:
+        lam = np.linalg.eigvalsh(op.hamiltonian(g, sample))
         width = 3.0 * delta
         below = np.searchsorted(lam, sigmas - width)
         return below if np.array_equal(below, np.searchsorted(lam, sigmas + width)) else None
@@ -338,9 +336,9 @@ class BoundaryProfile(NamedTuple):
 
 
 def boundary_profile(spec: SpectralData, cert: GrowthCertificate) -> BoundaryProfile:
-    """F_u data of the ball of `spec`, formed once per (spectrum, certificate):
-    a classification at many energies evaluates one profile.  The spectrum
-    of a volume that is not a ball raises ContractViolation."""
+    """F_u data of the ball of `spec`, to be evaluated at many energies: a
+    classification forms one per ball.  The spectrum of a volume that is not
+    a ball raises ContractViolation."""
     ball, boundary = spec.volume.ball, spec.volume.boundary
     if ball is None:
         raise ContractViolation(f"boundary functional needs a ball; {spec.volume.label} is not one")
@@ -348,18 +346,13 @@ def boundary_profile(spec: SpectralData, cert: GrowthCertificate) -> BoundaryPro
         raise ContractViolation("boundary functional needs radius >= 1")
     if not boundary.size:
         raise ContractViolation("ball has empty inner boundary (it exhausts the graph)")
-    prof = spec.profiles.get(cert)
-    if prof is None:
-        # C order keeps the summation order of the cover's matrix products
-        coeff = np.multiply(
-            spec.component(ball.center)[:, None], spec.eigenvectors[boundary].T, order="C"
-        )
-        prof = spec.profiles[cert] = BoundaryProfile(
-            eigenvalues=spec.eigenvalues,
-            coefficients=coeff,
-            prefactor=cert.prefactor(ball.n_particles, ball.radius),
-        )
-    return prof
+    # C order keeps the summation order of the cover's matrix products
+    coeff = np.multiply(spec.component(ball.center)[:, None], spec.eigenvectors[boundary].T, order="C")
+    return BoundaryProfile(
+        eigenvalues=spec.eigenvalues,
+        coefficients=coeff,
+        prefactor=cert.prefactor(ball.n_particles, ball.radius),
+    )
 
 
 def ns_flags(

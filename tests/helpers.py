@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mpmsa.configspace import Config, MultiBall, product_neighbors, weakly_interactive
-from mpmsa.disorder import DisorderSample, InteractionPotential
+from mpmsa.disorder import InteractionPotential
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import Graph, GrowthCertificate
 from mpmsa.hamiltonian import VolumeOperator, row_runs
@@ -72,14 +72,14 @@ def edge_boundary(graph: Graph, volume, subset) -> list[tuple[Config, Config]]:
 
 
 def assemble(
-    graph: Graph, configs, g: float, sample: DisorderSample, interaction: InteractionPotential
+    graph: Graph, configs, g: float, sample: np.ndarray, interaction: InteractionPotential
 ) -> np.ndarray:
     """H over a volume of configurations, from the volume's own operator."""
     return VolumeOperator(graph, configs, interaction).hamiltonian(g, sample)
 
 
 def assemble_ball(
-    ball: MultiBall, g: float, sample: DisorderSample, interaction: InteractionPotential
+    ball: MultiBall, g: float, sample: np.ndarray, interaction: InteractionPotential
 ) -> np.ndarray:
     return VolumeOperator.from_ball(ball, interaction).hamiltonian(g, sample)
 
@@ -171,14 +171,14 @@ class MeanFluctuationSplit:
     eta: dict[int, float]
 
 
-def mean_fluctuation_split(sample: DisorderSample, vertices) -> MeanFluctuationSplit:
+def mean_fluctuation_split(sample: np.ndarray, vertices) -> MeanFluctuationSplit:
     verts = tuple(sorted(vertices))
     if not verts:
         raise ContractViolation("Q must be nonempty")
-    vals = sample.values[np.asarray(verts, dtype=np.int64)]
+    vals = sample[np.asarray(verts, dtype=np.int64)]
     xi = float(vals.mean())
     return MeanFluctuationSplit(
-        vertices=verts, xi=xi, eta={v: float(sample.values[v] - xi) for v in verts}
+        vertices=verts, xi=xi, eta={v: float(sample[v] - xi) for v in verts}
     )
 
 
@@ -278,7 +278,7 @@ class DecoupledForm:
 
 
 def decouple(
-    ball: MultiBall, split: CanonicalSplit, g: float, sample: DisorderSample, interaction: InteractionPotential
+    ball: MultiBall, split: CanonicalSplit, g: float, sample: np.ndarray, interaction: InteractionPotential
 ) -> DecoupledForm:
     """Split a WI ball's Hamiltonian into reduced Hamiltonians plus a diagonal
     cross-interaction whose norm is bounded by C_U * N^2 * exp(-L**zeta)."""

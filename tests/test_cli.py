@@ -491,11 +491,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
     # thread pool only when more than one worker runs.  A process imports
     # only its own runner's module, so a classify run at one worker loads
     # neither the pool nor the estimators of the other runners.  numpy.ma is
-    # imported lazily by numpy's plain np.unique and np.isin (10-20 ms and
-    # about 1.3 MB); the same process then runs every shipped config, rcm
-    # last, and names the first kind after which numpy.ma was loaded: rcm,
-    # whose np.quantile loads it.
-    configs = sorted((ROOT / "configs").glob("*.cfg"), key=lambda path: (path.stem == "rcm", path.stem))
+    # imported lazily by numpy's plain np.unique, np.isin and np.quantile
+    # (10-20 ms and about 1.3 MB); the same process then runs every shipped
+    # config and names the first kind after which numpy.ma was loaded: none.
+    configs = sorted((ROOT / "configs").glob("*.cfg"))
     probe = f"""
 import sys, mpmsa.cli
 loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')
@@ -515,7 +514,7 @@ print(codes, first, [m for m in loaded() if m.split('.')[0] in ('scipy', 'concur
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[2] == "0 []"
-    assert lines[-1] == f"{[0] * len(configs)} rcm []"
+    assert lines[-1] == f"{[0] * len(configs)} False []"
 
 
 def test_runner_table_names_every_subcommand_and_resolves():

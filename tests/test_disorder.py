@@ -35,9 +35,9 @@ def test_same_seed_identical_samples():
     dist = uniform_distribution(0, 1)
     a = sample_potential(dist, g, 12345)
     b = sample_potential(dist, g, 12345)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = sample_potential(dist, g, 12346)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_uniform_support():
@@ -120,17 +120,17 @@ def test_mean_fluctuation_examples():
     dist = uniform_distribution(0, 1)
     smp = sample_potential(dist, g, 5)
     one = mean_fluctuation_split(smp, [2])
-    assert one.xi == smp.values[2]
+    assert one.xi == smp[2]
     assert one.eta[2] == 0.0
 
     smp2 = sample_potential(dist, g, 6)
-    smp2.values[:] = 0.7
+    smp2[:] = 0.7
     const = mean_fluctuation_split(smp2, [0, 1, 2, 3])
     assert const.xi == pytest.approx(0.7)
     assert all(abs(e) < 1e-15 for e in const.eta.values())
 
     smp3 = sample_potential(dist, g, 7)
-    smp3.values[0], smp3.values[1] = 0.2, 0.6
+    smp3[0], smp3[1] = 0.2, 0.6
     pair = mean_fluctuation_split(smp3, [0, 1])
     assert pair.xi == pytest.approx(0.4)
     assert pair.eta[0] == pytest.approx(-0.2)

@@ -20,6 +20,7 @@ from mpmsa.hamiltonian import (
 from mpmsa.spectral import BallOperators, inertia
 
 from helpers import ZERO_INTERACTION
+from oracle import true_counts, true_eigenvalues
 
 DIST = uniform_distribution(0, 1)
 GRAPHS = ("path:12", "cycle:10", "grid:4x4", "tree:2x3")
@@ -40,12 +41,18 @@ def _graph(spec):
 
 def _operator(spec, center, radius, interaction=ZERO_INTERACTION, layered=False):
     """The ball's operator; `layered` gives it its layer blocks even where
-    the cost rule of LayerPartition.of would pick a single block."""
+    the cost rule of LayerPartition.of would count it whole."""
     graph = _graph(spec)
     op = BallOperators(graph, interaction).operator(MultiBall(graph, center, radius))
     if layered:
         op._partition = LayerPartition.from_blocks(op, layer_blocks(op))
     return op
+
+
+def _blocks(op):
+    """The number of blocks inertia runs on, 1 for a volume counted whole."""
+    part = op.partition()
+    return 1 if part is None else len(part.blocks)
 
 
 def _oracle(op, g, sample, shifts):
@@ -78,7 +85,7 @@ def test_counts_equal_eigvalsh_or_are_none(case):
     is the cost rule's or the layer blocks."""
     spec, center, radius, interaction, g, seed, picks, layered = case
     op = _operator(spec, center, radius, interaction, layered)
-    event(f"{min(len(op.partition().blocks), 3)}+ blocks")
+    event(f"{min(_blocks(op), 3)}+ blocks")
     sample = sample_potential(DIST, op.graph, seed)
     lam, _ = _oracle(op, g, sample, [])
     shifts = [lam[min(int(u * len(lam)), len(lam) - 1)] + offset for u, offset in picks]
@@ -94,7 +101,7 @@ def test_counts_equal_eigvalsh_or_are_none(case):
 @pytest.mark.parametrize("g", [0.5, 5.0])
 def test_multi_block_counts_near_eigenvalues(spec, center, radius, g):
     op = _operator(spec, center, radius, InteractionPotential(1.0, 0.5), layered=True)
-    assert len(op.partition().blocks) >= 3
+    assert _blocks(op) >= 3
     sample = sample_potential(DIST, op.graph, 17)
     lam = np.linalg.eigvalsh(op.hamiltonian(g, sample))
     # half-way between neighbours the count is decided; within 1e-12 of an
@@ -112,11 +119,48 @@ def test_multi_block_counts_near_eigenvalues(spec, center, radius, g):
 
 def test_single_block_volume_counts_its_eigvalsh_spectrum():
     op = _operator("path:9", (4,), 4)
-    assert len(op.partition().blocks) == 1
+    assert op.partition() is None
     sample = sample_potential(DIST, op.graph, 3)
     lam = np.linalg.eigvalsh(op.hamiltonian(1.0, sample))
     assert inertia(op, 1.0, sample, [lam[0] - 1.0, lam[4] + 1e-3, lam[-1] + 1.0]).tolist() == [0, 5, 9]
     assert inertia(op, 1.0, sample, [lam[4]]) is None
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from an object through its attributes and
+    through tuples, lists and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        yield from _arrays(vars(obj), seen)
+
+
+def test_a_volume_counted_whole_keeps_no_square_array():
+    """The cost rule counts the m = 169 ball whole: its counts come from
+    eigvalsh of op.hamiltonian, and the operator keeps no m x m array (no
+    hopping copy) after counting, while a layered operator does keep its
+    blocks."""
+    op = _operator("path:20", (10, 10), 6)
+    m = len(op)
+    sample = sample_potential(DIST, op.graph, 4)
+    lam = np.linalg.eigvalsh(op.hamiltonian(1.0, sample))
+    shifts = ((lam[:-1] + lam[1:]) / 2)[np.diff(lam) > 1e-6][::10]
+    assert inertia(op, 1.0, sample, shifts).tolist() == np.searchsorted(lam, shifts).tolist()
+    assert op.partition() is None
+    assert max(a.size for a in _arrays(op)) < m * m
+    layered = _operator("path:20", (10, 10), 6, layered=True)
+    inertia(layered, 1.0, sample, shifts)
+    assert sum(a.size for a in _arrays(layered.partition())) > 0
 
 
 @pytest.mark.parametrize("layered", [False, True])
@@ -124,6 +168,15 @@ def test_single_block_volume_counts_its_eigvalsh_spectrum():
 def test_partition_covers_the_volume_and_is_block_tridiagonal(spec, center, radius, layered):
     op = _operator(spec, center, radius, layered=layered)
     part = op.partition()
+    if part is None:
+        # counted whole by the cost rule: H itself is the one block, formed
+        # by op.hamiltonian, and its counts are its spectrum's
+        assert not layered
+        sample = sample_potential(DIST, op.graph, 1)
+        lam = np.linalg.eigvalsh(op.hamiltonian(1.0, sample))
+        mids = ((lam[:-1] + lam[1:]) / 2)[np.diff(lam) > 1e-6]
+        assert inertia(op, 1.0, sample, mids).tolist() == np.searchsorted(lam, mids).tolist()
+        return
     block_of = np.full(len(op), -1)
     for k, block in enumerate(part.blocks):
         assert (np.diff(block) > 0).all()
@@ -160,7 +213,7 @@ def test_cost_rule_keeps_layers_only_for_large_volumes():
         ("path:45", (22, 22), 22, 69),
     ):
         op = _operator(spec, center, radius)
-        assert len(op.partition().blocks) == blocks
+        assert _blocks(op) == blocks
         assert blocks == 1 or len(layer_blocks(op)) == blocks
 
 
@@ -216,3 +269,38 @@ def test_concurrent_first_use_gives_the_serial_counts():
     assert [None if c is None else c.tolist() for c in got] == [
         None if c is None else c.tolist() for c in expected
     ]
+
+
+# (graph, center, radius) of at most 49 configurations: a two-particle ball
+# on the diagonal (swap-symmetric, with near-degenerate doublets), one off
+# it, and an N = 1 ball of 37 vertices
+ORACLE_VOLUMES = (("path:12", (5, 5), 3), ("path:12", (3, 6), 3), ("grid:7x7", (24,), 4))
+ORACLE_OFFSETS = (0.0, 1e-14, -1e-14, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8)
+
+
+@pytest.mark.parametrize("layered", [False, True])
+@pytest.mark.parametrize("spec,center,radius", ORACLE_VOLUMES)
+def test_counts_equal_the_40_digit_truth(spec, center, radius, layered):
+    """Shifts at every eigenvalue and 1e-14 to 1e-8 off it, one inertia call
+    each, counted whole (the cost rule's choice at this size) and on forced
+    layer blocks: every count that is not None equals the number of true
+    eigenvalues below the shift, from a 40-digit eigsy of the same float H.
+    A count may be None within 1e-12 of an eigenvalue (about m eps |H| for
+    the whole volume, more for the pivots), never 1e-10 or more away, nor
+    for the midpoints of the gaps in one stacked call.  Measured: 3 m of the
+    9 m near shifts are None counted whole (offsets 0 and +-1e-14), and
+    82, 82 and 14 more on the layer blocks (offsets +-1e-12)."""
+    op = _operator(spec, center, radius, InteractionPotential(1.0, 0.5), layered)
+    assert len(op) <= 49 and (op.partition() is None) != layered
+    assert not layered or len(op.partition().blocks) >= 2
+    sample = sample_potential(DIST, op.graph, 23)
+    truth = true_eigenvalues(op.hamiltonian(2.0, sample))
+    for offset in ORACLE_OFFSETS:
+        shifts = [float(lam) + offset for lam in truth]
+        for shift, expected in zip(shifts, true_counts(truth, shifts)):
+            count = inertia(op, 2.0, sample, [shift])
+            assert count is None or count.tolist() == [expected], (shift, count, expected)
+            assert count is not None or abs(offset) < 1e-10, (shift, offset)
+    mids = [float((a + b) / 2) for a, b in zip(truth, truth[1:])]
+    counts = inertia(op, 2.0, sample, mids)
+    assert counts is not None and counts.tolist() == true_counts(truth, mids)

@@ -388,7 +388,7 @@ def test_good_ball_planted_counterexample():
         sub = MultiBall(g, (v_center,), 2)
         lam0 = float(np.linalg.eigvalsh(-laplacian(VolumeOperator.from_ball(sub, ZERO_INTERACTION)))[0])
         for u in g.ball(v_center, 2):
-            smp.values[u] = (energy - lam0 + 1e-8) / 1.0
+            smp[u] = (energy - lam0 + 1e-8) / 1.0
     spectra = BallSpectra(BallOperators(g, ZERO_INTERACTION), smp, 1.0)
     rep = is_good(ball, energy, params, mass, spectra, cert, sched)
     assert rep.forbidden_collection is not None

@@ -85,3 +85,23 @@ def test_normal_quantile_keeps_shape():
     p = np.full((3, 2), 0.975)
     assert normal_quantile(p).shape == (3, 2)
     assert isinstance(normal_quantile(0.975), np.floating)
+
+
+def test_sample_quantiles_equal_numpy_quantile_bitwise():
+    """Random, tied, short and signed-zero inputs at random levels, 0, 1 and
+    the evenly spaced cell edges of rcm_modulus: every value is np.quantile's
+    bit for bit."""
+    from mpmsa.quantiles import sample_quantiles
+
+    rng = np.random.default_rng(20261020)
+    for case in range(4000):
+        n = int(rng.integers(1, 40))
+        values = (
+            rng.random(n),
+            rng.integers(0, 4, n).astype(float),  # ties
+            rng.standard_normal(n) * 10.0 ** float(rng.integers(-300, 300)),
+            np.concatenate((rng.random(n), [-0.0, 0.0])),
+        )[case % 4]
+        cells = int(rng.integers(1, 20))
+        qs = np.concatenate((rng.random(cells), [0.0, 1.0], np.linspace(0, 1, cells + 1)[1:-1]))
+        assert sample_quantiles(values, qs).tobytes() == np.quantile(values, qs).tobytes(), (values, qs)

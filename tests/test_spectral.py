@@ -527,14 +527,14 @@ def test_ball_operators_shared_by_racing_threads():
     balls = [MultiBall(g, (c, c + 3), 2) for c in (4, 10, 16)]
     samples = [sample_potential(DIST, g, seed) for seed in range(4)]
     expected = {
-        (b.center, smp.seed): assemble_ball(b, 1.5, smp, u) for b in balls for smp in samples
+        (b.center, seed): assemble_ball(b, 1.5, smp, u) for b in balls for seed, smp in enumerate(samples)
     }
     operators = BallOperators(g, u)
-    jobs = [(b, smp) for _ in range(8) for b in balls for smp in samples]
+    jobs = [(b, seed) for _ in range(8) for b in balls for seed in range(len(samples))]
 
     def one(job):
-        ball, smp = job
-        return operators.operator(ball).hamiltonian(1.5, smp)
+        ball, seed = job
+        return operators.operator(ball).hamiltonian(1.5, samples[seed])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -543,8 +543,8 @@ def test_ball_operators_shared_by_racing_threads():
             results = list(pool.map(one, jobs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    for (ball, smp), h in zip(jobs, results):
-        assert np.array_equal(h, expected[(ball.center, smp.seed)])
+    for (ball, seed), h in zip(jobs, results):
+        assert np.array_equal(h, expected[(ball.center, seed)])
 
 
 def test_ns_flags_guard_and_empty_boundary():

@@ -1,0 +1,115 @@
+"""Compare the outputs of this working tree with those of a commit.
+
+    python tools/compare_tree.py <commit>
+
+Run from anywhere inside a checkout.  The commit is checked out in a
+temporary `git worktree`, which is removed at the end.  Both trees then run,
+each as fresh `python -m mpmsa.cli` processes with BLAS, OpenMP and MKL
+pinned to 1 thread:
+
+  - every shipped configs/*.cfg, at MPMSA_THREADS=1 and at 2;
+  - every variant of every benchmark part (bench/workloads.py), at
+    MPMSA_THREADS=1.
+
+Both trees run the same config files, those of this tree.  Per run the
+script compares the bytes of every CSV file, the exit code, and the pass
+flags and results of summary.json, and prints one table with a row per run.
+The exit code is 0 when every run is identical in all four, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TIMEOUT_S = 600
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout
+
+
+def _kind(config_text: str) -> str:
+    return next(line.split("=", 1)[1].strip() for line in config_text.splitlines()
+                if line.split("=", 1)[0].strip() == "kind")
+
+
+def cases() -> list[tuple[str, str, str]]:
+    """(label, MPMSA_THREADS, config text) for every run, the config's output
+    directory left as the placeholder {out}."""
+    runs = []
+    for path in sorted((ROOT / "configs").glob("*.cfg")):
+        for threads in ("1", "2"):
+            runs.append((f"{path.stem} @{threads}", threads, path.read_text()))
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import PARTS, POOL
+
+    for name, part in sorted(PARTS.items()):
+        for variant in range(POOL):
+            runs.append((f"{name}/{variant}", "1", part.make_config(variant, "{out}")))
+    return runs
+
+
+def run(tree: Path, side: str, label: str, threads: str, text: str, work: Path) -> dict:
+    """One CLI process of `tree` on the config, its files under work/side;
+    its exit code and outputs."""
+    slug = label.replace(" @", "-").replace("/", "-")
+    out = work / side / slug
+    cfg = work / side / f"{slug}.cfg"
+    cfg.parent.mkdir(parents=True, exist_ok=True)
+    cfg.write_text(text.replace("{out}", str(out)))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), MPMSA_THREADS=threads)
+    env.update({var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-m", "mpmsa.cli", _kind(text), "--config", str(cfg), "--out", str(out)],
+        cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S,
+    )
+    summary = out / "summary.json"
+    report = json.loads(summary.read_text()) if summary.exists() else {}
+    return {
+        "exit": proc.returncode,
+        "csv": {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))},
+        "flags": report.get("pass_flags"),
+        "results": report.get("results"),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("commit", help="the commit to compare this working tree with")
+    args = parser.parse_args()
+    commit = _git("rev-parse", "--verify", f"{args.commit}^{{commit}}").strip()
+    with tempfile.TemporaryDirectory(prefix="compare_tree-") as tmp:
+        work = Path(tmp)
+        base = work / "base"
+        _git("worktree", "add", "--detach", str(base), commit)
+        try:
+            head = ROOT
+            rows, same = [], 0
+            for label, threads, text in cases():
+                print(f"running {label}", file=sys.stderr)
+                a = run(base, "base", label, threads, text, work / "out")
+                b = run(head, "head", label, threads, text, work / "out")
+                checks = {key: a[key] == b[key] for key in ("csv", "exit", "flags", "results")}
+                same += all(checks.values())
+                rows.append((label, f"{a['exit']}/{b['exit']}", len(b["csv"]), checks))
+        finally:
+            _git("worktree", "remove", "--force", str(base))
+    print(f"this tree against {commit[:12]}, BLAS at 1 thread")
+    print(f"{'run':<22} {'exit':>5} {'CSVs':>4}  {'bytes':<5} {'exit':<5} {'flags':<5} {'results':<7}")
+    for label, exits, n_csv, checks in rows:
+        marks = ["same" if checks[key] else "DIFF" for key in ("csv", "exit", "flags", "results")]
+        print(f"{label:<22} {exits:>5} {n_csv:>4}  {marks[0]:<5} {marks[1]:<5} {marks[2]:<5} {marks[3]:<7}")
+    print(f"{same} of {len(rows)} runs identical in CSV bytes, exit code, pass flags and results")
+    return 0 if same == len(rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

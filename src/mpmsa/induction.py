@@ -8,16 +8,17 @@ the union over columns of their segments {|column| >= a / prefactor}.
 
 One sample grid serves a ball: the gap samples between consecutive poles and
 the edges, with the values and slopes of every column there as two matrix
-products per block of reciprocals 1/(p_j - E).  A column with a dead pole
-(weight exactly 0) in the window has its own gaps, the runs of gaps merged
-across its dead poles.  It uses the grid in every gap it shares and leaves it
-only inside its own: one patch list holds their samples and the live edges
-that bound each run, so grid and patch give the point set the column has on
-its own.  On a bench ball 5-11 sets of live poles occur: about 40 columns
-with every pole live, and single columns with 1-20 dead poles; the patch
-holds 470-1,830 points next to a grid of about 9,400.  The sign-change brackets
-of the derivative zeros ("turn") and of the level crossings ("level") are
-found for all columns at once, along the grid and along the patch.
+products per block of reciprocals 1/(p_j - E).  Every sum runs over all
+poles of the ball: a dead pole of a column (weight exactly 0) adds an exact
+zero and is no pole of it, but the column has its own gaps, the runs of gaps
+merged across its dead poles.  It uses the grid in every gap it shares and leaves it only inside
+its own: one patch list holds their samples and the live edges that bound
+each run, so grid and patch give the point set the column has on its own.
+On a bench ball about 40 columns have every pole live, and single columns
+have 1-20 dead poles; the patch holds 470-1,830 points next to a grid of
+about 9,400.  The sign-change brackets of the derivative zeros ("turn") and
+of the level crossings ("level") are found for all columns at once, along
+the grid and along the patch.
 
 Only roots that can bound the union are bisected: a turn bracket on which a
 bound keeps |F| below half the level is skipped.  The level brackets whose
@@ -25,11 +26,10 @@ outside end no column reaches the level at, on the grid, can end the union;
 they are bisected first (the envelope round), and the pieces they prove
 start the union.  Every other level bracket that lies well inside the union
 so far is skipped (`_ball_union` says how, and why the union stays the
-same).  The rest are bisected in batches across the columns with the same
-live poles.  The bisection evaluates each bracket's column as a row-wise
-product with numpy's pairwise sum over the column's live poles (no BLAS
-sum), so a root's bits depend on its own bracket alone, and each bracket
-stops at float convergence or after 80 steps.
+same).  The rest are bisected in batches across all columns, each bracket
+as a row-wise product with numpy's pairwise sum (no BLAS sum), so a root's
+bits depend on its own bracket alone; a bracket stops at float convergence
+or after 80 steps.
 `EnergyIntervalCover.roots` counts per kind of root the brackets bisected and
 skipped and the reciprocal rows formed.  All sampling offsets are anchored to
 the poles and the window, so the construction is translation-covariant under
@@ -106,31 +106,6 @@ _MAX_STEPS = 80
 XTOL = 1e-12  # energy resolution of a cover
 
 
-def _bisect(
-    p: np.ndarray, wt: np.ndarray, col: np.ndarray, t, power: int, lo: np.ndarray, hi: np.ndarray,
-    scratch: np.ndarray, counts: RootCounts,
-) -> np.ndarray:
-    """Bisection of G_i(E) = sum_j wt[col_i, j] / (p_j - E)^power - t_i, power
-    1 or 2, on brackets [lo_i, hi_i] with a sign change; returns the final
-    midpoints 0.5 (lo_i + hi_i).
-
-    G_i is evaluated row by row, as np.multiply(recip_i, c_i).sum() (numpy's
-    pairwise sum over the row), so a root's bits depend on its own bracket
-    alone: brackets of any columns share a batch, and dropping or regrouping
-    some moves no other root.  A bracket stops when its midpoint no longer
-    lies strictly inside it (float convergence) or after 80 steps.  A batch
-    keeps its reciprocals and weight rows in `scratch`, so it holds at most
-    scratch.size / (2 len(p)) brackets; `counts` gains the brackets and rows.
-    """
-    t = np.broadcast_to(t, lo.shape)
-    roots = np.empty(lo.size)
-    size = scratch.size // (2 * p.size)
-    for s in range(0, lo.size, size):
-        part = slice(s, s + size)
-        roots[part] = _bisect_batch(p, wt, col[part], t[part], power, lo[part], hi[part], scratch, counts)
-    return roots
-
-
 def _bisect_batch(p, wt, col, t, power, lo, hi, scratch, counts) -> np.ndarray:
     k, n = lo.size, p.size
     recip = scratch[: k * n].reshape(k, n)
@@ -147,17 +122,18 @@ def _bisect_batch(p, wt, col, t, power, lo, hi, scratch, counts) -> np.ndarray:
         if power == 2:
             np.multiply(r, r, out=r)
         np.divide(1.0, r, out=r)
-        return np.multiply(r, c[: es.size], out=r).sum(axis=1) - t <= 0.0
+        return _row_sums(np.multiply(r, c[: es.size], out=r)) <= t
 
     roots = np.empty(k)
     live = np.arange(k)  # the bracket of each row still bisected
+    lo, hi, mid = lo.copy(), hi.copy(), np.empty(k)
     counts.brackets += k
     counts.rows += k
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the sign at lo never changes: lo moves only to midpoints of its sign
         neg_lo = negative(lo, t)
         for step in range(_MAX_STEPS + 1):
-            mid = 0.5 * (lo + hi)
+            np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
             inner = (lo < mid) & (mid < hi) if step < _MAX_STEPS else np.zeros(mid.size, dtype=bool)
             if not inner.all():
                 roots[live[~inner]] = mid[~inner]
@@ -167,10 +143,25 @@ def _bisect_batch(p, wt, col, t, power, lo, hi, scratch, counts) -> np.ndarray:
                 live, lo, hi, mid, neg_lo, t = (a[keep] for a in (live, lo, hi, mid, neg_lo, t))
                 np.take(wt, col[live], axis=0, out=c[: live.size], mode="clip")
             counts.rows += live.size
-            same = neg_lo == negative(mid, t)
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
+            moved = neg_lo != negative(mid, t)
+            np.copyto(hi, mid, where=moved)
+            np.copyto(lo, mid, where=np.logical_not(moved, out=moved))
     return roots
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of each row of terms w_j / (p_j - E)^power.  A
+    dead pole (w_j = 0) at E, or with an overflowing reciprocal, gives
+    0 * inf = NaN, summed as the exact zero it stands for in the rare rows
+    where it appears (poles lie more than DEGENERACY_GAP apart, so no other
+    term of such a row is infinite)."""
+    sums = terms.sum(axis=1)
+    bad = np.flatnonzero(np.isnan(sums))
+    if bad.size:
+        rows = terms[bad]
+        rows[np.isnan(rows)] = 0.0
+        sums[bad] = rows.sum(axis=1)
+    return sums
 
 
 _INTERIOR_FRACTIONS = np.linspace(0.0, 1.0, 35)[1:-1]
@@ -273,62 +264,69 @@ def _merge(intervals, eps: float) -> list[tuple[float, float]]:
 
 class _Columns:
     """The boundary columns of one ball as rational functions: the poles
-    live in some column and the (poles x columns) weights.  Columns with the
-    same live poles form a class; every sum over poles below runs over the
-    live poles of its column only, as the column-at-a-time construction
-    does, so a root keeps its bits."""
+    live in some column and the (poles x columns) weights.  Every sum below
+    runs over all these poles; a dead pole of a column (weight exactly 0)
+    adds an exact zero, so it is no pole of its column (see _row_sums)."""
 
     def __init__(self, poles: np.ndarray, weights: np.ndarray):
         self.poles, self.weights = poles, weights
-        # a class per distinct live-pole mask, keyed by the mask's packed
-        # bytes and represented by its first column
-        live = (np.abs(weights) > 0.0).T
-        seen = {}
-        first = np.asarray([seen.setdefault(row.tobytes(), c) for c, row in enumerate(np.packbits(live, axis=1))])
-        reps = np.flatnonzero(first == np.arange(first.size))
-        self.kind = np.searchsorted(reps, first)
-        self.classes = [(poles[live[c]], np.ascontiguousarray(weights[live[c]].T)) for c in reps]
+        self.wt = np.ascontiguousarray(weights.T)  # a row of weights per column
         # one buffer for every block of reciprocals and bisection batch,
         # reused in turn: about 1.4 MB at 169 poles, so a block stays in cache
         self.scratch = np.empty(2 * _BLOCK_ROWS * poles.size)
 
-    def _split(self, col: np.ndarray):
-        """Per class in `col`: its poles, its (columns x poles) weights and
-        the positions in `col` of its columns, ordered by column."""
-        kind = self.kind[col]
-        order = np.lexsort((col, kind))
-        starts = np.flatnonzero(np.diff(kind[order], prepend=-1))
-        for s, e in zip(starts, np.append(starts[1:], order.size)):
-            yield *self.classes[kind[order[s]]], order[s:e]
+    def bisect(self, col, t, power: int, lo, hi, counts: RootCounts) -> np.ndarray:
+        """Bisection of G_i(E) = sum_j w_j(col_i) / (p_j - E)^power - t_i,
+        power 1 or 2, on brackets [lo_i, hi_i] with a sign change; returns
+        the final midpoints 0.5 (lo_i + hi_i).
 
-    def bisect(self, col, t, power, lo, hi, counts: RootCounts) -> np.ndarray:
+        G_i is evaluated row by row over every pole, as
+        np.multiply(recip_i, w_i).sum() (numpy's pairwise sum over the row,
+        see _row_sums), so a root's bits depend on its own bracket alone:
+        brackets of any columns share a batch, and dropping or regrouping
+        some moves no other root.  A bracket stops when its midpoint no
+        longer lies strictly inside it (float convergence) or after 80
+        steps.  A batch keeps its reciprocals and weight rows in `scratch`,
+        so it holds at most scratch.size / (2 len(poles)) brackets; `counts`
+        gains the brackets and rows."""
         t = np.broadcast_to(t, lo.shape)
         roots = np.empty(lo.size)
-        for p, wt, at in self._split(col):
-            roots[at] = _bisect(p, wt, col[at], t[at], power, lo[at], hi[at], self.scratch, counts)
+        size = self.scratch.size // (2 * self.poles.size)
+        for s in range(0, lo.size, size):
+            part = slice(s, s + size)
+            roots[part] = _bisect_batch(
+                self.poles, self.wt, col[part], t[part], power, lo[part], hi[part], self.scratch, counts
+            )
         return roots
 
     def values(self, col: np.ndarray, es: np.ndarray, power: int = 1, guard: float | None = None) -> np.ndarray:
         """sum_j w_j / (p_j - E)^power of column col_i at E = es_i, one
-        matrix-vector product per run of equal columns; +inf within `guard`
-        of a live pole.  The differences p_j - E of a run are one rank-2
-        product in `scratch`, its factors formed once per class (see
-        _difference_factors)."""
+        matrix-vector product per run of equal columns (a row made NaN by a
+        dead pole is summed by _row_sums); +inf within `guard` of a live
+        pole of the column.  The differences p_j - E are one rank-2 product
+        in `scratch`, its factors formed once (see _difference_factors)."""
+        p = self.poles
         out = np.empty(es.size)
+        at = np.argsort(col, kind="stable")
+        runs = np.flatnonzero(np.diff(col[at], prepend=-1, append=-1))
+        size = self.scratch.size // p.size
+        ones, poles = _difference_factors(es[at], p)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for p, wt, at in self._split(col):
-                runs = np.flatnonzero(np.diff(col[at], prepend=-1, append=-1))
-                size = self.scratch.size // p.size
-                ones, poles = _difference_factors(es[at], p)
-                for s, e in zip(runs[:-1], runs[1:]):
-                    for b in range(s, e, size):
-                        part = slice(b, min(b + size, e))
-                        r = np.matmul(ones[part], poles, out=self.scratch[: p.size * (part.stop - b)].reshape(-1, p.size))
-                        if power == 2:
-                            np.multiply(r, r, out=r)
-                        out[at[part]] = np.divide(1.0, r, out=r) @ wt[col[at[b]]]
-                if guard is not None:
-                    out[at[dist_to_spectrum(p, es[at]) <= guard]] = np.inf
+            for s, e in zip(runs[:-1], runs[1:]):
+                w = self.wt[col[at[s]]]
+                for b in range(s, e, size):
+                    part = slice(b, min(b + size, e))
+                    r = np.matmul(ones[part], poles, out=self.scratch[: p.size * (part.stop - b)].reshape(-1, p.size))
+                    if power == 2:
+                        np.multiply(r, r, out=r)
+                    out[at[part]] = np.divide(1.0, r, out=r) @ w
+            bad = np.flatnonzero(np.isnan(out))  # a dead pole at E, see _row_sums
+            if bad.size:
+                out[bad] = _row_sums(1.0 / _differences(es[bad], p) ** power * self.wt[col[bad]])
+        if guard is not None:  # at most one pole, a neighbour of E, lies within guard
+            i = np.searchsorted(p, es)
+            for j in (np.maximum(i - 1, 0), np.minimum(i, p.size - 1)):
+                out[(np.abs(p[j] - es) <= guard) & (self.wt[col, j] != 0.0)] = np.inf
         return out
 
 

@@ -5,10 +5,13 @@ reciprocal matrix between all boundary columns of a ball, bisects the brackets
 of many columns in one batch, and skips the brackets whose root cannot bound
 the union.  The oracle below is the column-at-a-time construction that
 bisects every bracket, one bracket at a time: both must return the same
-interval tuples, float for float.  The oracle's bisection evaluates
-G(E) = sum_j c_j / (p_j - E)^power - t with the cover's arithmetic (a
-row-wise product and numpy's pairwise sum) and stops where the cover does,
-so the cover's roots must equal it bit for bit.
+interval tuples, float for float.  A column's gaps and guard come from its
+live poles; its values and its bisection run over every pole of the ball,
+where a dead pole (weight exactly 0) adds an exact zero.  The oracle's
+bisection evaluates G(E) = sum_j c_j / (p_j - E)^power - t with the cover's
+arithmetic (a row-wise product and numpy's pairwise sum, a NaN from 0 * inf
+at a dead pole summed as 0) and stops where the cover does, so the cover's
+roots must equal it bit for bit.
 """
 
 import functools
@@ -29,7 +32,7 @@ from mpmsa import induction
 from mpmsa.induction import RootCounts, _merge, cover_from_profile
 from mpmsa.msa import MassSchedule
 from mpmsa.rng import substream
-from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, boundary_profile, cluster_sums
+from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, _reciprocals, boundary_profile, cluster_sums
 
 from helpers import _rational, rational_deriv
 
@@ -39,6 +42,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # ---------------------------------------------------------------------------
 # Oracle: one column at a time, one bracket at a time
+
+
+def _dead_as_zero(terms):
+    """The terms w_j / (p_j - E)^power of a row with each NaN (0 * inf at a
+    dead pole) as 0."""
+    return np.where(np.isnan(terms), 0.0, terms)
 
 
 def _bisect_each(p, c, t, power, lo, hi, counts=None) -> np.ndarray:
@@ -51,7 +60,7 @@ def _bisect_each(p, c, t, power, lo, hi, counts=None) -> np.ndarray:
         d = p - e
         if power == 2:
             d = d * d
-        return np.multiply(1.0 / d, c).sum() - t <= 0.0
+        return _dead_as_zero(np.multiply(1.0 / d, c)).sum() - t <= 0.0
 
     roots = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -94,10 +103,22 @@ def _gap_points(lo, hi):
     return np.unique(np.concatenate([base, lo + width * _EDGE_FRACTIONS, hi - width * _EDGE_FRACTIONS]))
 
 
+def _column_values(es, poles, w, power=1):
+    """sum_j w_j / (p_j - E)^power over every pole: one matrix-vector product,
+    and a row that a dead pole makes NaN summed pairwise with the NaN as 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        recip = _reciprocals(es, poles) ** power
+        out = recip @ w
+        bad = np.isnan(out)
+        out[bad] = _dead_as_zero(recip[bad] * w).sum(axis=1)
+    return out
+
+
 def _segments_for_column(poles, w, level, window, xtol, counts):
+    """The segments of one column, with weights w on every pole of the ball."""
     lo_w, hi_w = window
     live = np.abs(w) > 0.0
-    p, c = poles[live], w[live]
+    p = poles[live]
     if p.size == 0:
         return []
     gap_edges = [lo_w, *[float(x) for x in p if lo_w < x < hi_w], hi_w]
@@ -109,18 +130,18 @@ def _segments_for_column(poles, w, level, window, xtol, counts):
     if not sample_blocks:
         return []
     samples = np.concatenate(sample_blocks)
-    dvals = rational_deriv(samples, p, c)
+    dvals = _column_values(samples, poles, w, 2)
     in_same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
     idx = np.nonzero((np.sign(dvals[:-1]) * np.sign(dvals[1:]) < 0) & in_same_gap)[0]
-    dzeros = _bisect_each(p, c, 0.0, 2, samples[idx], samples[idx + 1], counts["turn"])
+    dzeros = _bisect_each(poles, w, 0.0, 2, samples[idx], samples[idx + 1], counts["turn"])
     pts = np.unique(np.concatenate([samples, dzeros, np.asarray(gap_edges)]))
-    vals = _rational(pts, p, c)
+    vals = _column_values(pts, poles, w)
     same_gap = np.searchsorted(p, pts[:-1]) == np.searchsorted(p, pts[1:])
     crossings = [np.asarray(gap_edges)]
     for target in (level, -level):
         resid = vals - target
         idx = np.nonzero((np.sign(resid[:-1]) * np.sign(resid[1:]) < 0) & same_gap)[0]
-        crossings.append(_bisect_each(p, c, target, 1, pts[idx], pts[idx + 1], counts["level"]))
+        crossings.append(_bisect_each(poles, w, target, 1, pts[idx], pts[idx + 1], counts["level"]))
     breakpoints = np.unique(np.clip(np.concatenate(crossings + [dzeros]), lo_w, hi_w))
     segments = []
     guard = max(xtol, 1e-15)
@@ -128,7 +149,7 @@ def _segments_for_column(poles, w, level, window, xtol, counts):
     if mids.size == 0:
         return []
     near_pole = np.abs(p[None, :] - mids[:, None]).min(axis=1) <= guard
-    inside = near_pole | (np.abs(_rational(mids, p, c)) >= level)
+    inside = near_pole | (np.abs(_column_values(mids, poles, w)) >= level)
     for i in np.nonzero(inside)[0]:
         a, b = float(breakpoints[i]), float(breakpoints[i + 1])
         if b - a <= 0:
@@ -146,10 +167,12 @@ def oracle_intervals(profile, level, window, xtol=1e-12, counts=None):
     if counts is None:
         counts = {"turn": RootCounts(), "level": RootCounts()}
     entry_level = level / profile.prefactor
+    columns = [_cluster_poles(profile.eigenvalues, c) for c in profile.coefficients.T]
+    # the poles of the ball: live in some column
+    ball = np.any([np.abs(w) > 0.0 for _, w in columns], axis=0)
     segments = []
-    for col in range(profile.coefficients.shape[1]):
-        poles, weights = _cluster_poles(profile.eigenvalues, profile.coefficients[:, col])
-        segments.extend(_segments_for_column(poles, weights, entry_level, window, xtol, counts))
+    for poles, weights in columns:
+        segments.extend(_segments_for_column(poles[ball], weights[ball], entry_level, window, xtol, counts))
     return tuple(_merge(segments, eps=xtol))
 
 
@@ -383,11 +406,13 @@ def test_skipped_turns_stay_below_level_on_the_bench_ball():
 def _values_by_subtraction(columns, col, es, power):
     """`_Columns.values` without a guard, with p_j - E from a broadcast
     subtraction: per column, its points in order, in blocks of the rows the
-    scratch buffer holds."""
+    scratch buffer holds, a row that a dead pole makes NaN summed pairwise
+    with the NaN as 0."""
+    p = columns.poles
     out = np.empty(es.size)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for c in np.unique(col):
-            p, wt = columns.classes[columns.kind[c]]
+            w = columns.wt[c]
             at = np.flatnonzero(col == c)
             size = columns.scratch.size // p.size
             for b in range(0, at.size, size):
@@ -395,7 +420,11 @@ def _values_by_subtraction(columns, col, es, power):
                 r = np.subtract(p, es[i, None])
                 if power == 2:
                     r = r * r
-                out[i] = (1.0 / r) @ wt[c]
+                r = 1.0 / r
+                v = r @ w
+                bad = np.isnan(v)
+                v[bad] = _dead_as_zero(r[bad] * w).sum(axis=1)
+                out[i] = v
     return out
 
 
@@ -435,31 +464,33 @@ def test_rank2_differences_keep_the_bits_of_the_subtraction_on_the_bench_ball():
     assert _same_bits(np.abs(induction._differences(samples, poles)), np.abs(poles - samples[:, None]))
 
 
-def test_column_classes_equal_the_unique_rows_of_the_live_masks():
-    """The columns grouped by the packed bytes of their live-pole masks form
-    the partition of np.unique(axis=0) over the masks, with the same live
-    poles and weights per class: 13 poles (two packed bytes, the second
-    padded), an all-live column, a column with one live pole, masks that
-    differ only past the eighth pole, and the bench ball's columns."""
-    rng = np.random.default_rng(5)
-    poles = np.sort(rng.normal(size=13))
-    masks = [np.ones(13, bool), np.eye(13, dtype=bool)[4], np.eye(13, dtype=bool)[12]]
-    masks += [np.r_[np.ones(8, bool), np.eye(5, dtype=bool)[j]] for j in range(5)]
-    masks += list(rng.random((6, 13)) < 0.7)
-    cols = rng.permutation(masks + masks[::2] + masks[1::3])
-    cases = [(poles, np.where(np.asarray(cols).T, rng.normal(size=(13, len(cols))), 0.0))]
-    prof = _two_particle_ball()[0]
-    cases.append(cluster_sums(prof.eigenvalues, prof.coefficients))
-    for poles, weights in cases:
-        columns = induction._Columns(poles, weights)
-        live = np.abs(weights) > 0.0
-        sets, kind = np.unique(live.T, axis=0, return_inverse=True)
-        kind = kind.ravel()
-        assert len(columns.classes) == len(sets) > 1
-        assert np.array_equal(columns.kind[:, None] == columns.kind, kind[:, None] == kind)
-        for c in range(weights.shape[1]):
-            p, wt = columns.classes[columns.kind[c]]
-            assert _same_bits(p, poles[sets[kind[c]]]) and _same_bits(wt[c], weights[sets[kind[c]], c])
+def test_a_dead_pole_is_no_pole_of_its_column():
+    """A column evaluated exactly at one of its dead poles, by the bisection
+    rows and by `values`, gets the value of its live poles, not the NaN of
+    0 * inf; a point within RESOLVENT_GUARD of a dead pole is not guarded,
+    one within it of a live pole is.  Column 0 is F(E) = 1 / (-1 - E) +
+    2 / (1 - E), dead at the pole 0: F(0) = 1 and F'(0) = 3.  F = 1.5 on
+    [-0.5, 0.5], whose first midpoint is the dead pole, has its root above
+    it; F' = 4 on [0, 0.5], whose lower end is the dead pole, has its root
+    below 0.25.  Taken as NaN, the dead pole's sign would put both roots on
+    the wrong side."""
+    poles = np.asarray([-1.0, 0.0, 1.0])
+    weights = np.asarray([[1.0, 0.7], [0.0, 0.2], [2.0, -0.4]])
+    live = np.abs(weights[:, 0]) > 0.0
+    columns = induction._Columns(poles, weights)
+    col = np.zeros(1, dtype=np.int64)
+    for power, t, lo, hi, (a, b) in ((1, 1.5, -0.5, 0.5, (0.0, 0.5)), (2, 4.0, 0.0, 0.5, (0.0, 0.25))):
+        lo, hi = np.asarray([lo]), np.asarray([hi])
+        got = columns.bisect(col, t, power, lo, hi, RootCounts())
+        assert _same_bits(got, _bisect_each(poles[live], weights[live, 0], t, power, lo, hi))
+        assert a < got[0] < b
+    for power, want in ((1, 1.0), (2, 3.0)):
+        assert columns.values(col, np.zeros(1), power).tolist() == [want]
+        assert columns.values(col, np.zeros(1), power, guard=induction.RESOLVENT_GUARD).tolist() == [want]
+    near = np.asarray([0.5e-12, -0.5e-12, 1.0 - 0.5e-12, -1.0 + 0.5e-12])
+    guarded = columns.values(np.zeros(4, dtype=np.int64), near, guard=induction.RESOLVENT_GUARD)
+    assert np.isfinite(guarded[:2]).all() and (guarded[2:] == np.inf).all()
+    assert columns.values(np.ones(4, dtype=np.int64), near, guard=induction.RESOLVENT_GUARD).tolist() == [np.inf] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +720,10 @@ def test_merge_equals_the_ascending_sweep(starts_and_widths, eps):
 def _cover_bisect(p, weights, col, t, power, lo, hi, scratch_rows=None):
     """The cover's bisection of the brackets [lo_i, hi_i] of columns col_i;
     its batches hold `scratch_rows` brackets if given."""
-    rows = scratch_rows or max(lo.size, 1)
-    scratch = np.empty(2 * rows * p.size)
+    columns = induction._Columns(p, weights)
+    columns.scratch = np.empty(2 * (scratch_rows or max(lo.size, 1)) * p.size)
     counts = RootCounts()
-    wt = np.ascontiguousarray(weights.T)
-    return induction._bisect(p, wt, col, t, power, lo, hi, scratch, counts), counts
+    return columns.bisect(col, t, power, lo, hi, counts), counts
 
 
 def _same_bits(a, b):
@@ -703,9 +733,9 @@ def _same_bits(a, b):
 @st.composite
 def bisections(draw):
     """Poles (some 3e-11 apart), two columns of signed weights (some pairs
-    cancelling to 1e-12), a level down to 1e-12 or an F' zero, and a batch of
-    brackets of both columns: sign changes on the cover's gap samples and
-    brackets that end on a pole, 1-9 or about 120 of them."""
+    cancelling to 1e-12, some dead), a level down to 1e-12 or an F' zero, and
+    a batch of brackets of both columns: sign changes on the cover's gap
+    samples and brackets that end on a pole, 1-9 or about 120 of them."""
     ks = draw(st.lists(st.integers(-3000, 3000), min_size=1, max_size=8, unique=True))
     poles = []
     for k in ks:
@@ -717,6 +747,8 @@ def bisections(draw):
     c = rng.choice([-1.0, 1.0], p.size) * 10.0 ** rng.uniform(-6.0, 0.0, p.size)
     if p.size >= 2 and draw(st.booleans()):
         c[1] = -c[0] * (1.0 + 1e-12)  # heavy cancellation away from the two poles
+    if draw(st.booleans()):
+        c[rng.random(p.size) < 0.3] = 0.0  # dead poles, summed as zeros
     weights = np.stack([c, -c[::-1]], axis=1)
     power = draw(st.sampled_from([1, 2]))
     level = 0.0 if power == 2 else 10.0 ** draw(st.floats(-12.0, 1.0))

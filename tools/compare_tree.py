@@ -2,8 +2,9 @@
 
     python tools/compare_tree.py <commit>
 
-Run from anywhere inside a checkout.  The commit is checked out in a
-temporary `git worktree`, which is removed at the end.  Both trees then run,
+Run from anywhere inside a checkout.  The commit's files are extracted
+with `git archive` into a temporary directory, which is removed at the end;
+the repository's git metadata is not touched.  Both trees then run,
 each as fresh `python -m mpmsa.cli` processes with BLAS, OpenMP and MKL
 pinned to 1 thread:
 
@@ -22,8 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import io
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -89,19 +92,17 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="compare_tree-") as tmp:
         work = Path(tmp)
         base = work / "base"
-        _git("worktree", "add", "--detach", str(base), commit)
-        try:
-            head = ROOT
-            rows, same = [], 0
-            for label, threads, text in cases():
-                print(f"running {label}", file=sys.stderr)
-                a = run(base, "base", label, threads, text, work / "out")
-                b = run(head, "head", label, threads, text, work / "out")
-                checks = {key: a[key] == b[key] for key in ("csv", "exit", "flags", "results")}
-                same += all(checks.values())
-                rows.append((label, f"{a['exit']}/{b['exit']}", len(b["csv"]), checks))
-        finally:
-            _git("worktree", "remove", "--force", str(base))
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base, filter="data")
+        rows, same = [], 0
+        for label, threads, text in cases():
+            print(f"running {label}", file=sys.stderr)
+            a = run(base, "base", label, threads, text, work / "out")
+            b = run(ROOT, "head", label, threads, text, work / "out")
+            checks = {key: a[key] == b[key] for key in ("csv", "exit", "flags", "results")}
+            same += all(checks.values())
+            rows.append((label, f"{a['exit']}/{b['exit']}", len(b["csv"]), checks))
     print(f"this tree against {commit[:12]}, BLAS at 1 thread")
     print(f"{'run':<22} {'exit':>5} {'CSVs':>4}  {'bytes':<5} {'exit':<5} {'flags':<5} {'results':<7}")
     for label, exits, n_csv, checks in rows:

@@ -10,15 +10,14 @@ One sample grid serves a ball: the gap samples between consecutive poles and
 the edges, with the values and slopes of every column there as two matrix
 products per block of reciprocals 1/(p_j - E).  Every sum runs over all
 poles of the ball: a dead pole of a column (weight exactly 0) adds an exact
-zero and is no pole of it, but the column has its own gaps, the runs of gaps
-merged across its dead poles.  It uses the grid in every gap it shares and leaves it only inside
-its own: one patch list holds their samples and the live edges that bound
-each run, so grid and patch give the point set the column has on its own.
-On a bench ball about 40 columns have every pole live, and single columns
-have 1-20 dead poles; the patch holds 470-1,830 points next to a grid of
-about 9,400.  The sign-change brackets of the derivative zeros ("turn") and
-of the level crossings ("level") are found for all columns at once, along
-the grid and along the patch.
+zero and is no pole of it.  Every column samples the grid alone: at a row
+on one of its dead poles it takes its finite value and slope, and its gaps
+run across its dead poles, so a pair of consecutive rows counts for it
+where every pole between them is dead in it.  On a bench ball about 40 of
+48 columns have every pole live, and single columns have 1-20 dead poles,
+on a grid of about 9,400 rows.  The sign-change brackets of the derivative
+zeros ("turn") and of the level crossings ("level") are found for all
+columns at once along the grid.
 
 Only roots that can bound the union are bisected: a turn bracket on which a
 bound keeps |F| below half the level is skipped.  The level brackets whose
@@ -171,12 +170,11 @@ _EDGE_FRACTIONS = np.asarray([10.0**-j for j in range(1, 13)])
 _BLOCK_ROWS = 512
 
 
-def _gap_samples(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample points of every gap [lo_i, hi_i] wider than 4 XTOL, ascending
-    within a gap, and the gap i of each: 33 interior points and 12 on each
-    side approaching the edge geometrically, all parameterized by the gap
-    (covariant)."""
-    wide = np.flatnonzero(hi - lo > 4 * XTOL)
+def _gap_samples(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sample points of every gap [lo_i, hi_i] wider than 4 XTOL, ascending:
+    33 interior points and 12 on each side approaching the edge
+    geometrically, all parameterized by the gap (covariant)."""
+    wide = hi - lo > 4 * XTOL
     lo, hi = lo[wide, None], hi[wide, None]
     width = hi - lo
     grid = np.sort(
@@ -188,7 +186,7 @@ def _gap_samples(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     )
     fresh = np.ones(grid.shape, dtype=bool)
     fresh[:, 1:] = grid[:, 1:] != grid[:, :-1]
-    return grid[fresh], np.broadcast_to(wide[:, None], grid.shape)[fresh]
+    return grid[fresh]
 
 
 def _turn_skips(
@@ -333,32 +331,34 @@ class _Columns:
 def _ball_union(columns: _Columns, level: float, window: tuple[float, float], roots: dict[str, RootCounts]):
     """The merged segments {|F_col| >= level} of every column.
 
-    A zero of F' is skipped where `_turn_skips` bounds |F| below level / 2.
-    The envelope round bisects the level brackets whose end outside
-    {|F| >= level} is a grid row where no column reaches the level; on the
-    bench balls none of them lies well inside the final union.  The union
-    starts from the pieces between a column's edges, zeros of F' and those
-    roots that no other level bracket of the column overlaps.  Such a piece
-    is a piece of the column with every bracket bisected, so the starting
-    union lies inside the final one.  The other level brackets follow in rounds
-    of 1, 2, 4, ... columns, most brackets first; a bracket [u, v]
-    (w = v - u) whose [u - w, v + w] lies inside the union so far, with
-    margin 2 XTOL + 4 guard, keeps its end outside {|F| >= level} as
-    breakpoint instead of its root.  That moves the column's segments only
-    inside the union, so the union's endpoints are the roots every bracket
-    would give; and a root's bits depend on its own bracket alone, so the
-    order of the work changes none."""
+    Every column samples the one grid of the ball; its brackets lie between
+    consecutive rows with none of its live poles in between, and a zero of
+    F' splits its level bracket in two.  A zero of F' is skipped where
+    `_turn_skips` bounds |F| below level / 2.  The envelope round bisects
+    the level brackets whose end outside {|F| >= level} is a grid row where
+    no column reaches the level; on the bench balls none of them lies well
+    inside the final union.  The union starts from the pieces between a
+    column's edges, zeros of F' and those roots that no other level bracket
+    of the column overlaps.  Such a piece is a piece of the column with
+    every bracket bisected, so the starting union lies inside the final one.
+    The other level brackets follow in rounds of 1, 2, 4, ... columns, most
+    brackets first; a bracket [u, v] (w = v - u) whose [u - w, v + w] lies
+    inside the union so far, with margin 2 XTOL + 4 guard, keeps its end
+    outside {|F| >= level} as breakpoint instead of its root.  That moves
+    the column's segments only inside the union, so the union's endpoints
+    are the roots every bracket would give; and a root's bits depend on its
+    own bracket alone, so the order of the work changes none."""
     poles, weights = columns.poles, columns.weights
     n_cols = weights.shape[1]
     lo_w, hi_w = window
     guard = RESOLVENT_GUARD
     inner = (poles > lo_w) & (poles < hi_w)
     edges = np.concatenate(([lo_w], poles[inner], [hi_w]))
-    samples, gap = _gap_samples(edges[:-1], edges[1:])
+    samples = _gap_samples(edges[:-1], edges[1:])
     # the grid: the samples, and in between the edges no sample equals
     at = np.searchsorted(samples, edges)
     new = np.flatnonzero(np.append(samples, np.nan)[at] != edges)
-    grid, gap = np.insert(samples, at[new], edges[new]), np.insert(gap, at[new], -1)
+    grid = np.insert(samples, at[new], edges[new])
 
     # the signs of F', F - level and F + level of every column on the grid,
     # from two matrix products per block of reciprocals, formed in place in
@@ -372,95 +372,49 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
             recip = _reciprocals(block, poles, columns.scratch[: block.size * poles.size].reshape(block.size, -1))
             values = recip @ weights
             _signs(np.square(recip, out=recip) @ weights, values, level, out=signs[:, part])
-    signs[0, gap < 0] = 0
+    signs[0, at[new] + np.arange(new.size)] = 0
 
-    # per column, the edges it lacks (dead poles) and the gaps it does not
-    # share: those touching a dead pole, at a window end too; its own gaps
-    # are the runs of those joined at dead edges
-    dead = ~(np.abs(weights) > 0.0)
-    ends = dead[poles == lo_w].any(axis=0), dead[poles == hi_w].any(axis=0)
-    dead_edge = np.vstack((np.zeros(n_cols, dtype=bool), dead[inner], np.zeros(n_cols, dtype=bool)))
-    touched = np.vstack((ends[0], dead[inner], ends[1]))
-    own = touched[:-1] | touched[1:]
-    own_col, first = np.nonzero((own & ~dead_edge[:-1]).T)
-    last = np.nonzero((own & ~dead_edge[1:]).T)[1]
-    bound = np.zeros_like(dead_edge)
-    bound[first, own_col] = bound[last + 1, own_col] = True
-    own_pos, own_gap = _gap_samples(edges[first], edges[last + 1])
-    own_col, own_gap = own_col[own_gap], first[own_gap]
+    # a row on a dead pole of a column is a point of its gap: the column's
+    # finite value and slope there (the products above give 0 * inf = NaN)
+    live = np.abs(weights) > 0.0
+    gap_of = np.searchsorted(poles, grid)  # a row on a pole lies in the gap below it
+    next_pole = np.minimum(gap_of, poles.size - 1)
+    on = np.flatnonzero(poles[next_pole] == grid)
+    row, col = np.nonzero(~live[next_pole[on]])
+    row = on[row]
+    signs[:, row, col] = _signs(columns.values(col, grid[row], 2), columns.values(col, grid[row]), level)
+    # consecutive rows in a gap of a column: every pole of the window is a
+    # row, so at most one lies in [row i, row i + 1), on row i, and the pair
+    # runs across it where it is dead in the column
+    pairs = (gap_of[1:] == gap_of[:-1])[:, None] | ~live[next_pole[:-1]]
 
-    # the patch: per column its own samples and the live edges bounding its
-    # runs, each edge before the samples of the gap above it and none where a
-    # sample sits; a pole belongs to the gap below it, so an edge that a
-    # shared sample of the gap above equals takes that sample's slope
-    edge_col, edge = np.nonzero(bound.T)
-    e_signs = _signs(np.full(edge.size, np.nan), columns.values(edge_col, edges[edge]), level)
-    at = np.searchsorted(grid, edges[edge], side="right") - 1
-    above = (gap[at] == edge) & ~own[gap[at], edge_col]
-    e_signs[0, above] = signs[0, at[above], edge_col[above]]
-    key = np.concatenate((2 * own_gap + 1, 2 * edge))
-    order = np.lexsort((key, np.concatenate((own_col, edge_col))))
-    t_col = np.concatenate((own_col, edge_col))[order]
-    t_pos = np.concatenate((own_pos, edges[edge]))[order]
-    own_signs = _signs(columns.values(own_col, own_pos, 2), columns.values(own_col, own_pos), level)
-    t_signs = np.concatenate((own_signs, e_signs), axis=1)[:, order]
-    same = (t_col[1:] == t_col[:-1]) & (t_pos[1:] == t_pos[:-1])
-    keep = (key[order] % 2 == 1) | ~(np.append(same, False) | np.insert(same, 0, False))
-    t_col, t_pos, t_signs = t_col[keep], t_pos[keep], t_signs[:, keep]
-
-    # the gap of a point among its column's live poles, distinct between columns
-    cum_dead = np.vstack((np.zeros(n_cols, dtype=np.int64), np.cumsum(dead, axis=0)))
-
-    def same_gap(col: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(poles, pos)
-        g = k - cum_dead[k, col] + col * (poles.size + 1)
-        return g[:-1] == g[1:]
-
-    # zeros of F': sign changes of the slope between consecutive samples of
-    # a gap, along the grid (a pair in the gap of its upper point, and in no
-    # column's own gap) and along the patch
-    grid_gap = np.searchsorted(poles, grid)
-    pairs = (grid_gap[:-1] == grid_gap[1:])[:, None] & ~own[np.searchsorted(edges, grid[1:]) - 1]
+    # zeros of F': sign changes of the slope between the rows of a pair
     (rows, col), _ = _changes(signs[0], pairs)
-    (seq,), _ = _changes(t_signs[0], same_gap(t_col, t_pos))
-    points = np.concatenate((grid, t_pos))
-    rows, col = np.concatenate((rows, grid.size + seq)), np.concatenate((col, t_col[seq]))
-    skip = _turn_skips(poles, weights, points, rows, col, level, guard, columns.scratch)
+    skip = _turn_skips(poles, weights, grid, rows, col, level, guard, columns.scratch)
     roots["turn"].skipped += int(skip.sum())
     rows, dz_col = rows[~skip], col[~skip]
-    dz = columns.bisect(dz_col, 0.0, 2, points[rows], points[rows + 1], roots["turn"])
+    dz = columns.bisect(dz_col, 0.0, 2, grid[rows], grid[rows + 1], roots["turn"])
     dz_signs = _signs(np.full(dz.size, np.nan), columns.values(dz_col, dz), level)
 
-    # level brackets: sign changes of F -+ level between consecutive points
-    # of a gap, the zeros of F' among them.  A zero on the patch is inserted
-    # into it; on the grid a pair holding one is split in three points.
-    split = (dz != points[rows]) & (dz != points[rows + 1])
-    shared = split & (rows < grid.size)
-    r, c = rows[shared], dz_col[shared]
+    # level brackets: sign changes of F -+ level between the rows of a pair;
+    # a pair holding a zero of F' is split in three points
+    split = (dz != grid[rows]) & (dz != grid[rows + 1])
+    r, c = rows[split], dz_col[split]
     pairs[r, c] = False
-    inserted = split & ~shared
-    at = rows[inserted] - grid.size + 1
-    f_col = np.concatenate((np.insert(t_col, at, dz_col[inserted]), np.repeat(c, 3)))
-    f_pos = np.concatenate(
-        (np.insert(t_pos, at, dz[inserted]), np.stack((grid[r], dz[shared], grid[r + 1]), 1).ravel())
-    )
-    f_signs = np.concatenate((
-        np.insert(t_signs, at, dz_signs[:, inserted], axis=1),
-        np.stack((signs[:, r, c], dz_signs[:, shared], signs[:, r + 1, c]), 2).reshape(3, -1),
-    ), axis=1)
-    f_pairs = same_gap(f_col, f_pos)
-    f_pairs[f_col.size - 3 * r.size + 2 :: 3] = False  # between two split pairs
+    trio = np.stack((grid[r], dz[split], grid[r + 1]))
+    trio_signs = np.stack((signs[:, r, c], dz_signs[:, split], signs[:, r + 1, c]), axis=1)
     # the grid rows where some column has |F| > level
     above = (signs[1] > 0).any(axis=1) | (signs[2] < 0).any(axis=1)
     brackets = []
-    for pos, sign, pair, col_of in ((grid, signs, pairs, None), (f_pos, f_signs, f_pairs, f_col)):
+    for pos, sign, pair, col_of, envelope in (
+        (np.broadcast_to(grid[:, None], (grid.size, n_cols)), signs, pairs, np.arange(n_cols), ~above),
+        (trio, trio_signs, True, c, np.zeros(3, dtype=bool)),
+    ):
         for target, z in zip((level, -level), sign[1:]):
-            (i, *in_col), below = _changes(z, pair)
+            (i, j), below = _changes(z, pair)
             # the end outside {|F| >= level}: F < level, or F > -level
             out = np.where(below if target > 0 else ~below, i, i + 1)
-            col = in_col[0] if in_col else col_of[i]
-            envelope = ~above[out] if col_of is None else np.zeros(i.size, dtype=bool)
-            brackets.append((col, pos[i], pos[i + 1], np.full(i.size, target), pos[out], envelope))
+            brackets.append((col_of[j], pos[i, j], pos[i + 1, j], np.full(i.size, target), pos[out, j], envelope[out]))
     # ordered by column, so that the searches below run along the keys
     by_col = np.argsort(np.concatenate([b[0] for b in brackets]), kind="stable")
     lcol, lo, hi, target, crossings, envelope = (np.concatenate(v)[by_col] for v in zip(*brackets))
@@ -468,15 +422,16 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
 
     # the envelope round: a root can end the union only where no column
     # reaches the level at its bracket's outside end.  The grid brackets
-    # whose outside row shows none are bisected first.  A patch point or a
-    # zero of F' has no signs of the other columns; on the bench balls 56 of
-    # the 60 brackets per ball that end there lie well inside the union.  The
+    # whose outside row shows none are bisected first.  A zero of F' has no
+    # signs of the other columns; on the bench balls 51 of the 54 brackets
+    # per ball with a zero of F' for an end lie well inside the union.  The
     # union starts from the pieces between the known breakpoints (edges,
     # zeros of F' and those roots) that no other bracket of their column
     # overlaps: pieces of the final cover.
     first, rest = np.flatnonzero(envelope), np.flatnonzero(~envelope)
     crossings[first] = columns.bisect(lcol[first], target[first], 1, lo[first], hi[first], roots["level"])
-    e_col, e_at = np.nonzero(~dead_edge.T)
+    # the edges of a column: the window ends and its live poles
+    e_col, e_at = np.nonzero(np.pad(live[inner], ((1, 1), (0, 0)), constant_values=True).T)
     k_key = np.sort(_keys(np.concatenate((e_col, dz_col, lcol[first])),
                           np.concatenate((edges[e_at], dz, crossings[first]))))
     # the pieces (k_i, k_i+1) that a bracket [lo, hi] overlaps: k_i < hi and k_i+1 > lo

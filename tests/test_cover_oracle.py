@@ -5,17 +5,24 @@ reciprocal matrix between all boundary columns of a ball, bisects the brackets
 of many columns in one batch, and skips the brackets whose root cannot bound
 the union.  The oracle below is the column-at-a-time construction that
 bisects every bracket, one bracket at a time: both must return the same
-interval tuples, float for float.  A column's gaps and guard come from its
-live poles; its values and its bisection run over every pole of the ball,
-where a dead pole (weight exactly 0) adds an exact zero.  The oracle's
-bisection evaluates G(E) = sum_j c_j / (p_j - E)^power - t with the cover's
-arithmetic (a row-wise product and numpy's pairwise sum, a NaN from 0 * inf
-at a dead pole summed as 0) and stops where the cover does, so the cover's
-roots must equal it bit for bit.
+interval tuples, float for float.  A column samples the gaps between
+consecutive poles of the ball and takes its dead poles (weight exactly 0) in
+the window as points; its pairs of consecutive points and its guard come
+from its live poles.  Its values and its bisection run over every pole of
+the ball, where a dead pole adds an exact zero.  The oracle's bisection
+evaluates G(E) = sum_j c_j / (p_j - E)^power - t with the cover's arithmetic
+(a row-wise product and numpy's pairwise sum, a NaN from 0 * inf at a dead
+pole summed as 0) and stops where the cover does, so the cover's roots must
+equal it bit for bit.
 """
 
 import functools
 import math
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +45,7 @@ from helpers import _rational, rational_deriv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +129,17 @@ def _segments_for_column(poles, w, level, window, xtol, counts):
     p = poles[live]
     if p.size == 0:
         return []
+    ball_edges = [lo_w, *[float(x) for x in poles if lo_w < x < hi_w], hi_w]
     gap_edges = [lo_w, *[float(x) for x in p if lo_w < x < hi_w], hi_w]
     sample_blocks = [
         _gap_points(g_lo, g_hi)
-        for g_lo, g_hi in zip(gap_edges[:-1], gap_edges[1:])
+        for g_lo, g_hi in zip(ball_edges[:-1], ball_edges[1:])
         if g_hi - g_lo > 4 * xtol
     ]
     if not sample_blocks:
         return []
-    samples = np.concatenate(sample_blocks)
+    dead = poles[~live]
+    samples = np.unique(np.concatenate([*sample_blocks, dead[(dead >= lo_w) & (dead <= hi_w)]]))
     dvals = _column_values(samples, poles, w, 2)
     in_same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
     idx = np.nonzero((np.sign(dvals[:-1]) * np.sign(dvals[1:]) < 0) & in_same_gap)[0]
@@ -277,10 +287,9 @@ def test_batched_cover_matches_oracle_on_the_bench_y_ball():
 def test_cover_forms_one_sample_grid_per_ball(monkeypatch):
     """A work guard without timing: the rows of reciprocals the cover forms
     through `_reciprocals` stay within the shared grid (the gap samples
-    between consecutive poles and the edges) plus the samples of the gaps
-    that columns merge across their dead poles.  A grid per set of live
-    poles, with the values at zeros of F' and at segment midpoints formed
-    the same way, came to about 8x that on this ball."""
+    between consecutive poles and the edges).  A grid per set of live poles,
+    with the values at zeros of F' and at segment midpoints formed the same
+    way, came to about 8x that on this ball."""
     prof, level, window = _two_particle_ball()
     rows = []
     plain = induction._reciprocals
@@ -292,22 +301,11 @@ def test_cover_forms_one_sample_grid_per_ball(monkeypatch):
     monkeypatch.setattr(induction, "_reciprocals", counting)
     cover_from_profile(prof, level, window)
     poles, weights = cluster_sums(prof.eigenvalues, prof.coefficients)
-    live = np.abs(weights) > 0.0
+    p = poles[(np.abs(weights) > 0.0).any(axis=1)]
     lo, hi = window
-
-    def edges_and_gaps(p):
-        edges = [lo, *p[(p > lo) & (p < hi)], hi]
-        return edges, [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 4e-12]
-
-    edges, gaps = edges_and_gaps(poles[live.any(axis=1)])
-    shared = len(edges) + sum(_gap_points(a, b).size for a, b in gaps)
-    merged = 0
-    for col in live.T:
-        dead = poles[live.any(axis=1) & ~col]
-        merged += sum(_gap_points(a, b).size for a, b in edges_and_gaps(poles[col])[1]
-                      if ((dead >= a) & (dead <= b)).any())
-    assert merged > 0
-    assert 0 < sum(rows) <= shared + merged
+    edges = [lo, *p[(p > lo) & (p < hi)], hi]
+    shared = len(edges) + sum(_gap_points(a, b).size for a, b in zip(edges[:-1], edges[1:]) if b - a > 4e-12)
+    assert 0 < sum(rows) <= shared
 
 
 def test_bridge_covers_match_the_bench_reference(tmp_path, monkeypatch):
@@ -330,6 +328,28 @@ def test_bridge_covers_match_the_bench_reference(tmp_path, monkeypatch):
             cfg.write_text(part.make_config(variant, str(out)))
             code = main([part.kind, "--config", str(cfg)])
             assert compare(part, read_output(out, code), reference[str(variant)]) == [], (name, variant)
+
+
+def test_cover_replay_tool_prints_every_bench_ball(monkeypatch):
+    """`tools/cover_replay.py --replays 1` runs: it hooks `_ball_union` and
+    `_bisect_batch` by name, so it prints a row per bench bridge ball with
+    its bisection batches and the interval count of `cover_from_profile`,
+    and the SHA-256 line that compares trees."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(TOOLS / "cover_replay.py"), "--replays", "1"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    rows = [line.split() for line in lines[1:-2]]
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import cover_replay
+
+    balls = cover_replay.profiles()
+    assert len(rows) == len(balls) == 16
+    for (variant, side, _, batches, _, intervals), (label, prof, level, window) in zip(rows, balls):
+        assert f"{variant} {side}" == label and int(batches) > 0
+        assert int(intervals) == cover_from_profile(prof, level, window).count
+    assert re.fullmatch(r"sha256 of the intervals: [0-9a-f]{64}", lines[-1])
 
 
 def test_cover_bisects_only_what_can_bound_the_union():
@@ -598,9 +618,9 @@ def bench_shaped_profiles(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(bench_shaped_profiles())
 def test_cover_matches_oracle_on_bench_shaped_profiles(case):
-    """Columns that patch their own gaps beside the shared grid next to
-    columns that use it all: equal to every bracket bisected and to the
-    oracle, float for float."""
+    """Columns whose gaps run across their dead poles on the shared grid
+    next to columns with every pole live: equal to every bracket bisected
+    and to the oracle, float for float."""
     prof, level, window = case
     cover = cover_from_profile(prof, level, window)
     full = _cover_without_skips(prof, level, window)
@@ -608,7 +628,7 @@ def test_cover_matches_oracle_on_bench_shaped_profiles(case):
 
 
 # ---------------------------------------------------------------------------
-# Columns with dead poles: the grid in shared gaps, the patch in their own
+# Columns with dead poles: one grid, gaps that run across dead poles
 
 
 _LAM = np.asarray([-2.0, -1.0, 0.5, 1.5, 3.0])
@@ -646,33 +666,86 @@ def test_dead_pole_columns_match_the_oracle(dead, window, lam, w, level):
         assert every.rows == seen[kind].rows
 
 
-def test_dead_pole_columns_add_only_their_own_gaps_to_the_grid(monkeypatch):
-    """A work guard without timing: beside the shared grid, the columns with
-    a dead pole add at most the samples of their own gaps (the runs of gaps
-    merged across their dead poles) and the two live edges that bound each
-    run.  Copying every shared sample such a column keeps added 54,348
-    points on this ball."""
+def test_cover_samples_one_grid_per_ball(monkeypatch):
+    """A work guard without timing: the cover forms the gap samples once per
+    ball, and every column, those with dead poles too, seeks the zeros of F'
+    along that grid alone: `_turn_skips` gets exactly the samples and the
+    edges no sample equals.  A patch of the gaps that columns merge across
+    their dead poles used to add 470-1,830 points to each bench ball."""
     prof, level, window = _two_particle_ball()
     sampled, points = [], []
     plain_samples, plain_skips = induction._gap_samples, induction._turn_skips
 
     def sampling(lo, hi):
         out = plain_samples(lo, hi)
-        sampled.append((lo, hi, out[0]))
+        sampled.append((lo, hi, out))
         return out
 
     def skipping(poles, weights, samples, *rest):
-        points.append(samples.size)
+        points.append(samples)
         return plain_skips(poles, weights, samples, *rest)
 
     monkeypatch.setattr(induction, "_gap_samples", sampling)
     monkeypatch.setattr(induction, "_turn_skips", skipping)
     cover_from_profile(prof, level, window)
-    (lo, hi, shared), (runs, _, own) = sampled
+    assert (cluster_sums(prof.eigenvalues, prof.coefficients)[1] == 0.0).any()
+    assert len(sampled) == len(points) == 1
+    (lo, hi, samples), (grid,) = sampled[0], points
     edges = np.append(lo, hi[-1])
-    grid = shared.size + np.count_nonzero(~np.isin(edges, shared))
-    assert own.size > 0
-    assert 0 < points[0] - grid <= own.size + 2 * runs.size
+    assert np.array_equal(grid, np.sort(np.concatenate((samples, edges[~np.isin(edges, samples)]))))
+
+
+def _exact_crossing(poles, weights, level, lo, hi):
+    """The root of sum_j w_j / (p_j - E) = level in [lo, hi], by bisection in
+    exact rationals to far below a float's spacing."""
+    terms = [(Fraction(p), Fraction(w)) for p, w in zip(poles, weights) if w != 0.0]
+    lo, hi = Fraction(lo), Fraction(hi)
+    below_at_lo = sum(w / (p - lo) for p, w in terms) < level
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if (sum(w / (p - mid) for p, w in terms) < level) == below_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def test_a_crossing_next_to_a_dead_pole_is_found_on_the_grid():
+    """Column 0 is dead at the pole 1, so its gap runs from 0 to 9; column 1
+    is live everywhere, so the grid samples the gap (0, 1) down to 1e-12
+    above 0.  Column 0 falls through the level at about 4.96e-12 above its
+    pole 0: the first sample of the merged gap (0, 9) lies past that, so
+    sampling that gap alone misses the crossing and ends the interval at the
+    pole.  On the grid the interval reaches the exact crossing."""
+    poles = np.asarray([-5.0, 0.0, 1.0, 9.0])
+    coeffs = np.asarray([[1e-9, 1e-9], [-5e-20, 1e-30], [0.0, 1e-9], [1e-9, 1e-9]])
+    level, window = 1e-8, (-6.0, 10.0)
+    prof = BoundaryProfile(poles, coeffs, 1.0)
+    cover = cover_from_profile(prof, level, window)
+    (end,) = [b for a, b in cover.intervals if a <= 0.0 <= b]
+    crossing = _exact_crossing(poles, coeffs[:, 0], Fraction(level), 1e-13, 1e-11)
+    assert 4.9e-12 < crossing < 5e-12
+    assert abs(end - crossing) <= induction.XTOL
+    assert cover.intervals == oracle_intervals(prof, level, window)
+
+
+def test_a_dead_pole_row_ends_the_pairs_next_to_it():
+    """Column 0 is F(E) = 2E / (10^4 - E^2), dead at the pole 0 of column 1,
+    and |F| < 1e-14 only on (-5e-11, 5e-11), between the grid rows at -1e-10
+    and 1e-10 and the row on 0.  Each crossing lies in a pair that ends on
+    that row, where column 0 takes its finite value 0, and the pair above it
+    runs across the dead pole.  Without the value, or without that pair, the
+    cover loses the hole around 0 or one side of it."""
+    poles = np.asarray([-100.0, 0.0, 100.0])
+    coeffs = np.asarray([[1.0, 1e-40], [0.0, 1e-40], [1.0, 1e-40]])
+    level, window = 1e-14, (-150.0, 150.0)
+    prof = BoundaryProfile(poles, coeffs, 1.0)
+    cover = cover_from_profile(prof, level, window)
+    crossing = _exact_crossing(poles, coeffs[:, 0], Fraction(level), 1e-11, 1e-10)
+    assert 4.9e-11 < crossing < 5.1e-11
+    (_, below), _, (above, _) = cover.intervals
+    assert abs(below + crossing) <= induction.XTOL and abs(above - crossing) <= induction.XTOL
+    assert cover.intervals == _cover_without_skips(prof, level, window).intervals == oracle_intervals(prof, level, window)
 
 
 def test_cover_of_larger_cluster_agrees_to_rounding():
@@ -753,7 +826,7 @@ def bisections(draw):
     power = draw(st.sampled_from([1, 2]))
     level = 0.0 if power == 2 else 10.0 ** draw(st.floats(-12.0, 1.0))
     edges = np.concatenate(([p[0] - 1.0], p, [p[-1] + 1.0]))
-    samples, _ = induction._gap_samples(edges[:-1], edges[1:])
+    samples = induction._gap_samples(edges[:-1], edges[1:])
     same_gap = np.searchsorted(p, samples[:-1]) == np.searchsorted(p, samples[1:])
     below = np.searchsorted(samples, p) - 1  # the last sample before each pole
     below = below[(below >= 0) & (samples[np.maximum(below, 0)] < p)]

@@ -2,9 +2,10 @@
 
 Particles are distinguishable; the state space is the Cartesian power of the
 vertex set with the product-graph edge relation (exactly one coordinate moves
-along an edge).  The max-metric rho and its permutation-symmetrized variant
-rho_S live here, together with product balls, boundaries and the
-weak-interactivity / weak-separation geometry.
+along an edge).  Balls are those of the max-metric rho (the max over
+coordinates of the graph distance).  Product balls, boundaries, the
+permutation-symmetrized pseudo-metric rho_S and the weak-interactivity /
+weak-separation geometry live here.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ from .errors import ContractViolation
 from .graphs import Graph
 
 Config = tuple[int, ...]
-
-
-def rho(graph: Graph, x: Config, y: Config) -> int:
-    """Max over coordinates of the single-particle graph distance."""
-    if len(x) != len(y):
-        raise ContractViolation("configurations have different particle counts")
-    return int(max(graph.dist[a, b] for a, b in zip(x, y)))
 
 
 def rho_s(graph: Graph, x: Config, y: Config) -> int:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import ExperimentConfig
-from .configspace import MultiBall, rho
+from .configspace import MultiBall
 from .disorder import sample_potential
-from .domination import AnnulusCover, DominationContext, domination_bound, gf_domination_check
+from .domination import distance_arrays, domination_bound, gf_domination_check
 from .experiments import (
     certificate_for, configuration_at, model_from_config, off_spectrum_energy, params_from_config,
     seed_trials,
@@ -45,20 +47,16 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
     )
     all_hold = True
 
-    # synthetic geometric profiles (always dominated by construction)
+    # synthetic geometric profiles over B(u, L+1) (always dominated by construction)
     ball = MultiBall(graph, center, radius)
+    domain = ball.concentric(radius + 1)
+    to_center = distance_arrays(domain, radius, ell).to_center
     for i in range(max(1, trials // 2)):
         rng = CounterRng(substream(seed, 500 + i))
         q = rng.uniform(0.05, 0.8)
         scale = rng.uniform(0.5, 2.0)
-        f = {
-            c: scale * q ** ((radius + 1 - rho(graph, center, c)) / max(ell, 1))
-            for c in MultiBall(graph, center, radius + 1).members()
-        }
-        ctx = DominationContext(
-            graph=graph, center=center, radius=radius, ell=ell, q=q, f=f, xi=frozenset()
-        )
-        res = domination_bound(ctx, AnnulusCover(bounds=()))
+        layers = [scale * q ** ((radius + 1 - r) / max(ell, 1)) for r in range(radius + 2)]
+        res = domination_bound(domain, radius, ell, q, np.asarray(layers)[to_center])
         all_hold &= res.holds
         tbl.add(i, "synthetic", q, res.W, res.f_center, res.bound, res.holds)
 
@@ -70,18 +68,16 @@ def run_dominate(config: ExperimentConfig, report: Report) -> None:
         rng = CounterRng(substream(seed, 1300 + i))
         spectra = BallSpectra(operators, sample, g)
         energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
-        q, failures, bounds = gf_domination_check(
-            spectra, ball, energy, ell, frozenset(), params, mass, cert, schedule
-        )
+        q, failures, bounds = gf_domination_check(spectra, ball, energy, ell, params, mass, cert, schedule)
         if failures:
             # not dominated is a precondition outcome, not a bound violation
             tbl.add(1000 + i, "gf-skipped:" + ";".join(failures), q,
                     float("nan"), float("nan"), float("nan"), True)
             continue
-        # with Xi empty, a bound without precondition failures is a dominated map
-        ok = not any(res.precondition_failures for res in bounds.values())
+        # a bound without precondition failures is a dominated map
+        ok = not any(res.precondition_failures for res in bounds)
         if ok:
-            for res in bounds.values():
+            for res in bounds:
                 ok &= res.holds
                 tbl.add(1000 + i, "gf", q, res.W, res.f_center, res.bound, res.holds)
         all_hold &= ok

@@ -4,11 +4,13 @@ constructions the tests check the package against."""
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from mpmsa.configspace import Config, MultiBall, product_neighbors, weakly_interactive
 from mpmsa.disorder import InteractionPotential
+from mpmsa.domination import DominationBound
 from mpmsa.errors import ContractViolation
 from mpmsa.graphs import Graph, GrowthCertificate
 from mpmsa.hamiltonian import VolumeOperator, row_runs
@@ -34,6 +36,14 @@ def interaction_value(u: InteractionPotential, r: int | float) -> float:
     if r == 0:
         return u.c_u
     return u.c_u * math.exp(-float(r) ** u.zeta)
+
+
+def rho(graph: Graph, x: Config, y: Config) -> int:
+    """Max over coordinates of the single-particle graph distance: the
+    max-metric, the scalar oracle of the distances domination reads."""
+    if len(x) != len(y):
+        raise ContractViolation("configurations have different particle counts")
+    return int(max(graph.dist[a, b] for a, b in zip(x, y)))
 
 
 def rho_one_neighbors(graph: Graph, x: Config):
@@ -321,4 +331,146 @@ def decouple(
         permutation=permutation,
         coupling_norm=norm,
         coupling_norm_bound=bound,
+    )
+
+
+# The dominated-decay lemma in its general form: singular points confined to a
+# set Xi, covered by annuli whose width comes off the exponent.  The package
+# checks the Xi-free form (mpmsa.domination); this is its oracle.
+
+
+class DominationContext(NamedTuple("DominationContext", [
+    ("graph", object), ("center", Config), ("radius", int), ("ell", int), ("q", float),
+    ("f", dict), ("xi", frozenset),
+])):
+    """A function over (at least) the ball B(center, radius), with parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph, center: Config, radius: int, ell: int, q: float,
+                f: dict[Config, float], xi: frozenset[Config] = frozenset()):
+        if not 0 < q < 1:
+            raise ContractViolation("q must lie in (0,1)")
+        if not 0 <= ell <= radius:
+            raise ContractViolation("need 0 <= ell <= radius")
+        missing = [c for c in MultiBall(graph, center, radius).members() if c not in f]
+        if missing:
+            raise ContractViolation(f"f undefined on {len(missing)} points of B(u, L)")
+        bad = [c for c, v in f.items() if not (v >= 0.0 and math.isfinite(v))]
+        if bad:
+            raise ContractViolation("f must be finite and nonnegative")
+        return super().__new__(cls, graph, center, radius, ell, q, f, xi)
+
+    def sup_over_ball(self, center: Config, radius: int) -> float:
+        """Max of f over B(center, radius) clipped to f's domain."""
+        vals = [self.f[c] for c in MultiBall(self.graph, center, radius).members()
+                if c in self.f]
+        return max(vals)
+
+    def layer(self, r: int) -> list[Config]:
+        if r == 0:
+            return [self.center]
+        inner = set(MultiBall(self.graph, self.center, r - 1).members())
+        return [c for c in MultiBall(self.graph, self.center, r).members() if c not in inner]
+
+
+class RegularPartition(NamedTuple):
+    regular: frozenset[Config]
+    singular: frozenset[Config]
+    layer_regular: tuple[bool, ...]  # index r = 0 .. radius - ell
+
+
+def regular_set(ctx: DominationContext) -> RegularPartition:
+    """Pointwise test over B(u, L-ell): f(x) <= q * max f over B(x, ell+1);
+    a layer is regular iff it lies entirely inside the regular set."""
+    reg: set[Config] = set()
+    sing: set[Config] = set()
+    for x in MultiBall(ctx.graph, ctx.center, ctx.radius - ctx.ell).members():
+        if ctx.f[x] <= ctx.q * ctx.sup_over_ball(x, ctx.ell + 1):
+            reg.add(x)
+        else:
+            sing.add(x)
+    flags = [all(c in reg for c in ctx.layer(r)) for r in range(0, ctx.radius - ctx.ell + 1)]
+    return RegularPartition(
+        regular=frozenset(reg), singular=frozenset(sing), layer_regular=tuple(flags)
+    )
+
+
+def radius_function(
+    ctx: DominationContext, x: Config, partition: RegularPartition | None = None
+) -> float:
+    """R_f(x) = (least regular layer radius >= rho(u,x)) + ell, or +inf."""
+    part = partition if partition is not None else regular_set(ctx)
+    start = rho(ctx.graph, ctx.center, x)
+    if start > ctx.radius - ctx.ell:
+        raise ContractViolation("x must lie in B(u, L - ell)")
+    for r in range(start, ctx.radius - ctx.ell + 1):
+        if part.layer_regular[r]:
+            return float(r + ctx.ell)
+    return math.inf
+
+
+def is_dominated(
+    ctx: DominationContext, partition: RegularPartition | None = None
+) -> tuple[bool, list[str]]:
+    """Definition check: singular points inside Xi, and at every point with a
+    finite radius function, f(x) <= q * max f over B(u, R_f(x))."""
+    part = partition if partition is not None else regular_set(ctx)
+    failures: list[str] = []
+    stray = part.singular - ctx.xi
+    if stray:
+        failures.append(f"{len(stray)} singular points outside Xi (e.g. {sorted(stray)[0]})")
+    for x in MultiBall(ctx.graph, ctx.center, ctx.radius - ctx.ell).members():
+        r_f = radius_function(ctx, x, part)
+        if math.isinf(r_f):
+            continue
+        bound = ctx.q * ctx.sup_over_ball(ctx.center, int(r_f))
+        if ctx.f[x] > bound * (1 + 1e-12):
+            failures.append(f"jump bound fails at {x}: f={ctx.f[x]:.3e} > {bound:.3e}")
+    return not failures, failures
+
+
+class AnnulusCover(NamedTuple):
+    """Concentric annuli [a_j, b_j] (inclusive radii); width is sum(b - a + 1)."""
+
+    bounds: tuple[tuple[int, int], ...]
+
+    @property
+    def width(self) -> int:
+        return sum(b - a + 1 for a, b in self.bounds)
+
+    def covers(self, ctx: DominationContext, points) -> bool:
+        for c in points:
+            r = rho(ctx.graph, ctx.center, c)
+            if not any(a <= r <= b for a, b in self.bounds):
+                return False
+        return True
+
+
+def domination_bound(ctx: DominationContext, annuli: AnnulusCover) -> DominationBound:
+    """f(u) <= q**W * (max f over B(u, L+1)) with W = (L+1-w)/(ell+1).
+
+    Callers supply the annuli (this module does not choose coverings); when a
+    precondition fails the result reports it and claims no bound.
+    """
+    failures: list[str] = []
+    part = regular_set(ctx)
+    ok, def_failures = is_dominated(ctx, part)
+    if not ok:
+        failures.extend(def_failures)
+    if not annuli.covers(ctx, part.singular):
+        failures.append("annuli do not cover the singular set")
+    if annuli.width > ctx.radius - ctx.ell:
+        failures.append(f"annulus width {annuli.width} exceeds L - ell = {ctx.radius - ctx.ell}")
+    sup_all = ctx.sup_over_ball(ctx.center, ctx.radius + 1)
+    w_exp = (ctx.radius + 1 - annuli.width) / (ctx.ell + 1)
+    bound = ctx.q**w_exp * sup_all
+    f_u = ctx.f[ctx.center]
+    return DominationBound(
+        W=w_exp,
+        bound=bound,
+        f_center=f_u,
+        sup_enclosing=sup_all,
+        holds=(not failures) and f_u <= bound * (1 + 1e-12),
+        precondition_failures=tuple(failures),
     )

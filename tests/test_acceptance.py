@@ -19,12 +19,7 @@ from mpmsa.configspace import (
     weak_separation,
 )
 from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
-from mpmsa.domination import (
-    AnnulusCover,
-    DominationContext,
-    domination_bound,
-    gf_domination_check,
-)
+from mpmsa.domination import distance_arrays, domination_bound, gf_domination_check
 from mpmsa.evc import spectral_shift_check, two_volume_evc
 from mpmsa.experiments import off_spectrum_energy, random_gri_instance
 from mpmsa.graphs import build_graph, certify_growth
@@ -47,15 +42,20 @@ from mpmsa.spectral import (
 
 from helpers import (
     ZERO_INTERACTION,
+    AnnulusCover,
     DenseOperator,
+    DominationContext,
     assemble_ball,
     classify_interactivity,
     clusters,
     covered,
     decouple,
     efc_test_function_value,
+    regular_set,
+    rho,
     sublevel_cover,
 )
+from helpers import domination_bound as lemma_bound
 
 DIST = uniform_distribution(0, 1)
 MASTER = 20250810
@@ -416,8 +416,10 @@ def test_criterion_06_interval_covers():
 # -------------------------------------------------------------------- 7
 
 
-def _synthetic_domination_cases():
-    cases = []
+def _synthetic_domination_bounds():
+    """The bounds of 140 geometric profiles, checked by the package, and of
+    40 capped profiles, checked by the general lemma with Xi and annuli."""
+    bounds = []
     for idx in range(140):
         rng = CounterRng(substream(MASTER, 110_000 + idx))
         graph = build_graph("path:31") if idx % 2 else build_graph("cycle:25")
@@ -428,23 +430,15 @@ def _synthetic_domination_cases():
             ell = radius
         q = rng.uniform(0.05, 0.9)
         scale = rng.uniform(0.1, 5.0)
-        f = {}
-        from mpmsa.configspace import rho as rho_metric
-
-        for c in MultiBall(graph, center, radius + 1).members():
-            f[c] = scale * q ** ((radius + 1 - rho_metric(graph, center, c)) / ell)
-        ctx = DominationContext(
-            graph=graph, center=center, radius=radius, ell=ell, q=q, f=f
-        )
-        cases.append((ctx, AnnulusCover(bounds=())))
+        domain = MultiBall(graph, center, radius + 1)
+        layers = [scale * q ** ((radius + 1 - r) / ell) for r in range(radius + 2)]
+        f = np.asarray(layers)[distance_arrays(domain, radius, ell).to_center]
+        bounds.append(domination_bound(domain, radius, ell, q, f))
     # capped-profile instances: the profile saturates from layer `lo` out to
     # the boundary, so every layer past lo - ell is singular, no regular layer
     # exists above them (jump conditions vacate there), and the annulus
     # shaves its width off the exponent.  The slope keeps a 5% margin so the
     # surviving jump conditions below the cap hold strictly.
-    from mpmsa.configspace import rho as rho_metric
-    from mpmsa.domination import regular_set
-
     for idx in range(40):
         rng = CounterRng(substream(MASTER, 115_000 + idx))
         graph = build_graph("path:41")
@@ -457,27 +451,26 @@ def _synthetic_domination_cases():
         base = lambda r, q=q, radius=radius, slope=slope: q ** (slope * (radius + 1 - r))
         f = {}
         for c in MultiBall(graph, center, radius + 1).members():
-            f[c] = min(base(rho_metric(graph, center, c)), base(lo))
+            f[c] = min(base(rho(graph, center, c)), base(lo))
         probe = DominationContext(
             graph=graph, center=center, radius=radius, ell=ell, q=q, f=f
         )
         singular = regular_set(probe).singular
-        spans = sorted({rho_metric(graph, center, c) for c in singular})
+        spans = sorted({rho(graph, center, c) for c in singular})
         annuli = AnnulusCover(bounds=((spans[0], spans[-1]),) if spans else ())
         ctx = DominationContext(
             graph=graph, center=center, radius=radius, ell=ell, q=q, f=f,
             xi=frozenset(singular),
         )
-        cases.append((ctx, annuli))
-    return cases
+        bounds.append(lemma_bound(ctx, annuli))
+    return bounds
 
 
 def test_criterion_07_domination_suite():
     """The dominated-decay bound on >= 200 synthetic and GF-derived cases."""
     held = 0
     failed = 0
-    for ctx, annuli in _synthetic_domination_cases():
-        res = domination_bound(ctx, annuli)
+    for res in _synthetic_domination_bounds():
         if res.holds:
             held += 1
         else:
@@ -500,15 +493,13 @@ def test_criterion_07_domination_suite():
         rng = CounterRng(substream(MASTER, 121_000 + idx))
         window = spectral_window(graph, 1, 1e3, DIST.sup_abs, ZERO_INTERACTION)
         energy = off_spectrum_energy((spectra.spectrum(ball),), window, rng, guard=1e-6)
-        _, failures, bounds = gf_domination_check(
-            spectra, ball, energy, 2, frozenset(), params, mass, cert, sched
-        )
+        _, failures, bounds = gf_domination_check(spectra, ball, energy, 2, params, mass, cert, sched)
         if failures:
             continue
-        # with Xi empty, a bound without precondition failures is a dominated map
-        if any(res.precondition_failures for res in bounds.values()):
+        # a bound without precondition failures is a dominated map
+        if any(res.precondition_failures for res in bounds):
             continue
-        for res in bounds.values():
+        for res in bounds:
             gf_cases += 1
             if res.holds:
                 held += 1

@@ -593,42 +593,31 @@ def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
     assert solves == [(ball_size, 2)] * len(qualifying)
 
 
-def test_dominate_builds_each_regular_set_once_per_bound(tmp_path, monkeypatch):
-    """Each map is partitioned and checked against the definition once:
-    `domination_bound` hands its partition to `is_dominated`, and
-    `gf_domination_check` returns the bound of each verified Green map, which
-    the runner writes as it is (configs/dominate.cfg: 2 synthetic and 2 Green
-    bounds, 4 partitions, 4 definition checks)."""
+def test_dominate_bounds_each_row_once_and_forms_distances_once_per_ball(tmp_path, monkeypatch):
+    """Each written row comes from one `domination_bound` call, and the
+    distance arrays its sups read are formed once per ball, not per map
+    (configs/dominate.cfg: 2 synthetic profiles over B(u, L+1) and 2 Green
+    maps over B(u, L))."""
     from mpmsa import domination, experiments_domination
 
-    built, checked, per_bound = [], [], []
-    regular_set, is_dominated = domination.regular_set, domination.is_dominated
+    calls = []
     domination_bound = domination.domination_bound
 
-    def counting_regular_set(ctx):
-        built.append(ctx)
-        return regular_set(ctx)
+    def counting_domination_bound(domain, radius, ell, q, f):
+        calls.append(domain)
+        return domination_bound(domain, radius, ell, q, f)
 
-    def counting_is_dominated(ctx, partition=None):
-        checked.append(ctx)
-        return is_dominated(ctx, partition)
-
-    def counting_domination_bound(ctx, annuli):
-        before = len(built)
-        result = domination_bound(ctx, annuli)
-        per_bound.append(len(built) - before)
-        return result
-
-    monkeypatch.setattr(domination, "regular_set", counting_regular_set)
-    monkeypatch.setattr(domination, "is_dominated", counting_is_dominated)
     monkeypatch.setattr(domination, "domination_bound", counting_domination_bound)
     monkeypatch.setattr(experiments_domination, "domination_bound", counting_domination_bound)
+    domination.distance_arrays.cache_clear()
     out = tmp_path / "dominate"
     code = main(["dominate", "--config", str(ROOT / "configs" / "dominate.cfg"), "--out", str(out)])
     assert code == 0
-    assert per_bound == [1, 1, 1, 1]
-    assert len(built) == 4
-    assert len(checked) == 4
+    rows = [line for line in (out / "dominate.csv").read_text().splitlines()
+            if line[:1].isdigit() and ",gf-skipped:" not in line]
+    assert len(calls) == len(rows) == 4
+    assert [ball.radius for ball in calls] == [7, 7, 6, 6]
+    assert domination.distance_arrays.cache_info().misses == 2
 
 
 def _count_operator_builds(monkeypatch):
@@ -751,7 +740,7 @@ def test_green_maps_reuse_the_solved_ball(monkeypatch):
     spec = spectra.spectrum(ball)
     balls = _count_operator_builds(monkeypatch)
     maps = green_magnitude_maps(spectra, ball, float(spec.eigenvalues[0]) - 1.0)
-    assert len(maps) == 2 and balls == []
+    assert maps.shape == (13, 2) and balls == []
 
 
 def test_shipped_configs_parse_and_declare_their_kind():

@@ -5,7 +5,6 @@ import pytest
 
 from mpmsa.configspace import (
     MultiBall,
-    rho,
     rho_s,
     separation_candidates,
     vertex_ball_mask,
@@ -22,6 +21,7 @@ from helpers import (
     classify_interactivity,
     edge_boundary,
     inner_boundary,
+    rho,
     rho_one_neighbors,
     set_distance,
 )

@@ -1,25 +1,28 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from mpmsa.configspace import MultiBall, rho
+from mpmsa.configspace import MultiBall
 from mpmsa.disorder import sample_potential, uniform_distribution
-from mpmsa.domination import (
-    AnnulusCover,
-    DominationContext,
-    domination_bound,
-    gf_domination_check,
-    green_magnitude_maps,
-    is_dominated,
-    radius_function,
-    regular_set,
-)
+from mpmsa.domination import distance_arrays, domination_bound, gf_domination_check, green_magnitude_maps
+from mpmsa.errors import ContractViolation
 from mpmsa.graphs import build_graph, certify_growth
 from mpmsa.msa import MassSchedule, ParameterSet, scales
 from mpmsa.spectral import BallOperators, BallSpectra
 
-from helpers import ZERO_INTERACTION, inner_boundary
+from helpers import (
+    ZERO_INTERACTION,
+    AnnulusCover,
+    DominationContext,
+    inner_boundary,
+    is_dominated,
+    radius_function,
+    regular_set,
+    rho,
+)
+from helpers import domination_bound as lemma_bound
 
 DIST = uniform_distribution(0, 1)
 
@@ -32,6 +35,12 @@ def _ctx(graph, center, radius, ell, q, f, xi=frozenset()):
 
 def _radial(graph, center, radius, fn):
     return {c: fn(rho(graph, center, c)) for c in MultiBall(graph, center, radius).members()}
+
+
+def _radial_array(domain, radius, ell, fn):
+    """fn(rho(u, x)) over the domain, in members() order."""
+    layers = np.asarray([fn(r) for r in range(domain.radius + 1)])
+    return layers[distance_arrays(domain, radius, ell).to_center]
 
 
 def test_constant_function_all_singular():
@@ -107,10 +116,10 @@ def test_domination_bound_synthetic():
     g = build_graph("path:31")
     center = (15,)
     radius, ell = 10, 2
+    domain = MultiBall(g, center, radius + 1)
     for q in (0.2, 0.5, 0.8):
-        f = _radial(g, center, radius + 1, lambda r: q ** ((radius + 1 - r) / ell))
-        ctx = _ctx(g, center, radius, ell, q, f)
-        res = domination_bound(ctx, AnnulusCover(bounds=()))
+        f = _radial_array(domain, radius, ell, lambda r: q ** ((radius + 1 - r) / ell))
+        res = domination_bound(domain, radius, ell, q, f)
         assert res.precondition_failures == ()
         assert res.holds
         assert res.W == pytest.approx((radius + 1) / (ell + 1))
@@ -121,10 +130,29 @@ def test_domination_bound_near_one_degenerates():
     center = (15,)
     radius, ell = 8, 2
     q = 0.999
-    f = _radial(g, center, radius + 1, lambda r: q ** ((radius + 1 - r) / ell))
-    res = domination_bound(_ctx(g, center, radius, ell, q, f), AnnulusCover(bounds=()))
+    domain = MultiBall(g, center, radius + 1)
+    f = _radial_array(domain, radius, ell, lambda r: q ** ((radius + 1 - r) / ell))
+    res = domination_bound(domain, radius, ell, q, f)
     assert res.holds
     assert res.bound == pytest.approx(res.sup_enclosing, rel=0.01)
+
+
+def test_domination_bound_rejects_bad_input():
+    g = build_graph("path:21")
+    domain = MultiBall(g, (10,), 6)
+    f = np.ones(domain.size())
+    for args in ((6, 2, 1.0, f), (6, 7, 0.5, f), (7, 2, 0.5, f), (6, 2, 0.5, f[1:]),
+                 (6, 2, 0.5, -f), (6, 2, 0.5, f * np.inf)):
+        with pytest.raises(ContractViolation):
+            domination_bound(domain, *args)
+
+
+def test_singular_point_fails_the_bound():
+    # a constant function is singular everywhere: no bound is claimed
+    g = build_graph("path:21")
+    domain = MultiBall(g, (10,), 9)
+    res = domination_bound(domain, 8, 2, 0.5, np.full(domain.size(), 0.7))
+    assert not res.holds and "singular points" in res.precondition_failures[0]
 
 
 def test_domination_bound_with_full_width_annulus():
@@ -146,7 +174,7 @@ def test_domination_bound_with_full_width_annulus():
     ctx = _ctx(g, center, radius, ell, q, f, xi=xi)
     annuli = AnnulusCover(bounds=((plateau_lo, plateau_hi),))
     assert annuli.width == radius - ell
-    res = domination_bound(ctx, annuli)
+    res = lemma_bound(ctx, annuli)
     assert res.W == pytest.approx((radius + 1 - (radius - ell)) / (ell + 1))
     assert res.holds
 
@@ -184,7 +212,7 @@ def _gf_setup(seed, g_amp=1e3):
 
 def test_gf_domination_rejects_small_ell():
     g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(1)
-    _, failures, _ = gf_domination_check(spectra, ball, 500.0, 0, frozenset(), params, mass, cert, sched)
+    _, failures, _ = gf_domination_check(spectra, ball, 500.0, 0, params, mass, cert, sched)
     assert "m * ell^delta > 2 L^beta" in failures
 
 
@@ -193,14 +221,14 @@ def test_gf_domination_strong_disorder():
     for seed in range(12):
         g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(3000 + seed)
         q, failures, bounds = gf_domination_check(
-            spectra, ball, 500.25, 2, frozenset(), params, mass, cert, sched
+            spectra, ball, 500.25, 2, params, mass, cert, sched
         )
         if not failures:
             assert q == pytest.approx(
                 math.exp(-(mass.m(1) - 2 * 2**-0.5 * 8**0.3) * 2**0.5)
             )
-            # with Xi empty, a bound without precondition failures is a dominated map
-            assert not any(res.precondition_failures for res in bounds.values())
+            # a bound without precondition failures is a dominated map
+            assert not any(res.precondition_failures for res in bounds)
             hits += 1
     assert hits >= 3  # hypotheses hold on a healthy share of strong-disorder draws
 
@@ -209,7 +237,7 @@ def test_gf_check_bounds_each_verified_green_map():
     for seed in range(3000, 3012):
         g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(seed)
         q, failures, bounds = gf_domination_check(
-            spectra, ball, 500.25, 2, frozenset(), params, mass, cert, sched
+            spectra, ball, 500.25, 2, params, mass, cert, sched
         )
         if not failures:
             break
@@ -218,22 +246,19 @@ def test_gf_check_bounds_each_verified_green_map():
     maps = green_magnitude_maps(spectra, ball, 500.25)
     op = spectra.operators.operator(ball)
     inverse = np.linalg.inv(op.hamiltonian(spectra.g, spectra.sample) - 500.25 * np.eye(len(op)))
-    assert sorted(bounds) == sorted(maps) == inner_boundary(g, ball.members())
-    for y, f_map in maps.items():
-        assert sorted(f_map) == list(op.configs)
+    members = ball.members()
+    assert list(op.configs) == members
+    boundary = inner_boundary(g, members)
+    assert maps.shape == (len(members), len(boundary)) == (len(members), len(bounds))
+    for k, y in enumerate(boundary):
+        kept = maps[:, k]
         col = np.abs(inverse[:, op.position(y)])
-        kept = np.asarray([f_map[c] for c in op.configs])
         assert np.allclose(kept[kept > 0], col[kept > 0], rtol=1e-10, atol=0)
         assert (kept > 0).sum() >= 2
-        ctx = DominationContext(graph=g, center=(12,), radius=8, ell=2, q=q, f=f_map)
-        assert bounds[y] == domination_bound(ctx, AnnulusCover(bounds=()))
-
-
-def test_gf_domination_xi_whole_ball_vacuous_hypotheses():
-    g, cert, params, mass, sched, smp, ball, spectra = _gf_setup(2)
-    xi = frozenset(MultiBall(g, (12,), 8 - 2 - 1).members())
-    _, failures, _ = gf_domination_check(spectra, ball, 500.25, 2, xi, params, mass, cert, sched)
-    assert "sub-ball" not in ";".join(failures)
+        assert bounds[k] == domination_bound(ball, 8, 2, q, kept)
+        ctx = DominationContext(graph=g, center=(12,), radius=8, ell=2, q=q,
+                                f=dict(zip(members, kept.tolist())))
+        _assert_agrees(bounds[k], lemma_bound(ctx, AnnulusCover(bounds=())))
 
 
 def test_q_below_one_iff_margin_positive():
@@ -254,3 +279,78 @@ def test_outward_decaying_profile_regular_away_from_center():
     assert (10,) in part.singular
     assert part.singular == frozenset({(10,)})
     assert all(part.layer_regular[1:])
+
+
+def _assert_agrees(got, want):
+    """The package's Xi-free bound against the lemma with Xi empty and no
+    annuli: every number float for float, and the same verdict."""
+    assert (got.W, got.bound, got.f_center, got.sup_enclosing) == (
+        want.W, want.bound, want.f_center, want.sup_enclosing)
+    assert got.holds is want.holds
+    assert bool(got.precondition_failures) == bool(want.precondition_failures)
+
+
+def _two_particle_profile(rng, domain, radius, ell, q):
+    """A profile over the domain in members() order: a radial ramp (geometric;
+    tight, where each layer is q times the layer ell further out; or q**W at
+    the center, q over the rest of B(u, L - ell) and 1 outside), each tight
+    value off by a factor of 1, 1 + 5e-13 or 1 + 3e-12 against the 1e-12
+    slack; or random values; then some exact zeros, a zeroed patch or
+    singular spikes."""
+    to_center = distance_arrays(domain, radius, ell).to_center
+    kind = rng.integers(4)
+    factor = (1.0, 1.0 + 5e-13, 1.0 + 3e-12)[rng.integers(3)]
+    layers = [1.0] * (domain.radius + 1)
+    if kind == 0:
+        slope = rng.uniform(0.6, 1.6) / max(ell, 1)
+        layers = [q ** (slope * (radius + 1 - r)) for r in range(domain.radius + 1)]
+    elif kind == 1:
+        for r in range(radius, -1, -1):
+            layers[r] = q * layers[min(r + max(ell, 1), domain.radius)] * factor
+    elif kind == 2:
+        layers = [q ** ((radius + 1) / (ell + 1)) * factor] + [q] * (radius - ell) + layers[radius - ell + 1:]
+    else:
+        layers = None
+    f = rng.uniform(0.5, 2.0) * (
+        np.asarray(layers)[to_center] if layers is not None else rng.exponential(size=to_center.size))
+    touch = rng.integers(6)
+    if touch == 1:
+        f[rng.random(f.size) < 0.15] = 0.0
+    elif touch == 2:
+        sites = np.asarray(domain.members())
+        z = sites[rng.integers(len(sites))]
+        f[domain.graph.dist[z, sites].max(axis=1) <= rng.integers(2)] = 0.0
+    elif touch == 3:
+        spikes = rng.integers(f.size, size=rng.integers(1, 4))
+        f[spikes] /= q ** rng.integers(1, 4)
+    return f
+
+
+def test_two_particle_bound_matches_the_lemma():
+    """Two particles on grid, tree and cycle graphs, domains of radius L and
+    L + 1, profiles with singular points and exact zeros: the package's bound
+    equals the lemma's with Xi empty and no annuli, and it counts the lemma's
+    singular points."""
+    rng = np.random.default_rng(26)
+    graphs = {spec: build_graph(spec) for spec in ("grid:4x3", "tree:2x3", "cycle:9")}
+    centers = {"grid:4x3": ((5, 6), (0, 11), (4, 4)), "tree:2x3": ((1, 2), (0, 3), (5, 5)),
+               "cycle:9": ((0, 4), (2, 2), (8, 1))}
+    outcomes = collections.Counter()
+    for _ in range(600):
+        spec = ("grid:4x3", "tree:2x3", "cycle:9")[rng.integers(3)]
+        graph = graphs[spec]
+        center = centers[spec][rng.integers(3)]
+        radius = int(rng.integers(1, 4))
+        ell = int(rng.integers(0, min(radius, 2) + 1))
+        q = float(rng.uniform(0.1, 0.9))
+        domain = MultiBall(graph, center, radius + int(rng.integers(2)))
+        f = _two_particle_profile(rng, domain, radius, ell, q)
+        got = domination_bound(domain, radius, ell, q, f)
+        ctx = DominationContext(graph=graph, center=center, radius=radius, ell=ell, q=q,
+                                f=dict(zip(domain.members(), f.tolist())))
+        _assert_agrees(got, lemma_bound(ctx, AnnulusCover(bounds=())))
+        singular = got.precondition_failures[0] if got.precondition_failures else ""
+        assert len(regular_set(ctx).singular) == (int(singular.split()[0]) if "singular" in singular else 0)
+        outcomes[got.holds, got.f_center <= got.bound] += 1
+    # both verdicts are common, and the 1e-12 slack decides some
+    assert min(outcomes[True, True], outcomes[False, False]) >= 100 and outcomes[True, False] >= 3, outcomes

@@ -127,16 +127,20 @@ def test_every_dataclass_field_is_read():
 
 
 def test_record_classes_are_immutable():
-    """Every dataclass in src/mpmsa is frozen, and every class built on a
+    """Every dataclass in src/mpmsa and in the test helpers (which hold the
+    oracles moved out of the package) is frozen, and every class built on a
     NamedTuple declares __slots__ down its chain, so no instance takes a new
     attribute or a new value for a field."""
     import dataclasses
     import importlib
     import inspect
 
+    import helpers
+
     records = []
-    for path in sorted(Path(mpmsa.__file__).parent.glob("*.py")):
-        module = importlib.import_module(f"mpmsa.{path.stem}")
+    modules = [importlib.import_module(f"mpmsa.{path.stem}")
+               for path in sorted(Path(mpmsa.__file__).parent.glob("*.py"))]
+    for module in [*modules, helpers]:
         for cls in vars(module).values():
             if inspect.isclass(cls) and cls.__module__ == module.__name__:
                 if dataclasses.is_dataclass(cls):

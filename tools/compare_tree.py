@@ -14,8 +14,10 @@ pinned to 1 thread:
 
 Both trees run the same config files, those of this tree.  Per run the
 script compares the bytes of every CSV file, the exit code, and the pass
-flags and results of summary.json, and prints one table with a row per run.
-The exit code is 0 when every run is identical in all four, else 1.
+flags and results of summary.json, and prints one table with a row per run,
+then the dotted paths (such as results.cover_roots.level.rows) at which the
+results of a run differ.  The exit code is 0 when every run is identical in
+all four, else 1.
 """
 
 from __future__ import annotations
@@ -42,6 +44,22 @@ def _git(*args: str) -> str:
 def _kind(config_text: str) -> str:
     return next(line.split("=", 1)[1].strip() for line in config_text.splitlines()
                 if line.split("=", 1)[0].strip() == "kind")
+
+
+_MISSING = object()
+
+
+def differing_paths(a, b, where: str = "") -> list[str]:
+    """The dotted paths ([i] for list items) at which two JSON values differ
+    exactly; NaN equals NaN, and a key on one side only differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(a.keys() | b.keys())
+                for p in differing_paths(a.get(key, _MISSING), b.get(key, _MISSING),
+                                         f"{where}.{key}" if where else key)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in differing_paths(x, y, f"{where}[{i}]")]
+    same = type(a) is type(b) and (a == b or (a != a and b != b))
+    return [] if same else [where]
 
 
 def cases() -> list[tuple[str, str, str]]:
@@ -100,14 +118,19 @@ def main() -> int:
             print(f"running {label}", file=sys.stderr)
             a = run(base, "base", label, threads, text, work / "out")
             b = run(ROOT, "head", label, threads, text, work / "out")
-            checks = {key: a[key] == b[key] for key in ("csv", "exit", "flags", "results")}
+            paths = differing_paths(a["results"], b["results"], "results")
+            checks = {key: a[key] == b[key] for key in ("csv", "exit", "flags")}
+            checks["results"] = not paths
             same += all(checks.values())
-            rows.append((label, f"{a['exit']}/{b['exit']}", len(b["csv"]), checks))
+            rows.append((label, f"{a['exit']}/{b['exit']}", len(b["csv"]), checks, paths))
     print(f"this tree against {commit[:12]}, BLAS at 1 thread")
     print(f"{'run':<22} {'exit':>5} {'CSVs':>4}  {'bytes':<5} {'exit':<5} {'flags':<5} {'results':<7}")
-    for label, exits, n_csv, checks in rows:
+    for label, exits, n_csv, checks, _ in rows:
         marks = ["same" if checks[key] else "DIFF" for key in ("csv", "exit", "flags", "results")]
         print(f"{label:<22} {exits:>5} {n_csv:>4}  {marks[0]:<5} {marks[1]:<5} {marks[2]:<5} {marks[3]:<7}")
+    for label, *_, paths in rows:
+        if paths:
+            print(f"{label}: {', '.join(paths)} differ")
     print(f"{same} of {len(rows)} runs identical in CSV bytes, exit code, pass flags and results")
     return 0 if same == len(rows) else 1
 

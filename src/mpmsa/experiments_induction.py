@@ -170,6 +170,8 @@ def run_efc(config: ExperimentConfig, report: Report) -> None:
     batches = config.get_int("run", "batches", "10")
     if not 1 <= batches <= T_DF_MAX + 1:  # the t interval has batches - 1 df
         raise ConfigurationError(f"[run] batches must be between 1 and {T_DF_MAX + 1}")
+    if batches > trials:
+        raise ConfigurationError(f"[run] batches ({batches}) must not exceed the trials ({trials})")
     full = MultiBall(graph, tuple([0] * n), int(graph.dist.max()))
     distances, mean_efc, masses, ci, batch_masses = efc_decay_experiment(
         full, pairs, dist, BallOperators(graph, interaction), g_grid, params.kappa, trials, seed, batches

@@ -782,8 +782,8 @@ def efc_decay_experiment(
     pair distances rho_S, and per coupling in g_values the mean EFC of each
     pair, the mass, its interval (low, high) and the mass of each batch.
     """
-    if seeds < n_batches:
-        n_batches = max(1, seeds)
+    if not 1 <= n_batches <= seeds:
+        raise ContractViolation(f"need 1 <= batches ({n_batches}) <= seeds ({seeds})")
     # the operator is enumerated, and the ball checked against the dense
     # budget, before any pair and before the trials share it
     operators.operator(ball)

@@ -1,5 +1,12 @@
 """Exact diagonalization, Green functions, the boundary functional, the
-eigenfunction correlator and the geometric resolvent inequality check."""
+eigenfunction correlator and the geometric resolvent inequality check.
+
+A spectrum keeps the eigenvectors as LAPACK returns them, each column's sign
+arbitrary.  Every quantity derived here reads them only through products
+psi_j(x) psi_j(y) of one column, which a sign flip leaves bit for bit the
+same: the Green function, the boundary functional and its covers, the
+eigenfunction correlator and the GRI.
+"""
 
 from __future__ import annotations
 
@@ -93,34 +100,18 @@ def cluster_sums(eigenvalues: np.ndarray, values: np.ndarray) -> tuple[np.ndarra
     return np.add.reduceat(eigenvalues, starts) / sizes, np.add.reduceat(values, starts, axis=0)
 
 
-def _sign_anchors(vec: np.ndarray) -> np.ndarray:
-    """Per column, the sign (+1 for 0) of its largest-magnitude entry, the
-    smallest index winning ties: the rule of np.argmax(np.abs(vec), axis=0)
-    without forming |vec|.  The column maximum and minimum decide it unless
-    they tie in magnitude with opposite signs; only those columns look up the
-    first index of each by argmax and argmin."""
-    high, low = vec.max(axis=0), -vec.min(axis=0)
-    signs = np.where(high < low, -1.0, 1.0)
-    tie = np.flatnonzero((high == low) & (high > 0.0))
-    if tie.size:
-        sub = vec[:, tie]
-        signs[tie] = np.where(np.argmin(sub, axis=0) < np.argmax(sub, axis=0), -1.0, 1.0)
-    return signs
-
-
 def eigendecompose(op: VolumeOperator, g: float, sample: np.ndarray) -> SpectralData:
     """Full spectrum of H over the volume of `op` at coupling g under one
-    disorder sample, with orthonormal eigenvectors and a fixed sign convention.
+    disorder sample: eigh's ascending eigenvalues and orthonormal eigenvectors,
+    signs as LAPACK returns them.
 
-    Ordering is ascending; each eigenvector is flipped so its largest-magnitude
-    entry (smallest index on ties) is positive.  Residual and orthonormality
-    contracts are enforced here rather than trusted: max |HV - V diag(lam)|
-    <= 1e-9 max(||H||, 1), formed from H's diagonal and the operator's runs
-    (`_residual`), and max |V^T V - I| <= 1e-10, one symmetric product.
+    Residual and orthonormality contracts are enforced here rather than
+    trusted: max |HV - V diag(lam)| <= 1e-9 max(||H||, 1), formed from H's
+    diagonal and the operator's runs (`_residual`), and max |V^T V - I| <=
+    1e-10, one symmetric product.
     """
     h = op.hamiltonian(g, sample)
     lam, vec = np.linalg.eigh(h)
-    vec *= _sign_anchors(vec)
     h_norm = float(np.abs(lam).max()) if lam.size else 0.0
     resid = _residual(np.diagonal(h), op.runs, lam, vec)
     # `not <=` so that a NaN residual or Gram deviation fails the contract

@@ -11,13 +11,13 @@ regenerate when a change is meant to alter these outputs, and say so.
 The comparison uses the cell rules of bench/workloads.py (read only): exact
 integer, boolean, empty and non-finite cells, the bench tolerances for
 floats.  The '#' headers, the column names and the row counts are exact, so a
-schema change fails.  Floats in the results compare at DEFAULT_TOL.
+schema change fails.  The results are walked by tools/compare_tree.py, their
+floats at DEFAULT_TOL.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +25,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[2]
 CONFIGS = ROOT / "configs"
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tools")]
+from compare_tree import config_kind, differing_leaves  # noqa: E402
 from workloads import DEFAULT_TOL, Part, compare, read_tables  # noqa: E402
 
 
@@ -34,8 +35,7 @@ def run_config(name: str, out: Path) -> dict:
     from mpmsa.cli import main
 
     path = CONFIGS / f"{name}.cfg"
-    kind = next(line.split("=", 1)[1].strip() for line in path.read_text().splitlines()
-                if line.split("=", 1)[0].strip() == "kind")
+    kind = config_kind(path.read_text())
     code = main([kind, "--config", str(path), "--out", str(out)])
     summary = json.loads((out / "summary.json").read_text())
     return {
@@ -49,23 +49,6 @@ def run_config(name: str, out: Path) -> dict:
         },
         "tables": read_tables(out),
     }
-
-
-def _results_differ(got, ref, where: str) -> list[str]:
-    if isinstance(ref, dict) and isinstance(got, dict):
-        if sorted(got) != sorted(ref):
-            return [f"{where}: keys {sorted(got)} != {sorted(ref)}"]
-        return [p for key in ref for p in _results_differ(got[key], ref[key], f"{where}.{key}")]
-    if isinstance(ref, list) and isinstance(got, list):
-        if len(got) != len(ref):
-            return [f"{where}: length {len(got)} != {len(ref)}"]
-        return [p for i, (a, b) in enumerate(zip(got, ref)) for p in _results_differ(a, b, f"{where}[{i}]")]
-    if isinstance(ref, float) and isinstance(got, float) and math.isfinite(ref):
-        rtol, atol = DEFAULT_TOL
-        ok = abs(got - ref) <= rtol * abs(ref) + atol
-    else:
-        ok = type(got) is type(ref) and (got == ref or (got != got and ref != ref))
-    return [] if ok else [f"{where}: {got!r} vs reference {ref!r}"]
 
 
 def _is_number(cell: str) -> bool:
@@ -99,7 +82,8 @@ def differences(name: str, got: dict, ref: dict) -> list[str]:
         problems.append(f"text cells {sorted(set(got_text) ^ set(ref_text))} differ")
     if got["headers"] != ref["headers"]:
         problems.append(f"'#' headers {got['headers']} != {ref['headers']}")
-    return problems + _results_differ(got["results"], ref["results"], "results")
+    return problems + [f"{path}: {a!r} vs reference {b!r}"
+                       for path, a, b in differing_leaves(got["results"], ref["results"], "results", DEFAULT_TOL)]
 
 
 def names() -> list[str]:

@@ -115,14 +115,16 @@ def test_zero_trials_exits_2(tmp_path):
     assert main(["wegner", "--config", path, "--trials", "0"]) == 2
 
 
-@pytest.mark.parametrize("batches", ["0", "-1", "10002"])
-def test_efc_batches_out_of_range_exit_2(tmp_path, batches):
+@pytest.mark.parametrize("batches", ["0", "-1", "10002", "11"])
+def test_efc_batches_out_of_range_exit_2(tmp_path, capsys, batches):
     # below 1 the runner used to write nan intervals; above 10001 the t
-    # quantile of the interval is refused
+    # quantile of the interval is refused; above the 10 trials of the config
+    # the batches used to be lowered to the trials without a word
     text = (ROOT / "configs" / "efc.cfg").read_text().replace("batches = 5", f"batches = {batches}")
     out = tmp_path / "x"
     assert main(["efc", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
     assert not out.exists()
+    assert "batches" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,old,new", [
@@ -152,13 +154,15 @@ def test_efc_batches_out_of_range_exit_2(tmp_path, batches):
     # a coupling at which the diagonal of H overflows
     ("classify", "g = 2.0", "g = 1e308"),
 ])
-def test_malformed_run_values_exit_2(tmp_path, kind, old, new):
+def test_malformed_run_values_exit_2(tmp_path, capsys, kind, old, new):
     text = (ROOT / "configs" / f"{kind}.cfg").read_text()
     assert old in text
     out = tmp_path / "x"
     path = _write(tmp_path, text.replace(old, new))
     assert main([kind, "--config", path, "--out", str(out), "--trials", "2"]) == 2
     assert not out.exists()
+    if kind == "efc":  # 2 trials against 5 batches: the key must be refused first
+        assert new.split("=")[0].strip() in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind,old,new", [
@@ -482,6 +486,7 @@ g = 1.0
 
 [run]
 pairs = 0,0|1,1;0,0|2,2
+batches = 1
 """.format(out=tmp_path / "efc")
     assert main(["efc", "--config", _write(tmp_path, text, "efc.cfg")]) == 3
 

@@ -248,9 +248,20 @@ def test_efc_decay_zero_distance_pairs_excluded():
 def test_efc_decay_needs_two_positive_distances():
     g = build_graph("path:12")
     full = MultiBall(g, (0, 0), 11)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="two pairs"):
         efc_decay_experiment(
-            full, [((3, 5), (5, 3))], DIST, BallOperators(g, ZERO_INTERACTION), [1.0], 0.5, 2, 1
+            full, [((3, 5), (5, 3))], DIST, BallOperators(g, ZERO_INTERACTION), [1.0], 0.5, 2, 1, n_batches=2
+        )
+
+
+@pytest.mark.parametrize("n_batches", [0, 3])
+def test_efc_decay_refuses_batches_outside_one_to_seeds(n_batches):
+    g = build_graph("path:12")
+    pairs = [((3, 5), (6, 8)), ((3, 5), (8, 10))]
+    with pytest.raises(ContractViolation, match="batches"):
+        efc_decay_experiment(
+            MultiBall(g, (0, 0), 11), pairs, DIST, BallOperators(g, ZERO_INTERACTION), [1.0], 0.5,
+            seeds=2, seed=1, n_batches=n_batches,
         )
 
 

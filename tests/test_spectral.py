@@ -10,13 +10,14 @@ from mpmsa.configspace import Config, MultiBall, rho_s
 from mpmsa.disorder import InteractionPotential, sample_potential, uniform_distribution
 from mpmsa.errors import ContractViolation, DataError, ResonanceError
 from mpmsa.graphs import build_graph, certify_growth
-from mpmsa.hamiltonian import VolumeOperator
+from mpmsa.hamiltonian import VolumeOperator, spectral_window
 from mpmsa.rng import CounterRng
 from mpmsa import spectral
 from mpmsa.spectral import (
     BallOperators,
     BallSpectra,
     SpectralData,
+    boundary_profile,
     cluster_starts,
     dist_to_spectrum,
     efc,
@@ -26,6 +27,7 @@ from mpmsa.spectral import (
     ns_flags,
     roundoff_floor,
 )
+from mpmsa.induction import EnergyIntervalCover, cover_from_profile, sup_min_functional
 
 from helpers import (
     ZERO_INTERACTION,
@@ -611,31 +613,66 @@ def test_dist_to_spectrum_equals_the_broadcast_minimum(case):
     assert all(float(dist_to_spectrum(lam, e)) == w for e, w in zip(energies, want))
 
 
-def _abs_anchor_signs(vec):
-    """The sign rule as first written: np.argmax of |vec| per column."""
-    anchor = np.argmax(np.abs(vec), axis=0)
-    signs = np.sign(vec[anchor, np.arange(vec.shape[1])])
-    signs[signs == 0] = 1.0
-    return signs
+def _bits(value):
+    """A result with every array and float as its bytes, so that == compares
+    bit for bit (signed zeros and NaN payloads too)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, EnergyIntervalCover):
+        return _bits(value.intervals), {kind: vars(counts) for kind, counts in value.roots.items()}
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return value
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_sign_anchors_match_the_abs_argmax_rule(data):
-    """Exact +-ties, repeated maxima and minima, zero columns and signed
-    zeros: the anchor from argmax and argmin gives the signs of the |vec|
-    oracle, bit for bit."""
-    rows = data.draw(st.integers(1, 9))
-    cols = data.draw(st.integers(1, 6))
-    entry = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
-                      st.floats(-3.0, 3.0, allow_nan=False))
-    vec = np.asarray(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                                        min_size=rows, max_size=rows)))
-    got = spectral._sign_anchors(vec)
-    assert np.array_equal(got.view(np.int64), _abs_anchor_signs(vec).view(np.int64))
+@pytest.mark.parametrize("graph_spec,n,g,centers,radius", [
+    # g = 0: the ball's symmetries make degenerate clusters
+    ("grid:5x5", 1, 0.0, ((12,), (3,)), 2),
+    ("path:12", 2, 4.0, ((3, 5), (7, 8)), 2),
+    # the balls of the bench's bridge workload, m = 169
+    ("path:40", 2, 300.0, ((7, 9), (28, 31)), 6),
+], ids=["one-particle", "two-particle", "bridge-169"])
+def test_consumers_are_blind_to_eigenvector_signs(graph_spec, n, g, centers, radius):
+    """Every consumer reads the eigenvectors only through products
+    psi_j(x) psi_j(y) of one column: random column signs, as LAPACK may
+    return them, leave every result bit for bit the same."""
+    graph = build_graph(graph_spec)
+    u = InteractionPotential(1.0, 0.5)
+    cert = certify_growth(graph, 1.0, 12)
+    smp = sample_potential(DIST, graph, 17)
+    spectra = BallSpectra(BallOperators(graph, u), smp, g)
+    spec_x, spec_y = (spectra.spectrum(MultiBall(graph, c, radius)) for c in centers)
+    volume, lam = spec_x.volume.configs, spec_x.eigenvalues
+    sub = volume[: len(volume) // 2]
+    spec_w = eigendecompose(VolumeOperator(graph, sub, u), g, smp)
+    x, y = sub[0], volume[-1]  # x in W, y in V \ W
+    window = spectral_window(graph, n, g, DIST.sup_abs, u)
+    grid = np.linspace(*window, 301)
+    level = float(np.median(boundary_profile(spec_x, cert).evaluate(grid)))
+    energies = np.concatenate((grid, lam[:3]))  # the guarded ones too
+    gap = int(np.argmax(np.diff(lam)))
+    energy = 0.5 * (lam[gap] + lam[gap + 1])
+    rng = np.random.default_rng(len(volume))
+    picks = [volume[i] for i in rng.choice(len(volume), 5, replace=False)] + [x, y]
 
+    def results(sx, sy, sw):
+        return (
+            [efc(sx, a, b) for a in picks for b in picks],
+            boundary_profile(sx, cert).coefficients,
+            ns_flags(sx, cert, energies, level),
+            [green_row(sx, energy, a) for a in picks],
+            gri_check(sx, sw, x, y, energy),
+            cover_from_profile(boundary_profile(sx, cert), level, window).intervals,
+            sup_min_functional(sx, sy, cert, level, window),
+        )
 
-def test_sign_anchors_break_opposite_sign_ties_by_index():
-    vec = np.asarray([[0.5, -2.0, 1.0, 0.0], [-0.5, 2.0, -1.0, 0.0], [0.25, 2.0, 1.0, -0.0]])
-    assert spectral._sign_anchors(vec).tolist() == [1.0, -1.0, 1.0, 1.0]
-    assert spectral._sign_anchors(-vec[::-1]).tolist() == [1.0, -1.0, -1.0, 1.0]
+    want = _bits(results(spec_x, spec_y, spec_w))
+    for _ in range(3):
+        flipped = []
+        for spec in (spec_x, spec_y, spec_w):
+            signs = rng.choice([-1.0, 1.0], size=spec.eigenvalues.size)
+            flipped.append(spec._replace(eigenvectors=spec.eigenvectors * signs))
+        assert (flipped[0].eigenvectors != spec_x.eigenvectors).any()
+        assert _bits(results(*flipped)) == want

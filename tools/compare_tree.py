@@ -23,9 +23,10 @@ all four, else 1.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import io
+import json
+import math
+import os
 import subprocess
 import sys
 import tarfile
@@ -41,25 +42,42 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True).stdout
 
 
-def _kind(config_text: str) -> str:
+def config_kind(config_text: str) -> str:
+    """The `kind` of a config file's text: the subcommand that runs it."""
     return next(line.split("=", 1)[1].strip() for line in config_text.splitlines()
                 if line.split("=", 1)[0].strip() == "kind")
 
 
-_MISSING = object()
+class _Missing:
+    def __repr__(self) -> str:
+        return "<missing>"
 
 
-def differing_paths(a, b, where: str = "") -> list[str]:
-    """The dotted paths ([i] for list items) at which two JSON values differ
-    exactly; NaN equals NaN, and a key on one side only differs."""
+_MISSING = _Missing()
+
+
+def differing_leaves(a, b, where: str = "", tol: tuple[float, float] | None = None) -> list[tuple]:
+    """(path, a value, b value) at each dotted path ([i] for list items) at
+    which two JSON values differ; a key on one side only differs, with the
+    other side <missing>.  Values compare exactly, NaN equal to NaN, except
+    that with tol = (rtol, atol) two floats, b finite, agree when
+    |a - b| <= rtol |b| + atol."""
     if isinstance(a, dict) and isinstance(b, dict):
-        return [p for key in sorted(a.keys() | b.keys())
-                for p in differing_paths(a.get(key, _MISSING), b.get(key, _MISSING),
-                                         f"{where}.{key}" if where else key)]
+        return [leaf for key in sorted(a.keys() | b.keys())
+                for leaf in differing_leaves(a.get(key, _MISSING), b.get(key, _MISSING),
+                                             f"{where}.{key}" if where else key, tol)]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [p for i, (x, y) in enumerate(zip(a, b)) for p in differing_paths(x, y, f"{where}[{i}]")]
-    same = type(a) is type(b) and (a == b or (a != a and b != b))
-    return [] if same else [where]
+        return [leaf for i, (x, y) in enumerate(zip(a, b)) for leaf in differing_leaves(x, y, f"{where}[{i}]", tol)]
+    if tol is not None and isinstance(a, float) and isinstance(b, float) and math.isfinite(b):
+        same = abs(a - b) <= tol[0] * abs(b) + tol[1]
+    else:
+        same = type(a) is type(b) and (a == b or (a != a and b != b))
+    return [] if same else [(where, a, b)]
+
+
+def differing_paths(a, b, where: str = "", tol: tuple[float, float] | None = None) -> list[str]:
+    """The paths of `differing_leaves`."""
+    return [path for path, _, _ in differing_leaves(a, b, where, tol)]
 
 
 def cases() -> list[tuple[str, str, str]]:
@@ -89,7 +107,7 @@ def run(tree: Path, side: str, label: str, threads: str, text: str, work: Path) 
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), MPMSA_THREADS=threads)
     env.update({var: "1" for var in THREAD_VARS})
     proc = subprocess.run(
-        [sys.executable, "-m", "mpmsa.cli", _kind(text), "--config", str(cfg), "--out", str(out)],
+        [sys.executable, "-m", "mpmsa.cli", config_kind(text), "--config", str(cfg), "--out", str(out)],
         cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S,
     )
     summary = out / "summary.json"

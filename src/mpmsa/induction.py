@@ -17,7 +17,13 @@ where every pole between them is dead in it.  On a bench ball about 40 of
 48 columns have every pole live, and single columns have 1-20 dead poles,
 on a grid of about 9,400 rows.  The sign-change brackets of the derivative
 zeros ("turn") and of the level crossings ("level") are found for all
-columns at once along the grid.
+columns at once along the grid, one block of 512 rows at a time: each block
+is read for its brackets before the next is formed, and no array spans the
+grid rows times the columns.  A cover's working set is the reciprocal
+scratch (2 x 512 rows at every pole, 1.4 MB at 169 poles), the weights and
+the brackets: 2.7-2.8 MB under tracemalloc on the bench balls (m = 169),
+14 MB at m = 625 and 37 MB at m = 1,369 (two particles on a path, 96 and
+144 columns), where the ball's eigensolve holds 5 m^2 doubles (75 MB).
 
 Only roots that can bound the union are bisected: a turn bracket on which a
 bound keeps |F| below half the level is skipped.  The level brackets whose
@@ -202,7 +208,9 @@ def _turn_skips(
         dist_to_spectrum(poles, samples[rows + 1]) > 4 * guard
     )
     uniq, at = np.unique(rows[far], return_inverse=True)
-    bound = np.empty((uniq.size, weights.shape[1]))
+    bracket = np.flatnonzero(far)
+    abs_weights = np.abs(weights)
+    skip = far.copy()
     size = scratch.size // (2 * poles.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for s in range(0, uniq.size, size):
@@ -212,9 +220,10 @@ def _turn_skips(
             np.abs(_differences(samples[r], poles, near), out=near)
             np.abs(_differences(samples[r + 1], poles, other), out=other)
             np.divide(1.0, np.minimum(near, other, out=near), out=near)
-            np.matmul(near, np.abs(weights), out=bound[s : s + size])
-    skip = far.copy()
-    skip[far] = bound[at, cols[far]] < 0.5 * level
+            # the block's bounds, read at once at its own brackets
+            mine = np.flatnonzero(at // size == s // size)
+            bound = np.matmul(near, abs_weights)
+            skip[bracket[mine]] = bound[at[mine] - s, cols[bracket[mine]]] < 0.5 * level
     return skip
 
 
@@ -243,6 +252,16 @@ def _changes(signs: np.ndarray, pair: np.ndarray):
     negative."""
     at = np.nonzero((signs[:-1] * signs[1:] < 0) & pair)
     return at, signs[:-1][at] < 0
+
+
+def _level_changes(signs: np.ndarray, pair):
+    """The level brackets in `signs`, the signs of F - level and F + level
+    (see _signs), between rows i and i + 1 where `pair` holds: per target
+    level and -level the row i, the column, and whether the end outside
+    {|F| >= level} (F < level, or F > -level) is row i + 1."""
+    for z, upper in zip(signs, (True, False)):
+        (i, j), below = _changes(z, pair)
+        yield i, j, below != upper
 
 
 def _merge(intervals, eps: float) -> list[tuple[float, float]]:
@@ -328,6 +347,105 @@ class _Columns:
         return out
 
 
+def _grid_pass(columns: _Columns, live: np.ndarray, edges: np.ndarray, level: float):
+    """The grid of a ball with ascending `edges` (the window ends and the
+    poles inside), and the signs of F', F - level and F + level of every
+    column along it, a block of rows at a time, from two matrix products per
+    block of reciprocals formed in place in `scratch`, where it stays in
+    cache for both.  The grid is the gap samples, and in between the edges
+    no sample equals, which have no slope.  At a row on one of its dead
+    poles a column takes its finite value and slope there (the products give
+    0 * inf = NaN), and a pair of consecutive rows counts for it where every
+    pole between them is dead in it.  Each block is read, behind the last
+    row of the block before it, for what the cover needs, and no (rows x
+    columns) array outlives it.  Returns the grid and, in row-major order:
+
+    - per row, whether some column has |F| > level;
+    - the turn brackets (sign changes of F' over a pair): row i, column, and
+      the signs at rows i and i + 1 as (3, brackets) arrays;
+    - per target level and -level, the level brackets: row i, column, and
+      whether the end outside {|F| >= level} is row i + 1."""
+    poles, weights = columns.poles, columns.weights
+    samples = _gap_samples(edges[:-1], edges[1:])
+    at = np.searchsorted(samples, edges)
+    new = np.flatnonzero(np.append(samples, np.nan)[at] != edges)
+    grid = np.insert(samples, at[new], edges[new])
+    flat = np.zeros(grid.size, dtype=bool)
+    flat[at[new] + np.arange(new.size)] = True
+    gap_of = np.searchsorted(poles, grid)  # a row on a pole lies in the gap below it
+    next_pole = np.minimum(gap_of, poles.size - 1)
+    on = np.flatnonzero(poles[next_pole] == grid)
+    dead_row, dead_col = np.nonzero(~live[next_pole[on]])
+    dead_row = on[dead_row]
+    dead_signs = _signs(columns.values(dead_col, grid[dead_row], 2), columns.values(dead_col, grid[dead_row]), level)
+
+    block_rows = columns.scratch.size // (2 * poles.size)
+    signs = np.empty((3, block_rows + 1, weights.shape[1]), dtype=np.int8)  # the carried row, then the block
+    above = np.empty(grid.size, dtype=bool)
+    turns, crossings = [], ([], [])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for s in range(0, grid.size, block_rows):
+            block = grid[s : s + block_rows]
+            recip = _reciprocals(block, poles, columns.scratch[: block.size * poles.size].reshape(block.size, -1))
+            values = recip @ weights
+            here = signs[:, 1 : block.size + 1]
+            _signs(np.square(recip, out=recip) @ weights, values, level, out=here)
+            here[0, flat[s : s + block.size]] = 0
+            d = slice(*np.searchsorted(dead_row, (s, s + block.size)))
+            here[:, dead_row[d] - s, dead_col[d]] = dead_signs[:, d]
+            above[s : s + block.size] = (here[1] > 0).any(axis=1) | (here[2] < 0).any(axis=1)
+            # the pairs from the carried row on: every pole of the window is a
+            # row, so at most one lies in [row i, row i + 1), on row i, and
+            # the pair runs across it where it is dead in the column
+            first = max(s - 1, 0)
+            i = np.arange(first, s + block.size - 1)
+            pairs = (gap_of[i + 1] == gap_of[i])[:, None] | ~live[next_pole[i]]
+            z = signs[:, first - s + 1 : block.size + 1]
+            (r, c), _ = _changes(z[0], pairs)
+            turns.append((r + first, c, z[:, r, c], z[:, r + 1, c]))
+            for found, (r, c, out) in zip(crossings, _level_changes(z[1:], pairs)):
+                found.append((r + first, c, out))
+            signs[:, 0] = signs[:, block.size]
+    turns = tuple(np.concatenate(v, axis=-1) for v in zip(*turns))
+    return grid, above, turns, [tuple(np.concatenate(v) for v in zip(*found)) for found in crossings]
+
+
+def _brackets(columns: _Columns, live: np.ndarray, edges: np.ndarray, level: float, roots: dict[str, RootCounts]):
+    """The zeros of F' and the level brackets of every column on the grid of
+    a ball (see _ball_union): the column and root of each zero of F'
+    bisected, and per level bracket, ordered by column, its column, ends
+    [lo, hi], target (level or -level), end outside {|F| >= level} and
+    whether no column reaches the level there on the grid."""
+    n_cols = live.shape[1]
+    grid, above, (rows, col, lo_signs, hi_signs), found = _grid_pass(columns, live, edges, level)
+
+    # zeros of F'
+    keep = ~_turn_skips(columns.poles, columns.weights, grid, rows, col, level, RESOLVENT_GUARD, columns.scratch)
+    roots["turn"].skipped += int(keep.size - keep.sum())
+    rows, col, lo_signs, hi_signs = rows[keep], col[keep], lo_signs[:, keep], hi_signs[:, keep]
+    dz = columns.bisect(col, 0.0, 2, grid[rows], grid[rows + 1], roots["turn"])
+    dz_signs = _signs(np.full(dz.size, np.nan), columns.values(col, dz), level)
+
+    # level brackets: sign changes of F -+ level between the rows of a pair;
+    # a pair holding a zero of F' is split in three points, whose brackets
+    # take the place of the pair's
+    split = (dz != grid[rows]) & (dz != grid[rows + 1])
+    r, c = rows[split], col[split]
+    trio = np.stack((grid[r], dz[split], grid[r + 1]))
+    trio_signs = np.stack((lo_signs[:, split], dz_signs[:, split], hi_signs[:, split]), axis=1)
+    split_at = np.append(r * n_cols + c, -1)  # ascending (row-major), then a sentinel
+    brackets = []
+    for target, (i, j, out) in zip((level, -level), found):
+        whole = split_at[np.searchsorted(split_at[:-1], i * n_cols + j)] != i * n_cols + j
+        i, j, out = i[whole], j[whole], out[whole]
+        brackets.append((j, grid[i], grid[i + 1], np.full(i.size, target), grid[i + out], ~above[i + out]))
+    for target, (i, j, out) in zip((level, -level), _level_changes(trio_signs[1:], True)):
+        brackets.append((c[j], trio[i, j], trio[i + 1, j], np.full(i.size, target), trio[i + out, j], np.zeros(i.size, bool)))
+    del found  # the grid's candidates are done with: a lower peak in the sort
+    by_col = np.argsort(np.concatenate([b[0] for b in brackets]), kind="stable")
+    return col, dz, tuple(np.concatenate(v)[by_col] for v in zip(*brackets))
+
+
 def _ball_union(columns: _Columns, level: float, window: tuple[float, float], roots: dict[str, RootCounts]):
     """The merged segments {|F_col| >= level} of every column.
 
@@ -354,71 +472,8 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     guard = RESOLVENT_GUARD
     inner = (poles > lo_w) & (poles < hi_w)
     edges = np.concatenate(([lo_w], poles[inner], [hi_w]))
-    samples = _gap_samples(edges[:-1], edges[1:])
-    # the grid: the samples, and in between the edges no sample equals
-    at = np.searchsorted(samples, edges)
-    new = np.flatnonzero(np.append(samples, np.nan)[at] != edges)
-    grid = np.insert(samples, at[new], edges[new])
-
-    # the signs of F', F - level and F + level of every column on the grid,
-    # from two matrix products per block of reciprocals, formed in place in
-    # `scratch`, where it stays in cache for both; an edge has no slope
-    signs = np.empty((3, grid.size, n_cols), dtype=np.int8)
-    block_rows = columns.scratch.size // (2 * poles.size)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for s in range(0, grid.size, block_rows):
-            part = slice(s, s + block_rows)
-            block = grid[part]
-            recip = _reciprocals(block, poles, columns.scratch[: block.size * poles.size].reshape(block.size, -1))
-            values = recip @ weights
-            _signs(np.square(recip, out=recip) @ weights, values, level, out=signs[:, part])
-    signs[0, at[new] + np.arange(new.size)] = 0
-
-    # a row on a dead pole of a column is a point of its gap: the column's
-    # finite value and slope there (the products above give 0 * inf = NaN)
     live = np.abs(weights) > 0.0
-    gap_of = np.searchsorted(poles, grid)  # a row on a pole lies in the gap below it
-    next_pole = np.minimum(gap_of, poles.size - 1)
-    on = np.flatnonzero(poles[next_pole] == grid)
-    row, col = np.nonzero(~live[next_pole[on]])
-    row = on[row]
-    signs[:, row, col] = _signs(columns.values(col, grid[row], 2), columns.values(col, grid[row]), level)
-    # consecutive rows in a gap of a column: every pole of the window is a
-    # row, so at most one lies in [row i, row i + 1), on row i, and the pair
-    # runs across it where it is dead in the column
-    pairs = (gap_of[1:] == gap_of[:-1])[:, None] | ~live[next_pole[:-1]]
-
-    # zeros of F': sign changes of the slope between the rows of a pair
-    (rows, col), _ = _changes(signs[0], pairs)
-    skip = _turn_skips(poles, weights, grid, rows, col, level, guard, columns.scratch)
-    roots["turn"].skipped += int(skip.sum())
-    rows, dz_col = rows[~skip], col[~skip]
-    dz = columns.bisect(dz_col, 0.0, 2, grid[rows], grid[rows + 1], roots["turn"])
-    dz_signs = _signs(np.full(dz.size, np.nan), columns.values(dz_col, dz), level)
-
-    # level brackets: sign changes of F -+ level between the rows of a pair;
-    # a pair holding a zero of F' is split in three points
-    split = (dz != grid[rows]) & (dz != grid[rows + 1])
-    r, c = rows[split], dz_col[split]
-    pairs[r, c] = False
-    trio = np.stack((grid[r], dz[split], grid[r + 1]))
-    trio_signs = np.stack((signs[:, r, c], dz_signs[:, split], signs[:, r + 1, c]), axis=1)
-    # the grid rows where some column has |F| > level
-    above = (signs[1] > 0).any(axis=1) | (signs[2] < 0).any(axis=1)
-    brackets = []
-    for pos, sign, pair, col_of, envelope in (
-        (np.broadcast_to(grid[:, None], (grid.size, n_cols)), signs, pairs, np.arange(n_cols), ~above),
-        (trio, trio_signs, True, c, np.zeros(3, dtype=bool)),
-    ):
-        for target, z in zip((level, -level), sign[1:]):
-            (i, j), below = _changes(z, pair)
-            # the end outside {|F| >= level}: F < level, or F > -level
-            out = np.where(below if target > 0 else ~below, i, i + 1)
-            brackets.append((col_of[j], pos[i, j], pos[i + 1, j], np.full(i.size, target), pos[out, j], envelope[out]))
-    # ordered by column, so that the searches below run along the keys
-    by_col = np.argsort(np.concatenate([b[0] for b in brackets]), kind="stable")
-    lcol, lo, hi, target, crossings, envelope = (np.concatenate(v)[by_col] for v in zip(*brackets))
-    del signs, pairs, brackets  # the sign planes are done with: a lower peak in the rounds
+    dz_col, dz, (lcol, lo, hi, target, crossings, envelope) = _brackets(columns, live, edges, level, roots)
 
     # the envelope round: a root can end the union only where no column
     # reaches the level at its bracket's outside end.  The grid brackets
@@ -438,6 +493,7 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     a = np.searchsorted(k_key, _keys(lcol[rest], lo[rest]), side="right") - 1
     b = np.maximum(np.searchsorted(k_key, _keys(lcol[rest], hi[rest])) - 1, a)
     blocked = np.cumsum(np.bincount(a, minlength=k_key.size) - np.bincount(b + 1, minlength=k_key.size + 1)[:-1]) > 0
+    del e_col, e_at, a, b  # a lower peak in the rounds
     union = _union_of_pieces(columns, k_key, ~blocked[:-1], level, guard, [])
 
     # the rest in rounds of 1, 2, 4, ... columns, most brackets first; a
@@ -447,7 +503,7 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
     # between its crossings and the known breakpoints, join the union.
     margin = 2 * XTOL + 4 * guard
     order = np.argsort(-np.bincount(lcol[rest], minlength=n_cols), kind="stable")
-    round_of = np.empty(n_cols, dtype=np.int64)
+    round_of = np.empty(n_cols, dtype=np.int8)
     round_of[order] = np.frexp(np.arange(1.0, n_cols + 1))[1] - 1
     k_round = round_of[k_key.real.astype(np.int64)]
     for k in range(int(round_of.max()) + 1):
@@ -461,9 +517,10 @@ def _ball_union(columns: _Columns, level: float, window: tuple[float, float], ro
         # two known ones was judged if no bracket blocked it
         key = np.concatenate((k_key[mine], _keys(lcol[part], crossings[part])))
         order = np.argsort(key, kind="stable")
+        key = key[order]
         known = order < mine.size
         judged = known[:-1] & known[1:] & ~blocked[mine][np.where(known, order, 0)[:-1]]
-        union = _union_of_pieces(columns, key[order], ~judged, level, guard, union)
+        union = _union_of_pieces(columns, key, ~judged, level, guard, union)
     return union
 
 

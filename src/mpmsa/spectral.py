@@ -303,26 +303,25 @@ class BoundaryProfile(NamedTuple):
     coefficients: np.ndarray  # (n_eigs, n_boundary), C order
     prefactor: float
 
-    def green_values(self, energies: np.ndarray) -> np.ndarray:
-        """(n_energies, n_boundary) array of G(center, z; E); no resonance
-        guard.  The reciprocals 1 / (lambda_j - E) are formed PROFILE_ROWS
-        energies at a time in one buffer."""
+    def evaluate(self, energies, guard: float = 0.0) -> np.ndarray:
+        """F values per energy; energies within `guard` of a pole give +inf.
+        G(center, z; E) is formed PROFILE_ROWS energies at a time, the
+        reciprocals 1 / (lambda_j - E) in one buffer and their product with
+        the coefficients in another, and each block is reduced to its
+        maximum over z at once: no (energies x boundary) array is formed."""
         energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-        out = np.empty((energies.size, self.coefficients.shape[1]))
-        buf = np.empty((min(energies.size, PROFILE_ROWS), self.eigenvalues.size))
+        vals = np.empty(energies.size)
+        rows = min(energies.size, PROFILE_ROWS)
+        recip_buf, green = np.empty((rows, self.eigenvalues.size)), np.empty((rows, self.coefficients.shape[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, energies.size, PROFILE_ROWS):
                 part = energies[s : s + PROFILE_ROWS]
-                recip = _reciprocals(part, self.eigenvalues, buf[: part.size])
-                np.matmul(recip, self.coefficients, out=out[s : s + part.size])
-        return out
-
-    def evaluate(self, energies, guard: float = 0.0) -> np.ndarray:
-        """F values per energy; energies within `guard` of a pole give +inf."""
-        energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-        vals = self.prefactor * np.abs(self.green_values(energies)).max(axis=1)
+                recip = _reciprocals(part, self.eigenvalues, recip_buf[: part.size])
+                g = np.matmul(recip, self.coefficients, out=green[: part.size])
+                np.abs(g, out=g).max(axis=1, out=vals[s : s + part.size])
+        vals *= self.prefactor
         if guard > 0.0:
-            vals = np.where(dist_to_spectrum(self.eigenvalues, energies) <= guard, np.inf, vals)
+            vals[dist_to_spectrum(self.eigenvalues, energies) <= guard] = np.inf
         return vals
 
 
@@ -369,13 +368,17 @@ def ns_flags(
 def efc(spec: SpectralData, x: Config, y: Config) -> float:
     """Eigenfunction correlator sup over |f| <= 1 of |<1_y| f(H) |1_x>|, in
     closed form: the sum over distinct-eigenvalue clusters of |<1_y P 1_x>|,
-    taken left to right as Python floats.
+    taken left to right in double (the builtin `sum` of floats compensates
+    since Python 3.12, which would move the last bit with the version).
 
     The sup over bounded test functions is attained by the sign pattern of the
     per-cluster projections, so no optimization is needed.
     """
     _, sums = cluster_sums(spec.eigenvalues, spec.component(x) * spec.component(y))
-    return float(sum(abs(float(v)) for v in sums))
+    total = 0.0
+    for v in np.abs(sums).tolist():
+        total += v
+    return total
 
 
 def gri_check(

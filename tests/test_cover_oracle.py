@@ -22,6 +22,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,7 +40,9 @@ from mpmsa import induction
 from mpmsa.induction import RootCounts, _merge, cover_from_profile
 from mpmsa.msa import MassSchedule
 from mpmsa.rng import substream
-from mpmsa.spectral import BallOperators, BallSpectra, BoundaryProfile, _reciprocals, boundary_profile, cluster_sums
+from mpmsa.spectral import (
+    RESOLVENT_GUARD, BallOperators, BallSpectra, BoundaryProfile, _reciprocals, boundary_profile, cluster_sums,
+)
 
 from helpers import _rational, rational_deriv
 
@@ -330,26 +333,71 @@ def test_bridge_covers_match_the_bench_reference(tmp_path, monkeypatch):
             assert compare(part, read_output(out, code), reference[str(variant)]) == [], (name, variant)
 
 
-def test_cover_replay_tool_prints_every_bench_ball(monkeypatch):
+@functools.cache
+def _bench_balls():
+    """(label, profile, level, window) of both balls of every bench
+    bridge-covers variant, as `tools/cover_replay.py` forms them."""
+    sys.path.insert(0, str(TOOLS))
+    try:
+        import cover_replay
+    finally:
+        sys.path.remove(str(TOOLS))
+    return cover_replay.profiles()
+
+
+def _traced_peak_mb(f, *args, **kwargs) -> float:
+    """The peak of the memory that f(*args, **kwargs) allocates, in MB, as
+    tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_cover_replay_tool_prints_every_bench_ball():
     """`tools/cover_replay.py --replays 1` runs: it hooks `_ball_union` and
     `_bisect_batch` by name, so it prints a row per bench bridge ball with
-    its bisection batches and the interval count of `cover_from_profile`,
-    and the SHA-256 line that compares trees."""
+    its bisection batches, the interval count of `cover_from_profile` and
+    the peak of one cover's memory, the mean over the balls, and the
+    SHA-256 line that compares trees."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, str(TOOLS / "cover_replay.py"), "--replays", "1"],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     rows = [line.split() for line in lines[1:-2]]
-    monkeypatch.syspath_prepend(str(TOOLS))
-    import cover_replay
-
-    balls = cover_replay.profiles()
+    balls = _bench_balls()
     assert len(rows) == len(balls) == 16
-    for (variant, side, _, batches, _, intervals), (label, prof, level, window) in zip(rows, balls):
+    for (variant, side, _, batches, _, intervals, peak), (label, prof, level, window) in zip(rows, balls):
         assert f"{variant} {side}" == label and int(batches) > 0
         assert int(intervals) == cover_from_profile(prof, level, window).count
+        assert float(peak) > 0
+    assert re.search(r", \d+\.\d\d MB peak$", lines[-2])
     assert re.fullmatch(r"sha256 of the intervals: [0-9a-f]{64}", lines[-1])
+
+
+def test_bench_ball_covers_keep_a_bounded_working_set():
+    """Every bench-ball cover peaks at 3.2 MB or less under tracemalloc: the
+    reciprocal scratch of 2 x 512 rows at every pole (1.38 MB at 168
+    poles), the weights, and the brackets with their keys.  The grid pass
+    reads each block of 512 rows for its brackets before the next; sign
+    planes, a pairs mask and skip bounds over the whole grid (about 9,500
+    rows x 48 columns) took the peak to 5.0-5.3 MB."""
+    peaks = [_traced_peak_mb(cover_from_profile, prof, level, window) for _, prof, level, window in _bench_balls()]
+    assert len(peaks) == 16 and max(peaks) <= 3.2, peaks
+
+
+def test_profile_evaluation_forms_no_energies_by_boundary_array():
+    """`BoundaryProfile.evaluate` at 20,000 energies on a bench ball peaks
+    below 3 MB under tracemalloc: it reduces each block of 512 energies to
+    its maximum over the 48 boundary columns at once.  The (20,000 x 48)
+    Green values and their magnitudes took about 15 MB."""
+    _, prof, _, window = _bench_balls()[0]
+    energies = np.linspace(*window, 20_000)
+    assert prof.coefficients.shape[1] == 48
+    assert _traced_peak_mb(prof.evaluate, energies, guard=RESOLVENT_GUARD) < 3.0
 
 
 def test_cover_bisects_only_what_can_bound_the_union():

@@ -318,6 +318,19 @@ def test_efc_diagonal_and_bounds():
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
+def test_efc_sums_the_clusters_left_to_right():
+    """The cluster magnitudes (1.0, 1e-16, 1e-16) add up to 1.0 left to
+    right in double, on every Python version; a compensated sum (math.fsum,
+    or the builtin `sum` of floats since Python 3.12) gives
+    1.0000000000000002.  The spectrum is one in form only: efc reads the
+    eigenvalues and the two rows psi_j(x), psi_j(y)."""
+    g = build_graph("path:3")
+    volume = VolumeOperator(g, [(0,), (1,), (2,)], ZERO_INTERACTION)
+    vectors = np.asarray([[1.0, 1.0, 1.0], [1.0, 1e-16, 1e-16], [0.0, 0.0, 0.0]])
+    spec = SpectralData(volume, np.asarray([0.0, 1.0, 2.0]), vectors, 2.0)
+    assert efc(spec, (0,), (1,)) == 1.0
+
+
 def test_efc_closed_form_dominates_random_functions():
     g = build_graph("path:6")
     smp = sample_potential(DIST, g, 11)

@@ -11,6 +11,9 @@ N times (default 7), all 16 balls per replay.  It prints per ball:
   - the bisection batches (`induction._bisect_batch` calls) and the
     reciprocal rows (`EnergyIntervalCover.roots`) of one cover;
   - the number of intervals;
+  - the peak of the memory one `cover_from_profile` allocates, in MB, as
+    tracemalloc sees it, from a pass of its own before the timed replays,
+    so that tracing slows none of them;
 
 then the mean of those per ball, and one SHA-256 over every interval tuple
 (the hex of both ends, ball by ball), so that two trees can be compared:
@@ -27,6 +30,7 @@ import math
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +79,13 @@ def main() -> int:
     from mpmsa import induction
 
     balls = profiles()
+    peaks = []
+    for _, prof, level, window in balls:
+        tracemalloc.start()
+        induction.cover_from_profile(prof, level, window)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        tracemalloc.stop()
+
     union, batch = induction._ball_union, induction._bisect_batch
     timing, batches = [], [0]
 
@@ -102,15 +113,15 @@ def main() -> int:
                 work.append((batches[0], rows, cover.intervals))
 
     digest = hashlib.sha256()
-    print(f"{'ball':<6} {'union ms':>9} {'batches':>8} {'rows':>8} {'intervals':>9}")
-    for (label, *_), t, (n_batches, rows, intervals) in zip(balls, times, work):
-        print(f"{label:<6} {1e3 * statistics.median(t):>9.2f} {n_batches:>8} {rows:>8} {len(intervals):>9}")
+    print(f"{'ball':<6} {'union ms':>9} {'batches':>8} {'rows':>8} {'intervals':>9} {'peak MB':>8}")
+    for (label, *_), t, (n_batches, rows, intervals), peak in zip(balls, times, work, peaks):
+        print(f"{label:<6} {1e3 * statistics.median(t):>9.2f} {n_batches:>8} {rows:>8} {len(intervals):>9} {peak:>8.2f}")
         digest.update(f"{label}:{','.join(f'{a.hex()}/{b.hex()}' for a, b in intervals)};".encode())
     n = len(balls)
     print(f"per ball (mean of {n}, median of {args.replays} replays): "
           f"_ball_union {1e3 * sum(statistics.median(t) for t in times) / n:.2f} ms, "
           f"{sum(w[0] for w in work) / n:.2f} bisection batches, {sum(w[1] for w in work) / n:.0f} rows, "
-          f"{sum(len(w[2]) for w in work) / n:.2f} intervals")
+          f"{sum(len(w[2]) for w in work) / n:.2f} intervals, {sum(peaks) / n:.2f} MB peak")
     print(f"sha256 of the intervals: {digest.hexdigest()}")
     return 0
 

@@ -19,7 +19,7 @@ from .msa import resonance_radius, resonant
 from .parallel import run_trials
 from .quantiles import sample_quantiles
 from .rng import substream
-from .spectral import BallOperators, BallSpectra, dist_to_spectrum, inertia
+from .spectral import BallOperators, BallSpectra, dist_to_spectrum, inertia, volume_eigenvalues
 
 _Z95 = 1.959963984540054
 FIT_MIN_SUCCESSES = 10
@@ -95,7 +95,7 @@ def wegner_estimate(
         counts = inertia(op, g, sample, shifts)
         if counts is not None:
             return bool(counts[1] > counts[0]), False
-        lam = np.linalg.eigvalsh(op.hamiltonian(g, sample))
+        lam = volume_eigenvalues(op, g, sample)
         return bool(resonant(lam, energy, ball.radius, beta)), True
 
     hits, fallbacks = zip(*run_trials(one, trials, seed))
@@ -116,8 +116,8 @@ def spectral_distances(
 
     def one(trial_seed: int) -> float:
         sample = sample_potential(dist, ballx.graph, trial_seed)
-        lam_x = np.linalg.eigvalsh(op_x.hamiltonian(g, sample))
-        lam_y = np.linalg.eigvalsh(op_y.hamiltonian(g, sample))
+        lam_x = volume_eigenvalues(op_x, g, sample)
+        lam_y = volume_eigenvalues(op_y, g, sample)
         return float(dist_to_spectrum(lam_y, lam_x).min())
 
     return np.asarray(run_trials(one, trials, seed))

@@ -121,7 +121,9 @@ class VolumeOperator:
         return diagonal
 
     def hamiltonian(self, g: float, sample: np.ndarray) -> np.ndarray:
-        """H at coupling g under one disorder sample, a dense m x m array."""
+        """H at coupling g under one disorder sample, a dense m x m array,
+        formed afresh on each call: the caller owns it, and the dense solves
+        overwrite it."""
         diagonal = self.diagonal(g, sample)
         m = len(self)
         h = np.zeros((m, m))

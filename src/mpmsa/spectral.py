@@ -10,6 +10,8 @@ eigenfunction correlator and the GRI.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -100,10 +102,68 @@ def cluster_sums(eigenvalues: np.ndarray, values: np.ndarray) -> tuple[np.ndarra
     return np.add.reduceat(eigenvalues, starts) / sizes, np.add.reduceat(values, starts, axis=0)
 
 
+@functools.cache
+def _dsyevd():
+    """LAPACK dsyevd as numpy's own `eigh` calls it: the ILP64 symbol of the
+    OpenBLAS that numpy's linalg extension links, resolved through that
+    extension's handle, or None where it does not export one."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dsyevd_64_
+    except (OSError, AttributeError):
+        return None
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+    fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9
+    fn.restype = None
+    return fn
+
+
+def _syevd(h: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of the exactly symmetric H, with its orthonormal
+    eigenvector columns (C order) when `vectors`: `np.linalg.eigh` or
+    `eigvalsh` bit for bit, solved in H's own buffer, which it consumes.
+
+    numpy copies H into a Fortran buffer and has LAPACK read its lower
+    triangle; here the C buffer is read as Fortran, H transposed, whose lower
+    triangle is H's upper one, the same numbers.  One workspace query, then
+    one call with the optimal workspace (2 m**2 + 6 m + 1 doubles with
+    vectors, 2 m + 1 without), as numpy makes them; the eigenvectors are
+    copied to C order after the workspace is freed, so a solve with vectors
+    peaks at 3 m**2 doubles, H included, against numpy's 5.  Where numpy's
+    OpenBLAS exports no `scipy_dsyevd_64_`, numpy solves it.
+    """
+    if not (h.ndim == 2 and h.shape[0] == h.shape[1] and h.dtype == np.float64):
+        raise ContractViolation(f"dsyevd needs a square float64 matrix, not {h.dtype} {h.shape}")
+    if not (h.flags.c_contiguous and h.flags.writeable):
+        raise ContractViolation("dsyevd solves in place: H must be C-contiguous and writeable")
+    fn = _dsyevd()
+    if fn is None:
+        return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    m = h.shape[0]
+    w = np.empty(m)
+    n, lda, info = ctypes.c_int64(m), ctypes.c_int64(max(m, 1)), ctypes.c_int64(0)
+
+    def call(lwork: int, liwork: int) -> tuple[int, int]:
+        # -1, -1 asks for the optimal sizes, returned in work[0] and iwork[0]
+        work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), dtype=np.int64)
+        fn(b"V" if vectors else b"N", b"L", ctypes.byref(n), h.ctypes.data, ctypes.byref(lda), w.ctypes.data,
+           work.ctypes.data, ctypes.byref(ctypes.c_int64(lwork)), iwork.ctypes.data,
+           ctypes.byref(ctypes.c_int64(liwork)), ctypes.byref(info))
+        return int(work[0]), int(iwork[0])
+
+    sizes = call(-1, -1)
+    if not info.value:
+        call(*sizes)
+    if info.value:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return (w, np.ascontiguousarray(h.T)) if vectors else w
+
+
 def eigendecompose(op: VolumeOperator, g: float, sample: np.ndarray) -> SpectralData:
     """Full spectrum of H over the volume of `op` at coupling g under one
-    disorder sample: eigh's ascending eigenvalues and orthonormal eigenvectors,
-    signs as LAPACK returns them.
+    disorder sample: ascending eigenvalues and orthonormal eigenvectors from
+    one in-place dsyevd (`_syevd`), signs as LAPACK returns them.
 
     Residual and orthonormality contracts are enforced here rather than
     trusted: max |HV - V diag(lam)| <= 1e-9 max(||H||, 1), formed from H's
@@ -111,9 +171,11 @@ def eigendecompose(op: VolumeOperator, g: float, sample: np.ndarray) -> Spectral
     1e-10, one symmetric product.
     """
     h = op.hamiltonian(g, sample)
-    lam, vec = np.linalg.eigh(h)
+    diagonal = h.diagonal().copy()
+    lam, vec = _syevd(h, vectors=True)
+    del h  # the solve's buffer, not H any more
     h_norm = float(np.abs(lam).max()) if lam.size else 0.0
-    resid = _residual(np.diagonal(h), op.runs, lam, vec)
+    resid = _residual(diagonal, op.runs, lam, vec)
     # `not <=` so that a NaN residual or Gram deviation fails the contract
     if not resid <= 1e-9 * max(h_norm, 1.0):
         raise DataError(f"eigensolve residual {resid:.3e} too large")
@@ -124,6 +186,12 @@ def eigendecompose(op: VolumeOperator, g: float, sample: np.ndarray) -> Spectral
     if not gram_err <= 1e-10:
         raise DataError(f"eigenvector gram deviation {gram_err:.3e} too large")
     return SpectralData(op, lam, vec, h_norm)
+
+
+def volume_eigenvalues(op: VolumeOperator, g: float, sample: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of H over the volume of `op`, `np.linalg.eigvalsh`
+    bit for bit, solved in place in the one m x m array formed."""
+    return _syevd(op.hamiltonian(g, sample), vectors=False)
 
 
 def _residual(diagonal: np.ndarray, runs: tuple, lam: np.ndarray, vec: np.ndarray) -> float:
@@ -198,8 +266,8 @@ def inertia(op: VolumeOperator, g: float, sample: np.ndarray, sigmas) -> np.ndar
     D_0 = A_0 - sigma and D_k = A_k - sigma - B_k^T D_{k-1}^{-1} B_k.  The
     first block is diagonalised once for every shift; later pivot blocks are
     diagonalised per shift, all shifts in one stacked call.  A volume
-    counted whole (no partition) costs one eigvalsh of H, whose counts are
-    taken at sigma -/+ 3 delta.
+    counted whole (no partition) costs one `volume_eigenvalues` solve of H,
+    whose counts are taken at sigma -/+ 3 delta.
 
     The computed pivots are exact for H + E, E block diagonal with block k
     at most the roundoff_floor of the entries that formed D_k (scale
@@ -222,7 +290,7 @@ def inertia(op: VolumeOperator, g: float, sample: np.ndarray, sigmas) -> np.ndar
     base = float(op.degree.max()) + float(np.abs(sigmas).max())
     delta = roundoff_floor(len(diagonal), base + float(np.abs(diagonal).max()))
     if part is None:
-        lam = np.linalg.eigvalsh(op.hamiltonian(g, sample))
+        lam = volume_eigenvalues(op, g, sample)
         width = 3.0 * delta
         below = np.searchsorted(lam, sigmas - width)
         return below if np.array_equal(below, np.searchsorted(lam, sigmas + width)) else None

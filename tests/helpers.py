@@ -98,7 +98,9 @@ class DenseOperator(VolumeOperator):
     """Operator-shaped stand-in whose H is a given dense symmetric matrix
     over the volume of `op`, whatever the coupling and sample: its runs are
     read off the matrix's off-diagonal entries.  Every other attribute is
-    that of `op`, so only eigendecompose may be given it."""
+    that of `op`, so only eigendecompose may be given it.  Each call of
+    `hamiltonian` returns a fresh copy, as `VolumeOperator.hamiltonian`
+    forms a fresh H: the solve overwrites the array it is given."""
 
     def __init__(self, op: VolumeOperator, matrix):
         self.__dict__.update(op.__dict__)
@@ -109,7 +111,7 @@ class DenseOperator(VolumeOperator):
         self.runs = row_runs(rows, cols, matrix[rows, cols])
 
     def hamiltonian(self, g, sample) -> np.ndarray:
-        return self.matrix
+        return self.matrix.copy()
 
 
 def laplacian(op: VolumeOperator) -> np.ndarray:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mpmsa import spectral
 from mpmsa.cli import main
 from mpmsa.config import load_config, parse_config_text
 from mpmsa.configspace import MultiBall
@@ -572,17 +573,18 @@ def test_dominate_solves_each_green_ball_once(tmp_path, monkeypatch):
     that passes the hypotheses solves (H - E) once for all boundary columns."""
     ball_size = 13  # configs/dominate.cfg: path:20, one particle, radius 6
     eigh_sizes, solves = [], []
-    eigh, solve = np.linalg.eigh, np.linalg.solve
+    syevd, solve = spectral._syevd, np.linalg.solve
 
-    def counting_eigh(a, *args, **kwargs):
-        eigh_sizes.append(a.shape[0])
-        return eigh(a, *args, **kwargs)
+    def counting_syevd(h, vectors):
+        if vectors:
+            eigh_sizes.append(h.shape[0])
+        return syevd(h, vectors)
 
     def counting_solve(a, b):
         solves.append(b.shape)
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(spectral, "_syevd", counting_syevd)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     out = tmp_path / "dominate"
     code = main(["dominate", "--config", str(ROOT / "configs" / "dominate.cfg"), "--out", str(out)])

@@ -1,5 +1,10 @@
+import functools
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +45,14 @@ from helpers import (
 )
 
 DIST = uniform_distribution(0, 1)
+TESTS = Path(__file__).resolve().parent
+
+
+def _child_env(**extra):
+    """The environment of a child process that imports mpmsa from src/ and
+    this module from tests/."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH")])))
 
 
 def _dense_op(graph, volume_configs, matrix):
@@ -88,15 +101,14 @@ def test_eigendecompose_contracts():
 def test_eigendecompose_rejects_nan_eigenvectors(monkeypatch):
     g = build_graph("path:3")
     op = _dense_op(g, [(0,), (1,), (2,)], np.diag([3.0, -1.0, 2.0]))
-    real_eigh = np.linalg.eigh
+    real_syevd = spectral._syevd
 
-    def eigh_with_nan(matrix):
-        lam, vec = real_eigh(matrix)
-        vec = vec.copy()
+    def syevd_with_nan(matrix, vectors):
+        lam, vec = real_syevd(matrix, vectors)
         vec[1, 2] = np.nan
         return lam, vec
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh_with_nan)
+    monkeypatch.setattr(spectral, "_syevd", syevd_with_nan)
     with pytest.raises(DataError):
         eigendecompose(op, 0.0, None)
 
@@ -188,32 +200,32 @@ def test_contracts_reject_nan_in_a_neighbour_row(monkeypatch):
     lam, vec = np.linalg.eigh(h)
     vec[j, 5] = np.nan
     assert np.isnan(spectral._residual(np.diagonal(h), op.runs, lam, vec))
-    real_eigh = np.linalg.eigh
+    real_syevd = spectral._syevd
 
-    def eigh_with_nan(matrix):
-        lam, vec = real_eigh(matrix)
+    def syevd_with_nan(matrix, vectors):
+        lam, vec = real_syevd(matrix, vectors)
         vec[j, 5] = np.nan
         return lam, vec
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh_with_nan)
+    monkeypatch.setattr(spectral, "_syevd", syevd_with_nan)
     with pytest.raises(DataError, match="residual"):
         eigendecompose(op, 5.0, smp)
 
 
 def test_residual_contract_rejects_a_swapped_eigenvalue_pair(monkeypatch):
     op, h, smp = _two_particle_path(12, 5.0)
-    real_eigh = np.linalg.eigh
-    lam = real_eigh(h)[0]
+    real_syevd = spectral._syevd
+    lam = np.linalg.eigh(h)[0]
     gaps = np.diff(lam)
     # the closest pair whose swap is still above the bound 1e-9 max(||H||, 1)
     k = int(np.argmin(np.where(gaps > 1e-7 * np.abs(lam).max(), gaps, np.inf)))
 
-    def swapped(matrix):
-        lam, vec = real_eigh(matrix)
+    def swapped(matrix, vectors):
+        lam, vec = real_syevd(matrix, vectors)
         lam[[k, k + 1]] = lam[[k + 1, k]]
         return lam, vec
 
-    monkeypatch.setattr(np.linalg, "eigh", swapped)
+    monkeypatch.setattr(spectral, "_syevd", swapped)
     with pytest.raises(DataError, match="residual"):
         eigendecompose(op, 5.0, smp)
 
@@ -222,19 +234,119 @@ def test_gram_contract_rejects_a_non_orthogonal_mix(monkeypatch):
     # g = 0 and no interaction: the two-particle path Laplacian has
     # degenerate pairs, inside which any mix of eigenvectors passes the residual
     op, h, smp = _two_particle_path(12, 0.0, ZERO_INTERACTION)
-    real_eigh = np.linalg.eigh
-    lam = real_eigh(h)[0]
+    real_syevd = spectral._syevd
+    lam = np.linalg.eigh(h)[0]
     k = int(np.argmin(np.diff(lam)))
     assert lam[k + 1] - lam[k] < 1e-12
 
-    def mixed(matrix):
-        lam, vec = real_eigh(matrix)
+    def mixed(matrix, vectors):
+        lam, vec = real_syevd(matrix, vectors)
         vec[:, k + 1] = (vec[:, k] + vec[:, k + 1]) / np.sqrt(2.0)
         return lam, vec
 
-    monkeypatch.setattr(np.linalg, "eigh", mixed)
+    monkeypatch.setattr(spectral, "_syevd", mixed)
     with pytest.raises(DataError, match="gram"):
         eigendecompose(op, 0.0, smp)
+
+
+@functools.cache
+def _syevd_cases() -> tuple[np.ndarray, ...]:
+    """H of a one-particle g = 0 grid ball (degenerate clusters), of the
+    m = 144 two-particle path and of the m = 900 criterion-09 volume."""
+    grid = build_graph("grid:9x9")
+    ball = VolumeOperator.from_ball(MultiBall(grid, (40,), 4), ZERO_INTERACTION)
+    assert (np.diff(np.linalg.eigvalsh(ball.hamiltonian(0.0, np.zeros(81)))) < 1e-12).any()
+    return (ball.hamiltonian(0.0, np.zeros(81)), _two_particle_path(12, 5.0)[1], _two_particle_path(30, 50.0)[1])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _syevd_matches_numpy(h: np.ndarray) -> bool:
+    """`_syevd` with and without vectors against eigh and eigvalsh, bit for
+    bit, its eigenvectors in C order."""
+    lam, vec = spectral._syevd(h.copy(), vectors=True)
+    want_lam, want_vec = np.linalg.eigh(h)
+    return (_same_bits(lam, want_lam) and _same_bits(vec, want_vec) and vec.flags.c_contiguous
+            and _same_bits(spectral._syevd(h.copy(), vectors=False), np.linalg.eigvalsh(h)))
+
+
+def _needs_dsyevd():
+    if spectral._dsyevd() is None:
+        pytest.skip("numpy's OpenBLAS exports no scipy_dsyevd_64_")
+
+
+def test_in_place_solve_is_numpy_eigh_bit_for_bit():
+    _needs_dsyevd()
+    for h in _syevd_cases():
+        assert _syevd_matches_numpy(h)
+
+
+def test_in_place_solve_is_numpy_eigh_bit_for_bit_at_two_blas_threads():
+    _needs_dsyevd()
+    probe = "from test_spectral import _syevd_cases, _syevd_matches_numpy\n" \
+            "print([_syevd_matches_numpy(h) for h in _syevd_cases()])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[True, True, True]"
+
+
+def test_solve_without_the_lapack_symbol_is_numpy_eigh(monkeypatch):
+    monkeypatch.setattr(spectral, "_dsyevd", lambda: None)
+    for h in _syevd_cases()[:2]:
+        assert _syevd_matches_numpy(h)
+
+
+@pytest.mark.parametrize("bad", ["non-square", "non-contiguous", "float32", "read-only", "one-dimensional"])
+def test_in_place_solve_rejects_a_matrix_it_cannot_overwrite(monkeypatch, bad):
+    def unreached():
+        raise AssertionError("the LAPACK routine was resolved for a rejected matrix")
+
+    monkeypatch.setattr(spectral, "_dsyevd", unreached)
+    h = np.eye(4)
+    if bad == "non-square":
+        h = np.zeros((4, 3))
+    elif bad == "non-contiguous":
+        h = np.eye(8)[::2, ::2]
+    elif bad == "float32":
+        h = h.astype(np.float32)
+    elif bad == "read-only":
+        h.setflags(write=False)
+    else:
+        h = np.ones(4)
+    with pytest.raises(ContractViolation):
+        spectral._syevd(h, vectors=True)
+
+
+def test_eigendecompose_peaks_below_four_matrices_of_its_volume():
+    """One eigendecompose at m = 900 raises the process's high-water mark by
+    at most 4 m**2 doubles over its resident set (numpy's eigh: 5.5), in a
+    fresh process at one BLAS thread; VmHWM, since a spawned process's
+    ru_maxrss starts at its parent's."""
+    _needs_dsyevd()
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status")
+    probe = """
+from test_spectral import _two_particle_path
+from mpmsa.spectral import eigendecompose
+
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
+
+op, h, smp = _two_particle_path(30, 50.0)
+del h
+op.runs
+before = status("VmRSS")
+eigendecompose(op, 50.0, smp)
+print((status("VmHWM") - before) / (8 * len(op) ** 2))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) <= 4.0
 
 
 def test_green_one_by_one():

@@ -172,9 +172,6 @@ def green_magnitude_maps(spectra: BallSpectra, ball: MultiBall, energy: float) -
     n_vol = len(op)
     noise_floor = 64.0 * n_vol * eps * eps * max(1.0, spec.h_norm) * (1.0 + 1.0 / max(dist, eps))
     h = op.hamiltonian(spectra.g, spectra.sample)
-    h[np.diag_indices(n_vol)] -= energy
-    unit = np.zeros((n_vol, op.boundary.size))
-    unit[op.boundary, np.arange(op.boundary.size)] = 1.0
-    cols = np.abs(np.linalg.solve(h, unit))
+    cols = np.abs(np.linalg.solve(h - energy * np.eye(n_vol), np.eye(n_vol)[:, op.boundary]))
     cols[cols < noise_floor] = 0.0
     return cols
